@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-guard obs-smoke loadgen-smoke loadgen-smoke-packed ingest-guard ci
+.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-guard bench-e2e bench-compare obs-smoke loadgen-smoke loadgen-smoke-packed ingest-guard ci
 
 build:
 	$(GO) build ./...
@@ -53,8 +53,9 @@ soak-full:
 
 # Fuzz the attack surfaces: the transport frame decoder, the mux unwrapper,
 # the partial-write recomposition, the fault-spec parser, and the fixed-base
-# exponentiation kernels (differential against big.Int.Exp). One target per
-# invocation (go fuzz requires it); FUZZTIME bounds each.
+# exponentiation kernels (differential against big.Int.Exp), and the key
+# owner's CRT Paillier encryption (differential against the public path). One
+# target per invocation (go fuzz requires it); FUZZTIME bounds each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzMuxUnwrap$$' -fuzztime $(FUZZTIME) ./internal/transport/
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
+	$(GO) test -run '^$$' -fuzz '^FuzzOwnKeyEncrypt$$' -fuzztime $(FUZZTIME) ./internal/paillier/
 
 # Coverage with a regression floor (scripts/coverage_baseline.txt); leaves
 # the profile at results/coverage.out.
@@ -80,6 +82,26 @@ bench:
 # regressed more than 25% against the committed baseline.
 bench-guard: bench
 	./scripts/bench_guard.sh
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): the real serve
+# pair and relay tree over loopback at deployable key sizes, through the same
+# entry point the benchmark driver uses. WORKLOAD empty runs all four;
+# TRACE=0 is a timed run (end-to-end metrics), TRACE=1 a traced one
+# (per-layer metrics). BENCH_ARGS passes anything else through, e.g.
+# BENCH_ARGS='-repeat 5 -out /tmp/a' for a run set.
+WORKLOAD ?=
+SEED ?= 1
+SECONDS ?= 20
+TRACE ?= 0
+BENCH_ARGS ?=
+bench-e2e:
+	bash bench/run.sh $(if $(WORKLOAD),-workload $(WORKLOAD)) -seed $(SEED) -seconds $(SECONDS) -trace $(TRACE) $(BENCH_ARGS)
+
+# Compare two run sets written by `-repeat N -out DIR` (B against A):
+# make bench-compare A=/tmp/a/runset.json B=/tmp/b/runset.json
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<runset.json> B=<runset.json>"; exit 2; }
+	$(GO) run ./bench -compare $(A) $(B)
 
 # End-to-end observability smoke test: two real server processes with the
 # admin endpoint enabled, one full query, then scrape /metrics and /healthz.

@@ -27,6 +27,7 @@ var (
 	ErrCiphertextNil = errors.New("dgk: nil ciphertext")
 	ErrNotInTable    = errors.New("dgk: plaintext not in decryption table")
 	ErrBadParams     = errors.New("dgk: invalid key parameters")
+	ErrNoPrivateKey  = errors.New("dgk: operation requires the private key")
 )
 
 // Params configures DGK key generation.
@@ -156,16 +157,8 @@ func (sk *PrivateKey) Zeroize() {
 	if sk == nil {
 		return
 	}
-	for _, v := range []*big.Int{sk.p, sk.vp} {
-		if v == nil {
-			continue
-		}
-		bits := v.Bits()
-		for i := range bits {
-			bits[i] = 0
-		}
-		v.SetInt64(0)
-	}
+	mathutil.ZeroInt(sk.p)
+	mathutil.ZeroInt(sk.vp)
 	sk.p, sk.vp = nil, nil
 	// Map keys cannot be scrubbed in place; dropping every entry is the
 	// best Go allows, and the table is useless without vp anyway.
@@ -436,6 +429,9 @@ func (pk *PublicKey) Neg(c *Ciphertext) (*Ciphertext, error) {
 // IsZero reports whether c encrypts 0, using the fast zero test
 // c^{v_p} mod p == 1.
 func (k *PrivateKey) IsZero(c *Ciphertext) (bool, error) {
+	if k.p == nil {
+		return false, ErrNoPrivateKey // zeroized
+	}
 	if err := k.validateCiphertext(c); err != nil {
 		return false, err
 	}
@@ -446,6 +442,9 @@ func (k *PrivateKey) IsZero(c *Ciphertext) (bool, error) {
 
 // Decrypt fully decrypts c via the discrete-log table.
 func (k *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
+	if k.p == nil {
+		return nil, ErrNoPrivateKey // zeroized
+	}
 	if err := k.validateCiphertext(c); err != nil {
 		return nil, err
 	}

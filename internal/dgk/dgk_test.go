@@ -2,6 +2,7 @@ package dgk
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -405,4 +406,40 @@ func TestGenerateKeyRejectsBadParams(t *testing.T) {
 	if _, err := GenerateKey(testRNG(72), Params{NBits: 512, TBits: 160, U: 15, L: 40}); err == nil {
 		t.Error("expected error for tiny composite plaintext space")
 	}
+}
+
+// TestZeroizeRetiresKey checks that a zeroized DGK key refuses the zero test
+// and decryption with ErrNoPrivateKey instead of dereferencing wiped fields,
+// while the public half keeps encrypting.
+func TestZeroizeRetiresKey(t *testing.T) {
+	key, err := GenerateKey(testRNG(91), TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := key.Encrypt(testRNG(1), big.NewInt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, vp := key.p, key.vp
+
+	key.Zeroize()
+	key.Zeroize() // idempotent
+
+	if p.Sign() != 0 || vp.Sign() != 0 {
+		t.Error("secret factor or subgroup order survived Zeroize")
+	}
+	if key.decTable != nil {
+		t.Error("decryption table survived Zeroize")
+	}
+	if _, err := key.IsZero(c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("IsZero on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.Decrypt(c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("Decrypt on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.Public().Encrypt(testRNG(2), big.NewInt(1)); err != nil {
+		t.Errorf("public Encrypt after Zeroize: %v", err)
+	}
+	var nilKey *PrivateKey
+	nilKey.Zeroize() // must not panic
 }

@@ -281,3 +281,23 @@ func BenchmarkBigIntExpBaseline(b *testing.B) {
 		out.Exp(base, e, m)
 	}
 }
+
+// Table entries must be stored right-sized. big.Int.Mul sizes its result for
+// its Karatsuba temporaries (6x the residue at 4096 bits) and Mod keeps that
+// buffer, so entries multiplied in place would pin ~3 KB each — 118 MB
+// instead of 22 MB for the blinding table of a 2048-bit Paillier key.
+func TestFixedBaseEntriesAreRightSized(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 4096))
+	m.SetBit(m, 0, 1)
+	m.SetBit(m, 4095, 1)
+	fb := mustTable(t, new(big.Int).Rand(rng, m), m, 21)
+	limit := len(m.Bits()) + 8
+	for i, row := range fb.table {
+		for d, e := range row {
+			if c := cap(e.Bits()); c > limit {
+				t.Fatalf("entry [%d][%d] holds a %d-word buffer for a %d-word modulus", i, d, c, len(m.Bits()))
+			}
+		}
+	}
+}

@@ -119,6 +119,20 @@ func FromSigned(v, n *big.Int) *big.Int {
 	return new(big.Int).Mod(v, n)
 }
 
+// ZeroInt overwrites v's limb array with zeros, for retiring secrets.
+// v.SetInt64(0) alone may release the backing array with the secret limbs
+// still readable. A nil v is a no-op.
+func ZeroInt(v *big.Int) {
+	if v == nil {
+		return
+	}
+	bits := v.Bits()
+	for i := range bits {
+		bits[i] = 0
+	}
+	v.SetInt64(0)
+}
+
 // CRTParams holds precomputed values for recombining residues mod p and q
 // into a residue mod p*q via the Chinese Remainder Theorem.
 type CRTParams struct {

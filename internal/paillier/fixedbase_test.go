@@ -1,7 +1,10 @@
 package paillier
 
 import (
+	"bytes"
 	"math/big"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -87,4 +90,161 @@ func TestRerandomizeTablePath(t *testing.T) {
 	if got, err := key.Decrypt(r); err != nil || got.Int64() != 9 {
 		t.Fatalf("rerandomized decrypt: got (%v, %v), want 9", got, err)
 	}
+}
+
+// ownKeyBits are the modulus sizes the own-key differential checks cover:
+// the paper's toy keys, a mid size, and the deployable size.
+var ownKeyBits = []int{64, 512, 2048}
+
+// ownKeys generates one key per ownKeyBits entry, once per process.
+var ownKeys = sync.OnceValue(func() []*PrivateKey {
+	keys := make([]*PrivateKey, len(ownKeyBits))
+	for i, bits := range ownKeyBits {
+		key, err := GenerateKey(testRNG(int64(50+i)), bits)
+		if err != nil {
+			panic(err)
+		}
+		keys[i] = key
+	}
+	return keys
+})
+
+// checkOwnKeyMatchesPublic encrypts m under the key owner's CRT path and
+// under a Public() copy from identically seeded rng streams: ciphertexts
+// must agree byte for byte and both streams must end at the same position.
+func checkOwnKeyMatchesPublic(t *testing.T, key *PrivateKey, seed int64, m *big.Int) {
+	t.Helper()
+	rngOwn, rngPub := testRNG(seed), testRNG(seed)
+	own, errOwn := key.Encrypt(rngOwn, m)
+	pub, errPub := key.Public().Encrypt(rngPub, m)
+	if (errOwn == nil) != (errPub == nil) {
+		t.Fatalf("Encrypt(%v): own err %v, public err %v", m, errOwn, errPub)
+	}
+	if errOwn != nil {
+		return
+	}
+	if !bytes.Equal(own.Bytes(), pub.Bytes()) {
+		t.Fatalf("%d-bit Encrypt(%v) seed %d: own-key and public ciphertexts differ", key.N.BitLen(), m, seed)
+	}
+	own, errOwn = key.Rerandomize(rngOwn, own)
+	pub, errPub = key.Public().Rerandomize(rngPub, pub)
+	if errOwn != nil || errPub != nil {
+		t.Fatalf("Rerandomize: own err %v, public err %v", errOwn, errPub)
+	}
+	if !bytes.Equal(own.Bytes(), pub.Bytes()) {
+		t.Fatalf("%d-bit Rerandomize seed %d: own-key and public ciphertexts differ", key.N.BitLen(), seed)
+	}
+	if a, b := rngOwn.Int63(), rngPub.Int63(); a != b {
+		t.Fatalf("rng streams diverged after identical operations: %d vs %d", a, b)
+	}
+}
+
+// TestOwnKeyEncryptMatchesPublic is the differential test of the key
+// owner's CRT blinding against the public fixed-base path.
+func TestOwnKeyEncryptMatchesPublic(t *testing.T) {
+	for i, key := range ownKeys() {
+		if testing.Short() && ownKeyBits[i] > 512 {
+			continue
+		}
+		top := new(big.Int).Sub(key.N, big.NewInt(1))
+		for seed, m := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(123456789), top} {
+			checkOwnKeyMatchesPublic(t, key, int64(seed+1), m)
+		}
+		rng := testRNG(7)
+		neg := big.NewInt(-41)
+		own, err := key.EncryptSigned(rng, neg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := key.DecryptSigned(own); err != nil || got.Cmp(neg) != 0 {
+			t.Fatalf("own-key EncryptSigned round trip: got (%v, %v), want %v", got, err, neg)
+		}
+	}
+}
+
+// FuzzOwnKeyEncrypt fuzzes the same differential over key size, rng seed
+// and message (out-of-range messages must be rejected by both paths).
+func FuzzOwnKeyEncrypt(f *testing.F) {
+	f.Add(uint8(0), int64(1), []byte{0})
+	f.Add(uint8(1), int64(2), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(2), int64(3), []byte{0x12, 0x34})
+	f.Fuzz(func(t *testing.T, sel uint8, seed int64, msg []byte) {
+		keys := ownKeys()
+		checkOwnKeyMatchesPublic(t, keys[int(sel)%len(keys)], seed, new(big.Int).SetBytes(msg))
+	})
+}
+
+// reachablePointers collects every pointer reachable from v through
+// exported and unexported fields alike.
+func reachablePointers(v reflect.Value, seen map[uintptr]bool) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return
+		}
+		seen[v.Pointer()] = true
+		reachablePointers(v.Elem(), seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			reachablePointers(v.Field(i), seen)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			reachablePointers(v.Index(i), seen)
+		}
+	}
+}
+
+// TestPublicCopyCannotReachOwnTables pins the isolation the CRT tables
+// depend on: they encode the factorization, so nothing reachable from a
+// Public() copy — which is handed to peers, users and the keystore's public
+// file — may point at them, even after both table sets are built.
+func TestPublicCopyCannotReachOwnTables(t *testing.T) {
+	key := testKey(t, 64)
+	key.Precompute()
+	own := key.ownTables()
+	if own == nil || own.p == nil || own.q == nil {
+		t.Fatal("Precompute did not build the own-key tables")
+	}
+	pub := key.Public()
+	if pub.pre != key.pre || pub.pre.blind == nil {
+		t.Fatal("Public() copy does not share the built public table")
+	}
+	seen := map[uintptr]bool{}
+	reachablePointers(reflect.ValueOf(pub), seen)
+	for name, ptr := range map[string]any{"own": own, "p table": own.p, "q table": own.q, "crt": own.crt} {
+		if seen[reflect.ValueOf(ptr).Pointer()] {
+			t.Fatalf("own-key %s is reachable from a Public() copy", name)
+		}
+	}
+	if pub.pre.blind.Modulus().Cmp(key.N2) != 0 {
+		t.Fatal("shared public table is not over n^2")
+	}
+}
+
+// TestOwnKeyTablesConcurrentFirstUse races the lazy CRT-table build: many
+// goroutines make their first own-key encryption on a cold key at once
+// (crypto/rand, so the rng is safe to share). Run under -race.
+func TestOwnKeyTablesConcurrentFirstUse(t *testing.T) {
+	key, err := GenerateKey(testRNG(60), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := big.NewInt(int64(1000 + g))
+			c, err := key.Encrypt(nil, m)
+			if err != nil {
+				t.Errorf("goroutine %d: Encrypt: %v", g, err)
+				return
+			}
+			if got, err := key.Decrypt(c); err != nil || got.Cmp(m) != 0 {
+				t.Errorf("goroutine %d: round trip got (%v, %v), want %v", g, got, err, m)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

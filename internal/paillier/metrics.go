@@ -7,6 +7,8 @@ import "github.com/privconsensus/privconsensus/internal/obs"
 var (
 	encOps = obs.Default.Counter("paillier_encrypt_total",
 		"Paillier encryptions, fresh-nonce and pooled.")
+	ownEncOps = obs.Default.Counter("paillier_encrypt_ownkey_total",
+		"Blinding factors the key owner computed through its CRT tables; each is also counted in paillier_encrypt_total.")
 	decOps = obs.Default.Counter("paillier_decrypt_total",
 		"Paillier decryptions, CRT and slow path.")
 	addOps = obs.Default.Counter("paillier_add_total",

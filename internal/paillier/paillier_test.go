@@ -2,10 +2,13 @@ package paillier
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -438,4 +441,62 @@ func TestNoncePoolContextCancel(t *testing.T) {
 		}
 	}
 	t.Error("expected context cancellation error")
+}
+
+// TestZeroizeRetiresKey checks that a zeroized key refuses every private
+// operation with ErrNoPrivateKey instead of dereferencing wiped fields,
+// that the CRT tables are wiped with it, and that the public half — shared
+// with peers — keeps working.
+func TestZeroizeRetiresKey(t *testing.T) {
+	key, err := GenerateKey(testRNG(77), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.Precompute()
+	pub := key.Public()
+	c, err := key.Encrypt(testRNG(1), big.NewInt(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := key.own
+	secrets := []*big.Int{key.p, key.q, key.pSquared, key.qSquared, key.pMinus1, key.qMinus1,
+		key.hp, key.hq, key.lambda, key.mu, own.crt.P, own.crt.Q, own.crt.QInvP}
+	tp, tq := own.p, own.q
+
+	key.Zeroize()
+	key.Zeroize() // idempotent
+
+	for i, v := range secrets {
+		if v.Sign() != 0 {
+			t.Errorf("secret %d survived Zeroize", i)
+		}
+	}
+	for _, tbl := range []*mathutil.FixedBaseExp{tp, tq} {
+		if tbl.Modulus().Sign() != 0 {
+			t.Error("CRT table modulus survived Zeroize")
+		}
+	}
+	if key.own != nil || own.p != nil || own.q != nil || own.crt != nil {
+		t.Error("own-key tables still attached after Zeroize")
+	}
+	if _, err := key.Decrypt(c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("Decrypt on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.DecryptSlow(c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("DecryptSlow on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.DecryptSigned(c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("DecryptSigned on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.Encrypt(testRNG(2), big.NewInt(5)); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("own-key Encrypt on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := key.Rerandomize(testRNG(3), c); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("own-key Rerandomize on zeroized key: err = %v, want ErrNoPrivateKey", err)
+	}
+	if _, err := pub.Encrypt(testRNG(4), big.NewInt(5)); err != nil {
+		t.Errorf("public Encrypt after Zeroize: %v", err)
+	}
+	var nilKey *PrivateKey
+	nilKey.Zeroize() // must not panic
 }

@@ -26,6 +26,12 @@ import (
 //
 // Multiple sequence pairs run under the same (pi1, pi2) in one invocation,
 // as Alg. 5 step 3 requires for the vote and threshold sequences.
+//
+// In packed mode S1 enters with its sequences still slot-packed (P
+// ciphertexts each): step 1 adds r1 to every slot of the packed aggregate
+// and S2 splits what it decrypts, so S2 reads the same a_j + r1 as in the
+// unpacked protocol — and nothing else — without an unpack round for S1's
+// half. S2's sequences are per-class in both modes (see unpack.go).
 
 // bpResultS1 is S1's output of one Blind-and-Permute invocation.
 type bpResultS1 struct {
@@ -41,30 +47,60 @@ type bpResultS2 struct {
 	Pi2   perm.Permutation
 }
 
+// bpS1SeqLen is the number of ciphertexts in each sequence S1 brings to
+// Blind-and-Permute: K per-class ones, or P packed ones in packed mode.
+func bpS1SeqLen(cfg Config) int {
+	if cfg.Packing {
+		return cfg.PackedCiphertexts()
+	}
+	return cfg.Classes
+}
+
+// r1Masks returns the plaintexts that, added to the ciphertexts of one of
+// S1's sequences, mask every class with the scalar r: r itself per class,
+// or, packed, r replicated into every slot. The slot width leaves kappa
+// bits of headroom above the worst-case sum, so sum + n*Bias + r (r <
+// 2^kappa) cannot carry into the neighbouring slot.
+func r1Masks(cfg Config, r *big.Int) ([]*big.Int, error) {
+	perClass := make([]*big.Int, cfg.Classes)
+	for j := range perClass {
+		perClass[j] = r
+	}
+	if !cfg.Packing {
+		return perClass, nil
+	}
+	return cfg.packedLayout().PackRaw(perClass)
+}
+
 // blindPermuteS1 runs S1's side of Alg. 2 over conn for the given encrypted
-// sequences (all under pk2).
+// sequences (all under pk2; slot-packed in packed mode).
 func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	conn transport.Conn, seqs [][]*paillier.Ciphertext) (*bpResultS1, error) {
 	k := cfg.Classes
 	nSeq := len(seqs)
+	perSeq := bpS1SeqLen(cfg)
 	for s, seq := range seqs {
-		if len(seq) != k {
-			return nil, fmt.Errorf("protocol: sequence %d has length %d, want %d", s, len(seq), k)
+		if len(seq) != perSeq {
+			return nil, fmt.Errorf("protocol: sequence %d has length %d, want %d", s, len(seq), perSeq)
 		}
 	}
 	pk2 := keys.PeerPub
 
 	// Step 1: add scalar mask r1_s to each sequence and ship to S2.
 	r1 := make([]*big.Int, nSeq)
-	masked := make([]*big.Int, 0, nSeq*k)
+	masked := make([]*big.Int, 0, nSeq*perSeq)
 	for s, seq := range seqs {
 		r, err := mathutil.RandBits(rng, cfg.Kappa)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: sample r1: %w", err)
 		}
 		r1[s] = r
-		for _, c := range seq {
-			mc, err := pk2.AddPlain(c, r)
+		masks, err := r1Masks(cfg, r)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: pack r1: %w", err)
+		}
+		for i, c := range seq {
+			mc, err := pk2.AddPlain(c, masks[i])
 			if err != nil {
 				return nil, fmt.Errorf("protocol: mask sequence %d: %w", s, err)
 			}
@@ -100,10 +136,9 @@ func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 3 (cont.): send E_pk1[r1_s] so S2 can build its own sequences.
-	pk1 := keys.Own.Public()
 	encR1 := make([]*big.Int, nSeq)
 	for s, r := range r1 {
-		c, err := pk1.Encrypt(rng, r)
+		c, err := keys.Own.Encrypt(rng, r)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: encrypt r1: %w", err)
 		}
@@ -164,9 +199,10 @@ func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 }
 
 // blindPermuteS2 runs S2's side of Alg. 2 for the matching sequences (all
-// under pk1).
+// under pk1, per-class in both modes). nUsers is the (public) participant
+// count whose per-user slot bias packed mode strips in step 2.
 func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, seqs [][]*paillier.Ciphertext) (*bpResultS2, error) {
+	conn transport.Conn, seqs [][]*paillier.Ciphertext, nUsers int) (*bpResultS2, error) {
 	k := cfg.Classes
 	nSeq := len(seqs)
 	for s, seq := range seqs {
@@ -181,7 +217,7 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 2 recv: %w", err)
 	}
-	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*k {
+	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*bpS1SeqLen(cfg) {
 		return nil, fmt.Errorf("%w: B&P step 2 malformed batch", ErrPeerMismatch)
 	}
 	pi2, err := perm.New(rng, k)
@@ -198,16 +234,27 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 		}
 		r2[s] = r
 	}
-	decrypted := make([]*big.Int, nSeq*k)
-	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
-		plain, err := keys.Own.DecryptSigned(&paillier.Ciphertext{C: msg.Values[idx]})
+	// decrypted holds the signed a_j + r1, sequence-major.
+	var decrypted []*big.Int
+	if cfg.Packing {
+		// Each slot reads sum_j + n*Bias + r1; stripping the public bias
+		// leaves the value the unpacked path decrypts.
+		layout := cfg.packedLayout()
+		slots, err := decryptSlots(cfg, keys.Own, layout, msg.Values, nSeq)
 		if err != nil {
-			return fmt.Errorf("protocol: B&P step 2 decrypt: %w", err)
+			return nil, fmt.Errorf("protocol: B&P step 2: %w", err)
 		}
-		decrypted[idx] = plain.Add(plain, r2[idx/k])
-		return nil
-	}); err != nil {
-		return nil, err
+		shift := new(big.Int).Mul(big.NewInt(int64(nUsers)), layout.Bias)
+		for _, seq := range slots {
+			for _, v := range seq {
+				decrypted = append(decrypted, v.Sub(v, shift))
+			}
+		}
+	} else if decrypted, err = decryptSignedAll(cfg, keys.Own, msg.Values); err != nil {
+		return nil, fmt.Errorf("protocol: B&P step 2: %w", err)
+	}
+	for idx, v := range decrypted {
+		v.Add(v, r2[idx/k])
 	}
 	plainOut := make([]*big.Int, 0, nSeq*k)
 	for s := 0; s < nSeq; s++ {
@@ -267,11 +314,10 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 		payload = append(payload, permuted...)
 	}
 	// Fresh encryptions of -r3 dominate step 4's CPU cost; fan out.
-	pk2own := keys.Own.Public()
 	encNegR3 := make([]*big.Int, nSeq*k)
 	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
 		s, i := idx/k, idx%k
-		c, err := pk2own.EncryptSigned(rng, new(big.Int).Neg(r3[s][i]))
+		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Neg(r3[s][i]))
 		if err != nil {
 			return fmt.Errorf("protocol: B&P step 4 encrypt -r3: %w", err)
 		}
@@ -293,16 +339,9 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if len(msg.Values) != nSeq*k {
 		return nil, fmt.Errorf("%w: B&P step 6 expected %d values, got %d", ErrPeerMismatch, nSeq*k, len(msg.Values))
 	}
-	final := make([]*big.Int, nSeq*k)
-	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
-		plain, err := keys.Own.DecryptSigned(&paillier.Ciphertext{C: msg.Values[idx]})
-		if err != nil {
-			return fmt.Errorf("protocol: B&P step 6 decrypt: %w", err)
-		}
-		final[idx] = plain
-		return nil
-	}); err != nil {
-		return nil, err
+	final, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: B&P step 6: %w", err)
 	}
 	out := make([][]*big.Int, nSeq)
 	for s := 0; s < nSeq; s++ {

@@ -158,17 +158,13 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return nil, fmt.Errorf("protocol: S1 secure sum: %w", err)
 	}
 
-	// Packed mode: one blinded interactive unpack turns the packed
-	// aggregates into the per-class ciphertexts the remaining steps need.
+	// Packed mode: one blinded interactive unpack turns S2's packed
+	// aggregates into the per-class ciphertexts Alg. 2 step 4 permutes.
+	// S1's stay packed; Blind-and-Permute step 1 masks them as they are.
 	if cfg.Packing {
 		setStep(conn, StepUnpack1)
 		err = timeStep(ctx, meter, StepUnpack1, func() error {
-			out, uerr := unpackS1(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh}, len(participants))
-			if uerr != nil {
-				return uerr
-			}
-			aggVotes, aggThresh = out[0], out[1]
-			return nil
+			return unpackS1(ctx, rng, cfg, keys, conn, 2)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("protocol: S1 packed unpack: %w", err)
@@ -243,12 +239,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	if cfg.Packing {
 		setStep(conn, StepUnpack2)
 		err = timeStep(ctx, meter, StepUnpack2, func() error {
-			out, uerr := unpackS1(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy}, len(participants))
-			if uerr != nil {
-				return uerr
-			}
-			aggNoisy = out[0]
-			return nil
+			return unpackS1(ctx, rng, cfg, keys, conn, 1)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("protocol: S1 packed unpack 2: %w", err)
@@ -465,7 +456,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	var bp *bpResultS2
 	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
 		var err error
-		bp, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh})
+		bp, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh}, len(participants))
 		return err
 	})
 	if err != nil {
@@ -535,7 +526,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	var bp2 *bpResultS2
 	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
 		var err error
-		bp2, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy})
+		bp2, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy}, len(participants))
 		return err
 	})
 	if err != nil {

@@ -1,9 +1,16 @@
 package protocol
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
+
+	"github.com/privconsensus/privconsensus/internal/paillier"
+	"github.com/privconsensus/privconsensus/internal/pate"
+	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
 // packedTestConfig returns a packing-feasible test configuration: the
@@ -239,5 +246,217 @@ func TestPackedSubmissionSizeReduction(t *testing.T) {
 	plainCts := 6 * cfg.Classes
 	if packedCts*2 > plainCts {
 		t.Fatalf("packed submission uses %d encryptions, unpacked %d: less than 2x fewer", packedCts, plainCts)
+	}
+}
+
+// The fused Blind-and-Permute step 1 adds r1 < 2^kappa to every slot of a
+// packed aggregate. At every participant count — in particular on both
+// sides of each step of packedSumBits, where the slot width changes — the
+// worst case (every user at the per-slot maximum, r1 at its maximum, all
+// neighbours equally full) must stay inside its slot.
+func TestPackedFusedMaskNeverCarries(t *testing.T) {
+	for _, users := range []int{1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 1000} {
+		cfg := packedTestConfig(users)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("users=%d: %v", users, err)
+		}
+		layout := cfg.packedLayout()
+		top := make([]*big.Int, cfg.Classes) // largest value Pack accepts
+		for j := range top {
+			top[j] = new(big.Int).Sub(layout.Bias, big.NewInt(1))
+		}
+		packed, err := layout.Pack(top)
+		if err != nil {
+			t.Fatalf("users=%d: Pack: %v", users, err)
+		}
+		r1 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(cfg.Kappa)), big.NewInt(1))
+		masks, err := r1Masks(cfg, r1)
+		if err != nil {
+			t.Fatalf("users=%d: r1Masks: %v", users, err)
+		}
+		for i := range packed {
+			packed[i].Mul(packed[i], big.NewInt(int64(users))) // sum of `users` identical plaintexts
+			packed[i].Add(packed[i], masks[i])
+			if packed[i].BitLen() > cfg.PaillierBits-2 {
+				t.Fatalf("users=%d: masked aggregate needs %d bits, plaintext space has %d", users, packed[i].BitLen(), cfg.PaillierBits-2)
+			}
+		}
+		slots, err := layout.Split(packed)
+		if err != nil {
+			t.Fatalf("users=%d: Split: %v", users, err)
+		}
+		want := new(big.Int).Sub(layout.Max, big.NewInt(1))
+		want.Mul(want, big.NewInt(int64(users)))
+		want.Add(want, r1)
+		for j, v := range slots {
+			if v.Cmp(want) != 0 {
+				t.Fatalf("users=%d: slot %d = %v after masking, want %v (carry between slots)", users, j, v, want)
+			}
+		}
+	}
+}
+
+// Seeded outcome parity of the packed path — fused Blind-and-Permute step 1
+// plus the two-frame unpack of S2's half — against pate's plaintext rule
+// (Alg. 1), with zero noise so the rule is the expected answer. Covers
+// participant subsets (rescaled threshold and the delta correction), tied
+// maxima (any tied class may win: the crypto path breaks ties by permuted
+// position), votes exactly at the threshold, and user counts on both sides
+// of a slot-width step.
+func TestPackedFusedMatchesPlaintextRule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full protocol runs are slow in -short mode")
+	}
+	for _, users := range []int{4, 7, 8} {
+		cfg := packedTestConfig(users)
+		cfg.Sigma1, cfg.Sigma2 = 0, 0
+		cfg.ThresholdFrac = 0.5 // exact in binary: the float rule and the integer threshold agree at equality
+		keys, err := GenerateKeys(testRNG(int64(200+users)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(300 + users)))
+		for trial := 0; trial < 5; trial++ {
+			// Trial 0 splits everyone over two labels (at even user counts
+			// a tie sitting exactly on the threshold), trial 1 spreads them
+			// over all four (no consensus); the rest draw three live labels
+			// and a random participant subset.
+			labels := make([]int, users)
+			for u := range labels {
+				switch trial {
+				case 0:
+					labels[u] = u % 2
+				case 1:
+					labels[u] = u % cfg.Classes
+				default:
+					labels[u] = rng.Intn(3)
+				}
+			}
+			var participants []int
+			for u := 0; u < users; u++ {
+				if trial < 2 || rng.Intn(4) > 0 {
+					participants = append(participants, u)
+				}
+			}
+			if len(participants) == 0 {
+				participants = []int{0}
+			}
+			votes := make([][]*big.Int, users)
+			for u := range votes {
+				votes[u] = oneHotVotes(cfg.Classes, labels[u])
+			}
+			counts := make([]float64, cfg.Classes)
+			for _, u := range participants {
+				counts[labels[u]]++
+			}
+			wantLabel, wantOK := pate.PlainLabeler{Threshold: cfg.ThresholdFrac * float64(len(participants))}.Label(nil, counts)
+
+			subs, _ := buildAll(t, cfg, keys, votes, int64(400+10*users+trial))
+			out1, out2 := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
+			t.Logf("users=%d participants=%v counts=%v: %+v", users, participants, counts, out1)
+			if *out1 != *out2 {
+				t.Fatalf("users=%d trial=%d: servers disagree: %+v vs %+v", users, trial, out1, out2)
+			}
+			if out1.Consensus != wantOK || out1.Participants != len(participants) {
+				t.Fatalf("users=%d trial=%d counts=%v participants=%v: outcome %+v, plaintext rule says consensus=%v",
+					users, trial, counts, participants, out1, wantOK)
+			}
+			if wantOK && counts[out1.Label] != counts[wantLabel] {
+				t.Fatalf("users=%d trial=%d counts=%v: released label %d is not a maximum (plaintext rule: %d)",
+					users, trial, counts, out1.Label, wantLabel)
+			}
+		}
+	}
+}
+
+// runHalves plays an S1-side and an S2-side function against each other
+// over an in-memory pair, closing a side's conn when it fails so the peer
+// unblocks, and returns both errors.
+func runHalves(t *testing.T, s1, s2 func(ctx context.Context, conn transport.Conn) error) (err1, err2 error) {
+	t.Helper()
+	connA, connB := transport.Pair()
+	defer connA.Close()
+	defer connB.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	ch := make(chan error, 1)
+	go func() {
+		err := s1(ctx, connA)
+		if err != nil {
+			connA.Close()
+		}
+		ch <- err
+	}()
+	err2 = s2(ctx, connB)
+	if err2 != nil {
+		connB.Close()
+	}
+	return <-ch, err2
+}
+
+// A pair where only one side speaks the packed grammar must fail on the
+// first frame — ErrPeerMismatch on the shape check or the transport's
+// wrong-kind error — and never reach an output.
+func TestPackedGrammarMismatchFails(t *testing.T) {
+	packedCfg := packedTestConfig(3)
+	plainCfg := packedCfg
+	plainCfg.Packing = false
+	keys, err := GenerateKeys(testRNG(130), packedCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk1, pk2 := keys.S1Paillier.Public(), keys.S2Paillier.Public()
+	perClass := func(pk *paillier.PublicKey) [][]*paillier.Ciphertext {
+		return [][]*paillier.Ciphertext{encryptSeq(t, pk, []int64{5, 6, 7, 8})}
+	}
+	packedSeq := func(pk *paillier.PublicKey) [][]*paillier.Ciphertext {
+		zero := make([]*big.Int, packedCfg.Classes)
+		for j := range zero {
+			zero[j] = new(big.Int)
+		}
+		plain, err := packedCfg.packedLayout().Pack(zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts, err := pk.EncryptVector(testRNG(131), plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]*paillier.Ciphertext{cts}
+	}
+	bpS1 := func(cfg Config, seqs [][]*paillier.Ciphertext) func(context.Context, transport.Conn) error {
+		return func(ctx context.Context, conn transport.Conn) error {
+			_, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(132)}, cfg, keys.ForS1(), conn, seqs)
+			return err
+		}
+	}
+	bpS2 := func(cfg Config) func(context.Context, transport.Conn) error {
+		return func(ctx context.Context, conn transport.Conn) error {
+			_, err := blindPermuteS2(ctx, &lockedReader{r: testRNG(133)}, cfg, keys.ForS2(), conn, perClass(pk1), 1)
+			return err
+		}
+	}
+
+	// Packed S1 (P ciphertexts per sequence) against an unpacked S2.
+	err1, err2 := runHalves(t, bpS1(packedCfg, packedSeq(pk2)), bpS2(plainCfg))
+	if err1 == nil || !errors.Is(err2, ErrPeerMismatch) {
+		t.Fatalf("packed S1 vs unpacked S2: err1 = %v, err2 = %v, want failure and ErrPeerMismatch", err1, err2)
+	}
+	// Unpacked S1 (K ciphertexts) against a packed S2.
+	err1, err2 = runHalves(t, bpS1(plainCfg, perClass(pk2)), bpS2(packedCfg))
+	if err1 == nil || !errors.Is(err2, ErrPeerMismatch) {
+		t.Fatalf("unpacked S1 vs packed S2: err1 = %v, err2 = %v, want failure and ErrPeerMismatch", err1, err2)
+	}
+	// S2 opens the unpack round while S1, unpacked, is already in
+	// Blind-and-Permute: S1 sees a ciphertext frame where step 2's
+	// plaintexts belong, S2 a flagged batch where the re-encryptions belong.
+	err1, err2 = runHalves(t, bpS1(plainCfg, perClass(pk2)),
+		func(ctx context.Context, conn transport.Conn) error {
+			_, err := unpackS2(ctx, testRNG(134), packedCfg, keys.ForS2(), conn, packedSeq(pk1), 1)
+			return err
+		})
+	var wrongKind *transport.FatalError
+	if !errors.As(err1, &wrongKind) || !errors.Is(err2, ErrPeerMismatch) {
+		t.Fatalf("unpacked S1 vs unpacking S2: err1 = %v, err2 = %v, want wrong-kind and ErrPeerMismatch", err1, err2)
 	}
 }

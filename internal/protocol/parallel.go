@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -71,6 +72,21 @@ func parallelFor(par, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// decryptSignedAll decrypts every value as a signed residue across the
+// configured workers (decryption draws no randomness).
+func decryptSignedAll(cfg Config, sk *paillier.PrivateKey, values []*big.Int) ([]*big.Int, error) {
+	out := make([]*big.Int, len(values))
+	err := parallelFor(cfg.parallelism(), len(values), func(i int) error {
+		v, err := sk.DecryptSigned(&paillier.Ciphertext{C: values[i]})
+		if err != nil {
+			return fmt.Errorf("decrypt element %d: %w", i, err)
+		}
+		out[i] = v
+		return nil
+	})
+	return out, err
 }
 
 // lockedReader serializes Read calls so a math/rand source can safely feed

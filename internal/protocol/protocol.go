@@ -17,6 +17,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
 	"github.com/privconsensus/privconsensus/internal/dp"
@@ -484,17 +485,34 @@ type KeysS1 struct {
 
 // Precompute warms the fixed-base exponentiation tables behind every key in
 // S1's view so the first query does not pay the table-build cost inside a
-// protocol phase. Idempotent and safe to call concurrently.
+// protocol phase. The tables are independent, so they build concurrently;
+// every build has finished when Precompute returns. Idempotent and safe to
+// call concurrently.
 func (k KeysS1) Precompute() {
+	var builds []func()
 	if k.Own != nil {
-		k.Own.Precompute()
+		builds = append(builds, k.Own.Precompute)
 	}
 	if k.PeerPub != nil {
-		k.PeerPub.Precompute()
+		builds = append(builds, k.PeerPub.Precompute)
 	}
 	if k.DGKPub != nil {
-		k.DGKPub.Precompute()
+		builds = append(builds, k.DGKPub.Precompute)
 	}
+	runAll(builds)
+}
+
+// runAll runs every fn on its own goroutine and waits for all of them.
+func runAll(fns []func()) {
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		wg.Add(1)
+		go func(fn func()) {
+			defer wg.Done()
+			fn()
+		}(fn)
+	}
+	wg.Wait()
 }
 
 // KeysS2 is the key material visible to S2.
@@ -507,15 +525,17 @@ type KeysS2 struct {
 // Precompute warms the fixed-base exponentiation tables in S2's view; see
 // KeysS1.Precompute.
 func (k KeysS2) Precompute() {
+	var builds []func()
 	if k.Own != nil {
-		k.Own.Precompute()
+		builds = append(builds, k.Own.Precompute)
 	}
 	if k.PeerPub != nil {
-		k.PeerPub.Precompute()
+		builds = append(builds, k.PeerPub.Precompute)
 	}
 	if k.DGK != nil {
-		k.DGK.Precompute()
+		builds = append(builds, k.DGK.Precompute)
 	}
+	runAll(builds)
 }
 
 // Zeroize destroys S1's private key material in place (epoch retirement

@@ -3,7 +3,9 @@ package protocol
 import (
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
 	"github.com/privconsensus/privconsensus/internal/secshare"
@@ -309,5 +311,41 @@ func TestNoiseSharesClamped(t *testing.T) {
 		if new(big.Int).Abs(v).Cmp(clamp) > 0 {
 			t.Errorf("class %d: noise %v exceeds clamp", i, v)
 		}
+	}
+}
+
+// Precompute builds a view's tables on goroutines of its own; every one of
+// them must have exited when it returns, on a cold view and on a warm one.
+func TestPrecomputeJoinsItsGoroutines(t *testing.T) {
+	cfg := testConfig(3)
+	keys, err := GenerateKeys(testRNG(140), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 2; i++ {
+		keys.ForS1().Precompute()
+		keys.ForS2().Precompute()
+		// A joined goroutine has run its last statement but may still be
+		// counted for an instant while the scheduler retires it.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("pass %d: %d goroutines alive after Precompute, %d before", i, after, before)
+		}
+	}
+	// The warmed own-key path is live and agrees with the public one.
+	own, err := keys.S1Paillier.Encrypt(testRNG(141), big.NewInt(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := keys.S1Paillier.Public().Encrypt(testRNG(141), big.NewInt(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.C.Cmp(pub.C) != 0 {
+		t.Fatal("own-key and public encryptions differ after Precompute")
 	}
 }

@@ -71,15 +71,16 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 4: strip r1 and re-encrypt under pk1.
-	pk1 := keys.Own.Public()
 	reenc := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		v := new(big.Int).Sub(msg.Values[i], r1[i])
-		c, err := pk1.EncryptSigned(rng, v)
+	if err := parallelFor(cfg.parallelism(), k, func(i int) error {
+		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Sub(msg.Values[i], r1[i]))
 		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 4 encrypt: %w", err)
+			return fmt.Errorf("protocol: restore step 4 encrypt: %w", err)
 		}
 		reenc[i] = c.C
+		return nil
+	}); err != nil {
+		return -1, err
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: reenc}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 4 send: %w", err)
@@ -95,13 +96,9 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 6: decrypt blindly (r2 hides the position) and return.
-	plain := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		v, err := keys.Own.DecryptSigned(&paillier.Ciphertext{C: msg.Values[i]})
-		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 6 decrypt: %w", err)
-		}
-		plain[i] = v
+	plain, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: restore step 6: %w", err)
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindPlainSeq, Values: plain}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 6 send: %w", err)
@@ -132,14 +129,16 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return -1, err
 	}
-	pk2 := keys.Own.Public()
 	enc := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		c, err := pk2.Encrypt(rng, oneHot[i])
+	if err := parallelFor(cfg.parallelism(), k, func(i int) error {
+		c, err := keys.Own.Encrypt(rng, oneHot[i])
 		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 1 encrypt: %w", err)
+			return fmt.Errorf("protocol: restore step 1 encrypt: %w", err)
 		}
 		enc[i] = c.C
+		return nil
+	}); err != nil {
+		return -1, err
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: enc}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 1 send: %w", err)
@@ -153,13 +152,9 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if len(msg.Values) != k {
 		return -1, fmt.Errorf("%w: restore step 3 expected %d values, got %d", ErrPeerMismatch, k, len(msg.Values))
 	}
-	plain := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		v, err := keys.Own.DecryptSigned(&paillier.Ciphertext{C: msg.Values[i]})
-		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 3 decrypt: %w", err)
-		}
-		plain[i] = v
+	plain, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: restore step 3: %w", err)
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindPlainSeq, Values: plain}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 3 send: %w", err)

@@ -50,10 +50,10 @@ func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int6
 	}
 	ch := make(chan s1res, 1)
 	go func() {
-		r, err := blindPermuteS1(ctx, testRNG(56), cfg, keys.ForS1(), connA, encA)
+		r, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(56)}, cfg, keys.ForS1(), connA, encA)
 		ch <- s1res{r, err}
 	}()
-	r2, err := blindPermuteS2(ctx, testRNG(57), cfg, keys.ForS2(), connB, encB)
+	r2, err := blindPermuteS2(ctx, &lockedReader{r: testRNG(57)}, cfg, keys.ForS2(), connB, encB, cfg.Users)
 	if err != nil {
 		t.Fatalf("blindPermuteS2: %v", err)
 	}
@@ -186,10 +186,10 @@ func TestRestorationRoundTrip(t *testing.T) {
 		}
 		ch := make(chan res, 1)
 		go func() {
-			l, err := restoreS1(ctx, testRNG(59), cfg, keys.ForS1(), connA, pi1)
+			l, err := restoreS1(ctx, &lockedReader{r: testRNG(59)}, cfg, keys.ForS1(), connA, pi1)
 			ch <- res{l, err}
 		}()
-		got2, err := restoreS2(ctx, testRNG(60), cfg, keys.ForS2(), connB, pi2, permutedIdx)
+		got2, err := restoreS2(ctx, &lockedReader{r: testRNG(60)}, cfg, keys.ForS2(), connB, pi2, permutedIdx)
 		if err != nil {
 			t.Fatalf("restoreS2(label=%d): %v", label, err)
 		}

@@ -11,26 +11,27 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Blinded interactive unpack. In packed mode each server finishes a
-// secure-sum phase holding P packed ciphertexts per sequence instead of
-// K per-class ones, but Blind-and-Permute and the DGK comparisons need
-// per-class ciphertexts. Each server therefore adds a per-slot
-// statistical blind (packed, so one AddPlain per ciphertext), ships the
-// blinded aggregate to the key owner in one frame, and gets back K
-// fresh per-class encryptions of the blinded slot values; stripping the
-// blind (plus the public participant-count bias) homomorphically
-// yields exactly the per-class aggregate ciphertexts the unpacked path
-// aggregates directly. The decryptor only ever sees slot sums shifted
-// by a uniform blind kappa bits wider than the sum bound — the same
-// statistical-blinding argument as Blind-and-Permute's masked
-// decryptions — and one round trip covers all sequences of a phase.
+// Blinded interactive unpack of the S2-held half. In packed mode each
+// server finishes a secure-sum phase holding P packed ciphertexts per
+// sequence instead of K per-class ones. S1's aggregates (under pk2) need no
+// unpack: Blind-and-Permute's first act is to show them, masked, to the key
+// owner S2, so S1 masks them packed and S2 splits what it decrypts
+// (blindPermuteS1 step 1). S2's aggregates (under pk1) do: Alg. 2 step 4 has
+// S2 permute per-class ciphertexts it cannot read. S2 therefore adds a
+// per-slot statistical blind (packed, so one AddPlain per ciphertext),
+// ships the blinded aggregate to the key owner S1 in one frame, and gets
+// back K fresh per-class encryptions of the blinded slot values; stripping
+// the blind (plus the public participant-count bias) homomorphically yields
+// exactly the per-class aggregate ciphertexts the unpacked path aggregates
+// directly. S1 only ever sees slot sums shifted by a uniform blind kappa
+// bits wider than the sum bound — the same statistical-blinding argument as
+// Blind-and-Permute's masked decryptions — and one round trip covers all
+// sequences of a phase.
 //
 // Wire order on the (sequential) peer link:
 //
-//	1. S1 -> S2: S1's blinded packed aggregates  (nSeq*P values)
-//	2. S2 -> S1: per-class re-encryptions under pk2 (nSeq*K values)
-//	3. S2 -> S1: S2's blinded packed aggregates  (nSeq*P values)
-//	4. S1 -> S2: per-class re-encryptions under pk1 (nSeq*K values)
+//	1. S2 -> S1: S2's blinded packed aggregates  (nSeq*P values)
+//	2. S1 -> S2: per-class re-encryptions under pk1 (nSeq*K values)
 
 // unpackBlinds draws one fresh blind per class for each sequence, each
 // uniform in [0, 2^(Width-1)) — kappa bits wider than any slot sum.
@@ -74,38 +75,48 @@ func blindPacked(pk *paillier.PublicKey, layout paillier.Packing,
 	return out, nil
 }
 
-// reencryptSlots plays the key owner: decrypt each blinded packed
-// aggregate, split it into slot values, and return fresh per-class
-// encryptions of those (still blinded) values under encPK. All slot
-// values are non-negative by construction, so the unsigned decrypt
-// avoids the signed-residue boundary that full-width packed plaintexts
-// would otherwise straddle.
-func reencryptSlots(rng io.Reader, cfg Config, sk *paillier.PrivateKey, encPK *paillier.PublicKey,
-	layout paillier.Packing, values []*big.Int, nSeq int) ([]*big.Int, error) {
+// decryptSlots plays the key owner's read of packed aggregates: decrypt the
+// P ciphertexts of each of the nSeq sequences in values and split them into
+// K raw slot values (slot j carries sum_j + n*Bias plus whatever mask the
+// holder added). All slot values are non-negative by construction, so the
+// unsigned decrypt avoids the signed-residue boundary that full-width
+// packed plaintexts would otherwise straddle.
+func decryptSlots(cfg Config, sk *paillier.PrivateKey, layout paillier.Packing,
+	values []*big.Int, nSeq int) ([][]*big.Int, error) {
 	p := layout.Plaintexts()
-	k := layout.Count
 	slots := make([][]*big.Int, nSeq)
-	if err := parallelFor(cfg.parallelism(), nSeq, func(s int) error {
+	err := parallelFor(cfg.parallelism(), nSeq, func(s int) error {
 		packed := make([]*big.Int, p)
 		for i := 0; i < p; i++ {
 			m, err := sk.Decrypt(&paillier.Ciphertext{C: values[s*p+i]})
 			if err != nil {
-				return fmt.Errorf("protocol: unpack decrypt: %w", err)
+				return fmt.Errorf("protocol: packed decrypt: %w", err)
 			}
 			packed[i] = m
 		}
 		split, err := layout.Split(packed)
 		if err != nil {
-			return fmt.Errorf("protocol: unpack split: %w", err)
+			return fmt.Errorf("protocol: packed split: %w", err)
 		}
 		slots[s] = split
 		return nil
-	}); err != nil {
+	})
+	return slots, err
+}
+
+// reencryptSlots plays the unpack's key owner: read the blinded slot values
+// and return fresh per-class encryptions of them (still blinded) under the
+// owner's own key.
+func reencryptSlots(rng io.Reader, cfg Config, sk *paillier.PrivateKey,
+	layout paillier.Packing, values []*big.Int, nSeq int) ([]*big.Int, error) {
+	k := layout.Count
+	slots, err := decryptSlots(cfg, sk, layout, values, nSeq)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]*big.Int, nSeq*k)
 	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
-		c, err := encPK.Encrypt(rng, slots[idx/k][idx%k])
+		c, err := sk.Encrypt(rng, slots[idx/k][idx%k])
 		if err != nil {
 			return fmt.Errorf("protocol: unpack re-encrypt: %w", err)
 		}
@@ -139,18 +150,42 @@ func stripBlinds(pk *paillier.PublicKey, layout paillier.Packing,
 	return out, nil
 }
 
-// unpackS1 runs S1's side of the blinded unpack for its packed
-// aggregate sequences (under pk2), acting as key owner for S2's.
-// nUsers is the (public) participant count whose per-user bias the
-// strip removes. Returns per-class aggregate sequences under pk2.
+// unpackS1 runs S1's side of the blinded unpack: key owner for S2's nSeq
+// packed aggregate sequences. S1's own aggregates stay packed.
 func unpackS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
+	conn transport.Conn, nSeq int) error {
+	layout := cfg.packedLayout()
+
+	// Step 1: receive S2's blinded packed aggregates (under pk1).
+	msg, err := transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
+	if err != nil {
+		return fmt.Errorf("protocol: unpack step 1 recv: %w", err)
+	}
+	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*layout.Plaintexts() {
+		return fmt.Errorf("%w: unpack step 1 malformed batch", ErrPeerMismatch)
+	}
+
+	// Step 2: decrypt, split, re-encrypt per class under pk1, return.
+	re, err := reencryptSlots(rng, cfg, keys.Own, layout, msg.Values, nSeq)
+	if err != nil {
+		return err
+	}
+	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: re}); err != nil {
+		return fmt.Errorf("protocol: unpack step 2 send: %w", err)
+	}
+	return nil
+}
+
+// unpackS2 runs S2's side: holder of the packed aggregate sequences seqs
+// (under pk1). nUsers is the (public) participant count whose per-user bias
+// the strip removes. Returns per-class aggregate sequences under pk1.
+func unpackS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	conn transport.Conn, seqs [][]*paillier.Ciphertext, nUsers int) ([][]*paillier.Ciphertext, error) {
 	layout := cfg.packedLayout()
 	nSeq := len(seqs)
-	p := layout.Plaintexts()
 	k := layout.Count
 
-	// Step 1: blind own packed aggregates and ship to the key owner S2.
+	// Step 1: blind own packed aggregates and ship to the key owner S1.
 	blinds, err := unpackBlinds(rng, layout, nSeq)
 	if err != nil {
 		return nil, err
@@ -163,84 +198,13 @@ func unpackS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return nil, fmt.Errorf("protocol: unpack step 1 send: %w", err)
 	}
 
-	// Step 2: receive the per-class re-encryptions of our blinded slots.
+	// Step 2: receive our per-class re-encryptions and strip the blinds.
 	msg, err := transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: unpack step 2 recv: %w", err)
 	}
-	if len(msg.Values) != nSeq*k {
-		return nil, fmt.Errorf("%w: unpack step 2 expected %d values, got %d", ErrPeerMismatch, nSeq*k, len(msg.Values))
-	}
-	own := msg.Values
-
-	// Step 3: receive S2's blinded packed aggregates (under pk1).
-	msg, err = transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 3 recv: %w", err)
-	}
-	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*p {
-		return nil, fmt.Errorf("%w: unpack step 3 malformed batch", ErrPeerMismatch)
-	}
-
-	// Step 4: decrypt, split, re-encrypt per class under pk1, return.
-	re, err := reencryptSlots(rng, cfg, keys.Own, keys.Own.Public(), layout, msg.Values, nSeq)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: re}); err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 4 send: %w", err)
-	}
-
-	return stripBlinds(keys.PeerPub, layout, own, blinds, nUsers)
-}
-
-// unpackS2 runs S2's side: key owner for S1's packed aggregates, then
-// holder for its own (under pk1). Returns per-class sequences under pk1.
-func unpackS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, seqs [][]*paillier.Ciphertext, nUsers int) ([][]*paillier.Ciphertext, error) {
-	layout := cfg.packedLayout()
-	nSeq := len(seqs)
-	p := layout.Plaintexts()
-	k := layout.Count
-
-	// Step 1: receive S1's blinded packed aggregates (under pk2).
-	msg, err := transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 1 recv: %w", err)
-	}
-	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*p {
-		return nil, fmt.Errorf("%w: unpack step 1 malformed batch", ErrPeerMismatch)
-	}
-
-	// Step 2: decrypt, split, re-encrypt per class under pk2, return.
-	re, err := reencryptSlots(rng, cfg, keys.Own, keys.Own.Public(), layout, msg.Values, nSeq)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: re}); err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 2 send: %w", err)
-	}
-
-	// Step 3: blind own packed aggregates and ship to the key owner S1.
-	blinds, err := unpackBlinds(rng, layout, nSeq)
-	if err != nil {
-		return nil, err
-	}
-	blinded, err := blindPacked(keys.PeerPub, layout, seqs, blinds)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: blinded, Flags: []int64{int64(nSeq)}}); err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 3 send: %w", err)
-	}
-
-	// Step 4: receive our per-class re-encryptions and strip the blinds.
-	msg, err = transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: unpack step 4 recv: %w", err)
-	}
-	if len(msg.Values) != nSeq*k {
-		return nil, fmt.Errorf("%w: unpack step 4 expected %d values, got %d", ErrPeerMismatch, nSeq*k, len(msg.Values))
+	if len(msg.Flags) != 0 || len(msg.Values) != nSeq*k {
+		return nil, fmt.Errorf("%w: unpack step 2 expected %d unflagged values, got %d", ErrPeerMismatch, nSeq*k, len(msg.Values))
 	}
 	return stripBlinds(keys.PeerPub, layout, msg.Values, blinds, nUsers)
 }
