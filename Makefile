@@ -52,10 +52,13 @@ soak-full:
 	$(GO) run ./cmd/trace -verify soak-journals/*.jsonl
 
 # Fuzz the attack surfaces: the transport frame decoder, the mux unwrapper,
-# the partial-write recomposition, the fault-spec parser, and the fixed-base
-# exponentiation kernels (differential against big.Int.Exp), and the key
-# owner's CRT Paillier encryption (differential against the public path). One
-# target per invocation (go fuzz requires it); FUZZTIME bounds each.
+# the partial-write recomposition, the fault-spec parser, the fixed-base
+# exponentiation kernels (differential against big.Int.Exp), the key owner's
+# CRT Paillier encryption (differential against the public path), the four
+# ingest frame decoders (user and combined, packed and not: no panic, and
+# whatever decodes re-encodes byte-identically) and the packed group layout
+# (no carry between slots at any feasible shape). One target per invocation
+# (go fuzz requires it); FUZZTIME bounds each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzMuxUnwrap$$' -fuzztime $(FUZZTIME) ./internal/transport/
@@ -64,6 +67,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnKeyEncrypt$$' -fuzztime $(FUZZTIME) ./internal/paillier/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzPackedJointLayout$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 
 # Coverage with a regression floor (scripts/coverage_baseline.txt); leaves
 # the profile at results/coverage.out.

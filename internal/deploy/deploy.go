@@ -101,12 +101,13 @@ type collector struct {
 	mu        sync.Mutex
 	users     int
 	instances int
-	// perVec is the expected ciphertext count per vector: Classes on an
-	// unpacked grid, PackedCiphertexts() on a packed one.
-	perVec int
+	// want is the shape every half must have (protocol.Config.HalfLens):
+	// Classes ciphertexts per vector on an unpacked grid; on a packed one
+	// the joint Votes‖Thresh group, no Thresh, and the Noisy group.
+	want [3]int
 	// packed, when non-nil, marks the grid as slot-packed: frames must
 	// declare exactly this layout (checked by the serving loops before
-	// add/addBatch) and carry perVec packed ciphertexts per vector.
+	// add/addBatch).
 	packed *ingest.PackedParams
 	// packedClasses is the logical class count K packed frames must
 	// declare (0 on an unpacked grid).
@@ -123,10 +124,16 @@ type collector struct {
 	// batchSeen keys relay-batch replay dedup by (relay, seq) identity.
 	batchSeen map[batchKey][32]byte
 	remaining int
-	released  bool
-	done      chan struct{}
-	doneOnce  sync.Once
-	events    func(reason string) // optional rejection observer (journal hook)
+	// owed counts submissions recorded by a batch-mode connection whose
+	// uploader has not been answered yet (a user's upload ack, a relay's
+	// batch ack). A full grid releases only once nothing is owed, so the
+	// release — after which the run may stop serving — never cancels an
+	// exchange still in flight; see owe.
+	owed     int
+	released bool
+	done     chan struct{}
+	doneOnce sync.Once
+	events   func(reason string) // optional rejection observer (journal hook)
 }
 
 // relayBatch is one accepted combined frame: the homomorphic sum of the
@@ -142,14 +149,16 @@ type batchKey struct {
 	seq   int64
 }
 
-// newCollector prepares an empty submission grid. ring is the N² modulus of
-// the Paillier key the stored halves are encrypted under; every ciphertext
-// of every submission must fall in [0, ring) or the submission is rejected.
-func newCollector(users, instances, perVec int, ring *big.Int) *collector {
+// newCollector prepares an empty submission grid for cfg's users and
+// submission shape. ring is the N² modulus of the Paillier key the stored
+// halves are encrypted under; every ciphertext of every submission must fall
+// in [0, ring) or the submission is rejected.
+func newCollector(cfg protocol.Config, instances int, ring *big.Int) *collector {
+	users := cfg.Users
 	c := &collector{
 		users:     users,
 		instances: instances,
-		perVec:    perVec,
+		want:      cfg.HalfLens(),
 		ring:      ring,
 		halves:    make([][]*protocol.SubmissionHalf, instances),
 		covered:   make([]*big.Int, instances),
@@ -161,6 +170,14 @@ func newCollector(users, instances, perVec int, ring *big.Int) *collector {
 	for i := range c.halves {
 		c.halves[i] = make([]*protocol.SubmissionHalf, users)
 		c.covered[i] = new(big.Int)
+	}
+	if cfg.Packing {
+		c.packed = &ingest.PackedParams{
+			Width:    cfg.PackedWidth(),
+			PerVec:   cfg.PackedCiphertexts(),
+			Headroom: cfg.PackedHeadroomBits(),
+		}
+		c.packedClasses = cfg.Classes
 	}
 	return c
 }
@@ -192,9 +209,8 @@ func (c *collector) add(user, instance int, half protocol.SubmissionHalf) error 
 	if instance < 0 || instance >= c.instances {
 		return c.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", instance, c.instances))
 	}
-	if len(half.Votes) != c.perVec || len(half.Thresh) != c.perVec || len(half.Noisy) != c.perVec {
-		return c.reject("bad-length", fmt.Errorf("submission has %d/%d/%d ciphertexts, want %d each",
-			len(half.Votes), len(half.Thresh), len(half.Noisy), c.perVec))
+	if half.Lens() != c.want {
+		return c.reject("bad-length", fmt.Errorf("submission has %v ciphertexts, want %v", half.Lens(), c.want))
 	}
 	if c.ring != nil {
 		for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
@@ -223,9 +239,7 @@ func (c *collector) add(user, instance int, half protocol.SubmissionHalf) error 
 	c.halves[instance][user] = &h
 	c.covered[instance].SetBit(c.covered[instance], user, 1)
 	c.remaining--
-	if c.remaining == 0 {
-		c.doneOnce.Do(func() { close(c.done) })
-	}
+	c.signalFullLocked()
 	return nil
 }
 
@@ -244,9 +258,8 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 	if bm == nil || bm.Sign() <= 0 || bm.BitLen() > c.users {
 		return c.reject("bad-bitmap", fmt.Errorf("batch relay=%d seq=%d bitmap names users outside [0, %d)", relay, seq, c.users))
 	}
-	if len(half.Votes) != c.perVec || len(half.Thresh) != c.perVec || len(half.Noisy) != c.perVec {
-		return c.reject("bad-length", fmt.Errorf("batch has %d/%d/%d ciphertexts, want %d each",
-			len(half.Votes), len(half.Thresh), len(half.Noisy), c.perVec))
+	if half.Lens() != c.want {
+		return c.reject("bad-length", fmt.Errorf("batch has %v ciphertexts, want %v", half.Lens(), c.want))
 	}
 	if c.ring != nil {
 		for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
@@ -274,10 +287,36 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 	c.covered[instance].Or(c.covered[instance], bm)
 	c.batches[instance] = append(c.batches[instance], relayBatch{bm: new(big.Int).Set(bm), half: half})
 	c.remaining -= popcount(bm)
-	if c.remaining <= 0 {
+	c.signalFullLocked()
+	return nil
+}
+
+// signalFullLocked wakes wait/waitQuorum once every cell is filled and every
+// uploader answered. Caller holds c.mu.
+func (c *collector) signalFullLocked() {
+	if c.remaining <= 0 && c.owed == 0 {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
-	return nil
+}
+
+// owe announces a submission whose uploader expects an answer on the same
+// connection. Call it before add/addBatch and settle the debt once the
+// answer is sent, the submission turned out not to be recorded, or the
+// connection is gone. An uploader that goes silent holds the release back
+// exactly as a user that never submits does: until the submit window or ctx
+// ends.
+func (c *collector) owe() {
+	c.mu.Lock()
+	c.owed++
+	c.mu.Unlock()
+}
+
+// settle clears n debts taken with owe.
+func (c *collector) settle(n int) {
+	c.mu.Lock()
+	c.owed -= n
+	c.signalFullLocked()
+	c.mu.Unlock()
 }
 
 // halfEqual reports whether two equal-shape submission halves carry the
@@ -420,6 +459,8 @@ var errRejectedSubmission = errors.New("deploy: submission rejected")
 // ends its upload with a done frame and waits for the ack; replayed
 // submissions (after a reconnect) are deduplicated against the collector.
 func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) error {
+	owed := 0 // submissions recorded on this connection since its last ack
+	defer func() { col.settle(owed) }()
 	for {
 		msg, err := conn.Recv(ctx)
 		if err != nil {
@@ -436,6 +477,8 @@ func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) err
 			if err := conn.Send(ctx, ack); err != nil {
 				return nil //nolint:nilerr // user gone; it will retry
 			}
+			col.settle(owed)
+			owed = 0
 			continue
 		}
 		var (
@@ -465,7 +508,9 @@ func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) err
 				return err
 			}
 		}
+		col.owe()
 		if err := col.add(user, instance, half); err != nil {
+			col.settle(1)
 			if errors.Is(err, errDuplicateSubmission) {
 				continue // idempotent replay after a reconnect
 			}
@@ -474,6 +519,7 @@ func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) err
 			}
 			return err
 		}
+		owed++
 	}
 }
 

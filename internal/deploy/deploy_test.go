@@ -275,7 +275,7 @@ func TestEncodeHalfValidation(t *testing.T) {
 
 func TestCollector(t *testing.T) {
 	_, _, pubFile, cfg := testSetup(t, 2)
-	col := newCollector(2, 1, cfg.Classes, nil)
+	col := newCollector(cfg, 1, nil)
 
 	bigUnits, err := votesToUnits(oneHot(cfg.Classes, 0), cfg.Classes)
 	if err != nil {

@@ -45,6 +45,7 @@ func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, op
 			opts.log(levelWarn, "dropping undecodable relay frame: %v", err)
 			continue
 		}
+		s.col.owe() // the relay awaits this frame's ack: no release until it is out
 		status := ingest.BatchAccepted
 		if reason, lerr := packedBatchCheck(s.col, c); reason != "" {
 			_ = s.col.reject(reason, lerr)
@@ -63,13 +64,16 @@ func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, op
 				relayBatchesTotal("rejected").Inc()
 				status = ingest.BatchRejected
 			default:
+				s.col.settle(1)
 				opts.log(levelWarn, "relay connection error: %v", err)
 				return
 			}
 		}
 		ack := &transport.Message{Kind: transport.KindControl,
 			Flags: []int64{ingest.CtrlBatchAck, c.Relay, c.Seq, status}}
-		if err := conn.Send(ctx, ack); err != nil {
+		err = conn.Send(ctx, ack)
+		s.col.settle(1)
+		if err != nil {
 			return
 		}
 	}

@@ -47,7 +47,7 @@ func TestPackedCapabilityParity(t *testing.T) {
 // user client's submission frame is byte-for-byte the legacy KindShares
 // grammar (identical digest to ingest.EncodeHalf), so a fleet that never
 // sets -packed on sees no wire change at all. With packing on, the same
-// vote becomes a KindPacked frame carrying P < K ciphertexts per sequence.
+// vote becomes a KindPacked frame: the joint Votes‖Thresh group, then Noisy.
 func TestPackingOffWireParity(t *testing.T) {
 	_, _, pub, cfg := testSetup(t, 3)
 	cfg.Packing = false
@@ -92,10 +92,11 @@ func TestPackingOffWireParity(t *testing.T) {
 	if pmsg.Kind != transport.KindPacked {
 		t.Fatalf("packed submission frame kind = %d, want KindPacked (%d)", pmsg.Kind, transport.KindPacked)
 	}
-	// At the 64-bit test key one slot fits per plaintext, so P = K here;
-	// the size reduction itself is pinned at production key sizes by the
-	// experiments package's sizing tests and the bench guard.
-	if p := len(psub.ToS1.Votes); p != pcfg.PackedCiphertexts() {
-		t.Errorf("packed half carries %d ciphertexts per sequence, want %d", p, pcfg.PackedCiphertexts())
+	// At the 64-bit test key one slot fits per plaintext, so the joint
+	// group costs 2K and the noisy group K here; the size reduction itself
+	// is pinned at production key sizes by the experiments package's sizing
+	// tests and the bench guard.
+	if got, want := psub.ToS1.Lens(), pcfg.HalfLens(); got != want || want != [3]int{2 * cfg.Classes, 0, cfg.Classes} {
+		t.Errorf("packed half carries %v ciphertexts, want %v", got, want)
 	}
 }

@@ -33,7 +33,7 @@ func testHalf(classes int, val int64) protocol.SubmissionHalf {
 func TestCollectorValidation(t *testing.T) {
 	const classes = 3
 	ring := big.NewInt(1000)
-	col := newCollector(2, 2, classes, ring)
+	col := newCollector(protocol.Config{Users: 2, Classes: classes}, 2, ring)
 
 	reject := func(name string, user, instance int, h protocol.SubmissionHalf) {
 		t.Helper()
@@ -86,7 +86,7 @@ func TestCollectorValidation(t *testing.T) {
 // vote.
 func TestCollectorDedupReplay(t *testing.T) {
 	const classes = 2
-	col := newCollector(3, 1, classes, nil)
+	col := newCollector(protocol.Config{Users: 3, Classes: classes}, 1, nil)
 	h := testHalf(classes, 42)
 	if err := col.add(1, 0, h); err != nil {
 		t.Fatal(err)
@@ -110,6 +110,98 @@ func TestCollectorDedupReplay(t *testing.T) {
 	if !groups[0].Half.Present() || !halfEqual(groups[0].Half, h) {
 		t.Error("stored submission bytes changed across replays")
 	}
+}
+
+// gatedConn holds every Send until the test opens the gate, announcing
+// each on sending first: the test observes the collector at the exact
+// moment an ack is about to leave.
+type gatedConn struct {
+	transport.Conn
+	sending chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedConn) Send(ctx context.Context, msg *transport.Message) error {
+	g.sending <- struct{}{}
+	<-g.gate
+	return g.Conn.Send(ctx, msg)
+}
+
+// TestCollectorReleasesAfterAck pins "ack before release": the grid is full
+// the moment the last frame is recorded, but wait() must not return — and
+// the run must not get to tear its listener down — until that uploader's
+// done/ack exchange has completed, or its connection is gone.
+func TestCollectorReleasesAfterAck(t *testing.T) {
+	const classes = 2
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	released := func(col *collector) bool {
+		select {
+		case <-col.done:
+			return true
+		default:
+			return false
+		}
+	}
+	upload := func(t *testing.T, user transport.Conn) {
+		t.Helper()
+		frame, err := EncodeHalf(0, 0, testHalf(classes, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := user.Send(ctx, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("ack", func(t *testing.T) {
+		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
+		user, server := transport.Pair()
+		defer user.Close()
+		gated := &gatedConn{Conn: server, sending: make(chan struct{}), gate: make(chan struct{})}
+		served := make(chan error, 1)
+		go func() { served <- serveUserConn(ctx, gated, col) }()
+
+		upload(t, user)
+		if err := transport.SendControl(ctx, user, ctrlUploadDone, 0); err != nil {
+			t.Fatal(err)
+		}
+		<-gated.sending // the frame is recorded and the ack is about to leave
+		if got, _ := col.counts(); got != 1 {
+			t.Fatalf("grid holds %d submissions at ack time, want 1", got)
+		}
+		if released(col) {
+			t.Fatal("collector released while the last uploader's ack was still in flight")
+		}
+		close(gated.gate)
+		if _, err := transport.ExpectControl(ctx, user, ctrlUploadAck); err != nil {
+			t.Fatalf("upload ack: %v", err)
+		}
+		if err := col.wait(ctx); err != nil {
+			t.Fatalf("collector did not release after the ack: %v", err)
+		}
+		user.Close()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// A legacy uploader sends no done frame, and a resilient one may die
+	// before it: the closed connection settles the debt.
+	t.Run("hangup", func(t *testing.T) {
+		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
+		user, server := transport.Pair()
+		served := make(chan error, 1)
+		go func() { served <- serveUserConn(ctx, server, col) }()
+		upload(t, user)
+		user.Close()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		if !released(col) {
+			t.Fatal("collector still holding the release after the uploader hung up")
+		}
+	})
 }
 
 // TestParticipantExchange runs the bitmap agreement over a live pipe: the
@@ -261,7 +353,7 @@ func TestPartialModeOffIsInert(t *testing.T) {
 	if err := checkPeerCaps(capBatched, opts, oracle); err == nil {
 		t.Error("tournament hello accepted by an all-pairs server")
 	}
-	col := newCollector(2, 1, classes, nil)
+	col := newCollector(protocol.Config{Users: 2, Classes: classes}, 1, nil)
 	for u := 0; u < 2; u++ {
 		if err := col.add(u, 0, testHalf(classes, int64(u+1))); err != nil {
 			t.Fatal(err)

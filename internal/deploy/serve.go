@@ -171,6 +171,17 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		return nil, err
 	}
 	keys0.Precompute()
+	ledger, err := openLedger(opts.LedgerPath, opts.Tenants, opts.DefaultQuota, opts.delta())
+	if err != nil {
+		return nil, err
+	}
+	defer ledger.close()
+	// Publish the admission state before setupServer opens the admin
+	// endpoint and the listener: a probe that can reach /healthz must never
+	// read batch mode's static "ok" from a serve-mode server.
+	cost := queryCost(files[0].Config.Sigma1, files[0].Config.Sigma2)
+	publishReadiness(false, ledger, cost)
+	defer obs.SetReadiness("", true)
 	s, err := setupServer(ctx, "S1", files[0].Config, opts.ServerOptions, ringOf(keys0.PeerPub))
 	if err != nil {
 		return nil, err
@@ -179,12 +190,6 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	defer s.journal.Close()
 	defer s.l.Close()
 
-	ledger, err := openLedger(opts.LedgerPath, opts.Tenants, opts.DefaultQuota, opts.delta())
-	if err != nil {
-		return nil, err
-	}
-	defer ledger.close()
-
 	st := &serveState{
 		s:          s,
 		opts:       opts,
@@ -192,7 +197,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		keys:       make([]protocol.KeysS1, len(files)),
 		rings:      make([]*big.Int, len(files)),
 		ledger:     ledger,
-		cost:       queryCost(s.cfg.Sigma1, s.cfg.Sigma2),
+		cost:       cost,
 		queries:    make(map[int]*serveQuery),
 		grants:     make(map[grantKey]*serveQuery),
 		epochLive:  make(map[int]int),
@@ -223,8 +228,6 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	go st.acceptLoop(acceptCtx, ps, acceptErr)
 
 	obs.ServeEpoch("s1").Set(0)
-	st.updateReadiness()
-	defer obs.SetReadiness("", true)
 
 	// The startup wait spans S2's full dial-retry budget: under fault
 	// injection the first protocol dial may be dropped several times.
@@ -532,14 +535,7 @@ func (st *serveState) decide(decision string, tenant int64, qid int) {
 // newQueryCollector builds the one-instance submission grid for a query
 // admitted under the given epoch. Callers hold st.mu (reads loaded keys).
 func (st *serveState) newQueryCollector(epoch int) *collector {
-	cfg := st.s.cfg
-	perVec := cfg.Classes
-	if cfg.Packing {
-		perVec = cfg.PackedCiphertexts()
-	}
-	col := newCollector(cfg.Users, 1, perVec, st.rings[epoch])
-	col.packed = st.s.col.packed
-	col.packedClasses = st.s.col.packedClasses
+	col := newCollector(st.s.cfg, 1, st.rings[epoch])
 	col.events = st.s.col.events
 	return col
 }
@@ -568,10 +564,15 @@ func (st *serveState) updateReadiness() {
 	st.mu.Lock()
 	draining := st.draining
 	st.mu.Unlock()
+	publishReadiness(draining, st.ledger, st.cost)
+}
+
+// publishReadiness maps the admission state onto /healthz.
+func publishReadiness(draining bool, ledger *budgetLedger, cost float64) {
 	switch {
 	case draining:
 		obs.SetReadiness("draining", false)
-	case st.ledger.exhausted(st.cost):
+	case ledger.exhausted(cost):
 		obs.SetReadiness("budget-exhausted", false)
 	default:
 		obs.SetReadiness("admitting", true)

@@ -218,14 +218,7 @@ func (st *serveS2) announce(qid int, epoch int, tenant int64) error {
 	if err := st.ensureEpochLocked(epoch); err != nil {
 		return err
 	}
-	cfg := st.s.cfg
-	perVec := cfg.Classes
-	if cfg.Packing {
-		perVec = cfg.PackedCiphertexts()
-	}
-	col := newCollector(cfg.Users, 1, perVec, st.epochs[epoch].ring)
-	col.packed = st.s.col.packed
-	col.packedClasses = st.s.col.packedClasses
+	col := newCollector(st.s.cfg, 1, st.epochs[epoch].ring)
 	col.events = st.s.col.events
 	st.queries[qid] = &s2Query{qid: qid, tenant: tenant, epoch: epoch, col: col, announced: time.Now()}
 	if qid >= st.maxQID {

@@ -422,19 +422,7 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	opts.log(levelInfo, "%s listening on %s", role, l.Addr())
 	opts.announceReady(l.Addr())
 	s.l = l
-	perVec := cfg.Classes
-	if cfg.Packing {
-		perVec = cfg.PackedCiphertexts()
-	}
-	s.col = newCollector(cfg.Users, opts.Instances, perVec, ring)
-	if cfg.Packing {
-		s.col.packed = &ingest.PackedParams{
-			Width:    cfg.PackedWidth(),
-			PerVec:   cfg.PackedCiphertexts(),
-			Headroom: cfg.PackedHeadroomBits(),
-		}
-		s.col.packedClasses = cfg.Classes
-	}
+	s.col = newCollector(cfg, opts.Instances, ring)
 	if s.journal != nil {
 		s.col.events = func(reason string) {
 			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: -1, Note: reason})
@@ -569,7 +557,7 @@ func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions)
 	go acceptLoop(acceptCtx, s, peerCh, ps, acceptErr, opts)
 
 	if !opts.resilient() {
-		return runS1Legacy(ctx, keys, s, opts, peerCh, acceptErr, stopAccept)
+		return runS1Legacy(ctx, keys, s, opts, peerCh, acceptErr)
 	}
 
 	// Resilient path: claim the initial peer link, verify it speaks the
@@ -610,7 +598,7 @@ func ringOf(pk *paillier.PublicKey) *big.Int {
 // sequential instances, abort on first error. Its wire format is
 // byte-for-byte the original protocol.
 func runS1Legacy(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opts ServerOptions,
-	peerCh chan peerConn, acceptErr chan error, stopAccept func()) (*Report, error) {
+	peerCh chan peerConn, acceptErr chan error) (*Report, error) {
 	var pc peerConn
 	select {
 	case pc = <-peerCh:
@@ -628,7 +616,6 @@ func runS1Legacy(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opts
 	if err := collectSubmissions(ctx, s, opts, "s1"); err != nil {
 		return nil, err
 	}
-	stopAccept()
 
 	rng := newRNG(opts.Seed)
 	results := make([]InstanceResult, 0, opts.Instances)
@@ -891,7 +878,6 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 		if err := collectSubmissions(ctx, s, opts, "s2"); err != nil {
 			return nil, err
 		}
-		stopAccept()
 
 		results := make([]InstanceResult, 0, opts.Instances)
 		for i := 0; i < opts.Instances; i++ {
@@ -953,7 +939,6 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 		peer.Close()
 		return nil, err
 	}
-	stopAccept()
 	return runS2Session(ctx, keys, rng, s, opts, peer, connect, pools)
 }
 

@@ -69,7 +69,9 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l1.Close()
-	col1 := newCollector(1, instances, cfg.Classes, nil)
+	oneUser := cfg
+	oneUser.Users = 1
+	col1 := newCollector(oneUser, instances, nil)
 	s1Err := make(chan error, 1)
 	go func() {
 		s1Err <- func() error {
@@ -116,7 +118,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	col2 := newCollector(1, instances, cfg.Classes, nil)
+	col2 := newCollector(oneUser, instances, nil)
 	go func() {
 		for {
 			conn, err := l2.Accept()

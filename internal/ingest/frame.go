@@ -112,7 +112,7 @@ func DecodeHalf(msg *transport.Message) (user, instance int, half protocol.Submi
 		return 0, 0, half, fmt.Errorf("ingest: malformed submission frame")
 	}
 	k := int(msg.Flags[2])
-	if k <= 0 || len(msg.Values) != 3*k {
+	if k <= 0 || k > len(msg.Values) || len(msg.Values) != 3*k { // k > len: 3*k must not wrap
 		return 0, 0, half, fmt.Errorf("ingest: submission frame has %d values for %d classes", len(msg.Values), k)
 	}
 	half.Votes = toCiphertexts(msg.Values[:k])
@@ -121,31 +121,58 @@ func DecodeHalf(msg *transport.Message) (user, instance int, half protocol.Submi
 	return int(msg.Flags[0]), int(msg.Flags[1]), half, nil
 }
 
-// EncodePackedHalf packs one user's slot-packed submission half into its
-// wire frame: Flags [user, instance, classes, width, perVec] and 3*perVec
-// packed ciphertexts. classes and width describe the slot layout so
-// relays can validate shape and overflow capacity without key material.
-func EncodePackedHalf(user, instance, classes, width int, h protocol.SubmissionHalf) (*transport.Message, error) {
-	p := len(h.Votes)
-	if p == 0 || len(h.Thresh) != p || len(h.Noisy) != p {
+// packedCountsOK reports whether a packed half's ciphertext counts can come
+// from one slot layout: the Noisy group costs P = ⌈K/S⌉ ciphertexts and the
+// joint Votes‖Thresh group ⌈2K/S⌉, which lies in [P, 2P]. The exact joint
+// count depends on the key size and is the collector's (or relay's) check.
+func packedCountsOK(joint, noisy int) bool { return noisy >= 1 && joint >= noisy && joint <= 2*noisy }
+
+// packedValues flattens a packed half behind head: the joint Votes‖Thresh
+// group (carried in Votes; Thresh stays empty), then the Noisy group.
+func packedValues(head []*big.Int, h protocol.SubmissionHalf) ([]*big.Int, error) {
+	if len(h.Thresh) != 0 || !packedCountsOK(len(h.Votes), len(h.Noisy)) {
 		return nil, fmt.Errorf("ingest: malformed packed half (%d/%d/%d ciphertexts)",
 			len(h.Votes), len(h.Thresh), len(h.Noisy))
 	}
-	if classes < 2 || width < 1 {
-		return nil, fmt.Errorf("ingest: packed half needs classes >= 2 and width >= 1 (got %d/%d)", classes, width)
-	}
-	values := make([]*big.Int, 0, 3*p)
-	for _, group := range [][]*paillier.Ciphertext{h.Votes, h.Thresh, h.Noisy} {
+	for _, group := range [][]*paillier.Ciphertext{h.Votes, h.Noisy} {
 		for _, c := range group {
 			if c == nil || c.C == nil {
 				return nil, fmt.Errorf("ingest: nil ciphertext in packed submission")
 			}
-			values = append(values, c.C)
+			head = append(head, c.C)
 		}
+	}
+	return head, nil
+}
+
+// packedHalf cuts a packed frame's ciphertexts back into the joint group
+// and the perVec-long Noisy group.
+func packedHalf(values []*big.Int, perVec int) (half protocol.SubmissionHalf, ok bool) {
+	joint := len(values) - perVec
+	if !packedCountsOK(joint, perVec) {
+		return half, false
+	}
+	half.Votes = toCiphertexts(values[:joint])
+	half.Noisy = toCiphertexts(values[joint:])
+	return half, true
+}
+
+// EncodePackedHalf packs one user's slot-packed submission half into its
+// wire frame: Flags [user, instance, classes, width, perVec] and the joint
+// Votes‖Thresh group followed by the perVec ciphertexts of the Noisy group.
+// classes and width describe the slot layout so relays can validate shape
+// and overflow capacity without key material.
+func EncodePackedHalf(user, instance, classes, width int, h protocol.SubmissionHalf) (*transport.Message, error) {
+	if classes < 2 || width < 1 {
+		return nil, fmt.Errorf("ingest: packed half needs classes >= 2 and width >= 1 (got %d/%d)", classes, width)
+	}
+	values, err := packedValues(nil, h)
+	if err != nil {
+		return nil, err
 	}
 	return &transport.Message{
 		Kind:   transport.KindPacked,
-		Flags:  []int64{int64(user), int64(instance), int64(classes), int64(width), int64(p)},
+		Flags:  []int64{int64(user), int64(instance), int64(classes), int64(width), int64(len(h.Noisy))},
 		Values: values,
 	}, nil
 }
@@ -157,13 +184,10 @@ func DecodePackedHalf(msg *transport.Message) (user, instance, classes, width in
 	}
 	classes = int(msg.Flags[2])
 	width = int(msg.Flags[3])
-	p := int(msg.Flags[4])
-	if classes < 2 || width < 1 || p <= 0 || len(msg.Values) != 3*p {
-		return 0, 0, 0, 0, half, fmt.Errorf("ingest: packed frame has %d values for %d packed ciphertexts", len(msg.Values), p)
+	half, ok := packedHalf(msg.Values, int(msg.Flags[4]))
+	if classes < 2 || width < 1 || !ok {
+		return 0, 0, 0, 0, half, fmt.Errorf("ingest: packed frame has %d values for %d noisy ciphertexts", len(msg.Values), msg.Flags[4])
 	}
-	half.Votes = toCiphertexts(msg.Values[:p])
-	half.Thresh = toCiphertexts(msg.Values[p : 2*p])
-	half.Noisy = toCiphertexts(msg.Values[2*p:])
 	return int(msg.Flags[0]), int(msg.Flags[1]), classes, width, half, nil
 }
 
@@ -189,8 +213,8 @@ type Combined struct {
 	Bitmap *big.Int
 	Half   protocol.SubmissionHalf
 	// Width > 0 marks Half as slot-packed with that slot width; Classes
-	// then carries the logical class count K (len(Half.Votes) is the
-	// packed ciphertext count P). Unpacked frames leave Width zero.
+	// then carries the logical class count K. Unpacked frames leave Width
+	// zero.
 	Width   int
 	Classes int
 }
@@ -235,7 +259,7 @@ func DecodeCombined(msg *transport.Message) (Combined, error) {
 		return c, fmt.Errorf("ingest: malformed combined frame")
 	}
 	k := int(msg.Flags[1])
-	if k <= 0 || len(msg.Values) != 1+3*k {
+	if k <= 0 || k > len(msg.Values) || len(msg.Values) != 1+3*k { // k > len: 3*k must not wrap
 		return c, fmt.Errorf("ingest: combined frame has %d values for %d classes", len(msg.Values), k)
 	}
 	bm := msg.Values[0]
@@ -258,35 +282,25 @@ func DecodeCombined(msg *transport.Message) (Combined, error) {
 }
 
 // EncodePackedCombined packs a slot-packed relay batch into its wire
-// frame: Flags [instance, classes, relay, seq, count, width, perVec]
-// and bitmap + 3*perVec values. The 7-flag arity distinguishes it from
-// a 5-flag packed per-user submit frame.
+// frame: Flags [instance, classes, relay, seq, count, width, perVec] and
+// bitmap + the ciphertexts of a packed user frame, summed position-wise.
+// The 7-flag arity distinguishes it from a 5-flag packed per-user submit
+// frame.
 func EncodePackedCombined(c Combined) (*transport.Message, error) {
-	p := len(c.Half.Votes)
-	if p == 0 || len(c.Half.Thresh) != p || len(c.Half.Noisy) != p {
-		return nil, fmt.Errorf("ingest: malformed packed combined half (%d/%d/%d ciphertexts)",
-			len(c.Half.Votes), len(c.Half.Thresh), len(c.Half.Noisy))
-	}
 	if c.Width < 1 || c.Classes < 2 {
 		return nil, fmt.Errorf("ingest: packed combined frame needs width >= 1 and classes >= 2 (got %d/%d)", c.Width, c.Classes)
 	}
 	if c.Bitmap == nil || c.Bitmap.Sign() <= 0 {
 		return nil, fmt.Errorf("ingest: packed combined frame needs a non-empty participant bitmap")
 	}
-	values := make([]*big.Int, 0, 1+3*p)
-	values = append(values, c.Bitmap)
-	for _, group := range [][]*paillier.Ciphertext{c.Half.Votes, c.Half.Thresh, c.Half.Noisy} {
-		for _, ct := range group {
-			if ct == nil || ct.C == nil {
-				return nil, fmt.Errorf("ingest: nil ciphertext in packed combined frame")
-			}
-			values = append(values, ct.C)
-		}
+	values, err := packedValues([]*big.Int{c.Bitmap}, c.Half)
+	if err != nil {
+		return nil, err
 	}
 	return &transport.Message{
 		Kind: transport.KindPacked,
 		Flags: []int64{int64(c.Instance), int64(c.Classes), c.Relay, c.Seq,
-			int64(popcount(c.Bitmap)), int64(c.Width), int64(p)},
+			int64(popcount(c.Bitmap)), int64(c.Width), int64(len(c.Half.Noisy))},
 		Values: values,
 	}, nil
 }
@@ -309,9 +323,12 @@ func DecodePackedCombined(msg *transport.Message) (Combined, error) {
 	}
 	k := int(msg.Flags[1])
 	width := int(msg.Flags[5])
-	p := int(msg.Flags[6])
-	if k < 2 || width < 1 || p <= 0 || len(msg.Values) != 1+3*p {
-		return c, fmt.Errorf("ingest: packed combined frame has %d values for %d packed ciphertexts", len(msg.Values), p)
+	if k < 2 || width < 1 || len(msg.Values) < 1 {
+		return c, fmt.Errorf("ingest: packed combined frame declares %d classes x %d bits in %d values", k, width, len(msg.Values))
+	}
+	half, ok := packedHalf(msg.Values[1:], int(msg.Flags[6]))
+	if !ok {
+		return c, fmt.Errorf("ingest: packed combined frame has %d values for %d noisy ciphertexts", len(msg.Values), msg.Flags[6])
 	}
 	bm := msg.Values[0]
 	if bm == nil || bm.Sign() <= 0 {
@@ -326,10 +343,7 @@ func DecodePackedCombined(msg *transport.Message) (Combined, error) {
 	c.Bitmap = bm
 	c.Classes = k
 	c.Width = width
-	cts := msg.Values[1:]
-	c.Half.Votes = toCiphertexts(cts[:p])
-	c.Half.Thresh = toCiphertexts(cts[p : 2*p])
-	c.Half.Noisy = toCiphertexts(cts[2*p:])
+	c.Half = half
 	return c, nil
 }
 

@@ -46,7 +46,9 @@ type Options struct {
 	// frames are rejected as bad-frame, and vice versa when nil), and
 	// combined batches are forwarded packed. Derive the fields from the
 	// protocol config: Width = PackedWidth(), PerVec = PackedCiphertexts(),
-	// Headroom = PackedHeadroomBits().
+	// Headroom = PackedHeadroomBits(). The relay sums a packed half
+	// position-wise; how many ciphertexts one has follows from Classes,
+	// Width and the size of the public keys.
 	Packed *PackedParams
 	// BatchSize seals a batch after this many users (default 64).
 	BatchSize int
@@ -84,7 +86,9 @@ type Options struct {
 type PackedParams struct {
 	// Width is the expected slot width in bits.
 	Width int
-	// PerVec is the expected packed ciphertext count per sequence.
+	// PerVec is the packed ciphertext count of one Classes-long sequence
+	// (the Noisy group); the joint Votes‖Thresh group takes between PerVec
+	// and 2*PerVec.
 	PerVec int
 	// Headroom is the per-slot bit budget reserved above the user count:
 	// the bias bits plus the blinding bits plus carry guards. A slot of
@@ -152,6 +156,12 @@ func (o Options) validate() error {
 		if o.Users > p.Capacity(p.Width) {
 			return fmt.Errorf("ingest: relay packed layout width %d cannot absorb %d users", p.Width, o.Users)
 		}
+		for _, pk := range []*paillier.PublicKey{o.PK1, o.PK2} {
+			if want := protocol.PackedGroupCiphertexts(1, o.Classes, p.Width, pk.N.BitLen()); want != p.PerVec {
+				return fmt.Errorf("ingest: relay packed layout says %d ciphertexts per sequence, but %d classes x %d bits under a %d-bit key take %d",
+					p.PerVec, o.Classes, p.Width, pk.N.BitLen(), want)
+			}
+		}
 	}
 	return nil
 }
@@ -212,6 +222,9 @@ type side struct {
 	ring     *big.Int
 	upstream string
 	r        *relay
+	// want is the shape of a well-formed half on this side (ciphertext
+	// counts of Votes, Thresh, Noisy; see protocol.Config.HalfLens).
+	want [3]int
 
 	mu        sync.Mutex
 	insts     []*sideInstance
@@ -223,12 +236,18 @@ type side struct {
 
 // newSide builds one destination pipeline.
 func newSide(r *relay, name string, pk *paillier.PublicKey, upstream string) *side {
+	k := r.opts.Classes
+	want := [3]int{k, k, k}
+	if p := r.opts.Packed; p != nil {
+		want = [3]int{protocol.PackedGroupCiphertexts(2, k, p.Width, pk.N.BitLen()), 0, p.PerVec}
+	}
 	s := &side{
 		name:      name,
 		pk:        pk,
 		ring:      pk.N2,
 		upstream:  upstream,
 		r:         r,
+		want:      want,
 		insts:     make([]*sideInstance, r.opts.Instances),
 		childSeen: make(map[childKey][32]byte),
 		out:       make(chan *sealed, 256),
@@ -290,7 +309,6 @@ func (s *side) addUser(msg *transport.Message) (*sealed, error) {
 		user, instance, classes, width, half, err = DecodePackedHalf(msg)
 	} else {
 		user, instance, half, err = DecodeHalf(msg)
-		classes = len(half.Votes)
 	}
 	if err != nil {
 		return nil, s.reject("bad-frame", err)
@@ -301,10 +319,10 @@ func (s *side) addUser(msg *transport.Message) (*sealed, error) {
 	if instance < 0 || instance >= opts.Instances {
 		return nil, s.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", instance, opts.Instances))
 	}
+	if half.Lens() != s.want {
+		return nil, s.reject("bad-length", fmt.Errorf("submission has %v ciphertexts, want %v", half.Lens(), s.want))
+	}
 	if p := opts.Packed; p != nil {
-		if len(half.Votes) != p.PerVec {
-			return nil, s.reject("bad-length", fmt.Errorf("packed submission has %d ciphertexts, want %d", len(half.Votes), p.PerVec))
-		}
 		// The frame's own declared width must leave room for at least one
 		// contribution above the headroom before we even compare layouts.
 		if p.Capacity(width) < 1 {
@@ -314,8 +332,6 @@ func (s *side) addUser(msg *transport.Message) (*sealed, error) {
 			return nil, s.reject("bad-width", fmt.Errorf("packed layout %d classes x %d bits, want %d x %d",
 				classes, width, opts.Classes, p.Width))
 		}
-	} else if classes != opts.Classes {
-		return nil, s.reject("bad-length", fmt.Errorf("submission has %d classes, want %d", classes, opts.Classes))
 	}
 	if !s.ringCheck([3][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy}) {
 		return nil, s.reject("out-of-ring", fmt.Errorf("user %d instance %d ciphertext outside [0, N²)", user, instance))
@@ -363,11 +379,11 @@ func (s *side) addChild(msg *transport.Message) (*sealed, int64, error) {
 		relayBatchesIn(s.name, "rejected").Inc()
 		return nil, BatchRejected, s.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", c.Instance, opts.Instances))
 	}
+	if c.Half.Lens() != s.want {
+		relayBatchesIn(s.name, "rejected").Inc()
+		return nil, BatchRejected, s.reject("bad-length", fmt.Errorf("combined frame has %v ciphertexts, want %v", c.Half.Lens(), s.want))
+	}
 	if p := opts.Packed; p != nil {
-		if len(c.Half.Votes) != p.PerVec {
-			relayBatchesIn(s.name, "rejected").Inc()
-			return nil, BatchRejected, s.reject("bad-length", fmt.Errorf("packed combined frame has %d ciphertexts, want %d", len(c.Half.Votes), p.PerVec))
-		}
 		// Overflow capacity is judged against the frame's own declared
 		// width first: a batch claiming more members than any slot of
 		// that width could have absorbed is structurally invalid even
@@ -382,9 +398,6 @@ func (s *side) addChild(msg *transport.Message) (*sealed, int64, error) {
 			return nil, BatchRejected, s.reject("bad-width", fmt.Errorf("packed layout %d classes x %d bits, want %d x %d",
 				c.Classes, c.Width, opts.Classes, p.Width))
 		}
-	} else if len(c.Half.Votes) != opts.Classes {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-length", fmt.Errorf("combined frame has %d classes, want %d", len(c.Half.Votes), opts.Classes))
 	}
 	if c.Bitmap.BitLen() > opts.Users {
 		relayBatchesIn(s.name, "rejected").Inc()

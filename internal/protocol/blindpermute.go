@@ -27,11 +27,11 @@ import (
 // Multiple sequence pairs run under the same (pi1, pi2) in one invocation,
 // as Alg. 5 step 3 requires for the vote and threshold sequences.
 //
-// In packed mode S1 enters with its sequences still slot-packed (P
-// ciphertexts each): step 1 adds r1 to every slot of the packed aggregate
-// and S2 splits what it decrypts, so S2 reads the same a_j + r1 as in the
-// unpacked protocol — and nothing else — without an unpack round for S1's
-// half. S2's sequences are per-class in both modes (see unpack.go).
+// In packed mode S1 enters with the invocation's sequences still slot-packed
+// as one group (⌈nSeq·K/S⌉ ciphertexts): step 1 adds r1_s to every slot of
+// sequence s and S2 splits what it decrypts, so S2 reads the same a_j + r1
+// as in the unpacked protocol — and nothing else — without an unpack round
+// for S1's half. S2's sequences are per-class in both modes (see unpack.go).
 
 // bpResultS1 is S1's output of one Blind-and-Permute invocation.
 type bpResultS1 struct {
@@ -47,65 +47,63 @@ type bpResultS2 struct {
 	Pi2   perm.Permutation
 }
 
-// bpS1SeqLen is the number of ciphertexts in each sequence S1 brings to
-// Blind-and-Permute: K per-class ones, or P packed ones in packed mode.
-func bpS1SeqLen(cfg Config) int {
+// bpS1GroupLen is the number of ciphertexts S1 brings to a Blind-and-Permute
+// over nSeq sequences: one per class and sequence, or the packed group.
+func bpS1GroupLen(cfg Config, nSeq int) int {
 	if cfg.Packing {
-		return cfg.PackedCiphertexts()
+		return cfg.packedGroup(nSeq)
 	}
-	return cfg.Classes
+	return nSeq * cfg.Classes
 }
 
-// r1Masks returns the plaintexts that, added to the ciphertexts of one of
-// S1's sequences, mask every class with the scalar r: r itself per class,
-// or, packed, r replicated into every slot. The slot width leaves kappa
-// bits of headroom above the worst-case sum, so sum + n*Bias + r (r <
-// 2^kappa) cannot carry into the neighbouring slot.
-func r1Masks(cfg Config, r *big.Int) ([]*big.Int, error) {
-	perClass := make([]*big.Int, cfg.Classes)
-	for j := range perClass {
-		perClass[j] = r
+// maskGroup adds masks[j] to value j of S1's group: one AddPlain per class,
+// or, packed, per ciphertext with the masks slot-aligned. The slot width
+// leaves kappa bits of headroom above the worst-case sum, so sum + n*Bias +
+// r (r < 2^kappa) cannot carry into the neighbouring slot.
+func maskGroup(cfg Config, pk *paillier.PublicKey, group []*paillier.Ciphertext,
+	masks []*big.Int, nSeq int) ([]*big.Int, error) {
+	if cfg.Packing {
+		return addPacked(pk, cfg.packedLayout(nSeq), group, masks)
 	}
-	if !cfg.Packing {
-		return perClass, nil
-	}
-	return cfg.packedLayout().PackRaw(perClass)
-}
-
-// blindPermuteS1 runs S1's side of Alg. 2 over conn for the given encrypted
-// sequences (all under pk2; slot-packed in packed mode).
-func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
-	conn transport.Conn, seqs [][]*paillier.Ciphertext) (*bpResultS1, error) {
-	k := cfg.Classes
-	nSeq := len(seqs)
-	perSeq := bpS1SeqLen(cfg)
-	for s, seq := range seqs {
-		if len(seq) != perSeq {
-			return nil, fmt.Errorf("protocol: sequence %d has length %d, want %d", s, len(seq), perSeq)
+	out := make([]*big.Int, len(group))
+	for i, c := range group {
+		mc, err := pk.AddPlain(c, masks[i])
+		if err != nil {
+			return nil, fmt.Errorf("protocol: mask class %d: %w", i, err)
 		}
+		out[i] = mc.C
+	}
+	return out, nil
+}
+
+// blindPermuteS1 runs S1's side of Alg. 2 over conn for a group of nSeq
+// encrypted sequences (all under pk2): their nSeq·K per-class ciphertexts
+// back to back, or the slot-packed group in packed mode.
+func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
+	conn transport.Conn, group []*paillier.Ciphertext, nSeq int) (*bpResultS1, error) {
+	k := cfg.Classes
+	if want := bpS1GroupLen(cfg, nSeq); len(group) != want {
+		return nil, fmt.Errorf("protocol: %d-sequence group has %d ciphertexts, want %d", nSeq, len(group), want)
 	}
 	pk2 := keys.PeerPub
 
-	// Step 1: add scalar mask r1_s to each sequence and ship to S2.
+	// Step 1: add scalar mask r1_s to every class of sequence s and ship
+	// to S2.
 	r1 := make([]*big.Int, nSeq)
-	masked := make([]*big.Int, 0, nSeq*perSeq)
-	for s, seq := range seqs {
+	masks := make([]*big.Int, nSeq*k)
+	for s := range r1 {
 		r, err := mathutil.RandBits(rng, cfg.Kappa)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: sample r1: %w", err)
 		}
 		r1[s] = r
-		masks, err := r1Masks(cfg, r)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: pack r1: %w", err)
+		for j := 0; j < k; j++ {
+			masks[s*k+j] = r
 		}
-		for i, c := range seq {
-			mc, err := pk2.AddPlain(c, masks[i])
-			if err != nil {
-				return nil, fmt.Errorf("protocol: mask sequence %d: %w", s, err)
-			}
-			masked = append(masked, mc.C)
-		}
+	}
+	masked, err := maskGroup(cfg, pk2, group, masks, nSeq)
+	if err != nil {
+		return nil, err
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: masked, Flags: []int64{int64(nSeq)}}); err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 1 send: %w", err)
@@ -217,7 +215,7 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 2 recv: %w", err)
 	}
-	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != nSeq*bpS1SeqLen(cfg) {
+	if len(msg.Flags) != 1 || msg.Flags[0] != int64(nSeq) || len(msg.Values) != bpS1GroupLen(cfg, nSeq) {
 		return nil, fmt.Errorf("%w: B&P step 2 malformed batch", ErrPeerMismatch)
 	}
 	pi2, err := perm.New(rng, k)
@@ -239,16 +237,13 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if cfg.Packing {
 		// Each slot reads sum_j + n*Bias + r1; stripping the public bias
 		// leaves the value the unpacked path decrypts.
-		layout := cfg.packedLayout()
-		slots, err := decryptSlots(cfg, keys.Own, layout, msg.Values, nSeq)
-		if err != nil {
+		layout := cfg.packedLayout(nSeq)
+		if decrypted, err = decryptSlots(cfg, keys.Own, layout, msg.Values); err != nil {
 			return nil, fmt.Errorf("protocol: B&P step 2: %w", err)
 		}
 		shift := new(big.Int).Mul(big.NewInt(int64(nUsers)), layout.Bias)
-		for _, seq := range slots {
-			for _, v := range seq {
-				decrypted = append(decrypted, v.Sub(v, shift))
-			}
+		for _, v := range decrypted {
+			v.Sub(v, shift)
 		}
 	} else if decrypted, err = decryptSignedAll(cfg, keys.Own, msg.Values); err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 2: %w", err)

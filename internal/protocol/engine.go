@@ -158,9 +158,9 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return nil, fmt.Errorf("protocol: S1 secure sum: %w", err)
 	}
 
-	// Packed mode: one blinded interactive unpack turns S2's packed
-	// aggregates into the per-class ciphertexts Alg. 2 step 4 permutes.
-	// S1's stay packed; Blind-and-Permute step 1 masks them as they are.
+	// Packed mode: one blinded interactive unpack turns S2's packed group
+	// into the per-class ciphertexts Alg. 2 step 4 permutes. S1's stays
+	// packed; Blind-and-Permute step 1 masks it as it is.
 	if cfg.Packing {
 		setStep(conn, StepUnpack1)
 		err = timeStep(ctx, meter, StepUnpack1, func() error {
@@ -176,7 +176,8 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	var bp *bpResultS1
 	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
 		var err error
-		bp, err = blindPermuteS1(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh})
+		// Packed, aggVotes already is the joint group and aggThresh empty.
+		bp, err = blindPermuteS1(ctx, rng, cfg, keys, conn, append(aggVotes, aggThresh...), 2)
 		return err
 	})
 	if err != nil {
@@ -251,7 +252,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	var bp2 *bpResultS1
 	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
 		var err error
-		bp2, err = blindPermuteS1(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy})
+		bp2, err = blindPermuteS1(ctx, rng, cfg, keys, conn, aggNoisy, 1)
 		return err
 	})
 	if err != nil {
@@ -440,7 +441,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	if cfg.Packing {
 		setStep(conn, StepUnpack1)
 		err = timeStep(ctx, meter, StepUnpack1, func() error {
-			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh}, len(participants))
+			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggVotes, 2, len(participants))
 			if uerr != nil {
 				return uerr
 			}
@@ -510,7 +511,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	if cfg.Packing {
 		setStep(conn, StepUnpack2)
 		err = timeStep(ctx, meter, StepUnpack2, func() error {
-			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy}, len(participants))
+			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggNoisy, 1, len(participants))
 			if uerr != nil {
 				return uerr
 			}
@@ -560,7 +561,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 // groupInputs resolves the ingestion groups of one query instance into the
 // dense half slice to aggregate, the sorted participant indices, and the
 // threshold adjustment delta for that participant set. Groups must be
-// non-empty, disjoint, in range, and carry all three ciphertext vectors.
+// non-empty, disjoint, in range, and carry halves of the configured shape.
 func groupInputs(cfg Config, groups []Group) ([]SubmissionHalf, []int, *big.Int, error) {
 	if len(groups) == 0 {
 		return nil, nil, nil, fmt.Errorf("protocol: no participating submissions")
@@ -568,6 +569,7 @@ func groupInputs(cfg Config, groups []Group) ([]SubmissionHalf, []int, *big.Int,
 	seen := make(map[int]bool)
 	participants := make([]int, 0, len(groups))
 	active := make([]SubmissionHalf, 0, len(groups))
+	want := cfg.HalfLens()
 	for gi, g := range groups {
 		if len(g.Members) == 0 {
 			return nil, nil, nil, fmt.Errorf("protocol: group %d has no members", gi)
@@ -582,15 +584,10 @@ func groupInputs(cfg Config, groups []Group) ([]SubmissionHalf, []int, *big.Int,
 			seen[u] = true
 			participants = append(participants, u)
 		}
-		h := g.Half
-		perVec := cfg.Classes
-		if cfg.Packing {
-			perVec = cfg.PackedCiphertexts()
-		}
-		if !h.Present() || len(h.Votes) != perVec || len(h.Thresh) != perVec || len(h.Noisy) != perVec {
+		if g.Half.Lens() != want {
 			return nil, nil, nil, fmt.Errorf("protocol: group %d submission half is incomplete", gi)
 		}
-		active = append(active, h)
+		active = append(active, g.Half)
 	}
 	sort.Ints(participants)
 	adjust, err := cfg.thresholdAdjustment(participants)
@@ -611,6 +608,9 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 		if n := len(field(subs[u])); n != k {
 			return nil, fmt.Errorf("protocol: user %d vector length %d != %d", u, n, k)
 		}
+	}
+	if k == 0 {
+		return nil, nil // packed halves carry no separate Thresh vector
 	}
 	// sumRange folds users [lo, hi) into a fresh ciphertext vector,
 	// accumulating in place with one scratch big.Int per chunk so the hot

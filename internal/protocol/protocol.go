@@ -117,12 +117,14 @@ type Config struct {
 	// The released label is identical under either strategy, including
 	// on ties: both resolve them to the lowest permuted position.
 	ArgmaxStrategy string
-	// Packing slot-packs each K-length submission sequence into
-	// ⌈K/slots⌉ Paillier plaintexts (slot width derived from Users,
-	// Kappa and VoteScale so worst-case sums cannot overflow a slot), so
-	// a user uploads ~3 ciphertexts per half instead of 3K and relays
-	// and servers aggregate packed. Aggregation then ends with one
-	// blinded interactive unpack round per secure-sum phase. Both
+	// Packing slot-packs the submission sequences that share a
+	// Blind-and-Permute invocation into one slot stream — Votes‖Thresh
+	// (2K slots) and Noisy (K slots) — of ⌈slots/S⌉ Paillier plaintexts
+	// each (slot width derived from Users, Kappa and VoteScale so
+	// worst-case sums cannot overflow a slot), so a user uploads ~2
+	// ciphertexts per half instead of 3K and relays and servers
+	// aggregate packed. Aggregation then ends with one blinded
+	// interactive unpack round per secure-sum phase. Both
 	// servers must agree (the capability hello enforces it); off, the
 	// wire format is byte-for-byte identical to unpacked deployments.
 	// Requires PaillierBits large enough for at least one slot per
@@ -302,25 +304,54 @@ func (c Config) packedSumBits() int {
 // can therefore never cross into the neighbouring slot.
 func (c Config) PackedWidth() int { return c.packedSumBits() + c.Kappa + 1 }
 
-// packedSlotsPerPlaintext returns how many W-bit slots fit one Paillier
-// plaintext, leaving two guard bits below the modulus.
-func (c Config) packedSlotsPerPlaintext() int {
-	w := c.PackedWidth()
-	if w <= 0 || c.PaillierBits-2 < w {
+// packedSlots returns how many width-bit slots fit one plaintext of a
+// paillierBits-bit modulus, leaving two guard bits below it.
+func packedSlots(width, paillierBits int) int {
+	if width <= 0 || paillierBits-2 < width {
 		return 0
 	}
-	return (c.PaillierBits - 2) / w
+	return (paillierBits - 2) / width
 }
 
-// PackedCiphertexts returns P, the number of packed ciphertexts each
-// K-length sequence costs (0 when the layout is infeasible).
-func (c Config) PackedCiphertexts() int {
-	s := c.packedSlotsPerPlaintext()
+// PackedGroupCiphertexts returns how many packed ciphertexts a group of
+// nSeq classes-long sequences laid out in one slot stream costs (0 when not
+// even one slot fits). Relays, which hold public keys but no Config, derive
+// the shape of a packed half from it.
+func PackedGroupCiphertexts(nSeq, classes, width, paillierBits int) int {
+	s := packedSlots(width, paillierBits)
 	if s <= 0 {
 		return 0
 	}
-	return (c.Classes + s - 1) / s
+	return (nSeq*classes + s - 1) / s
 }
+
+// packedSlotsPerPlaintext returns how many W-bit slots fit one Paillier
+// plaintext.
+func (c Config) packedSlotsPerPlaintext() int { return packedSlots(c.PackedWidth(), c.PaillierBits) }
+
+// PackedCiphertexts returns P, the number of packed ciphertexts one
+// K-length sequence — the Noisy group — costs (0 when the layout is
+// infeasible). The joint Votes‖Thresh group costs packedGroup(2).
+func (c Config) PackedCiphertexts() int { return c.packedGroup(1) }
+
+// packedGroup returns the ciphertext count of a packed group of nSeq
+// sequences.
+func (c Config) packedGroup(nSeq int) int {
+	return PackedGroupCiphertexts(nSeq, c.Classes, c.PackedWidth(), c.PaillierBits)
+}
+
+// HalfLens returns the ciphertext counts of a well-formed submission
+// half's Votes, Thresh and Noisy fields: K each unpacked; packed, Votes
+// carries the joint Votes‖Thresh group and Thresh is empty.
+func (c Config) HalfLens() [3]int {
+	if c.Packing {
+		return [3]int{c.packedGroup(2), 0, c.packedGroup(1)}
+	}
+	return [3]int{c.Classes, c.Classes, c.Classes}
+}
+
+// Lens returns the half's ciphertext counts, in HalfLens order.
+func (h SubmissionHalf) Lens() [3]int { return [3]int{len(h.Votes), len(h.Thresh), len(h.Noisy)} }
 
 // PackedHeadroomBits returns W minus the bits available for counting
 // participants: a packed frame declaring member count above
@@ -328,13 +359,14 @@ func (c Config) PackedCiphertexts() int {
 // is what relay-side slot-overflow rejection checks.
 func (c Config) PackedHeadroomBits() int { return c.Kappa + 1 + c.packedBiasBits() + 1 }
 
-// packedLayout builds the paillier slot-packing codec for this config.
-func (c Config) packedLayout() paillier.Packing {
+// packedLayout builds the paillier slot-packing codec for a group of nSeq
+// sequences: sequence s occupies slots [s*K, (s+1)*K) of the stream.
+func (c Config) packedLayout(nSeq int) paillier.Packing {
 	biasBits := c.packedBiasBits()
 	return paillier.Packing{
 		Width: c.PackedWidth(),
 		Slots: c.packedSlotsPerPlaintext(),
-		Count: c.Classes,
+		Count: nSeq * c.Classes,
 		Bias:  new(big.Int).Lsh(big.NewInt(1), uint(biasBits)),
 		Max:   new(big.Int).Lsh(big.NewInt(1), uint(biasBits+1)),
 	}
@@ -568,7 +600,9 @@ func (k *Keys) ForS2() KeysS2 {
 }
 
 // SubmissionHalf is the encrypted material one user sends to one server for
-// one query instance (Alg. 5 setup + both Secure Sum steps).
+// one query instance (Alg. 5 setup + both Secure Sum steps). Packed, the
+// sequences that share a Blind-and-Permute invocation share plaintexts:
+// Votes carries the joint Votes‖Thresh group and Thresh is empty.
 type SubmissionHalf struct {
 	// Votes is E[share] of the user's prediction vector.
 	Votes []*paillier.Ciphertext
@@ -640,9 +674,12 @@ func BuildSubmission(cryptoRNG io.Reader, noiseRNG *rand.Rand, cfg Config, user 
 
 	sub := &Submission{}
 	if cfg.Packing {
-		layout := cfg.packedLayout()
-		enc := func(pk *paillier.PublicKey, vals []*big.Int, what string) ([]*paillier.Ciphertext, error) {
-			packed, perr := layout.Pack(vals)
+		enc := func(pk *paillier.PublicKey, what string, seqs ...[]*big.Int) ([]*paillier.Ciphertext, error) {
+			var stream []*big.Int
+			for _, seq := range seqs {
+				stream = append(stream, seq...)
+			}
+			packed, perr := cfg.packedLayout(len(seqs)).Pack(stream)
 			if perr != nil {
 				return nil, fmt.Errorf("protocol: pack %s: %w", what, perr)
 			}
@@ -652,22 +689,16 @@ func BuildSubmission(cryptoRNG io.Reader, noiseRNG *rand.Rand, cfg Config, user 
 			}
 			return cts, nil
 		}
-		if sub.ToS1.Votes, err = enc(pk2, a, "a shares"); err != nil {
+		if sub.ToS1.Votes, err = enc(pk2, "a and threshold shares for S1", a, threshS1); err != nil {
 			return nil, nil, err
 		}
-		if sub.ToS1.Thresh, err = enc(pk2, threshS1, "threshold shares for S1"); err != nil {
+		if sub.ToS1.Noisy, err = enc(pk2, "noisy shares for S1", noisyS1); err != nil {
 			return nil, nil, err
 		}
-		if sub.ToS1.Noisy, err = enc(pk2, noisyS1, "noisy shares for S1"); err != nil {
+		if sub.ToS2.Votes, err = enc(pk1, "b and threshold shares for S2", b, threshS2); err != nil {
 			return nil, nil, err
 		}
-		if sub.ToS2.Votes, err = enc(pk1, b, "b shares"); err != nil {
-			return nil, nil, err
-		}
-		if sub.ToS2.Thresh, err = enc(pk1, threshS2, "threshold shares for S2"); err != nil {
-			return nil, nil, err
-		}
-		if sub.ToS2.Noisy, err = enc(pk1, noisyS2, "noisy shares for S2"); err != nil {
+		if sub.ToS2.Noisy, err = enc(pk1, "noisy shares for S2", noisyS2); err != nil {
 			return nil, nil, err
 		}
 		return sub, &Disclosure{Votes: votes, Z1: z1, Z2: z2}, nil
@@ -695,8 +726,8 @@ func BuildSubmission(cryptoRNG io.Reader, noiseRNG *rand.Rand, cfg Config, user 
 
 // SubmissionBytes returns the encoded wire size of one submission half as
 // it would cross the user-to-server link, for Table II accounting. It sums
-// the half's actual ciphertexts, so packed halves (P ciphertexts per
-// sequence) report their packed size, not the 3K unpacked equivalent.
+// the half's actual ciphertexts, so packed halves report their packed
+// size, not the 3K unpacked equivalent.
 func SubmissionBytes(h SubmissionHalf) int {
 	size := 0
 	for _, group := range [][]*paillier.Ciphertext{h.Votes, h.Thresh, h.Noisy} {

@@ -29,9 +29,9 @@ func encryptSeq(t *testing.T, pk *paillier.PublicKey, vals []int64) []*paillier.
 // given plaintext share sequences, returning both results.
 func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int64) (*bpResultS1, *bpResultS2) {
 	t.Helper()
-	encA := make([][]*paillier.Ciphertext, len(aSeqs))
-	for s, vals := range aSeqs {
-		encA[s] = encryptSeq(t, keys.S2Paillier.Public(), vals) // S1 holds E_pk2[a]
+	var encA []*paillier.Ciphertext // S1 holds E_pk2[a], the sequences back to back
+	for _, vals := range aSeqs {
+		encA = append(encA, encryptSeq(t, keys.S2Paillier.Public(), vals)...)
 	}
 	encB := make([][]*paillier.Ciphertext, len(bSeqs))
 	for s, vals := range bSeqs {
@@ -50,7 +50,7 @@ func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int6
 	}
 	ch := make(chan s1res, 1)
 	go func() {
-		r, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(56)}, cfg, keys.ForS1(), connA, encA)
+		r, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(56)}, cfg, keys.ForS1(), connA, encA, len(aSeqs))
 		ch <- s1res{r, err}
 	}()
 	r2, err := blindPermuteS2(ctx, &lockedReader{r: testRNG(57)}, cfg, keys.ForS2(), connB, encB, cfg.Users)
@@ -145,8 +145,8 @@ func TestBlindPermuteRejectsBadLengths(t *testing.T) {
 	}
 	connA, _ := transport.Pair()
 	defer connA.Close()
-	short := [][]*paillier.Ciphertext{encryptSeq(t, keys.S2Paillier.Public(), []int64{1})}
-	if _, err := blindPermuteS1(context.Background(), testRNG(52), cfg, keys.ForS1(), connA, short); err == nil {
+	short := encryptSeq(t, keys.S2Paillier.Public(), []int64{1})
+	if _, err := blindPermuteS1(context.Background(), testRNG(52), cfg, keys.ForS1(), connA, short, 1); err == nil {
 		t.Fatal("expected length error")
 	}
 }
