@@ -15,9 +15,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -236,83 +234,6 @@ func BenchmarkSelfTraining(b *testing.B) {
 	}
 }
 
-// BenchmarkArgmaxParallelism sweeps the protocol worker bound over the
-// paper's K=10 workload and isolates the comparison phases — the all-pairs
-// DGK argmax rounds that the multiplexed transport parallelizes. Each
-// sub-benchmark reports the summed secure-comparison time and the overall
-// per-instance runtime; compare "par=1" (the original sequential protocol)
-// against the higher settings.
-func BenchmarkArgmaxParallelism(b *testing.B) {
-	levels := []int{1, 2, 4, runtime.NumCPU()}
-	seen := make(map[int]bool)
-	for _, par := range levels {
-		if seen[par] {
-			continue
-		}
-		seen[par] = true
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			var compare, overall time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.ProtocolBench(experiments.ProtocolBenchConfig{
-					Instances: 1, Users: 10, Classes: 10,
-					Seed: int64(i + 1), ForceConsensus: true,
-					Parallelism: par,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				overall += res.Overall
-				for _, s := range res.Steps {
-					if s.Step == protocol.StepCompare1 || s.Step == protocol.StepCompare2 {
-						compare += s.AvgTime
-					}
-				}
-			}
-			b.ReportMetric(float64(compare.Milliseconds())/float64(b.N), "compare-ms/inst")
-			b.ReportMetric(float64(overall.Milliseconds())/float64(b.N), "overall-ms/inst")
-		})
-	}
-}
-
-// BenchmarkProtocolJSON runs the full protocol benchmark and, when the
-// BENCH_JSON environment variable names a path, writes the machine-readable
-// record there (`make bench` points it at results/BENCH_protocol.json). The
-// record carries ns/op, bytes/op, the per-phase breakdown under both argmax
-// strategies (tournament primary, all-pairs oracle), the parallelism
-// setting and the CPU count.
-func BenchmarkProtocolJSON(b *testing.B) {
-	var last *experiments.ProtocolBenchResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ProtocolBench(experiments.ProtocolBenchConfig{
-			Instances: 1, Users: 10, Classes: 10,
-			Seed: int64(i + 1), ForceConsensus: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	if last == nil {
-		return
-	}
-	b.ReportMetric(float64(last.Overall.Nanoseconds()), "protocol-ns/inst")
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		b.StopTimer()
-		oracle, err := experiments.ProtocolBench(experiments.ProtocolBenchConfig{
-			Instances: 1, Users: 10, Classes: 10,
-			Seed: 1, ForceConsensus: true,
-			ArgmaxStrategy: protocol.StrategyAllPairs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.WriteBenchJSON(path, last, oracle); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote %s", path)
-	}
-}
-
 // BenchmarkArgmaxStrategy ablates the tournament argmax against the
 // all-pairs oracle across class counts: the tournament runs K-1 comparisons
 // in ceil(log2(K)) batched round trips where all-pairs runs K(K-1) in as
@@ -419,10 +340,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md) ---
 
-// BenchmarkPaillierEnc measures one fresh-nonce Paillier encryption with the
-// pool disabled — the fixed-base kernel's Paillier target. Guarded by
-// scripts/bench_guard.sh via the paillier_enc_ns record in
-// results/BENCH_protocol.json.
+// BenchmarkPaillierEnc measures one fresh-nonce Paillier encryption — the
+// fixed-base kernel's Paillier target (results/fixedbase_micro.txt).
 func BenchmarkPaillierEnc(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	key, err := paillier.GenerateKey(rng, 512)
@@ -441,9 +360,8 @@ func BenchmarkPaillierEnc(b *testing.B) {
 }
 
 // BenchmarkDGKEnc measures one fresh-nonce DGK encryption in the protocol's
-// default parameter regime — the fixed-base kernel's DGK target. Guarded by
-// scripts/bench_guard.sh via the dgk_enc_ns record in
-// results/BENCH_protocol.json.
+// default parameter regime — the fixed-base kernel's DGK target
+// (results/fixedbase_micro.txt).
 func BenchmarkDGKEnc(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	key, err := dgk.GenerateKey(rng, dgk.Params{NBits: 192, TBits: 40, U: 1009, L: 56})
@@ -459,41 +377,6 @@ func BenchmarkDGKEnc(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkPaillierPoolOnOff isolates the paper's pre-generated randomness
-// table optimization (§VI-A): pooled vs on-demand encryption.
-func BenchmarkPaillierPoolOnOff(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	key, err := paillier.GenerateKey(rng, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := big.NewInt(123456)
-
-	b.Run("on-demand", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := key.Encrypt(rng, msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		pool, err := paillier.NewNoncePool(rand.New(rand.NewSource(2)), key.Public(), 256, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pool.Encrypt(ctx, msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkPaillierCRT isolates the CRT decryption speedup.
@@ -564,29 +447,6 @@ func BenchmarkDGKBitLength(b *testing.B) {
 // bitName renders a bit-length sub-benchmark name.
 func bitName(l int) string {
 	return "L=" + string(rune('0'+l/10)) + string(rune('0'+l%10))
-}
-
-// BenchmarkDGKPoolProtocol ablates the randomness-table optimization
-// applied to the protocol's dominant cost: S2's DGK bit encryptions.
-func BenchmarkDGKPoolProtocol(b *testing.B) {
-	for _, pooled := range []bool{false, true} {
-		name := "plain"
-		if pooled {
-			name = "pooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.ProtocolBenchConfig{
-					Instances: 1, Users: 6, Classes: 6,
-					Seed: int64(i + 1), ForceConsensus: true,
-					UseDGKPool: pooled,
-				}
-				if _, err := experiments.ProtocolBench(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTransportSegmentation isolates the paper's 18-digit decimal

@@ -20,7 +20,6 @@ import (
 	"github.com/privconsensus/privconsensus/internal/experiments"
 	"github.com/privconsensus/privconsensus/internal/ml"
 	"github.com/privconsensus/privconsensus/internal/plot"
-	"github.com/privconsensus/privconsensus/internal/protocol"
 )
 
 func main() {
@@ -43,10 +42,8 @@ func run(args []string) error {
 		instances = fs.Int("instances", 0, "protocol instances for table1/table2")
 		benchU    = fs.Int("bench-users", 10, "user count for table1/table2")
 		svgDir    = fs.String("svg", "", "also write each figure as an SVG into this directory")
-		dgkPool   = fs.Bool("dgkpool", false, "enable the DGK nonce pool for table1/table2")
-		par       = fs.Int("parallelism", 0, "protocol worker bound for table1/table2 (0 = NumCPU, 1 = sequential)")
-		argmax    = fs.String("argmax", "", "argmax strategy for table1/table2: tournament (default) or allpairs")
-		benchJSON = fs.String("json", "", "write the machine-readable protocol benchmark to this path (table1/table2)")
+		par       = fs.Int("parallelism", 0, "CPU worker bound for table1/table2 (0 = NumCPU, 1 = inline); never changes the wire")
+		argmax    = fs.String("argmax", "", "argmax schedule for table1/table2: tournament (default) or allpairs, the paper's reference")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,7 +83,6 @@ func run(args []string) error {
 	pb := experiments.DefaultProtocolBenchConfig()
 	pb.Users = *benchU
 	pb.Seed = *seed
-	pb.UseDGKPool = *dgkPool
 	pb.Parallelism = *par
 	pb.ArgmaxStrategy = *argmax
 	if *instances > 0 {
@@ -98,7 +94,7 @@ func run(args []string) error {
 		ids = []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig3eps"}
 	}
 	for _, exp := range ids {
-		if err := runOne(exp, opts, pb, *svgDir, *benchJSON); err != nil {
+		if err := runOne(exp, opts, pb, *svgDir); err != nil {
 			return fmt.Errorf("%s: %w", exp, err)
 		}
 	}
@@ -120,7 +116,7 @@ func parseUsers(s string) ([]int, error) {
 }
 
 // runOne dispatches a single experiment id.
-func runOne(id string, opts experiments.Options, pb experiments.ProtocolBenchConfig, svgDir, benchJSON string) error {
+func runOne(id string, opts experiments.Options, pb experiments.ProtocolBenchConfig, svgDir string) error {
 	switch id {
 	case "table1", "table2":
 		res, err := experiments.ProtocolBench(pb)
@@ -131,23 +127,6 @@ func runOne(id string, opts experiments.Options, pb experiments.ProtocolBenchCon
 			printTable1(res)
 		} else {
 			printTable2(res)
-		}
-		if benchJSON != "" {
-			// Re-run the workload under the all-pairs oracle so the record
-			// carries both strategies' per-phase costs (skip when the
-			// primary run already is all-pairs).
-			var oracle *experiments.ProtocolBenchResult
-			if pb.ResolvedArgmaxStrategy() != protocol.StrategyAllPairs {
-				ocfg := pb
-				ocfg.ArgmaxStrategy = protocol.StrategyAllPairs
-				if oracle, err = experiments.ProtocolBench(ocfg); err != nil {
-					return err
-				}
-			}
-			if err := experiments.WriteBenchJSON(benchJSON, res, oracle); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", benchJSON)
 		}
 	case "table3":
 		cells, err := experiments.Table3(opts)

@@ -53,18 +53,17 @@ func run(args []string) error {
 		instances = fs.Int("instances", 1, "number of query instances to run")
 		timeout   = fs.Duration("timeout", 10*time.Minute, "overall deadline")
 		seed      = fs.Int64("seed", 0, "deterministic seed (0 = crypto/rand)")
-		par       = fs.Int("parallelism", 0, "protocol worker bound (0 = key file / NumCPU, 1 = sequential wire format; both servers must agree)")
-		argmax    = fs.String("argmax", "", "argmax strategy: tournament (batched bracket, the default) or allpairs (legacy wire format; both servers must agree)")
+		par       = fs.Int("parallelism", 0, "CPU worker bound for this server's crypto (0 = key file / NumCPU, 1 = inline); never changes the wire")
 		packed    = fs.String("packed", "", "slot-packed submissions: on, off, or empty for the key file's setting (changes the wire format; servers, relays and users must agree)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
 		linger    = fs.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the last instance")
-		retries   = fs.Int("max-retries", 0, "per-instance retry budget on transient I/O failures (0 = legacy wire protocol; both servers must agree)")
+		retries   = fs.Int("max-retries", 0, "per-instance retry budget on transient I/O failures (0 = one attempt, a lost peer link is final)")
 		backoff   = fs.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per retry)")
 		attemptTO = fs.Duration("attempt-timeout", 2*time.Minute, "deadline for each instance attempt and reconnect wait")
 		faultSpec = fs.String("fault-spec", "", "inject deterministic connection faults, e.g. seed=7,reset=0.02,stall=0.01,max=20 (testing only)")
-		quorum    = fs.Float64("quorum", 0, "minimum participants per query: a fraction of users in (0,1) or an absolute count >= 1 (0 = require full participation; both servers must agree)")
+		quorum    = fs.Float64("quorum", 0, "minimum participants per query: a fraction of users in (0,1) or an absolute count >= 1 (0 with -submit-deadline unset = wait for everyone; a policy both servers share)")
 		deadline  = fs.Duration("submit-deadline", 0, "close the submission window this long after startup once quorum is met (0 with -quorum unset = wait for everyone)")
-		journal   = fs.String("journal", "", "append a hash-chained JSONL event journal at this path and propagate a cross-process trace ID (both servers must agree; see cmd/trace)")
+		journal   = fs.String("journal", "", "append a hash-chained JSONL event journal at this path, stamped with the run's trace ID (see cmd/trace)")
 		logLevel  = fs.String("log-level", "", "log threshold: debug, info (default), warn or silent")
 		serve     = fs.Bool("serve", false, "continuous operation: admit queries on demand instead of -instances; -keys becomes a comma-separated per-epoch list")
 		sf        = serveFlags{
@@ -98,7 +97,6 @@ func run(args []string) error {
 		Instances:      *instances,
 		Seed:           *seed,
 		Parallelism:    *par,
-		ArgmaxStrategy: *argmax,
 		Packing:        *packed,
 		MetricsAddr:    *metrics,
 		MetricsLinger:  *linger,

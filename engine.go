@@ -42,20 +42,11 @@ type Config struct {
 	// DGKBits sizes the DGK comparison modulus. Zero selects a fast
 	// simulation default (192); production should use >= 1024.
 	DGKBits int
-	// Parallelism bounds the workers used for homomorphic aggregation,
-	// Paillier re-randomization, and concurrent DGK comparisons over
-	// multiplexed transport streams. Zero uses runtime.NumCPU; 1 runs the
-	// original sequential single-stream protocol byte for byte. The value
-	// changes the wire format (multiplexed vs plain), so in a two-process
-	// deployment both servers must agree on whether it is 1.
+	// Parallelism bounds the CPU workers used for homomorphic aggregation,
+	// Paillier re-randomization and the per-item compute of the batched
+	// DGK comparisons. Zero uses runtime.NumCPU; 1 runs everything inline.
+	// It never changes the wire.
 	Parallelism int
-	// ArgmaxStrategy selects how the two argmax phases schedule their DGK
-	// comparisons: "tournament" (the default for empty) runs a blinded
-	// single-elimination bracket with one batched exchange per level,
-	// "allpairs" runs the original all-pairs schedule byte-for-byte. The
-	// strategy changes the wire format, so in a two-process deployment
-	// both servers must agree.
-	ArgmaxStrategy string
 	// Seed, when non-zero, makes the engine fully deterministic (for
 	// tests and reproducible simulations). Zero uses crypto/rand.
 	Seed int64
@@ -276,7 +267,6 @@ func toProtocolConfig(cfg Config) (protocol.Config, error) {
 		pcfg.DGK = dgk.Params{NBits: cfg.DGKBits, TBits: 40, U: 1009, L: 56}
 	}
 	pcfg.Parallelism = cfg.Parallelism
-	pcfg.ArgmaxStrategy = cfg.ArgmaxStrategy
 	if err := pcfg.Validate(); err != nil {
 		return protocol.Config{}, err
 	}
@@ -429,16 +419,7 @@ func (e *Engine) labelInstance(ctx context.Context, votes [][]float64, subs []*S
 	dgk.WatchOps(tracer)
 	mathutil.WatchOps(tracer)
 
-	connA, connB := transport.Pair()
-	var c1, c2 transport.Conn = connA, connB
-	if e.pcfg.Parallelism == 1 {
-		// Sequential mode: a step-labelled wrapper attributes traffic as it
-		// crosses the wire. With multiplexing the protocol meters each
-		// stream itself (attributing receives when the owning comparison
-		// consumes them), so the conns stay raw to avoid double counting.
-		c1 = transport.Metered(connA, meter, "secure-sum(2)")
-		c2 = transport.Metered(connB, nil, "secure-sum(2)")
-	}
+	c1, c2 := transport.Pair() // raw: the protocol meters its own link
 	defer c1.Close()
 	defer c2.Close()
 
@@ -517,8 +498,7 @@ func (e *Engine) LastTrace() *obs.QueryTrace {
 }
 
 // Stats returns a sorted snapshot of every process-wide metric series
-// (Paillier/DGK operation counts, pool hit rates, transport traffic,
-// per-phase timings) — the same numbers the /metrics endpoint exposes,
+// (Paillier/DGK operation counts, transport traffic, per-phase timings) — the same numbers the /metrics endpoint exposes,
 // without HTTP.
 func (e *Engine) Stats() []obs.Point {
 	return obs.Default.Snapshot()

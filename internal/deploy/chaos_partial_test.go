@@ -171,7 +171,7 @@ func sendMalformed(ctx context.Context, t *testing.T, addr string, user int, cfg
 		t.Fatalf("malformed user dial: %v", err)
 	}
 	defer conn.Close()
-	if err := sendHello(ctx, conn, partyUser); err != nil {
+	if err := sendHello(ctx, conn, partyUser, 0); err != nil {
 		t.Fatalf("malformed user hello: %v", err)
 	}
 	frame := func(instance, k int, val *big.Int) *transport.Message {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/obs"
-	"github.com/privconsensus/privconsensus/internal/protocol"
 )
 
 // chaosFaultSpec is the seeded schedule for the chaos deployment test:
@@ -70,7 +69,6 @@ func TestChaosResilientDeployment(t *testing.T) {
 			Backoff:        5 * time.Millisecond,
 			AttemptTimeout: 30 * time.Second,
 			FaultSpec:      chaosFaultSpec,
-			ArgmaxStrategy: protocol.StrategyTournament,
 			MetricsAddr:    "127.0.0.1:0",
 			MetricsReady:   metricsReady,
 			MetricsLinger:  5 * time.Second,
@@ -93,7 +91,6 @@ func TestChaosResilientDeployment(t *testing.T) {
 			MaxRetries:     5,
 			Backoff:        5 * time.Millisecond,
 			AttemptTimeout: 30 * time.Second,
-			ArgmaxStrategy: protocol.StrategyTournament,
 			JournalPath:    s2Journal,
 		})
 		s2Done <- repResult{rep, err}

@@ -3,22 +3,20 @@
 // submissions and each other's protocol traffic over TCP, and the user
 // client that builds and delivers encrypted submissions.
 //
-// Wire protocol. Every connection opens with a hello frame identifying the
+// Wire protocol. Every connection opens with a hello frame naming the
 // party. Users then send one frame per query instance carrying their
-// submission half; the peer server connection carries the Alg. 5 protocol
-// messages unchanged.
+// submission half and end the upload with a done/ack exchange, so replays
+// after a reconnect stay idempotent; the peer link runs the one S1↔S2
+// grammar of docs/PROTOCOL.md (hello with the wire version, trace context,
+// then per instance a begin frame, the participant exchange and the Alg. 5
+// messages, closed by an end frame).
 //
-//	hello  := Message{Kind: KindControl, Flags: [party]}
+//	hello  := Message{Kind: KindControl, Flags: [party]}            user
+//	          Message{Kind: KindControl, Flags: [party, caps]}      user, relay
+//	          Message{Kind: KindControl, Flags: [2, caps, version]} S2 → S1
 //	submit := Message{Kind: KindShares,
 //	                  Flags: [user, instance, classes],
 //	                  Values: votes || thresh || noisy}   (3K ciphertexts)
-//
-// With ServerOptions.MaxRetries > 0 the hello may carry a second
-// capability flag, the peer link is wrapped in a begin/end session
-// protocol, and users end uploads with a done/ack exchange so replays
-// after a reconnect stay idempotent — see session.go and
-// docs/PROTOCOL.md § Failure semantics. With MaxRetries == 0 the wire
-// format above is exact, byte for byte.
 package deploy
 
 import (
@@ -60,37 +58,52 @@ func DecodeHalf(msg *transport.Message) (user, instance int, half protocol.Submi
 	return ingest.DecodeHalf(msg)
 }
 
-// sendHello identifies this connection's party to the acceptor.
-func sendHello(ctx context.Context, conn transport.Conn, party int64) error {
-	return sendHelloCaps(ctx, conn, party, 0)
+// wireVersion names the one S1↔S2 grammar this build speaks. S2 sends it in
+// its hello and S1 refuses any other value before a single protocol frame.
+// Bump it with every change to the peer-link transcript; the golden
+// transcript test fails until you do.
+const wireVersion int64 = 1
+
+// hello is a decoded hello frame. version is 0 on user and relay hellos,
+// which carry none.
+type hello struct {
+	party, caps, version int64
 }
 
-// sendHelloCaps identifies the party and, when caps is non-zero, advertises
-// capability flags (currently only capResilient). A zero caps produces the
-// original one-flag hello, byte for byte.
-func sendHelloCaps(ctx context.Context, conn transport.Conn, party, caps int64) error {
+// sendHello identifies this connection's party and capability bits to the
+// acceptor: one flag without capabilities, two with, and on the peer link
+// always three — party, caps and the wire version.
+func sendHello(ctx context.Context, conn transport.Conn, party, caps int64) error {
 	flags := []int64{party}
-	if caps != 0 {
+	if caps != 0 || party == partyPeer {
 		flags = append(flags, caps)
+	}
+	if party == partyPeer {
+		flags = append(flags, wireVersion)
 	}
 	return conn.Send(ctx, &transport.Message{Kind: transport.KindControl, Flags: flags})
 }
 
-// recvHello reads and validates a hello frame, returning the party and any
-// advertised capability flags (0 for legacy one-flag hellos).
-func recvHello(ctx context.Context, conn transport.Conn) (party, caps int64, err error) {
+// recvHello reads and validates a hello frame. A peer hello that predates
+// the wire version decodes with version 0, which checkPeerHello refuses.
+func recvHello(ctx context.Context, conn transport.Conn) (hello, error) {
 	msg, err := transport.ExpectKind(ctx, conn, transport.KindControl)
 	if err != nil {
-		return 0, 0, fmt.Errorf("deploy: hello: %w", err)
+		return hello{}, fmt.Errorf("deploy: hello: %w", err)
 	}
-	if len(msg.Flags) < 1 || len(msg.Flags) > 2 ||
-		(msg.Flags[0] != partyUser && msg.Flags[0] != partyPeer && msg.Flags[0] != partyRelay) {
-		return 0, 0, fmt.Errorf("deploy: invalid hello frame")
+	f := msg.Flags
+	if len(f) < 1 || len(f) > 3 || (len(f) == 3 && f[0] != partyPeer) ||
+		(f[0] != partyUser && f[0] != partyPeer && f[0] != partyRelay) {
+		return hello{}, fmt.Errorf("deploy: invalid hello frame")
 	}
-	if len(msg.Flags) == 2 {
-		caps = msg.Flags[1]
+	h := hello{party: f[0]}
+	if len(f) >= 2 {
+		h.caps = f[1]
 	}
-	return msg.Flags[0], caps, nil
+	if len(f) == 3 {
+		h.version = f[2]
+	}
+	return h, nil
 }
 
 // collector gathers user submissions until every (user, instance) cell is
@@ -291,7 +304,7 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 	return nil
 }
 
-// signalFullLocked wakes wait/waitQuorum once every cell is filled and every
+// signalFullLocked wakes waitQuorum once every cell is filled and every
 // uploader answered. Caller holds c.mu.
 func (c *collector) signalFullLocked() {
 	if c.remaining <= 0 && c.owed == 0 {
@@ -333,30 +346,22 @@ func halfEqual(a, b protocol.SubmissionHalf) bool {
 	return true
 }
 
-// wait blocks until all submissions arrived or ctx is done.
-func (c *collector) wait(ctx context.Context) error {
-	select {
-	case <-c.done:
-		return nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		missing := c.remaining
-		c.mu.Unlock()
-		return fmt.Errorf("deploy: timed out with %d submissions missing: %w", missing, ctx.Err())
-	}
-}
-
-// waitQuorum blocks until full participation or the submit window elapses,
-// whichever comes first, then freezes the grid: later submissions are
-// rejected as late, so both servers' participant sets stay stable across
-// instance retries. The wait duration feeds the quorum-wait histogram.
+// waitQuorum blocks until full participation or the submit window elapses
+// (window <= 0: no deadline, only the full grid releases), whichever comes
+// first, then freezes the grid: later submissions are rejected as late, so
+// both servers' participant sets stay stable across instance retries. The
+// wait duration feeds the quorum-wait histogram.
 func (c *collector) waitQuorum(ctx context.Context, window time.Duration, role string) error {
 	start := time.Now()
-	timer := time.NewTimer(window)
-	defer timer.Stop()
+	var deadline <-chan time.Time
+	if window > 0 {
+		timer := time.NewTimer(window)
+		defer timer.Stop()
+		deadline = timer.C
+	}
 	select {
 	case <-c.done:
-	case <-timer.C:
+	case <-deadline:
 	case <-ctx.Done():
 		c.mu.Lock()
 		missing := c.remaining
@@ -394,17 +399,6 @@ func (c *collector) bitmap(i int) *big.Int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return new(big.Int).Set(c.covered[i])
-}
-
-// instanceGroups returns one instance's submissions as aggregation groups
-// (relay batches whole, direct users as singletons); only valid after a
-// successful wait() (every user covered).
-func (c *collector) instanceGroups(i int) ([]protocol.Group, error) {
-	full := new(big.Int)
-	for u := 0; u < c.users; u++ {
-		full.SetBit(full, u, 1)
-	}
-	return c.maskedGroups(i, full)
 }
 
 // maskedGroups returns the aggregation groups for one instance restricted
@@ -455,9 +449,9 @@ var errDuplicateSubmission = errors.New("deploy: duplicate submission")
 var errRejectedSubmission = errors.New("deploy: submission rejected")
 
 // serveUserConn drains submission frames from one user connection into the
-// collector until the user closes or sends all frames. A resilient user
-// ends its upload with a done frame and waits for the ack; replayed
-// submissions (after a reconnect) are deduplicated against the collector.
+// collector until the user closes. A user ends its upload with a done frame
+// and waits for the ack; replayed submissions (after a reconnect) are
+// deduplicated against the collector.
 func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) error {
 	owed := 0 // submissions recorded on this connection since its last ack
 	defer func() { col.settle(owed) }()

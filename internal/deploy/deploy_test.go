@@ -209,7 +209,7 @@ func TestServerTimesOutOnMissingUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	if err := sendHelloCaps(context.Background(), peer, partyPeer, capBatched); err != nil {
+	if err := sendHello(context.Background(), peer, partyPeer, peerCaps(s1File.Config)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -300,22 +300,22 @@ func TestCollector(t *testing.T) {
 	// Timeout while one submission is missing.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := col.wait(shortCtx); err == nil {
+	if err := col.waitQuorum(shortCtx, 0, "s1"); err == nil {
 		t.Error("expected timeout with missing submissions")
 	}
 	// Complete it.
 	if err := col.add(1, 0, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.wait(context.Background()); err != nil {
+	if err := col.waitQuorum(context.Background(), 0, "s1"); err != nil {
 		t.Errorf("wait after completion: %v", err)
 	}
-	got, err := col.instanceGroups(0)
+	got, err := col.maskedGroups(0, col.bitmap(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Errorf("instanceGroups returned %d groups", len(got))
+		t.Errorf("maskedGroups returned %d groups", len(got))
 	}
 }
 
@@ -336,13 +336,27 @@ func TestVotesToUnits(t *testing.T) {
 }
 
 func TestServerOptionValidation(t *testing.T) {
-	s1File, s2File, _, _ := testSetup(t, 2)
+	s1File, s2File, pubFile, cfg := testSetup(t, 2)
 	ctx := context.Background()
 	if _, err := RunS1(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0"}); err == nil {
 		t.Error("expected instances error")
 	}
 	if _, err := RunS2(ctx, s2File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}); err == nil {
 		t.Error("expected peer-address error")
+	}
+	// A negative retry budget would run zero attempts and report a ⊥ the
+	// protocol never produced; every entry point refuses it.
+	if _, err := RunS1(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1, MaxRetries: -1}); err == nil {
+		t.Error("S1 accepted a negative retry budget")
+	}
+	if _, err := RunS2(ctx, s2File, ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1, MaxRetries: -1}); err == nil {
+		t.Error("S2 accepted a negative retry budget")
+	}
+	if err := SubmitVotes(ctx, pubFile, UserOptions{MaxRetries: -1}, [][]float64{oneHot(cfg.Classes, 0)}); err == nil {
+		t.Error("user client accepted a negative retry budget")
+	}
+	if _, err := NewServeClient([]*keystore.PublicFile{pubFile}, ServeClientOptions{MaxRetries: -1}); err == nil {
+		t.Error("serve client accepted a negative retry budget")
 	}
 }
 

@@ -143,7 +143,8 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go acceptLoop(acceptCtx, s, nil, nil, acceptErr, opts)
+	s.trace.put(0) // an S2 sink has no peer to learn a trace ID from; tracing users get 0
+	go acceptLoop(acceptCtx, s, nil, acceptErr, opts)
 	start := time.Now()
 	if err := collectSubmissions(ctx, s, opts, strings.ToLower(role)); err != nil {
 		select {

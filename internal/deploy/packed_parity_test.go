@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 
@@ -9,37 +10,39 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// TestPackedCapabilityParity pins the wire-parity contract for capPacked:
-// the bit is advertised iff the resolved config packs, and a packing
-// mismatch between the servers is rejected at the hello in both
-// directions — before any submission frame could desynchronize the wire.
+// TestPackedCapabilityParity pins the one fork the peer hello still
+// negotiates: capPacked is advertised iff the resolved config packs, and a
+// packing mismatch between the servers is refused at the hello in both
+// directions — typed, before any frame could desynchronize the wire.
 func TestPackedCapabilityParity(t *testing.T) {
 	_, _, _, cfg := testSetup(t, 2)
 	plain := cfg
 	plain.Packing = false
 	packed := cfg
 	packed.Packing = true
-	opts := ServerOptions{Instances: 1}
-
-	if caps := opts.helloCaps(plain); caps&capPacked != 0 {
-		t.Fatalf("unpacked hello caps = %d advertise capPacked; the bit must stay off the wire", caps)
+	helloOf := func(c protocol.Config) hello {
+		return hello{party: partyPeer, caps: peerCaps(c), version: wireVersion}
 	}
-	if caps := opts.helloCaps(packed); caps&capPacked == 0 {
-		t.Fatalf("packed hello caps = %d, want capPacked (%d) set", caps, capPacked)
+
+	if caps := peerCaps(plain); caps != 0 {
+		t.Fatalf("unpacked hello caps = %d, want 0", caps)
+	}
+	if caps := peerCaps(packed); caps != capPacked {
+		t.Fatalf("packed hello caps = %d, want capPacked (%d)", caps, capPacked)
 	}
 	// Agreement in both modes is accepted ...
-	if err := checkPeerCaps(opts.helloCaps(plain), opts, plain); err != nil {
+	if err := checkPeerHello(helloOf(plain), plain, false); err != nil {
 		t.Errorf("unpacked pair rejected: %v", err)
 	}
-	if err := checkPeerCaps(opts.helloCaps(packed), opts, packed); err != nil {
+	if err := checkPeerHello(helloOf(packed), packed, false); err != nil {
 		t.Errorf("packed pair rejected: %v", err)
 	}
 	// ... and a mismatch is caught whichever side enables -packed.
-	if err := checkPeerCaps(opts.helloCaps(plain), opts, packed); err == nil {
-		t.Error("unpacked S2 hello accepted by a packed S1")
-	}
-	if err := checkPeerCaps(opts.helloCaps(packed), opts, plain); err == nil {
-		t.Error("packed S2 hello accepted by an unpacked S1")
+	for _, c := range []struct{ s2, s1 protocol.Config }{{plain, packed}, {packed, plain}} {
+		err := checkPeerHello(helloOf(c.s2), c.s1, false)
+		if !errors.Is(err, protocol.ErrPeerMismatch) || transport.IsRetryable(err) {
+			t.Errorf("S2 packed=%v against S1 packed=%v: err = %v, want a fatal ErrPeerMismatch", c.s2.Packing, c.s1.Packing, err)
+		}
 	}
 }
 
@@ -94,8 +97,7 @@ func TestPackingOffWireParity(t *testing.T) {
 	}
 	// At the 64-bit test key one slot fits per plaintext, so the joint
 	// group costs 2K and the noisy group K here; the size reduction itself
-	// is pinned at production key sizes by the experiments package's sizing
-	// tests and the bench guard.
+	// is pinned at production key sizes by TestPackedSubmissionSizeReduction.
 	if got, want := psub.ToS1.Lens(), pcfg.HalfLens(); got != want || want != [3]int{2 * cfg.Classes, 0, cfg.Classes} {
 		t.Errorf("packed half carries %v ciphertexts, want %v", got, want)
 	}

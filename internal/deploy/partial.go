@@ -14,14 +14,13 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Partial participation for the two-server deployment.
-//
-// When ServerOptions.Quorum or ServerOptions.SubmitDeadline is set the
-// collector releases the protocol before every user has submitted, and each
-// query instance runs over the subset of users that actually showed up.
-// Correctness then hinges on S1 and S2 summing the *same* subset: the
-// servers agree on it per instance with a participant-bitmap exchange on
-// the peer link, before any protocol message:
+// Participation. Every query instance runs over the users whose validated
+// submissions both servers hold. With ServerOptions.Quorum and
+// SubmitDeadline unset the collector releases only a full grid, so that is
+// everyone; with either set it releases at the deadline with whoever showed
+// up. Either way S1 and S2 must sum the *same* subset, so they agree on it
+// per instance with a participant-bitmap exchange on the peer link, right
+// after the begin frame and before any Alg. 5 message:
 //
 //	participants := Message{Kind: KindControl,
 //	                        Flags: [104, instance], Values: [bitmap]}  S1→S2
@@ -32,28 +31,17 @@ import (
 // held locally. S2 replies with the intersection of S1's proposal and its
 // own set; S1 verifies the agreed set is a subset of its proposal. Any
 // malformed frame or non-subset ack is marked fatal (transport.MarkFatal):
-// a retry cannot fix a peer that disagrees about who participated. With
-// both options unset none of these frames are emitted and the wire format
-// is byte-for-byte the full-participation protocol.
-
-// capPartial is the hello capability bit advertising partial participation.
-// Both servers must agree, like capResilient: the exchange frames change
-// the peer wire format.
-const capPartial int64 = 2
-
-// capBatched is the hello capability bit advertising the tournament argmax
-// with batched DGK comparison frames. It is advertised whenever the
-// resolved strategy is tournament (the default); a server pinned to the
-// all-pairs oracle omits it, keeping that hello byte-for-byte the legacy
-// format. Both servers must resolve to the same strategy: the bracket
-// schedule and the batch frames change the peer wire format.
-const capBatched int64 = 4
+// a retry cannot fix a peer that disagrees about who participated. Quorum
+// and SubmitDeadline are a policy the two servers share: a mismatch can
+// cost a wait or a clean ErrQuorumNotMet on one side, never a
+// desynchronised frame.
 
 // capPacked is the hello capability bit advertising slot-packed
-// submissions (bit 5, shared with the ingestion tier's relay hello). Both
-// servers must resolve to the same packing mode: packed submissions change
-// the submit frame grammar and insert the blinded unpack round into the
-// peer wire format.
+// submissions (bit 5, shared with the ingestion tier's relay hello) — the
+// one real fork of the peer wire, because 64-bit paper keys cannot pack.
+// Both servers must resolve to the same packing mode: packed submissions
+// change the submit frame grammar and insert the blinded unpack round into
+// the peer wire format.
 const capPacked int64 = ingest.CapPacked
 
 // Participant exchange control codes (Flags[0] of KindControl frames).
@@ -70,32 +58,14 @@ func submissionsRejected(reason string) *obs.Counter {
 		obs.L("reason", reason))
 }
 
-// helloCaps returns the capability flags this server advertises (S2) or
-// expects (S1) in the peer hello. cfg is the resolved protocol config (after
-// any ServerOptions overrides): the argmax strategy lives there rather than
-// in the options.
-func (o ServerOptions) helloCaps(cfg protocol.Config) int64 {
-	caps := int64(0)
-	if o.resilient() {
-		caps |= capResilient
-	}
-	if o.partial() {
-		caps |= capPartial
-	}
-	if cfg.ResolvedArgmaxStrategy() == protocol.StrategyTournament {
-		caps |= capBatched
-	}
-	if o.traced() {
-		caps |= capTrace
-	}
+// peerCaps returns the capability bits S2 advertises in its peer hello for
+// the resolved protocol config (dialS1 adds the serve-mode link bits).
+func peerCaps(cfg protocol.Config) int64 {
 	if cfg.Packing {
-		caps |= capPacked
+		return capPacked
 	}
-	return caps
+	return 0
 }
-
-// partial reports whether partial participation is enabled.
-func (o ServerOptions) partial() bool { return o.Quorum > 0 || o.SubmitDeadline > 0 }
 
 // quorumCount resolves the Quorum option against the configured user count:
 // (0,1) is a fraction rounded up, >= 1 an absolute count, 0 means any
@@ -119,7 +89,7 @@ func (o ServerOptions) quorumCount(users int) int {
 }
 
 // submitWindow is the collector release deadline: SubmitDeadline, or the
-// attempt timeout when only Quorum was set.
+// attempt timeout when it is unset.
 func (o ServerOptions) submitWindow() time.Duration {
 	if o.SubmitDeadline > 0 {
 		return o.SubmitDeadline
@@ -127,27 +97,23 @@ func (o ServerOptions) submitWindow() time.Duration {
 	return o.attemptTimeout()
 }
 
-// checkPeerCaps verifies (on S1) that S2's advertised capabilities match
-// this server's session options and resolved protocol config; mismatches
-// would desynchronize the wire.
-func checkPeerCaps(caps int64, opts ServerOptions, cfg protocol.Config) error {
-	if opts.resilient() && caps&capResilient == 0 {
-		return fmt.Errorf("deploy: peer S2 did not advertise session resilience; run both servers with the same -max-retries")
+// checkPeerHello verifies (on S1, before anything is sent back) that S2's
+// hello names this build's wire version, this server's packing mode and —
+// serve says which — the batch or the serve grammar. A mismatch would
+// desynchronize the wire, so it is refused with protocol.ErrPeerMismatch.
+func checkPeerHello(h hello, cfg protocol.Config, serve bool) error {
+	var why string
+	switch {
+	case h.version != wireVersion:
+		why = fmt.Sprintf("peer S2 speaks wire version %d, this server %d; run the same build on both servers", h.version, wireVersion)
+	case cfg.Packing != (h.caps&capPacked != 0):
+		why = "S1 and S2 disagree on slot packing; run both servers with the same -packed setting"
+	case serve != (h.caps&capServe != 0):
+		why = "S1 and S2 disagree on serve mode; run both servers with or without -serve"
+	default:
+		return nil
 	}
-	if opts.partial() != (caps&capPartial != 0) {
-		return fmt.Errorf("deploy: S1 and S2 disagree on partial participation; run both servers with the same -quorum and -submit-deadline")
-	}
-	tournament := cfg.ResolvedArgmaxStrategy() == protocol.StrategyTournament
-	if tournament != (caps&capBatched != 0) {
-		return fmt.Errorf("deploy: S1 and S2 disagree on the argmax strategy; run both servers with the same -argmax")
-	}
-	if opts.traced() != (caps&capTrace != 0) {
-		return fmt.Errorf("deploy: S1 and S2 disagree on trace journaling; run both servers with the same -journal setting")
-	}
-	if cfg.Packing != (caps&capPacked != 0) {
-		return fmt.Errorf("deploy: S1 and S2 disagree on slot packing; run both servers with the same -packed setting")
-	}
-	return nil
+	return transport.MarkFatal(fmt.Errorf("deploy: %s: %w", why, protocol.ErrPeerMismatch))
 }
 
 // popcount returns the number of set bits in a participant bitmap.

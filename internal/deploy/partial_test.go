@@ -177,7 +177,7 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		if _, err := transport.ExpectControl(ctx, user, ctrlUploadAck); err != nil {
 			t.Fatalf("upload ack: %v", err)
 		}
-		if err := col.wait(ctx); err != nil {
+		if err := col.waitQuorum(ctx, 0, "s1"); err != nil {
 			t.Fatalf("collector did not release after the ack: %v", err)
 		}
 		user.Close()
@@ -186,8 +186,8 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		}
 	})
 
-	// A legacy uploader sends no done frame, and a resilient one may die
-	// before it: the closed connection settles the debt.
+	// An uploader may die before its done frame: the closed connection
+	// settles the debt.
 	t.Run("hangup", func(t *testing.T) {
 		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
 		user, server := transport.Pair()
@@ -315,66 +315,6 @@ func TestQuorumCountResolution(t *testing.T) {
 		if got != c.want {
 			t.Errorf("quorumCount(%g, %d users) = %d, want %d", c.quorum, c.users, got, c.want)
 		}
-	}
-}
-
-// TestPartialModeOffIsInert: with Quorum and SubmitDeadline unset the hello
-// advertises nothing and instance preparation never touches the peer link —
-// the nil conn below would panic on any send — so the wire format stays the
-// pre-partial protocol byte for byte.
-func TestPartialModeOffIsInert(t *testing.T) {
-	opts := ServerOptions{Instances: 1}
-	if opts.partial() {
-		t.Fatal("default options report partial participation")
-	}
-	const classes = 2
-	cfg := protocol.DefaultConfig(2)
-	cfg.Classes = classes
-	// The all-pairs oracle keeps the hello byte-for-byte legacy: no caps.
-	oracle := cfg
-	oracle.ArgmaxStrategy = protocol.StrategyAllPairs
-	if caps := opts.helloCaps(oracle); caps != 0 {
-		t.Fatalf("all-pairs hello caps = %d, want 0 (legacy one-flag hello)", caps)
-	}
-	if err := checkPeerCaps(0, opts, oracle); err != nil {
-		t.Fatalf("legacy hello rejected: %v", err)
-	}
-	// The default strategy is tournament, advertised as capBatched.
-	if caps := opts.helloCaps(cfg); caps != capBatched {
-		t.Fatalf("default hello caps = %d, want capBatched (%d)", caps, capBatched)
-	}
-	if err := checkPeerCaps(capBatched, opts, cfg); err != nil {
-		t.Fatalf("tournament hello rejected by tournament server: %v", err)
-	}
-	// Strategy mismatch is caught at the hello, both directions.
-	if err := checkPeerCaps(0, opts, cfg); err == nil {
-		t.Error("legacy hello accepted by a tournament server")
-	}
-	if err := checkPeerCaps(capBatched, opts, oracle); err == nil {
-		t.Error("tournament hello accepted by an all-pairs server")
-	}
-	col := newCollector(protocol.Config{Users: 2, Classes: classes}, 1, nil)
-	for u := 0; u < 2; u++ {
-		if err := col.add(u, 0, testHalf(classes, int64(u+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := &serverSetup{cfg: cfg, col: col}
-	subs, participants, err := prepareSubs(context.Background(), s, opts, "s1", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if participants != 2 || len(subs) != 2 || !subs[0].Half.Present() || !subs[1].Half.Present() {
-		t.Errorf("full-participation prepare returned %d participants, %d groups", participants, len(subs))
-	}
-
-	// Mode mismatch is caught at the hello: a partial S2 against a plain S1.
-	if err := checkPeerCaps(capPartial|capBatched, opts, cfg); err == nil {
-		t.Error("partial-capability hello accepted by a full-participation server")
-	}
-	partialOpts := ServerOptions{Instances: 1, Quorum: 0.5}
-	if err := checkPeerCaps(capBatched, partialOpts, cfg); err == nil {
-		t.Error("legacy hello accepted by a partial-participation server")
 	}
 }
 

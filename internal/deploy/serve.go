@@ -119,7 +119,7 @@ func (c *ctlLink) roundTrip(ctx context.Context, ackCode, code int64, args ...in
 		}
 		if c.conn == nil {
 			awaitCtx, cancel := context.WithTimeout(ctx, c.timeout)
-			conn, _, err := c.src.await(awaitCtx)
+			conn, err := c.src.await(awaitCtx)
 			cancel()
 			if err != nil {
 				lastErr = err
@@ -147,7 +147,7 @@ func (c *ctlLink) roundTrip(ctx context.Context, ackCode, code int64, args ...in
 
 // ServeS1 runs S1 in continuous-operation mode: it admits queries over
 // the serve handshake, enforces per-tenant ε quotas at admission, runs
-// admitted queries on the resilient peer link while later queries
+// admitted queries on the peer-link session while later queries
 // collect, rotates key epochs (files[1:] are the pre-provisioned future
 // epochs), and drains gracefully when DrainCh fires or ctx ends.
 func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (*ServeReport, error) {
@@ -232,7 +232,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	// The startup wait spans S2's full dial-retry budget: under fault
 	// injection the first protocol dial may be dropped several times.
 	awaitCtx, cancel := context.WithTimeout(ctx, time.Duration(opts.MaxRetries+1)*opts.attemptTimeout())
-	peer, caps, err := ps.await(awaitCtx)
+	peer, err := ps.await(awaitCtx)
 	cancel()
 	if err != nil {
 		select {
@@ -241,14 +241,6 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		default:
 		}
 		return nil, fmt.Errorf("deploy: waiting for S2 serve link: %w", err)
-	}
-	if caps&capServe == 0 {
-		peer.Close()
-		return nil, fmt.Errorf("deploy: peer S2 did not advertise serve mode; run both servers with -serve")
-	}
-	if err := checkPeerCaps(caps, opts.ServerOptions, s.cfg); err != nil {
-		peer.Close()
-		return nil, err
 	}
 	opts.log(levelInfo, "S1 serving: admission open (window %d, epoch 0 of %d provisioned)",
 		opts.maxInFlight(), len(files))
@@ -287,28 +279,24 @@ func (st *serveState) acceptLoop(ctx context.Context, ps *peerSource, errCh chan
 			return
 		}
 		go func(conn transport.Conn) {
-			party, caps, err := recvHello(ctx, conn)
+			h, err := recvHello(ctx, conn)
 			if err != nil {
 				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
 				conn.Close()
 				return
 			}
-			switch party {
+			switch h.party {
 			case partyPeer:
-				if caps&capTrace != 0 && opts.traced() {
-					if err := replyTraceContext(ctx, st.s, conn); err != nil {
-						opts.log(levelWarn, "peer trace context send failed: %v", err)
-						conn.Close()
-						return
-					}
-				}
-				if caps&capServeCtl != 0 {
-					st.ctl.src.offer(conn, caps)
+				if !acceptPeer(ctx, st.s, ps, conn, h, true, opts.ServerOptions) {
 					return
 				}
-				ps.offer(conn, caps)
+				if h.caps&capServeCtl != 0 {
+					st.ctl.src.offer(conn)
+					return
+				}
+				ps.offer(conn)
 			case partyUser:
-				if caps&capTrace != 0 {
+				if h.caps&capTrace != 0 {
 					if err := replyTraceContext(ctx, st.s, conn); err != nil {
 						opts.log(levelWarn, "user trace context send failed: %v", err)
 						conn.Close()
@@ -320,7 +308,7 @@ func (st *serveState) acceptLoop(ctx context.Context, ps *peerSource, errCh chan
 				}
 				conn.Close()
 			default:
-				opts.log(levelWarn, "dropping unexpected party %d in serve mode", party)
+				opts.log(levelWarn, "dropping unexpected party %d in serve mode", h.party)
 				conn.Close()
 			}
 		}(conn)
@@ -688,7 +676,7 @@ func (st *serveState) beginDrain() {
 }
 
 // runQuery executes one released query on the peer link with the session
-// retry discipline of the batch path: begin frame (query ID in the
+// discipline of the batch path: begin frame (query ID in the
 // instance slot), participant exchange, protocol run; transient failures
 // retry on a fresh connection within the budget. It returns the (possibly
 // replaced) peer connection; q.res holds the terminal result.
@@ -709,19 +697,10 @@ func (st *serveState) runQuery(ctx context.Context, q *serveQuery, ps *peerSourc
 			lastErr = err
 			break
 		}
-		if peer == nil {
-			awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-			var err error
-			peer, _, err = ps.await(awaitCtx)
-			cancel()
-			if err != nil {
-				lastErr = err
-				retriesTotal("s1", "reconnect").Inc()
-				st.s.journalEvent(opts.ServerOptions, obs.Event{Type: obs.EventRetry, Instance: q.qid, Note: "reconnect"})
-				continue
-			}
-		} else {
-			peer = ps.takeNewer(peer)
+		var err error
+		if peer, err = claimPeer(ctx, st.s, opts.ServerOptions, ps, peer, q.qid); err != nil {
+			lastErr = err
+			continue
 		}
 		actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
 		out, err := func() (*protocol.Outcome, error) {
@@ -780,9 +759,7 @@ func (st *serveState) epochKeys(epoch int) protocol.KeysS1 {
 
 // prepareQuery is the per-query participant exchange: S1 proposes its
 // released bitmap (frames keyed by query ID), S2 intersects, and the
-// agreed set is masked onto the collector. Serve mode always runs the
-// exchange — per-query release means the servers' sets can differ even
-// at full participation.
+// agreed set is masked onto the collector.
 func (st *serveState) prepareQuery(ctx context.Context, q *serveQuery, peer transport.Conn) ([]protocol.Group, int, error) {
 	opts := st.opts
 	local := q.col.bitmap(0)

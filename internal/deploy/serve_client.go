@@ -127,6 +127,9 @@ func NewServeClient(pubs []*keystore.PublicFile, opts ServeClientOptions) (*Serv
 	if opts.Tenant < 0 {
 		return nil, fmt.Errorf("deploy: negative tenant %d", opts.Tenant)
 	}
+	if opts.MaxRetries < 0 {
+		return nil, fmt.Errorf("deploy: negative retry budget %d", opts.MaxRetries)
+	}
 	if _, err := parseLogLevel(opts.LogLevel); err != nil {
 		return nil, err
 	}
@@ -332,7 +335,7 @@ func (c *ServeClient) phaseAt(ctx context.Context, name, addr string, f func(con
 			defer conn.Close()
 			stop := context.AfterFunc(actx, func() { conn.Close() })
 			defer stop()
-			if err := sendHelloCaps(actx, conn, partyUser, capServe); err != nil {
+			if err := sendHello(actx, conn, partyUser, capServe); err != nil {
 				return err
 			}
 			return f(actx, conn)

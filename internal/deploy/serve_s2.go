@@ -33,10 +33,9 @@ type s2Query struct {
 
 // s2Epoch is one epoch's loaded material on S2.
 type s2Epoch struct {
-	keys  protocol.KeysS2
-	pools *protocol.S2Pools
-	ring  *big.Int
-	live  int // protocol runs currently using this epoch's keys
+	keys protocol.KeysS2
+	ring *big.Int
+	live int // protocol runs currently using this epoch's keys
 }
 
 // serveS2 is S2's shared serve-mode state.
@@ -135,16 +134,13 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 	return rep, err
 }
 
-// closeEpochs releases every still-open epoch's pools and zeroizes keys.
+// closeEpochs zeroizes every still-open epoch's keys.
 func (st *serveS2) closeEpochs() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for e, ep := range st.epochs {
 		if st.retired[e] {
 			continue
-		}
-		if ep.pools != nil {
-			ep.pools.Close()
 		}
 		ep.keys.Zeroize()
 		st.retired[e] = true
@@ -174,11 +170,7 @@ func (st *serveS2) ensureEpochLocked(e int) error {
 		return err
 	}
 	keys.Precompute()
-	pools, err := protocol.NewS2Pools(st.s.cfg, keys)
-	if err != nil {
-		return err
-	}
-	st.epochs[e] = &s2Epoch{keys: keys, pools: pools, ring: ringOf(keys.PeerPub)}
+	st.epochs[e] = &s2Epoch{keys: keys, ring: ringOf(keys.PeerPub)}
 	return nil
 }
 
@@ -196,9 +188,6 @@ func (st *serveS2) finishRetireLocked(e int) {
 	ep := st.epochs[e]
 	if ep == nil || st.retired[e] || !st.wantRetire[e] || ep.live > 0 {
 		return
-	}
-	if ep.pools != nil {
-		ep.pools.Close()
 	}
 	ep.keys.Zeroize()
 	st.retired[e] = true
@@ -241,7 +230,7 @@ func (st *serveS2) ctlLoop(ctx context.Context, drained func()) {
 		if fails > 0 {
 			sleepCtx(ctx, backoffDelay(opts.Backoff, fails))
 		}
-		conn, err := st.dialS1(ctx, capServe|capServeCtl, opts.Seed+43)
+		conn, err := st.s.dialS1(ctx, opts.ServerOptions, capServe|capServeCtl, opts.Seed+43)
 		if err != nil {
 			fails++
 			opts.log(levelWarn, "S2 ctl link dial failed: %v", err)
@@ -314,35 +303,6 @@ func (st *serveS2) ctlServe(ctx context.Context, conn transport.Conn, drained fu
 	}
 }
 
-// dialS1 establishes one capability-tagged peer connection to S1.
-func (st *serveS2) dialS1(ctx context.Context, extraCaps, seed int64) (transport.Conn, error) {
-	opts := st.opts
-	d := transport.Dialer{
-		Attempts:       opts.MaxRetries + 1,
-		Backoff:        opts.Backoff,
-		AttemptTimeout: opts.attemptTimeout(),
-		Seed:           seed,
-		Faults:         st.s.faults,
-	}
-	conn, err := d.Dial(ctx, opts.PeerAddr)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: dial S1: %w", err)
-	}
-	if err := sendHelloCaps(ctx, conn, partyPeer, opts.helloCaps(st.s.cfg)|extraCaps); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if opts.traced() {
-		id, err := recvTraceContext(ctx, conn)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		st.s.adoptTraceID(id, opts.ServerOptions)
-	}
-	return conn, nil
-}
-
 // acceptUsers routes inbound user connections to the per-query upload
 // handler. (S2 accepts no peer connections — it dials S1.)
 func (st *serveS2) acceptUsers(ctx context.Context, errCh chan<- error) {
@@ -362,16 +322,16 @@ func (st *serveS2) acceptUsers(ctx context.Context, errCh chan<- error) {
 		}
 		go func(conn transport.Conn) {
 			defer conn.Close()
-			party, caps, err := recvHello(ctx, conn)
+			h, err := recvHello(ctx, conn)
 			if err != nil {
 				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
 				return
 			}
-			if party != partyUser {
-				opts.log(levelWarn, "dropping unexpected party %d in serve mode", party)
+			if h.party != partyUser {
+				opts.log(levelWarn, "dropping unexpected party %d in serve mode", h.party)
 				return
 			}
-			if caps&capTrace != 0 {
+			if h.caps&capTrace != 0 {
 				if err := replyTraceContext(ctx, st.s, conn); err != nil {
 					opts.log(levelWarn, "user trace context send failed: %v", err)
 					return
@@ -459,7 +419,7 @@ func (st *serveS2) protocolLoop(ctx context.Context) (*Report, error) {
 				sleepCtx(ctx, backoffDelay(opts.Backoff, consecFail))
 			}
 			var err error
-			peer, err = st.dialS1(ctx, capServe, opts.Seed+17)
+			peer, err = st.s.dialS1(ctx, opts.ServerOptions, capServe, opts.Seed+17)
 			if err != nil {
 				consecFail++
 				opts.log(levelWarn, "S2 reconnect to S1 failed: %v", err)
@@ -573,7 +533,7 @@ func (st *serveS2) runServeQuery(ctx context.Context, frame sessionFrame, peer t
 		}
 		return runInstance(actx, st.s, "s2", qid, frame.attempt, p, st.s.cfg.Users-p, opts.ServerOptions,
 			func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-				return protocol.RunS2GroupsWithPools(qctx, rng, st.s.cfg, ep.keys, peer, groups, meter, ep.pools)
+				return protocol.RunS2Groups(qctx, rng, st.s.cfg, ep.keys, peer, groups, meter)
 			})
 	}()
 	res := InstanceResult{Instance: qid, Outcome: protocol.Outcome{Consensus: false, Label: -1}, Attempts: frame.attempt + 1}

@@ -85,7 +85,7 @@ func serveUserConnTo(ctx context.Context, t *testing.T, addr string) transport.C
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
-	if err := sendHelloCaps(ctx, conn, partyUser, capServe); err != nil {
+	if err := sendHello(ctx, conn, partyUser, capServe); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	return conn

@@ -11,11 +11,11 @@ import (
 
 // Continuous-operation (serve mode) wire vocabulary.
 //
-// Serve mode is capability-negotiated: a client that wants streaming
-// admission advertises capServe in its hello, and the serve-control link
-// S2 dials to S1 additionally carries capServeCtl. A deployment that
-// never sets these bits speaks the batch wire byte for byte — none of
-// the frames below ever appear.
+// A client that wants streaming admission advertises capServe in its
+// hello, S2's serve-mode peer links carry it too, and the serve-control
+// link S2 dials to S1 additionally carries capServeCtl. The bits name the
+// link; a batch deployment never sets them and none of the frames below
+// ever appear on it.
 //
 // Three handshakes share the control-frame grammar (Flags[0] = code):
 //
@@ -34,8 +34,8 @@ import (
 //	    [129, epoch] / [127, epoch, status]               epoch retire
 //	    [130, 0]     / [127, 0, status]                   drain
 //
-//	session (S1 → S2, protocol link): the resilient-session begin/end
-//	    frames (100/101) with the query ID in the instance slot.
+//	session (S1 → S2, protocol link): the session begin/end frames
+//	    (100/101) with the query ID in the instance slot.
 const (
 	// capServe marks a hello from a party speaking the serve-mode
 	// admission grammar (clients) or serving it (the S2 protocol link).
@@ -135,7 +135,7 @@ func admitDecision(status int64) string {
 }
 
 // ServeOptions configures one continuously-operating server. The embedded
-// ServerOptions supplies the transport, observability, resilience and
+// ServerOptions supplies the transport, observability, retry-budget and
 // participation settings; Instances is ignored (serve mode admits an
 // unbounded stream of queries).
 type ServeOptions struct {

@@ -40,22 +40,14 @@ type ServerOptions struct {
 	// Seed, when non-zero, makes protocol randomness deterministic.
 	Seed int64
 	// Parallelism, when non-zero, overrides the key file's protocol
-	// parallelism: 1 runs the original sequential single-stream protocol,
-	// anything else multiplexes the peer link and runs DGK comparisons
-	// concurrently. The setting changes the wire format, so both server
-	// processes must resolve to the same mode.
+	// parallelism: the bound on this server's CPU-bound crypto workers
+	// (0 = NumCPU). It never touches the wire; the servers need not agree.
 	Parallelism int
-	// ArgmaxStrategy, when non-empty, overrides the key file's argmax
-	// strategy (protocol.StrategyTournament or protocol.StrategyAllPairs;
-	// empty resolves to tournament). The strategy changes the wire format,
-	// so both server processes must resolve to the same one — the peer
-	// hello carries it as a capability bit and S1 rejects a mismatch.
-	ArgmaxStrategy string
 	// Packing overrides the key file's slot-packing mode: "on", "off", or
 	// "" to keep the key file's setting. Packing changes the wire format
 	// for submissions and the aggregation phase, so both servers, every
 	// relay and every user must resolve to the same mode — the peer hello
-	// carries it as a capability bit and S1 rejects a mismatch.
+	// carries it (capPacked) and S1 refuses a mismatch.
 	Packing string
 	// MetricsAddr, when non-empty, serves the observability admin endpoint
 	// (/metrics, /healthz, /debug/pprof/*, /debug/vars) on that address.
@@ -73,12 +65,11 @@ type ServerOptions struct {
 	// Ready, when non-nil, receives the bound listen address once the
 	// server is accepting (lets tests use port 0).
 	Ready chan<- string
-	// MaxRetries enables session resilience: each query instance may be
-	// retried up to this many times on transient I/O failures, with the
-	// peer link re-established between attempts. 0 (the default) disables
-	// the session protocol entirely and keeps the wire format identical
-	// to the pre-resilience protocol. Both servers must agree on whether
-	// resilience is on, like Parallelism.
+	// MaxRetries is the retry budget: each query instance may be retried up
+	// to this many times on transient I/O failures, with the peer link
+	// re-established between attempts. 0 (the default) runs each instance's
+	// single attempt and never waits for a lost link to come back. It is a
+	// budget, not a mode: the servers may set different values.
 	MaxRetries int
 	// Backoff is the delay before the first retry (default 50ms); it
 	// doubles per retry, capped at 16×.
@@ -90,36 +81,31 @@ type ServerOptions struct {
 	// connection this server accepts or dials (see
 	// transport.ParseFaultSpec). Testing only.
 	FaultSpec string
-	// Quorum enables partial participation: the minimum number of users a
-	// query instance needs to run. A value in (0, 1) is a fraction of the
-	// configured users (rounded up); >= 1 an absolute count. An instance
-	// released with fewer participants fails cleanly with
-	// protocol.ErrQuorumNotMet instead of running. Both servers must agree
-	// on the partial-participation settings, like Parallelism.
+	// Quorum is the minimum number of users a query instance needs to run.
+	// A value in (0, 1) is a fraction of the configured users (rounded up);
+	// >= 1 an absolute count; 0 any participation. An instance released
+	// with fewer participants fails cleanly with protocol.ErrQuorumNotMet
+	// instead of running. Quorum and SubmitDeadline are a policy, not a wire
+	// mode, but one the two servers must share: a mismatch can cost a wait
+	// or a quorum miss on one side.
 	Quorum float64
 	// SubmitDeadline bounds how long the collector waits for user
 	// submissions: when it elapses, every instance proceeds with whoever
 	// showed up (subject to Quorum). 0 with Quorum set falls back to
-	// AttemptTimeout as the submission window; 0 with Quorum unset keeps
-	// the full-participation wait (the default, wire-identical to the
-	// pre-partial protocol).
+	// AttemptTimeout as the submission window; 0 with Quorum unset waits
+	// for the full grid (the default).
 	SubmitDeadline time.Duration
 	// JournalPath, when non-empty, appends every query's spans and
 	// lifecycle events (rejections, retries, faults, quorum decisions, δ
-	// corrections) to a hash-chained JSONL journal at this path, and
-	// enables cross-process trace propagation: S1 mints a per-run trace ID
-	// and pushes it to S2 and tracing users over a capability-negotiated
-	// ctrl frame. Both servers must agree on whether tracing is on, like
-	// Parallelism. Empty (the default) keeps the wire byte-for-byte the
-	// untraced protocol.
+	// corrections) to a hash-chained JSONL journal at this path, stamped
+	// with the run's trace ID (S1 mints it and always pushes it to S2 and to
+	// tracing users). Each server journals iff it has a path; one may
+	// journal without the other.
 	JournalPath string
 	// LogLevel filters Logf output: "debug", "info" (the default), "warn"
 	// or "silent".
 	LogLevel string
 }
-
-// resilient reports whether the session-resilience protocol is enabled.
-func (o ServerOptions) resilient() bool { return o.MaxRetries > 0 }
 
 // attemptTimeout returns the per-attempt deadline with its default.
 func (o ServerOptions) attemptTimeout() time.Duration {
@@ -205,6 +191,9 @@ func (o ServerOptions) log(lv logLevel, format string, args ...any) {
 func (o ServerOptions) validate() error {
 	if o.Instances < 1 {
 		return fmt.Errorf("deploy: need at least 1 instance, got %d", o.Instances)
+	}
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("deploy: negative retry budget %d", o.MaxRetries)
 	}
 	if o.Quorum < 0 {
 		return fmt.Errorf("deploy: negative quorum %g", o.Quorum)
@@ -361,14 +350,15 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	if opts.Parallelism != 0 {
 		cfg.Parallelism = opts.Parallelism
 	}
-	if opts.ArgmaxStrategy != "" {
-		cfg.ArgmaxStrategy = opts.ArgmaxStrategy
-	}
 	applyPacking(&cfg, opts.Packing)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	obs.SetBuildInfo(nil, cfg.ResolvedArgmaxStrategy(), cfg.ResolvedParallelism())
+	if cfg.ResolvedArgmaxStrategy() != protocol.StrategyTournament {
+		return nil, fmt.Errorf("deploy: key file selects the %q argmax schedule, a test reference deployments do not run: %w",
+			cfg.ArgmaxStrategy, protocol.ErrBadConfig)
+	}
+	obs.SetBuildInfo(nil, int(wireVersion), cfg.ResolvedParallelism())
 	inj, err := opts.faults()
 	if err != nil {
 		return nil, err
@@ -383,7 +373,7 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 		faults: inj,
 		trace:  newTraceState(),
 	}
-	if opts.traced() {
+	if opts.JournalPath != "" {
 		s.journal, err = obs.OpenJournal(opts.JournalPath, obs.JournalOptions{Role: strings.ToLower(role)})
 		if err != nil {
 			admin.close(ctx)
@@ -391,13 +381,9 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 		}
 		opts.log(levelDebug, "%s journaling to %s", role, opts.JournalPath)
 	}
-	switch {
-	case !opts.traced():
-		// Untraced servers answer tracing users immediately with ID 0.
-		s.trace.put(0)
-	case role == "S1":
-		// S1 mints the run's trace identity at startup, so the accept loop
-		// can hand it to S2 and users without waiting.
+	if role == "S1" {
+		// S1 mints the run's trace identity at startup, journaling or not,
+		// so the accept loop can hand it to S2 and users without waiting.
 		id, err := mintTraceID(opts.Seed)
 		if err != nil {
 			s.journal.Close()
@@ -406,7 +392,7 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 		}
 		s.adoptTraceID(id, opts)
 	}
-	// S2 traced: the ID arrives from S1 on the first peer connection.
+	// S2: the ID arrives from S1 on the first peer connection.
 	if s.journal != nil {
 		inj.SetObserver(func(kind string) {
 			s.journalEvent(opts, obs.Event{Type: obs.EventFault, Instance: -1, Note: kind})
@@ -431,18 +417,15 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	return s, nil
 }
 
-// collectSubmissions waits for user submissions per the participation mode:
-// full participation by default, or the quorum/deadline release when
-// partial participation is enabled. role is the metric label ("s1"/"s2").
+// collectSubmissions waits for user submissions and freezes the grid: with
+// Quorum and SubmitDeadline unset only a full grid releases, otherwise the
+// submit window does too. role is the metric label ("s1"/"s2").
 func collectSubmissions(ctx context.Context, s *serverSetup, opts ServerOptions, role string) error {
-	if !opts.partial() {
-		if err := s.col.wait(ctx); err != nil {
-			return err
-		}
-		opts.log(levelInfo, "%s received all %d×%d submissions", strings.ToUpper(role), s.cfg.Users, opts.Instances)
-		return nil
+	var window time.Duration
+	if opts.Quorum > 0 || opts.SubmitDeadline > 0 {
+		window = opts.submitWindow()
 	}
-	if err := s.col.waitQuorum(ctx, opts.submitWindow(), role); err != nil {
+	if err := s.col.waitQuorum(ctx, window, role); err != nil {
 		return err
 	}
 	got, want := s.col.counts()
@@ -452,25 +435,13 @@ func collectSubmissions(ctx context.Context, s *serverSetup, opts ServerOptions,
 }
 
 // prepareSubs resolves one instance's submissions on either server as
-// aggregation groups (relay batches whole, direct users as singletons): in
-// partial mode it runs the participant exchange (S1 proposes, S2
-// intersects) and masks the grid by the agreed set; otherwise it returns
-// the full grid. It reports the participant count alongside, and
+// aggregation groups (relay batches whole, direct users as singletons): it
+// runs the participant exchange (S1 proposes, S2 intersects) and masks the
+// grid by the agreed set. It reports the participant count alongside, and
 // protocol.ErrQuorumNotMet (no protocol traffic follows) when the agreed
 // set is below quorum.
 func prepareSubs(ctx context.Context, s *serverSetup, opts ServerOptions, role string,
 	peer transport.Conn, i int) ([]protocol.Group, int, error) {
-	if !opts.partial() {
-		// Full participation: the quorum decision is trivial but still
-		// journaled so every instance's timeline starts the same way.
-		s.journalEvent(opts, obs.Event{Type: obs.EventQuorum, Instance: i,
-			Note: fmt.Sprintf("participants=%d dropped=0 quorum=%d", s.cfg.Users, s.cfg.Users)})
-		groups, err := s.col.instanceGroups(i)
-		if err != nil {
-			return nil, 0, err
-		}
-		return groups, s.cfg.Users, nil
-	}
 	local := s.col.bitmap(i)
 	var (
 		agreed *big.Int
@@ -518,12 +489,10 @@ func RunS1(ctx context.Context, file *keystore.S1File, opts ServerOptions) ([]pr
 	return rep.Outcomes(), nil
 }
 
-// RunS1Report runs server S1 and returns a per-instance Report. With
-// MaxRetries == 0 it speaks the original wire protocol and aborts on the
-// first instance error; with MaxRetries > 0 it leads the resilient session
-// protocol — transient I/O failures are retried on a fresh peer connection
-// up to the budget, and an instance that exhausts its budget is recorded
-// as failed while the rest of the batch completes.
+// RunS1Report runs server S1 and returns a per-instance Report. It leads
+// the peer-link session: transient I/O failures are retried on a fresh peer
+// connection up to the MaxRetries budget, and an instance that exhausts its
+// budget is recorded as failed while the rest of the batch completes.
 func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -541,30 +510,18 @@ func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions)
 	defer s.journal.Close()
 	defer s.l.Close()
 
-	var (
-		peerCh chan peerConn
-		ps     *peerSource
-	)
-	if opts.resilient() {
-		ps = newPeerSource()
-		defer ps.close()
-	} else {
-		peerCh = make(chan peerConn, 1)
-	}
+	ps := newPeerSource()
+	defer ps.close()
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go acceptLoop(acceptCtx, s, peerCh, ps, acceptErr, opts)
+	go acceptLoop(acceptCtx, s, ps, acceptErr, opts)
 
-	if !opts.resilient() {
-		return runS1Legacy(ctx, keys, s, opts, peerCh, acceptErr)
-	}
-
-	// Resilient path: claim the initial peer link, verify it speaks the
-	// session protocol, then lead the per-instance session. The accept
-	// loop keeps running so S2 reconnections land in the peerSource.
+	// Claim the initial peer link (the accept loop has already checked its
+	// hello), then lead the per-instance session. The accept loop keeps
+	// running so S2 reconnections land in the peerSource.
 	awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-	peer, caps, err := ps.await(awaitCtx)
+	peer, err := ps.await(awaitCtx)
 	cancel()
 	if err != nil {
 		select {
@@ -574,11 +531,7 @@ func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions)
 		}
 		return nil, err
 	}
-	if err := checkPeerCaps(caps, opts, s.cfg); err != nil {
-		peer.Close()
-		return nil, err
-	}
-	opts.log(levelInfo, "S1 connected to peer S2 (resilient session, budget %d retries)", opts.MaxRetries)
+	opts.log(levelInfo, "S1 connected to peer S2 (budget %d retries)", opts.MaxRetries)
 	if err := collectSubmissions(ctx, s, opts, "s1"); err != nil {
 		peer.Close()
 		return nil, err
@@ -594,72 +547,11 @@ func ringOf(pk *paillier.PublicKey) *big.Int {
 	return pk.N2
 }
 
-// runS1Legacy is the pre-resilience S1 flow: single peer connection,
-// sequential instances, abort on first error. Its wire format is
-// byte-for-byte the original protocol.
-func runS1Legacy(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opts ServerOptions,
-	peerCh chan peerConn, acceptErr chan error) (*Report, error) {
-	var pc peerConn
-	select {
-	case pc = <-peerCh:
-	case err := <-acceptErr:
-		return nil, err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("deploy: waiting for S2: %w", ctx.Err())
-	}
-	peer := pc.conn
-	defer peer.Close()
-	if err := checkPeerCaps(pc.caps, opts, s.cfg); err != nil {
-		return nil, err
-	}
-	opts.log(levelInfo, "S1 connected to peer S2")
-	if err := collectSubmissions(ctx, s, opts, "s1"); err != nil {
-		return nil, err
-	}
-
-	rng := newRNG(opts.Seed)
-	results := make([]InstanceResult, 0, opts.Instances)
-	for i := 0; i < opts.Instances; i++ {
-		groups, participants, err := prepareSubs(ctx, s, opts, "s1", peer, i)
-		if err != nil {
-			if errors.Is(err, protocol.ErrQuorumNotMet) {
-				results = append(results, quorumMissResult(i, 1, participants, s.cfg.Users, err))
-				continue
-			}
-			return nil, err
-		}
-		out, err := runInstance(ctx, s, "s1", i, 0, participants, s.cfg.Users-participants, opts,
-			func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-				return protocol.RunS1Groups(qctx, rng, s.cfg, keys, peer, groups, meter)
-			})
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, InstanceResult{Instance: i, Outcome: *out, Attempts: 1,
-			Participants: participants, Dropped: s.cfg.Users - participants})
-	}
-	return &Report{Results: results}, nil
-}
-
-// quorumMissResult is the clean per-instance failure for a below-quorum
-// release: no protocol ran, the error is terminal, and the participant
-// counts are preserved for the report.
-func quorumMissResult(i, attempts, participants, users int, err error) InstanceResult {
-	return InstanceResult{
-		Instance:     i,
-		Outcome:      protocol.Outcome{Consensus: false, Label: -1, Participants: participants},
-		Attempts:     attempts,
-		Participants: participants,
-		Dropped:      users - participants,
-		Err:          err,
-	}
-}
-
-// runS1Session leads the resilient session: for each instance it announces
-// a begin frame carrying the previous instance's authoritative status,
-// runs the protocol under the attempt deadline, and on a transient failure
-// discards the connection and retries on a fresh one. Every wait is
-// bounded, so the loop terminates even if the peer vanishes.
+// runS1Session leads the session: for each instance it announces a begin
+// frame carrying the previous instance's authoritative status, runs the
+// protocol under the attempt deadline, and on a transient failure discards
+// the connection and — budget permitting — retries on a fresh one. Every
+// wait is bounded, so the loop terminates even if the peer vanishes.
 func runS1Session(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opts ServerOptions,
 	ps *peerSource, peer transport.Conn) (*Report, error) {
 	rng := newRNG(opts.Seed)
@@ -680,19 +572,10 @@ func runS1Session(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opt
 				lastErr = err
 				break
 			}
-			if peer == nil {
-				awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-				var err error
-				peer, _, err = ps.await(awaitCtx)
-				cancel()
-				if err != nil {
-					lastErr = err
-					retriesTotal("s1", "reconnect").Inc()
-					s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: i, Note: "reconnect"})
-					continue
-				}
-			} else {
-				peer = ps.takeNewer(peer)
+			var err error
+			if peer, err = claimPeer(ctx, s, opts, ps, peer, i); err != nil {
+				lastErr = err
+				continue
 			}
 			actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
 			out, err := func() (*protocol.Outcome, error) {
@@ -755,8 +638,8 @@ func runS1Session(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opt
 }
 
 // s1SendEnd delivers the end-of-session frame best-effort, reconnecting
-// within the retry budget. S2 has a local fallback when the frame is lost,
-// so failure here is logged, not fatal.
+// within the retry budget (claimPeer: never at budget 0). S2 has a local
+// fallback when the frame is lost, so failure here is logged, not fatal.
 func s1SendEnd(ctx context.Context, s *serverSetup, opts ServerOptions, ps *peerSource, peer transport.Conn, lastStatus int64) transport.Conn {
 	var lastErr error
 	for try := 0; try <= opts.MaxRetries; try++ {
@@ -764,20 +647,13 @@ func s1SendEnd(ctx context.Context, s *serverSetup, opts ServerOptions, ps *peer
 			lastErr = err
 			break
 		}
-		if peer == nil {
-			awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-			var err error
-			peer, _, err = ps.await(awaitCtx)
-			cancel()
-			if err != nil {
-				lastErr = err
-				break
-			}
-		} else {
-			peer = ps.takeNewer(peer)
+		var err error
+		if peer, err = claimPeer(ctx, s, opts, ps, peer, -1); err != nil {
+			lastErr = err
+			break
 		}
 		ectx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-		err := sendEnd(ectx, peer, lastStatus)
+		err = sendEnd(ectx, peer, lastStatus)
 		cancel()
 		if err == nil {
 			return peer
@@ -810,11 +686,11 @@ func RunS2(ctx context.Context, file *keystore.S2File, opts ServerOptions) ([]pr
 	return rep.Outcomes(), nil
 }
 
-// RunS2Report runs server S2 and returns a per-instance Report. With
-// MaxRetries > 0 it follows S1's resilient session: it re-runs any
-// instance S1 re-announces (replays are idempotent — the outcome is a
-// deterministic function of the submissions) and re-establishes the peer
-// link, within the retry budget, whenever it drops.
+// RunS2Report runs server S2 and returns a per-instance Report. It follows
+// S1's session: it re-runs any instance S1 re-announces (replays are
+// idempotent — the outcome is a deterministic function of the submissions)
+// and re-establishes the peer link, within the MaxRetries budget, whenever
+// it drops.
 func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -835,20 +711,10 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 	defer s.journal.Close()
 	defer s.l.Close()
 
-	// Long-lived comparison pools: created once for the whole run so the
-	// offline precompute (DGK bit-encryption material or h^r nonces,
-	// depending on the strategy) refills in the gaps between instances
-	// instead of being rebuilt per query. Nil when UseDGKPool is off.
-	pools, err := protocol.NewS2Pools(s.cfg, keys)
-	if err != nil {
-		return nil, err
-	}
-	defer pools.Close()
-
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go acceptLoop(acceptCtx, s, nil, nil, acceptErr, opts)
+	go acceptLoop(acceptCtx, s, nil, acceptErr, opts)
 
 	// Derive a distinct deterministic stream from S1's only when seeded;
 	// seed 0 must stay crypto/rand.
@@ -858,88 +724,47 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 	}
 	rng := newRNG(seed)
 
-	if !opts.resilient() {
-		peer, err := transport.Dial(ctx, opts.PeerAddr)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: dial S1: %w", err)
-		}
-		defer peer.Close()
-		if err := sendHelloCaps(ctx, peer, partyPeer, opts.helloCaps(s.cfg)); err != nil {
-			return nil, err
-		}
-		if opts.traced() {
-			id, err := recvTraceContext(ctx, peer)
-			if err != nil {
-				return nil, err
-			}
-			s.adoptTraceID(id, opts)
-		}
-		opts.log(levelInfo, "S2 connected to peer S1 at %s", opts.PeerAddr)
-		if err := collectSubmissions(ctx, s, opts, "s2"); err != nil {
-			return nil, err
-		}
-
-		results := make([]InstanceResult, 0, opts.Instances)
-		for i := 0; i < opts.Instances; i++ {
-			groups, participants, err := prepareSubs(ctx, s, opts, "s2", peer, i)
-			if err != nil {
-				if errors.Is(err, protocol.ErrQuorumNotMet) {
-					results = append(results, quorumMissResult(i, 1, participants, s.cfg.Users, err))
-					continue
-				}
-				return nil, err
-			}
-			out, err := runInstance(ctx, s, "s2", i, 0, participants, s.cfg.Users-participants, opts,
-				func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-					return protocol.RunS2GroupsWithPools(qctx, rng, s.cfg, keys, peer, groups, meter, pools)
-				})
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, InstanceResult{Instance: i, Outcome: *out, Attempts: 1,
-				Participants: participants, Dropped: s.cfg.Users - participants})
-		}
-		return &Report{Results: results}, nil
-	}
-
-	connect := func() (transport.Conn, error) {
-		d := transport.Dialer{
-			Attempts:       opts.MaxRetries + 1,
-			Backoff:        opts.Backoff,
-			AttemptTimeout: opts.attemptTimeout(),
-			Seed:           opts.Seed + 17,
-			Faults:         s.faults,
-		}
-		conn, err := d.Dial(ctx, opts.PeerAddr)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: dial S1: %w", err)
-		}
-		if err := sendHelloCaps(ctx, conn, partyPeer, opts.helloCaps(s.cfg)); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if opts.traced() {
-			// Every (re)connection replays the trace frame; adoption is
-			// idempotent, so replays after the first are no-ops.
-			id, err := recvTraceContext(ctx, conn)
-			if err != nil {
-				conn.Close()
-				return nil, err
-			}
-			s.adoptTraceID(id, opts)
-		}
-		return conn, nil
-	}
+	connect := func() (transport.Conn, error) { return s.dialS1(ctx, opts, 0, opts.Seed+17) }
 	peer, err := connect()
 	if err != nil {
 		return nil, err
 	}
-	opts.log(levelInfo, "S2 connected to peer S1 at %s (resilient session)", opts.PeerAddr)
+	opts.log(levelInfo, "S2 connected to peer S1 at %s", opts.PeerAddr)
 	if err := collectSubmissions(ctx, s, opts, "s2"); err != nil {
 		peer.Close()
 		return nil, err
 	}
-	return runS2Session(ctx, keys, rng, s, opts, peer, connect, pools)
+	return runS2Session(ctx, keys, rng, s, opts, peer, connect)
+}
+
+// dialS1 establishes one peer connection to S1: dial within the retry
+// budget, send the hello (the config's caps, the serve-mode bits naming the
+// link, if any, and the wire version), and adopt the trace context S1
+// answers every accepted hello with. Reconnections replay the trace frame;
+// adoption is idempotent, so replays after the first are no-ops.
+func (s *serverSetup) dialS1(ctx context.Context, opts ServerOptions, linkCaps, seed int64) (transport.Conn, error) {
+	d := transport.Dialer{
+		Attempts:       opts.MaxRetries + 1,
+		Backoff:        opts.Backoff,
+		AttemptTimeout: opts.attemptTimeout(),
+		Seed:           seed,
+		Faults:         s.faults,
+	}
+	conn, err := d.Dial(ctx, opts.PeerAddr)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: dial S1: %w", err)
+	}
+	if err := sendHello(ctx, conn, partyPeer, peerCaps(s.cfg)|linkCaps); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	id, err := recvTraceContext(ctx, conn)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("deploy: S1 did not answer the peer hello (it closes the link on a wire-version, packing or serve-mode mismatch): %w", err)
+	}
+	s.adoptTraceID(id, opts)
+	return conn, nil
 }
 
 // runS2Session follows S1's session frames: every begin frame (re)runs the
@@ -949,7 +774,7 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 // exhausts (S1 is gone and the end frame was lost), the report is
 // assembled from local results.
 func runS2Session(ctx context.Context, keys protocol.KeysS2, rng io.Reader, s *serverSetup, opts ServerOptions,
-	peer transport.Conn, connect func() (transport.Conn, error), pools *protocol.S2Pools) (*Report, error) {
+	peer transport.Conn, connect func() (transport.Conn, error)) (*Report, error) {
 	n := opts.Instances
 	statuses := make([]int64, n)
 	outcomes := make([]*protocol.Outcome, n)
@@ -1025,7 +850,7 @@ func runS2Session(ctx context.Context, keys protocol.KeysS2, rng io.Reader, s *s
 				}
 				return runInstance(actx, s, "s2", i, frame.attempt, p, s.cfg.Users-p, opts,
 					func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-						return protocol.RunS2GroupsWithPools(qctx, rng, s.cfg, keys, peer, groups, meter, pools)
+						return protocol.RunS2Groups(qctx, rng, s.cfg, keys, peer, groups, meter)
 					})
 			}()
 			cancel()
@@ -1103,21 +928,14 @@ func firstNonNil(errs ...error) error {
 	return nil
 }
 
-// peerConn is an accepted peer connection together with the capability
-// flags from its hello frame.
-type peerConn struct {
-	conn transport.Conn
-	caps int64
-}
-
 // acceptLoop classifies inbound connections by their hello frame: user
-// connections feed the collector, peer connections go to the peerSource
-// (resilient mode, where reconnections replace the previous link) or to
-// peerCh (legacy mode, where a duplicate peer is dropped). Errors on
-// individual user connections are logged and the connection dropped;
-// structural errors abort via errCh.
-func acceptLoop(ctx context.Context, s *serverSetup, peerCh chan<- peerConn, ps *peerSource,
-	errCh chan<- error, opts ServerOptions) {
+// connections feed the collector, relay connections its batch ingestion,
+// and peer connections — on S1, which passes its peerSource; ps is nil on
+// servers that accept no peer — are checked, answered with the trace
+// context and offered to the session loop, where a reconnection replaces
+// the previous link. Errors on individual user connections are logged and
+// the connection dropped; structural errors abort via errCh.
+func acceptLoop(ctx context.Context, s *serverSetup, ps *peerSource, errCh chan<- error, opts ServerOptions) {
 	for {
 		conn, err := s.l.Accept()
 		if err != nil {
@@ -1132,64 +950,46 @@ func acceptLoop(ctx context.Context, s *serverSetup, peerCh chan<- peerConn, ps 
 			return
 		}
 		go func(conn transport.Conn) {
-			party, caps, err := recvHello(ctx, conn)
+			h, err := recvHello(ctx, conn)
 			if err != nil {
 				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
 				conn.Close()
 				return
 			}
-			switch party {
+			switch h.party {
 			case partyPeer:
-				// A tracing peer expects the trace frame right after its
-				// hello, on every connection — reconnects included, so a
-				// reset link cannot leave S2 without the trace identity.
-				if caps&capTrace != 0 && opts.traced() {
-					if err := replyTraceContext(ctx, s, conn); err != nil {
-						opts.log(levelWarn, "peer trace context send failed: %v", err)
-						conn.Close()
-						return
-					}
-				}
-				if ps != nil {
-					ps.offer(conn, caps)
-					return
-				}
-				if peerCh == nil {
+				if ps == nil {
 					opts.log(levelWarn, "unexpected peer hello on this server; dropping")
 					conn.Close()
 					return
 				}
-				select {
-				case peerCh <- peerConn{conn: conn, caps: caps}:
-				default:
-					opts.log(levelWarn, "duplicate peer connection; dropping")
-					conn.Close()
+				if !acceptPeer(ctx, s, ps, conn, h, false, opts) {
+					return
 				}
+				ps.offer(conn)
 			case partyRelay:
 				// An ingestion-tier relay delivering pre-summed batches. The
 				// capability bit is mandatory so a relay can never feed a
 				// server that does not understand combined frames silently.
-				if caps&ingest.CapPresum == 0 {
+				if h.caps&ingest.CapPresum == 0 {
 					opts.log(levelWarn, "relay hello without presum capability; dropping")
 					conn.Close()
 					return
 				}
 				// The packed bit must agree with the server's resolved mode:
 				// a mixed tree would silently mix frame grammars.
-				if (caps&ingest.CapPacked != 0) != s.cfg.Packing {
+				if (h.caps&ingest.CapPacked != 0) != s.cfg.Packing {
 					opts.log(levelWarn, "relay hello packing capability mismatch (relay packed=%v, server packed=%v); dropping",
-						caps&ingest.CapPacked != 0, s.cfg.Packing)
+						h.caps&ingest.CapPacked != 0, s.cfg.Packing)
 					conn.Close()
 					return
 				}
 				serveRelayConn(ctx, conn, s, opts)
 				conn.Close()
 			case partyUser:
-				// A tracing user asked for the run's trace identity; an
-				// untraced server answers immediately with ID 0 (its trace
-				// state is pre-published at setup), a traced S2 answers once
-				// S1 has delivered the ID.
-				if caps&capTrace != 0 {
+				// A tracing user asked for the run's trace identity; S2
+				// answers once S1 has delivered it.
+				if h.caps&capTrace != 0 {
 					if err := replyTraceContext(ctx, s, conn); err != nil {
 						opts.log(levelWarn, "user trace context send failed: %v", err)
 						conn.Close()
@@ -1205,8 +1005,29 @@ func acceptLoop(ctx context.Context, s *serverSetup, peerCh chan<- peerConn, ps 
 	}
 }
 
-// replyTraceContext answers a capTrace hello with the run's trace ID,
-// blocking (bounded by ctx) until the ID is known.
+// acceptPeer is S1's half of the peer handshake on a freshly accepted link:
+// refuse a hello of another wire version, packing or serve mode — failing
+// the peerSource, so the run returns the typed mismatch instead of waiting
+// — else answer with the trace context, on every connection, reconnects
+// included, so a reset link cannot leave S2 without the trace identity. It
+// reports whether the link is usable; if not it is already closed.
+func acceptPeer(ctx context.Context, s *serverSetup, ps *peerSource, conn transport.Conn, h hello, serve bool, opts ServerOptions) bool {
+	if err := checkPeerHello(h, s.cfg, serve); err != nil {
+		opts.log(levelWarn, "refusing peer hello: %v", err)
+		ps.fail(err)
+		conn.Close()
+		return false
+	}
+	if err := replyTraceContext(ctx, s, conn); err != nil {
+		opts.log(levelWarn, "peer trace context send failed: %v", err)
+		conn.Close()
+		return false
+	}
+	return true
+}
+
+// replyTraceContext answers a hello with the run's trace ID, blocking
+// (bounded by ctx) until the ID is known.
 func replyTraceContext(ctx context.Context, s *serverSetup, conn transport.Conn) error {
 	id, err := s.trace.get(ctx)
 	if err != nil {

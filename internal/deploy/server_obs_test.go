@@ -63,14 +63,13 @@ func TestUserDropsMidUpload(t *testing.T) {
 	}()
 	addr := <-ready
 
-	// Peer connects so S1 advances to submission collection; the default
-	// strategy is tournament, so the hello must advertise capBatched.
+	// Peer connects so S1 advances to submission collection.
 	peer, err := transport.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	if err := sendHelloCaps(ctx, peer, partyPeer, capBatched); err != nil {
+	if err := sendHello(ctx, peer, partyPeer, peerCaps(s1File.Config)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +86,7 @@ func TestUserDropsMidUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sendHello(ctx, user, partyUser); err != nil {
+	if err := sendHello(ctx, user, partyUser, 0); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := EncodeHalf(0, 0, sub.ToS1)
@@ -112,75 +111,35 @@ func TestUserDropsMidUpload(t *testing.T) {
 	}
 }
 
-// TestMismatchedParallelism runs S1 sequentially and S2 multiplexed. The
-// wire formats are incompatible, so both servers must fail — and the
-// surfaced errors must name the protocol phase that broke, via the trace.
-func TestMismatchedParallelism(t *testing.T) {
+// TestPeerDropAtZeroBudget severs the peer link mid-protocol (instance 0,
+// inside Blind-and-Permute) with MaxRetries 0 on both servers. Nobody will
+// redial, so neither server may wait an AttemptTimeout (2 minutes by
+// default) for a link that cannot come back: both return at once, every
+// instance failed cleanly, the ones after the drop with errPeerGone.
+func TestPeerDropAtZeroBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deployment test is slow in -short mode")
 	}
-	const users = 2
-	s1File, s2File, pubFile, cfg := testSetup(t, users)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	s1Ready := make(chan string, 1)
-	s2Ready := make(chan string, 1)
-	s1Done := make(chan error, 1)
-	go func() {
-		_, err := RunS1(ctx, s1File, ServerOptions{
-			ListenAddr: "127.0.0.1:0", Instances: 1, Seed: 700,
-			Parallelism: 1, Ready: s1Ready,
-		})
-		s1Done <- err
-	}()
-	s1Addr := <-s1Ready
-	s2Done := make(chan error, 1)
-	go func() {
-		_, err := RunS2(ctx, s2File, ServerOptions{
-			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: 1, Seed: 701,
-			Parallelism: 4, Ready: s2Ready,
-		})
-		s2Done <- err
-	}()
-	s2Addr := <-s2Ready
-
-	for u := 0; u < users; u++ {
-		if err := SubmitVotes(ctx, pubFile, UserOptions{
-			User: u, S1Addr: s1Addr, S2Addr: s2Addr, Seed: int64(710 + u),
-		}, [][]float64{oneHot(cfg.Classes, 2)}); err != nil {
-			t.Fatalf("user %d: %v", u, err)
-		}
+	s1File, s2File, pubFile, _ := testSetup(t, 3)
+	start := time.Now()
+	run := runTapped(t, s1File, s2File, pubFile, ServerOptions{}, ServerOptions{}, 8)
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("servers took %v: they waited for a reconnect nobody will make", d)
 	}
-
-	err1 := <-s1Done
-	err2 := <-s2Done
-	if err1 == nil && err2 == nil {
-		t.Fatal("expected at least one server to fail with mismatched parallelism")
+	if run.e1 != nil || run.e2 != nil {
+		t.Fatalf("structural failure instead of per-instance errors: s1=%v s2=%v", run.e1, run.e2)
 	}
-	// The error that surfaces must name the failing phase from the trace.
-	phases := []string{
-		protocol.StepSecureSum1, protocol.StepBlindPerm1, protocol.StepCompare1,
-		protocol.StepThreshold, protocol.StepSecureSum2, protocol.StepBlindPerm2,
-		protocol.StepCompare2, protocol.StepRestoration,
-	}
-	named := false
-	for _, err := range []error{err1, err2} {
-		if err == nil {
-			continue
+	for role, rep := range map[string]*Report{"s1": run.r1, "s2": run.r2} {
+		if len(rep.Results) != 2 {
+			t.Fatalf("%s reported %d instances, want 2", role, len(rep.Results))
 		}
-		if !strings.Contains(err.Error(), `(phase "`) {
-			t.Errorf("server error does not name a phase: %v", err)
-			continue
+		first, second := rep.Results[0], rep.Results[1]
+		if first.Err == nil || (!transport.IsRetryable(first.Err) && !errors.Is(first.Err, errPeerGone)) {
+			t.Errorf("%s instance 0: err = %v, want the link failure", role, first.Err)
 		}
-		for _, ph := range phases {
-			if strings.Contains(err.Error(), ph) {
-				named = true
-			}
+		if !errors.Is(second.Err, errPeerGone) {
+			t.Errorf("%s instance 1: err = %v, want errPeerGone", role, second.Err)
 		}
-	}
-	if !named {
-		t.Errorf("no surfaced error names a protocol phase: s1=%v s2=%v", err1, err2)
 	}
 }
 
@@ -272,7 +231,7 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 	for _, family := range []string{
 		"paillier_encrypt_total", "paillier_decrypt_total", "paillier_add_total",
-		"paillier_pool_hits_total", "dgk_comparisons_total", "dgk_encrypt_total",
+		"dgk_comparisons_total", "dgk_encrypt_total",
 		"transport_step_bytes_total", "transport_wire_bytes_total",
 		"protocol_phase_seconds_bucket", "deploy_queries_total",
 		"privconsensus_build_info",

@@ -12,20 +12,15 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Session resilience for the two-server deployment.
-//
-// When ServerOptions.MaxRetries > 0 the peer link runs a thin session
-// protocol on top of the Alg. 5 messages: S1 leads, announcing each query
-// instance with a begin frame before running it, and closing the session
-// with an end frame. Both frames are idempotent — an instance announced
-// twice (because an attempt died mid-run) is simply re-executed by S2, and
-// the consensus outcome is a deterministic function of the collected
-// submissions, so replays always reproduce the same label. A failed
-// attempt always discards the connection; retries run on a fresh one, so
-// no attempt ever sees another attempt's leftover bytes.
-//
-// With MaxRetries == 0 (the default) none of these frames are emitted and
-// the wire format is byte-for-byte the pre-resilience protocol.
+// The peer-link session. S1 leads: it announces each query instance with a
+// begin frame before running it and closes the session with an end frame.
+// Both frames are idempotent — an instance announced twice (because an
+// attempt died mid-run) is simply re-executed by S2, and the consensus
+// outcome is a deterministic function of the collected submissions, so
+// replays always reproduce the same label. A failed attempt always discards
+// the connection; retries run on a fresh one, so no attempt ever sees
+// another attempt's leftover bytes. ServerOptions.MaxRetries is only the
+// budget: at 0 the session runs each instance's single attempt.
 
 // Session control codes, carried in Flags[0] of KindControl frames
 // exchanged after the hello.
@@ -43,12 +38,6 @@ const (
 	statusOK     int64 = 1
 	statusFailed int64 = 2
 )
-
-// capResilient is the optional second hello flag advertising that the
-// sender speaks the session protocol. Legacy hellos carry exactly one
-// flag; the resilient hello is the only wire change visible before any
-// retry happens.
-const capResilient int64 = 1
 
 // retriesTotal counts retry attempts by role and scope (scope: instance,
 // reconnect, upload).
@@ -113,11 +102,13 @@ func recvSessionFrame(ctx context.Context, conn transport.Conn) (sessionFrame, e
 // peerSource hands the freshest peer connection to the S1 session loop.
 // The accept loop offers reconnections as they arrive; older unclaimed
 // connections are closed, so the consumer always converges on the newest
-// link after a reset.
+// link after a reset. A peer hello the accept loop refused (another wire
+// version or packing mode) fails the source for good: a reconnect cannot
+// fix a configuration disagreement.
 type peerSource struct {
 	mu      sync.Mutex
 	pending transport.Conn
-	caps    int64
+	err     error
 	notify  chan struct{}
 }
 
@@ -127,35 +118,50 @@ func newPeerSource() *peerSource {
 
 // offer installs a new peer connection, replacing (and closing) any
 // unclaimed one.
-func (ps *peerSource) offer(conn transport.Conn, caps int64) {
+func (ps *peerSource) offer(conn transport.Conn) {
 	ps.mu.Lock()
 	if ps.pending != nil {
 		ps.pending.Close()
 	}
 	ps.pending = conn
-	ps.caps = caps
 	ps.mu.Unlock()
+	ps.wake()
+}
+
+// fail makes every current and future await return err; the first wins.
+func (ps *peerSource) fail(err error) {
+	ps.mu.Lock()
+	if ps.err == nil {
+		ps.err = err
+	}
+	ps.mu.Unlock()
+	ps.wake()
+}
+
+func (ps *peerSource) wake() {
 	select {
 	case ps.notify <- struct{}{}:
 	default:
 	}
 }
 
-// await blocks for a peer connection (bounded by ctx) and returns it with
-// the capability flag from its hello.
-func (ps *peerSource) await(ctx context.Context) (transport.Conn, int64, error) {
+// await blocks for a peer connection, bounded by ctx.
+func (ps *peerSource) await(ctx context.Context) (transport.Conn, error) {
 	for {
 		ps.mu.Lock()
-		conn, caps := ps.pending, ps.caps
+		conn, err := ps.pending, ps.err
 		ps.pending = nil
 		ps.mu.Unlock()
 		if conn != nil {
-			return conn, caps, nil
+			return conn, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 		select {
 		case <-ps.notify:
 		case <-ctx.Done():
-			return nil, 0, fmt.Errorf("deploy: waiting for S2: %w", ctx.Err())
+			return nil, fmt.Errorf("deploy: waiting for S2: %w", ctx.Err())
 		}
 	}
 }
@@ -186,6 +192,30 @@ func (ps *peerSource) close() {
 	}
 }
 
+// claimPeer returns the link S1's next attempt runs on: the freshest
+// reconnection if S2 has redialed, else current. With no link in hand it
+// waits one attempt timeout for a redial — unless the retry budget is zero:
+// a lost link is then final (a budget-0 S2 never redials), so only a
+// reconnection that has already arrived is taken. A failed wait is counted
+// and journaled against instance.
+func claimPeer(ctx context.Context, s *serverSetup, opts ServerOptions, ps *peerSource,
+	current transport.Conn, instance int) (transport.Conn, error) {
+	if conn := ps.takeNewer(current); conn != nil {
+		return conn, nil
+	}
+	if opts.MaxRetries == 0 {
+		return nil, errPeerGone
+	}
+	awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
+	defer cancel()
+	conn, err := ps.await(awaitCtx)
+	if err != nil {
+		retriesTotal("s1", "reconnect").Inc()
+		s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: instance, Note: "reconnect"})
+	}
+	return conn, err
+}
+
 // InstanceResult is the per-query-instance entry of a deployment Report.
 type InstanceResult struct {
 	// Instance is the query instance index.
@@ -207,7 +237,7 @@ type InstanceResult struct {
 	Err error
 }
 
-// Report is the full result of a resilient server run: one entry per
+// Report is the full result of a server run: one entry per
 // instance, in order, each either succeeded or cleanly failed.
 type Report struct {
 	Results []InstanceResult
@@ -280,5 +310,6 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// errPeerGone marks reconnect-budget exhaustion on the S2 side.
+// errPeerGone marks a peer link that is lost with no reconnect budget left
+// to wait for another.
 var errPeerGone = errors.New("deploy: peer reconnect budget exhausted")

@@ -11,36 +11,26 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Cross-process query tracing for the two-server deployment.
-//
-// With ServerOptions.JournalPath set the server journals every query to an
-// append-only hash-chained event log (internal/obs/journal.go) and the
-// deployment shares one trace identity: S1 mints a per-run trace ID and
-// propagates it over a capability-negotiated ctrl frame,
+// Cross-process query tracing. S1 mints one trace ID per run and pushes it
+// in a ctrl frame,
 //
 //	trace := Message{Kind: KindControl, Flags: [106, traceID]}
 //
 // sent once per connection right after the hello — S1→S2 on every peer
 // connection (reconnects included, so a link reset cannot orphan S2), and
-// server→user on any user connection whose hello advertised capTrace. All
-// three processes stamp their journal events with the same ID and append a
-// trace-begin anchor when they learn it; cmd/trace aligns their clocks on
-// those anchors when merging the journals into one timeline.
-//
-// With JournalPath unset the capability bit is never advertised, the frame
-// is never sent, and the wire format stays byte-for-byte the untraced
-// protocol (parity-tested like the resilience/partial/batched bits).
+// server→user on any user connection whose hello advertised capTrace. A
+// server with ServerOptions.JournalPath set stamps its hash-chained journal
+// (internal/obs/journal.go) with that ID and appends a trace-begin anchor
+// when it learns it; cmd/trace aligns the processes' clocks on those anchors
+// when merging the journals into one timeline. Journaling is each server's
+// own choice: one side may journal without the other.
 
-// capTrace is the hello capability bit advertising trace-context
-// propagation. Both servers must agree, like capPartial: the trace frame
-// changes the peer wire format.
+// capTrace is the user-hello capability bit asking the server for the run's
+// trace ID. (The peer link needs no bit: S1 always sends the frame.)
 const capTrace int64 = 8
 
 // ctrlTraceContext carries the minted trace ID: [code, traceID].
 const ctrlTraceContext int64 = 106
-
-// traced reports whether journaling (and with it trace propagation) is on.
-func (o ServerOptions) traced() bool { return o.JournalPath != "" }
 
 // mintTraceID draws a non-zero 63-bit trace ID: deterministic from a
 // distinct stream when seeded, crypto/rand otherwise.
@@ -69,9 +59,9 @@ func traceIDString(id int64) string {
 	return fmt.Sprintf("t-%016x", uint64(id))
 }
 
-// traceState publishes the run's trace ID once it is known. S1 knows it at
-// setup; S2 learns it from the first peer connection, and user connections
-// accepted before then block (bounded by their ctx) in get.
+// traceState publishes the run's trace ID once it is known. S1 mints it at
+// setup; S2 learns it from the first peer connection, and tracing user
+// connections accepted before then block (bounded by their ctx) in get.
 type traceState struct {
 	mu    sync.Mutex
 	id    int64
@@ -128,7 +118,8 @@ func sendTraceContext(ctx context.Context, conn transport.Conn, id int64) error 
 	})
 }
 
-// recvTraceContext reads the trace frame that follows a capTrace hello.
+// recvTraceContext reads the trace frame that follows a peer hello or a
+// capTrace user hello.
 func recvTraceContext(ctx context.Context, conn transport.Conn) (int64, error) {
 	msg, err := transport.ExpectKind(ctx, conn, transport.KindControl)
 	if err != nil {

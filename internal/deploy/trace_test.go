@@ -11,36 +11,6 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// TestTraceCapabilityParity pins the wire-parity contract for capTrace: the
-// bit is advertised iff journaling is on, and a trace mismatch between the
-// servers is rejected at the hello in both directions.
-func TestTraceCapabilityParity(t *testing.T) {
-	_, _, _, cfg := testSetup(t, 2)
-	plain := ServerOptions{Instances: 1}
-	traced := ServerOptions{Instances: 1, JournalPath: "j.jsonl"}
-
-	if caps := plain.helloCaps(cfg); caps&capTrace != 0 {
-		t.Fatalf("untraced hello caps = %d advertise capTrace; the bit must stay off the wire", caps)
-	}
-	if caps := traced.helloCaps(cfg); caps&capTrace == 0 {
-		t.Fatalf("traced hello caps = %d, want capTrace (%d) set", traced.helloCaps(cfg), capTrace)
-	}
-	// Agreement in both configurations is accepted ...
-	if err := checkPeerCaps(plain.helloCaps(cfg), plain, cfg); err != nil {
-		t.Errorf("untraced pair rejected: %v", err)
-	}
-	if err := checkPeerCaps(traced.helloCaps(cfg), traced, cfg); err != nil {
-		t.Errorf("traced pair rejected: %v", err)
-	}
-	// ... and a mismatch is caught whichever side enables -journal.
-	if err := checkPeerCaps(plain.helloCaps(cfg), traced, cfg); err == nil {
-		t.Error("untraced S2 hello accepted by a traced S1")
-	}
-	if err := checkPeerCaps(traced.helloCaps(cfg), plain, cfg); err == nil {
-		t.Error("traced S2 hello accepted by an untraced S1")
-	}
-}
-
 // TestMintTraceID checks determinism, stream separation and rendering.
 func TestMintTraceID(t *testing.T) {
 	a, err := mintTraceID(42)

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math/big"
 	mrand "math/rand"
 	"strings"
@@ -28,12 +27,11 @@ type UserOptions struct {
 	S2Addr string
 	// Seed, when non-zero, makes share/noise randomness deterministic.
 	Seed int64
-	// MaxRetries enables resilient uploads: on a transient failure the
+	// MaxRetries is the upload retry budget: on a transient failure the
 	// client reconnects and replays the whole upload up to this many
-	// times, ending each upload with a done frame and waiting for the
-	// server's ack. Replays are safe — the server deduplicates
-	// (user, instance) submissions. 0 (the default) keeps the original
-	// fire-and-forget wire behavior.
+	// times. Every upload ends with a done frame and waits for the server's
+	// ack; replays are safe — the server deduplicates (user, instance)
+	// submissions. 0 (the default) is one attempt.
 	MaxRetries int
 	// Backoff is the delay before the first retry (default 50ms),
 	// doubling per retry.
@@ -46,8 +44,7 @@ type UserOptions struct {
 	// JournalPath, when non-empty, appends the client's upload spans and
 	// retries to a hash-chained JSONL journal at this path, and asks each
 	// server for the run's trace ID (capTrace in the hello) so the events
-	// merge into the cross-process timeline. Empty (the default) keeps the
-	// wire byte-for-byte the untraced protocol.
+	// merge into the cross-process timeline.
 	JournalPath string
 	// LogLevel filters Logf output: "debug", "info" (the default), "warn"
 	// or "silent".
@@ -97,7 +94,7 @@ type userObs struct {
 }
 
 // adopt records a trace identity learned from a server. The first non-zero
-// ID wins (untraced servers answer with 0) and journals the anchor event
+// ID wins (an ingest-only sink answers with 0) and journals the anchor event
 // cmd/trace aligns clocks on.
 func (u *userObs) adopt(id int64) {
 	if u == nil || u.journal == nil || id == 0 {
@@ -126,7 +123,7 @@ func userHello(ctx context.Context, conn transport.Conn, u *userObs) error {
 	if u != nil && u.opts.traced() {
 		caps = capTrace
 	}
-	if err := sendHelloCaps(ctx, conn, partyUser, caps); err != nil {
+	if err := sendHello(ctx, conn, partyUser, caps); err != nil {
 		return err
 	}
 	if caps&capTrace == 0 {
@@ -141,8 +138,12 @@ func userHello(ctx context.Context, conn transport.Conn, u *userObs) error {
 }
 
 // SubmitVotes builds encrypted submissions for each instance's vote vector
-// (votes[instance][class], entries in [0, 1]) and delivers the halves to
-// both servers. It returns after both servers have accepted every frame.
+// (votes[instance][class], entries in [0, 1]) once, then uploads the S1 and
+// S2 halves with per-server retry: each attempt dials a fresh connection,
+// replays all frames, sends a done marker and waits for the server's ack.
+// The server deduplicates (user, instance) cells, so a replay after a
+// mid-upload reset cannot double-count a vote. It returns after both servers
+// have acknowledged every frame.
 func SubmitVotes(ctx context.Context, pub *keystore.PublicFile, opts UserOptions, votes [][]float64) error {
 	if err := pub.Validate(); err != nil {
 		return err
@@ -163,6 +164,9 @@ func SubmitVotes(ctx context.Context, pub *keystore.PublicFile, opts UserOptions
 	}
 	if _, err := parseLogLevel(opts.LogLevel); err != nil {
 		return err
+	}
+	if opts.MaxRetries < 0 {
+		return fmt.Errorf("deploy: negative retry budget %d", opts.MaxRetries)
 	}
 	u := &userObs{opts: opts}
 	if opts.traced() {
@@ -188,66 +192,6 @@ func SubmitVotes(ctx context.Context, pub *keystore.PublicFile, opts UserOptions
 	}
 	noiseRNG := mrand.New(mrand.NewSource(noiseSeed))
 
-	if opts.MaxRetries > 0 {
-		return submitResilient(ctx, pub, opts, u, votes, cryptoRNG, noiseRNG)
-	}
-
-	conn1, err := transport.Dial(ctx, opts.S1Addr)
-	if err != nil {
-		return fmt.Errorf("deploy: dial S1: %w", err)
-	}
-	defer conn1.Close()
-	conn2, err := transport.Dial(ctx, opts.S2Addr)
-	if err != nil {
-		return fmt.Errorf("deploy: dial S2: %w", err)
-	}
-	defer conn2.Close()
-	if err := userHello(ctx, conn1, u); err != nil {
-		return err
-	}
-	if err := userHello(ctx, conn2, u); err != nil {
-		return err
-	}
-
-	uploadStart := time.Now()
-	for instance, vote := range votes {
-		units, err := votesToUnits(vote, cfg.Classes)
-		if err != nil {
-			return fmt.Errorf("deploy: instance %d: %w", instance, err)
-		}
-		sub, _, err := protocol.BuildSubmission(cryptoRNG, noiseRNG, cfg, opts.User, units, pub.PK1, pub.PK2)
-		if err != nil {
-			return fmt.Errorf("deploy: build submission %d: %w", instance, err)
-		}
-		msg1, err := encodeSubmission(cfg, opts.User, instance, sub.ToS1)
-		if err != nil {
-			return err
-		}
-		msg2, err := encodeSubmission(cfg, opts.User, instance, sub.ToS2)
-		if err != nil {
-			return err
-		}
-		if err := conn1.Send(ctx, msg1); err != nil {
-			return fmt.Errorf("deploy: send to S1: %w", err)
-		}
-		if err := conn2.Send(ctx, msg2); err != nil {
-			return fmt.Errorf("deploy: send to S2: %w", err)
-		}
-	}
-	u.event(obs.Event{Type: obs.EventSpan, Instance: -1, Phase: "upload",
-		StartNs: uploadStart.UnixNano(), DurNs: int64(time.Since(uploadStart)),
-		MsgsSent: int64(2 * len(votes))})
-	return nil
-}
-
-// submitResilient builds every submission frame once, then uploads the S1
-// and S2 halves with per-server retry: each attempt dials a fresh
-// connection, replays all frames, sends a done marker and waits for the
-// server's ack. The server deduplicates (user, instance) cells, so a
-// replay after a mid-upload reset cannot double-count a vote.
-func submitResilient(ctx context.Context, pub *keystore.PublicFile, opts UserOptions, u *userObs,
-	votes [][]float64, cryptoRNG io.Reader, noiseRNG *mrand.Rand) error {
-	cfg := pub.Config
 	msgs1 := make([]*transport.Message, 0, len(votes))
 	msgs2 := make([]*transport.Message, 0, len(votes))
 	for instance, vote := range votes {

@@ -79,7 +79,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, _, err := recvHello(ctx, conn); err != nil {
+			if _, err := recvHello(ctx, conn); err != nil {
 				conn.Close()
 				return err
 			}
@@ -105,7 +105,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				return err
 			}
 			defer conn.Close()
-			if _, _, err := recvHello(ctx, conn); err != nil {
+			if _, err := recvHello(ctx, conn); err != nil {
 				return err
 			}
 			return serveUserConn(ctx, conn, col1)
@@ -127,7 +127,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 			}
 			go func(c transport.Conn) {
 				defer c.Close()
-				if _, _, err := recvHello(ctx, c); err != nil {
+				if _, err := recvHello(ctx, c); err != nil {
 					return
 				}
 				_ = serveUserConn(ctx, c, col2)
@@ -158,10 +158,10 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 	// grid after a replay proves the dedup path absorbed the repeats.
 	wctx, wcancel := context.WithTimeout(ctx, 5*time.Second)
 	defer wcancel()
-	if err := col1.wait(wctx); err != nil {
+	if err := col1.waitQuorum(wctx, 0, "s1"); err != nil {
 		t.Fatalf("S1 collector incomplete after replay: %v", err)
 	}
-	if err := col2.wait(wctx); err != nil {
+	if err := col2.waitQuorum(wctx, 0, "s2"); err != nil {
 		t.Fatalf("S2 collector incomplete: %v", err)
 	}
 	for i := 0; i < instances; i++ {

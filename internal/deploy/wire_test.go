@@ -1,0 +1,319 @@
+package deploy
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/privconsensus/privconsensus/internal/keystore"
+	"github.com/privconsensus/privconsensus/internal/protocol"
+	"github.com/privconsensus/privconsensus/internal/transport"
+)
+
+// peerTap is a frame-level proxy on the S1↔S2 link: S2 dials the tap, the tap
+// dials S1, and every frame is recorded — before it is forwarded, so the
+// record follows the protocol's causal order — as direction, kind,
+// len(Flags), len(Values) and, for control frames, Flags[0].
+type peerTap struct {
+	l *transport.Listener
+	// cutAfter, when > 0, severs the link for good once that many frames
+	// have crossed it.
+	cutAfter int
+
+	mu     sync.Mutex
+	frames []string
+}
+
+func startPeerTap(t *testing.T, ctx context.Context, s1Addr string, cutAfter int) *peerTap {
+	t.Helper()
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &peerTap{l: l, cutAfter: cutAfter}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			down, err := l.Accept()
+			if err != nil {
+				return
+			}
+			up, err := transport.Dial(ctx, s1Addr)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go p.pump(ctx, "S2>S1", down, up)
+			go p.pump(ctx, "S1>S2", up, down)
+		}
+	}()
+	return p
+}
+
+// pump forwards one direction until either end fails, then closes both.
+func (p *peerTap) pump(ctx context.Context, dir string, from, to transport.Conn) {
+	defer from.Close()
+	defer to.Close()
+	for {
+		msg, err := from.Recv(ctx)
+		if err != nil {
+			return
+		}
+		if !p.record(dir, msg) {
+			return
+		}
+		if err := to.Send(ctx, msg); err != nil {
+			return
+		}
+	}
+}
+
+// record notes one frame; it reports false once the link is to be cut.
+func (p *peerTap) record(dir string, msg *transport.Message) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cutAfter > 0 && len(p.frames) >= p.cutAfter {
+		p.l.Close() // no reconnection either
+		return false
+	}
+	shape := fmt.Sprintf("%s %v %d %d", dir, msg.Kind, len(msg.Flags), len(msg.Values))
+	if msg.Kind == transport.KindControl && len(msg.Flags) > 0 {
+		shape += fmt.Sprintf(" code=%d", msg.Flags[0])
+	}
+	p.frames = append(p.frames, shape)
+	return true
+}
+
+func (p *peerTap) transcript() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.frames)
+}
+
+// tappedRun is one batch deployment of three users and two instances —
+// instance 0 unanimous on class 2, instance 1 split three ways (no
+// consensus at T = 50%) — whose peer link runs through a peerTap.
+type tappedRun struct {
+	tap    *peerTap
+	r1, r2 *Report
+	e1, e2 error
+}
+
+func runTapped(t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File, pub *keystore.PublicFile,
+	o1, o2 ServerOptions, cutAfter int) tappedRun {
+	t.Helper()
+	const users, instances = 3, 2
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	type done struct {
+		rep *Report
+		err error
+	}
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan done, 1), make(chan done, 1)
+	o1.ListenAddr, o1.Instances, o1.Seed, o1.Ready = "127.0.0.1:0", instances, 901, s1Ready
+	go func() {
+		rep, err := RunS1Report(ctx, s1File, o1)
+		s1Done <- done{rep, err}
+	}()
+	s1Addr := <-s1Ready
+	tap := startPeerTap(t, ctx, s1Addr, cutAfter)
+	o2.ListenAddr, o2.PeerAddr, o2.Instances, o2.Seed, o2.Ready = "127.0.0.1:0", tap.l.Addr(), instances, 902, s2Ready
+	go func() {
+		rep, err := RunS2Report(ctx, s2File, o2)
+		s2Done <- done{rep, err}
+	}()
+	s2Addr := <-s2Ready
+
+	classes := pub.Config.Classes
+	for u := 0; u < users; u++ {
+		votes := [][]float64{oneHot(classes, 2), oneHot(classes, u%classes)}
+		if err := SubmitVotes(ctx, pub, UserOptions{User: u, S1Addr: s1Addr, S2Addr: s2Addr, Seed: int64(910 + u)}, votes); err != nil {
+			t.Fatalf("user %d: %v", u, err)
+		}
+	}
+	d1, d2 := <-s1Done, <-s2Done
+	return tappedRun{tap: tap, r1: d1.rep, r2: d2.rep, e1: d1.err, e2: d2.err}
+}
+
+// goldenTranscript is the peer link of a tappedRun, frame by frame: the
+// handshake (hello with the wire version, trace context), then per instance
+// begin, the participant exchange and Alg. 5, then end. K = 4 classes, so a
+// comparison phase is two bracket levels of three batch frames; instance 1
+// stops after the threshold check. Packed runs add the two-frame blinded
+// unpack before each Blind-and-Permute. A change here is a change of the
+// wire: bump wireVersion with it.
+func goldenTranscript(packed bool) []string {
+	var (
+		handshake = []string{
+			"S2>S1 control 3 0 code=2",   // hello: party, caps, wire version
+			"S1>S2 control 2 0 code=106", // trace context
+		}
+		begin = []string{
+			"S1>S2 control 4 0 code=100", // begin: instance, attempt, previous status
+			"S1>S2 control 2 1 code=104", // participants: bitmap
+			"S2>S1 control 2 1 code=105", // ack: agreed bitmap
+		}
+		// Blinded unpack of S2's half (packed only): n = nSeq·K slots.
+		unpack = func(n int) []string {
+			if !packed {
+				return nil
+			}
+			return []string{
+				fmt.Sprintf("S2>S1 cipher-seq 1 %d", n),
+				fmt.Sprintf("S1>S2 cipher-seq 0 %d", n),
+			}
+		}
+		// Blind-and-Permute over nSeq sequences of K = 4.
+		blindPermute = func(nSeq int) []string {
+			return []string{
+				fmt.Sprintf("S1>S2 cipher-seq 1 %d", 4*nSeq),
+				fmt.Sprintf("S2>S1 plain-seq 0 %d", 4*nSeq),
+				fmt.Sprintf("S1>S2 cipher-seq 0 %d", nSeq),
+				fmt.Sprintf("S2>S1 cipher-seq 0 %d", 8*nSeq),
+				fmt.Sprintf("S1>S2 cipher-seq 0 %d", 4*nSeq),
+			}
+		}
+		// One batched DGK exchange of n comparisons at L = 50 bits.
+		compare = func(n int) []string {
+			return []string{
+				fmt.Sprintf("S2>S1 batch %d %d", 2+2*n, 50*n),
+				fmt.Sprintf("S1>S2 batch %d %d", 2+2*n, 50*n),
+				fmt.Sprintf("S2>S1 batch %d 0", 2+3*n),
+			}
+		}
+		argmax      = slices.Concat(compare(2), compare(1)) // bracket levels of 4 and 2
+		restoration = []string{
+			"S2>S1 cipher-seq 0 4", "S1>S2 cipher-seq 0 4", "S2>S1 plain-seq 0 4",
+			"S1>S2 cipher-seq 0 4", "S2>S1 cipher-seq 0 4", "S1>S2 plain-seq 0 4",
+			"S2>S1 result 1 0",
+		}
+		end = []string{"S1>S2 control 2 0 code=101"}
+	)
+	toThreshold := slices.Concat(begin, unpack(8), blindPermute(2), argmax, compare(4))
+	return slices.Concat(handshake,
+		toThreshold, unpack(4), blindPermute(1), argmax, restoration, // instance 0: consensus
+		toThreshold, // instance 1: ⊥ at the threshold check
+		end)
+}
+
+// TestGoldenPeerTranscript pins the one S1↔S2 grammar: for a given packing
+// mode the peer-link transcript is the golden one whatever MaxRetries,
+// Quorum, SubmitDeadline, JournalPath and Parallelism are — including when
+// the two servers set them differently — and so are the labels.
+func TestGoldenPeerTranscript(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-endpoint deployment test is slow in -short mode")
+	}
+	s1File, s2File, pub, _ := testSetup(t, 3)
+	dir := t.TempDir()
+	journal := func(name string) string { return filepath.Join(dir, name) }
+	policy := ServerOptions{Quorum: 3, SubmitDeadline: 30 * time.Second}
+	variants := []struct {
+		name   string
+		o1, o2 ServerOptions
+	}{
+		{"defaults", ServerOptions{}, ServerOptions{}},
+		{"retries", ServerOptions{MaxRetries: 2}, ServerOptions{MaxRetries: 2}},
+		{"quorum+deadline", policy, policy},
+		{"journals", ServerOptions{JournalPath: journal("a1.jsonl")}, ServerOptions{JournalPath: journal("a2.jsonl")}},
+		{"parallelism=1", ServerOptions{Parallelism: 1}, ServerOptions{Parallelism: 1}},
+		{"mismatched budgets, journals and workers",
+			ServerOptions{MaxRetries: 0, JournalPath: journal("b1.jsonl"), Parallelism: 1},
+			ServerOptions{MaxRetries: 3, Parallelism: 4}},
+	}
+	for _, packed := range []bool{false, true} {
+		s1, s2, p := *s1File, *s2File, *pub
+		s1.Config.Packing, s2.Config.Packing, p.Config.Packing = packed, packed, packed
+		want := goldenTranscript(packed)
+		for _, v := range variants {
+			t.Run(fmt.Sprintf("packed=%v/%s", packed, v.name), func(t *testing.T) {
+				run := runTapped(t, &s1, &s2, &p, v.o1, v.o2, 0)
+				if run.e1 != nil || run.e2 != nil {
+					t.Fatalf("servers failed: s1=%v s2=%v", run.e1, run.e2)
+				}
+				for i, wantOut := range []protocol.Outcome{
+					{Consensus: true, Label: 2, Participants: 3},
+					{Consensus: false, Label: -1, Participants: 3},
+				} {
+					a, b := run.r1.Results[i], run.r2.Results[i]
+					if a.Err != nil || b.Err != nil || a.Outcome != wantOut || b.Outcome != wantOut {
+						t.Errorf("instance %d: s1 %+v (%v), s2 %+v (%v), want %+v", i, a.Outcome, a.Err, b.Outcome, b.Err, wantOut)
+					}
+				}
+				if got := run.tap.transcript(); !slices.Equal(got, want) {
+					t.Errorf("peer transcript is not the golden one (a wire change must bump wireVersion):\ngot:\n%s\nwant:\n%s",
+						joinLines(got), joinLines(want))
+				}
+			})
+		}
+	}
+}
+
+func joinLines(ss []string) string {
+	out := ""
+	for i, s := range ss {
+		out += fmt.Sprintf("%3d  %s\n", i, s)
+	}
+	return out
+}
+
+// TestPeerRefusals: a peer hello naming another wire version (or none, as a
+// pre-version build sends) and a key file selecting the all-pairs reference
+// are refused with a typed error before any frame is sent back.
+func TestPeerRefusals(t *testing.T) {
+	s1File, s2File, _, _ := testSetup(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for name, flags := range map[string][]int64{
+		"other version": {partyPeer, peerCaps(s1File.Config), wireVersion + 1},
+		"no version":    {partyPeer, peerCaps(s1File.Config)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ready := make(chan string, 1)
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunS1Report(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1, Ready: ready})
+				done <- err
+			}()
+			conn, err := transport.Dial(ctx, <-ready)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.Send(ctx, &transport.Message{Kind: transport.KindControl, Flags: flags}); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, protocol.ErrPeerMismatch) {
+					t.Errorf("S1 returned %v, want ErrPeerMismatch", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("S1 did not refuse the hello; it is still waiting")
+			}
+			if msg, err := conn.Recv(ctx); err == nil {
+				t.Errorf("S1 answered the refused hello with a %v frame", msg.Kind)
+			}
+		})
+	}
+
+	t.Run("allpairs key file", func(t *testing.T) {
+		s1, s2 := *s1File, *s2File
+		s1.Config.ArgmaxStrategy, s2.Config.ArgmaxStrategy = protocol.StrategyAllPairs, protocol.StrategyAllPairs
+		// Neither server gets as far as listening or dialing.
+		if _, err := RunS1Report(ctx, &s1, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}); !errors.Is(err, protocol.ErrBadConfig) {
+			t.Errorf("S1 returned %v, want ErrBadConfig", err)
+		}
+		if _, err := RunS2Report(ctx, &s2, ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1}); !errors.Is(err, protocol.ErrBadConfig) {
+			t.Errorf("S2 returned %v, want ErrBadConfig", err)
+		}
+	})
+}

@@ -26,7 +26,7 @@ import (
 // par bounds the CPU workers used for the per-item compute between the wire
 // exchanges. The frame layout never depends on par, so servers with
 // different core counts stay in lock step; with par > 1 the rng must be
-// safe for concurrent draws (the protocol layer wraps it when multiplexing).
+// safe for concurrent draws (the protocol layer wraps it).
 
 // forEachItem runs fn(0)..fn(n-1), inline and in order when par <= 1, else
 // on up to par workers, returning the first error.
@@ -145,34 +145,10 @@ func (pk *PublicKey) CompareSignedBatchA(ctx context.Context, rng io.Reader, con
 	return pk.CompareBatchA(ctx, rng, conn, shifted, par)
 }
 
-// batchBitSource supplies B's round-1 bit encryptions: item is the
-// comparison index, pos the bit position, bit the plaintext bit. The three
-// implementations (fresh rng, nonce pool, material pool) differ only in
-// where the encryption randomness comes from.
-type batchBitSource func(ctx context.Context, item, pos int, bit uint8) (*Ciphertext, error)
-
-// CompareBatchB runs party B's side (the key owner) with fresh bit
-// encryptions drawn from rng.
+// CompareBatchB runs party B's side (the key owner): encrypt every
+// comparison's bits with randomness from rng, exchange the three batch
+// frames, zero-test, and share the outcome bits.
 func (k *PrivateKey) CompareBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
-	return k.compareBatchB(ctx, conn, vals, par,
-		func(_ context.Context, _, _ int, bit uint8) (*Ciphertext, error) {
-			return k.EncryptBit(rng, bit)
-		})
-}
-
-// CompareSignedBatchB is CompareBatchB for signed values.
-func (k *PrivateKey) CompareSignedBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
-	shifted, err := shiftSignedAll(vals, k.L)
-	if err != nil {
-		return nil, err
-	}
-	return k.CompareBatchB(ctx, rng, conn, shifted, par)
-}
-
-// compareBatchB is the shared B-side core: encrypt every comparison's bits
-// via src, exchange the three batch frames, zero-test, and share the
-// outcome bits.
-func (k *PrivateKey) compareBatchB(ctx context.Context, conn transport.Conn, vals []*big.Int, par int, src batchBitSource) ([]bool, error) {
 	n := len(vals)
 	if n == 0 {
 		return nil, fmt.Errorf("dgk: empty comparison batch")
@@ -195,7 +171,7 @@ func (k *PrivateKey) compareBatchB(ctx context.Context, conn transport.Conn, val
 	err := forEachItem(par, n, func(i int) error {
 		enc := make([]*big.Int, k.L)
 		for pos, bit := range bits[i] {
-			c, err := src(ctx, i, pos, bit)
+			c, err := k.EncryptBit(rng, bit)
 			if err != nil {
 				return fmt.Errorf("dgk: batch bit encryption item %d: %w", i, err)
 			}
@@ -251,6 +227,15 @@ func (k *PrivateKey) compareBatchB(ctx context.Context, conn transport.Conn, val
 	}
 	comparisonsB.Add(int64(n))
 	return out, nil
+}
+
+// CompareSignedBatchB is CompareBatchB for signed values.
+func (k *PrivateKey) CompareSignedBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
+	shifted, err := shiftSignedAll(vals, k.L)
+	if err != nil {
+		return nil, err
+	}
+	return k.CompareBatchB(ctx, rng, conn, shifted, par)
 }
 
 // shiftSignedAll maps every value through shiftSigned.

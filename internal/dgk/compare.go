@@ -182,12 +182,7 @@ func (k *PrivateKey) CompareB(ctx context.Context, rng io.Reader, conn transport
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindBits, Values: vals}); err != nil {
 		return false, fmt.Errorf("dgk: send encrypted bits: %w", err)
 	}
-	return k.finishCompareB(ctx, conn)
-}
 
-// finishCompareB runs rounds 2-3 of party B's side: zero-test the blinded
-// values and share the outcome bit.
-func (k *PrivateKey) finishCompareB(ctx context.Context, conn transport.Conn) (bool, error) {
 	// Round 2: receive blinded values and zero-test each.
 	msg, err := transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
 	if err != nil {

@@ -90,7 +90,7 @@ type PublicKey struct {
 	// pre holds the lazily-built fixed-base tables for g and h. The holder
 	// is attached at key construction/load and shared (by pointer) with
 	// every copy of the key, so a table is built once per key and then read
-	// lock-free by all nonce-pool workers and comparison goroutines.
+	// lock-free by all comparison goroutines.
 	pre *precomp
 }
 

@@ -36,38 +36,3 @@ func TestEncryptTablePathByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolDrawsMatchDirectEncryption proves the pooled path (nonces drawn
-// through the h table) yields ciphertexts identical to direct encryption
-// with the same rng seed.
-func TestPoolDrawsMatchDirectEncryption(t *testing.T) {
-	key, err := GenerateKey(testRNG(12), TestParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := key.Public()
-	pk.Precompute()
-	pool, err := NewNoncePool(testRNG(99), pk, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	direct, err := pk.Encrypt(testRNG(99), big.NewInt(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pooled, err := pool.Encrypt(t.Context(), big.NewInt(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.C.Cmp(pooled.C) != 0 {
-		t.Fatalf("pooled ciphertext %v != direct %v", pooled.C, direct.C)
-	}
-	got, err := key.Decrypt(pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 5 {
-		t.Fatalf("pooled decrypt: got %v, want 5", got)
-	}
-}

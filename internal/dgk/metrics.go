@@ -6,7 +6,7 @@ import "github.com/privconsensus/privconsensus/internal/obs"
 // only operations — never compared values, bits or key material.
 var (
 	encOps = obs.Default.Counter("dgk_encrypt_total",
-		"DGK encryptions, fresh-nonce and pooled (bit encryptions included).")
+		"DGK encryptions (bit encryptions included).")
 	zeroTests = obs.Default.Counter("dgk_zerotest_total",
 		"DGK zero tests (the comparison protocol's decryption primitive).")
 	decOps = obs.Default.Counter("dgk_decrypt_total",
@@ -17,20 +17,6 @@ var (
 	comparisonsB = obs.Default.Counter("dgk_comparisons_total",
 		"Completed interactive DGK comparisons, labelled by party.",
 		obs.L("party", "b"))
-	poolHits = obs.Default.Counter("dgk_pool_hits_total",
-		"Nonce pool draws satisfied without blocking.")
-	poolMisses = obs.Default.Counter("dgk_pool_misses_total",
-		"Nonce pool draws that had to wait for a refill worker.")
-	poolRefills = obs.Default.Counter("dgk_pool_refills_total",
-		"h^r blinding factors precomputed by nonce pool workers.")
-	materialHits = obs.Default.Counter("dgk_material_hits_total",
-		"Material pool draws satisfied without blocking.")
-	materialMisses = obs.Default.Counter("dgk_material_misses_total",
-		"Material pool draws that had to wait for a refill worker.")
-	materialRefills = obs.Default.Counter("dgk_material_refills_total",
-		"Full comparisons' worth of bit-encryption material precomputed by pool workers.")
-	materialPrefill = obs.Default.Gauge("dgk_material_pool_prefill",
-		"Comparisons' worth of precomputed material currently buffered in the pool.")
 )
 
 // WatchOps registers this package's operation counters on a tracer so each
@@ -40,6 +26,4 @@ func WatchOps(t *obs.Tracer) {
 	t.Watch("dgk_zerotest", zeroTests)
 	t.Watch("dgk_cmp_a", comparisons)
 	t.Watch("dgk_cmp_b", comparisonsB)
-	t.Watch("dgk_pool_miss", poolMisses)
-	t.Watch("dgk_material_miss", materialMisses)
 }

@@ -23,16 +23,12 @@ type ProtocolBenchConfig struct {
 	// ForceConsensus biases the votes so the threshold check passes and
 	// every step (6)-(9) executes, as in the paper's measurements.
 	ForceConsensus bool
-	// UseDGKPool enables S2's pre-generated DGK nonce pool.
-	UseDGKPool bool
-	// Parallelism is forwarded to protocol.Config.Parallelism: 0 uses
-	// runtime.NumCPU, 1 reproduces the original sequential single-stream
-	// protocol, anything else multiplexes the transport and runs the DGK
-	// comparison phases concurrently.
+	// Parallelism is forwarded to protocol.Config.Parallelism: the CPU
+	// worker bound (0 uses runtime.NumCPU). It does not touch the wire.
 	Parallelism int
 	// ArgmaxStrategy is forwarded to protocol.Config.ArgmaxStrategy:
 	// empty or "tournament" runs the batched bracket, "allpairs" the
-	// original all-pairs comparison schedule.
+	// paper's all-pairs reference schedule Tables I-II were measured with.
 	ArgmaxStrategy string
 	// Packing is forwarded to protocol.Config.Packing: true encodes each
 	// submission sequence into slot-packed Paillier plaintexts. The key
@@ -109,7 +105,6 @@ func ProtocolBench(cfg ProtocolBenchConfig) (*ProtocolBenchResult, error) {
 	}
 	pcfg := protocol.DefaultConfig(cfg.Users)
 	pcfg.Classes = cfg.Classes
-	pcfg.UseDGKPool = cfg.UseDGKPool
 	pcfg.Parallelism = cfg.Parallelism
 	pcfg.ArgmaxStrategy = cfg.ArgmaxStrategy
 	pcfg.Packing = cfg.Packing
@@ -204,64 +199,6 @@ func buildInstance(rng *rand.Rand, pcfg protocol.Config, cfg ProtocolBenchConfig
 	return subs, bytes1, bytes2, nil
 }
 
-// PackedSizes is one user's per-instance upload cost measured in both
-// packing modes at the same workload shape: the wire bytes of both
-// submission halves and the number of Paillier encryptions the user
-// performs (Votes + Thresh + Noisy, both halves).
-type PackedSizes struct {
-	PaillierBits        int
-	UnpackedBytes       int64
-	PackedBytes         int64
-	UnpackedEncryptions int
-	PackedEncryptions   int
-}
-
-// MeasurePackedSizes builds one submission with packing off and one with
-// packing on and reports their sizes. bits must leave room for the packed
-// slot width — 1024 fits the paper's kappa=40 at C=10 — which the 64-bit
-// prototype default does not.
-func MeasurePackedSizes(users, classes, bits int, seed int64) (*PackedSizes, error) {
-	base := protocol.DefaultConfig(users)
-	base.Classes = classes
-	base.PaillierBits = bits
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	keys, err := protocol.GenerateKeys(rand.New(rand.NewSource(seed)), base)
-	if err != nil {
-		return nil, err
-	}
-	votes := make([]*big.Int, classes)
-	for i := range votes {
-		votes[i] = big.NewInt(0)
-	}
-	votes[0] = big.NewInt(protocol.VoteScale)
-
-	out := &PackedSizes{PaillierBits: bits}
-	for _, packed := range []bool{false, true} {
-		pcfg := base
-		pcfg.Packing = packed
-		if err := pcfg.Validate(); err != nil {
-			return nil, err
-		}
-		sub, _, err := protocol.BuildSubmission(rand.New(rand.NewSource(seed+1)),
-			rand.New(rand.NewSource(seed+2)), pcfg, 0, votes,
-			keys.S1Paillier.Public(), keys.S2Paillier.Public())
-		if err != nil {
-			return nil, err
-		}
-		bytes := int64(protocol.SubmissionBytes(sub.ToS1) + protocol.SubmissionBytes(sub.ToS2))
-		encs := len(sub.ToS1.Votes) + len(sub.ToS1.Thresh) + len(sub.ToS1.Noisy) +
-			len(sub.ToS2.Votes) + len(sub.ToS2.Thresh) + len(sub.ToS2.Noisy)
-		if packed {
-			out.PackedBytes, out.PackedEncryptions = bytes, encs
-		} else {
-			out.UnpackedBytes, out.UnpackedEncryptions = bytes, encs
-		}
-	}
-	return out, nil
-}
-
 // halfBytes sums the wire size of a ciphertext vector.
 func halfBytes(cs []*paillier.Ciphertext) int {
 	n := 0
@@ -274,15 +211,7 @@ func halfBytes(cs []*paillier.Ciphertext) int {
 // runCryptoInstance executes one Alg. 5 run over an in-memory pair.
 func runCryptoInstance(pcfg protocol.Config, keys *protocol.Keys,
 	subs []*protocol.Submission, meter *transport.Meter, seed int64) (*protocol.Outcome, error) {
-	connA, connB := transport.Pair()
-	var c1, c2 transport.Conn = connA, connB
-	if pcfg.Parallelism == 1 {
-		// Sequential mode meters at the wire; with multiplexing the
-		// protocol meters each stream itself at consume time, so the conns
-		// stay raw to avoid double counting.
-		c1 = transport.Metered(connA, meter, protocol.StepSecureSum1)
-		c2 = transport.Metered(connB, nil, protocol.StepSecureSum1)
-	}
+	c1, c2 := transport.Pair() // raw: the protocol meters its own link
 	defer c1.Close()
 	defer c2.Close()
 

@@ -17,7 +17,7 @@ package mathutil
 //
 // Tables are immutable after construction and safe for concurrent use
 // without locks; build them once per (base, modulus) at key-load time and
-// share them across worker pools.
+// share them across workers.
 
 import (
 	"errors"

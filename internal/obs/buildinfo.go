@@ -8,13 +8,13 @@ import (
 // SetBuildInfo registers the privconsensus_build_info gauge on r (nil for
 // Default): always 1, with the build and configuration identity carried as
 // labels, the Prometheus idiom for joining identity onto other series.
-func SetBuildInfo(r *Registry, argmax string, parallelism int) {
+func SetBuildInfo(r *Registry, wire, parallelism int) {
 	if r == nil {
 		r = Default
 	}
 	r.Gauge("privconsensus_build_info",
 		"Always 1; labels carry the build and configuration identity.",
 		L("goversion", runtime.Version()),
-		L("argmax", argmax),
+		L("wire", strconv.Itoa(wire)),
 		L("parallelism", strconv.Itoa(parallelism))).Set(1)
 }

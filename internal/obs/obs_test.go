@@ -87,7 +87,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestDisabledRegistryIsInert(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "t")
-	h := r.Histogram("test_hist", "t", DepthBuckets())
+	h := r.Histogram("test_hist", "t", DurationBuckets())
 	r.SetEnabled(false)
 	c.Inc()
 	h.Observe(1)
@@ -130,7 +130,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := r.Counter("test_conc_total", "c", L("worker", fmt.Sprint(i%2)))
-			h := r.Histogram("test_conc_hist", "h", DepthBuckets())
+			h := r.Histogram("test_conc_hist", "h", DurationBuckets())
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(float64(j % 8))

@@ -177,11 +177,6 @@ func SizeBuckets() []float64 {
 	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864}
 }
 
-// DepthBuckets covers small queue depths (mux backlogs, pool occupancy).
-func DepthBuckets() []float64 {
-	return []float64{0, 1, 2, 4, 8, 16, 32, 64}
-}
-
 // metric is one registered series: a name, an optional label set, and
 // exactly one of the value types.
 type metric struct {

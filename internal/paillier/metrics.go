@@ -6,7 +6,7 @@ import "github.com/privconsensus/privconsensus/internal/obs"
 // only operations — never plaintexts, nonces or key material.
 var (
 	encOps = obs.Default.Counter("paillier_encrypt_total",
-		"Paillier encryptions, fresh-nonce and pooled.")
+		"Paillier encryptions.")
 	ownEncOps = obs.Default.Counter("paillier_encrypt_ownkey_total",
 		"Blinding factors the key owner computed through its CRT tables; each is also counted in paillier_encrypt_total.")
 	decOps = obs.Default.Counter("paillier_decrypt_total",
@@ -15,12 +15,6 @@ var (
 		"Homomorphic additions (ciphertext multiplications), including AddPlain.")
 	mulOps = obs.Default.Counter("paillier_scalarmul_total",
 		"Homomorphic scalar multiplications (ciphertext exponentiations).")
-	poolHits = obs.Default.Counter("paillier_pool_hits_total",
-		"Nonce pool draws satisfied without blocking.")
-	poolMisses = obs.Default.Counter("paillier_pool_misses_total",
-		"Nonce pool draws that had to wait for a refill worker.")
-	poolRefills = obs.Default.Counter("paillier_pool_refills_total",
-		"Blinding factors precomputed by nonce pool workers.")
 )
 
 // WatchOps registers this package's operation counters on a tracer so each
@@ -30,5 +24,4 @@ func WatchOps(t *obs.Tracer) {
 	t.Watch("paillier_dec", decOps)
 	t.Watch("paillier_add", addOps)
 	t.Watch("paillier_scalarmul", mulOps)
-	t.Watch("paillier_pool_miss", poolMisses)
 }

@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"context"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -382,65 +381,6 @@ func TestEncryptionIsProbabilistic(t *testing.T) {
 	if c1.C.Cmp(c2.C) == 0 {
 		t.Error("two encryptions of the same message are identical")
 	}
-}
-
-func TestNoncePoolEncrypt(t *testing.T) {
-	key := testKey(t, 64)
-	pool, err := NewNoncePool(testRNG(14), key.Public(), 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	ctx := context.Background()
-	for _, m := range []int64{0, 1, 999} {
-		c, err := pool.Encrypt(ctx, big.NewInt(m))
-		if err != nil {
-			t.Fatalf("pool encrypt %d: %v", m, err)
-		}
-		got, err := key.Decrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(big.NewInt(m)) != 0 {
-			t.Errorf("pooled round trip %d -> %v", m, got)
-		}
-	}
-	ms := []*big.Int{big.NewInt(4), big.NewInt(5)}
-	cs, err := pool.EncryptVector(ctx, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != 2 {
-		t.Fatalf("expected 2 ciphertexts, got %d", len(cs))
-	}
-}
-
-func TestNoncePoolValidation(t *testing.T) {
-	key := testKey(t, 64)
-	if _, err := NewNoncePool(testRNG(1), key.Public(), 0, 1); err == nil {
-		t.Error("expected error for zero capacity")
-	}
-	if _, err := NewNoncePool(testRNG(1), key.Public(), 4, 0); err == nil {
-		t.Error("expected error for zero workers")
-	}
-}
-
-func TestNoncePoolContextCancel(t *testing.T) {
-	key := testKey(t, 64)
-	pool, err := NewNoncePool(testRNG(15), key.Public(), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Drain whatever was buffered, then a cancelled context must surface.
-	for i := 0; i < 10; i++ {
-		if _, err := pool.Encrypt(ctx, big.NewInt(1)); err != nil {
-			return // got the expected cancellation
-		}
-	}
-	t.Error("expected context cancellation error")
 }
 
 // TestZeroizeRetiresKey checks that a zeroized key refuses every private

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/privconsensus/privconsensus/internal/dgk"
-
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -28,57 +26,17 @@ type Outcome struct {
 	Participants int
 }
 
-// comparerS1 abstracts S1's side of a signed secure comparison, single and
-// batched (satisfied by *dgk.PublicKey).
-type comparerS1 interface {
-	CompareSignedA(context.Context, io.Reader, transport.Conn, *big.Int) (bool, error)
-	CompareSignedBatchA(context.Context, io.Reader, transport.Conn, []*big.Int, int) ([]bool, error)
-}
-
-// comparerS2 abstracts S2's side (satisfied by *dgk.PrivateKey and the
-// pooled variant below).
-type comparerS2 interface {
-	CompareSignedB(context.Context, io.Reader, transport.Conn, *big.Int) (bool, error)
-	CompareSignedBatchB(context.Context, io.Reader, transport.Conn, []*big.Int, int) ([]bool, error)
-}
-
-// pooledComparerS2 draws S2's bit-encryption work from precomputed pools:
-// h^r nonces for the single-comparison path, full comparison material for
-// the batched path. Either pool may be nil, falling back to on-demand
-// encryption with rng.
-type pooledComparerS2 struct {
-	key      *dgk.PrivateKey
-	pool     *dgk.NoncePool
-	material *dgk.MaterialPool
-}
-
-// CompareSignedB implements comparerS2.
-func (p pooledComparerS2) CompareSignedB(ctx context.Context, rng io.Reader, conn transport.Conn, v *big.Int) (bool, error) {
-	if p.material != nil {
-		return p.key.CompareSignedBMaterial(ctx, p.material, conn, v)
-	}
-	if p.pool != nil {
-		return p.key.CompareSignedBPooled(ctx, p.pool, conn, v)
-	}
-	return p.key.CompareSignedB(ctx, rng, conn, v)
-}
-
-// CompareSignedBatchB implements comparerS2.
-func (p pooledComparerS2) CompareSignedBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
-	if p.material != nil {
-		return p.key.CompareSignedBatchBMaterial(ctx, p.material, conn, vals, par)
-	}
-	return p.key.CompareSignedBatchB(ctx, rng, conn, vals, par)
-}
-
-// stepSetter lets the engine advance the metering label on metered conns.
-type stepSetter interface{ SetStep(string) }
-
-// setStep updates the traffic-attribution label if conn supports it.
-func setStep(conn transport.Conn, step string) {
-	if s, ok := conn.(stepSetter); ok {
-		s.SetStep(step)
-	}
+// comparer is one party's side of the run's DGK exchanges, bound to the
+// run's conn, rng and worker bound: the batched exchange the tournament and
+// the threshold check use, and the single exchange of the all-pairs
+// reference schedule. It is the one seam a different selection primitive
+// would replace.
+type comparer struct {
+	// negate marks the DGK "B" party (S2), which supplies the mirrored
+	// difference so one >= bit answers both parties.
+	negate bool
+	one    func(ctx context.Context, diff *big.Int) (bool, error)
+	batch  func(ctx context.Context, diffs []*big.Int) ([]bool, error)
 }
 
 // timeStep attributes fn's wall time to step in meter (nil meter OK), opens
@@ -122,18 +80,26 @@ func RunS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 // aggregate — and therefore the whole transcript and outcome — is
 // byte-identical to running RunS1 with the same users submitting directly.
 func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
-	conn transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
+	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	keys.Precompute() // warm fixed-base tables before the first phase
-	sess := newMuxSession(cfg, conn, meter)
-	if sess.mux != nil {
+	par := cfg.parallelism()
+	if par > 1 {
 		// math/rand sources are not safe for concurrent draws.
 		rng = &lockedReader{r: rng}
 	}
-	conn = sess.seq
-	par := cfg.parallelism()
+	// The protocol owns metering: callers hand over the raw conn.
+	conn := transport.Metered(raw, meter, StepSecureSum1)
+	cmp := comparer{
+		one: func(ctx context.Context, d *big.Int) (bool, error) {
+			return keys.DGKPub.CompareSignedA(ctx, rng, conn, d)
+		},
+		batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
+			return keys.DGKPub.CompareSignedBatchA(ctx, rng, conn, ds, par)
+		},
+	}
 
 	// Partial participation: aggregate only the present subset. Both
 	// servers must mask the same subset (the deploy layer agrees on it via
@@ -162,7 +128,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	// into the per-class ciphertexts Alg. 2 step 4 permutes. S1's stays
 	// packed; Blind-and-Permute step 1 masks it as it is.
 	if cfg.Packing {
-		setStep(conn, StepUnpack1)
+		conn.SetStep(StepUnpack1)
 		err = timeStep(ctx, meter, StepUnpack1, func() error {
 			return unpackS1(ctx, rng, cfg, keys, conn, 2)
 		})
@@ -172,7 +138,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 3: Blind-and-Permute the vote and threshold sequences together.
-	setStep(conn, StepBlindPerm1)
+	conn.SetStep(StepBlindPerm1)
 	var bp *bpResultS1
 	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
 		var err error
@@ -200,12 +166,12 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		}
 	}
 
-	// Step 4: Secure Comparison — all-pairs DGK to find pi(i*).
-	setStep(conn, StepCompare1)
+	// Step 4: Secure Comparison — find pi(i*).
+	conn.SetStep(StepCompare1)
 	var pStar int
 	err = timeStep(ctx, meter, StepCompare1, func() error {
 		var err error
-		pStar, err = argmaxPermutedS1(ctx, rng, cfg, keys.DGKPub, sess, StepCompare1, votesSeq)
+		pStar, err = argmaxPermuted(ctx, cfg, cmp, votesSeq)
 		return err
 	})
 	if err != nil {
@@ -213,11 +179,11 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 5: Threshold Checking at pi(i*) (optionally at all positions).
-	setStep(conn, StepThreshold)
+	conn.SetStep(StepThreshold)
 	var pass bool
 	err = timeStep(ctx, meter, StepThreshold, func() error {
 		var err error
-		pass, err = thresholdCheckS1(ctx, rng, cfg, keys.DGKPub, sess, threshSeq, pStar)
+		pass, err = thresholdCheck(ctx, cfg, cmp, threshSeq, pStar)
 		return err
 	})
 	if err != nil {
@@ -238,7 +204,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	if cfg.Packing {
-		setStep(conn, StepUnpack2)
+		conn.SetStep(StepUnpack2)
 		err = timeStep(ctx, meter, StepUnpack2, func() error {
 			return unpackS1(ctx, rng, cfg, keys, conn, 1)
 		})
@@ -248,7 +214,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 7: fresh Blind-and-Permute on the noisy votes.
-	setStep(conn, StepBlindPerm2)
+	conn.SetStep(StepBlindPerm2)
 	var bp2 *bpResultS1
 	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
 		var err error
@@ -260,11 +226,11 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	}
 
 	// Step 8: Secure Comparison to find pi'(i~*).
-	setStep(conn, StepCompare2)
+	conn.SetStep(StepCompare2)
 	var pTilde int
 	err = timeStep(ctx, meter, StepCompare2, func() error {
 		var err error
-		pTilde, err = argmaxPermutedS1(ctx, rng, cfg, keys.DGKPub, sess, StepCompare2, bp2.Plain[0])
+		pTilde, err = argmaxPermuted(ctx, cfg, cmp, bp2.Plain[0])
 		return err
 	})
 	if err != nil {
@@ -273,7 +239,7 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	_ = pTilde // S1's share of the knowledge is pi1'; restoration reveals the label.
 
 	// Step 9: Restoration.
-	setStep(conn, StepRestoration)
+	conn.SetStep(StepRestoration)
 	var label int
 	err = timeStep(ctx, meter, StepRestoration, func() error {
 		var err error
@@ -286,142 +252,56 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	return &Outcome{Consensus: true, Label: label, Participants: len(participants)}, nil
 }
 
-// S2Pools holds S2's precomputed DGK comparison material, kept warm by
-// background refill workers. Created once per server process and passed to
-// RunS2WithPools, the pools outlive individual instances: the offline phase
-// (bit-encryption precompute) runs between queries, leaving the online
-// phase mostly table walks.
-type S2Pools struct {
-	nonces   *dgk.NoncePool
-	material *dgk.MaterialPool
-}
-
-// NewS2Pools builds the pools the configured strategy draws from: full
-// comparison material for the batched tournament schedule, h^r nonces for
-// the all-pairs schedule. Returns (nil, nil) when cfg.UseDGKPool is false —
-// on-demand encryption needs no pools.
-func NewS2Pools(cfg Config, keys KeysS2) (*S2Pools, error) {
-	if !cfg.UseDGKPool {
-		return nil, nil
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	workers := 2
-	if par := cfg.parallelism(); par > workers {
-		workers = par
-	}
-	if cfg.tournament() {
-		// One material item covers a whole comparison (L bit-encryption
-		// pairs), so capacity is counted in comparisons: one instance's
-		// comparisonBudget by default, or the configured nonce-count
-		// capacity converted at L nonces per comparison.
-		capacity := cfg.comparisonBudget()
-		if cfg.DGKPoolCapacity > 0 {
-			capacity = (cfg.DGKPoolCapacity + cfg.DGK.L - 1) / cfg.DGK.L
-		}
-		mp, err := dgk.NewMaterialPool(nil, keys.DGK.Public(), capacity, workers)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: DGK material pool: %w", err)
-		}
-		return &S2Pools{material: mp}, nil
-	}
-	capacity := cfg.DGKPoolCapacity
-	if capacity <= 0 {
-		// Every comparison consumes L nonces; cover the full instance
-		// (both argmax phases plus threshold checks, per the
-		// strategy-aware comparisonBudget) so the pool never drains into
-		// on-demand generation.
-		capacity = cfg.comparisonBudget() * cfg.DGK.L
-	}
-	np, err := dgk.NewNoncePool(nil, keys.DGK.Public(), capacity, workers)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: DGK pool: %w", err)
-	}
-	return &S2Pools{nonces: np}, nil
-}
-
-// Close stops the background refill workers and releases buffered material.
-func (p *S2Pools) Close() {
-	if p == nil {
-		return
-	}
-	if p.nonces != nil {
-		p.nonces.Close()
-	}
-	if p.material != nil {
-		p.material.Close()
-	}
-}
-
 // RunS2 executes S2's role in Alg. 5. subs holds every user's ToS2 half
-// (encrypted under pk1). Pools (when enabled) live only for this instance;
-// long-running servers should hold an S2Pools and call RunS2WithPools so
-// precompute overlaps the idle time between queries.
+// (encrypted under pk1); nil halves mark dropped users.
 func RunS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
-	return RunS2WithPools(ctx, rng, cfg, keys, conn, subs, meter, nil)
-}
-
-// RunS2WithPools is RunS2 drawing comparison material from caller-owned
-// pools. pools may be nil: ephemeral pools are then created per cfg and
-// closed when the instance finishes.
-func RunS2WithPools(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter, pools *S2Pools) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(subs) != cfg.Users {
 		return nil, fmt.Errorf("protocol: got %d submissions, want %d", len(subs), cfg.Users)
 	}
-	return RunS2GroupsWithPools(ctx, rng, cfg, keys, conn, GroupSingletons(subs), meter, pools)
+	return RunS2Groups(ctx, rng, cfg, keys, conn, GroupSingletons(subs), meter)
+}
+
+// RunS2WithPools is RunS2.
+//
+// Deprecated: the DGK pools it once took are gone. The name and its
+// always-nil last parameter survive only because the frozen bench/adapter.go
+// calls it; both leave with the next benchmark PR.
+func RunS2WithPools(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
+	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter, _ *struct{}) (*Outcome, error) {
+	return RunS2(ctx, rng, cfg, keys, conn, subs, meter)
 }
 
 // RunS2Groups is RunS2 over pre-aggregated ingestion groups; see
 // RunS1Groups.
 func RunS2Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
-	return RunS2GroupsWithPools(ctx, rng, cfg, keys, conn, groups, meter, nil)
-}
-
-// RunS2GroupsWithPools is RunS2WithPools over pre-aggregated ingestion
-// groups; see RunS1Groups.
-func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, groups []Group, meter *transport.Meter, pools *S2Pools) (*Outcome, error) {
+	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	keys.Precompute() // warm fixed-base tables before the first phase
-	sess := newMuxSession(cfg, conn, meter)
-	if sess.mux != nil {
-		// math/rand sources are not safe for concurrent draws.
+	par := cfg.parallelism()
+	if par > 1 {
 		rng = &lockedReader{r: rng}
 	}
-	conn = sess.seq
-	par := cfg.parallelism()
+	conn := transport.Metered(raw, meter, StepSecureSum1)
+	cmp := comparer{
+		negate: true,
+		one: func(ctx context.Context, d *big.Int) (bool, error) {
+			return keys.DGK.CompareSignedB(ctx, rng, conn, d)
+		},
+		batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
+			return keys.DGK.CompareSignedBatchB(ctx, rng, conn, ds, par)
+		},
+	}
 
 	// Partial participation: mirror RunS1Groups' subset masking exactly.
 	active, participants, adjust, err := groupInputs(cfg, groups)
 	if err != nil {
 		return nil, err
-	}
-
-	// Optional randomness-table optimization for the DGK comparisons:
-	// caller-owned pools when provided, ephemeral per-instance ones
-	// otherwise.
-	if pools == nil {
-		p, err := NewS2Pools(cfg, keys)
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			defer p.Close()
-		}
-		pools = p
-	}
-	var cmpB comparerS2 = keys.DGK
-	if pools != nil {
-		cmpB = pooledComparerS2{key: keys.DGK, pool: pools.nonces, material: pools.material}
 	}
 
 	var aggVotes, aggThresh, aggNoisy []*paillier.Ciphertext
@@ -439,7 +319,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	}
 
 	if cfg.Packing {
-		setStep(conn, StepUnpack1)
+		conn.SetStep(StepUnpack1)
 		err = timeStep(ctx, meter, StepUnpack1, func() error {
 			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggVotes, 2, len(participants))
 			if uerr != nil {
@@ -453,7 +333,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 		}
 	}
 
-	setStep(conn, StepBlindPerm1)
+	conn.SetStep(StepBlindPerm1)
 	var bp *bpResultS2
 	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
 		var err error
@@ -474,22 +354,22 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 		}
 	}
 
-	setStep(conn, StepCompare1)
+	conn.SetStep(StepCompare1)
 	var pStar int
 	err = timeStep(ctx, meter, StepCompare1, func() error {
 		var err error
-		pStar, err = argmaxPermutedS2(ctx, rng, cfg, cmpB, sess, StepCompare1, votesSeq)
+		pStar, err = argmaxPermuted(ctx, cfg, cmp, votesSeq)
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("protocol: S2 comparison phase 1: %w", err)
 	}
 
-	setStep(conn, StepThreshold)
+	conn.SetStep(StepThreshold)
 	var pass bool
 	err = timeStep(ctx, meter, StepThreshold, func() error {
 		var err error
-		pass, err = thresholdCheckS2(ctx, rng, cfg, cmpB, sess, threshSeq, pStar)
+		pass, err = thresholdCheck(ctx, cfg, cmp, threshSeq, pStar)
 		return err
 	})
 	if err != nil {
@@ -509,7 +389,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 	}
 
 	if cfg.Packing {
-		setStep(conn, StepUnpack2)
+		conn.SetStep(StepUnpack2)
 		err = timeStep(ctx, meter, StepUnpack2, func() error {
 			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggNoisy, 1, len(participants))
 			if uerr != nil {
@@ -523,7 +403,7 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 		}
 	}
 
-	setStep(conn, StepBlindPerm2)
+	conn.SetStep(StepBlindPerm2)
 	var bp2 *bpResultS2
 	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
 		var err error
@@ -534,18 +414,18 @@ func RunS2GroupsWithPools(ctx context.Context, rng io.Reader, cfg Config, keys K
 		return nil, err
 	}
 
-	setStep(conn, StepCompare2)
+	conn.SetStep(StepCompare2)
 	var pTilde int
 	err = timeStep(ctx, meter, StepCompare2, func() error {
 		var err error
-		pTilde, err = argmaxPermutedS2(ctx, rng, cfg, cmpB, sess, StepCompare2, bp2.Plain[0])
+		pTilde, err = argmaxPermuted(ctx, cfg, cmp, bp2.Plain[0])
 		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("protocol: S2 comparison phase 2: %w", err)
 	}
 
-	setStep(conn, StepRestoration)
+	conn.SetStep(StepRestoration)
 	var label int
 	err = timeStep(ctx, meter, StepRestoration, func() error {
 		var err error
@@ -679,28 +559,21 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 	return partials[0], nil
 }
 
-// argmaxPermutedS1 finds the permuted position of the maximum, S1 side.
-// Both parties derive the same result. The default tournament strategy runs
-// the bracket of tournament.go with one batched exchange per level; the
-// all-pairs strategy runs the original Eq. 7 schedule, one exchange per
-// pair.
+// argmaxPermuted finds the permuted position of the maximum. Both parties
+// derive the same result. The tournament runs the bracket of tournament.go
+// with one batched exchange per level; the all-pairs reference runs the
+// paper's Eq. 7 schedule, one exchange per pair, in order on the same conn.
 //
 // In either schedule, for the pair (p, q), p < q, S1 supplies seq[p] -
 // seq[q] and S2 supplies its seq[q] - seq[p]; the comparison bit is (c_p'
 // >= c_q') because the common scalar bias cancels in each party's
 // difference.
-func argmaxPermutedS1(ctx context.Context, rng io.Reader, cfg Config, pub comparerS1,
-	sess *muxSession, step string, seq []*big.Int) (int, error) {
+func argmaxPermuted(ctx context.Context, cfg Config, cmp comparer, seq []*big.Int) (int, error) {
 	if cfg.tournament() {
-		return tournamentArgmax(ctx, cfg, sess, seq, false,
-			func(ctx context.Context, conn transport.Conn, diffs []*big.Int) ([]bool, error) {
-				return pub.CompareSignedBatchA(ctx, rng, conn, diffs, sess.batchPar())
-			})
+		return tournamentArgmax(ctx, cfg, cmp, seq)
 	}
-	jobs := argmaxJobs(cfg, seq, false)
-	geqs, err := sess.runComparisons(ctx, step, jobs, func(ctx context.Context, conn transport.Conn, d *big.Int) (bool, error) {
-		return pub.CompareSignedA(ctx, rng, conn, d)
-	})
+	jobs := argmaxJobs(cfg, seq, cmp.negate)
+	geqs, err := cmp.each(ctx, jobs)
 	if err != nil {
 		return -1, err
 	}
@@ -708,24 +581,27 @@ func argmaxPermutedS1(ctx context.Context, rng io.Reader, cfg Config, pub compar
 	return argmaxWinner(cfg, geqs)
 }
 
-// argmaxPermutedS2 is the S2 (DGK key owner) side of argmaxPermutedS1.
-func argmaxPermutedS2(ctx context.Context, rng io.Reader, cfg Config, key comparerS2,
-	sess *muxSession, step string, seq []*big.Int) (int, error) {
-	if cfg.tournament() {
-		return tournamentArgmax(ctx, cfg, sess, seq, true,
-			func(ctx context.Context, conn transport.Conn, diffs []*big.Int) ([]bool, error) {
-				return key.CompareSignedBatchB(ctx, rng, conn, diffs, sess.batchPar())
-			})
+// cmpJob is one secure comparison of the reference schedule.
+type cmpJob struct {
+	// tag labels the comparison in errors, e.g. "compare pair (2,5)".
+	tag string
+	// diff is this party's comparison input.
+	diff *big.Int
+}
+
+// each runs jobs one exchange at a time, in job order, and returns the
+// per-job >= bits: the wire of the all-pairs reference schedule.
+func (c comparer) each(ctx context.Context, jobs []cmpJob) ([]bool, error) {
+	out := make([]bool, len(jobs))
+	for i, job := range jobs {
+		geq, err := c.one(ctx, job.diff)
+		cmpJobsTotal.Inc()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", job.tag, err)
+		}
+		out[i] = geq
 	}
-	jobs := argmaxJobs(cfg, seq, true)
-	geqs, err := sess.runComparisons(ctx, step, jobs, func(ctx context.Context, conn transport.Conn, d *big.Int) (bool, error) {
-		return key.CompareSignedB(ctx, rng, conn, d)
-	})
-	if err != nil {
-		return -1, err
-	}
-	strategyComparisons(cfg).Add(int64(len(jobs)))
-	return argmaxWinner(cfg, geqs)
+	return out, nil
 }
 
 // argmaxJobs builds the all-pairs comparison jobs in the (p, q), p < q,
@@ -803,51 +679,22 @@ func (m *winsMatrix) winner() (int, error) {
 	return -1, fmt.Errorf("protocol: comparison outcomes are inconsistent (no total winner)")
 }
 
-// thresholdCheckS1 runs the Alg. 5 step 5 DGK check, S1 side: at each
-// checked position p the parties compare S1's threshSeq[p] against S2's,
-// which decides c_p + 2*z1_p >= T since the shared bias r' cancels. Only
-// the bit at pStar matters; with ThresholdAllPositions every position is
-// checked so traffic does not depend on pStar.
-// Under the tournament strategy the whole check is one batched exchange;
-// under all-pairs it keeps the original one-exchange-per-position wire
-// format.
-func thresholdCheckS1(ctx context.Context, rng io.Reader, cfg Config, pub comparerS1,
-	sess *muxSession, threshSeq []*big.Int, pStar int) (bool, error) {
+// thresholdCheck runs the Alg. 5 step 5 DGK check: at each checked position
+// p the parties compare S1's threshSeq[p] against S2's, which decides
+// c_p + 2*z1_p >= T since the shared bias r' cancels. Only the bit at pStar
+// matters; with ThresholdAllPositions every position is checked so traffic
+// does not depend on pStar. The whole check is one batched exchange; the
+// all-pairs reference keeps one exchange per position.
+func thresholdCheck(ctx context.Context, cfg Config, cmp comparer, threshSeq []*big.Int, pStar int) (bool, error) {
 	positions := checkPositions(cfg, pStar)
 	jobs := thresholdJobs(positions, threshSeq)
 	var geqs []bool
 	var err error
 	if cfg.tournament() {
-		geqs, err = pub.CompareSignedBatchA(ctx, rng, sess.seq, jobDiffs(jobs), sess.batchPar())
+		geqs, err = cmp.batch(ctx, jobDiffs(jobs))
 		cmpJobsTotal.Add(int64(len(jobs)))
 	} else {
-		geqs, err = sess.runComparisons(ctx, StepThreshold, jobs,
-			func(ctx context.Context, conn transport.Conn, d *big.Int) (bool, error) {
-				return pub.CompareSignedA(ctx, rng, conn, d)
-			})
-	}
-	if err != nil {
-		return false, err
-	}
-	strategyComparisons(cfg).Add(int64(len(jobs)))
-	return thresholdPass(positions, geqs, pStar), nil
-}
-
-// thresholdCheckS2 is the S2 side of thresholdCheckS1.
-func thresholdCheckS2(ctx context.Context, rng io.Reader, cfg Config, key comparerS2,
-	sess *muxSession, threshSeq []*big.Int, pStar int) (bool, error) {
-	positions := checkPositions(cfg, pStar)
-	jobs := thresholdJobs(positions, threshSeq)
-	var geqs []bool
-	var err error
-	if cfg.tournament() {
-		geqs, err = key.CompareSignedBatchB(ctx, rng, sess.seq, jobDiffs(jobs), sess.batchPar())
-		cmpJobsTotal.Add(int64(len(jobs)))
-	} else {
-		geqs, err = sess.runComparisons(ctx, StepThreshold, jobs,
-			func(ctx context.Context, conn transport.Conn, d *big.Int) (bool, error) {
-				return key.CompareSignedB(ctx, rng, conn, d)
-			})
+		geqs, err = cmp.each(ctx, jobs)
 	}
 	if err != nil {
 		return false, err

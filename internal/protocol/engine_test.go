@@ -11,12 +11,16 @@ import (
 )
 
 // runInstance executes one full Alg. 5 run over an in-memory transport and
-// returns both servers' outcomes.
+// returns both servers' outcomes. meter (may be nil) sees S1's side.
 func runInstance(t *testing.T, cfg Config, keys *Keys, subs []*Submission, meter *transport.Meter) (*Outcome, *Outcome) {
 	t.Helper()
-	connA, connB := transport.Pair()
-	c1 := transport.Metered(connA, meter, StepSecureSum1)
-	c2 := transport.Metered(connB, meter, StepSecureSum1)
+	c1, c2 := transport.Pair()
+	return runInstanceOn(t, cfg, keys, subs, meter, c1, c2)
+}
+
+// runInstanceOn is runInstance over caller-supplied (possibly wrapped) conns.
+func runInstanceOn(t *testing.T, cfg Config, keys *Keys, subs []*Submission, meter *transport.Meter, c1, c2 transport.Conn) (*Outcome, *Outcome) {
+	t.Helper()
 	defer c1.Close()
 	defer c2.Close()
 
@@ -344,32 +348,6 @@ func TestFullProtocolSinglePositionThreshold(t *testing.T) {
 	if float64(thr.BytesSent) > 1.5*perComparison {
 		t.Errorf("single-position threshold used %d bytes, expected ~%0.f (one comparison)",
 			thr.BytesSent, perComparison)
-	}
-}
-
-// The pooled-DGK engine must produce the same decisions as the plain one.
-func TestFullProtocolWithDGKPool(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Sigma1, cfg.Sigma2 = 0, 0
-	cfg.ThresholdFrac = 0.5
-	cfg.UseDGKPool = true
-	keys, err := GenerateKeys(testRNG(110), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	votes := [][]*big.Int{
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 2),
-	}
-	subs, _ := buildAll(t, cfg, keys, votes, 111)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree with pool: %+v vs %+v", out1, out2)
-	}
-	if !out1.Consensus || out1.Label != 1 {
-		t.Fatalf("pooled outcome %+v, want consensus on 1", out1)
 	}
 }
 

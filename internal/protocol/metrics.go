@@ -4,13 +4,8 @@ import "github.com/privconsensus/privconsensus/internal/obs"
 
 // Protocol-level metrics on the obs default registry.
 var (
-	cmpWorkersHist = obs.Default.Histogram("protocol_comparison_workers",
-		"Worker-pool size used for each concurrent comparison phase.",
-		obs.DepthBuckets())
 	cmpJobsTotal = obs.Default.Counter("protocol_comparison_jobs_total",
 		"DGK comparison jobs executed across all phases.")
-	cmpInflight = obs.Default.Gauge("protocol_comparisons_inflight",
-		"Comparisons currently executing on mux streams.")
 	cmpTournament = obs.Default.Counter("privconsensus_comparisons_total",
 		"Secure comparisons executed, labelled by argmax strategy.",
 		obs.L("strategy", StrategyTournament))

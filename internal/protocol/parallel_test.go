@@ -1,8 +1,11 @@
 package protocol
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,61 +119,29 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMuxSessionSequentialPassThrough(t *testing.T) {
-	cfg := testConfig(3)
-	cfg.Parallelism = 1
-	connA, connB := transport.Pair()
-	defer connA.Close()
-	defer connB.Close()
-	sess := newMuxSession(cfg, connA, nil)
-	if sess.mux != nil {
-		t.Error("Parallelism=1 must not multiplex")
-	}
-	if sess.seq != connA {
-		t.Error("Parallelism=1 must hand back the raw conn")
-	}
-
-	cfg.Parallelism = 4
-	sess = newMuxSession(cfg, connA, nil)
-	if sess.mux == nil {
-		t.Fatal("Parallelism=4 must multiplex")
-	}
-	if ms, ok := sess.seq.(*transport.MuxStream); !ok || ms.ID() != 0 {
-		t.Error("sequential steps must ride stream 0")
-	}
-	if sess.next != 1 {
-		t.Errorf("first reserved stream = %d, want 1", sess.next)
-	}
+// shapeConn records the shape of every frame crossing one end of a link:
+// direction, kind, flag count and value count.
+type shapeConn struct {
+	transport.Conn
+	shapes []string
 }
 
-func TestComparisonBudget(t *testing.T) {
-	cfg := testConfig(5)
-	cfg.Classes = 4
-	cfg.ThresholdAllPositions = false
-	// Tournament (the default): two argmax phases of K-1 bracket
-	// comparisons each, plus a single threshold check.
-	if got, want := cfg.comparisonBudget(), 2*3+1; got != want {
-		t.Errorf("tournament budget = %d, want %d", got, want)
-	}
-	cfg.ThresholdAllPositions = true
-	if got, want := cfg.comparisonBudget(), 2*3+4; got != want {
-		t.Errorf("tournament all-positions budget = %d, want %d", got, want)
-	}
-	// All-pairs: two phases of K(K-1)/2 pairwise comparisons each, run by
-	// one instance as K(K-1) total.
-	cfg.ArgmaxStrategy = StrategyAllPairs
-	cfg.ThresholdAllPositions = false
-	if got, want := cfg.comparisonBudget(), 4*3+1; got != want {
-		t.Errorf("all-pairs budget = %d, want %d", got, want)
-	}
-	cfg.ThresholdAllPositions = true
-	if got, want := cfg.comparisonBudget(), 4*3+4; got != want {
-		t.Errorf("all-pairs all-positions budget = %d, want %d", got, want)
-	}
+func (c *shapeConn) Send(ctx context.Context, msg *transport.Message) error {
+	c.shapes = append(c.shapes, fmt.Sprintf("> %v %d %d", msg.Kind, len(msg.Flags), len(msg.Values)))
+	return c.Conn.Send(ctx, msg)
 }
 
-// The full protocol must reach identical outcomes at any parallelism: the
-// same comparisons run, only their interleaving changes.
+func (c *shapeConn) Recv(ctx context.Context) (*transport.Message, error) {
+	msg, err := c.Conn.Recv(ctx)
+	if err == nil {
+		c.shapes = append(c.shapes, fmt.Sprintf("< %v %d %d", msg.Kind, len(msg.Flags), len(msg.Values)))
+	}
+	return msg, err
+}
+
+// Parallelism is a worker bound, not a wire mode: at 1 and at 4 workers the
+// full protocol reaches identical outcomes and exchanges frames of identical
+// shape in identical order.
 func TestFullProtocolParallelMatchesSequential(t *testing.T) {
 	cfg := testConfig(6)
 	keys, err := GenerateKeys(testRNG(12), cfg)
@@ -187,12 +158,16 @@ func TestFullProtocolParallelMatchesSequential(t *testing.T) {
 	}
 
 	outcomes := make(map[int][2]*Outcome)
+	shapes := make(map[int][]string)
 	for _, par := range []int{1, 4} {
 		pcfg := cfg
 		pcfg.Parallelism = par
 		subs, _ := buildAll(t, pcfg, keys, votes, 77)
-		out1, out2 := runInstance(t, pcfg, keys, subs, nil)
+		c1, c2 := transport.Pair()
+		rec := &shapeConn{Conn: c1}
+		out1, out2 := runInstanceOn(t, pcfg, keys, subs, nil, rec, c2)
 		outcomes[par] = [2]*Outcome{out1, out2}
+		shapes[par] = rec.shapes
 	}
 	seq, con := outcomes[1], outcomes[4]
 	for side := 0; side < 2; side++ {
@@ -203,6 +178,9 @@ func TestFullProtocolParallelMatchesSequential(t *testing.T) {
 	}
 	if !seq[0].Consensus || seq[0].Label != 3 {
 		t.Errorf("expected consensus on label 3, got (%v, %d)", seq[0].Consensus, seq[0].Label)
+	}
+	if len(shapes[1]) == 0 || !slices.Equal(shapes[1], shapes[4]) {
+		t.Errorf("frame shapes differ between 1 and 4 workers:\n%v\n%v", shapes[1], shapes[4])
 	}
 }
 

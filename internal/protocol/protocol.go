@@ -50,10 +50,10 @@ const (
 	// single-elimination bracket: C-1 comparisons in ceil(log2(C)) levels,
 	// each level's comparisons batched into one frame per round trip.
 	StrategyTournament = "tournament"
-	// StrategyAllPairs runs the original all-pairs Eq. 7 schedule —
-	// C(C-1)/2 comparisons, one wire exchange each — preserving the
-	// pre-tournament wire format byte for byte. It serves as the parity
-	// oracle for the tournament path.
+	// StrategyAllPairs runs the paper's all-pairs Eq. 7 schedule —
+	// C(C-1)/2 comparisons, one wire exchange each, in order. It is the
+	// reference Tables I-II were measured with and the tournament parity
+	// tests compare against; the deploy layer refuses it.
 	StrategyAllPairs = "allpairs"
 )
 
@@ -101,21 +101,12 @@ type Config struct {
 	// traffic ratios of the paper's Table II and avoids revealing
 	// timing-wise which position was checked.
 	ThresholdAllPositions bool
-	// UseDGKPool lets S2 draw its DGK bit-encryption blinding factors
-	// from a concurrently pre-generated pool (the paper's randomness
-	// table optimization, §VI-A, applied to the dominant comparison
-	// cost). The pool uses crypto/rand; protocol decisions are
-	// unaffected.
-	UseDGKPool bool
-	// DGKPoolCapacity sizes the pool (0 sizes it from the number of
-	// comparisons one instance performs: comparisonBudget() * DGK.L).
-	DGKPoolCapacity int
 	// ArgmaxStrategy selects the secure-comparison schedule:
-	// StrategyTournament (the default when empty) or StrategyAllPairs.
-	// Both servers must configure the same strategy — the wire formats
-	// differ — and the deploy layer's capability hello enforces this.
-	// The released label is identical under either strategy, including
-	// on ties: both resolve them to the lowest permuted position.
+	// StrategyTournament (the default when empty) or the StrategyAllPairs
+	// reference, for tests and the experiments CLI. The wire formats differ,
+	// so both parties of a run must use the same one; the deploy layer runs
+	// only the tournament. The released label is identical under either,
+	// including on ties: both resolve them to the lowest permuted position.
 	ArgmaxStrategy string
 	// Packing slot-packs the submission sequences that share a
 	// Blind-and-Permute invocation into one slot stream — Votes‖Thresh
@@ -125,19 +116,19 @@ type Config struct {
 	// ciphertexts per half instead of 3K and relays and servers
 	// aggregate packed. Aggregation then ends with one blinded
 	// interactive unpack round per secure-sum phase. Both
-	// servers must agree (the capability hello enforces it); off, the
+	// servers must agree (the peer hello enforces it); off, the
 	// wire format is byte-for-byte identical to unpacked deployments.
 	// Requires PaillierBits large enough for at least one slot per
 	// plaintext — Validate rejects infeasible combinations (the paper's
 	// 64-bit toy keys cannot pack).
 	Packing bool
-	// Parallelism bounds the number of concurrent DGK comparisons and
-	// CPU-bound crypto workers (homomorphic aggregation, Paillier
-	// re-randomization). 0 selects runtime.NumCPU(). The value 1
-	// reproduces the original single-stream sequential protocol byte for
-	// byte; any other value (including 0) multiplexes the peer link, so
-	// both servers must agree on whether Parallelism is 1. Comparison
-	// outcomes and the released label are identical at every setting.
+	// Parallelism bounds the CPU-bound crypto workers (homomorphic
+	// aggregation, Paillier re-randomization and decryption, the per-item
+	// compute of a batched comparison exchange). 0 selects
+	// runtime.NumCPU(); 1 runs everything inline, so rng draws happen in a
+	// deterministic order. It never changes a frame: the transcript, the
+	// comparison outcomes and the released label are identical at every
+	// setting, and the two servers need not agree on it.
 	Parallelism int
 }
 
@@ -233,28 +224,6 @@ func (c Config) parallelism() int {
 		return 1
 	}
 	return c.Parallelism
-}
-
-// muxEnabled reports whether the peer link is multiplexed. It depends only
-// on the configured value — never on the local core count — so both
-// servers always make the same choice.
-func (c Config) muxEnabled() bool { return c.Parallelism != 1 }
-
-// comparisonBudget counts the DGK comparisons one Alg. 5 instance performs
-// under the configured argmax strategy: two argmax phases — K-1 comparisons
-// each for the tournament bracket, K(K-1)/2 each for all-pairs — plus the
-// threshold checks (all K positions, or just one). Sizing pools from this
-// keeps the default tournament deployment from over-provisioning 10x for a
-// schedule it never runs.
-func (c Config) comparisonBudget() int {
-	n := 2 * (c.Classes - 1)
-	if !c.tournament() {
-		n = c.Classes * (c.Classes - 1)
-	}
-	if c.ThresholdAllPositions {
-		return n + c.Classes
-	}
-	return n + 1
 }
 
 // valueBound returns an upper bound on |v| for any value v entering a DGK

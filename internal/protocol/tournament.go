@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-
-	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
 // Tournament argmax: a blinded single-elimination bracket over the permuted
@@ -47,18 +45,12 @@ func tournamentLevelPairs(survivors []int) [][2]int {
 	return pairs
 }
 
-// batchCompare runs one level's comparison inputs through a batched DGK
-// exchange and returns the per-pair >= bits in input order. Implementations
-// bind the party side (A or B) and its rng/key material.
-type batchCompare func(ctx context.Context, conn transport.Conn, diffs []*big.Int) ([]bool, error)
-
 // tournamentArgmax runs the bracket and returns the winning permuted
 // position. Both servers call it with identical cfg and survivor evolution;
 // the per-pair >= bits are the protocol's shared outcome, so both fold to
-// the same champion. negate flips the difference direction for the DGK "B"
-// party, as in argmaxJobs.
-func tournamentArgmax(ctx context.Context, cfg Config, sess *muxSession, seq []*big.Int,
-	negate bool, compare batchCompare) (int, error) {
+// the same champion. The DGK "B" party flips the difference direction, as in
+// argmaxJobs.
+func tournamentArgmax(ctx context.Context, cfg Config, cmp comparer, seq []*big.Int) (int, error) {
 	if len(seq) != cfg.Classes {
 		return -1, fmt.Errorf("protocol: tournament over %d values, want %d", len(seq), cfg.Classes)
 	}
@@ -71,14 +63,14 @@ func tournamentArgmax(ctx context.Context, cfg Config, sess *muxSession, seq []*
 		diffs := make([]*big.Int, len(pairs))
 		for i, pq := range pairs {
 			d := new(big.Int)
-			if negate {
+			if cmp.negate {
 				d.Sub(seq[pq[1]], seq[pq[0]])
 			} else {
 				d.Sub(seq[pq[0]], seq[pq[1]])
 			}
 			diffs[i] = d
 		}
-		geqs, err := compare(ctx, sess.seq, diffs)
+		geqs, err := cmp.batch(ctx, diffs)
 		if err != nil {
 			return -1, fmt.Errorf("tournament level of %d: %w", len(survivors), err)
 		}

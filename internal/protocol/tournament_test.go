@@ -6,8 +6,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-
-	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
 func TestTournamentRounds(t *testing.T) {
@@ -28,17 +26,16 @@ func localTournament(t *testing.T, cfg Config, values []int64) (winner, comparis
 	for i, v := range values {
 		seq[i] = big.NewInt(v)
 	}
-	sess := &muxSession{par: 1}
-	w, err := tournamentArgmax(context.Background(), cfg, sess, seq, false,
-		func(_ context.Context, _ transport.Conn, diffs []*big.Int) ([]bool, error) {
-			rounds++
-			comparisons += len(diffs)
-			out := make([]bool, len(diffs))
-			for i, d := range diffs {
-				out[i] = d.Sign() >= 0
-			}
-			return out, nil
-		})
+	local := comparer{batch: func(_ context.Context, diffs []*big.Int) ([]bool, error) {
+		rounds++
+		comparisons += len(diffs)
+		out := make([]bool, len(diffs))
+		for i, d := range diffs {
+			out[i] = d.Sign() >= 0
+		}
+		return out, nil
+	}}
+	w, err := tournamentArgmax(context.Background(), cfg, local, seq)
 	if err != nil {
 		t.Fatalf("tournamentArgmax: %v", err)
 	}
@@ -196,121 +193,6 @@ func TestFullProtocolTiedVotesBothStrategies(t *testing.T) {
 			t.Fatalf("%s: tied outcome %+v, want consensus on class 1 or 2", strategy, out1)
 		}
 	}
-}
-
-// The tournament path with the material pool enabled must reach the same
-// decisions.
-func TestFullProtocolTournamentWithMaterialPool(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Sigma1, cfg.Sigma2 = 0, 0
-	cfg.ThresholdFrac = 0.5
-	cfg.UseDGKPool = true
-	keys, err := GenerateKeys(testRNG(530), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	votes := [][]*big.Int{
-		oneHotVotes(cfg.Classes, 2),
-		oneHotVotes(cfg.Classes, 2),
-		oneHotVotes(cfg.Classes, 2),
-		oneHotVotes(cfg.Classes, 0),
-	}
-	subs, _ := buildAll(t, cfg, keys, votes, 531)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 || !out1.Consensus || out1.Label != 2 {
-		t.Fatalf("material-pool outcome %+v/%+v, want consensus on 2", out1, out2)
-	}
-}
-
-// Long-lived pools must survive multiple instances (the deploy layer's
-// usage pattern: one S2Pools per server process).
-func TestRunS2WithPoolsReuse(t *testing.T) {
-	cfg := testConfig(3)
-	cfg.Sigma1, cfg.Sigma2 = 0, 0
-	cfg.ThresholdFrac = 0.5
-	cfg.UseDGKPool = true
-	keys, err := GenerateKeys(testRNG(540), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pools, err := NewS2Pools(cfg, keys.ForS2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pools == nil {
-		t.Fatal("UseDGKPool must build pools")
-	}
-	defer pools.Close()
-
-	votes := [][]*big.Int{
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 0),
-	}
-	for instance := 0; instance < 2; instance++ {
-		subs, _ := buildAll(t, cfg, keys, votes, int64(541+instance))
-		connA, connB := transport.Pair()
-		s1Subs := make([]SubmissionHalf, len(subs))
-		s2Subs := make([]SubmissionHalf, len(subs))
-		for i, s := range subs {
-			s1Subs[i] = s.ToS1
-			s2Subs[i] = s.ToS2
-		}
-		ctx := context.Background()
-		type result struct {
-			out *Outcome
-			err error
-		}
-		ch := make(chan result, 1)
-		go func() {
-			out, err := RunS1(ctx, testRNG(550), cfg, keys.ForS1(), connA, s1Subs, nil)
-			ch <- result{out, err}
-		}()
-		out2, err := RunS2WithPools(ctx, testRNG(551), cfg, keys.ForS2(), connB, s2Subs, nil, pools)
-		if err != nil {
-			t.Fatalf("instance %d: RunS2WithPools: %v", instance, err)
-		}
-		r1 := <-ch
-		connA.Close()
-		connB.Close()
-		if r1.err != nil {
-			t.Fatalf("instance %d: RunS1: %v", instance, r1.err)
-		}
-		if *r1.out != *out2 || !out2.Consensus || out2.Label != 1 {
-			t.Fatalf("instance %d: outcome %+v/%+v, want consensus on 1", instance, r1.out, out2)
-		}
-	}
-}
-
-// NewS2Pools must be a no-op without UseDGKPool and build the right pool
-// kind per strategy.
-func TestNewS2PoolsStrategySelection(t *testing.T) {
-	cfg := testConfig(3)
-	keys, err := GenerateKeys(testRNG(560), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err := NewS2Pools(cfg, keys.ForS2()); err != nil || p != nil {
-		t.Fatalf("pools without UseDGKPool = (%v, %v), want (nil, nil)", p, err)
-	}
-	cfg.UseDGKPool = true
-	p, err := NewS2Pools(cfg, keys.ForS2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.material == nil || p.nonces != nil {
-		t.Error("tournament strategy must build a material pool, not a nonce pool")
-	}
-	p.Close()
-	cfg.ArgmaxStrategy = StrategyAllPairs
-	p, err = NewS2Pools(cfg, keys.ForS2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.nonces == nil || p.material != nil {
-		t.Error("all-pairs strategy must build a nonce pool, not a material pool")
-	}
-	p.Close()
 }
 
 func TestConfigValidateArgmaxStrategy(t *testing.T) {

@@ -17,8 +17,8 @@ import (
 //	                      nvalues_1, nflags_1, flags_1..., ...]
 //	               Values=values_0 ++ values_1 ++ ...
 //
-// Batch frames nest inside mux frames (a MuxStream Send/Recv of a KindBatch
-// message works unchanged) but never inside each other, mirroring KindMux.
+// Batch frames never nest inside each other, and never carry the reserved
+// KindMux.
 
 // WrapBatch packs items — all of the same kind — into one batch frame.
 func WrapBatch(items []*Message) (*Message, error) {

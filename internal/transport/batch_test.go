@@ -166,29 +166,3 @@ func TestExpectBatch(t *testing.T) {
 		t.Fatalf("kind mismatch error = %v, want fatal", err)
 	}
 }
-
-func TestBatchInsideMux(t *testing.T) {
-	// Batch frames must ride mux streams unchanged.
-	frame, err := WrapBatch([]*Message{{Kind: KindBits, Values: []*big.Int{big.NewInt(42)}}})
-	if err != nil {
-		t.Fatalf("WrapBatch: %v", err)
-	}
-	wrapped, err := WrapMux(3, frame)
-	if err != nil {
-		t.Fatalf("WrapMux: %v", err)
-	}
-	stream, inner, err := UnwrapMux(wrapped)
-	if err != nil {
-		t.Fatalf("UnwrapMux: %v", err)
-	}
-	if stream != 3 {
-		t.Fatalf("stream = %d, want 3", stream)
-	}
-	items, err := OpenBatch(inner)
-	if err != nil {
-		t.Fatalf("OpenBatch after mux round trip: %v", err)
-	}
-	if len(items) != 1 || items[0].Values[0].Int64() != 42 {
-		t.Fatalf("items = %+v", items)
-	}
-}

@@ -13,7 +13,7 @@ func FuzzReadMessage(f *testing.F) {
 		{Kind: KindControl},
 		msgOf(KindShares, []int64{1, -2}, 3, -4, 0),
 		msgOf(KindBits, nil, 1, 0, 1, 1),
-		mustWrapMux(f, 3, msgOf(KindResult, []int64{1})),
+		msgOf(KindMux, []int64{3, int64(KindResult), 1}), // reserved kind: decodes, every receiver refuses it
 	}
 	for _, m := range seed {
 		var buf bytes.Buffer
@@ -38,54 +38,6 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		if !sameMessage(msg, back) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", msg, back)
-		}
-	})
-}
-
-// mustWrapMux wraps a message for fuzz seeding.
-func mustWrapMux(f *testing.F, stream int64, msg *Message) *Message {
-	f.Helper()
-	wrapped, err := WrapMux(stream, msg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return wrapped
-}
-
-// FuzzMuxUnwrap checks the stream-ID framing: any decodable mux frame must
-// either be rejected or unwrap into an inner message that re-wraps to an
-// identical frame.
-func FuzzMuxUnwrap(f *testing.F) {
-	seeds := []*Message{
-		mustWrapMux(f, 0, msgOf(KindControl, nil)),
-		mustWrapMux(f, 1, msgOf(KindBits, []int64{5}, 1, 0, 1)),
-		mustWrapMux(f, 1<<40, msgOf(KindCipherSeq, []int64{2, -7}, 123456789)),
-		msgOf(KindMux, []int64{0, int64(KindMux)}),   // nested: must reject
-		msgOf(KindMux, []int64{-4, int64(KindBits)}), // negative stream
-		msgOf(KindMux, []int64{9}),                   // short flags
-	}
-	for _, m := range seeds {
-		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := ReadMessage(bytes.NewReader(data))
-		if err != nil || msg.Kind != KindMux {
-			return
-		}
-		stream, inner, err := UnwrapMux(msg)
-		if err != nil {
-			return // rejecting malformed mux flags is fine
-		}
-		back, err := WrapMux(stream, inner)
-		if err != nil {
-			t.Fatalf("re-wrap of unwrapped frame failed: %v", err)
-		}
-		if !sameMessage(msg, back) {
-			t.Fatalf("wrap/unwrap round trip mismatch: %+v vs %+v", msg, back)
 		}
 	})
 }

@@ -28,9 +28,7 @@ type StepStats struct {
 	MsgsSent      int64
 	MsgsReceived  int64
 	// Rounds counts completed send-then-receive volleys: a receive that
-	// follows at least one send closes a round. Under concurrent mux
-	// streams sharing a step label this is an approximation of the
-	// lock-step round count.
+	// follows at least one send closes a round.
 	Rounds  int64
 	Elapsed time.Duration
 

@@ -18,10 +18,6 @@ var (
 	wireMsgsReceived = obs.Default.Counter("transport_wire_msgs_total",
 		"Total messages on TCP transports.", obs.L("dir", "received"))
 
-	muxBacklog = obs.Default.Histogram("transport_mux_backlog_frames",
-		"Frames queued on a mux stream when the pump routed one to it.",
-		obs.DepthBuckets())
-
 	dialRetries = obs.Default.Counter("retries_total",
 		"Retry attempts, by role and scope.",
 		obs.L("role", "transport"), obs.L("scope", "dial"))

@@ -36,13 +36,14 @@ const (
 	KindBits
 	KindResult
 	KindControl
-	// KindMux wraps another message with a stream ID for multiplexed
-	// links (see mux.go). Mux frames never nest.
+	// KindMux is reserved: it tagged the stream-multiplexing envelope the
+	// batched comparison frames made redundant. Nothing sends it and every
+	// receiver refuses it; the number stays taken so KindBatch and
+	// KindPacked keep theirs (relay frames, fuzz corpora).
 	KindMux
 	// KindBatch aggregates several same-kind messages into one frame so a
 	// single round trip carries a whole phase of sub-protocol exchanges
-	// (see batch.go). Batch frames may ride inside mux frames but never
-	// nest in each other.
+	// (see batch.go). Batch frames never nest in each other.
 	KindBatch
 	// KindPacked carries slot-packed submission material on the ingestion
 	// path (see internal/ingest): the same shapes as KindShares frames
