@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke loadgen-smoke loadgen-smoke-packed ingest-guard ci
+.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke loadgen-smoke loadgen-smoke-packed ci
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,9 @@ soak-full:
 	$(GO) run ./cmd/trace -verify soak-journals/*.jsonl
 
 # Fuzz the attack surfaces: the transport frame decoder, the peer-link
-# handshake/session/participant frame decoders, the partial-write
+# handshake/session/participant frame decoders, the one user-connection
+# handler both modes serve clients with (arbitrary frame sequences: submit,
+# done, admission, result-wait, junk), the partial-write
 # recomposition, the fault-spec parser, the fixed-base
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
 # CRT Paillier encryption (differential against the public path), the four
@@ -63,6 +65,7 @@ soak-full:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
+	$(GO) test -run '^$$' -fuzz '^FuzzUserFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecompose$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
@@ -112,29 +115,23 @@ obs-smoke:
 	./scripts/obs_smoke.sh
 
 # Ingestion load harness smoke: 1k simulated users through a two-level
-# relay tree on loopback plus a tree-vs-direct full-protocol parity run,
-# refreshing the machine-readable record in results/BENCH_ingest.json. The
-# compare arm re-measures the same shape with slot packing on, so the
-# committed record carries the packed-vs-unpacked before/after numbers.
+# relay tree on loopback plus a tree-vs-direct full-protocol parity run (the
+# one thing bench/ does not cover; the process exits non-zero on a parity
+# mismatch). The compare arm re-measures the same shape with slot packing
+# on. Nothing is written: the measured record of this repository is the
+# end-to-end benchmark above (packed size win: client.upload_bytes_per_user).
 # Scale it up by hand with e.g. `go run ./cmd/loadgen -large 100000`.
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -users 1000 -relays 2 -batch 64 -workers 8 \
-		-parity-users 20 -packed-compare -out results/BENCH_ingest.json
+		-parity-users 20 -packed-compare
 
 # The ingest lane with packing on as the primary mode: packed frames
 # through the relay tree and sinks, plus the packed tree-vs-direct parity
-# run (the process exits non-zero on a parity mismatch). The record is not
-# committed — the packed before/after numbers live in BENCH_ingest.json.
+# run.
 loadgen-smoke-packed:
 	$(GO) run ./cmd/loadgen -users 1000 -relays 2 -batch 64 -workers 8 \
 		-parity-users 20 -packed
 
-# Regenerate the ingestion record, then fail if throughput or ack p99
-# regressed more than 25% against the committed baseline (skips gracefully
-# when the records were measured on different machine shapes).
-ingest-guard: loadgen-smoke
-	./scripts/ingest_guard.sh
-
 ci: build vet fmt-check race bench
 	$(MAKE) bench-e2e SECONDS=3 BENCH_ARGS=-smoke
-	$(MAKE) obs-smoke ingest-guard
+	$(MAKE) obs-smoke loadgen-smoke

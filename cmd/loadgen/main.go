@@ -2,8 +2,11 @@
 // user populations (10⁵–10⁶) submitting through a relay tree — or directly
 // to the servers — against real ingestion sinks (deploy.RunIngest: the
 // servers' accept/validate/collect path with the protocol run stopped at
-// the quorum release), and records ingestion throughput, per-user ack
-// percentiles and the quorum wait as results/BENCH_ingest.json.
+// the quorum release), and reports ingestion throughput, per-user ack
+// percentiles and the quorum wait (-out writes them as a JSON record). The
+// repository's measured record is the end-to-end benchmark under bench/;
+// this harness is kept for its tree-vs-direct parity run and for by-hand
+// scale probes.
 //
 // The simulated users share one cryptographically well-formed submission
 // (re-tagged per user), so the harness measures the ingestion tier —
@@ -68,10 +71,6 @@ type options struct {
 	large       int
 	packed      bool
 	packedCmp   bool
-
-	serveRate     float64
-	serveQueries  int
-	serveInflight int
 }
 
 func run(args []string) error {
@@ -94,17 +93,8 @@ func run(args []string) error {
 	fs.IntVar(&o.large, "large", 0, "also measure at this population (e.g. 100000) into the large_* fields")
 	fs.BoolVar(&o.packed, "packed", false, "slot-packed submissions for the measured run (and the parity run)")
 	fs.BoolVar(&o.packedCmp, "packed-compare", false, "re-measure the same shape with packing on and record the packed_* comparison fields (requires -packed=false)")
-	fs.Float64Var(&o.serveRate, "serve-rate", 0, "benchmark serve-mode admission instead of ingestion: open-loop query arrivals at this rate (queries/sec)")
-	fs.IntVar(&o.serveQueries, "serve-queries", 100, "total queries for the -serve-rate run")
-	fs.IntVar(&o.serveInflight, "serve-inflight", 4, "serve-mode admission window (in-flight query cap) for the -serve-rate run")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if o.serveRate > 0 {
-		if o.serveQueries < 2 || o.workers < 1 {
-			return fmt.Errorf("-serve-queries must be >= 2 and -workers positive")
-		}
-		return runServeRate(context.Background(), o)
 	}
 	if o.mode != "tree" && o.mode != "direct" {
 		return fmt.Errorf("unknown -mode %q", o.mode)

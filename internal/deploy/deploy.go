@@ -1,15 +1,36 @@
 // Package deploy implements the multi-process deployment of the private
 // consensus protocol: standalone S1 and S2 servers that accept user
-// submissions and each other's protocol traffic over TCP, and the user
-// client that builds and delivers encrypted submissions.
+// submissions and each other's protocol traffic over TCP, and the client
+// that builds and delivers encrypted submissions. There is one query path.
+// Batch runs (RunS1Report/RunS2Report + SubmitVotes) and continuous
+// operation (ServeS1/ServeS2 + ServeClient) are two front ends of the same
+// code; serve adds admission, the ε-ledger, key epochs and the ctl link on
+// top, and forks none of what is below.
+//
+//   - messages: deploy.go (hello), session.go (begin/end, upload done/ack),
+//     partial.go (participant exchange), trace.go (trace context),
+//     serve_wire.go (admission, result, ctl).
+//   - S1 leader: leader.go — per query: claim the link, begin frame, agree
+//     participants, Alg. 5, keep or discard the link. Batch runs it for
+//     instances 0..N-1 of the grid, serve for each released query.
+//   - S2 follower: follower.go — reconnect within the budget, read a session
+//     frame, hand begin frames to the caller's handler, which resolves the
+//     query and runs S2's side of the attempt.
+//   - accept and ingest: accept.go — one accept loop over the caller's routes
+//     (peer, relay, user) and one user-connection handler: submit frames
+//     into a collector the caller's lookup names, done/ack, ack before
+//     release. ingest_server.go holds relay batches and RunIngest.
+//   - client: client.go — build, dial/hello/attempt/backoff, frames → done →
+//     ack; SubmitVotes (user.go) and ServeClient (serve_client.go) call it.
 //
 // Wire protocol. Every connection opens with a hello frame naming the
-// party. Users then send one frame per query instance carrying their
-// submission half and end the upload with a done/ack exchange, so replays
-// after a reconnect stay idempotent; the peer link runs the one S1↔S2
-// grammar of docs/PROTOCOL.md (hello with the wire version, trace context,
-// then per instance a begin frame, the participant exchange and the Alg. 5
-// messages, closed by an end frame).
+// party. Users then send one frame per query carrying their submission half
+// and end the upload with a done/ack exchange, so replays after a reconnect
+// stay idempotent; the peer link runs the one S1↔S2 grammar of
+// docs/PROTOCOL.md (hello with the wire version, trace context, then per
+// query a begin frame, the participant exchange and the Alg. 5 messages,
+// closed by an end frame). The frame's instance slot carries the batch
+// instance index or the serve query ID.
 //
 //	hello  := Message{Kind: KindControl, Flags: [party]}            user
 //	          Message{Kind: KindControl, Flags: [party, caps]}      user, relay
@@ -45,18 +66,6 @@ const (
 	partyPeer  int64 = ingest.PartyPeer
 	partyRelay int64 = ingest.PartyRelay
 )
-
-// EncodeHalf packs one user's submission half for one instance into a wire
-// message. The canonical codec lives in the ingest package (relays speak the
-// same frame); this wrapper keeps the deploy API stable.
-func EncodeHalf(user, instance int, h protocol.SubmissionHalf) (*transport.Message, error) {
-	return ingest.EncodeHalf(user, instance, h)
-}
-
-// DecodeHalf unpacks a wire submission frame.
-func DecodeHalf(msg *transport.Message) (user, instance int, half protocol.SubmissionHalf, err error) {
-	return ingest.DecodeHalf(msg)
-}
 
 // wireVersion names the one S1↔S2 grammar this build speaks. S2 sends it in
 // its hello and S1 refuses any other value before a single protocol frame.
@@ -119,8 +128,8 @@ type collector struct {
 	// the joint Votes‖Thresh group, no Thresh, and the Noisy group.
 	want [3]int
 	// packed, when non-nil, marks the grid as slot-packed: frames must
-	// declare exactly this layout (checked by the serving loops before
-	// add/addBatch).
+	// declare exactly this layout (checked by decodeSubmit and
+	// packedBatchCheck before add/addBatch).
 	packed *ingest.PackedParams
 	// packedClasses is the logical class count K packed frames must
 	// declare (0 on an unpacked grid).
@@ -137,8 +146,8 @@ type collector struct {
 	// batchSeen keys relay-batch replay dedup by (relay, seq) identity.
 	batchSeen map[batchKey][32]byte
 	remaining int
-	// owed counts submissions recorded by a batch-mode connection whose
-	// uploader has not been answered yet (a user's upload ack, a relay's
+	// owed counts submissions recorded by a connection whose uploader has
+	// not been answered yet (a user's upload ack, a relay's
 	// batch ack). A full grid releases only once nothing is owed, so the
 	// release — after which the run may stop serving — never cancels an
 	// exchange still in flight; see owe.
@@ -304,7 +313,7 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 	return nil
 }
 
-// signalFullLocked wakes waitQuorum once every cell is filled and every
+// signalFullLocked wakes wait once every cell is filled and every
 // uploader answered. Caller holds c.mu.
 func (c *collector) signalFullLocked() {
 	if c.remaining <= 0 && c.owed == 0 {
@@ -346,16 +355,16 @@ func halfEqual(a, b protocol.SubmissionHalf) bool {
 	return true
 }
 
-// waitQuorum blocks until full participation or the submit window elapses
-// (window <= 0: no deadline, only the full grid releases), whichever comes
-// first, then freezes the grid: later submissions are rejected as late, so
-// both servers' participant sets stay stable across instance retries. The
-// wait duration feeds the quorum-wait histogram.
-func (c *collector) waitQuorum(ctx context.Context, window time.Duration, role string) error {
-	start := time.Now()
+// wait blocks until full participation, until window has elapsed since the
+// grid opened at since (window <= 0: no deadline, only the full grid
+// releases) or until ctx ends, then freezes the grid: later submissions are
+// rejected as late, so both servers' participant sets stay stable across
+// retries. The first release feeds the quorum-wait histogram with the time
+// the grid was open; waiting on a released grid again returns at once.
+func (c *collector) wait(ctx context.Context, since time.Time, window time.Duration, role string) error {
 	var deadline <-chan time.Time
 	if window > 0 {
-		timer := time.NewTimer(window)
+		timer := time.NewTimer(time.Until(since.Add(window)))
 		defer timer.Stop()
 		deadline = timer.C
 	}
@@ -369,20 +378,13 @@ func (c *collector) waitQuorum(ctx context.Context, window time.Duration, role s
 		return fmt.Errorf("deploy: timed out with %d submissions missing: %w", missing, ctx.Err())
 	}
 	c.mu.Lock()
+	first := !c.released
 	c.released = true
 	c.mu.Unlock()
-	obs.QuorumWaitSeconds(role).Observe(time.Since(start).Seconds())
+	if first {
+		obs.QuorumWaitSeconds(role).Observe(time.Since(since).Seconds())
+	}
 	return nil
-}
-
-// release freezes the grid immediately: serve mode's per-query watcher
-// decides the release moment (grid full or submit window elapsed), after
-// which late frames are rejected and the participant bitmap is stable
-// across protocol retries.
-func (c *collector) release() {
-	c.mu.Lock()
-	c.released = true
-	c.mu.Unlock()
 }
 
 // counts reports filled and total grid cells.
@@ -447,75 +449,6 @@ var errDuplicateSubmission = errors.New("deploy: duplicate submission")
 // errRejectedSubmission marks a submission refused by server-side
 // validation (counted in privconsensus_submissions_rejected_total).
 var errRejectedSubmission = errors.New("deploy: submission rejected")
-
-// serveUserConn drains submission frames from one user connection into the
-// collector until the user closes. A user ends its upload with a done frame
-// and waits for the ack; replayed submissions (after a reconnect) are
-// deduplicated against the collector.
-func serveUserConn(ctx context.Context, conn transport.Conn, col *collector) error {
-	owed := 0 // submissions recorded on this connection since its last ack
-	defer func() { col.settle(owed) }()
-	for {
-		msg, err := conn.Recv(ctx)
-		if err != nil {
-			// Users close after their last frame; a closed connection
-			// is the normal end of stream.
-			return nil //nolint:nilerr // EOF-equivalent by protocol design
-		}
-		if msg.Kind == transport.KindControl && len(msg.Flags) >= 1 && msg.Flags[0] == ctrlUploadDone {
-			user := int64(-1)
-			if len(msg.Flags) >= 2 {
-				user = msg.Flags[1]
-			}
-			ack := &transport.Message{Kind: transport.KindControl, Flags: []int64{ctrlUploadAck, user}}
-			if err := conn.Send(ctx, ack); err != nil {
-				return nil //nolint:nilerr // user gone; it will retry
-			}
-			col.settle(owed)
-			owed = 0
-			continue
-		}
-		var (
-			user, instance int
-			half           protocol.SubmissionHalf
-		)
-		if p := col.packed; p != nil {
-			var classes, width int
-			user, instance, classes, width, half, err = ingest.DecodePackedHalf(msg)
-			if err != nil {
-				return err
-			}
-			// Layout mismatches are counted rejections, not connection
-			// errors: one hostile frame must not suppress later valid ones.
-			if p.Capacity(width) < 1 {
-				_ = col.reject("slot-overflow", fmt.Errorf("user %d declared slot width %d below the %d headroom bits", user, width, p.Headroom))
-				continue
-			}
-			if classes != col.packedClasses || width != p.Width {
-				_ = col.reject("bad-width", fmt.Errorf("user %d declared packed layout %dx%d, want %dx%d",
-					user, classes, width, col.packedClasses, p.Width))
-				continue
-			}
-		} else {
-			user, instance, half, err = DecodeHalf(msg)
-			if err != nil {
-				return err
-			}
-		}
-		col.owe()
-		if err := col.add(user, instance, half); err != nil {
-			col.settle(1)
-			if errors.Is(err, errDuplicateSubmission) {
-				continue // idempotent replay after a reconnect
-			}
-			if errors.Is(err, errRejectedSubmission) {
-				continue // counted and excluded; keep serving valid frames
-			}
-			return err
-		}
-		owed++
-	}
-}
 
 // newRNG derives a per-run randomness source: deterministic if seed != 0.
 func newRNG(seed int64) io.Reader {

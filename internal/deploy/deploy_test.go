@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
+	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -40,6 +41,13 @@ func testSetup(t *testing.T, users int) (*keystore.S1File, *keystore.S2File, *ke
 		t.Fatal(err)
 	}
 	return s1, s2, pub, cfg
+}
+
+// serveGrid drains one user connection into col the way a batch run does:
+// the frame's instance slot names the grid row.
+func serveGrid(ctx context.Context, conn transport.Conn, col *collector) error {
+	s := &serverSetup{col: col}
+	return s.serveUserConn(ctx, conn, ServerOptions{}, func(i int) (*collector, int) { return col, i }, nil)
 }
 
 // oneHot builds a one-hot float vote vector.
@@ -235,11 +243,11 @@ func TestEncodeDecodeHalfRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := EncodeHalf(1, 3, sub.ToS1)
+	msg, err := ingest.EncodeHalf(1, 3, sub.ToS1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	user, instance, half, err := DecodeHalf(msg)
+	user, instance, half, err := ingest.DecodeHalf(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +265,10 @@ func TestEncodeDecodeHalfRoundTrip(t *testing.T) {
 }
 
 func TestDecodeHalfRejectsMalformed(t *testing.T) {
-	if _, _, _, err := DecodeHalf(&transport.Message{Kind: transport.KindControl}); err == nil {
+	if _, _, _, err := ingest.DecodeHalf(&transport.Message{Kind: transport.KindControl}); err == nil {
 		t.Error("expected kind error")
 	}
-	if _, _, _, err := DecodeHalf(&transport.Message{
+	if _, _, _, err := ingest.DecodeHalf(&transport.Message{
 		Kind: transport.KindShares, Flags: []int64{0, 0, 5},
 	}); err == nil {
 		t.Error("expected value-count error")
@@ -268,7 +276,7 @@ func TestDecodeHalfRejectsMalformed(t *testing.T) {
 }
 
 func TestEncodeHalfValidation(t *testing.T) {
-	if _, err := EncodeHalf(0, 0, protocol.SubmissionHalf{}); err == nil {
+	if _, err := ingest.EncodeHalf(0, 0, protocol.SubmissionHalf{}); err == nil {
 		t.Error("expected error for empty half")
 	}
 }
@@ -300,14 +308,14 @@ func TestCollector(t *testing.T) {
 	// Timeout while one submission is missing.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := col.waitQuorum(shortCtx, 0, "s1"); err == nil {
+	if err := col.wait(shortCtx, time.Now(), 0, "s1"); err == nil {
 		t.Error("expected timeout with missing submissions")
 	}
 	// Complete it.
 	if err := col.add(1, 0, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.waitQuorum(context.Background(), 0, "s1"); err != nil {
+	if err := col.wait(context.Background(), time.Now(), 0, "s1"); err != nil {
 		t.Errorf("wait after completion: %v", err)
 	}
 	got, err := col.maskedGroups(0, col.bitmap(0))

@@ -6,6 +6,10 @@ import (
 	"math/big"
 	"testing"
 
+	"github.com/privconsensus/privconsensus/internal/ingest"
+	"github.com/privconsensus/privconsensus/internal/obs"
+	"github.com/privconsensus/privconsensus/internal/paillier"
+	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -94,6 +98,176 @@ func FuzzPeerFrames(f *testing.F) {
 			case err == nil && (agreed.Sign() < 0 || new(big.Int).AndNot(agreed, local).Sign() != 0):
 				t.Fatalf("%s: agreed set %b is not a subset of %b", ex.side, agreed, local)
 			}
+		}
+	})
+}
+
+// FuzzUserFrames feeds an arbitrary frame sequence through the one
+// user-connection handler — the whole untrusted client surface of both modes
+// — as S1's serve routes wire it: submit frames (packed or not, by the
+// grid's mode) looked up in a two-query table, the done/ack barrier, and the
+// admission and result-wait control hook (admission is draining, so every
+// request is answered with a typed refusal and nothing blocks). No sequence
+// may panic the handler; a malformed frame ends the connection with an
+// error or is a counted rejection; no cell is ever recorded for a query
+// outside the table or a user outside the grid — only for frames that name
+// both; a frame for an unknown query counts as unknown-query; and every
+// collector's ack debt is back to zero when the connection ends.
+func FuzzUserFrames(f *testing.F) {
+	const users, known = 2, 2 // query IDs 0 and 1 are in the table
+	grid := func(packed bool) protocol.Config {
+		cfg := protocol.DefaultConfig(users)
+		cfg.Classes, cfg.Kappa, cfg.Packing = 4, 24, packed
+		return cfg
+	}
+	half := func(cfg protocol.Config, val int64) protocol.SubmissionHalf {
+		group := func(n int) []*paillier.Ciphertext {
+			out := make([]*paillier.Ciphertext, n)
+			for i := range out {
+				out[i] = &paillier.Ciphertext{C: big.NewInt(val)}
+			}
+			return out
+		}
+		lens := cfg.HalfLens()
+		return protocol.SubmissionHalf{Votes: group(lens[0]), Thresh: group(lens[1]), Noisy: group(lens[2])}
+	}
+	ctrl := func(flags ...int64) *transport.Message {
+		return &transport.Message{Kind: transport.KindControl, Flags: flags}
+	}
+	for _, packed := range []bool{false, true} {
+		cfg := grid(packed)
+		submit := func(user, qid int, val int64) *transport.Message {
+			m, err := encodeSubmission(cfg, user, qid, half(cfg, val))
+			if err != nil {
+				f.Fatal(err)
+			}
+			return m
+		}
+		wrongWidth, err := ingest.EncodePackedHalf(0, 0, cfg.Classes, 3, half(grid(true), 5))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, seq := range [][]*transport.Message{
+			{submit(0, 0, 5), submit(1, 0, 6), ctrl(ctrlUploadDone, -1)},
+			{submit(0, 0, 5), submit(0, 0, 5), submit(0, 0, 7), ctrl(ctrlUploadDone, 0), submit(1, 1, 8)}, // replay, conflict
+			{submit(0, 7, 5), submit(5, 0, 5), submit(-1, 1, 5), ctrl(ctrlUploadDone)},                    // unknown query, users out of range
+			{ctrl(ctrlAdmitRequest, 3, 99), ctrl(ctrlResultWait, 1), ctrl(ctrlResultWait, 42), submit(1, 1, 9)},
+			{ctrl(ctrlAdmitRequest, 3)},   // short admit
+			{ctrl(ctrlResultWait)},        // short result wait
+			{ctrl()},                      // no code at all
+			{ctrl(ctrlServeAnnounce, 0)},  // a code clients do not own
+			{submit(0, 0, 5), wrongWidth}, // the other grammar, or a bad layout
+			{submit(0, 0, 5), {Kind: transport.KindBatch, Flags: []int64{1}}},
+		} {
+			var buf bytes.Buffer
+			for _, m := range seq {
+				if err := transport.WriteMessage(&buf, m); err != nil {
+					f.Fatal(err)
+				}
+			}
+			f.Add(buf.Bytes(), packed)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, packed bool) {
+		var msgs []*transport.Message
+		for r := bytes.NewReader(data); len(msgs) < 32; {
+			m, err := transport.ReadMessage(r)
+			if err != nil {
+				break
+			}
+			msgs = append(msgs, m)
+		}
+		cfg := grid(packed)
+		st := &serveState{
+			s:          &serverSetup{cfg: cfg, col: newCollector(cfg, 1, nil), trace: newTraceState()},
+			queries:    map[int]*serveQuery{},
+			grants:     map[grantKey]*serveQuery{},
+			admissions: map[string]int{},
+			draining:   true,
+		}
+		for qid := 0; qid < known; qid++ {
+			q := &serveQuery{qid: qid, col: newCollector(cfg, 1, nil), done: make(chan struct{})}
+			q.res = InstanceResult{Instance: qid, Outcome: protocol.Outcome{Label: -1}}
+			close(q.done) // result waits answer at once
+			st.queries[qid] = q
+		}
+
+		// What the sequence may legitimately record, how many frames name a
+		// query outside the table, and how many replies it earns.
+		var allowed [known]big.Int
+		unknown, replies := 0, 0
+		for _, m := range msgs {
+			if m.Kind == transport.KindControl {
+				switch {
+				case len(m.Flags) >= 1 && m.Flags[0] == ctrlUploadDone,
+					len(m.Flags) >= 3 && m.Flags[0] == ctrlAdmitRequest,
+					len(m.Flags) >= 2 && m.Flags[0] == ctrlResultWait:
+					replies++
+				}
+				continue
+			}
+			user, qid, _, err := ingest.DecodeHalf(m)
+			layoutOK := true // the layout is checked before the query is looked up
+			if packed {
+				var classes, width int
+				user, qid, classes, width, _, err = ingest.DecodePackedHalf(m)
+				layoutOK = classes == cfg.Classes && width == cfg.PackedWidth()
+			}
+			switch {
+			case err != nil || !layoutOK:
+			case qid < 0 || qid >= known:
+				unknown++
+			case user >= 0 && user < users:
+				allowed[qid].SetBit(&allowed[qid], user, 1)
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		before := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
+		user, server := transport.Pair()
+		served := make(chan error, 1)
+		go func() {
+			err := st.routes(nil).user(ctx, server)
+			server.Close() // as the accept loop does: unblocks the client side
+			served <- err
+		}()
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for got := 0; got < replies; got++ {
+				if _, err := user.Recv(ctx); err != nil {
+					return
+				}
+			}
+		}()
+		for _, m := range msgs {
+			if user.Send(ctx, m) != nil {
+				break // the handler gave up on a malformed frame
+			}
+		}
+		<-drained
+		user.Close()
+		err := <-served
+
+		for qid, q := range st.queries {
+			q.col.mu.Lock()
+			owed, covered := q.col.owed, new(big.Int).Set(q.col.covered[0])
+			q.col.mu.Unlock()
+			if owed != 0 {
+				t.Fatalf("query %d still owes %d acks after the connection ended", qid, owed)
+			}
+			if extra := new(big.Int).AndNot(covered, &allowed[qid]); extra.Sign() != 0 {
+				t.Fatalf("query %d recorded cells %b no frame named (allowed %b)", qid, covered, &allowed[qid])
+			}
+		}
+		if got, _ := st.s.col.counts(); got != 0 {
+			t.Fatalf("the layout collector recorded %d cells", got)
+		}
+		after := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
+		if err == nil && int(after-before) != unknown {
+			t.Fatalf("%d frames named a query outside the table, %d unknown-query rejections counted", unknown, int(after-before))
 		}
 	})
 }

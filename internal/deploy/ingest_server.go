@@ -144,7 +144,7 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
 	s.trace.put(0) // an S2 sink has no peer to learn a trace ID from; tracing users get 0
-	go acceptLoop(acceptCtx, s, nil, acceptErr, opts)
+	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, nil), acceptErr)
 	start := time.Now()
 	if err := collectSubmissions(ctx, s, opts, strings.ToLower(role)); err != nil {
 		select {

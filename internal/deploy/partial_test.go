@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -69,7 +70,7 @@ func TestCollectorValidation(t *testing.T) {
 	// After release, anything new is late; the stored grid stays frozen.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := col.waitQuorum(ctx, time.Millisecond, "s1"); err != nil {
+	if err := col.wait(ctx, time.Now(), time.Millisecond, "s1"); err != nil {
 		t.Fatal(err)
 	}
 	reject("late", 1, 0, testHalf(classes, 5))
@@ -145,7 +146,7 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 	}
 	upload := func(t *testing.T, user transport.Conn) {
 		t.Helper()
-		frame, err := EncodeHalf(0, 0, testHalf(classes, 7))
+		frame, err := ingest.EncodeHalf(0, 0, testHalf(classes, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		defer user.Close()
 		gated := &gatedConn{Conn: server, sending: make(chan struct{}), gate: make(chan struct{})}
 		served := make(chan error, 1)
-		go func() { served <- serveUserConn(ctx, gated, col) }()
+		go func() { served <- serveGrid(ctx, gated, col) }()
 
 		upload(t, user)
 		if err := transport.SendControl(ctx, user, ctrlUploadDone, 0); err != nil {
@@ -177,7 +178,7 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		if _, err := transport.ExpectControl(ctx, user, ctrlUploadAck); err != nil {
 			t.Fatalf("upload ack: %v", err)
 		}
-		if err := col.waitQuorum(ctx, 0, "s1"); err != nil {
+		if err := col.wait(ctx, time.Now(), 0, "s1"); err != nil {
 			t.Fatalf("collector did not release after the ack: %v", err)
 		}
 		user.Close()
@@ -192,7 +193,7 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
 		user, server := transport.Pair()
 		served := make(chan error, 1)
-		go func() { served <- serveUserConn(ctx, server, col) }()
+		go func() { served <- serveGrid(ctx, server, col) }()
 		upload(t, user)
 		user.Close()
 		if err := <-served; err != nil {

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"sync"
 	"time"
 
-	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
@@ -225,7 +223,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go st.acceptLoop(acceptCtx, ps, acceptErr)
+	go s.acceptLoop(acceptCtx, opts.ServerOptions, st.routes(ps), acceptErr)
 
 	obs.ServeEpoch("s1").Set(0)
 
@@ -260,158 +258,50 @@ func (st *serveState) hasFiniteQuota() bool {
 	return false
 }
 
-// acceptLoop routes inbound serve-mode connections: peer hellos carrying
-// capServeCtl feed the ctl link, other peer hellos the protocol source,
-// user hellos the serve admission/upload handler.
-func (st *serveState) acceptLoop(ctx context.Context, ps *peerSource, errCh chan<- error) {
-	opts := st.opts
-	for {
-		conn, err := st.s.l.Accept()
-		if err != nil {
-			select {
-			case <-ctx.Done():
+// routes serves S1's serve-mode connections: peer hellos carrying
+// capServeCtl feed the ctl link, other peer hellos the protocol source; user
+// frames go to the collector of the query their instance slot names, and
+// admission and result-wait frames to userControl. Relays are refused.
+func (st *serveState) routes(ps *peerSource) routes {
+	opts := st.opts.ServerOptions
+	return routes{
+		peer: func(ctx context.Context, conn transport.Conn, h hello) {
+			switch {
+			case !acceptPeer(ctx, st.s, ps, conn, h, true, opts):
+			case h.caps&capServeCtl != 0:
+				st.ctl.src.offer(conn)
 			default:
-				select {
-				case errCh <- fmt.Errorf("deploy: accept: %w", err):
-				default:
-				}
-			}
-			return
-		}
-		go func(conn transport.Conn) {
-			h, err := recvHello(ctx, conn)
-			if err != nil {
-				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
-				conn.Close()
-				return
-			}
-			switch h.party {
-			case partyPeer:
-				if !acceptPeer(ctx, st.s, ps, conn, h, true, opts.ServerOptions) {
-					return
-				}
-				if h.caps&capServeCtl != 0 {
-					st.ctl.src.offer(conn)
-					return
-				}
 				ps.offer(conn)
-			case partyUser:
-				if h.caps&capTrace != 0 {
-					if err := replyTraceContext(ctx, st.s, conn); err != nil {
-						opts.log(levelWarn, "user trace context send failed: %v", err)
-						conn.Close()
-						return
-					}
-				}
-				if err := st.serveUser(ctx, conn); err != nil {
-					opts.log(levelWarn, "serve user connection error: %v", err)
-				}
-				conn.Close()
-			default:
-				opts.log(levelWarn, "dropping unexpected party %d in serve mode", h.party)
-				conn.Close()
 			}
-		}(conn)
+		},
+		user: func(ctx context.Context, conn transport.Conn) error {
+			return st.s.serveUserConn(ctx, conn, opts, func(qid int) (*collector, int) {
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				if q := st.queries[qid]; q != nil {
+					return q.col, 0
+				}
+				return nil, 0
+			}, st.userControl)
+		},
 	}
 }
 
-// serveUser drains one client connection: admission requests, submission
-// frames routed to per-query collectors, and blocking result waits.
-func (st *serveState) serveUser(ctx context.Context, conn transport.Conn) error {
-	for {
-		msg, err := conn.Recv(ctx)
-		if err != nil {
-			return nil //nolint:nilerr // EOF-equivalent by protocol design
-		}
-		if msg.Kind == transport.KindControl && len(msg.Flags) >= 1 {
-			switch msg.Flags[0] {
-			case ctrlUploadDone:
-				user := int64(-1)
-				if len(msg.Flags) >= 2 {
-					user = msg.Flags[1]
-				}
-				ack := &transport.Message{Kind: transport.KindControl, Flags: []int64{ctrlUploadAck, user}}
-				if err := conn.Send(ctx, ack); err != nil {
-					return nil //nolint:nilerr // client gone; it will retry
-				}
-			case ctrlAdmitRequest:
-				if len(msg.Flags) < 3 {
-					return fmt.Errorf("deploy: short admit request %v", msg.Flags)
-				}
-				status, qid, epoch := st.admit(ctx, msg.Flags[1], msg.Flags[2])
-				if err := transport.SendControl(ctx, conn, ctrlAdmitReply, status, int64(qid), int64(epoch)); err != nil {
-					return nil //nolint:nilerr // client gone; the grant is idempotent
-				}
-			case ctrlResultWait:
-				if len(msg.Flags) < 2 {
-					return fmt.Errorf("deploy: short result wait %v", msg.Flags)
-				}
-				if err := st.replyResult(ctx, conn, msg.Flags[1]); err != nil {
-					return nil //nolint:nilerr // client gone; results are re-queryable
-				}
-			}
-			continue
-		}
-		if err := st.acceptUpload(msg); err != nil {
-			return err
-		}
-	}
-}
-
-// acceptUpload decodes one submission frame and routes it to its query's
-// collector. Frames for unknown queries are counted rejections, not
-// connection errors.
-func (st *serveState) acceptUpload(msg *transport.Message) error {
-	user, qid, half, err := decodeServeUpload(st.s, msg)
-	if errors.Is(err, errFrameRejected) {
-		return nil // already counted as a rejection
-	}
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	q := st.queries[qid]
-	st.mu.Unlock()
-	if q == nil {
-		submissionsRejected("unknown-query").Inc()
-		st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventRejection, Instance: qid, Note: "unknown-query"})
-		return nil
-	}
-	if err := q.col.add(user, 0, half); err != nil {
-		if errors.Is(err, errDuplicateSubmission) || errors.Is(err, errRejectedSubmission) {
-			return nil
-		}
-		return err
+// userControl answers the control frames only S1's clients send: admission
+// requests and blocking result waits. A reply that cannot be delivered is
+// not an error — the client is gone, grants are idempotent and results stay
+// queryable.
+func (st *serveState) userControl(ctx context.Context, conn transport.Conn, flags []int64) error {
+	switch {
+	case len(flags) >= 3 && flags[0] == ctrlAdmitRequest:
+		status, qid, epoch := st.admit(ctx, flags[1], flags[2])
+		_ = transport.SendControl(ctx, conn, ctrlAdmitReply, status, int64(qid), int64(epoch))
+	case len(flags) >= 2 && flags[0] == ctrlResultWait:
+		_ = st.replyResult(ctx, conn, flags[1])
+	default:
+		return fmt.Errorf("deploy: malformed or unknown client control frame %v", flags)
 	}
 	return nil
-}
-
-// errFrameRejected marks a frame already counted as a rejection.
-var errFrameRejected = errors.New("deploy: frame rejected")
-
-// decodeServeUpload decodes a submit frame in the server's resolved
-// grammar (packed or unpacked), applying the same layout validation as
-// the batch path. The returned instance slot carries the query ID.
-func decodeServeUpload(s *serverSetup, msg *transport.Message) (user, qid int, half protocol.SubmissionHalf, err error) {
-	if p := s.col.packed; p != nil {
-		var classes, width int
-		user, qid, classes, width, half, err = ingest.DecodePackedHalf(msg)
-		if err != nil {
-			return 0, 0, protocol.SubmissionHalf{}, err
-		}
-		if p.Capacity(width) < 1 {
-			_ = s.col.reject("slot-overflow", fmt.Errorf("user %d declared slot width %d below the %d headroom bits", user, width, p.Headroom))
-			return 0, 0, protocol.SubmissionHalf{}, errFrameRejected
-		}
-		if classes != s.col.packedClasses || width != p.Width {
-			_ = s.col.reject("bad-width", fmt.Errorf("user %d declared packed layout %dx%d, want %dx%d",
-				user, classes, width, s.col.packedClasses, p.Width))
-			return 0, 0, protocol.SubmissionHalf{}, errFrameRejected
-		}
-		return user, qid, half, nil
-	}
-	user, qid, half, err = DecodeHalf(msg)
-	return user, qid, half, err
 }
 
 // admit is the admission controller: idempotent grant replay, drain and
@@ -451,11 +341,18 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		return st.refuse(admitUnavailable, tenant)
 	}
 
+	// Re-check under the lock that registers the query: a drain may have
+	// begun, or concurrent admissions filled the window, while this one was
+	// reserving.
 	st.mu.Lock()
-	if st.draining { // drain began while reserving
+	if st.draining || st.inflight >= st.opts.maxInFlight() {
+		status = admitOverloaded
+		if st.draining {
+			status = admitDraining
+		}
 		st.mu.Unlock()
 		st.ledger.unreserve(tenant, st.cost)
-		return st.refuse(admitDraining, tenant)
+		return st.refuse(status, tenant)
 	}
 	q := &serveQuery{
 		qid:       st.nextQID,
@@ -531,16 +428,9 @@ func (st *serveState) newQueryCollector(epoch int) *collector {
 // watch releases the query when its grid fills or its submit window
 // elapses, then hands it to the serve loop.
 func (st *serveState) watch(ctx context.Context, q *serveQuery) {
-	window := st.opts.submitWindow()
-	timer := time.NewTimer(time.Until(q.announced.Add(window)))
-	defer timer.Stop()
-	select {
-	case <-q.col.done:
-	case <-timer.C:
-	case <-ctx.Done():
+	if q.col.wait(ctx, q.announced, st.opts.submitWindow(), "s1") != nil {
 		return
 	}
-	q.col.release()
 	select {
 	case st.runnable <- q:
 	case <-ctx.Done():
@@ -567,12 +457,13 @@ func publishReadiness(draining bool, ledger *budgetLedger, cost float64) {
 	}
 }
 
-// run is the serve loop: it executes runnable queries sequentially on the
-// peer protocol link (collection of later queries overlaps), applies
-// rotation and drain triggers, and returns the report once drained.
+// run is the serve loop: it leads runnable queries one at a time on the
+// peer protocol link (s1Session.run with the query ID in the wire's instance
+// slot, the query's own one-row collector and its epoch's keys; collection
+// of later queries overlaps), applies rotation and drain triggers, and
+// returns the report once drained.
 func (st *serveState) run(ctx context.Context, ps *peerSource, peer transport.Conn) (*ServeReport, error) {
-	rng := newRNG(st.opts.Seed)
-	prev := statusNone
+	sess := newS1Session(st.s, st.opts.ServerOptions, ps, peer)
 	drainC := st.opts.DrainCh
 	var drainTimer <-chan time.Time
 	var runErr error
@@ -584,7 +475,7 @@ loop:
 		}
 		select {
 		case q := <-st.runnable:
-			peer = st.runQuery(ctx, q, ps, peer, rng, &prev)
+			q.res = sess.run(ctx, q.qid, q.col, 0, st.epochKeys(q.epoch))
 			st.resolve(q)
 			st.maybeRetire(ctx)
 			st.updateReadiness()
@@ -615,11 +506,8 @@ loop:
 	if _, err := st.ctl.roundTrip(dctx, ctrlEpochAck, ctrlServeDrain, 0); err != nil {
 		st.opts.log(levelWarn, "S1 could not deliver drain marker to S2: %v", err)
 	}
-	peer = s1SendEnd(dctx, st.s, st.opts.ServerOptions, ps, peer, prev)
+	sess.end(dctx)
 	cancel()
-	if peer != nil {
-		peer.Close()
-	}
 
 	st.mu.Lock()
 	results := make([]InstanceResult, 0, len(st.queries))
@@ -675,115 +563,11 @@ func (st *serveState) beginDrain() {
 	}
 }
 
-// runQuery executes one released query on the peer link with the session
-// discipline of the batch path: begin frame (query ID in the
-// instance slot), participant exchange, protocol run; transient failures
-// retry on a fresh connection within the budget. It returns the (possibly
-// replaced) peer connection; q.res holds the terminal result.
-func (st *serveState) runQuery(ctx context.Context, q *serveQuery, ps *peerSource,
-	peer transport.Conn, rng io.Reader, prev *int64) transport.Conn {
-	opts := st.opts
-	keys := st.epochKeys(q.epoch)
-	var lastErr error
-	participants := st.s.cfg.Users
-	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
-		q.res.Attempts = attempt + 1
-		if attempt > 0 {
-			retriesTotal("s1", "instance").Inc()
-			st.s.journalEvent(opts.ServerOptions, obs.Event{Type: obs.EventRetry, Instance: q.qid, Attempt: attempt + 1, Note: "instance"})
-			sleepCtx(ctx, backoffDelay(opts.Backoff, attempt))
-		}
-		if err := ctx.Err(); err != nil {
-			lastErr = err
-			break
-		}
-		var err error
-		if peer, err = claimPeer(ctx, st.s, opts.ServerOptions, ps, peer, q.qid); err != nil {
-			lastErr = err
-			continue
-		}
-		actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-		out, err := func() (*protocol.Outcome, error) {
-			if err := sendBegin(actx, peer, q.qid, attempt, *prev); err != nil {
-				return nil, fmt.Errorf("deploy: begin query %d: %w", q.qid, err)
-			}
-			groups, p, err := st.prepareQuery(actx, q, peer)
-			participants = p
-			if err != nil {
-				return nil, err
-			}
-			return runInstance(actx, st.s, "s1", q.qid, attempt, p, st.s.cfg.Users-p, opts.ServerOptions,
-				func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-					return protocol.RunS1Groups(qctx, rng, st.s.cfg, keys, peer, groups, meter)
-				})
-		}()
-		cancel()
-		if err == nil {
-			q.res.Outcome = *out
-			lastErr = nil
-			break
-		}
-		lastErr = err
-		if errors.Is(err, protocol.ErrQuorumNotMet) {
-			// Clean verdict on a clean wire: keep the connection.
-			break
-		}
-		peer.Close()
-		peer = nil
-		if !attemptRetryable(ctx, err) {
-			break
-		}
-		opts.log(levelWarn, "S1 query %d attempt %d failed, will retry: %v", q.qid, attempt+1, err)
-	}
-	q.res.Participants = participants
-	q.res.Dropped = st.s.cfg.Users - participants
-	if lastErr != nil {
-		q.res.Err = lastErr
-		if !errors.Is(lastErr, protocol.ErrQuorumNotMet) {
-			queriesFailed("s1").Inc()
-		}
-		opts.log(levelWarn, "S1 query %d failed after %d attempts: %v", q.qid, q.res.Attempts, lastErr)
-		*prev = statusFailed
-	} else {
-		*prev = statusOK
-	}
-	return peer
-}
-
 // epochKeys returns the loaded key view for an epoch.
 func (st *serveState) epochKeys(epoch int) protocol.KeysS1 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.keys[epoch]
-}
-
-// prepareQuery is the per-query participant exchange: S1 proposes its
-// released bitmap (frames keyed by query ID), S2 intersects, and the
-// agreed set is masked onto the collector.
-func (st *serveState) prepareQuery(ctx context.Context, q *serveQuery, peer transport.Conn) ([]protocol.Group, int, error) {
-	opts := st.opts
-	local := q.col.bitmap(0)
-	agreed, err := exchangeParticipantsS1(ctx, peer, q.qid, local)
-	if err != nil {
-		return nil, st.s.cfg.Users, err
-	}
-	participants := popcount(agreed)
-	obs.Participants("s1").Set(float64(participants))
-	st.s.journalEvent(opts.ServerOptions, obs.Event{Type: obs.EventQuorum, Instance: q.qid,
-		Note: fmt.Sprintf("participants=%d dropped=%d quorum=%d",
-			participants, st.s.cfg.Users-participants, opts.quorumCount(st.s.cfg.Users))})
-	if participants < opts.quorumCount(st.s.cfg.Users) {
-		queriesTotal("s1", "quorum-not-met").Inc()
-		opts.log(levelWarn, "S1 query %d released %d of %d users, below quorum %d",
-			q.qid, participants, st.s.cfg.Users, opts.quorumCount(st.s.cfg.Users))
-		return nil, participants, fmt.Errorf("deploy: query %d has %d of %d participants: %w",
-			q.qid, participants, st.s.cfg.Users, protocol.ErrQuorumNotMet)
-	}
-	groups, err := q.col.maskedGroups(0, agreed)
-	if err != nil {
-		return nil, participants, err
-	}
-	return groups, participants, nil
 }
 
 // resolve finalizes a query: ledger commit (SVT always — conservative,

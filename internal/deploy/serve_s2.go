@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -123,15 +122,28 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go st.acceptUsers(acceptCtx, acceptErr)
+	go s.acceptLoop(acceptCtx, opts.ServerOptions, st.routes(), acceptErr)
 
 	ctlCtx, stopCtl := context.WithCancel(ctx)
 	defer stopCtl()
 	go st.ctlLoop(ctlCtx, drained)
 
-	rep, err := st.protocolLoop(drainCtx)
+	// Follow S1's begin frames on the protocol link until the end frame. No
+	// per-frame deadline: an idle serve link between queries is normal, and
+	// the drain backstop bounds the exit when the end frame is lost.
+	rng := newRNG(s2Seed(opts.Seed))
+	connect := func() (transport.Conn, error) {
+		return s.dialS1(drainCtx, opts.ServerOptions, capServe, opts.Seed+17)
+	}
+	_, err = s.followSession(drainCtx, opts.ServerOptions, nil, connect, 0,
+		func(ctx context.Context, peer transport.Conn, f sessionFrame) (bool, error) {
+			return st.runServeQuery(ctx, f, peer, rng), nil // one query never aborts the service
+		})
 	stopCtl()
-	return rep, err
+	if drainCtx.Err() != nil {
+		err = nil // drained or cancelled: the report stands
+	}
+	return st.report(), err
 }
 
 // closeEpochs zeroizes every still-open epoch's keys.
@@ -303,170 +315,30 @@ func (st *serveS2) ctlServe(ctx context.Context, conn transport.Conn, drained fu
 	}
 }
 
-// acceptUsers routes inbound user connections to the per-query upload
-// handler. (S2 accepts no peer connections — it dials S1.)
-func (st *serveS2) acceptUsers(ctx context.Context, errCh chan<- error) {
-	opts := st.opts
-	for {
-		conn, err := st.s.l.Accept()
-		if err != nil {
-			select {
-			case <-ctx.Done():
-			default:
-				select {
-				case errCh <- fmt.Errorf("deploy: accept: %w", err):
-				default:
-				}
+// routes serves S2's serve-mode connections: user frames go to the collector
+// of the announced query their instance slot names. S2 accepts no peer (it
+// dials S1) and no relay, and answers no admission or result frames — those
+// are S1's.
+func (st *serveS2) routes() routes {
+	return routes{user: func(ctx context.Context, conn transport.Conn) error {
+		return st.s.serveUserConn(ctx, conn, st.opts.ServerOptions, func(qid int) (*collector, int) {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if q := st.queries[qid]; q != nil {
+				return q.col, 0
 			}
-			return
-		}
-		go func(conn transport.Conn) {
-			defer conn.Close()
-			h, err := recvHello(ctx, conn)
-			if err != nil {
-				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
-				return
-			}
-			if h.party != partyUser {
-				opts.log(levelWarn, "dropping unexpected party %d in serve mode", h.party)
-				return
-			}
-			if h.caps&capTrace != 0 {
-				if err := replyTraceContext(ctx, st.s, conn); err != nil {
-					opts.log(levelWarn, "user trace context send failed: %v", err)
-					return
-				}
-			}
-			if err := st.serveUploads(ctx, conn); err != nil {
-				opts.log(levelWarn, "serve user connection error: %v", err)
-			}
-		}(conn)
-	}
+			return nil, 0
+		}, nil)
+	}}
 }
 
-// serveUploads drains one client connection: submission frames keyed by
-// query ID plus the upload-done flush barrier. S2 answers no admission or
-// result frames — those are S1's.
-func (st *serveS2) serveUploads(ctx context.Context, conn transport.Conn) error {
-	for {
-		msg, err := conn.Recv(ctx)
-		if err != nil {
-			return nil //nolint:nilerr // EOF-equivalent by protocol design
-		}
-		if msg.Kind == transport.KindControl && len(msg.Flags) >= 1 {
-			if msg.Flags[0] == ctrlUploadDone {
-				user := int64(-1)
-				if len(msg.Flags) >= 2 {
-					user = msg.Flags[1]
-				}
-				ack := &transport.Message{Kind: transport.KindControl, Flags: []int64{ctrlUploadAck, user}}
-				if err := conn.Send(ctx, ack); err != nil {
-					return nil //nolint:nilerr // client gone; it will retry
-				}
-			}
-			continue
-		}
-		user, qid, half, err := decodeServeUpload(st.s, msg)
-		if errors.Is(err, errFrameRejected) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		st.mu.Lock()
-		q := st.queries[qid]
-		st.mu.Unlock()
-		if q == nil {
-			submissionsRejected("unknown-query").Inc()
-			st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventRejection, Instance: qid, Note: "unknown-query"})
-			continue
-		}
-		if err := q.col.add(user, 0, half); err != nil {
-			if errors.Is(err, errDuplicateSubmission) || errors.Is(err, errRejectedSubmission) {
-				continue
-			}
-			return err
-		}
-	}
-}
-
-// protocolLoop follows S1's begin frames on the protocol link, running
-// each named query against the local collector, until the end frame (or
-// the drain timeout backstop, when the end frame is lost).
-func (st *serveS2) protocolLoop(ctx context.Context) (*Report, error) {
+// runServeQuery resolves one begin frame to its announced query, waits for
+// the local collector to fill or the submit window to lapse (mirroring S1's
+// watcher), pins the query's epoch and runs the attempt. It returns false
+// when the connection must be discarded.
+func (st *serveS2) runServeQuery(ctx context.Context, f sessionFrame, peer transport.Conn, rng io.Reader) bool {
 	opts := st.opts
-	seed := opts.Seed
-	if seed != 0 {
-		seed++
-	}
-	rng := newRNG(seed)
-	var peer transport.Conn
-	consecFail := 0
-	sawEnd := false
-
-	for !sawEnd {
-		if ctx.Err() != nil {
-			break
-		}
-		if peer == nil {
-			if consecFail > opts.MaxRetries {
-				opts.log(levelWarn, "S2 reconnect budget exhausted; assembling report from local results")
-				break
-			}
-			if consecFail > 0 {
-				retriesTotal("s2", "reconnect").Inc()
-				st.s.journalEvent(opts.ServerOptions, obs.Event{Type: obs.EventRetry, Instance: -1, Note: "reconnect"})
-				sleepCtx(ctx, backoffDelay(opts.Backoff, consecFail))
-			}
-			var err error
-			peer, err = st.s.dialS1(ctx, opts.ServerOptions, capServe, opts.Seed+17)
-			if err != nil {
-				consecFail++
-				opts.log(levelWarn, "S2 reconnect to S1 failed: %v", err)
-				continue
-			}
-			opts.log(levelDebug, "S2 protocol link to S1 established")
-		}
-		// No per-frame deadline: an idle serve link between queries is
-		// normal. A dead connection surfaces as a Recv error (S1 closes
-		// its end before retrying), and the drain backstop bounds exit.
-		frame, err := recvSessionFrame(ctx, peer)
-		if err != nil {
-			peer.Close()
-			peer = nil
-			if ctx.Err() != nil {
-				break
-			}
-			if !attemptRetryable(ctx, err) {
-				return st.report(), fmt.Errorf("deploy: s2 serve session: %w", err)
-			}
-			consecFail++
-			continue
-		}
-		consecFail = 0
-		switch frame.code {
-		case ctrlEndSession:
-			sawEnd = true
-		case ctrlBeginInstance:
-			if st.runServeQuery(ctx, frame, peer, rng) {
-				continue
-			}
-			peer.Close()
-			peer = nil
-			consecFail++
-		}
-	}
-	if peer != nil {
-		peer.Close()
-	}
-	return st.report(), nil
-}
-
-// runServeQuery executes one begin frame. It returns false when the
-// connection must be discarded (transport failure mid-run).
-func (st *serveS2) runServeQuery(ctx context.Context, frame sessionFrame, peer transport.Conn, rng io.Reader) bool {
-	opts := st.opts
-	qid := frame.instance
+	qid := f.instance
 	st.mu.Lock()
 	q := st.queries[qid]
 	st.mu.Unlock()
@@ -477,24 +349,9 @@ func (st *serveS2) runServeQuery(ctx context.Context, frame sessionFrame, peer t
 		opts.log(levelWarn, "S2 received begin for unannounced query %d", qid)
 		return false
 	}
-	if frame.attempt > 0 {
-		retriesTotal("s2", "instance").Inc()
-		st.s.journalEvent(opts.ServerOptions, obs.Event{Type: obs.EventRetry, Instance: qid, Attempt: frame.attempt + 1, Note: "instance"})
-	}
-
-	// Wait for the local collector to fill or the submit window to lapse,
-	// mirroring S1's watcher, then run the per-query participant exchange.
-	window := opts.submitWindow()
-	timer := time.NewTimer(time.Until(q.announced.Add(window)))
-	select {
-	case <-q.col.done:
-	case <-timer.C:
-	case <-ctx.Done():
-		timer.Stop()
+	if q.col.wait(ctx, q.announced, opts.submitWindow(), "s2") != nil {
 		return false
 	}
-	timer.Stop()
-	q.col.release()
 
 	st.mu.Lock()
 	ep := st.epochs[q.epoch]
@@ -512,46 +369,13 @@ func (st *serveS2) runServeQuery(ctx context.Context, frame sessionFrame, peer t
 		st.mu.Unlock()
 	}()
 
-	actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-	defer cancel()
-	out, err := func() (*protocol.Outcome, error) {
-		local := q.col.bitmap(0)
-		agreed, err := exchangeParticipantsS2(actx, peer, qid, local)
-		if err != nil {
-			return nil, err
-		}
-		p := popcount(agreed)
-		obs.Participants("s2").Set(float64(p))
-		if p < opts.quorumCount(st.s.cfg.Users) {
-			queriesTotal("s2", "quorum-not-met").Inc()
-			return nil, fmt.Errorf("deploy: query %d has %d of %d participants: %w",
-				qid, p, st.s.cfg.Users, protocol.ErrQuorumNotMet)
-		}
-		groups, err := q.col.maskedGroups(0, agreed)
-		if err != nil {
-			return nil, err
-		}
-		return runInstance(actx, st.s, "s2", qid, frame.attempt, p, st.s.cfg.Users-p, opts.ServerOptions,
-			func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-				return protocol.RunS2Groups(qctx, rng, st.s.cfg, ep.keys, peer, groups, meter)
-			})
-	}()
-	res := InstanceResult{Instance: qid, Outcome: protocol.Outcome{Consensus: false, Label: -1}, Attempts: frame.attempt + 1}
-	if err != nil {
-		res.Err = err
-		st.setResult(qid, res)
-		if errors.Is(err, protocol.ErrQuorumNotMet) {
-			// Clean verdict on a clean wire: keep the connection.
-			return true
-		}
-		opts.log(levelWarn, "S2 query %d attempt failed, awaiting replay: %v", qid, err)
-		return false
-	}
-	res.Outcome = *out
-	res.Participants = out.Participants
-	res.Dropped = st.s.cfg.Users - out.Participants
+	res := st.s.followQuery(ctx, opts.ServerOptions, rng, ep.keys, peer, f, q.col, 0)
 	st.setResult(qid, res)
-	return true
+	keep := linkClean(res.Err)
+	if !keep {
+		opts.log(levelWarn, "S2 query %d attempt failed, awaiting replay: %v", qid, res.Err)
+	}
+	return keep
 }
 
 // setResult records a query's freshest local result.

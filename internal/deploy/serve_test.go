@@ -96,7 +96,15 @@ func serveUserConnTo(ctx context.Context, t *testing.T, addr string) transport.C
 func uploadQueryRaw(ctx context.Context, t *testing.T, cfg protocol.Config, pub *keystore.PublicFile,
 	qid, label int, crypto io.Reader, noise *mrand.Rand, conn1, conn2 transport.Conn) {
 	t.Helper()
-	for user := 0; user < cfg.Users; user++ {
+	uploadUsersRaw(ctx, t, cfg, pub, qid, label, cfg.Users, crypto, noise, conn1, conn2)
+}
+
+// uploadUsersRaw is uploadQueryRaw for users [0, present) only: the rest are
+// withheld, as users that never show up.
+func uploadUsersRaw(ctx context.Context, t *testing.T, cfg protocol.Config, pub *keystore.PublicFile,
+	qid, label, present int, crypto io.Reader, noise *mrand.Rand, conn1, conn2 transport.Conn) {
+	t.Helper()
+	for user := 0; user < present; user++ {
 		units, err := votesToUnits(oneHot(cfg.Classes, label), cfg.Classes)
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +155,9 @@ func healthzState(t *testing.T, addr string) (int, string) {
 
 // TestServeGracefulShutdown covers the serve-mode lifecycle end to end:
 // pipelined admission (a second query completes while the first is still
-// collecting), /healthz readiness transitions, the drain handshake (stop
+// collecting), the admission window (a third admit while two queries are in
+// flight is refused with the typed overloaded status, and granted once one
+// resolves), /healthz readiness transitions, the drain handshake (stop
 // admitting, finish in-flight queries, flush state) and journal
 // integrity with no torn tail.
 func TestServeGracefulShutdown(t *testing.T) {
@@ -184,6 +194,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		opts.JournalPath = s1Journal
 		rep, err := ServeS1(ctx, s1Files, ServeOptions{
 			ServerOptions: opts,
+			MaxInFlight:   2,
 			DrainCh:       drainCh,
 			DrainTimeout:  time.Minute,
 		})
@@ -223,10 +234,24 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatalf("admission replay = (%d, qid %d), want the original grant (0, qid %d)", status2, qidA2, qidA)
 	}
 
-	// Query B runs start to finish while A is still collecting: admission
-	// is pipelined with A's open collection window.
-	clientB, err := NewServeClient(pubs, ServeClientOptions{
-		Tenant: 2, S1Addr: s1Addr, S2Addr: s2Addr, Seed: 621,
+	// Admit query B as well: the window of two is now full.
+	connB1 := serveUserConnTo(ctx, t, s1Addr)
+	defer connB1.Close()
+	connB2 := serveUserConnTo(ctx, t, s2Addr)
+	defer connB2.Close()
+	status, qidB, epochB := admitRaw(ctx, t, connB1, 2, 2001)
+	if status != admitOK || qidB == qidA {
+		t.Fatalf("query B admission = (%d, qid %d) with A holding qid %d", status, qidB, qidA)
+	}
+
+	// A third admit while A and B are both in flight is refused with the
+	// typed overloaded status: no query ID, nothing registered, nothing
+	// spent — on the raw wire and through the client.
+	if status, qid, _ := admitRaw(ctx, t, connA1, 3, 3001); status != admitOverloaded || qid != 0 {
+		t.Fatalf("third admission with the window full = (%d, qid %d), want the overloaded refusal", status, qid)
+	}
+	clientC, err := NewServeClient(pubs, ServeClientOptions{
+		Tenant: 3, S1Addr: s1Addr, S2Addr: s2Addr, Seed: 621,
 		MaxRetries: 3, Backoff: 5 * time.Millisecond, AttemptTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -236,15 +261,29 @@ func TestServeGracefulShutdown(t *testing.T) {
 	for u := range votes {
 		votes[u] = oneHot(cfg.Classes, 1)
 	}
-	resB, err := clientB.Do(ctx, votes)
+	if _, err := clientC.Do(ctx, votes); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("client query with the window full: got %v, want ErrOverloaded", err)
+	}
+
+	// Query B runs start to finish while A is still collecting: admission
+	// is pipelined with A's open collection window.
+	uploadQueryRaw(ctx, t, cfg, pubs[epochB], qidB, 1, testRNG(633), mrand.New(mrand.NewSource(634)), connB1, connB2)
+	if err := transport.SendControl(ctx, connB1, ctrlResultWait, int64(qidB)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := transport.ExpectControl(ctx, connB1, ctrlResultReply); err != nil ||
+		len(reply) < 4 || reply[1] != resultConsensus || reply[2] != 1 {
+		t.Fatalf("query B while A in flight: reply %v, err %v, want consensus on label 1", reply, err)
+	}
+
+	// B resolved, so the window has room again: the refused tenant is
+	// admitted and its query runs to completion beside the still-open A.
+	resC, err := clientC.Do(ctx, votes)
 	if err != nil {
-		t.Fatalf("query B while A in flight: %v", err)
+		t.Fatalf("query C after B resolved: %v", err)
 	}
-	if !resB.Consensus || resB.Label != 1 {
-		t.Fatalf("query B outcome %+v, want consensus on label 1", resB)
-	}
-	if resB.QID == qidA {
-		t.Fatalf("query B was granted A's query ID %d", qidA)
+	if !resC.Consensus || resC.Label != 1 || resC.QID == qidA || resC.QID == qidB {
+		t.Fatalf("query C outcome %+v, want consensus on label 1 under a fresh query ID", resC)
 	}
 
 	// Drain with A still in flight: admission must refuse with the typed
@@ -260,7 +299,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := clientB.Do(ctx, votes); !errors.Is(err, ErrDraining) {
+	if _, err := clientC.Do(ctx, votes); !errors.Is(err, ErrDraining) {
 		t.Fatalf("admission during drain: got %v, want ErrDraining", err)
 	}
 
@@ -287,16 +326,19 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if r2.err != nil {
 		t.Fatalf("S2 serve: %v", r2.err)
 	}
-	if got := len(r1.rep.Results); got != 2 {
-		t.Fatalf("S1 report has %d results, want 2", got)
+	if got := len(r1.rep.Results); got != 3 {
+		t.Fatalf("S1 report has %d results, want 3 (the overloaded refusals registered nothing)", got)
 	}
 	for _, res := range r1.rep.Results {
 		if res.Err != nil {
 			t.Errorf("query %d failed under graceful drain: %v", res.Instance, res.Err)
 		}
 	}
-	if got := r1.rep.Admissions["admitted"]; got != 2 {
-		t.Errorf("admitted count %d, want 2", got)
+	if got := r1.rep.Admissions["admitted"]; got != 3 {
+		t.Errorf("admitted count %d, want 3", got)
+	}
+	if got := r1.rep.Admissions["overloaded"]; got != 2 {
+		t.Errorf("overloaded refusals %d, want 2", got)
 	}
 	if got := r1.rep.Admissions["draining"]; got < 1 {
 		t.Errorf("draining refusals %d, want >= 1", got)
@@ -313,7 +355,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var admitted, refused, drainMark int
+	var admitted, refused, overloaded, drainMark int
 	for _, ev := range evs {
 		if ev.Type != obs.EventAdmission && !(ev.Type == obs.EventEpoch && ev.Note == "draining") {
 			continue
@@ -325,10 +367,13 @@ func TestServeGracefulShutdown(t *testing.T) {
 			admitted++
 		case strings.Contains(ev.Note, "decision=draining"):
 			refused++
+		case strings.Contains(ev.Note, "decision=overloaded tenant=3") && ev.Instance == -1:
+			overloaded++
 		}
 	}
-	if admitted != 2 || refused < 1 || drainMark < 1 {
-		t.Errorf("journal admission trail: admitted=%d refused=%d drain=%d, want 2/>=1/>=1", admitted, refused, drainMark)
+	if admitted != 3 || refused < 1 || overloaded != 2 || drainMark < 1 {
+		t.Errorf("journal admission trail: admitted=%d draining=%d overloaded=%d drain=%d, want 3/>=1/2/>=1",
+			admitted, refused, overloaded, drainMark)
 	}
 }
 

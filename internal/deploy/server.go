@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/big"
 	"os"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
-	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -192,22 +190,25 @@ func (o ServerOptions) validate() error {
 	if o.Instances < 1 {
 		return fmt.Errorf("deploy: need at least 1 instance, got %d", o.Instances)
 	}
-	if o.MaxRetries < 0 {
-		return fmt.Errorf("deploy: negative retry budget %d", o.MaxRetries)
-	}
 	if o.Quorum < 0 {
 		return fmt.Errorf("deploy: negative quorum %g", o.Quorum)
 	}
 	if o.SubmitDeadline < 0 {
 		return fmt.Errorf("deploy: negative submit deadline %v", o.SubmitDeadline)
 	}
+	return o.validateLink()
+}
+
+// validateLink checks the settings servers and clients share: the retry
+// budget, the log level and the packing override.
+func (o ServerOptions) validateLink() error {
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("deploy: negative retry budget %d", o.MaxRetries)
+	}
 	if _, err := parseLogLevel(o.LogLevel); err != nil {
 		return err
 	}
-	if err := checkPackingMode(o.Packing); err != nil {
-		return err
-	}
-	return nil
+	return checkPackingMode(o.Packing)
 }
 
 // checkPackingMode validates a -packed override value.
@@ -425,7 +426,7 @@ func collectSubmissions(ctx context.Context, s *serverSetup, opts ServerOptions,
 	if opts.Quorum > 0 || opts.SubmitDeadline > 0 {
 		window = opts.submitWindow()
 	}
-	if err := s.col.waitQuorum(ctx, window, role); err != nil {
+	if err := s.col.wait(ctx, time.Now(), window, role); err != nil {
 		return err
 	}
 	got, want := s.col.counts()
@@ -434,44 +435,35 @@ func collectSubmissions(ctx context.Context, s *serverSetup, opts ServerOptions,
 	return nil
 }
 
-// prepareSubs resolves one instance's submissions on either server as
-// aggregation groups (relay batches whole, direct users as singletons): it
-// runs the participant exchange (S1 proposes, S2 intersects) and masks the
-// grid by the agreed set. It reports the participant count alongside, and
-// protocol.ErrQuorumNotMet (no protocol traffic follows) when the agreed
-// set is below quorum.
-func prepareSubs(ctx context.Context, s *serverSetup, opts ServerOptions, role string,
-	peer transport.Conn, i int) ([]protocol.Group, int, error) {
-	local := s.col.bitmap(i)
-	var (
-		agreed *big.Int
-		err    error
-	)
+// agreeParticipants resolves one query's submissions — row of col — on
+// either server as aggregation groups (relay batches whole, direct users as
+// singletons): it runs the participant exchange under the wire id (S1
+// proposes, S2 intersects), publishes and journals the decision, and masks
+// the grid by the agreed set. It reports the participant count alongside
+// (0 when the exchange itself failed), and protocol.ErrQuorumNotMet (no
+// protocol traffic follows) when the agreed set is below quorum.
+func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions, role string,
+	peer transport.Conn, id int, col *collector, row int) ([]protocol.Group, int, error) {
+	exchange := exchangeParticipantsS2
 	if role == "s1" {
-		agreed, err = exchangeParticipantsS1(ctx, peer, i, local)
-	} else {
-		agreed, err = exchangeParticipantsS2(ctx, peer, i, local)
+		exchange = exchangeParticipantsS1
 	}
+	agreed, err := exchange(ctx, peer, id, col.bitmap(row))
 	if err != nil {
 		return nil, 0, err
 	}
-	participants := popcount(agreed)
+	participants, quorum := popcount(agreed), opts.quorumCount(s.cfg.Users)
 	obs.Participants(role).Set(float64(participants))
-	s.journalEvent(opts, obs.Event{Type: obs.EventQuorum, Instance: i,
-		Note: fmt.Sprintf("participants=%d dropped=%d quorum=%d",
-			participants, s.cfg.Users-participants, opts.quorumCount(s.cfg.Users))})
-	if participants < opts.quorumCount(s.cfg.Users) {
+	s.journalEvent(opts, obs.Event{Type: obs.EventQuorum, Instance: id,
+		Note: fmt.Sprintf("participants=%d dropped=%d quorum=%d", participants, s.cfg.Users-participants, quorum)})
+	if participants < quorum {
 		queriesTotal(role, "quorum-not-met").Inc()
-		opts.log(levelWarn, "%s instance %d released %d of %d users, below quorum %d",
-			role, i, participants, s.cfg.Users, opts.quorumCount(s.cfg.Users))
-		return nil, participants, fmt.Errorf("deploy: instance %d has %d of %d participants: %w",
-			i, participants, s.cfg.Users, protocol.ErrQuorumNotMet)
+		opts.log(levelWarn, "%s query %d released %d of %d users, below quorum %d", role, id, participants, s.cfg.Users, quorum)
+		return nil, participants, fmt.Errorf("deploy: query %d has %d of %d participants: %w",
+			id, participants, s.cfg.Users, protocol.ErrQuorumNotMet)
 	}
-	groups, err := s.col.maskedGroups(i, agreed)
-	if err != nil {
-		return nil, participants, err
-	}
-	return groups, participants, nil
+	groups, err := col.maskedGroups(row, agreed)
+	return groups, participants, err
 }
 
 // RunS1 runs server S1: it listens for all users and for S2, collects the
@@ -490,9 +482,10 @@ func RunS1(ctx context.Context, file *keystore.S1File, opts ServerOptions) ([]pr
 }
 
 // RunS1Report runs server S1 and returns a per-instance Report. It leads
-// the peer-link session: transient I/O failures are retried on a fresh peer
-// connection up to the MaxRetries budget, and an instance that exhausts its
-// budget is recorded as failed while the rest of the batch completes.
+// the peer-link session (s1Session.run) over the grid's instances in order:
+// transient I/O failures are retried on a fresh peer connection up to the
+// MaxRetries budget, and an instance that exhausts its budget is recorded
+// as failed while the rest of the batch completes.
 func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -515,7 +508,7 @@ func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions)
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go acceptLoop(acceptCtx, s, ps, acceptErr, opts)
+	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, ps), acceptErr)
 
 	// Claim the initial peer link (the accept loop has already checked its
 	// hello), then lead the per-instance session. The accept loop keeps
@@ -536,7 +529,37 @@ func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions)
 		peer.Close()
 		return nil, err
 	}
-	return runS1Session(ctx, keys, s, opts, ps, peer)
+	sess := newS1Session(s, opts, ps, peer)
+	results := make([]InstanceResult, opts.Instances)
+	for i := range results {
+		results[i] = sess.run(ctx, i, s.col, i, keys)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("deploy: run cancelled after instance %d: %w", i, err)
+		}
+	}
+	sess.end(ctx)
+	return &Report{Results: results}, nil
+}
+
+// gridRoutes serves a batch run's connections: the peer link, on S1, which
+// passes its peerSource (nil on servers that accept no peer), where a
+// reconnection replaces the previous link; relay batches and user frames
+// into the run's grid, the frame's instance slot naming the row.
+func (s *serverSetup) gridRoutes(opts ServerOptions, ps *peerSource) routes {
+	r := routes{
+		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, s, opts) },
+		user: func(ctx context.Context, conn transport.Conn) error {
+			return s.serveUserConn(ctx, conn, opts, func(i int) (*collector, int) { return s.col, i }, nil)
+		},
+	}
+	if ps != nil {
+		r.peer = func(ctx context.Context, conn transport.Conn, h hello) {
+			if acceptPeer(ctx, s, ps, conn, h, false, opts) {
+				ps.offer(conn)
+			}
+		}
+	}
+	return r
 }
 
 // ringOf returns the Paillier ciphertext ring bound N² (nil for a nil key).
@@ -545,130 +568,6 @@ func ringOf(pk *paillier.PublicKey) *big.Int {
 		return nil
 	}
 	return pk.N2
-}
-
-// runS1Session leads the session: for each instance it announces a begin
-// frame carrying the previous instance's authoritative status, runs the
-// protocol under the attempt deadline, and on a transient failure discards
-// the connection and — budget permitting — retries on a fresh one. Every
-// wait is bounded, so the loop terminates even if the peer vanishes.
-func runS1Session(ctx context.Context, keys protocol.KeysS1, s *serverSetup, opts ServerOptions,
-	ps *peerSource, peer transport.Conn) (*Report, error) {
-	rng := newRNG(opts.Seed)
-	results := make([]InstanceResult, opts.Instances)
-	prev := statusNone
-	for i := 0; i < opts.Instances; i++ {
-		res := InstanceResult{Instance: i, Outcome: protocol.Outcome{Consensus: false, Label: -1}}
-		var lastErr error
-		participants := s.cfg.Users
-		for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
-			res.Attempts = attempt + 1
-			if attempt > 0 {
-				retriesTotal("s1", "instance").Inc()
-				s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: i, Attempt: attempt + 1, Note: "instance"})
-				sleepCtx(ctx, backoffDelay(opts.Backoff, attempt))
-			}
-			if err := ctx.Err(); err != nil {
-				lastErr = err
-				break
-			}
-			var err error
-			if peer, err = claimPeer(ctx, s, opts, ps, peer, i); err != nil {
-				lastErr = err
-				continue
-			}
-			actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-			out, err := func() (*protocol.Outcome, error) {
-				if err := sendBegin(actx, peer, i, attempt, prev); err != nil {
-					return nil, fmt.Errorf("deploy: begin instance %d: %w", i, err)
-				}
-				groups, p, err := prepareSubs(actx, s, opts, "s1", peer, i)
-				participants = p
-				if err != nil {
-					return nil, err
-				}
-				return runInstance(actx, s, "s1", i, attempt, participants, s.cfg.Users-participants, opts,
-					func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-						return protocol.RunS1Groups(qctx, rng, s.cfg, keys, peer, groups, meter)
-					})
-			}()
-			cancel()
-			if err == nil {
-				res.Outcome = *out
-				lastErr = nil
-				break
-			}
-			lastErr = err
-			if errors.Is(err, protocol.ErrQuorumNotMet) {
-				// Nothing went wrong on the wire and both servers reached
-				// the same verdict; keep the connection and stop retrying.
-				break
-			}
-			// An attempt that failed mid-protocol leaves unknown bytes in
-			// flight; always start the next attempt on a fresh connection.
-			peer.Close()
-			peer = nil
-			if !attemptRetryable(ctx, err) {
-				break
-			}
-			opts.log(levelWarn, "S1 instance %d attempt %d failed, will retry: %v", i, attempt+1, err)
-		}
-		res.Participants = participants
-		res.Dropped = s.cfg.Users - participants
-		if lastErr != nil {
-			res.Err = lastErr
-			if !errors.Is(lastErr, protocol.ErrQuorumNotMet) {
-				queriesFailed("s1").Inc()
-			}
-			opts.log(levelWarn, "S1 instance %d failed after %d attempts: %v", i, res.Attempts, lastErr)
-			prev = statusFailed
-		} else {
-			prev = statusOK
-		}
-		results[i] = res
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("deploy: run cancelled after instance %d: %w", i, err)
-		}
-	}
-	peer = s1SendEnd(ctx, s, opts, ps, peer, prev)
-	if peer != nil {
-		peer.Close()
-	}
-	return &Report{Results: results}, nil
-}
-
-// s1SendEnd delivers the end-of-session frame best-effort, reconnecting
-// within the retry budget (claimPeer: never at budget 0). S2 has a local
-// fallback when the frame is lost, so failure here is logged, not fatal.
-func s1SendEnd(ctx context.Context, s *serverSetup, opts ServerOptions, ps *peerSource, peer transport.Conn, lastStatus int64) transport.Conn {
-	var lastErr error
-	for try := 0; try <= opts.MaxRetries; try++ {
-		if err := ctx.Err(); err != nil {
-			lastErr = err
-			break
-		}
-		var err error
-		if peer, err = claimPeer(ctx, s, opts, ps, peer, -1); err != nil {
-			lastErr = err
-			break
-		}
-		ectx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-		err = sendEnd(ectx, peer, lastStatus)
-		cancel()
-		if err == nil {
-			return peer
-		}
-		lastErr = err
-		peer.Close()
-		peer = nil
-		if !attemptRetryable(ctx, err) {
-			break
-		}
-		retriesTotal("s1", "reconnect").Inc()
-		s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: -1, Note: "reconnect"})
-	}
-	opts.log(levelWarn, "S1 could not deliver end-of-session to S2: %v", lastErr)
-	return peer
 }
 
 // RunS2 runs server S2: it listens for users on its own address, dials S1
@@ -714,15 +613,7 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
-	go acceptLoop(acceptCtx, s, nil, acceptErr, opts)
-
-	// Derive a distinct deterministic stream from S1's only when seeded;
-	// seed 0 must stay crypto/rand.
-	seed := opts.Seed
-	if seed != 0 {
-		seed++
-	}
-	rng := newRNG(seed)
+	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, nil), acceptErr)
 
 	connect := func() (transport.Conn, error) { return s.dialS1(ctx, opts, 0, opts.Seed+17) }
 	peer, err := connect()
@@ -734,181 +625,75 @@ func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions)
 		peer.Close()
 		return nil, err
 	}
-	return runS2Session(ctx, keys, rng, s, opts, peer, connect)
-}
-
-// dialS1 establishes one peer connection to S1: dial within the retry
-// budget, send the hello (the config's caps, the serve-mode bits naming the
-// link, if any, and the wire version), and adopt the trace context S1
-// answers every accepted hello with. Reconnections replay the trace frame;
-// adoption is idempotent, so replays after the first are no-ops.
-func (s *serverSetup) dialS1(ctx context.Context, opts ServerOptions, linkCaps, seed int64) (transport.Conn, error) {
-	d := transport.Dialer{
-		Attempts:       opts.MaxRetries + 1,
-		Backoff:        opts.Backoff,
-		AttemptTimeout: opts.attemptTimeout(),
-		Seed:           seed,
-		Faults:         s.faults,
-	}
-	conn, err := d.Dial(ctx, opts.PeerAddr)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: dial S1: %w", err)
-	}
-	if err := sendHello(ctx, conn, partyPeer, peerCaps(s.cfg)|linkCaps); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	id, err := recvTraceContext(ctx, conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("deploy: S1 did not answer the peer hello (it closes the link on a wire-version, packing or serve-mode mismatch): %w", err)
-	}
-	s.adoptTraceID(id, opts)
-	return conn, nil
-}
-
-// runS2Session follows S1's session frames: every begin frame (re)runs the
-// named instance, every frame carries the authoritative status of the
-// previous instance, and the end frame closes the session. Connection
-// failures reconnect within a consecutive-failure budget; if the budget
-// exhausts (S1 is gone and the end frame was lost), the report is
-// assembled from local results.
-func runS2Session(ctx context.Context, keys protocol.KeysS2, rng io.Reader, s *serverSetup, opts ServerOptions,
-	peer transport.Conn, connect func() (transport.Conn, error)) (*Report, error) {
+	// Follow S1's session over the grid: every begin frame (re)runs the
+	// named instance and carries the authoritative status of the previous
+	// one, the end frame that of the last. A begin outside the grid or a
+	// failure a fresh link cannot fix aborts the run.
 	n := opts.Instances
+	rng := newRNG(s2Seed(opts.Seed))
 	statuses := make([]int64, n)
-	outcomes := make([]*protocol.Outcome, n)
+	local := make([]*InstanceResult, n)  // freshest local attempt per instance
+	done := make([]*protocol.Outcome, n) // last completed local outcome
 	attempts := make([]int, n)
-	localErrs := make([]error, n)
-	participants := make([]int, n)
-	for i := range participants {
-		participants[i] = s.cfg.Users
-	}
-	consecFail := 0
-	sawEnd := false
-
-	for !sawEnd {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("deploy: run cancelled: %w", err)
-		}
-		if peer == nil {
-			if consecFail > opts.MaxRetries {
-				opts.log(levelWarn, "S2 reconnect budget exhausted; assembling report from local results")
-				break
-			}
-			retriesTotal("s2", "reconnect").Inc()
-			s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: -1, Note: "reconnect"})
-			sleepCtx(ctx, backoffDelay(opts.Backoff, consecFail))
-			var err error
-			peer, err = connect()
-			if err != nil {
-				consecFail++
-				opts.log(levelWarn, "S2 reconnect to S1 failed: %v", err)
-				if !attemptRetryable(ctx, err) && ctx.Err() != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		fctx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-		frame, err := recvSessionFrame(fctx, peer)
-		cancel()
-		if err != nil {
-			peer.Close()
-			peer = nil
-			if !attemptRetryable(ctx, err) {
-				return nil, fmt.Errorf("deploy: s2 session: %w", err)
-			}
-			consecFail++
-			continue
-		}
-		consecFail = 0
-		switch frame.code {
-		case ctrlEndSession:
-			statuses[n-1] = frame.status
-			sawEnd = true
-		case ctrlBeginInstance:
-			i := frame.instance
+	last, err := s.followSession(ctx, opts, peer, connect, opts.attemptTimeout(),
+		func(ctx context.Context, peer transport.Conn, f sessionFrame) (bool, error) {
+			i := f.instance
 			if i < 0 || i >= n {
-				peer.Close()
-				return nil, fmt.Errorf("deploy: s2 session: begin for instance %d outside [0, %d)", i, n)
+				return false, fmt.Errorf("deploy: s2 session: begin for instance %d outside [0, %d)", i, n)
 			}
 			if i > 0 {
-				statuses[i-1] = frame.status
-			}
-			if frame.attempt > 0 {
-				retriesTotal("s2", "instance").Inc()
-				s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: i, Attempt: frame.attempt + 1, Note: "instance"})
+				statuses[i-1] = f.status
 			}
 			attempts[i]++
-			actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-			out, err := func() (*protocol.Outcome, error) {
-				groups, p, err := prepareSubs(actx, s, opts, "s2", peer, i)
-				participants[i] = p
-				if err != nil {
-					return nil, err
-				}
-				return runInstance(actx, s, "s2", i, frame.attempt, p, s.cfg.Users-p, opts,
-					func(qctx context.Context, meter *transport.Meter) (*protocol.Outcome, error) {
-						return protocol.RunS2Groups(qctx, rng, s.cfg, keys, peer, groups, meter)
-					})
-			}()
-			cancel()
-			if err != nil {
-				localErrs[i] = err
-				if errors.Is(err, protocol.ErrQuorumNotMet) {
-					// Both servers agreed the instance cannot run; the wire
-					// is clean, so keep the connection and await the next
-					// frame.
-					outcomes[i] = nil
-					continue
-				}
-				peer.Close()
-				peer = nil
-				if !attemptRetryable(ctx, err) {
-					return nil, err
-				}
-				consecFail++
-				opts.log(levelWarn, "S2 instance %d attempt failed, awaiting replay: %v", i, err)
-				continue
+			res := s.followQuery(ctx, opts, rng, keys, peer, f, s.col, i)
+			local[i] = &res
+			switch {
+			case res.Err == nil:
+				done[i] = &res.Outcome
+			case errors.Is(res.Err, protocol.ErrQuorumNotMet):
+				done[i] = nil
+			case !attemptRetryable(ctx, res.Err):
+				return false, res.Err
+			default:
+				opts.log(levelWarn, "S2 instance %d attempt failed, awaiting replay: %v", i, res.Err)
 			}
-			outcomes[i] = out
-			localErrs[i] = nil
-		}
+			return linkClean(res.Err), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if peer != nil {
-		peer.Close()
-	}
+	statuses[n-1] = last
 
+	// Reconcile S1's authoritative statuses with the local runs.
 	results := make([]InstanceResult, n)
 	for i := 0; i < n; i++ {
-		res := InstanceResult{
-			Instance:     i,
-			Outcome:      protocol.Outcome{Consensus: false, Label: -1},
-			Attempts:     attempts[i],
-			Participants: participants[i],
-			Dropped:      s.cfg.Users - participants[i],
+		res := InstanceResult{Instance: i, Outcome: protocol.Outcome{Consensus: false, Label: -1},
+			Attempts: attempts[i], Participants: s.cfg.Users}
+		var localErr error
+		if local[i] != nil {
+			res.Participants, localErr = local[i].Participants, local[i].Err
 		}
+		res.Dropped = s.cfg.Users - res.Participants
 		switch {
-		case statuses[i] == statusOK && outcomes[i] != nil:
-			res.Outcome = *outcomes[i]
+		case statuses[i] == statusOK && done[i] != nil:
+			res.Outcome = *done[i]
 		case statuses[i] == statusOK:
 			// S1 committed the instance but our local run never finished
 			// (e.g. the final volley was lost). The label exists at S1.
 			res.Err = fmt.Errorf("deploy: s2 instance %d: peer reported success but the local run did not complete: %w",
-				i, firstNonNil(localErrs[i], errPeerGone))
-		case errors.Is(localErrs[i], protocol.ErrQuorumNotMet):
+				i, firstNonNil(localErr, errPeerGone))
+		case errors.Is(localErr, protocol.ErrQuorumNotMet):
 			// A quorum miss is a clean local verdict, not a delivery
 			// failure; surface it regardless of the peer status.
-			res.Err = localErrs[i]
+			res.Err = localErr
 		case statuses[i] == statusFailed:
-			res.Err = fmt.Errorf("deploy: s2 instance %d: %w", i, firstNonNil(localErrs[i], errors.New("peer reported failure")))
-		case outcomes[i] != nil && localErrs[i] == nil:
+			res.Err = fmt.Errorf("deploy: s2 instance %d: %w", i, firstNonNil(localErr, errors.New("peer reported failure")))
+		case done[i] != nil && localErr == nil:
 			// No authoritative status (end frame lost) but the local run
 			// completed; the outcome is deterministic, so trust it.
-			res.Outcome = *outcomes[i]
+			res.Outcome = *done[i]
 		default:
-			res.Err = fmt.Errorf("deploy: s2 instance %d never completed: %w", i, firstNonNil(localErrs[i], errPeerGone))
+			res.Err = fmt.Errorf("deploy: s2 instance %d never completed: %w", i, firstNonNil(localErr, errPeerGone))
 		}
 		if res.Err != nil && !errors.Is(res.Err, protocol.ErrQuorumNotMet) {
 			queriesFailed("s2").Inc()
@@ -926,114 +711,6 @@ func firstNonNil(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-// acceptLoop classifies inbound connections by their hello frame: user
-// connections feed the collector, relay connections its batch ingestion,
-// and peer connections — on S1, which passes its peerSource; ps is nil on
-// servers that accept no peer — are checked, answered with the trace
-// context and offered to the session loop, where a reconnection replaces
-// the previous link. Errors on individual user connections are logged and
-// the connection dropped; structural errors abort via errCh.
-func acceptLoop(ctx context.Context, s *serverSetup, ps *peerSource, errCh chan<- error, opts ServerOptions) {
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			select {
-			case <-ctx.Done():
-			default:
-				select {
-				case errCh <- fmt.Errorf("deploy: accept: %w", err):
-				default:
-				}
-			}
-			return
-		}
-		go func(conn transport.Conn) {
-			h, err := recvHello(ctx, conn)
-			if err != nil {
-				opts.log(levelWarn, "dropping connection with bad hello: %v", err)
-				conn.Close()
-				return
-			}
-			switch h.party {
-			case partyPeer:
-				if ps == nil {
-					opts.log(levelWarn, "unexpected peer hello on this server; dropping")
-					conn.Close()
-					return
-				}
-				if !acceptPeer(ctx, s, ps, conn, h, false, opts) {
-					return
-				}
-				ps.offer(conn)
-			case partyRelay:
-				// An ingestion-tier relay delivering pre-summed batches. The
-				// capability bit is mandatory so a relay can never feed a
-				// server that does not understand combined frames silently.
-				if h.caps&ingest.CapPresum == 0 {
-					opts.log(levelWarn, "relay hello without presum capability; dropping")
-					conn.Close()
-					return
-				}
-				// The packed bit must agree with the server's resolved mode:
-				// a mixed tree would silently mix frame grammars.
-				if (h.caps&ingest.CapPacked != 0) != s.cfg.Packing {
-					opts.log(levelWarn, "relay hello packing capability mismatch (relay packed=%v, server packed=%v); dropping",
-						h.caps&ingest.CapPacked != 0, s.cfg.Packing)
-					conn.Close()
-					return
-				}
-				serveRelayConn(ctx, conn, s, opts)
-				conn.Close()
-			case partyUser:
-				// A tracing user asked for the run's trace identity; S2
-				// answers once S1 has delivered it.
-				if h.caps&capTrace != 0 {
-					if err := replyTraceContext(ctx, s, conn); err != nil {
-						opts.log(levelWarn, "user trace context send failed: %v", err)
-						conn.Close()
-						return
-					}
-				}
-				if err := serveUserConn(ctx, conn, s.col); err != nil {
-					opts.log(levelWarn, "user connection error: %v", err)
-				}
-				conn.Close()
-			}
-		}(conn)
-	}
-}
-
-// acceptPeer is S1's half of the peer handshake on a freshly accepted link:
-// refuse a hello of another wire version, packing or serve mode — failing
-// the peerSource, so the run returns the typed mismatch instead of waiting
-// — else answer with the trace context, on every connection, reconnects
-// included, so a reset link cannot leave S2 without the trace identity. It
-// reports whether the link is usable; if not it is already closed.
-func acceptPeer(ctx context.Context, s *serverSetup, ps *peerSource, conn transport.Conn, h hello, serve bool, opts ServerOptions) bool {
-	if err := checkPeerHello(h, s.cfg, serve); err != nil {
-		opts.log(levelWarn, "refusing peer hello: %v", err)
-		ps.fail(err)
-		conn.Close()
-		return false
-	}
-	if err := replyTraceContext(ctx, s, conn); err != nil {
-		opts.log(levelWarn, "peer trace context send failed: %v", err)
-		conn.Close()
-		return false
-	}
-	return true
-}
-
-// replyTraceContext answers a hello with the run's trace ID, blocking
-// (bounded by ctx) until the ID is known.
-func replyTraceContext(ctx context.Context, s *serverSetup, conn transport.Conn) error {
-	id, err := s.trace.get(ctx)
-	if err != nil {
-		return err
-	}
-	return sendTraceContext(ctx, conn, id)
 }
 
 // DefaultLogger returns a stdlib-backed log sink for the CLIs with

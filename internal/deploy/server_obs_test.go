@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -89,7 +90,7 @@ func TestUserDropsMidUpload(t *testing.T) {
 	if err := sendHello(ctx, user, partyUser, 0); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := EncodeHalf(0, 0, sub.ToS1)
+	msg, err := ingest.EncodeHalf(0, 0, sub.ToS1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,16 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// The peer-link session. S1 leads: it announces each query instance with a
-// begin frame before running it and closes the session with an end frame.
-// Both frames are idempotent — an instance announced twice (because an
-// attempt died mid-run) is simply re-executed by S2, and the consensus
-// outcome is a deterministic function of the collected submissions, so
-// replays always reproduce the same label. A failed attempt always discards
-// the connection; retries run on a fresh one, so no attempt ever sees
-// another attempt's leftover bytes. ServerOptions.MaxRetries is only the
-// budget: at 0 the session runs each instance's single attempt.
+// The peer-link session. S1 leads (leader.go): it announces each query — a
+// batch instance or an admitted serve query, named in the begin frame's
+// instance slot — before running it and closes the session with an end
+// frame; S2 follows (follower.go). Both frames are idempotent — a query
+// announced twice (because an attempt died mid-run) is simply re-executed by
+// S2, and the consensus outcome is a deterministic function of the collected
+// submissions, so replays always reproduce the same label. A failed attempt
+// always discards the connection; retries run on a fresh one, so no attempt
+// ever sees another attempt's leftover bytes. ServerOptions.MaxRetries is
+// only the budget: at 0 the session runs each query's single attempt.
 
 // Session control codes, carried in Flags[0] of KindControl frames
 // exchanged after the hello.
@@ -192,30 +193,6 @@ func (ps *peerSource) close() {
 	}
 }
 
-// claimPeer returns the link S1's next attempt runs on: the freshest
-// reconnection if S2 has redialed, else current. With no link in hand it
-// waits one attempt timeout for a redial — unless the retry budget is zero:
-// a lost link is then final (a budget-0 S2 never redials), so only a
-// reconnection that has already arrived is taken. A failed wait is counted
-// and journaled against instance.
-func claimPeer(ctx context.Context, s *serverSetup, opts ServerOptions, ps *peerSource,
-	current transport.Conn, instance int) (transport.Conn, error) {
-	if conn := ps.takeNewer(current); conn != nil {
-		return conn, nil
-	}
-	if opts.MaxRetries == 0 {
-		return nil, errPeerGone
-	}
-	awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-	defer cancel()
-	conn, err := ps.await(awaitCtx)
-	if err != nil {
-		retriesTotal("s1", "reconnect").Inc()
-		s.journalEvent(opts, obs.Event{Type: obs.EventRetry, Instance: instance, Note: "reconnect"})
-	}
-	return conn, err
-}
-
 // InstanceResult is the per-query-instance entry of a deployment Report.
 type InstanceResult struct {
 	// Instance is the query instance index.
@@ -288,8 +265,11 @@ func attemptRetryable(parent context.Context, err error) bool {
 }
 
 // backoffDelay is the sleep before retry attempt a (1-based), doubling
-// from base and capped at 16×base.
+// from base and capped at 16×base; a first attempt (a <= 0) does not wait.
 func backoffDelay(base time.Duration, a int) time.Duration {
+	if a <= 0 {
+		return 0
+	}
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}

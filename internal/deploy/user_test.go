@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -89,7 +90,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				return err
 			}
 			// Commit the first frame so the replay really duplicates it.
-			user, instance, half, err := DecodeHalf(msg)
+			user, instance, half, err := ingest.DecodeHalf(msg)
 			if err != nil {
 				conn.Close()
 				return err
@@ -108,7 +109,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 			if _, err := recvHello(ctx, conn); err != nil {
 				return err
 			}
-			return serveUserConn(ctx, conn, col1)
+			return serveGrid(ctx, conn, col1)
 		}()
 	}()
 
@@ -130,7 +131,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				if _, err := recvHello(ctx, c); err != nil {
 					return
 				}
-				_ = serveUserConn(ctx, c, col2)
+				_ = serveGrid(ctx, c, col2)
 			}(conn)
 		}
 	}()
@@ -158,10 +159,10 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 	// grid after a replay proves the dedup path absorbed the repeats.
 	wctx, wcancel := context.WithTimeout(ctx, 5*time.Second)
 	defer wcancel()
-	if err := col1.waitQuorum(wctx, 0, "s1"); err != nil {
+	if err := col1.wait(wctx, time.Now(), 0, "s1"); err != nil {
 		t.Fatalf("S1 collector incomplete after replay: %v", err)
 	}
-	if err := col2.waitQuorum(wctx, 0, "s2"); err != nil {
+	if err := col2.wait(wctx, time.Now(), 0, "s2"); err != nil {
 		t.Fatalf("S2 collector incomplete: %v", err)
 	}
 	for i := 0; i < instances; i++ {

@@ -20,13 +20,19 @@ import (
 // record follows the protocol's causal order — as direction, kind,
 // len(Flags), len(Values) and, for control frames, Flags[0].
 type peerTap struct {
-	l *transport.Listener
+	l      *transport.Listener
+	s1Addr string // where the tap forwards to
 	// cutAfter, when > 0, severs the link for good once that many frames
 	// have crossed it.
 	cutAfter int
 
 	mu     sync.Mutex
 	frames []string
+	// links holds the same records per tapped connection, in accept order,
+	// and caps the capability bits of each connection's hello: a serve-mode
+	// S2 dials a ctl link beside the protocol link.
+	links [][]string
+	caps  []int64
 }
 
 func startPeerTap(t *testing.T, ctx context.Context, s1Addr string, cutAfter int) *peerTap {
@@ -35,7 +41,7 @@ func startPeerTap(t *testing.T, ctx context.Context, s1Addr string, cutAfter int
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &peerTap{l: l, cutAfter: cutAfter}
+	p := &peerTap{l: l, s1Addr: s1Addr, cutAfter: cutAfter}
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
@@ -48,15 +54,19 @@ func startPeerTap(t *testing.T, ctx context.Context, s1Addr string, cutAfter int
 				down.Close()
 				continue
 			}
-			go p.pump(ctx, "S2>S1", down, up)
-			go p.pump(ctx, "S1>S2", up, down)
+			p.mu.Lock()
+			link := len(p.links)
+			p.links, p.caps = append(p.links, nil), append(p.caps, 0)
+			p.mu.Unlock()
+			go p.pump(ctx, "S2>S1", down, up, link)
+			go p.pump(ctx, "S1>S2", up, down, link)
 		}
 	}()
 	return p
 }
 
 // pump forwards one direction until either end fails, then closes both.
-func (p *peerTap) pump(ctx context.Context, dir string, from, to transport.Conn) {
+func (p *peerTap) pump(ctx context.Context, dir string, from, to transport.Conn, link int) {
 	defer from.Close()
 	defer to.Close()
 	for {
@@ -64,7 +74,7 @@ func (p *peerTap) pump(ctx context.Context, dir string, from, to transport.Conn)
 		if err != nil {
 			return
 		}
-		if !p.record(dir, msg) {
+		if !p.record(dir, msg, link) {
 			return
 		}
 		if err := to.Send(ctx, msg); err != nil {
@@ -74,7 +84,7 @@ func (p *peerTap) pump(ctx context.Context, dir string, from, to transport.Conn)
 }
 
 // record notes one frame; it reports false once the link is to be cut.
-func (p *peerTap) record(dir string, msg *transport.Message) bool {
+func (p *peerTap) record(dir string, msg *transport.Message, link int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.cutAfter > 0 && len(p.frames) >= p.cutAfter {
@@ -86,6 +96,10 @@ func (p *peerTap) record(dir string, msg *transport.Message) bool {
 		shape += fmt.Sprintf(" code=%d", msg.Flags[0])
 	}
 	p.frames = append(p.frames, shape)
+	if len(p.links[link]) == 0 && len(msg.Flags) >= 2 {
+		p.caps[link] = msg.Flags[1] // the hello opens every link
+	}
+	p.links[link] = append(p.links[link], shape)
 	return true
 }
 
@@ -206,7 +220,10 @@ func goldenTranscript(packed bool) []string {
 // TestGoldenPeerTranscript pins the one S1↔S2 grammar: for a given packing
 // mode the peer-link transcript is the golden one whatever MaxRetries,
 // Quorum, SubmitDeadline, JournalPath and Parallelism are — including when
-// the two servers set them differently — and so are the labels.
+// the two servers set them differently — and so are the labels. The serve
+// rows run the same two queries through a serve-mode pair: its protocol link
+// must carry the same transcript frame for frame, its hello differing from
+// the batch one in the capServe bit alone.
 func TestGoldenPeerTranscript(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-endpoint deployment test is slow in -short mode")
@@ -253,7 +270,82 @@ func TestGoldenPeerTranscript(t *testing.T) {
 				}
 			})
 		}
+		t.Run(fmt.Sprintf("packed=%v/serve", packed), func(t *testing.T) {
+			caps, got := serveTapped(t, packed)
+			if wantCaps := peerCaps(s1.Config) | capServe; caps != wantCaps {
+				t.Errorf("serve protocol-link hello caps = %d, want %d (the batch caps plus capServe)", caps, wantCaps)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("serve protocol link does not carry the batch transcript:\ngot:\n%s\nwant:\n%s",
+					joinLines(got), joinLines(want))
+			}
+		})
 	}
+}
+
+// serveTapped runs the tappedRun queries — three users, query 0 unanimous on
+// class 2, query 1 split three ways — through a serve-mode pair whose S2
+// dials S1 through a peerTap, and returns the hello caps and transcript of
+// the protocol link (the one link without capServeCtl).
+func serveTapped(t *testing.T, packed bool) (int64, []string) {
+	t.Helper()
+	// Fresh key files: a serve run zeroizes its private material on exit.
+	s1File, s2File, pub, cfg := testSetup(t, 3)
+	s1File.Config.Packing, s2File.Config.Packing, pub.Config.Packing = packed, packed, packed
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	drain := make(chan struct{})
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan error, 1), make(chan error, 1)
+	base := ServerOptions{ListenAddr: "127.0.0.1:0", AttemptTimeout: 30 * time.Second}
+	go func() {
+		o := base
+		o.Seed, o.Ready = 901, s1Ready
+		_, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: o, DrainCh: drain})
+		s1Done <- err
+	}()
+	tap := startPeerTap(t, ctx, <-s1Ready, 0)
+	go func() {
+		o := base
+		o.Seed, o.Ready, o.PeerAddr = 902, s2Ready, tap.l.Addr()
+		_, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: o})
+		s2Done <- err
+	}()
+	s2Addr := <-s2Ready
+	client, err := NewServeClient([]*keystore.PublicFile{pub}, ServeClientOptions{S1Addr: tap.s1Addr, S2Addr: s2Addr, Seed: 910})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, vote := range []func(u int) int{func(int) int { return 2 }, func(u int) int { return u % cfg.Classes }} {
+		votes := make([][]float64, cfg.Users)
+		for u := range votes {
+			votes[u] = oneHot(cfg.Classes, vote(u))
+		}
+		res, err := client.Do(ctx, votes)
+		if err != nil || res.QID != q || res.Consensus != (q == 0) {
+			t.Fatalf("serve query %d: %+v, %v", q, res, err)
+		}
+	}
+	close(drain)
+	if e1, e2 := <-s1Done, <-s2Done; e1 != nil || e2 != nil {
+		t.Fatalf("serve servers failed: s1=%v s2=%v", e1, e2)
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	protocolLink := -1
+	for i, caps := range tap.caps {
+		if caps&capServeCtl != 0 {
+			continue
+		}
+		if protocolLink >= 0 {
+			t.Fatalf("S2 dialed more than one protocol link: %v", tap.caps)
+		}
+		protocolLink = i
+	}
+	if protocolLink < 0 {
+		t.Fatalf("no protocol link among the tapped hellos %v", tap.caps)
+	}
+	return tap.caps[protocolLink], slices.Clone(tap.links[protocolLink])
 }
 
 func joinLines(ss []string) string {

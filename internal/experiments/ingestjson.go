@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// IngestJSON is the machine-readable ingestion benchmark record written as
-// BENCH_ingest.json by cmd/loadgen. The schema field versions the layout;
-// scripts/ingest_guard.sh compares records only when every shape key below
-// matches, so changing the workload shape never trips the regression guard.
+// IngestJSON is the machine-readable ingestion record cmd/loadgen writes
+// with -out. The schema field versions the layout; two records describe the
+// same workload only when every shape key below matches.
 type IngestJSON struct {
 	Schema      string `json:"schema"`
 	GeneratedAt string `json:"generated_at"`
@@ -41,7 +40,7 @@ type IngestJSON struct {
 	// upload confirmed.
 	ElapsedNs int64 `json:"elapsed_ns"`
 	// ThroughputUsersPerSec is Users / Elapsed — the harness's primary
-	// number, watched by the regression guard.
+	// number.
 	ThroughputUsersPerSec float64 `json:"throughput_users_per_sec"`
 	// Ack percentiles are per-user confirmation latencies: from the first
 	// frame sent to both servers' halves durably acked.
@@ -74,26 +73,8 @@ type IngestJSON struct {
 	PackedAckP99Ns              int64   `json:"packed_ack_p99_ns,omitempty"`
 	PackedBytesPerUser          int64   `json:"packed_bytes_per_user,omitempty"`
 
-	// Serve-mode fields (-serve-rate): an open-loop admission benchmark
-	// against a continuous-operation server pair. Mode is "serve" for
-	// these records, so the shape-key comparison never mixes them with
-	// ingestion runs. Admission percentiles are client-observed: first
-	// admission dial to the grant, including redials.
-	ServeQueries       int     `json:"serve_queries,omitempty"`
-	ServeRateQPS       float64 `json:"serve_rate_qps,omitempty"`
-	ServeAdmitted      int     `json:"serve_admitted,omitempty"`
-	ServeRefused       int     `json:"serve_refused,omitempty"`
-	ServeDrained       int     `json:"serve_drained,omitempty"`
-	ServeFailed        int     `json:"serve_failed,omitempty"`
-	ServeRotations     int     `json:"serve_rotations,omitempty"`
-	ServeElapsedNs     int64   `json:"serve_elapsed_ns,omitempty"`
-	ServeThroughputQPS float64 `json:"serve_throughput_qps,omitempty"`
-	ServeAdmitP50Ns    int64   `json:"serve_admit_p50_ns,omitempty"`
-	ServeAdmitP95Ns    int64   `json:"serve_admit_p95_ns,omitempty"`
-	ServeAdmitP99Ns    int64   `json:"serve_admit_p99_ns,omitempty"`
-
-	// Large-run fields (flat, so the guard's line extraction stays trivial):
-	// a second measurement at -large scale, appended when requested.
+	// Large-run fields: a second measurement at -large scale, appended when
+	// requested.
 	LargeUsers                 int     `json:"large_users,omitempty"`
 	LargeElapsedNs             int64   `json:"large_elapsed_ns,omitempty"`
 	LargeThroughputUsersPerSec float64 `json:"large_throughput_users_per_sec,omitempty"`
