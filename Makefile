@@ -82,12 +82,13 @@ fuzz:
 cover:
 	./scripts/coverage_guard.sh
 
-# Short benchmark pass: the Tables I-II benches and the argmax strategy
-# ablation (tournament against the paper's all-pairs reference), one
+# Short benchmark pass: the Tables I-II benches, the argmax strategy
+# ablation (tournament against the paper's all-pairs reference) and the
+# Paillier encryption micro-bench (results/fixedbase_micro.txt), one
 # iteration each, so CI catches bench-harness rot without long runs. The
 # measured record of this repository is the end-to-end benchmark below.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes|BenchmarkPaillierEnc' -benchtime=1x .
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the real serve
 # pair and relay tree over loopback at deployable key sizes, through the same

@@ -95,7 +95,7 @@ func (f *S1File) validate() error {
 	if f.Paillier == nil || f.PeerPublic == nil || f.DGKPublic == nil {
 		return fmt.Errorf("keystore: incomplete S1 key file")
 	}
-	return nil
+	return checkModuli(f.Config, &f.Paillier.PublicKey, f.PeerPublic)
 }
 
 // KeysS2 converts the file into the protocol engine's S2 view.
@@ -114,7 +114,7 @@ func (f *S2File) validate() error {
 	if f.Paillier == nil || f.PeerPublic == nil || f.DGK == nil {
 		return fmt.Errorf("keystore: incomplete S2 key file")
 	}
-	return nil
+	return checkModuli(f.Config, &f.Paillier.PublicKey, f.PeerPublic)
 }
 
 // Validate checks the public bundle.
@@ -124,6 +124,18 @@ func (f *PublicFile) Validate() error {
 	}
 	if f.PK1 == nil || f.PK2 == nil {
 		return fmt.Errorf("keystore: incomplete public key bundle")
+	}
+	return checkModuli(f.Config, f.PK1, f.PK2)
+}
+
+// checkModuli refuses Paillier moduli that are not Config.PaillierBits long:
+// the packed layout and the blinding width derive from that size; a smaller
+// key would surface only as ErrMessageRange after admission has reserved ε.
+func checkModuli(cfg protocol.Config, keys ...*paillier.PublicKey) error {
+	for _, pk := range keys {
+		if got := pk.N.BitLen(); got != cfg.PaillierBits {
+			return fmt.Errorf("keystore: %w: Paillier modulus has %d bits, config says %d", protocol.ErrBadConfig, got, cfg.PaillierBits)
+		}
 	}
 	return nil
 }

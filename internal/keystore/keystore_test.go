@@ -2,13 +2,17 @@ package keystore
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
+	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -176,6 +180,64 @@ func TestValidateRejectsBadFiles(t *testing.T) {
 	}
 	if _, err := (&S2File{Version: Version}).KeysS2(); err == nil {
 		t.Error("expected error from incomplete S2 file")
+	}
+}
+
+// TestValidateChecksModuli is the key-load table: every file kind refuses a
+// Paillier modulus (own or peer) whose size is not Config.PaillierBits, Load
+// refuses an even one, and an untouched file passes.
+func TestValidateChecksModuli(t *testing.T) {
+	cfg := testConfig(2)
+	keys, err := protocol.GenerateKeys(testRNG(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := paillier.GenerateKey(testRNG(4), cfg.PaillierBits/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(s1 *S1File, s2 *S2File, pub *PublicFile)
+		want   error // for all three files; nil = accepted
+	}{
+		{"good file", func(*S1File, *S2File, *PublicFile) {}, nil},
+		{"keys smaller than config", func(s1 *S1File, s2 *S2File, pub *PublicFile) {
+			s1.Config.PaillierBits *= 2
+			s2.Config.PaillierBits *= 2
+			pub.Config.PaillierBits *= 2
+		}, protocol.ErrBadConfig},
+		{"peer key of another size", func(s1 *S1File, s2 *S2File, pub *PublicFile) {
+			s1.PeerPublic, s2.PeerPublic, pub.PK2 = small.Public(), small.Public(), small.Public()
+		}, protocol.ErrBadConfig},
+		{"own key of another size", func(s1 *S1File, s2 *S2File, pub *PublicFile) {
+			s1.Paillier, s2.Paillier, pub.PK1 = small, small, small.Public()
+		}, protocol.ErrBadConfig},
+	} {
+		s1, s2, pub, err := Split(cfg, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(s1, s2, pub)
+		_, err1 := s1.KeysS1()
+		_, err2 := s2.KeysS2()
+		for file, err := range map[string]error{"s1": err1, "s2": err2, "public": pub.Validate()} {
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s, %s file: got %v, want %v", tc.name, file, err, tc.want)
+			}
+		}
+	}
+
+	// An even modulus never reaches Validate: the file does not load.
+	path := filepath.Join(t.TempDir(), "public.json")
+	even := new(big.Int).Lsh(big.NewInt(1), uint(cfg.PaillierBits-1))
+	data := fmt.Sprintf(`{"version":%d,"pk1":{"n":"%v"},"pk2":{"n":"%v"}}`, Version, even, keys.S2Paillier.N)
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var pub PublicFile
+	if err := Load(path, &pub); !errors.Is(err, paillier.ErrInvalidKeyPair) {
+		t.Errorf("even modulus: Load returned %v, want ErrInvalidKeyPair", err)
 	}
 }
 

@@ -54,9 +54,9 @@ type FixedBaseExp struct {
 // per exponentiation ( ceil(maxBits/w) ) but 2^w - 1 table entries per
 // window position. The widths below minimize the multiplication count; the
 // price is memory, ceil(maxBits/w)·(2^w - 1) residues of the modulus: about
-// a megabyte for a 1024-bit DGK key's h table, but 19.6 MB — 22.5 MB
-// resident — for the blinding table of a 2048-bit Paillier key (302 rows of
-// 127 entries, 512 bytes each).
+// a megabyte for a 1024-bit DGK key's h table, and 9.6 MB — 11.0 MB
+// resident — for the blinding table of a 2048-bit Paillier key (147 rows of
+// 127 entries, 512 bytes each; EXPERIMENTS.md § PR 21 sizes window 8).
 func windowFor(maxBits int) uint {
 	switch {
 	case maxBits <= 16:

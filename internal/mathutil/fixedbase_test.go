@@ -284,8 +284,8 @@ func BenchmarkBigIntExpBaseline(b *testing.B) {
 
 // Table entries must be stored right-sized. big.Int.Mul sizes its result for
 // its Karatsuba temporaries (6x the residue at 4096 bits) and Mod keeps that
-// buffer, so entries multiplied in place would pin ~3 KB each — 118 MB
-// instead of 22 MB for the blinding table of a 2048-bit Paillier key.
+// buffer, so entries multiplied in place would pin ~3 KB each — six times
+// the 11 MB the blinding table of a 2048-bit Paillier key should hold.
 func TestFixedBaseEntriesAreRightSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 4096))

@@ -50,29 +50,6 @@ func RandBits(rng io.Reader, bits int) (*big.Int, error) {
 	return RandInt(rng, bound)
 }
 
-// RandUnit returns a uniformly random element of the multiplicative group
-// Z_n^*, i.e. an integer in [1, n) coprime to n.
-func RandUnit(rng io.Reader, n *big.Int) (*big.Int, error) {
-	if n.Cmp(Two) < 0 {
-		return nil, fmt.Errorf("mathutil: RandUnit modulus must be >= 2, got %v", n)
-	}
-	gcd := new(big.Int)
-	for i := 0; i < 1000; i++ {
-		r, err := RandInt(rng, n)
-		if err != nil {
-			return nil, err
-		}
-		if r.Sign() == 0 {
-			continue
-		}
-		gcd.GCD(nil, nil, r, n)
-		if gcd.Cmp(One) == 0 {
-			return r, nil
-		}
-	}
-	return nil, errors.New("mathutil: failed to sample a unit after 1000 attempts")
-}
-
 // RandPrime returns a random prime of exactly bits bits.
 func RandPrime(rng io.Reader, bits int) (*big.Int, error) {
 	if bits < 2 {

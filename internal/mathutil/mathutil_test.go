@@ -51,22 +51,6 @@ func TestRandBits(t *testing.T) {
 	}
 }
 
-func TestRandUnitCoprime(t *testing.T) {
-	rng := testRNG(3)
-	n := big.NewInt(35) // 5 * 7
-	gcd := new(big.Int)
-	for i := 0; i < 100; i++ {
-		u, err := RandUnit(rng, n)
-		if err != nil {
-			t.Fatalf("RandUnit: %v", err)
-		}
-		gcd.GCD(nil, nil, u, n)
-		if gcd.Cmp(One) != 0 {
-			t.Fatalf("RandUnit returned non-unit %v", u)
-		}
-	}
-}
-
 func TestRandPrime(t *testing.T) {
 	rng := testRNG(4)
 	p, err := RandPrime(rng, 64)

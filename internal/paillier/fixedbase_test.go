@@ -2,10 +2,15 @@ package paillier
 
 import (
 	"bytes"
+	"io"
 	"math/big"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
+	"github.com/privconsensus/privconsensus/internal/obs"
 )
 
 // TestTableBlindingRoundTrip exercises the fixed-base blinding path
@@ -36,35 +41,165 @@ func TestTableBlindingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlindingFallbackWithoutTables covers the r^N fallback a key without
-// precomp state uses (e.g. a zero-value PublicKey populated field by
-// field): ciphertexts must still decrypt, and the two blinding styles must
-// be homomorphically compatible.
+// TestBlindingFallbackWithoutTables pins that there is one blinding
+// distribution computed three ways: a key without precomp state (a zero-value
+// PublicKey populated field by field, big.Int.Exp), a Public() copy (the
+// fixed-base table) and the key owner (the CRT tables) produce byte-equal
+// ciphertexts from identically seeded streams and leave the streams at the
+// same position.
 func TestBlindingFallbackWithoutTables(t *testing.T) {
-	key := testKey(t, 64)
-	warm := key.Public()
-	warm.Precompute()
-	bare := &PublicKey{N: warm.N, N2: warm.N2, G: warm.G} // no pre holder
-	rng := testRNG(32)
+	for i, key := range ownKeys() {
+		if testing.Short() && ownKeyBits[i] > 512 {
+			continue
+		}
+		bare := &PublicKey{N: key.N, N2: key.N2, G: key.G} // no pre holder
+		encrypters := []struct {
+			name string
+			enc  func(io.Reader, *big.Int) (*Ciphertext, error)
+			rr   func(io.Reader, *Ciphertext) (*Ciphertext, error)
+			rng  *rand.Rand
+		}{
+			{"bare", bare.Encrypt, bare.Rerandomize, testRNG(32)},
+			{"public", key.Public().Encrypt, key.Public().Rerandomize, testRNG(32)},
+			{"own", key.Encrypt, key.Rerandomize, testRNG(32)},
+		}
+		m := big.NewInt(17)
+		var want []byte
+		for _, e := range encrypters {
+			c, err := e.enc(e.rng, m)
+			if err != nil {
+				t.Fatalf("%d-bit %s Encrypt: %v", ownKeyBits[i], e.name, err)
+			}
+			if got, err := key.Decrypt(c); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%d-bit %s round trip: got (%v, %v), want %v", ownKeyBits[i], e.name, got, err, m)
+			}
+			if c, err = e.rr(e.rng, c); err != nil {
+				t.Fatalf("%d-bit %s Rerandomize: %v", ownKeyBits[i], e.name, err)
+			}
+			if want == nil {
+				want = c.Bytes()
+			} else if !bytes.Equal(c.Bytes(), want) {
+				t.Fatalf("%d-bit: %s ciphertext differs from %s", ownKeyBits[i], e.name, encrypters[0].name)
+			}
+		}
+		pos := encrypters[0].rng.Int63()
+		for _, e := range encrypters[1:] {
+			if got := e.rng.Int63(); got != pos {
+				t.Fatalf("%d-bit: %s stream ended at a different position than %s", ownKeyBits[i], e.name, encrypters[0].name)
+			}
+		}
+	}
+}
 
-	cBare, err := bare.Encrypt(rng, big.NewInt(17))
-	if err != nil {
-		t.Fatalf("fallback Encrypt: %v", err)
+// TestBlindWidthRule pins the one width rule: the public table covers exactly
+// ⌈|n|/2⌉ bits and each own-key table covers every a mod (p−1). A re-widened
+// draw would still be correct — Exp falls back to big.Int.Exp — so the width
+// is asserted here and the fallback counter in TestBlindingNeverFallsBack.
+func TestBlindWidthRule(t *testing.T) {
+	for i, key := range ownKeys() {
+		bits := ownKeyBits[i]
+		if got, want := key.blindTable().MaxBits(), (bits+1)/2; got != want {
+			t.Fatalf("%d-bit: public table covers %d bits, want %d", bits, got, want)
+		}
+		own := key.ownTables()
+		if own.p.MaxBits() < key.pMinus1.BitLen() || own.q.MaxBits() < key.qMinus1.BitLen() {
+			t.Fatalf("%d-bit: own tables cover %d/%d bits, reduced exponents reach %d/%d",
+				bits, own.p.MaxBits(), own.q.MaxBits(), key.pMinus1.BitLen(), key.qMinus1.BitLen())
+		}
 	}
-	if got, err := key.Decrypt(cBare); err != nil || got.Int64() != 17 {
-		t.Fatalf("fallback round trip: got (%v, %v), want 17", got, err)
-	}
+}
 
-	cWarm, err := warm.Encrypt(rng, big.NewInt(25))
-	if err != nil {
-		t.Fatalf("table Encrypt: %v", err)
+// TestBlindingNeverFallsBack runs 1,000 public and 1,000 own-key encryptions
+// per size and requires every blinding exponentiation to be a table walk: a
+// draw wider than its table would be several times slower and only
+// privconsensus_fixedbase_fallbacks_total would tell.
+func TestBlindingNeverFallsBack(t *testing.T) {
+	const fallbacks, hits = "privconsensus_fixedbase_fallbacks_total", "privconsensus_fixedbase_hits_total"
+	for i, key := range ownKeys() {
+		if testing.Short() && ownKeyBits[i] > 512 {
+			continue
+		}
+		key.Precompute()
+		pub, rng, m := key.Public(), testRNG(34), big.NewInt(5)
+		fb, h := obs.Default.CounterValue(fallbacks), obs.Default.CounterValue(hits)
+		for j := 0; j < 1000; j++ {
+			if _, err := pub.Encrypt(rng, m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := key.Encrypt(rng, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := obs.Default.CounterValue(fallbacks) - fb; d != 0 {
+			t.Fatalf("%d-bit: %d of 2000 encryptions fell back to big.Int.Exp", ownKeyBits[i], d)
+		}
+		// One walk per public encryption, two (mod p², mod q²) per own-key one.
+		if d := obs.Default.CounterValue(hits) - h; d != 3000 {
+			t.Fatalf("%d-bit: %d table walks for 2000 encryptions, want 3000", ownKeyBits[i], d)
+		}
 	}
-	sum, err := warm.Add(cWarm, cBare)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// constReader is an rng whose every byte is the same, forcing RandBits to
+// its extremes: 0x00 draws a = 0, 0xff draws a = 2^bits − 1.
+type constReader byte
+
+func (c constReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(c)
 	}
-	if got, err := key.Decrypt(sum); err != nil || got.Int64() != 42 {
-		t.Fatalf("mixed-blinding Add: got (%v, %v), want 42", got, err)
+	return len(p), nil
+}
+
+// TestBlindingExponentExtremes forces the blinding exponent to both ends of
+// its range and checks the ciphertexts still round-trip, agree between the
+// public and own-key paths, and compose with ordinary ones under Add and
+// Rerandomize.
+func TestBlindingExponentExtremes(t *testing.T) {
+	for i, key := range ownKeys() {
+		if testing.Short() && ownKeyBits[i] > 512 {
+			continue
+		}
+		pub := key.Public()
+		top := new(big.Int).Lsh(big.NewInt(1), uint(blindBits(key.N)))
+		top.Sub(top, big.NewInt(1))
+		for _, tc := range []struct {
+			rng  constReader
+			want *big.Int
+		}{{0x00, big.NewInt(0)}, {0xff, top}} {
+			if a, err := mathutil.RandBits(tc.rng, blindBits(key.N)); err != nil || a.Cmp(tc.want) != 0 {
+				t.Fatalf("%d-bit: reader %#x drew a = %v (%v), want %v", ownKeyBits[i], byte(tc.rng), a, err, tc.want)
+			}
+			m := big.NewInt(1234)
+			c, err := pub.Encrypt(tc.rng, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, err := key.Encrypt(tc.rng, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c.Bytes(), own.Bytes()) {
+				t.Fatalf("%d-bit a=%#x…: own-key and public ciphertexts differ", ownKeyBits[i], byte(tc.rng))
+			}
+			if got, err := key.Decrypt(c); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%d-bit a=%#x… round trip: got (%v, %v), want %v", ownKeyBits[i], byte(tc.rng), got, err, m)
+			}
+			other, err := pub.Encrypt(testRNG(35), big.NewInt(4321))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := pub.Add(c, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum, err = pub.Rerandomize(tc.rng, sum); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := key.Decrypt(sum); err != nil || got.Int64() != 5555 {
+				t.Fatalf("%d-bit a=%#x… Add+Rerandomize: got (%v, %v), want 5555", ownKeyBits[i], byte(tc.rng), got, err)
+			}
+		}
 	}
 }
 

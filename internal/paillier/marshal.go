@@ -33,6 +33,13 @@ func (pk *PublicKey) UnmarshalJSON(data []byte) error {
 	if !ok || n.Sign() <= 0 {
 		return fmt.Errorf("paillier: invalid modulus %q", raw.N)
 	}
+	// No product of two odd primes, or too small for a blinding table.
+	if n.Bit(0) == 0 {
+		return fmt.Errorf("%w: modulus is even", ErrInvalidKeyPair)
+	}
+	if n.BitLen() < 16 {
+		return fmt.Errorf("%w, modulus has %d", ErrKeyTooSmall, n.BitLen())
+	}
 	pk.N = n
 	pk.N2 = new(big.Int).Mul(n, n)
 	pk.G = new(big.Int).Add(n, big.NewInt(1))

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"encoding/json"
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -64,6 +65,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"n":"zzz"}`), &pk); err == nil {
 		t.Error("expected error for non-numeric modulus")
+	}
+	// 2^40: long enough, even. 32761 = 181²: odd, one bit short of 16.
+	if err := json.Unmarshal([]byte(`{"n":"1099511627776"}`), &pk); !errors.Is(err, ErrInvalidKeyPair) {
+		t.Errorf("even modulus: got %v, want ErrInvalidKeyPair", err)
+	}
+	if err := json.Unmarshal([]byte(`{"n":"32761"}`), &pk); !errors.Is(err, ErrKeyTooSmall) {
+		t.Errorf("15-bit modulus: got %v, want ErrKeyTooSmall", err)
 	}
 	var k PrivateKey
 	if err := json.Unmarshal([]byte(`{"p":"4","q":"9"}`), &k); err == nil {
