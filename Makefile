@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke loadgen-smoke loadgen-smoke-packed ci
+.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke ci
 
 build:
 	$(GO) build ./...
@@ -59,9 +59,11 @@ soak-full:
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
 # CRT Paillier encryption (differential against the public path), the four
 # ingest frame decoders (user and combined, packed and not: no panic, and
-# whatever decodes re-encodes byte-identically) and the packed group layout
-# (no carry between slots at any feasible shape). One target per invocation
-# (go fuzz requires it); FUZZTIME bounds each.
+# whatever decodes re-encodes byte-identically), the packed group layout
+# (no carry between slots at any feasible shape) and the one ε state-file
+# loader (never a panic, never fewer tenants than the file names, identical
+# spend after a persist and reload). One target per invocation (go fuzz
+# requires it); FUZZTIME bounds each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
@@ -76,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedJointLayout$$' -fuzztime $(FUZZTIME) ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzLedgerLoad$$' -fuzztime $(FUZZTIME) ./internal/dp/
 
 # Coverage with a regression floor (scripts/coverage_baseline.txt); leaves
 # the profile at results/coverage.out.
@@ -115,24 +118,6 @@ bench-compare:
 obs-smoke:
 	./scripts/obs_smoke.sh
 
-# Ingestion load harness smoke: 1k simulated users through a two-level
-# relay tree on loopback plus a tree-vs-direct full-protocol parity run (the
-# one thing bench/ does not cover; the process exits non-zero on a parity
-# mismatch). The compare arm re-measures the same shape with slot packing
-# on. Nothing is written: the measured record of this repository is the
-# end-to-end benchmark above (packed size win: client.upload_bytes_per_user).
-# Scale it up by hand with e.g. `go run ./cmd/loadgen -large 100000`.
-loadgen-smoke:
-	$(GO) run ./cmd/loadgen -users 1000 -relays 2 -batch 64 -workers 8 \
-		-parity-users 20 -packed-compare
-
-# The ingest lane with packing on as the primary mode: packed frames
-# through the relay tree and sinks, plus the packed tree-vs-direct parity
-# run.
-loadgen-smoke-packed:
-	$(GO) run ./cmd/loadgen -users 1000 -relays 2 -batch 64 -workers 8 \
-		-parity-users 20 -packed
-
 ci: build vet fmt-check race bench
 	$(MAKE) bench-e2e SECONDS=3 BENCH_ARGS=-smoke
-	$(MAKE) obs-smoke loadgen-smoke
+	$(MAKE) obs-smoke

@@ -1,14 +1,9 @@
 package privconsensus
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"github.com/privconsensus/privconsensus/internal/dp"
-	"github.com/privconsensus/privconsensus/internal/fsx"
 )
 
 // Accountant tracks the cumulative Rényi-DP privacy spend of a sequence of
@@ -18,145 +13,83 @@ import (
 // 9α/2σ₁² at order α); queries whose label is actually released
 // additionally pay the Report Noisy Maximum cost (Lemma 2: α/σ₂²).
 //
-// An Accountant created with NewAccountantAt is durable: its state is
-// rewritten (write-temp-fsync-rename-fsync, so a crash never truncates or
-// loses it) after every recorded spend, and reloaded on construction. The
-// state path is guarded by an exclusive lock file for the accountant's
-// lifetime, so two processes pointed at the same path cannot interleave
-// spends; release it with Close. An Accountant is safe for concurrent use.
+// It is the single-tenant view (tenant 0, no quota) of the one durable ε
+// store, dp.Ledger. An Accountant created with NewAccountantAt is durable:
+// its state is rewritten (write-temp-fsync-rename-fsync, so a crash never
+// truncates or loses it) after every recorded spend, and reloaded on
+// construction. The state path is guarded by an exclusive lock file for the
+// accountant's lifetime, so two processes pointed at the same path cannot
+// interleave spends; release it with Close. An Accountant is safe for
+// concurrent use.
 type Accountant struct {
-	mu    sync.Mutex
-	inner *dp.Accountant
-	path  string
-	lock  *fsx.Lock
+	ledger *dp.Ledger
 }
 
 // NewAccountant returns an empty in-memory accountant.
 func NewAccountant() *Accountant {
-	return &Accountant{inner: dp.NewAccountant()}
+	a, _ := NewAccountantAt("") // an in-memory ledger cannot fail to open
+	return a
 }
 
 // NewAccountantAt returns an accountant whose spend is persisted at path:
 // an existing state file is reloaded (so privacy spend survives process
 // restarts), a missing one starts the accountant empty, and every
-// RecordQuery/RecordRelease atomically rewrites the file with fsync.
+// RecordQuery/RecordRelease atomically rewrites the file with fsync. A
+// state file in the flat shape earlier versions wrote still loads; the next
+// spend rewrites it in the ledger's versioned shape, which those versions
+// cannot read back.
 //
 // The path is guarded by an exclusive lock file (path + ".lock") held
 // until Close: a second process (or a second accountant in this process)
 // opening the same path fails immediately rather than silently
 // interleaving — and under-counting — the privacy spend.
 func NewAccountantAt(path string) (*Accountant, error) {
-	lock, err := fsx.Acquire(path)
+	// The δ only sets what the ledger's own reports convert at; this view
+	// converts at the caller's (Epsilon).
+	ledger, err := dp.OpenLedger(path, nil, 0, 1e-6)
 	if err != nil {
-		if errors.Is(err, fsx.ErrLocked) {
-			return nil, fmt.Errorf("privconsensus: accountant state %s is in use by another server: %w", path, err)
-		}
-		return nil, fmt.Errorf("privconsensus: lock accountant: %w", err)
+		return nil, fmt.Errorf("privconsensus: accountant: %w", err)
 	}
-	a := &Accountant{inner: dp.NewAccountant(), path: path, lock: lock}
-	b, err := os.ReadFile(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// First run: the file appears on the first recorded spend.
-	case err != nil:
-		lock.Unlock()
-		return nil, fmt.Errorf("privconsensus: load accountant: %w", err)
-	default:
-		if err := json.Unmarshal(b, a.inner); err != nil {
-			lock.Unlock()
-			return nil, fmt.Errorf("privconsensus: load accountant %s: %w", path, err)
-		}
-	}
-	return a, nil
+	return &Accountant{ledger: ledger}, nil
 }
 
 // Close releases the exclusive lock on the state path so another
 // accountant may open it. The in-memory view stays readable; further
 // spends are rejected. Idempotent, and a no-op for in-memory accountants.
-func (a *Accountant) Close() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.lock == nil {
-		return nil
-	}
-	lock := a.lock
-	a.lock = nil
-	return lock.Unlock()
-}
+func (a *Accountant) Close() error { return a.ledger.Close() }
 
 // RecordQuery records the SVT spend of one threshold check with deviation
 // sigma1 (in votes). Call once per query, released or not.
 func (a *Accountant) RecordQuery(sigma1 float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.checkOpen(); err != nil {
-		return err
+	if sigma1 <= 0 {
+		return dp.ErrBadSigma
 	}
-	if err := a.inner.AddSVT(sigma1); err != nil {
-		return err
-	}
-	return a.persist()
+	_, err := a.ledger.Commit(0, 0, sigma1, 0, false)
+	return err
 }
 
 // RecordRelease records the RNM spend of one released label with deviation
 // sigma2.
 func (a *Accountant) RecordRelease(sigma2 float64) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.checkOpen(); err != nil {
-		return err
+	if sigma2 <= 0 {
+		return dp.ErrBadSigma
 	}
-	if err := a.inner.AddRNM(sigma2); err != nil {
-		return err
-	}
-	return a.persist()
-}
-
-// checkOpen rejects spends on a durable accountant whose state lock has
-// been released: recording would race whichever accountant now owns the
-// path. Callers hold mu. In-memory accountants are always open.
-func (a *Accountant) checkOpen() error {
-	if a.path != "" && a.lock == nil {
-		return fmt.Errorf("privconsensus: accountant %s is closed", a.path)
-	}
-	return nil
-}
-
-// persist atomically rewrites the state file with fsync on both the data
-// and the directory. Callers hold mu. The spend was already recorded in
-// memory when persistence fails, so the in-memory view only ever
-// over-counts — never under-reports — the durable state.
-func (a *Accountant) persist() error {
-	if a.path == "" {
-		return nil
-	}
-	if a.lock == nil {
-		return fmt.Errorf("privconsensus: accountant %s is closed", a.path)
-	}
-	b, err := json.Marshal(a.inner)
-	if err != nil {
-		return fmt.Errorf("privconsensus: encode accountant: %w", err)
-	}
-	if err := fsx.WriteFileSync(a.path, append(b, '\n'), 0o600); err != nil {
-		return fmt.Errorf("privconsensus: persist accountant: %w", err)
-	}
-	return nil
+	_, err := a.ledger.Commit(0, 0, 0, sigma2, true)
+	return err
 }
 
 // Counts returns the number of recorded SVT (per-query) and RNM
 // (per-release) invocations.
 func (a *Accountant) Counts() (queries, releases int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inner.Counts()
+	acct := a.ledger.Tenant(0)
+	return acct.Counts()
 }
 
 // Epsilon converts the accumulated spend to (ε, δ)-DP, returning ε and the
 // optimal Rényi order α*.
 func (a *Accountant) Epsilon(delta float64) (eps, alphaStar float64, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inner.Epsilon(delta)
+	acct := a.ledger.Tenant(0)
+	return acct.Epsilon(delta)
 }
 
 // QueryEpsilon returns the per-query (ε, δ) guarantee of the paper's

@@ -28,7 +28,9 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// parseConfig turns the command line into the protocol configuration every
+// key file embeds, and the output directory.
+func parseConfig(args []string) (protocol.Config, string, error) {
 	fs := flag.NewFlagSet("keygen", flag.ContinueOnError)
 	var (
 		outDir    = fs.String("out", ".", "output directory for key files")
@@ -41,7 +43,7 @@ func run(args []string) error {
 		dgkBits   = fs.Int("dgk-bits", 192, "DGK modulus bits (production: >= 1024)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return protocol.Config{}, "", err
 	}
 
 	cfg := protocol.DefaultConfig(*users)
@@ -50,11 +52,21 @@ func run(args []string) error {
 	cfg.Sigma1, cfg.Sigma2 = *sigma1, *sigma2
 	cfg.PaillierBits = *paillier
 	cfg.DGK = dgk.Params{NBits: *dgkBits, TBits: 40, U: 1009, L: 56}
-	if err := cfg.Validate(); err != nil {
+	// Submissions are slot-packed iff that costs fewer ciphertexts than the
+	// unpacked 3K per half, i.e. at least two slots fit one plaintext. Every
+	// party reads the mode from its key file, so it is decided here, once.
+	cfg.Packing = cfg.PackedSlotsPerPlaintext() >= 2
+	return cfg, *outDir, cfg.Validate()
+}
+
+func run(args []string) error {
+	cfg, outDir, err := parseConfig(args)
+	if err != nil {
 		return err
 	}
 
-	fmt.Printf("generating keys (%d-bit Paillier, %d-bit DGK)...\n", *paillier, *dgkBits)
+	fmt.Printf("generating keys (%d-bit Paillier, %d-bit DGK, packed submissions: %v)...\n",
+		cfg.PaillierBits, cfg.DGK.NBits, cfg.Packing)
 	keys, err := protocol.GenerateKeys(rand.Reader, cfg)
 	if err != nil {
 		return err
@@ -63,7 +75,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
 	files := []struct {
@@ -76,7 +88,7 @@ func run(args []string) error {
 		{"public.json", pub, 0o644},
 	}
 	for _, f := range files {
-		path := filepath.Join(*outDir, f.name)
+		path := filepath.Join(outDir, f.name)
 		if err := keystore.Save(path, f.v, f.mode); err != nil {
 			return err
 		}

@@ -40,6 +40,42 @@ func TestRunWritesAllFiles(t *testing.T) {
 	if pub.Config.Users != 2 || pub.Config.Classes != 3 {
 		t.Errorf("config not embedded: %+v", pub.Config)
 	}
+	if s1.Config.Packing || s2.Config.Packing || pub.Config.Packing {
+		t.Error("64-bit paper keys written with packing on")
+	}
+}
+
+// TestPackingDerivedFromConfig pins the one rule that decides the wire's
+// packing mode: keygen packs iff at least two slots fit one plaintext, so a
+// packed half is strictly smaller than the unpacked 3K ciphertexts.
+func TestPackingDerivedFromConfig(t *testing.T) {
+	cases := []struct {
+		name  string
+		args  []string
+		slots int
+		want  bool
+	}{
+		{"paper default, 64-bit", nil, 0, false},
+		{"exactly one slot fits, 128-bit", []string{"-paillier-bits", "128"}, 1, false},
+		{"two slots fit, 192-bit", []string{"-paillier-bits", "192"}, 2, true},
+		{"1024-bit at K=10", []string{"-paillier-bits", "1024", "-classes", "10"}, 11, true},
+		{"2048-bit at K=10", []string{"-paillier-bits", "2048", "-classes", "10"}, 23, true},
+	}
+	for _, c := range cases {
+		cfg, _, err := parseConfig(c.args)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := cfg.PackedSlotsPerPlaintext(); got != c.slots {
+			t.Errorf("%s: %d slots per plaintext, want %d", c.name, got, c.slots)
+		}
+		if cfg.Packing != c.want {
+			t.Errorf("%s: Packing = %v, want %v", c.name, cfg.Packing, c.want)
+		}
+		if packed, plain := cfg.HalfLens(), 3*cfg.Classes; c.want && packed[0]+packed[1]+packed[2] >= plain {
+			t.Errorf("%s: packed half costs %v ciphertexts, not fewer than %d", c.name, packed, plain)
+		}
+	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {

@@ -54,7 +54,6 @@ func run(args []string) error {
 		timeout   = fs.Duration("timeout", 10*time.Minute, "overall deadline")
 		seed      = fs.Int64("seed", 0, "deterministic seed (0 = crypto/rand)")
 		par       = fs.Int("parallelism", 0, "CPU worker bound for this server's crypto (0 = key file / NumCPU, 1 = inline); never changes the wire")
-		packed    = fs.String("packed", "", "slot-packed submissions: on, off, or empty for the key file's setting (changes the wire format; servers, relays and users must agree)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
 		linger    = fs.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the last instance")
 		retries   = fs.Int("max-retries", 0, "per-instance retry budget on transient I/O failures (0 = one attempt, a lost peer link is final)")
@@ -97,7 +96,6 @@ func run(args []string) error {
 		Instances:      *instances,
 		Seed:           *seed,
 		Parallelism:    *par,
-		Packing:        *packed,
 		MetricsAddr:    *metrics,
 		MetricsLinger:  *linger,
 		MaxRetries:     *retries,

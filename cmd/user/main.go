@@ -48,7 +48,6 @@ func run(args []string) error {
 		backoff  = fs.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per retry)")
 		faults   = fs.String("fault-spec", "", "inject deterministic connection faults (testing only)")
 		journal  = fs.String("journal", "", "append a hash-chained JSONL event journal at this path and join the servers' cross-process trace (see cmd/trace)")
-		packed   = fs.String("packed", "", "slot-packed submissions: on, off, or empty for the key file's setting (must match the servers)")
 		logLevel = fs.String("log-level", "", "log threshold: debug, info (default), warn or silent")
 		serve    = fs.Bool("serve", false, "submit queries to a serve-mode deployment: -keys becomes a comma-separated per-epoch list, each -votes entry is one query")
 		tenant   = fs.Int64("tenant", 0, "tenant ID for serve-mode admission (ε quotas are per tenant)")
@@ -60,7 +59,7 @@ func run(args []string) error {
 	if *serve {
 		return runServeClient(*keysPath, *tenant, *s1Addr, *s2Addr, *votesArg, serveClientConfig{
 			timeout: *timeout, seed: *seed, retries: *retries, backoff: *backoff,
-			attemptTimeout: *attempt, faults: *faults, packed: *packed, logLevel: *logLevel,
+			attemptTimeout: *attempt, faults: *faults, logLevel: *logLevel,
 		})
 	}
 	if *keysPath == "" || *userIdx < 0 || *s1Addr == "" || *s2Addr == "" {
@@ -94,7 +93,7 @@ func run(args []string) error {
 	if err := deploy.SubmitVotes(ctx, &pub, deploy.UserOptions{
 		User: *userIdx, S1Addr: *s1Addr, S2Addr: *s2Addr, Seed: *seed,
 		MaxRetries: *retries, Backoff: *backoff, FaultSpec: *faults,
-		JournalPath: *journal, LogLevel: *logLevel, Packing: *packed,
+		JournalPath: *journal, LogLevel: *logLevel,
 		Logf: deploy.DefaultLogger(fmt.Sprintf("[user%d] ", *userIdx)),
 	}, votes); err != nil {
 		return err

@@ -19,7 +19,6 @@ type serveClientConfig struct {
 	backoff        time.Duration
 	attemptTimeout time.Duration
 	faults         string
-	packed         string
 	logLevel       string
 }
 
@@ -47,7 +46,7 @@ func runServeClient(keysPath string, tenant int64, s1Addr, s2Addr, votesArg stri
 	client, err := deploy.NewServeClient(pubs, deploy.ServeClientOptions{
 		Tenant: tenant, S1Addr: s1Addr, S2Addr: s2Addr, Seed: cc.seed,
 		MaxRetries: cc.retries, Backoff: cc.backoff, AttemptTimeout: cc.attemptTimeout,
-		FaultSpec: cc.faults, Packing: cc.packed, LogLevel: cc.logLevel,
+		FaultSpec: cc.faults, LogLevel: cc.logLevel,
 		Logf: deploy.DefaultLogger(fmt.Sprintf("[tenant%d] ", tenant)),
 	})
 	if err != nil {

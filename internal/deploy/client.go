@@ -42,13 +42,12 @@ type client struct {
 	noiseRNG  *mrand.Rand
 }
 
-// newClient validates the shared settings, resolves the packing override
-// onto cfg and derives the randomness streams from link.Seed.
+// newClient validates the shared settings and derives the randomness
+// streams from link.Seed.
 func newClient(cfg protocol.Config, link ServerOptions, role string, caps, dialSeed int64) (*client, error) {
 	if err := link.validateLink(); err != nil {
 		return nil, err
 	}
-	applyPacking(&cfg, link.Packing)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -308,7 +308,7 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 	c.batchSeen[key] = digest
 	c.covered[instance].Or(c.covered[instance], bm)
 	c.batches[instance] = append(c.batches[instance], relayBatch{bm: new(big.Int).Set(bm), half: half})
-	c.remaining -= popcount(bm)
+	c.remaining -= ingest.Popcount(bm)
 	c.signalFullLocked()
 	return nil
 }
@@ -423,7 +423,7 @@ func (c *collector) maskedGroups(i int, agreed *big.Int) ([]protocol.Group, erro
 			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant set for instance %d splits a relay batch (a pre-sum cannot be separated): %w",
 				i, protocol.ErrPeerMismatch))
 		}
-		groups = append(groups, protocol.Group{Members: bitmapIndices(b.bm, c.users), Half: b.half})
+		groups = append(groups, protocol.Group{Members: ingest.BitmapIndices(b.bm, c.users), Half: b.half})
 		rest.AndNot(rest, b.bm)
 	}
 	for u := 0; u < c.users; u++ {

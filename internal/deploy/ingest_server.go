@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
-	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -116,17 +115,13 @@ type IngestInstance struct {
 // IngestReport summarizes one RunIngest run.
 type IngestReport struct {
 	Instances []IngestInstance
-	// Wait is the time from listening to the collector's release — with a
-	// quorum armed, the quorum wait the protocol run would have seen.
-	Wait time.Duration
 }
 
 // RunIngest runs one server's ingestion path only: it accepts user and
 // relay submissions exactly like RunS1/RunS2 (same validation, same
 // metrics, same quorum/deadline release, same journal events) but stops
-// after the collector releases, without running the protocol. The load
-// harness uses it as a measurement sink — the reported wait is the quorum
-// wait a real query would have paid for ingestion. role labels metrics and
+// after the collector releases, without running the protocol: the
+// benchmark's ingestion workload uses it as its sink. role labels metrics and
 // the journal ("s1" or "s2"); ring is the N² modulus submissions must live
 // in (the peer server's Paillier key, as on the real servers).
 func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.Int, opts ServerOptions) (*IngestReport, error) {
@@ -145,7 +140,6 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 	defer stopAccept()
 	s.trace.put(0) // an S2 sink has no peer to learn a trace ID from; tracing users get 0
 	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, nil), acceptErr)
-	start := time.Now()
 	if err := collectSubmissions(ctx, s, opts, strings.ToLower(role)); err != nil {
 		select {
 		case aerr := <-acceptErr:
@@ -154,10 +148,10 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 		}
 		return nil, err
 	}
-	rep := &IngestReport{Wait: time.Since(start)}
+	rep := &IngestReport{}
 	for i := 0; i < opts.Instances; i++ {
 		bm := s.col.bitmap(i)
-		rep.Instances = append(rep.Instances, IngestInstance{Instance: i, Participants: popcount(bm), Bitmap: bm})
+		rep.Instances = append(rep.Instances, IngestInstance{Instance: i, Participants: ingest.Popcount(bm), Bitmap: bm})
 	}
 	return rep, nil
 }

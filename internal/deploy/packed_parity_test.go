@@ -11,7 +11,7 @@ import (
 )
 
 // TestPackedCapabilityParity pins the one fork the peer hello still
-// negotiates: capPacked is advertised iff the resolved config packs, and a
+// negotiates: capPacked is advertised iff the key file's config packs, and a
 // packing mismatch between the servers is refused at the hello in both
 // directions — typed, before any frame could desynchronize the wire.
 func TestPackedCapabilityParity(t *testing.T) {
@@ -37,7 +37,7 @@ func TestPackedCapabilityParity(t *testing.T) {
 	if err := checkPeerHello(helloOf(packed), packed, false); err != nil {
 		t.Errorf("packed pair rejected: %v", err)
 	}
-	// ... and a mismatch is caught whichever side enables -packed.
+	// ... and a mismatch is caught whichever side's key file packs.
 	for _, c := range []struct{ s2, s1 protocol.Config }{{plain, packed}, {packed, plain}} {
 		err := checkPeerHello(helloOf(c.s2), c.s1, false)
 		if !errors.Is(err, protocol.ErrPeerMismatch) || transport.IsRetryable(err) {
@@ -46,11 +46,12 @@ func TestPackedCapabilityParity(t *testing.T) {
 	}
 }
 
-// TestPackingOffWireParity pins the opt-out contract: with packing off, the
-// user client's submission frame is byte-for-byte the legacy KindShares
-// grammar (identical digest to ingest.EncodeHalf), so a fleet that never
-// sets -packed on sees no wire change at all. With packing on, the same
-// vote becomes a KindPacked frame: the joint Votes‖Thresh group, then Noisy.
+// TestPackingOffWireParity pins the unpacked contract: a key file whose
+// config does not pack (keygen writes that for 64-bit paper keys, where at
+// most one slot fits a plaintext) makes the user client's submission frame
+// byte-for-byte the KindShares grammar (identical digest to
+// ingest.EncodeHalf). With a packing config the same vote becomes a
+// KindPacked frame: the joint Votes‖Thresh group, then Noisy.
 func TestPackingOffWireParity(t *testing.T) {
 	_, _, pub, cfg := testSetup(t, 3)
 	cfg.Packing = false

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
@@ -39,9 +38,9 @@ import (
 // capPacked is the hello capability bit advertising slot-packed
 // submissions (bit 5, shared with the ingestion tier's relay hello) — the
 // one real fork of the peer wire, because 64-bit paper keys cannot pack.
-// Both servers must resolve to the same packing mode: packed submissions
-// change the submit frame grammar and insert the blinded unpack round into
-// the peer wire format.
+// Each server takes the mode from its key file (keygen derives it), so the
+// bits differ only across keygen runs: packed submissions change the submit
+// frame grammar and insert the blinded unpack round into the peer wire.
 const capPacked int64 = ingest.CapPacked
 
 // Participant exchange control codes (Flags[0] of KindControl frames).
@@ -107,33 +106,13 @@ func checkPeerHello(h hello, cfg protocol.Config, serve bool) error {
 	case h.version != wireVersion:
 		why = fmt.Sprintf("peer S2 speaks wire version %d, this server %d; run the same build on both servers", h.version, wireVersion)
 	case cfg.Packing != (h.caps&capPacked != 0):
-		why = "S1 and S2 disagree on slot packing; run both servers with the same -packed setting"
+		why = "S1 and S2 disagree on slot packing; give both servers key files from the same keygen run"
 	case serve != (h.caps&capServe != 0):
 		why = "S1 and S2 disagree on serve mode; run both servers with or without -serve"
 	default:
 		return nil
 	}
 	return transport.MarkFatal(fmt.Errorf("deploy: %s: %w", why, protocol.ErrPeerMismatch))
-}
-
-// popcount returns the number of set bits in a participant bitmap.
-func popcount(bm *big.Int) int {
-	n := 0
-	for _, w := range bm.Bits() {
-		n += bits.OnesCount(uint(w))
-	}
-	return n
-}
-
-// bitmapIndices returns the set bit positions below users, ascending.
-func bitmapIndices(bm *big.Int, users int) []int {
-	out := make([]int, 0, popcount(bm))
-	for u := 0; u < users; u++ {
-		if bm.Bit(u) == 1 {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // exchangeParticipantsS1 proposes S1's local participant set for one

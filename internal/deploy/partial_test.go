@@ -59,7 +59,7 @@ func TestCollectorValidation(t *testing.T) {
 	}
 	// Conflicting resubmission: first write wins.
 	reject("conflicting resubmission", 0, 0, testHalf(classes, 6))
-	if bm := col.bitmap(0); popcount(bm) != 1 || bm.Bit(0) != 1 {
+	if bm := col.bitmap(0); ingest.Popcount(bm) != 1 || bm.Bit(0) != 1 {
 		t.Errorf("bitmap after replays = %v, want only user 0", bm)
 	}
 	got, _ := col.counts()
@@ -98,7 +98,7 @@ func TestCollectorDedupReplay(t *testing.T) {
 		}
 	}
 	bm := col.bitmap(0)
-	if popcount(bm) != 1 {
+	if ingest.Popcount(bm) != 1 {
 		t.Fatalf("replays inflated the participant set: bitmap %v", bm)
 	}
 	groups, err := col.maskedGroups(0, bm)

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strconv"
 	"sync"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
@@ -49,6 +51,9 @@ type ServeReport struct {
 	Tenants []TenantSpend
 }
 
+// TenantSpend is one tenant's committed state, as the ledger reports it.
+type TenantSpend = dp.TenantSpend
+
 // serveState is S1's shared serve-mode state. The accept-side admission
 // path and the serve loop communicate through it under mu; the ctl link
 // to S2 serializes its request/response exchanges independently.
@@ -59,7 +64,7 @@ type serveState struct {
 	keys  []protocol.KeysS1 // loaded per epoch; zeroized on retirement
 	rings []*big.Int        // per-epoch peer-key N², for per-query collectors
 
-	ledger *budgetLedger
+	ledger *dp.Ledger
 	cost   float64 // worst-case per-query coefficient
 
 	ctl *ctlLink
@@ -169,15 +174,15 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		return nil, err
 	}
 	keys0.Precompute()
-	ledger, err := openLedger(opts.LedgerPath, opts.Tenants, opts.DefaultQuota, opts.delta())
+	ledger, err := dp.OpenLedger(opts.LedgerPath, opts.Tenants, opts.DefaultQuota, opts.delta())
 	if err != nil {
 		return nil, err
 	}
-	defer ledger.close()
+	defer ledger.Close()
 	// Publish the admission state before setupServer opens the admin
 	// endpoint and the listener: a probe that can reach /healthz must never
 	// read batch mode's static "ok" from a serve-mode server.
-	cost := queryCost(files[0].Config.Sigma1, files[0].Config.Sigma2)
+	cost := dp.QueryCost(files[0].Config.Sigma1, files[0].Config.Sigma2)
 	publishReadiness(false, ledger, cost)
 	defer obs.SetReadiness("", true)
 	s, err := setupServer(ctx, "S1", files[0].Config, opts.ServerOptions, ringOf(keys0.PeerPub))
@@ -330,7 +335,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 	}
 	st.mu.Unlock()
 
-	if err := st.ledger.reserve(tenant, st.cost); err != nil {
+	if err := st.ledger.Reserve(tenant, st.cost); err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			st.opts.log(levelWarn, "S1 refusing tenant %d: %v", tenant, err)
 			status, qid, epoch = st.refuse(admitBudgetExhausted, tenant)
@@ -351,7 +356,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 			status = admitDraining
 		}
 		st.mu.Unlock()
-		st.ledger.unreserve(tenant, st.cost)
+		st.ledger.Unreserve(tenant, st.cost)
 		return st.refuse(status, tenant)
 	}
 	q := &serveQuery{
@@ -385,7 +390,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		st.inflight--
 		st.epochLive[q.epoch]--
 		st.mu.Unlock()
-		st.ledger.unreserve(tenant, st.cost)
+		st.ledger.Unreserve(tenant, st.cost)
 		return st.refuse(admitUnavailable, tenant)
 	}
 
@@ -446,11 +451,11 @@ func (st *serveState) updateReadiness() {
 }
 
 // publishReadiness maps the admission state onto /healthz.
-func publishReadiness(draining bool, ledger *budgetLedger, cost float64) {
+func publishReadiness(draining bool, ledger *dp.Ledger, cost float64) {
 	switch {
 	case draining:
 		obs.SetReadiness("draining", false)
-	case ledger.exhausted(cost):
+	case ledger.Exhausted(cost):
 		obs.SetReadiness("budget-exhausted", false)
 	default:
 		obs.SetReadiness("admitting", true)
@@ -526,7 +531,7 @@ loop:
 		rep.Admissions[k] = v
 	}
 	st.mu.Unlock()
-	rep.Tenants = st.ledger.spends()
+	rep.Tenants = st.ledger.Spends()
 	st.opts.log(levelInfo, "S1 drained: %d queries, %d rotations, final epoch %d", len(rep.Results), rep.Rotations, rep.Epoch)
 	return rep, runErr
 }
@@ -577,9 +582,11 @@ func (st *serveState) epochKeys(epoch int) protocol.KeysS1 {
 func (st *serveState) resolve(q *serveQuery) {
 	released := q.res.Err == nil && q.res.Outcome.Consensus
 	cfg := st.s.cfg
-	if err := st.ledger.commit(q.tenant, q.cost, cfg.Sigma1, cfg.Sigma2, released); err != nil {
+	eps, err := st.ledger.Commit(q.tenant, q.cost, cfg.Sigma1, cfg.Sigma2, released)
+	if err != nil {
 		st.opts.log(levelWarn, "S1 ledger commit for query %d failed: %v", q.qid, err)
 	}
+	obs.TenantEpsilon(strconv.FormatInt(q.tenant, 10)).Set(eps)
 	if cfg.Sigma1 > 0 {
 		st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventSpend, Instance: q.qid,
 			Note: fmt.Sprintf("svt sigma=%g tenant=%d", cfg.Sigma1, q.tenant)})

@@ -39,8 +39,6 @@ type ServeClientOptions struct {
 	// LogLevel and Logf mirror UserOptions.
 	LogLevel string
 	Logf     func(format string, args ...any)
-	// Packing overrides the key files' slot-packing mode ("on"/"off"/"").
-	Packing string
 }
 
 // ServeResult is one resolved serve-mode query.
@@ -91,7 +89,7 @@ func NewServeClient(pubs []*keystore.PublicFile, opts ServeClientOptions) (*Serv
 	}
 	c, err := newClient(pubs[0].Config, ServerOptions{
 		Seed: opts.Seed, MaxRetries: opts.MaxRetries, Backoff: opts.Backoff, AttemptTimeout: opts.AttemptTimeout,
-		FaultSpec: opts.FaultSpec, LogLevel: opts.LogLevel, Logf: opts.Logf, Packing: opts.Packing,
+		FaultSpec: opts.FaultSpec, LogLevel: opts.LogLevel, Logf: opts.Logf,
 	}, "client", capServe, opts.Seed+opts.Tenant+31)
 	if err != nil {
 		return nil, err

@@ -13,11 +13,27 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
+
+// epsAfter computes the (ε, δ)-DP spend of n worst-case queries at the
+// given cost coefficient, the quantity the ledger projects at admission.
+func epsAfter(t *testing.T, cost float64, n int, delta float64) float64 {
+	t.Helper()
+	a := dp.NewAccountant()
+	if err := a.AddLinear(cost * float64(n)); err != nil {
+		t.Fatal(err)
+	}
+	eps, _, err := a.Epsilon(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eps
+}
 
 // serveTestSetup generates key files for a serve-mode deployment with the
 // given number of pre-provisioned epochs (distinct key material per
@@ -394,7 +410,7 @@ func TestServeBudgetRefusal(t *testing.T) {
 		delta  = 1e-6
 	)
 	s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, sigma1, sigma2)
-	cost := queryCost(sigma1, sigma2)
+	cost := dp.QueryCost(sigma1, sigma2)
 	quota := (epsAfter(t, cost, 1, delta) + epsAfter(t, cost, 2, delta)) / 2
 	ledgerPath := filepath.Join(t.TempDir(), "ledger.json")
 
@@ -488,16 +504,16 @@ func TestServeBudgetRefusal(t *testing.T) {
 	}
 
 	// The durable ledger reloads to exactly the committed spend.
-	b, err := openLedger(ledgerPath, map[int64]float64{9: quota}, 0, delta)
+	b, err := dp.OpenLedger(ledgerPath, map[int64]float64{9: quota}, 0, delta)
 	if err != nil {
 		t.Fatalf("reload ledger: %v", err)
 	}
-	defer b.close()
-	spends := b.spends()
+	defer b.Close()
+	spends := b.Spends()
 	if len(spends) != 1 || spends[0] != r1.rep.Tenants[0] {
 		t.Fatalf("reloaded ledger %+v != report %+v", spends, r1.rep.Tenants)
 	}
-	if err := b.reserve(9, cost); !errors.Is(err, ErrBudgetExhausted) {
+	if err := b.Reserve(9, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("reloaded ledger still admits tenant 9: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -82,8 +83,8 @@ const (
 // ErrBudgetExhausted is permanent for the tenant.
 var (
 	// ErrBudgetExhausted reports that admitting the query would push the
-	// tenant's cumulative (ε, δ)-DP spend past its quota.
-	ErrBudgetExhausted = errors.New("deploy: tenant privacy budget exhausted")
+	// tenant's cumulative (ε, δ)-DP spend past its quota (the ledger's error).
+	ErrBudgetExhausted = dp.ErrBudgetExhausted
 	// ErrDraining reports that the server has stopped admitting (graceful
 	// shutdown in progress); in-flight queries still complete.
 	ErrDraining = errors.New("deploy: server draining, not admitting")

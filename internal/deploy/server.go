@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
+	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -41,12 +42,6 @@ type ServerOptions struct {
 	// parallelism: the bound on this server's CPU-bound crypto workers
 	// (0 = NumCPU). It never touches the wire; the servers need not agree.
 	Parallelism int
-	// Packing overrides the key file's slot-packing mode: "on", "off", or
-	// "" to keep the key file's setting. Packing changes the wire format
-	// for submissions and the aggregation phase, so both servers, every
-	// relay and every user must resolve to the same mode — the peer hello
-	// carries it (capPacked) and S1 refuses a mismatch.
-	Packing string
 	// MetricsAddr, when non-empty, serves the observability admin endpoint
 	// (/metrics, /healthz, /debug/pprof/*, /debug/vars) on that address.
 	MetricsAddr string
@@ -200,35 +195,13 @@ func (o ServerOptions) validate() error {
 }
 
 // validateLink checks the settings servers and clients share: the retry
-// budget, the log level and the packing override.
+// budget and the log level.
 func (o ServerOptions) validateLink() error {
 	if o.MaxRetries < 0 {
 		return fmt.Errorf("deploy: negative retry budget %d", o.MaxRetries)
 	}
-	if _, err := parseLogLevel(o.LogLevel); err != nil {
-		return err
-	}
-	return checkPackingMode(o.Packing)
-}
-
-// checkPackingMode validates a -packed override value.
-func checkPackingMode(mode string) error {
-	switch mode {
-	case "", "on", "off":
-		return nil
-	}
-	return fmt.Errorf("deploy: unknown packing mode %q (want \"on\", \"off\" or empty)", mode)
-}
-
-// applyPacking resolves a -packed override onto the config ("" keeps the
-// key file's setting).
-func applyPacking(cfg *protocol.Config, mode string) {
-	switch mode {
-	case "on":
-		cfg.Packing = true
-	case "off":
-		cfg.Packing = false
-	}
+	_, err := parseLogLevel(o.LogLevel)
+	return err
 }
 
 // adminHandle is a running admin endpoint tied to one server run.
@@ -351,7 +324,6 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	if opts.Parallelism != 0 {
 		cfg.Parallelism = opts.Parallelism
 	}
-	applyPacking(&cfg, opts.Packing)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -452,7 +424,7 @@ func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions,
 	if err != nil {
 		return nil, 0, err
 	}
-	participants, quorum := popcount(agreed), opts.quorumCount(s.cfg.Users)
+	participants, quorum := ingest.Popcount(agreed), opts.quorumCount(s.cfg.Users)
 	obs.Participants(role).Set(float64(participants))
 	s.journalEvent(opts, obs.Event{Type: obs.EventQuorum, Instance: id,
 		Note: fmt.Sprintf("participants=%d dropped=%d quorum=%d", participants, s.cfg.Users-participants, quorum)})

@@ -314,12 +314,12 @@ func TestSoakServe(t *testing.T) {
 	}
 
 	// The durable ledger file reloads to the same state the report carried.
-	b, err := openLedger(ledgerPath, nil, 0, delta)
+	b, err := dp.OpenLedger(ledgerPath, nil, 0, delta)
 	if err != nil {
 		t.Fatalf("reload ledger: %v", err)
 	}
-	defer b.close()
-	reloaded := b.spends()
+	defer b.Close()
+	reloaded := b.Spends()
 	if len(reloaded) != len(r1.rep.Tenants) {
 		t.Fatalf("reloaded ledger %+v != report %+v", reloaded, r1.rep.Tenants)
 	}

@@ -43,10 +43,6 @@ type UserOptions struct {
 	LogLevel string
 	// Logf receives progress lines; nil silences logging.
 	Logf func(format string, args ...any)
-	// Packing overrides the key file's slot-packing mode: "on", "off", or
-	// "" to keep the key file's setting. Must match the servers' resolved
-	// mode — a packed server rejects unpacked frames and vice versa.
-	Packing string
 }
 
 // SubmitVotes builds encrypted submissions for each instance's vote vector
@@ -68,7 +64,7 @@ func SubmitVotes(ctx context.Context, pub *keystore.PublicFile, opts UserOptions
 	}
 	c, err := newClient(pub.Config, ServerOptions{
 		Seed: opts.Seed, MaxRetries: opts.MaxRetries, Backoff: opts.Backoff, AttemptTimeout: opts.AttemptTimeout,
-		FaultSpec: opts.FaultSpec, LogLevel: opts.LogLevel, Logf: opts.Logf, Packing: opts.Packing,
+		FaultSpec: opts.FaultSpec, LogLevel: opts.LogLevel, Logf: opts.Logf,
 	}, "user", caps, opts.Seed+int64(opts.User)+29)
 	if err != nil {
 		return err

@@ -166,7 +166,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 		t.Fatalf("S2 collector incomplete: %v", err)
 	}
 	for i := 0; i < instances; i++ {
-		if got := popcount(col1.bitmap(i)); got != 1 {
+		if got := ingest.Popcount(col1.bitmap(i)); got != 1 {
 			t.Errorf("S1 instance %d has %d submissions, want 1", i, got)
 		}
 	}

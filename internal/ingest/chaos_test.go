@@ -23,56 +23,55 @@ import (
 // without making the run nondeterministic (delays reorder nothing).
 const relayChaosFaultSpec = "seed=9,delay=0.2,delay-ms=2,max=10"
 
-// chaosUserFrames builds one user's two submission frames with
-// deterministic randomness, so the direct and tree runs carry byte-identical
-// submissions.
-func chaosUserFrames(t *testing.T, cfg protocol.Config, pub *keystore.PublicFile, u, label int) (toS1, toS2 *transport.Message) {
+// chaosUserFrames builds one user's submission frames, one per side for
+// each instance's voted label, with deterministic randomness, so the direct
+// and tree runs carry byte-identical submissions.
+func chaosUserFrames(t *testing.T, cfg protocol.Config, pub *keystore.PublicFile, u int, labels ...int) (toS1, toS2 []*transport.Message) {
 	t.Helper()
-	units := make([]*big.Int, cfg.Classes)
-	for i := range units {
-		units[i] = big.NewInt(0)
-	}
-	units[label] = big.NewInt(protocol.VoteScale)
-	sub, _, err := protocol.BuildSubmission(rand.New(rand.NewSource(int64(900+u))),
-		rand.New(rand.NewSource(int64(950+u))), cfg, u, units, pub.PK1, pub.PK2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encode := func(h protocol.SubmissionHalf) *transport.Message {
-		if cfg.Packing {
-			f, err := ingest.EncodePackedHalf(u, 0, cfg.Classes, cfg.PackedWidth(), h)
+	for instance, label := range labels {
+		units := make([]*big.Int, cfg.Classes)
+		for i := range units {
+			units[i] = big.NewInt(0)
+		}
+		units[label] = big.NewInt(protocol.VoteScale)
+		sub, _, err := protocol.BuildSubmission(rand.New(rand.NewSource(int64(900+u+1000*instance))),
+			rand.New(rand.NewSource(int64(950+u+1000*instance))), cfg, u, units, pub.PK1, pub.PK2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encode := func(h protocol.SubmissionHalf) *transport.Message {
+			var f *transport.Message
+			if cfg.Packing {
+				f, err = ingest.EncodePackedHalf(u, instance, cfg.Classes, cfg.PackedWidth(), h)
+			} else {
+				f, err = ingest.EncodeHalf(u, instance, h)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			return f
 		}
-		f, err := ingest.EncodeHalf(u, 0, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		toS1 = append(toS1, encode(sub.ToS1))
+		toS2 = append(toS2, encode(sub.ToS2))
 	}
-	return encode(sub.ToS1), encode(sub.ToS2)
+	return toS1, toS2
 }
 
-// chaosServers starts the full S1/S2 protocol servers in partial mode and
-// returns their addresses and report channels.
+// chaosServers starts the full S1/S2 protocol servers — policy carries the
+// instance count and the quorum / submit-deadline policy (both zero: wait
+// for everyone) — and returns their addresses and report channels.
 func chaosServers(ctx context.Context, t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File,
-	quorum float64, deadline time.Duration, j1, j2 string) (s1Addr, s2Addr string, s1Done, s2Done chan chaosReport) {
+	policy deploy.ServerOptions, j1, j2 string) (s1Addr, s2Addr string, s1Done, s2Done chan chaosReport) {
 	t.Helper()
 	s1Ready := make(chan string, 1)
 	s2Ready := make(chan string, 1)
 	s1Done = make(chan chaosReport, 1)
 	s2Done = make(chan chaosReport, 1)
-	base := deploy.ServerOptions{
-		ListenAddr:     "127.0.0.1:0",
-		Instances:      1,
-		MaxRetries:     3,
-		Backoff:        5 * time.Millisecond,
-		AttemptTimeout: 30 * time.Second,
-		Quorum:         quorum,
-		SubmitDeadline: deadline,
-	}
+	base := policy
+	base.ListenAddr = "127.0.0.1:0"
+	base.MaxRetries = 3
+	base.Backoff = 5 * time.Millisecond
+	base.AttemptTimeout = 30 * time.Second
 	go func() {
 		opts := base
 		opts.Seed = 601
@@ -100,18 +99,19 @@ type chaosReport struct {
 	err error
 }
 
-// uploadVia delivers one user's frames through the given endpoint lists
-// (primary first), returning the uploader re-home counts.
-func uploadVia(ctx context.Context, t *testing.T, f1, f2 *transport.Message, user int, eps1, eps2 []string) int {
+// uploadVia delivers one user's frames (one per instance and side) through
+// the given endpoint lists (primary first), returning the uploader re-home
+// counts.
+func uploadVia(ctx context.Context, t *testing.T, f1, f2 []*transport.Message, user int, eps1, eps2 []string) int {
 	t.Helper()
 	rehomes := 0
 	for i, d := range []struct {
-		frame *transport.Message
-		eps   []string
+		frames []*transport.Message
+		eps    []string
 	}{{f1, eps1}, {f2, eps2}} {
 		up := &ingest.Uploader{Endpoints: d.eps, MaxRetries: 1, Backoff: 5 * time.Millisecond,
 			AttemptTimeout: 5 * time.Second}
-		if err := up.Send(ctx, d.frame); err != nil {
+		if err := up.Send(ctx, d.frames...); err != nil {
 			t.Fatalf("user %d side %d send: %v", user, i, err)
 		}
 		if err := up.Confirm(ctx, int64(user)); err != nil {
@@ -159,7 +159,8 @@ func TestChaosRelayRehoming(t *testing.T) {
 	runTree := func(mode string) (*deploy.Report, *deploy.Report) {
 		j1 := filepath.Join(journalDir, fmt.Sprintf("ingest-%s-s1.jsonl", mode))
 		j2 := filepath.Join(journalDir, fmt.Sprintf("ingest-%s-s2.jsonl", mode))
-		s1Addr, s2Addr, s1Done, s2Done := chaosServers(ctx, t, s1File, s2File, present, 6*time.Second, j1, j2)
+		s1Addr, s2Addr, s1Done, s2Done := chaosServers(ctx, t, s1File, s2File,
+			deploy.ServerOptions{Instances: 1, Quorum: present, SubmitDeadline: 6 * time.Second}, j1, j2)
 
 		if mode == "direct" {
 			for u := 0; u < present; u++ {

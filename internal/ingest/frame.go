@@ -220,7 +220,7 @@ type Combined struct {
 }
 
 // Users returns the number of members in the batch.
-func (c Combined) Users() int { return popcount(c.Bitmap) }
+func (c Combined) Users() int { return Popcount(c.Bitmap) }
 
 // EncodeCombined packs a relay batch into its wire frame. The frame is
 // distinguished from a per-user submit frame by its flag count (5 vs 3).
@@ -245,7 +245,7 @@ func EncodeCombined(c Combined) (*transport.Message, error) {
 	}
 	return &transport.Message{
 		Kind:   transport.KindShares,
-		Flags:  []int64{int64(c.Instance), int64(k), c.Relay, c.Seq, int64(popcount(c.Bitmap))},
+		Flags:  []int64{int64(c.Instance), int64(k), c.Relay, c.Seq, int64(Popcount(c.Bitmap))},
 		Values: values,
 	}, nil
 }
@@ -266,8 +266,8 @@ func DecodeCombined(msg *transport.Message) (Combined, error) {
 	if bm == nil || bm.Sign() <= 0 {
 		return c, fmt.Errorf("ingest: combined frame bitmap is empty or negative")
 	}
-	if want := int(msg.Flags[4]); popcount(bm) != want {
-		return c, fmt.Errorf("ingest: combined frame declares %d members but bitmap has %d", want, popcount(bm))
+	if want := int(msg.Flags[4]); Popcount(bm) != want {
+		return c, fmt.Errorf("ingest: combined frame declares %d members but bitmap has %d", want, Popcount(bm))
 	}
 	c.Instance = int(msg.Flags[0])
 	c.Relay = msg.Flags[2]
@@ -300,7 +300,7 @@ func EncodePackedCombined(c Combined) (*transport.Message, error) {
 	return &transport.Message{
 		Kind: transport.KindPacked,
 		Flags: []int64{int64(c.Instance), int64(c.Classes), c.Relay, c.Seq,
-			int64(popcount(c.Bitmap)), int64(c.Width), int64(len(c.Half.Noisy))},
+			int64(Popcount(c.Bitmap)), int64(c.Width), int64(len(c.Half.Noisy))},
 		Values: values,
 	}, nil
 }
@@ -334,8 +334,8 @@ func DecodePackedCombined(msg *transport.Message) (Combined, error) {
 	if bm == nil || bm.Sign() <= 0 {
 		return c, fmt.Errorf("ingest: packed combined frame bitmap is empty or negative")
 	}
-	if want := int(msg.Flags[4]); popcount(bm) != want {
-		return c, fmt.Errorf("ingest: packed combined frame declares %d members but bitmap has %d", want, popcount(bm))
+	if want := int(msg.Flags[4]); Popcount(bm) != want {
+		return c, fmt.Errorf("ingest: packed combined frame declares %d members but bitmap has %d", want, Popcount(bm))
 	}
 	c.Instance = int(msg.Flags[0])
 	c.Relay = msg.Flags[2]
@@ -388,8 +388,8 @@ func RecvHello(ctx context.Context, conn transport.Conn) (party, caps int64, err
 	return msg.Flags[0], caps, nil
 }
 
-// popcount returns the number of set bits in a participant bitmap.
-func popcount(bm *big.Int) int {
+// Popcount returns the number of set bits in a participant bitmap (nil: 0).
+func Popcount(bm *big.Int) int {
 	if bm == nil {
 		return 0
 	}
@@ -402,7 +402,10 @@ func popcount(bm *big.Int) int {
 
 // BitmapIndices returns the set bit positions below users, ascending.
 func BitmapIndices(bm *big.Int, users int) []int {
-	out := make([]int, 0, popcount(bm))
+	if bm == nil {
+		return nil
+	}
+	out := make([]int, 0, Popcount(bm))
 	for u := 0; u < users; u++ {
 		if bm.Bit(u) == 1 {
 			out = append(out, u)

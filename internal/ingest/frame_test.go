@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -102,21 +103,34 @@ func TestFrameDigestDetectsTampering(t *testing.T) {
 }
 
 func TestBitmapHelpers(t *testing.T) {
-	bm := big.NewInt(0b101001)
-	if popcount(bm) != 3 {
-		t.Errorf("popcount = %d, want 3", popcount(bm))
+	const users = 6
+	bit := func(positions ...int) *big.Int {
+		bm := new(big.Int)
+		for _, u := range positions {
+			bm.SetBit(bm, u, 1)
+		}
+		return bm
 	}
-	if popcount(nil) != 0 {
-		t.Error("popcount(nil) != 0")
+	cases := []struct {
+		name    string
+		bm      *big.Int
+		count   int
+		indices []int
+	}{
+		{"nil", nil, 0, nil},
+		{"zero", new(big.Int), 0, nil},
+		{"mixed", big.NewInt(0b101001), 3, []int{0, 3, 5}},
+		{"bit at users-1", bit(users - 1), 1, []int{users - 1}},
+		// Popcount counts every set bit; BitmapIndices stops below users.
+		{"bit at users", bit(users), 1, nil},
+		{"bit beyond one word", bit(2, 70), 2, []int{2}},
 	}
-	idx := BitmapIndices(bm, 6)
-	want := []int{0, 3, 5}
-	if len(idx) != len(want) {
-		t.Fatalf("indices = %v, want %v", idx, want)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("indices = %v, want %v", idx, want)
+	for _, c := range cases {
+		if got := Popcount(c.bm); got != c.count {
+			t.Errorf("%s: Popcount = %d, want %d", c.name, got, c.count)
+		}
+		if got := BitmapIndices(c.bm, users); fmt.Sprint(got) != fmt.Sprint(c.indices) {
+			t.Errorf("%s: BitmapIndices = %v, want %v", c.name, got, c.indices)
 		}
 	}
 }

@@ -33,8 +33,8 @@ func TestPackedConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected feasible packed config: %v", err)
 	}
-	if s := cfg.packedSlotsPerPlaintext(); s < 2 {
-		t.Fatalf("packedSlotsPerPlaintext = %d, want >= 2 at 256 bits", s)
+	if s := cfg.PackedSlotsPerPlaintext(); s < 2 {
+		t.Fatalf("PackedSlotsPerPlaintext = %d, want >= 2 at 256 bits", s)
 	}
 	if p := cfg.PackedCiphertexts(); p >= cfg.Classes {
 		t.Fatalf("PackedCiphertexts = %d, want < Classes %d", p, cfg.Classes)
@@ -348,7 +348,7 @@ func TestPackedFusedMaskNeverCarries(t *testing.T) {
 		{10, 2048, 88, 23, 1}, {120, 2048, 91, 22, 1}, {8000, 2048, 97, 21, 1}, {10, 1024, 88, 11, 2},
 	} {
 		cfg := layoutConfig(10, c.users, c.bits)
-		if w, s, j := cfg.PackedWidth(), cfg.packedSlotsPerPlaintext(), cfg.HalfLens()[0]; w != c.width || s != c.slots || j != c.joint {
+		if w, s, j := cfg.PackedWidth(), cfg.PackedSlotsPerPlaintext(), cfg.HalfLens()[0]; w != c.width || s != c.slots || j != c.joint {
 			t.Fatalf("users=%d bits=%d: width/slots/joint = %d/%d/%d, want %d/%d/%d", c.users, c.bits, w, s, j, c.width, c.slots, c.joint)
 		}
 	}

@@ -187,7 +187,7 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism %d", ErrBadConfig, c.Parallelism)
 	}
-	if c.Packing && c.packedSlotsPerPlaintext() < 1 {
+	if c.Packing && c.PackedSlotsPerPlaintext() < 1 {
 		return fmt.Errorf("%w: packed slot width %d bits does not fit %d-bit Paillier plaintexts; use a larger key",
 			ErrBadConfig, c.PackedWidth(), c.PaillierBits)
 	}
@@ -294,9 +294,10 @@ func PackedGroupCiphertexts(nSeq, classes, width, paillierBits int) int {
 	return (nSeq*classes + s - 1) / s
 }
 
-// packedSlotsPerPlaintext returns how many W-bit slots fit one Paillier
-// plaintext.
-func (c Config) packedSlotsPerPlaintext() int { return packedSlots(c.PackedWidth(), c.PaillierBits) }
+// PackedSlotsPerPlaintext returns how many W-bit slots fit one Paillier
+// plaintext (0: infeasible). From 2 up a packed half costs fewer ciphertexts
+// than the unpacked 3K — the rule cmd/keygen sets Packing by.
+func (c Config) PackedSlotsPerPlaintext() int { return packedSlots(c.PackedWidth(), c.PaillierBits) }
 
 // PackedCiphertexts returns P, the number of packed ciphertexts one
 // K-length sequence — the Noisy group — costs (0 when the layout is
@@ -334,7 +335,7 @@ func (c Config) packedLayout(nSeq int) paillier.Packing {
 	biasBits := c.packedBiasBits()
 	return paillier.Packing{
 		Width: c.PackedWidth(),
-		Slots: c.packedSlotsPerPlaintext(),
+		Slots: c.PackedSlotsPerPlaintext(),
 		Count: nSeq * c.Classes,
 		Bias:  new(big.Int).Lsh(big.NewInt(1), uint(biasBits)),
 		Max:   new(big.Int).Lsh(big.NewInt(1), uint(biasBits+1)),

@@ -170,6 +170,67 @@ func TestEngineLabelBatchDegraded(t *testing.T) {
 	}
 }
 
+// TestAccountantLoadsParentStateFile loads the flat state file the
+// accountant wrote before it became the ledger's single-tenant view
+// (internal/dp/testdata, written by that commit: three queries at σ₁ = 4,
+// two releases at σ₂ = 2) and requires the identical spend; the next spend
+// upgrades the file in place and it keeps loading.
+func TestAccountantLoadsParentStateFile(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("internal", "dp", "testdata", "accountant_pr21.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	want := NewAccountant()
+	for i := 0; i < 3; i++ {
+		if err := want.RecordQuery(4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := want.RecordRelease(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(stage string, got *Accountant) {
+		t.Helper()
+		gq, gr := got.Counts()
+		wq, wr := want.Counts()
+		gEps, gAlpha, err := got.Epsilon(1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wEps, wAlpha, _ := want.Epsilon(1e-6)
+		if gq != wq || gr != wr || gEps != wEps || gAlpha != wAlpha {
+			t.Fatalf("%s: counts %d/%d eps %g alpha %g, want %d/%d eps %g alpha %g",
+				stage, gq, gr, gEps, gAlpha, wq, wr, wEps, wAlpha)
+		}
+	}
+	a, err := NewAccountantAt(path)
+	if err != nil {
+		t.Fatalf("parent-written state file refused: %v", err)
+	}
+	same("loaded", a)
+	if err := a.RecordQuery(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.RecordQuery(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewAccountantAt(path)
+	if err != nil {
+		t.Fatalf("upgraded state file refused: %v", err)
+	}
+	defer b.Close()
+	same("upgraded and reloaded", b)
+}
+
 func TestAccountantPersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
