@@ -57,9 +57,11 @@ soak-full:
 # done, admission, result-wait, junk), the partial-write
 # recomposition, the fault-spec parser, the fixed-base
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
-# CRT Paillier encryption (differential against the public path), the four
-# ingest frame decoders (user and combined, packed and not: no panic, and
-# whatever decodes re-encodes byte-identically), the packed group layout
+# CRT Paillier and DGK encryptions (differential against the public paths),
+# the crossing fold (decrypt-and-split equals the inputs at every slot shape
+# and both slot bounds), the four ingest frame decoders (user and combined,
+# packed and not: no panic, and whatever decodes re-encodes
+# byte-identically), the packed group layout
 # (no carry between slots at any feasible shape) and the one ε state-file
 # loader (never a panic, never fewer tenants than the file names, identical
 # spend after a persist and reload). One target per invocation (go fuzz
@@ -73,6 +75,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnKeyEncrypt$$' -fuzztime $(FUZZTIME) ./internal/paillier/
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldSlots$$' -fuzztime $(FUZZTIME) ./internal/paillier/
+	$(GO) test -run '^$$' -fuzz '^FuzzOwnerBitEncrypt$$' -fuzztime $(FUZZTIME) ./internal/dgk/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
@@ -86,12 +90,13 @@ cover:
 	./scripts/coverage_guard.sh
 
 # Short benchmark pass: the Tables I-II benches, the argmax strategy
-# ablation (tournament against the paper's all-pairs reference) and the
-# Paillier encryption micro-bench (results/fixedbase_micro.txt), one
+# ablation (tournament against the paper's all-pairs reference), the
+# Paillier encryption micro-bench (results/fixedbase_micro.txt) and the DGK
+# comparison kernels and the crossing fold (results/dgk_micro.txt), one
 # iteration each, so CI catches bench-harness rot without long runs. The
 # measured record of this repository is the end-to-end benchmark below.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes|BenchmarkPaillierEnc' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes|BenchmarkPaillierEnc|BenchmarkDGKCompare|BenchmarkPaillierFold' -benchtime=1x .
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the real serve
 # pair and relay tree over loopback at deployable key sizes, through the same

@@ -372,6 +372,52 @@ func BenchmarkPaillierEnc(b *testing.B) {
 	}
 }
 
+// BenchmarkPaillierFold measures one crossing of a K = 10 sequence at
+// 2048-bit keys and 10 users (49-bit slots; protocol.Config.crossLayout,
+// pinned by TestCrossLayoutNeverCarries): the sender's Horner fold with its
+// one fresh blinding factor, and the owner's one decryption and split — against
+// the ten decryptions the sequence cost before (results/dgk_micro.txt).
+func BenchmarkPaillierFold(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	key, err := paillier.GenerateKey(rng, 2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key.Precompute()
+	layout := paillier.Packing{Width: 49, Slots: 41, Count: 10,
+		Bias: new(big.Int).Lsh(big.NewInt(10), 42), Max: new(big.Int).Lsh(big.NewInt(1), 49)}
+	addends := make([]*big.Int, layout.Count)
+	for j := range addends {
+		addends[j] = big.NewInt(int64(j) << 38)
+	}
+	cts, err := key.EncryptSignedVector(rng, addends)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var folded *paillier.Ciphertext
+	b.Run("10x49", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if folded, err = layout.Fold(rng, key.Public(), 0, cts, addends); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("open", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := layout.Unfold(key, 0, folded); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decrypt-each", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := key.DecryptSignedVector(cts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkDGKEnc measures one fresh-nonce DGK encryption in the protocol's
 // default parameter regime — the fixed-base kernel's DGK target
 // (results/fixedbase_micro.txt).

@@ -71,7 +71,7 @@ const (
 // its hello and S1 refuses any other value before a single protocol frame.
 // Bump it with every change to the peer-link transcript; the golden
 // transcript test fails until you do.
-const wireVersion int64 = 1
+const wireVersion int64 = 2
 
 // hello is a decoded hello frame. version is 0 on user and relay hellos,
 // which carry none.

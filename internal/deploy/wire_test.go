@@ -161,9 +161,15 @@ func runTapped(t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File, p
 // begin, the participant exchange and Alg. 5, then end. K = 4 classes, so a
 // comparison phase is two bracket levels of three batch frames; instance 1
 // stops after the threshold check. Packed runs add the two-frame blinded
-// unpack before each Blind-and-Permute. A change here is a change of the
-// wire: bump wireVersion with it.
+// unpack before each Blind-and-Permute and fold every crossing. A change here
+// is a change of the wire: bump wireVersion with it.
 func goldenTranscript(packed bool) []string {
+	// A K = 4 sequence crossing the link for its key owner to read: one
+	// ciphertext per class, or folded two slots to a 64-bit plaintext.
+	cross := 4
+	if packed {
+		cross = 2
+	}
 	var (
 		handshake = []string{
 			"S2>S1 control 3 0 code=2",   // hello: party, caps, wire version
@@ -190,8 +196,8 @@ func goldenTranscript(packed bool) []string {
 				fmt.Sprintf("S1>S2 cipher-seq 1 %d", 4*nSeq),
 				fmt.Sprintf("S2>S1 plain-seq 0 %d", 4*nSeq),
 				fmt.Sprintf("S1>S2 cipher-seq 0 %d", nSeq),
-				fmt.Sprintf("S2>S1 cipher-seq 0 %d", 8*nSeq),
-				fmt.Sprintf("S1>S2 cipher-seq 0 %d", 4*nSeq),
+				fmt.Sprintf("S2>S1 cipher-seq 0 %d", (cross+4)*nSeq), // folded sequences, then E[-r3] per class
+				fmt.Sprintf("S1>S2 cipher-seq 0 %d", cross*nSeq),
 			}
 		}
 		// One batched DGK exchange of n comparisons at L = 50 bits.
@@ -204,8 +210,8 @@ func goldenTranscript(packed bool) []string {
 		}
 		argmax      = slices.Concat(compare(2), compare(1)) // bracket levels of 4 and 2
 		restoration = []string{
-			"S2>S1 cipher-seq 0 4", "S1>S2 cipher-seq 0 4", "S2>S1 plain-seq 0 4",
-			"S1>S2 cipher-seq 0 4", "S2>S1 cipher-seq 0 4", "S1>S2 plain-seq 0 4",
+			"S2>S1 cipher-seq 0 4", fmt.Sprintf("S1>S2 cipher-seq 0 %d", cross), "S2>S1 plain-seq 0 4",
+			"S1>S2 cipher-seq 0 4", fmt.Sprintf("S2>S1 cipher-seq 0 %d", cross), "S1>S2 plain-seq 0 4",
 			"S2>S1 result 1 0",
 		}
 		end = []string{"S1>S2 control 2 0 code=101"}

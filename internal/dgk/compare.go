@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/perm"
@@ -35,194 +36,295 @@ import (
 
 // CompareA runs party A's side: it holds value a and learns (a >= b).
 func (pk *PublicKey) CompareA(ctx context.Context, rng io.Reader, conn transport.Conn, a *big.Int) (bool, error) {
-	// Fail fast on a bad input before touching the wire: blocking on round
-	// 1 with a value that can never be compared would hang the session.
-	if err := checkRange(a, pk.L); err != nil {
-		return false, fmt.Errorf("dgk: CompareA: %w", err)
-	}
-	// Round 1: receive B's encrypted bits (little-endian).
-	msg, err := transport.ExpectKind(ctx, conn, transport.KindBits)
-	if err != nil {
-		return false, fmt.Errorf("dgk: receive encrypted bits: %w", err)
-	}
-	permuted, err := pk.blindCompareValues(rng, a, msg.Values)
-	if err != nil {
-		return false, err
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: permuted}); err != nil {
-		return false, fmt.Errorf("dgk: send blinded values: %w", err)
-	}
-
-	// Round 3: receive the outcome bit.
-	res, err := transport.ExpectKind(ctx, conn, transport.KindResult)
-	if err != nil {
-		return false, fmt.Errorf("dgk: receive result: %w", err)
-	}
-	if len(res.Flags) != 1 {
-		return false, fmt.Errorf("dgk: malformed result message")
-	}
-	comparisons.Inc()
-	return res.Flags[0] == 1, nil
-}
-
-// blindCompareValues computes party A's round-2 payload for one comparison:
-// the blinded, permuted E(r_i * c_i) sequence derived from A's value a and
-// B's encrypted bit vector (raw ciphertext values, little-endian). It is the
-// pure per-comparison compute kernel shared by the single and batched
-// protocol variants.
-func (pk *PublicKey) blindCompareValues(rng io.Reader, a *big.Int, encBits []*big.Int) ([]*big.Int, error) {
-	if err := checkRange(a, pk.L); err != nil {
-		return nil, fmt.Errorf("dgk: CompareA: %w", err)
-	}
-	aBits, err := mathutil.Bits(a, pk.L)
-	if err != nil {
-		return nil, err
-	}
-	if len(encBits) != pk.L {
-		return nil, fmt.Errorf("dgk: expected %d encrypted bits, got %d", pk.L, len(encBits))
-	}
-	encB := make([]*Ciphertext, pk.L)
-	for i, v := range encBits {
-		encB[i] = &Ciphertext{C: v}
-		if err := pk.validateCiphertext(encB[i]); err != nil {
-			return nil, fmt.Errorf("dgk: bit %d: %w", i, err)
-		}
-	}
-
-	// Compute E(c_i) for each i, scanning from MSB so the XOR prefix sum
-	// over j > i accumulates incrementally.
-	//
-	// E(a_j XOR b_j) = E(b_j) when a_j = 0, and E(1 - b_j) otherwise.
-	encXorSum, err := pk.Encrypt(rng, mathutil.Zero) // sum over processed (higher) positions
-	if err != nil {
-		return nil, err
-	}
-	blinded := make([]*Ciphertext, pk.L)
-	for i := pk.L - 1; i >= 0; i-- {
-		// c_i = a_i - b_i + 1 + 3 * xorSum
-		ci, err := pk.ScalarMul(encB[i], big.NewInt(-1)) // -b_i
-		if err != nil {
-			return nil, err
-		}
-		ci, err = pk.AddPlain(ci, big.NewInt(int64(aBits[i])+1)) // + a_i + 1
-		if err != nil {
-			return nil, err
-		}
-		tripleSum, err := pk.ScalarMul(encXorSum, big.NewInt(3))
-		if err != nil {
-			return nil, err
-		}
-		ci, err = pk.Add(ci, tripleSum)
-		if err != nil {
-			return nil, err
-		}
-		// Blind with a random nonzero exponent: zero stays zero, nonzero
-		// becomes uniform nonzero.
-		r, err := randNonzero(rng, pk.U)
-		if err != nil {
-			return nil, err
-		}
-		blinded[i], err = pk.ScalarMul(ci, r)
-		if err != nil {
-			return nil, err
-		}
-
-		// Fold position i into the XOR prefix sum for lower positions.
-		var xi *Ciphertext
-		if aBits[i] == 0 {
-			xi = encB[i]
-		} else {
-			neg, err := pk.ScalarMul(encB[i], big.NewInt(-1))
-			if err != nil {
-				return nil, err
-			}
-			xi, err = pk.AddPlain(neg, mathutil.One) // 1 - b_i
-			if err != nil {
-				return nil, err
-			}
-		}
-		encXorSum, err = pk.Add(encXorSum, xi)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Permute so B cannot tell which bit position (if any) was zero.
-	pi, err := perm.New(rng, pk.L)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]*big.Int, pk.L)
-	for i, c := range blinded {
-		vals[i] = c.C
-	}
-	return pi.Apply(vals)
+	geq, err := pk.exchangeA(ctx, rng, conn, []*big.Int{a}, 1, false)
+	return err == nil && geq[0], err
 }
 
 // CompareB runs party B's side (the key owner): it holds value b and learns
 // (a >= b).
 func (k *PrivateKey) CompareB(ctx context.Context, rng io.Reader, conn transport.Conn, b *big.Int) (bool, error) {
-	if err := checkRange(b, k.L); err != nil {
-		return false, fmt.Errorf("dgk: CompareB: %w", err)
-	}
-	bBits, err := mathutil.Bits(b, k.L)
-	if err != nil {
-		return false, err
-	}
-
-	// Round 1: send bitwise encryptions.
-	vals := make([]*big.Int, k.L)
-	for i, bit := range bBits {
-		c, err := k.EncryptBit(rng, bit)
-		if err != nil {
-			return false, err
-		}
-		vals[i] = c.C
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindBits, Values: vals}); err != nil {
-		return false, fmt.Errorf("dgk: send encrypted bits: %w", err)
-	}
-
-	// Round 2: receive blinded values and zero-test each.
-	msg, err := transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
-	if err != nil {
-		return false, fmt.Errorf("dgk: receive blinded values: %w", err)
-	}
-	aGEb, err := k.zeroTestValues(msg.Values)
-	if err != nil {
-		return false, err
-	}
-
-	// Round 3: share the outcome.
-	flag := int64(0)
-	if aGEb {
-		flag = 1
-	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindResult, Flags: []int64{flag}}); err != nil {
-		return false, fmt.Errorf("dgk: send result: %w", err)
-	}
-	comparisonsB.Inc()
-	return aGEb, nil
+	geq, err := k.exchangeB(ctx, rng, conn, []*big.Int{b}, 1, false)
+	return err == nil && geq[0], err
 }
 
-// zeroTestValues decides one comparison from its blinded round-2 sequence:
-// a >= b iff no value decrypts to zero. Every position is tested so the work
-// is constant regardless of outcome.
-func (k *PrivateKey) zeroTestValues(vals []*big.Int) (bool, error) {
-	if len(vals) != k.L {
-		return false, fmt.Errorf("dgk: expected %d blinded values, got %d", k.L, len(vals))
+// recvItems receives one round of n comparisons: n items of kind in one
+// KindBatch frame, or — the single exchange — one bare message.
+func recvItems(ctx context.Context, conn transport.Conn, kind transport.MessageKind, n int, batched bool) ([]*transport.Message, error) {
+	if batched {
+		return transport.ExpectBatch(ctx, conn, kind, n)
 	}
-	foundZero := false
+	msg, err := transport.ExpectKind(ctx, conn, kind)
+	return []*transport.Message{msg}, err
+}
+
+// sendItems sends one round, framed as recvItems expects it.
+func sendItems(ctx context.Context, conn transport.Conn, items []*transport.Message, batched bool) error {
+	if !batched {
+		return conn.Send(ctx, items[0])
+	}
+	frame, err := transport.WrapBatch(items)
+	if err != nil {
+		return err
+	}
+	return conn.Send(ctx, frame)
+}
+
+// exchangeA runs party A's three rounds for n = len(vals) comparisons,
+// learning the per-item bit (vals[i] >= b_i) in input order.
+func (pk *PublicKey) exchangeA(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int, batched bool) ([]bool, error) {
+	n := len(vals)
+	if n == 0 {
+		return nil, fmt.Errorf("dgk: empty comparison batch")
+	}
+	// Fail fast on a bad input before touching the wire: blocking on round
+	// 1 with a value that can never be compared would hang the session.
 	for i, v := range vals {
-		z, err := k.IsZero(&Ciphertext{C: v})
-		if err != nil {
-			return false, fmt.Errorf("dgk: zero-test %d: %w", i, err)
-		}
-		if z {
-			foundZero = true
+		if err := checkRange(v, pk.L); err != nil {
+			return nil, fmt.Errorf("dgk: party A comparison %d: %w", i, err)
 		}
 	}
-	return !foundZero, nil // a zero exists iff a < b
+	// Round 1: every comparison's encrypted bit vector (little-endian).
+	items, err := recvItems(ctx, conn, transport.KindBits, n, batched)
+	if err != nil {
+		return nil, fmt.Errorf("dgk: receive encrypted bits: %w", err)
+	}
+	blinded, err := pk.blind(rng, vals, itemValues(items), par)
+	if err != nil {
+		return nil, err
+	}
+	// Round 2: every blinded permuted sequence.
+	if err := sendItems(ctx, conn, seqItems(transport.KindCipherSeq, blinded), batched); err != nil {
+		return nil, fmt.Errorf("dgk: send blinded values: %w", err)
+	}
+	// Round 3: every outcome bit.
+	if items, err = recvItems(ctx, conn, transport.KindResult, n, batched); err != nil {
+		return nil, fmt.Errorf("dgk: receive result: %w", err)
+	}
+	out := make([]bool, n)
+	for i, it := range items {
+		if len(it.Flags) != 1 {
+			return nil, fmt.Errorf("dgk: malformed result of comparison %d", i)
+		}
+		out[i] = it.Flags[0] == 1
+	}
+	comparisons.Add(int64(n))
+	return out, nil
+}
+
+// exchangeB runs party B's side (the key owner): encrypt every comparison's
+// bits, zero-test what comes back, and share the outcome bits.
+func (k *PrivateKey) exchangeB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int, batched bool) ([]bool, error) {
+	n := len(vals)
+	if n == 0 {
+		return nil, fmt.Errorf("dgk: empty comparison batch")
+	}
+	// Round 1: all n*L bitwise encryptions.
+	enc, err := k.encryptBits(rng, vals, par)
+	if err != nil {
+		return nil, err
+	}
+	if err := sendItems(ctx, conn, seqItems(transport.KindBits, enc), batched); err != nil {
+		return nil, fmt.Errorf("dgk: send encrypted bits: %w", err)
+	}
+	// Round 2: receive every blinded sequence and zero-test all n*L values.
+	items, err := recvItems(ctx, conn, transport.KindCipherSeq, n, batched)
+	if err != nil {
+		return nil, fmt.Errorf("dgk: receive blinded values: %w", err)
+	}
+	out, err := k.zeroTest(itemValues(items), par)
+	if err != nil {
+		return nil, err
+	}
+	// Round 3: share the outcome bits.
+	results := make([]*transport.Message, n)
+	for i, geq := range out {
+		results[i] = &transport.Message{Kind: transport.KindResult, Flags: []int64{0}}
+		if geq {
+			results[i].Flags[0] = 1
+		}
+	}
+	if err := sendItems(ctx, conn, results, batched); err != nil {
+		return nil, fmt.Errorf("dgk: send result: %w", err)
+	}
+	comparisonsB.Add(int64(n))
+	return out, nil
+}
+
+// seqItems wraps one value sequence per comparison as round items of kind.
+func seqItems(kind transport.MessageKind, seqs [][]*big.Int) []*transport.Message {
+	items := make([]*transport.Message, len(seqs))
+	for i, vals := range seqs {
+		items[i] = &transport.Message{Kind: kind, Values: vals}
+	}
+	return items
+}
+
+// itemValues is the inverse projection.
+func itemValues(items []*transport.Message) [][]*big.Int {
+	seqs := make([][]*big.Int, len(items))
+	for i, it := range items {
+		seqs[i] = it.Values
+	}
+	return seqs
+}
+
+// The three compute kernels below are all of the protocol's cryptography.
+// Each fans out over the n·L bit positions, not the n comparisons, so a
+// bracket level of one comparison still uses every worker; with par > 1 rng
+// must be safe for concurrent draws.
+
+// encryptBits is party B's round 1: the L bitwise encryptions (little-endian)
+// of each value, under B's own key at the owner's cost.
+func (k *PrivateKey) encryptBits(rng io.Reader, vals []*big.Int, par int) ([][]*big.Int, error) {
+	out := make([][]*big.Int, len(vals))
+	for i, v := range vals {
+		if err := checkRange(v, k.L); err != nil {
+			return nil, fmt.Errorf("dgk: comparison %d: %w", i, err)
+		}
+		out[i] = make([]*big.Int, k.L)
+	}
+	err := mathutil.ParallelFor(par, len(vals)*k.L, func(idx int) error {
+		i, pos := idx/k.L, idx%k.L
+		c, err := k.Encrypt(rng, big.NewInt(int64(vals[i].Bit(pos))))
+		if err != nil {
+			return fmt.Errorf("dgk: comparison %d bit %d: %w", i, pos, err)
+		}
+		out[i][pos] = c.C
+		return nil
+	})
+	return out, err
+}
+
+// blind is party A's round 2: for each of its values and B's encrypted bit
+// vector, the blinded, permuted E(r_i * c_i) sequence. The E(c_i) of one
+// comparison form a chain (multiplications only, see compareTerms); the
+// blinding exponentiations are independent per bit.
+func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int, par int) ([][]*big.Int, error) {
+	n, l := len(vals), pk.L
+	terms := make([][]*big.Int, n)
+	pis := make([]perm.Permutation, n)
+	out := make([][]*big.Int, n)
+	err := mathutil.ParallelFor(par, n, func(i int) (err error) {
+		if terms[i], err = pk.compareTerms(rng, vals[i], encBits[i]); err != nil {
+			return fmt.Errorf("dgk: comparison %d: %w", i, err)
+		}
+		// Permute so B cannot tell which bit position (if any) was zero.
+		pis[i], err = perm.New(rng, l)
+		out[i] = make([]*big.Int, l)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = mathutil.ParallelFor(par, n*l, func(idx int) error {
+		i, pos := idx/l, idx%l
+		// Blind with a random nonzero exponent: zero stays zero, nonzero
+		// becomes uniform nonzero.
+		r, err := randNonzero(rng, pk.U)
+		if err != nil {
+			return err
+		}
+		out[i][pis[i][pos]] = r.Exp(terms[i][pos], r, pk.N)
+		return nil
+	})
+	return out, err
+}
+
+// compareTerms computes E(c_i), i = 0..L-1, for A's value a against B's
+// encrypted bits, scanning from the MSB so the XOR prefix sum over j > i
+// accumulates incrementally:
+//
+//	c_i = a_i - b_i + 1 + 3 * sum_{j>i} (a_j XOR b_j)
+//
+// with E(a_j XOR b_j) = E(b_j) when a_j = 0 and E(1 - b_j) otherwise. All of
+// it is multiplications modulo n: the L negations E(-b_i) = E(b_i)^(-1) come
+// from one modular inversion (Montgomery's trick) and 3*sum is two more
+// multiplications.
+func (pk *PublicKey) compareTerms(rng io.Reader, a *big.Int, encBits []*big.Int) ([]*big.Int, error) {
+	if len(encBits) != pk.L {
+		return nil, fmt.Errorf("dgk: expected %d encrypted bits, got %d", pk.L, len(encBits))
+	}
+	for i, v := range encBits {
+		if err := pk.validateCiphertext(&Ciphertext{C: v}); err != nil {
+			return nil, fmt.Errorf("dgk: bit %d: %w", i, err)
+		}
+	}
+	neg, err := invertAll(encBits, pk.N)
+	if err != nil {
+		return nil, err
+	}
+	zero, err := pk.Encrypt(rng, mathutil.Zero)
+	if err != nil {
+		return nil, err
+	}
+	xorSum := zero.C // over the processed (higher) positions
+	mul := func(x, y *big.Int) *big.Int {
+		z := new(big.Int).Mul(x, y)
+		return z.Mod(z, pk.N)
+	}
+	gPlus := [2]*big.Int{pk.G, mul(pk.G, pk.G)} // E(a_i + 1) with unit randomness
+	terms := make([]*big.Int, pk.L)
+	for i := pk.L - 1; i >= 0; i-- {
+		ai := a.Bit(i)
+		triple := mul(mul(xorSum, xorSum), xorSum)
+		terms[i] = mul(mul(neg[i], gPlus[ai]), triple)
+		if ai == 0 {
+			xorSum = mul(xorSum, encBits[i])
+		} else {
+			xorSum = mul(xorSum, mul(neg[i], pk.G)) // 1 - b_i
+		}
+	}
+	return terms, nil
+}
+
+// invertAll returns every v^(-1) mod n from one modular inversion of the
+// running product (Montgomery's trick): 3(len-1) multiplications instead of
+// an exponentiation per element.
+func invertAll(vals []*big.Int, n *big.Int) ([]*big.Int, error) {
+	prefix := make([]*big.Int, len(vals)) // prefix[i] = vals[0]···vals[i]
+	acc := big.NewInt(1)
+	for i, v := range vals {
+		acc = new(big.Int).Mul(acc, v)
+		prefix[i] = acc.Mod(acc, n)
+	}
+	inv, err := mathutil.ModInverse(acc, n)
+	if err != nil {
+		return nil, fmt.Errorf("dgk: encrypted bits are not units: %w", err)
+	}
+	out := make([]*big.Int, len(vals))
+	for i := len(vals) - 1; i > 0; i-- {
+		out[i] = new(big.Int).Mul(inv, prefix[i-1])
+		out[i].Mod(out[i], n)
+		inv.Mod(inv.Mul(inv, vals[i]), n)
+	}
+	out[0] = inv
+	return out, nil
+}
+
+// zeroTest is party B's decision of each comparison from its blinded round-2
+// sequence: a >= b iff no value decrypts to zero. Every position is tested so
+// the work is constant regardless of outcome.
+func (k *PrivateKey) zeroTest(blinded [][]*big.Int, par int) ([]bool, error) {
+	for i, vals := range blinded {
+		if len(vals) != k.L {
+			return nil, fmt.Errorf("dgk: comparison %d: expected %d blinded values, got %d", i, k.L, len(vals))
+		}
+	}
+	isZero := make([]bool, len(blinded)*k.L)
+	err := mathutil.ParallelFor(par, len(isZero), func(idx int) (err error) {
+		if isZero[idx], err = k.IsZero(&Ciphertext{C: blinded[idx/k.L][idx%k.L]}); err != nil {
+			return fmt.Errorf("dgk: comparison %d zero-test %d: %w", idx/k.L, idx%k.L, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	geq := make([]bool, len(blinded))
+	for i := range geq {
+		geq[i] = !slices.Contains(isZero[i*k.L:(i+1)*k.L], true) // a zero exists iff a < b
+	}
+	return geq, nil
 }
 
 // CompareSignedA is CompareA for signed values in (-2^(L-1), 2^(L-1)): both

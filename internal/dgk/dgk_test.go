@@ -121,9 +121,6 @@ func TestEncryptRejectsOutOfRange(t *testing.T) {
 	if _, err := key.Encrypt(rng, big.NewInt(-1)); err == nil {
 		t.Error("expected error for negative m")
 	}
-	if _, err := key.EncryptBit(rng, 2); err == nil {
-		t.Error("expected error for non-bit")
-	}
 }
 
 func TestIsZero(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 )
 
 // JSON serialization of DGK key material (decimal-string big integers).
-// The private key stores the secret prime p and exponent v_p alongside the
-// public elements; the decryption table is rebuilt on load.
+// The private key stores the secret prime p and the subgroup orders v_p, v_q
+// alongside the public elements; q = n/p and the tables are rebuilt on load.
 
 // publicKeyJSON is the wire form of a PublicKey.
 type publicKeyJSON struct {
@@ -74,6 +74,9 @@ type privateKeyJSON struct {
 	Public publicKeyJSON `json:"public"`
 	P      string        `json:"p"`
 	Vp     string        `json:"vp"`
+	// Vq is absent from files written before the owner's CRT encryption
+	// needed it; such a key loads and encrypts with a wider q-side table.
+	Vq string `json:"vq,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -89,9 +92,11 @@ func (k *PrivateKey) MarshalJSON() ([]byte, error) {
 	if err := json.Unmarshal(pub, &rawPub); err != nil {
 		return nil, err
 	}
-	return json.Marshal(privateKeyJSON{
-		Public: rawPub, P: k.p.String(), Vp: k.vp.String(),
-	})
+	out := privateKeyJSON{Public: rawPub, P: k.p.String(), Vp: k.vp.String()}
+	if k.vq != nil {
+		out.Vq = k.vq.String()
+	}
+	return json.Marshal(out)
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -112,12 +117,49 @@ func (k *PrivateKey) UnmarshalJSON(data []byte) error {
 	if !ok || vp.Sign() <= 0 {
 		return fmt.Errorf("dgk: invalid secret exponent")
 	}
-	if new(big.Int).Mod(pub.N, p).Sign() != 0 {
+	q, rem := new(big.Int).QuoRem(pub.N, p, new(big.Int))
+	if rem.Sign() != 0 {
 		return fmt.Errorf("dgk: secret prime does not divide the modulus")
 	}
+	if q.Cmp(p) == 0 || !q.ProbablyPrime(32) {
+		return fmt.Errorf("%w: the modulus is not a product of two distinct primes", ErrBadParams)
+	}
+	if err := pub.checkSubgroup(p, vp); err != nil {
+		return err
+	}
+	var vq *big.Int
+	if raw.Vq != "" {
+		if vq, ok = new(big.Int).SetString(raw.Vq, 10); !ok || vq.Sign() <= 0 {
+			return fmt.Errorf("%w: invalid secret exponent v_q", ErrBadParams)
+		}
+		if err := pub.checkSubgroup(q, vq); err != nil {
+			return err
+		}
+	}
 	k.PublicKey = *pub
-	k.p = p
-	k.vp = vp
+	k.p, k.vp, k.q, k.vq = p, vp, q, vq
+	k.own = &ownPrecomp{}
 	k.buildDecTable(pub.U.Uint64())
+	return nil
+}
+
+// checkSubgroup refuses a (prime factor s, subgroup order v) pair the key's
+// generators do not fit: a wrong v loads silently otherwise, makes every zero
+// test read "non-zero" and every comparison answer a >= b. It requires
+// u·v | s-1, h^v = 1, g^(u·v) = 1 and g^v != 1 (mod s).
+func (pk *PublicKey) checkSubgroup(s, v *big.Int) error {
+	uv := new(big.Int).Mul(pk.U, v)
+	sm1 := new(big.Int).Sub(s, big.NewInt(1))
+	one := big.NewInt(1)
+	switch {
+	case new(big.Int).Mod(sm1, uv).Sign() != 0:
+		return fmt.Errorf("%w: u·v does not divide a prime factor minus one", ErrBadParams)
+	case new(big.Int).Exp(pk.H, v, s).Cmp(one) != 0:
+		return fmt.Errorf("%w: h does not have order v modulo a prime factor", ErrBadParams)
+	case new(big.Int).Exp(pk.G, uv, s).Cmp(one) != 0:
+		return fmt.Errorf("%w: g does not have order u·v modulo a prime factor", ErrBadParams)
+	case new(big.Int).Exp(pk.G, v, s).Cmp(one) == 0:
+		return fmt.Errorf("%w: g has no component of order u modulo a prime factor", ErrBadParams)
+	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package dgk
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"math/big"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +87,116 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"public":{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":40},"p":"13","vp":"5"}`), &k); err == nil {
 		t.Error("expected error when p does not divide n")
+	}
+}
+
+// A key file whose secret numbers do not fit its generators is refused at
+// load: with a wrong v_p every zero test would read "non-zero", every
+// comparison answer a >= b, and the pair would release a wrong label.
+func TestUnmarshalRefusesMismatchedSubgroups(t *testing.T) {
+	key := sharedTestKey(t)
+	data, err := json.Marshal(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good privateKeyJSON
+	if err := json.Unmarshal(data, &good); err != nil {
+		t.Fatal(err)
+	}
+	if good.Vq != key.vq.String() {
+		t.Fatalf("marshaled v_q = %q, want %v", good.Vq, key.vq)
+	}
+	other, err := GenerateKey(testRNG(98), TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plusOne := func(s string) string {
+		v, _ := new(big.Int).SetString(s, 10)
+		return v.Add(v, big.NewInt(1)).String()
+	}
+	times := func(s string, k *big.Int, n string) string {
+		v, _ := new(big.Int).SetString(s, 10)
+		m, _ := new(big.Int).SetString(n, 10)
+		return v.Mod(v.Mul(v, k), m).String()
+	}
+	for _, tc := range []struct {
+		name, why string // why: the check that must refuse
+		mutate    func(*privateKeyJSON)
+	}{
+		{"v_p off by one", "does not divide", func(k *privateKeyJSON) { k.Vp = plusOne(k.Vp) }},
+		{"v_p of another key", "does not divide", func(k *privateKeyJSON) { k.Vp = other.vp.String() }},
+		{"v_p = 1", "h does not have order v", func(k *privateKeyJSON) { k.Vp = "1" }},
+		{"v_q off by one", "does not divide", func(k *privateKeyJSON) { k.Vq = plusOne(k.Vq) }},
+		{"v_q = v_p", "does not divide", func(k *privateKeyJSON) { k.Vq = k.Vp }},
+		{"v_q not a number", "invalid secret exponent v_q", func(k *privateKeyJSON) { k.Vq = "x" }},
+		// h·g has order u·v, so h^v != 1.
+		{"h with a component of order u", "h does not have order v",
+			func(k *privateKeyJSON) { k.Public.H = times(k.Public.H, key.G, k.Public.N) }},
+		// g replaced by h: g^(u·v) = 1 still, but g^v = 1 — no plaintext space.
+		{"g of order v only", "g has no component of order u", func(k *privateKeyJSON) { k.Public.G = k.Public.H }},
+		// g doubled: a random element, whose order does not divide u·v.
+		{"g outside the subgroup", "g does not have order u·v",
+			func(k *privateKeyJSON) { k.Public.G = times(k.Public.G, big.NewInt(2), k.Public.N) }},
+		{"modulus of three primes", "two distinct primes", func(k *privateKeyJSON) {
+			n, _ := new(big.Int).SetString(k.Public.N, 10)
+			k.Public.N = n.Mul(n, big.NewInt(1000003)).String()
+		}},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		raw, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var k PrivateKey
+		if err := json.Unmarshal(raw, &k); !errors.Is(err, ErrBadParams) || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("%s: load error %v, want ErrBadParams (%s)", tc.name, err, tc.why)
+		}
+	}
+	var back PrivateKey
+	if err := json.Unmarshal(data, &back); err != nil || back.vq.Cmp(key.vq) != 0 || back.q.Cmp(key.q) != 0 {
+		t.Fatalf("unmutated file: %v", err)
+	}
+	checkOwnerMatchesPublic(t, &back, 5, big.NewInt(1))
+}
+
+// A key file written by the parent commit (testdata/parent_key.json: no
+// "vq") still loads, compares correctly, and encrypts the owner's way with a
+// q-side table as wide as the randomness — byte-identical all the same.
+func TestParentKeyFileStillLoads(t *testing.T) {
+	data, err := os.ReadFile("testdata/parent_key.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key PrivateKey
+	if err := json.Unmarshal(data, &key); err != nil {
+		t.Fatalf("parent-written key file refused: %v", err)
+	}
+	if key.vq != nil || key.q == nil {
+		t.Fatalf("parent file has no v_q: loaded vq=%v q=%v", key.vq, key.q)
+	}
+	for seed, m := range []int64{0, 1, 0, 1} {
+		checkOwnerMatchesPublic(t, &key, int64(seed+1), big.NewInt(m))
+	}
+	own := key.ownTables()
+	if got := own.q.MaxBits(); got != key.RBits {
+		t.Errorf("q-side h table is %d bits wide, want RBits = %d without v_q", got, key.RBits)
+	}
+	if got, want := own.p.MaxBits(), key.vp.BitLen(); got != want {
+		t.Errorf("p-side h table is %d bits wide, want |v_p| = %d", got, want)
+	}
+	for _, c := range []struct {
+		a, b int64
+		want bool
+	}{{5, 3, true}, {3, 5, false}, {-7, -7, true}, {-(1 << 30), 1 << 30, false}} {
+		if got := runCompare(t, &key, big.NewInt(c.a), big.NewInt(c.b), true); got != c.want {
+			t.Errorf("compare(%d, %d) under the parent's key file = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+	// Re-saved, the file stays without v_q rather than gaining a wrong one.
+	again, err := json.Marshal(&key)
+	if err != nil || bytes.Contains(again, []byte(`"vq"`)) {
+		t.Errorf("re-marshaled parent key: %s, %v", again, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package keystore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -102,6 +103,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if pubBack.PK2.N.Cmp(keys.S2Paillier.N) != 0 {
 		t.Error("pk2 modulus not preserved")
+	}
+	// Only S2's file carries the DGK subgroup orders, v_q included (the
+	// owner's CRT encryption walks a table that wide).
+	for path, want := range map[string]bool{s1Path: false, s2Path: true, pubPath: false} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Contains(raw, []byte(`"vq"`)); got != want {
+			t.Errorf("%s carries \"vq\": %v, want %v", filepath.Base(path), got, want)
+		}
 	}
 
 	// The reloaded keys must actually run the protocol: full Alg. 5 with

@@ -145,6 +145,17 @@ func (c *CRTParams) Combine(xp, xq *big.Int) *big.Int {
 	return diff.Mod(diff, c.N)
 }
 
+// Zeroize wipes the secret constants of c (its product N is public), for
+// parameters over secret factors. A nil c is a no-op.
+func (c *CRTParams) Zeroize() {
+	if c == nil {
+		return
+	}
+	ZeroInt(c.P)
+	ZeroInt(c.Q)
+	ZeroInt(c.QInvP)
+}
+
 // Bits decomposes v into exactly width little-endian bits. It returns an
 // error if v is negative or does not fit in width bits.
 func Bits(v *big.Int, width int) ([]uint8, error) {

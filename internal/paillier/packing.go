@@ -10,7 +10,10 @@ package paillier
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
 // Packing errors.
@@ -131,6 +134,98 @@ func (p Packing) Split(packed []*big.Int) ([]*big.Int, error) {
 		}
 		v := new(big.Int).Rsh(word, uint((j%p.Slots)*p.Width))
 		out[j] = v.And(v, mask)
+	}
+	return out, nil
+}
+
+// chunk returns the value range [lo, hi) packed plaintext i holds.
+func (p Packing) chunk(i int) (lo, hi int, err error) {
+	if err := p.validate(0); err != nil {
+		return 0, 0, err
+	}
+	if i < 0 || i >= p.Plaintexts() {
+		return 0, 0, fmt.Errorf("%w: plaintext %d of %d", ErrPackingShape, i, p.Plaintexts())
+	}
+	return i * p.Slots, min((i+1)*p.Slots, p.Count), nil
+}
+
+// Fold builds packed ciphertext i of the layout homomorphically from Count
+// per-value ciphertexts under pk, without their key: Horner's rule from the
+// chunk's top slot down, acc ← acc^(2^Width)·c_j mod n², leaves
+// E[Σ_j m_j·2^(Width·j)]. The sender's plaintext addends and the public
+// per-slot offset Bias (which keeps signed values non-negative in their
+// slots) enter as one fresh encryption of Σ_j (addends[j]+Bias)·2^(Width·j),
+// whose blinding factor is the fold's only new randomness and all it needs
+// (DESIGN.md note 12). The caller's layout guarantees
+// 0 <= m_j + addends[j] + Bias < 2^Width; an addend that alone leaves the
+// slot is refused.
+//
+// With one slot per plaintext there is nothing to fold: Bias is zero by
+// convention and the lone slot carries m + addend as a signed residue, as
+// wide as the plaintext space — AddPlain plus Rerandomize.
+func (p Packing) Fold(rng io.Reader, pk *PublicKey, i int, cts []*Ciphertext, addends []*big.Int) (*Ciphertext, error) {
+	lo, hi, err := p.chunk(i)
+	if err != nil {
+		return nil, err
+	}
+	if len(cts) != p.Count || len(addends) != p.Count {
+		return nil, fmt.Errorf("%w: %d ciphertexts and %d addends, layout holds %d", ErrPackingShape, len(cts), len(addends), p.Count)
+	}
+	plain, acc := new(big.Int), new(big.Int)
+	shift := new(big.Int).Lsh(oneInt, uint(p.Width))
+	for j := hi - 1; j >= lo; j-- {
+		if err := pk.validateCiphertext(cts[j]); err != nil {
+			return nil, fmt.Errorf("paillier: fold slot %d: %w", j, err)
+		}
+		if cts[j].C.Sign() == 0 || addends[j] == nil {
+			return nil, fmt.Errorf("%w: fold slot %d is empty", ErrSlotRange, j)
+		}
+		v := new(big.Int).Add(addends[j], p.Bias)
+		if p.Slots > 1 && (v.Sign() < 0 || v.Cmp(p.Max) >= 0) {
+			return nil, fmt.Errorf("%w: addend of slot %d", ErrSlotRange, j)
+		}
+		plain.Add(plain.Lsh(plain, uint(p.Width)), v)
+		if j == hi-1 {
+			acc.Set(cts[j].C)
+			continue
+		}
+		acc.Exp(acc, shift, pk.N2)
+		acc.Mod(acc.Mul(acc, cts[j].C), pk.N2)
+	}
+	fresh, err := pk.Encrypt(rng, mathutil.FromSigned(plain, pk.N))
+	if err != nil {
+		return nil, err
+	}
+	return pk.Add(&Ciphertext{C: acc}, fresh)
+}
+
+// Unfold is the key owner's read of packed ciphertext i of a Fold: one
+// decryption, then the chunk's values m_j + addends[j] with the offset
+// stripped. A plaintext with bits above the chunk's slots is refused — no
+// honest Fold produces one.
+func (p Packing) Unfold(sk *PrivateKey, i int, c *Ciphertext) ([]*big.Int, error) {
+	lo, hi, err := p.chunk(i)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sk.Decrypt(c)
+	if err != nil {
+		return nil, err
+	}
+	if p.Slots == 1 {
+		m = mathutil.ToSigned(m, sk.N)
+		return []*big.Int{m.Sub(m, p.Bias)}, nil
+	}
+	if m.BitLen() > (hi-lo)*p.Width {
+		return nil, fmt.Errorf("%w: folded plaintext %d has %d bits, its %d slots hold %d",
+			ErrSlotRange, i, m.BitLen(), hi-lo, (hi-lo)*p.Width)
+	}
+	mask := new(big.Int).Lsh(oneInt, uint(p.Width))
+	mask.Sub(mask, oneInt)
+	out := make([]*big.Int, hi-lo)
+	for j := range out {
+		v := new(big.Int).Rsh(m, uint(j*p.Width))
+		out[j] = v.Sub(v.And(v, mask), p.Bias)
 	}
 	return out, nil
 }

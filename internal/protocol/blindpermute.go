@@ -76,6 +76,20 @@ func maskGroup(cfg Config, pk *paillier.PublicKey, group []*paillier.Ciphertext,
 	return out, nil
 }
 
+// applyPerSeq maps every k-long sequence of vals through a permutation
+// (perm.Permutation's Apply or ApplyInverse).
+func applyPerSeq(apply func([]*big.Int) ([]*big.Int, error), vals []*big.Int, k int) ([]*big.Int, error) {
+	out := make([]*big.Int, 0, len(vals))
+	for lo := 0; lo < len(vals); lo += k {
+		permuted, err := apply(vals[lo : lo+k])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, permuted...)
+	}
+	return out, nil
+}
+
 // blindPermuteS1 runs S1's side of Alg. 2 over conn for a group of nSeq
 // encrypted sequences (all under pk2): their nSeq·K per-class ciphertexts
 // back to back, or the slot-packed group in packed mode.
@@ -146,50 +160,35 @@ func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return nil, fmt.Errorf("protocol: B&P step 3 send: %w", err)
 	}
 
-	// Step 4 happens at S2; receive E_pk1[pi2(b + r1 + r2) + r3] and
-	// E_pk2[-r3].
+	// Step 4 happens at S2; receive E_pk1[pi2(b + r1 + r2) + r3], folded,
+	// and the per-class E_pk2[-r3].
 	msg, err = transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 4 recv: %w", err)
 	}
-	if len(msg.Values) != 2*nSeq*k {
-		return nil, fmt.Errorf("%w: B&P step 4 expected %d values, got %d", ErrPeerMismatch, 2*nSeq*k, len(msg.Values))
+	nFold := cfg.crossLen(nSeq)
+	if len(msg.Values) != nFold+nSeq*k {
+		return nil, fmt.Errorf("%w: B&P step 4 expected %d values, got %d", ErrPeerMismatch, nFold+nSeq*k, len(msg.Values))
 	}
 
-	// Step 5: decrypt with sk1, re-encrypt under pk2, cancel r3, permute
-	// by pi1, return to S2. The per-element decrypt/re-encrypt is the
-	// CPU-heavy re-randomization loop; it fans out across workers.
-	processed := make([]*big.Int, nSeq*k)
-	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
-		s, i := idx/k, idx%k
-		blinded := msg.Values[s*k+i]
-		negR3 := msg.Values[(nSeq+s)*k+i]
-		plain, err := keys.Own.DecryptSigned(&paillier.Ciphertext{C: blinded})
-		if err != nil {
-			return fmt.Errorf("protocol: B&P step 5 decrypt: %w", err)
-		}
-		re, err := pk2.EncryptSigned(rng, plain)
-		if err != nil {
-			return fmt.Errorf("protocol: B&P step 5 re-encrypt: %w", err)
-		}
-		cancelled, err := pk2.Add(re, &paillier.Ciphertext{C: negR3})
-		if err != nil {
-			return fmt.Errorf("protocol: B&P step 5 cancel r3: %w", err)
-		}
-		processed[idx] = cancelled.C
-		return nil
-	}); err != nil {
+	// Step 5: open with sk1, permute the plaintexts and S2's E_pk2[-r3] by
+	// pi1 alike, and fold the one onto the other: r3 cancels under pk2.
+	plain, err := openCrossing(cfg, keys.Own, msg.Values[:nFold], nSeq)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: B&P step 5: %w", err)
+	}
+	if plain, err = applyPerSeq(pi1.Apply, plain, k); err != nil {
 		return nil, err
 	}
-	reencrypted := make([]*big.Int, 0, nSeq*k)
-	for s := 0; s < nSeq; s++ {
-		permuted, err := pi1.Apply(processed[s*k : (s+1)*k])
-		if err != nil {
-			return nil, err
-		}
-		reencrypted = append(reencrypted, permuted...)
+	negR3, err := applyPerSeq(pi1.Apply, msg.Values[nFold:], k)
+	if err != nil {
+		return nil, err
 	}
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: reencrypted}); err != nil {
+	folded, err := foldCrossing(rng, cfg, pk2, negR3, plain)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: B&P step 5: %w", err)
+	}
+	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: folded}); err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 5 send: %w", err)
 	}
 
@@ -251,13 +250,9 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	for idx, v := range decrypted {
 		v.Add(v, r2[idx/k])
 	}
-	plainOut := make([]*big.Int, 0, nSeq*k)
-	for s := 0; s < nSeq; s++ {
-		permuted, err := pi2.Apply(decrypted[s*k : (s+1)*k])
-		if err != nil {
-			return nil, err
-		}
-		plainOut = append(plainOut, permuted...)
+	plainOut, err := applyPerSeq(pi2.Apply, decrypted, k)
+	if err != nil {
+		return nil, err
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindPlainSeq, Values: plainOut}); err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 2 send: %w", err)
@@ -273,46 +268,31 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	}
 	encR1 := msg.Values
 
-	// Step 4: build E_pk1[pi2(b + r1 + r2) + r3], plus E_pk2[-r3].
-	r3 := make([][]*big.Int, nSeq)
-	payload := make([]*big.Int, 0, 2*nSeq*k)
-	for s := 0; s < nSeq; s++ {
-		seq := make([]*big.Int, k)
-		for i := 0; i < k; i++ {
-			c, err := pk1.Add(seqs[s][i], &paillier.Ciphertext{C: encR1[s]})
-			if err != nil {
-				return nil, fmt.Errorf("protocol: B&P step 4 add r1: %w", err)
-			}
-			c, err = pk1.AddPlain(c, r2[s])
-			if err != nil {
-				return nil, fmt.Errorf("protocol: B&P step 4 add r2: %w", err)
-			}
-			seq[i] = c.C
-		}
-		permuted, err := pi2.Apply(seq)
+	// Step 4: E_pk1[pi2(b + r1) + r2 + r3], folded with r2 + r3 as the
+	// plaintext addend, plus per-class E_pk2[-r3] for S1 to permute.
+	withR1 := make([]*big.Int, nSeq*k)
+	r3 := make([]*big.Int, nSeq*k) // one mask per permuted position
+	addends := make([]*big.Int, nSeq*k)
+	for idx := range r3 {
+		s := idx / k
+		c, err := pk1.Add(seqs[s][idx%k], &paillier.Ciphertext{C: encR1[s]})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("protocol: B&P step 4 add r1: %w", err)
 		}
-		r3[s] = make([]*big.Int, k)
-		for i := 0; i < k; i++ {
-			mask, err := mathutil.RandBits(rng, cfg.Kappa)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: sample r3: %w", err)
-			}
-			r3[s][i] = mask
-			c, err := pk1.AddPlain(&paillier.Ciphertext{C: permuted[i]}, mask)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: B&P step 4 add r3: %w", err)
-			}
-			permuted[i] = c.C
+		withR1[idx] = c.C
+		if r3[idx], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
+			return nil, fmt.Errorf("protocol: sample r3: %w", err)
 		}
-		payload = append(payload, permuted...)
+		addends[idx] = new(big.Int).Add(r2[s], r3[idx])
+	}
+	permuted, err := applyPerSeq(pi2.Apply, withR1, k)
+	if err != nil {
+		return nil, err
 	}
 	// Fresh encryptions of -r3 dominate step 4's CPU cost; fan out.
 	encNegR3 := make([]*big.Int, nSeq*k)
-	if err := parallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
-		s, i := idx/k, idx%k
-		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Neg(r3[s][i]))
+	if err := mathutil.ParallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
+		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Neg(r3[idx]))
 		if err != nil {
 			return fmt.Errorf("protocol: B&P step 4 encrypt -r3: %w", err)
 		}
@@ -321,20 +301,20 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	}); err != nil {
 		return nil, err
 	}
-	payload = append(payload, encNegR3...)
-	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: payload}); err != nil {
+	folded, err := foldCrossing(rng, cfg, pk1, permuted, addends)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: B&P step 4: %w", err)
+	}
+	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: append(folded, encNegR3...)}); err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 4 send: %w", err)
 	}
 
-	// Step 6: receive E_pk2[pi(b + r1 + r2)] and decrypt.
+	// Step 6: receive the folded E_pk2[pi(b + r1 + r2)] and open it.
 	msg, err = transport.ExpectKind(ctx, conn, transport.KindCipherSeq)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 6 recv: %w", err)
 	}
-	if len(msg.Values) != nSeq*k {
-		return nil, fmt.Errorf("%w: B&P step 6 expected %d values, got %d", ErrPeerMismatch, nSeq*k, len(msg.Values))
-	}
-	final, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	final, err := openCrossing(cfg, keys.Own, msg.Values, nSeq)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: B&P step 6: %w", err)
 	}

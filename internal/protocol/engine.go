@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -520,7 +521,7 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 		bounds = append(bounds, [2]int{lo, min(lo+chunkSize, len(subs))})
 	}
 	partials := make([][]*paillier.Ciphertext, len(bounds))
-	err := parallelFor(par, len(bounds), func(ci int) error {
+	err := mathutil.ParallelFor(par, len(bounds), func(ci int) error {
 		acc, err := sumRange(bounds[ci][0], bounds[ci][1])
 		if err != nil {
 			return err
@@ -535,7 +536,7 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 	for len(partials) > 1 {
 		half := (len(partials) + 1) / 2
 		next := make([][]*paillier.Ciphertext, half)
-		err := parallelFor(par, half, func(j int) error {
+		err := mathutil.ParallelFor(par, half, func(j int) error {
 			a := partials[2*j]
 			if 2*j+1 == len(partials) {
 				next[j] = a

@@ -342,6 +342,36 @@ func (c Config) packedLayout(nSeq int) paillier.Packing {
 	}
 }
 
+// crossLayout is the slot layout one K-long sequence crosses the peer link
+// in whenever its key owner is to read it (see foldCrossing). Every such
+// value is one blinded aggregate: a sum of at most Users shares, |sum| <
+// Users·2^biasBits, plus at most three kappa-bit masks r1 + r2 + r3. The
+// public offset Users·2^biasBits makes it non-negative and below
+// 2^(packedSumBits+1); one guard bit on top, and none of PackedWidth's kappa
+// bits of unpack headroom. With Packing off — the paper's frames, one
+// ciphertext per class — or a modulus too short for two slots, there is one
+// slot per plaintext carrying the signed residue with no offset, which is
+// exactly the value range Validate admits.
+func (c Config) crossLayout() paillier.Packing {
+	width := c.packedSumBits() + 2
+	layout := paillier.Packing{
+		Width: width,
+		Slots: packedSlots(width, c.PaillierBits),
+		Count: c.Classes,
+		Bias:  new(big.Int).Lsh(big.NewInt(int64(c.Users)), uint(c.packedBiasBits())),
+		Max:   new(big.Int).Lsh(big.NewInt(1), uint(width)),
+	}
+	if !c.Packing || layout.Slots <= 1 {
+		layout.Slots, layout.Bias = 1, new(big.Int)
+	}
+	return layout
+}
+
+// crossLen is the number of ciphertexts nSeq sequences cross the peer link
+// in: at most one sequence per ciphertext, so the count never depends on
+// Parallelism and a two-sequence crossing folds on two cores.
+func (c Config) crossLen(nSeq int) int { return nSeq * c.crossLayout().Plaintexts() }
+
 // noiseClamp bounds the magnitude of any integer noise share: 2^kappa
 // units. Exceeding it has probability < exp(-2^20) for realistic sigmas;
 // clamping keeps the bit-length analysis airtight.

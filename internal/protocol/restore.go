@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"github.com/privconsensus/privconsensus/internal/mathutil"
-	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/perm"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -44,18 +43,14 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return -1, err
 	}
 	r1 := make([]*big.Int, k)
-	masked := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		r, err := mathutil.RandBits(rng, cfg.Kappa)
-		if err != nil {
+	for i := range r1 {
+		if r1[i], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
 			return -1, fmt.Errorf("protocol: sample restoration r1: %w", err)
 		}
-		r1[i] = r
-		c, err := pk2.AddPlain(&paillier.Ciphertext{C: unpermuted[i]}, r)
-		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 2 mask: %w", err)
-		}
-		masked[i] = c.C
+	}
+	masked, err := foldCrossing(rng, cfg, pk2, unpermuted, r1)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: restore step 2: %w", err)
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: masked}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 2 send: %w", err)
@@ -72,7 +67,7 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 
 	// Step 4: strip r1 and re-encrypt under pk1.
 	reenc := make([]*big.Int, k)
-	if err := parallelFor(cfg.parallelism(), k, func(i int) error {
+	if err := mathutil.ParallelFor(cfg.parallelism(), k, func(i int) error {
 		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Sub(msg.Values[i], r1[i]))
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 4 encrypt: %w", err)
@@ -91,12 +86,9 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	if err != nil {
 		return -1, fmt.Errorf("protocol: restore step 5 recv: %w", err)
 	}
-	if len(msg.Values) != k {
-		return -1, fmt.Errorf("%w: restore step 5 expected %d values, got %d", ErrPeerMismatch, k, len(msg.Values))
-	}
 
-	// Step 6: decrypt blindly (r2 hides the position) and return.
-	plain, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	// Step 6: open blindly (r2 hides the position) and return.
+	plain, err := openCrossing(cfg, keys.Own, msg.Values, 1)
 	if err != nil {
 		return -1, fmt.Errorf("protocol: restore step 6: %w", err)
 	}
@@ -130,7 +122,7 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 		return -1, err
 	}
 	enc := make([]*big.Int, k)
-	if err := parallelFor(cfg.parallelism(), k, func(i int) error {
+	if err := mathutil.ParallelFor(cfg.parallelism(), k, func(i int) error {
 		c, err := keys.Own.Encrypt(rng, oneHot[i])
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 1 encrypt: %w", err)
@@ -149,10 +141,7 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return -1, fmt.Errorf("protocol: restore step 3 recv: %w", err)
 	}
-	if len(msg.Values) != k {
-		return -1, fmt.Errorf("%w: restore step 3 expected %d values, got %d", ErrPeerMismatch, k, len(msg.Values))
-	}
-	plain, err := decryptSignedAll(cfg, keys.Own, msg.Values)
+	plain, err := openCrossing(cfg, keys.Own, msg.Values, 1)
 	if err != nil {
 		return -1, fmt.Errorf("protocol: restore step 3: %w", err)
 	}
@@ -172,20 +161,15 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return -1, err
 	}
-	pk1 := keys.PeerPub
 	r2 := make([]*big.Int, k)
-	masked := make([]*big.Int, k)
-	for i := 0; i < k; i++ {
-		r, err := mathutil.RandBits(rng, cfg.Kappa)
-		if err != nil {
+	for i := range r2 {
+		if r2[i], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
 			return -1, fmt.Errorf("protocol: sample restoration r2: %w", err)
 		}
-		r2[i] = r
-		c, err := pk1.AddPlain(&paillier.Ciphertext{C: unpermuted[i]}, r)
-		if err != nil {
-			return -1, fmt.Errorf("protocol: restore step 5 mask: %w", err)
-		}
-		masked[i] = c.C
+	}
+	masked, err := foldCrossing(rng, cfg, keys.PeerPub, unpermuted, r2)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: restore step 5: %w", err)
 	}
 	if err := conn.Send(ctx, &transport.Message{Kind: transport.KindCipherSeq, Values: masked}); err != nil {
 		return -1, fmt.Errorf("protocol: restore step 5 send: %w", err)

@@ -25,22 +25,37 @@ func encryptSeq(t *testing.T, pk *paillier.PublicKey, vals []int64) []*paillier.
 	return out
 }
 
-// runBlindPermute executes Alg. 2 directly over an in-memory pair for the
-// given plaintext share sequences, returning both results.
-func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int64) (*bpResultS1, *bpResultS2) {
+// encryptShares encrypts the plaintext share sequences as the servers hold
+// them entering Alg. 2: S1 holds E_pk2[a], the sequences back to back, S2
+// holds E_pk1[b] per sequence.
+func encryptShares(t *testing.T, keys *Keys, aSeqs, bSeqs [][]int64) ([]*paillier.Ciphertext, [][]*paillier.Ciphertext) {
 	t.Helper()
-	var encA []*paillier.Ciphertext // S1 holds E_pk2[a], the sequences back to back
+	var encA []*paillier.Ciphertext
 	for _, vals := range aSeqs {
 		encA = append(encA, encryptSeq(t, keys.S2Paillier.Public(), vals)...)
 	}
 	encB := make([][]*paillier.Ciphertext, len(bSeqs))
 	for s, vals := range bSeqs {
-		encB[s] = encryptSeq(t, keys.S1Paillier.Public(), vals) // S2 holds E_pk1[b]
+		encB[s] = encryptSeq(t, keys.S1Paillier.Public(), vals)
 	}
+	return encA, encB
+}
 
+// runBlindPermute executes Alg. 2 directly over an in-memory pair for the
+// given plaintext share sequences, returning both results.
+func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int64) (*bpResultS1, *bpResultS2) {
+	t.Helper()
+	encA, encB := encryptShares(t, keys, aSeqs, bSeqs)
 	connA, connB := transport.Pair()
 	defer connA.Close()
 	defer connB.Close()
+	return runBlindPermuteOn(t, cfg, keys, connA, connB, encA, encB)
+}
+
+// runBlindPermuteOn executes Alg. 2 over the given link ends.
+func runBlindPermuteOn(t *testing.T, cfg Config, keys *Keys, connA, connB transport.Conn,
+	encA []*paillier.Ciphertext, encB [][]*paillier.Ciphertext) (*bpResultS1, *bpResultS2) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -50,7 +65,7 @@ func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int6
 	}
 	ch := make(chan s1res, 1)
 	go func() {
-		r, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(56)}, cfg, keys.ForS1(), connA, encA, len(aSeqs))
+		r, err := blindPermuteS1(ctx, &lockedReader{r: testRNG(56)}, cfg, keys.ForS1(), connA, encA, len(encB))
 		ch <- s1res{r, err}
 	}()
 	r2, err := blindPermuteS2(ctx, &lockedReader{r: testRNG(57)}, cfg, keys.ForS2(), connB, encB, cfg.Users)
@@ -178,32 +193,40 @@ func TestRestorationRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		connA, connB := transport.Pair()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-
-		type res struct {
-			label int
-			err   error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			l, err := restoreS1(ctx, &lockedReader{r: testRNG(59)}, cfg, keys.ForS1(), connA, pi1)
-			ch <- res{l, err}
-		}()
-		got2, err := restoreS2(ctx, &lockedReader{r: testRNG(60)}, cfg, keys.ForS2(), connB, pi2, permutedIdx)
-		if err != nil {
-			t.Fatalf("restoreS2(label=%d): %v", label, err)
-		}
-		r1 := <-ch
-		cancel()
+		got1, got2 := runRestoration(t, cfg, keys, connA, connB, pi1, pi2, permutedIdx)
 		connA.Close()
 		connB.Close()
-		if r1.err != nil {
-			t.Fatalf("restoreS1(label=%d): %v", label, r1.err)
-		}
-		if got2 != label || r1.label != label {
-			t.Errorf("restoration of label %d: S1=%d S2=%d", label, r1.label, got2)
+		if got2 != label || got1 != label {
+			t.Errorf("restoration of label %d: S1=%d S2=%d", label, got1, got2)
 		}
 	}
+}
+
+// runRestoration executes Alg. 3 over the given link ends for the permuted
+// winning position, returning the label each server restored.
+func runRestoration(t *testing.T, cfg Config, keys *Keys, connA, connB transport.Conn,
+	pi1, pi2 perm.Permutation, permutedIdx int) (int, int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type res struct {
+		label int
+		err   error
+	}
+	ch := make(chan res, 1)
+	go func() {
+		l, err := restoreS1(ctx, &lockedReader{r: testRNG(59)}, cfg, keys.ForS1(), connA, pi1)
+		ch <- res{l, err}
+	}()
+	got2, err := restoreS2(ctx, &lockedReader{r: testRNG(60)}, cfg, keys.ForS2(), connB, pi2, permutedIdx)
+	if err != nil {
+		t.Fatalf("restoreS2(position %d): %v", permutedIdx, err)
+	}
+	r1 := <-ch
+	if r1.err != nil {
+		t.Fatalf("restoreS1(position %d): %v", permutedIdx, r1.err)
+	}
+	return r1.label, got2
 }
 
 func TestRestorationRejectsBadIndex(t *testing.T) {

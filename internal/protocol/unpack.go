@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -79,7 +80,7 @@ func addPacked(pk *paillier.PublicKey, layout paillier.Packing,
 func decryptSlots(cfg Config, sk *paillier.PrivateKey, layout paillier.Packing,
 	values []*big.Int) ([]*big.Int, error) {
 	packed := make([]*big.Int, len(values))
-	if err := parallelFor(cfg.parallelism(), len(values), func(i int) error {
+	if err := mathutil.ParallelFor(cfg.parallelism(), len(values), func(i int) error {
 		m, err := sk.Decrypt(&paillier.Ciphertext{C: values[i]})
 		if err != nil {
 			return fmt.Errorf("protocol: packed decrypt: %w", err)
@@ -106,7 +107,7 @@ func reencryptSlots(rng io.Reader, cfg Config, sk *paillier.PrivateKey,
 		return nil, err
 	}
 	out := make([]*big.Int, len(slots))
-	if err := parallelFor(cfg.parallelism(), len(slots), func(idx int) error {
+	if err := mathutil.ParallelFor(cfg.parallelism(), len(slots), func(idx int) error {
 		c, err := sk.Encrypt(rng, slots[idx])
 		if err != nil {
 			return fmt.Errorf("protocol: unpack re-encrypt: %w", err)
@@ -136,6 +137,65 @@ func stripBlinds(pk *paillier.PublicKey, layout paillier.Packing, k int,
 		out[j/k] = append(out[j/k], c)
 	}
 	return out, nil
+}
+
+// Crossings. Whenever a K-long sequence of small values crosses the peer link
+// as ciphertexts for its key owner to read — Blind-and-Permute steps 4
+// (S2→S1) and 5 (S1→S2), Restoration steps 2 (S1→S2) and 5 (S2→S1) — the
+// sender holds per-class ciphertexts it cannot read and has just permuted,
+// plus a plaintext addend per class (its masks, or what it decrypted). It
+// folds each sequence into crossLayout's packed ciphertexts
+// (paillier.Packing.Fold) and the owner opens each with one decryption. Some
+// of these ciphertexts are the owner's own: the fold's fresh blinding factor
+// is what keeps the owner from dividing out the plaintext and matching the
+// remainder against the nonces on its own random tape, which would hand it
+// the sender's permutation share. One slot per plaintext degenerates to
+// mask + re-randomise per class, the paper's frames.
+
+// foldCrossing folds nSeq sequences (cts and addends hold them back to
+// back, under pk) into crossLen(nSeq) ciphertexts, across the workers.
+func foldCrossing(rng io.Reader, cfg Config, pk *paillier.PublicKey, cts, addends []*big.Int) ([]*big.Int, error) {
+	layout := cfg.crossLayout()
+	k, p := cfg.Classes, layout.Plaintexts()
+	wrapped := make([]*paillier.Ciphertext, len(cts))
+	for i, c := range cts {
+		wrapped[i] = &paillier.Ciphertext{C: c}
+	}
+	out := make([]*big.Int, len(cts)/k*p)
+	err := mathutil.ParallelFor(cfg.parallelism(), len(out), func(idx int) error {
+		s := idx / p
+		c, err := layout.Fold(rng, pk, idx%p, wrapped[s*k:(s+1)*k], addends[s*k:(s+1)*k])
+		if err != nil {
+			return fmt.Errorf("protocol: fold sequence %d: %w", s, err)
+		}
+		out[idx] = c.C
+		return nil
+	})
+	return out, err
+}
+
+// openCrossing is the key owner's read of nSeq folded sequences: the signed
+// values, sequence-major. A plaintext no honest fold produces is the peer's
+// fault, not a local one.
+func openCrossing(cfg Config, sk *paillier.PrivateKey, values []*big.Int, nSeq int) ([]*big.Int, error) {
+	layout := cfg.crossLayout()
+	k, p := cfg.Classes, layout.Plaintexts()
+	if len(values) != nSeq*p {
+		return nil, fmt.Errorf("%w: expected %d folded ciphertexts, got %d", ErrPeerMismatch, nSeq*p, len(values))
+	}
+	out := make([]*big.Int, nSeq*k)
+	err := mathutil.ParallelFor(cfg.parallelism(), len(values), func(idx int) error {
+		vals, err := layout.Unfold(sk, idx%p, &paillier.Ciphertext{C: values[idx]})
+		if errors.Is(err, paillier.ErrSlotRange) {
+			return fmt.Errorf("%w: %v", ErrPeerMismatch, err)
+		}
+		if err != nil {
+			return fmt.Errorf("protocol: open folded sequence %d: %w", idx/p, err)
+		}
+		copy(out[idx/p*k+idx%p*layout.Slots:], vals)
+		return nil
+	})
+	return out, err
 }
 
 // unpackS1 runs S1's side of the blinded unpack: key owner for S2's packed
