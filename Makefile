@@ -53,8 +53,10 @@ soak-full:
 
 # Fuzz the attack surfaces: the transport frame decoder, the peer-link
 # handshake/session/participant frame decoders, the one user-connection
-# handler both modes serve clients with (arbitrary frame sequences: submit,
-# done, admission, result-wait, junk), the partial-write
+# handler every run serves clients with (arbitrary frame sequences: submit,
+# done, admission, result-wait, junk), S2's end of the serve-control link
+# (announce, epoch and drain frames against a model of its epochs), the
+# partial-write
 # recomposition, the fault-spec parser, the fixed-base
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
 # CRT Paillier and DGK encryptions (differential against the public paths),
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
 	$(GO) test -run '^$$' -fuzz '^FuzzUserFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
+	$(GO) test -run '^$$' -fuzz '^FuzzCtlFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecompose$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/

@@ -4,10 +4,11 @@
 //
 //	user -keys keys/public.json -user 3 -s1 host1:9001 -s2 host2:9002 -votes 2,2,7
 //
-// Against a serve-mode deployment (-serve), the command acts as a tenant
-// streaming whole queries through admission control: -keys takes a
-// comma-separated list of per-epoch public key files and each -votes
-// entry is the unanimous one-hot label for one admitted query:
+// With -serve the command acts as a tenant streaming whole queries through
+// S1's admission control (any server run admits; cmd/server -instances 0
+// does nothing else): -keys takes a comma-separated list of per-epoch
+// public key files and each -votes entry is the unanimous one-hot label
+// for one admitted query:
 //
 //	user -serve -keys keys/public.e0.json,keys/public.e1.json \
 //	    -tenant 1 -s1 host1:9001 -s2 host2:9002 -votes 2,2,7
@@ -49,7 +50,7 @@ func run(args []string) error {
 		faults   = fs.String("fault-spec", "", "inject deterministic connection faults (testing only)")
 		journal  = fs.String("journal", "", "append a hash-chained JSONL event journal at this path and join the servers' cross-process trace (see cmd/trace)")
 		logLevel = fs.String("log-level", "", "log threshold: debug, info (default), warn or silent")
-		serve    = fs.Bool("serve", false, "submit queries to a serve-mode deployment: -keys becomes a comma-separated per-epoch list, each -votes entry is one query")
+		serve    = fs.Bool("serve", false, "submit whole queries through S1's admission: -keys becomes a comma-separated per-epoch list, each -votes entry is one query")
 		tenant   = fs.Int64("tenant", 0, "tenant ID for serve-mode admission (ε quotas are per tenant)")
 		attempt  = fs.Duration("attempt-timeout", 30*time.Second, "per-phase deadline in serve mode")
 	)

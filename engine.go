@@ -50,11 +50,6 @@ type Config struct {
 	// Seed, when non-zero, makes the engine fully deterministic (for
 	// tests and reproducible simulations). Zero uses crypto/rand.
 	Seed int64
-	// MaxQueryRetries bounds how many times LabelBatch re-runs a query
-	// instance that failed with a transient error before recording it as
-	// failed and moving on to the rest of the batch. 0 disables retries
-	// (a failed query is still recorded and the batch continues).
-	MaxQueryRetries int
 	// Quorum enables partial participation: the minimum number of users a
 	// query needs. A value in (0, 1) is a fraction of Users (rounded up);
 	// >= 1 an absolute count. With Quorum set, a nil row in the votes grid
@@ -508,9 +503,7 @@ func (e *Engine) Stats() []obs.Point {
 type QueryFailure struct {
 	// Query is the index into the batch.
 	Query int
-	// Attempts is how many times the query was tried (1 = no retries).
-	Attempts int
-	// Err is the last attempt's error.
+	// Err is the query's error.
 	Err error
 }
 
@@ -533,28 +526,21 @@ type BatchResult struct {
 	// per-query counts in Outcomes.
 	Participants int
 	Dropped      int
-	// Failed lists the queries that exhausted the retry budget
-	// (Config.MaxQueryRetries) or missed the quorum (their Err unwraps to
-	// ErrQuorumNotMet). The rest of the batch still completes.
+	// Failed lists the queries that failed or missed the quorum (their Err
+	// unwraps to ErrQuorumNotMet). The rest of the batch still completes.
 	Failed []QueryFailure
 }
 
-var (
-	engineRetries = obs.Default.Counter("retries_total",
-		"Retry attempts, by role and scope.",
-		obs.L("role", "engine"), obs.L("scope", "instance"))
-	engineQueriesFailed = obs.Default.Counter("queries_failed_total",
-		"Query instances that failed after exhausting the retry budget.",
-		obs.L("role", "engine"))
-)
+var engineQueriesFailed = obs.Default.Counter("queries_failed_total",
+	"Query instances that failed after exhausting the retry budget.",
+	obs.L("role", "engine"))
 
 // LabelBatch runs LabelInstance for every query in votes (votes[q][user]
 // [class]) and tracks the privacy spend with the built-in accountant (the
-// durable one when Config.AccountantPath is set). A query that fails with a
-// transient error is retried up to Config.MaxQueryRetries times; one that
-// exhausts the budget, fails fatally, or misses the quorum
-// (ErrQuorumNotMet, never retried) is recorded in BatchResult.Failed with a
-// placeholder outcome while the rest of the batch completes. Failed queries
+// durable one when Config.AccountantPath is set). A query that fails or
+// misses the quorum (ErrQuorumNotMet) is recorded in BatchResult.Failed with
+// a placeholder outcome while the rest of the batch completes — an
+// in-process run has no transient failure a retry could fix. Failed queries
 // conservatively still pay their SVT privacy cost — the protocol may have
 // consumed the noisy threshold comparison before the failure. LabelBatch
 // itself errors only on structural problems: a cancelled context or
@@ -566,7 +552,10 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 		acc = NewAccountant()
 	}
 	for q, instance := range votes {
-		out, attempts, err := e.labelWithRetry(ctx, instance)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("privconsensus: query %d: %w", q, err)
+		}
+		out, err := e.LabelInstance(ctx, instance)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, fmt.Errorf("privconsensus: query %d: %w", q, err)
@@ -574,7 +563,7 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 			if !errors.Is(err, ErrQuorumNotMet) {
 				engineQueriesFailed.Inc()
 			}
-			res.Failed = append(res.Failed, QueryFailure{Query: q, Attempts: attempts, Err: err})
+			res.Failed = append(res.Failed, QueryFailure{Query: q, Err: err})
 			out = &Outcome{Consensus: false, Label: -1, Dropped: e.pcfg.Users}
 		}
 		res.Outcomes = append(res.Outcomes, *out)
@@ -609,35 +598,6 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 // spend itself is already durably recorded by the accountant).
 func (e *Engine) journalSpend(query int, note string) {
 	e.journal.Append(obs.Event{Type: obs.EventSpend, Instance: query, Note: note}) //nolint:errcheck
-}
-
-// labelWithRetry runs one query instance, retrying transient failures
-// within the configured budget. It returns the attempts used alongside the
-// outcome or final error.
-func (e *Engine) labelWithRetry(ctx context.Context, instance [][]float64) (*Outcome, int, error) {
-	var lastErr error
-	attempts := 0
-	for attempt := 0; attempt <= e.cfg.MaxQueryRetries; attempt++ {
-		if attempt > 0 {
-			engineRetries.Inc()
-		}
-		if err := ctx.Err(); err != nil {
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
-		}
-		attempts = attempt + 1
-		out, err := e.LabelInstance(ctx, instance)
-		if err == nil {
-			return out, attempts, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !transport.IsRetryable(err) {
-			break
-		}
-	}
-	return nil, attempts, lastErr
 }
 
 // RunServer executes one server's role over an established network

@@ -12,8 +12,7 @@ import (
 )
 
 // routes names who serves each party's connections on one listener. A nil
-// handler refuses the party: S2 and ingest sinks accept no peer, serve mode
-// no relay.
+// handler refuses the party: S2 and ingest sinks accept no peer.
 type routes struct {
 	// peer takes ownership of a peer link whose hello decoded (S1 only); it
 	// checks the hello (acceptPeer) and hands the link to its consumer.
@@ -90,13 +89,13 @@ func (s *serverSetup) acceptLoop(ctx context.Context, opts ServerOptions, r rout
 }
 
 // acceptPeer is S1's half of the peer handshake on a freshly accepted link:
-// refuse a hello of another wire version, packing or serve mode — failing
-// the peerSource, so the run returns the typed mismatch instead of waiting
-// — else answer with the trace context, on every connection, reconnects
+// refuse a hello of another wire version or packing mode — failing the
+// peerSource, so the run returns the typed mismatch instead of waiting —
+// else answer with the trace context, on every connection, reconnects
 // included, so a reset link cannot leave S2 without the trace identity. It
 // reports whether the link is usable; if not it is already closed.
-func acceptPeer(ctx context.Context, s *serverSetup, ps *peerSource, conn transport.Conn, h hello, serve bool, opts ServerOptions) bool {
-	if err := checkPeerHello(h, s.cfg, serve); err != nil {
+func acceptPeer(ctx context.Context, s *serverSetup, ps *peerSource, conn transport.Conn, h hello, opts ServerOptions) bool {
+	if err := checkPeerHello(h, s.cfg); err != nil {
 		opts.log(levelWarn, "refusing peer hello: %v", err)
 		ps.fail(err)
 		conn.Close()
@@ -122,18 +121,18 @@ func replyTraceContext(ctx context.Context, s *serverSetup, conn transport.Conn)
 
 // serveUserConn drains one client connection until the client closes: the
 // whole untrusted client surface of a server. Submit frames are decoded in
-// the server's resolved grammar and recorded in the collector and row that
-// lookup resolves the frame's instance slot to (a nil collector is the
-// counted unknown-query rejection); replays after a reconnect are
-// deduplicated there, and a rejected frame never drops the connection, so
-// one hostile frame cannot suppress later valid ones. A done frame is
-// answered with the ack. Every submission recorded here is owed to its
-// collector until that ack is out or the connection is gone, so a release
-// never cancels an exchange still in flight (collector.owe). Any other
-// control frame goes to control, if the server has one (S1's admission and
-// result-wait frames); without one it ends the connection.
+// the server's resolved grammar and recorded in the collector that lookup
+// resolves the frame's instance slot to (nil is the counted unknown-query
+// rejection); replays after a reconnect are deduplicated there, and a
+// rejected frame never drops the connection, so one hostile frame cannot
+// suppress later valid ones. A done frame is answered with the ack. Every
+// submission recorded here is owed to its collector until that ack is out
+// or the connection is gone, so a release never cancels an exchange still
+// in flight (collector.owe). Any other control frame goes to control, if
+// the server has one (S1's admission and result-wait frames); without one
+// it ends the connection.
 func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn, opts ServerOptions,
-	lookup func(id int) (*collector, int),
+	lookup func(id int) *collector,
 	control func(ctx context.Context, conn transport.Conn, flags []int64) error) error {
 	owed := map[*collector]int{} // submissions recorded here since the last ack
 	settle := func() {
@@ -170,21 +169,21 @@ func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn, op
 			}
 			continue
 		}
-		user, id, half, err := s.col.decodeSubmit(msg)
+		user, id, half, err := s.decodeSubmit(msg)
 		if errors.Is(err, errRejectedSubmission) {
 			continue // counted; keep serving valid frames
 		}
 		if err != nil {
 			return err
 		}
-		col, row := lookup(id)
+		col := lookup(id)
 		if col == nil {
 			submissionsRejected("unknown-query").Inc()
 			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: id, Note: "unknown-query"})
 			continue
 		}
 		col.owe()
-		if err := col.add(user, row, half); err != nil {
+		if err := col.add(user, half); err != nil {
 			col.settle(1)
 			if errors.Is(err, errDuplicateSubmission) || errors.Is(err, errRejectedSubmission) {
 				continue // idempotent replay, or counted and excluded
@@ -195,12 +194,12 @@ func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn, op
 	}
 }
 
-// decodeSubmit decodes one submit frame in the grid's grammar, packed or
-// not. A packed frame must declare exactly the grid's slot layout; a
+// decodeSubmit decodes one submit frame in the server's grammar, packed or
+// not. A packed frame must declare exactly the configured slot layout; a
 // mismatch is a counted rejection (errRejectedSubmission), not a decode
 // error. The returned id is the frame's instance slot.
-func (c *collector) decodeSubmit(msg *transport.Message) (user, id int, half protocol.SubmissionHalf, err error) {
-	p := c.packed
+func (s *serverSetup) decodeSubmit(msg *transport.Message) (user, id int, half protocol.SubmissionHalf, err error) {
+	p := packedParams(s.cfg)
 	if p == nil {
 		return ingest.DecodeHalf(msg)
 	}
@@ -209,10 +208,10 @@ func (c *collector) decodeSubmit(msg *transport.Message) (user, id int, half pro
 	switch {
 	case err != nil:
 	case p.Capacity(width) < 1:
-		err = c.reject("slot-overflow", fmt.Errorf("user %d declared slot width %d below the %d headroom bits", user, width, p.Headroom))
-	case classes != c.packedClasses || width != p.Width:
-		err = c.reject("bad-width", fmt.Errorf("user %d declared packed layout %dx%d, want %dx%d",
-			user, classes, width, c.packedClasses, p.Width))
+		err = rejectSubmission(s.rejected, "slot-overflow", fmt.Errorf("user %d declared slot width %d below the %d headroom bits", user, width, p.Headroom))
+	case classes != s.cfg.Classes || width != p.Width:
+		err = rejectSubmission(s.rejected, "bad-width", fmt.Errorf("user %d declared packed layout %dx%d, want %dx%d",
+			user, classes, width, s.cfg.Classes, p.Width))
 	}
 	return user, id, half, err
 }

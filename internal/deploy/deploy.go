@@ -1,24 +1,28 @@
 // Package deploy implements the multi-process deployment of the private
 // consensus protocol: standalone S1 and S2 servers that accept user
 // submissions and each other's protocol traffic over TCP, and the client
-// that builds and delivers encrypted submissions. There is one query path.
-// Batch runs (RunS1Report/RunS2Report + SubmitVotes) and continuous
-// operation (ServeS1/ServeS2 + ServeClient) are two front ends of the same
-// code; serve adds admission, the ε-ledger, key epochs and the ctl link on
-// top, and forks none of what is below.
+// that builds and delivers encrypted submissions. There is one run per
+// server: the serve core (serve.go on S1, serve_s2.go on S2) admits queries,
+// each with its own collector, and runs them one at a time on the peer
+// link. A batch run (RunS1Report/RunS2Report + SubmitVotes) is that core
+// with queries 0..Instances-1 registered for tenant 0 before the first
+// connection is accepted, then drained once they resolve; continuous
+// operation (ServeS1/ServeS2 + ServeClient) registers nothing up front and
+// drains when told to.
 //
 //   - messages: deploy.go (hello), session.go (begin/end, upload done/ack),
 //     partial.go (participant exchange), trace.go (trace context),
 //     serve_wire.go (admission, result, ctl).
-//   - S1 leader: leader.go — per query: claim the link, begin frame, agree
-//     participants, Alg. 5, keep or discard the link. Batch runs it for
-//     instances 0..N-1 of the grid, serve for each released query.
-//   - S2 follower: follower.go — reconnect within the budget, read a session
-//     frame, hand begin frames to the caller's handler, which resolves the
-//     query and runs S2's side of the attempt.
+//   - S1: serve.go — registration (admission or pre-registration), one
+//     watcher per collector, the serve loop; leader.go runs one query per
+//     call: claim the link, begin frame, agree participants, Alg. 5, keep or
+//     discard the link.
+//   - S2: serve_s2.go — the ctl link, registration, the report; follower.go
+//     reconnects within the budget, reads session frames and runs S2's side
+//     of each announced attempt.
 //   - accept and ingest: accept.go — one accept loop over the caller's routes
 //     (peer, relay, user) and one user-connection handler: submit frames
-//     into a collector the caller's lookup names, done/ack, ack before
+//     into the collector the run's query lookup names, done/ack, ack before
 //     release. ingest_server.go holds relay batches and RunIngest.
 //   - client: client.go — build, dial/hello/attempt/backoff, frames → done →
 //     ack; SubmitVotes (user.go) and ServeClient (serve_client.go) call it.
@@ -29,8 +33,8 @@
 // stay idempotent; the peer link runs the one S1↔S2 grammar of
 // docs/PROTOCOL.md (hello with the wire version, trace context, then per
 // query a begin frame, the participant exchange and the Alg. 5 messages,
-// closed by an end frame). The frame's instance slot carries the batch
-// instance index or the serve query ID.
+// closed by an end frame) beside the ctl link. The frame's instance slot
+// carries the query ID.
 //
 //	hello  := Message{Kind: KindControl, Flags: [party]}            user
 //	          Message{Kind: KindControl, Flags: [party, caps]}      user, relay
@@ -71,7 +75,7 @@ const (
 // its hello and S1 refuses any other value before a single protocol frame.
 // Bump it with every change to the peer-link transcript; the golden
 // transcript test fails until you do.
-const wireVersion int64 = 2
+const wireVersion int64 = 3
 
 // hello is a decoded hello frame. version is 0 on user and relay hellos,
 // which carry none.
@@ -115,41 +119,39 @@ func recvHello(ctx context.Context, conn transport.Conn) (hello, error) {
 	return h, nil
 }
 
-// collector gathers user submissions until every (user, instance) cell is
+// collector gathers one query's user submissions until every user's cell is
 // filled, or — with a submit deadline armed — until the deadline releases
 // whatever arrived. Every submission is validated on ingestion; rejected
-// submissions are counted by reason and never enter the grid.
+// submissions are counted by reason and never enter the collector.
 type collector struct {
-	mu        sync.Mutex
-	users     int
-	instances int
+	mu    sync.Mutex
+	users int
 	// want is the shape every half must have (protocol.Config.HalfLens):
-	// Classes ciphertexts per vector on an unpacked grid; on a packed one
-	// the joint Votes‖Thresh group, no Thresh, and the Noisy group.
+	// Classes ciphertexts per vector unpacked; packed, the joint
+	// Votes‖Thresh group, no Thresh, and the Noisy group.
 	want [3]int
-	// packed, when non-nil, marks the grid as slot-packed: frames must
-	// declare exactly this layout (checked by decodeSubmit and
+	// packed, when non-nil, marks the query as slot-packed: frames must
+	// declare exactly this layout (checked by serverSetup.decodeSubmit and
 	// packedBatchCheck before add/addBatch).
 	packed *ingest.PackedParams
-	// packedClasses is the logical class count K packed frames must
-	// declare (0 on an unpacked grid).
-	packedClasses int
-	ring          *big.Int                     // Paillier N² the halves must live in (nil disables the check)
-	halves        [][]*protocol.SubmissionHalf // [instance][user]
-	// covered has bit u set iff user u's submission for the instance is
-	// held locally — directly in halves, or pre-summed inside a relay
-	// batch. It is the authoritative participant bitmap.
-	covered []*big.Int // [instance]
-	// batches holds accepted relay pre-sums per instance; their members
-	// have covered bits set but no per-user half.
-	batches [][]relayBatch // [instance]
+	// classes is the logical class count K packed frames must declare.
+	classes int
+	ring    *big.Int                   // Paillier N² the halves must live in (nil disables the check)
+	halves  []*protocol.SubmissionHalf // [user]
+	// covered has bit u set iff user u's submission is held locally —
+	// directly in halves, or pre-summed inside a relay batch. It is the
+	// authoritative participant bitmap.
+	covered *big.Int
+	// batches holds accepted relay pre-sums; their members have covered
+	// bits set but no per-user half.
+	batches []relayBatch
 	// batchSeen keys relay-batch replay dedup by (relay, seq) identity.
 	batchSeen map[batchKey][32]byte
 	remaining int
 	// owed counts submissions recorded by a connection whose uploader has
 	// not been answered yet (a user's upload ack, a relay's
-	// batch ack). A full grid releases only once nothing is owed, so the
-	// release — after which the run may stop serving — never cancels an
+	// batch ack). A full collector releases only once nothing is owed, so
+	// the release — after which the run may stop serving — never cancels an
 	// exchange still in flight; see owe.
 	owed     int
 	released bool
@@ -159,7 +161,7 @@ type collector struct {
 }
 
 // relayBatch is one accepted combined frame: the homomorphic sum of the
-// bitmap members' halves for one instance.
+// bitmap members' halves.
 type relayBatch struct {
 	bm   *big.Int
 	half protocol.SubmissionHalf
@@ -171,95 +173,106 @@ type batchKey struct {
 	seq   int64
 }
 
-// newCollector prepares an empty submission grid for cfg's users and
-// submission shape. ring is the N² modulus of the Paillier key the stored
-// halves are encrypted under; every ciphertext of every submission must fall
-// in [0, ring) or the submission is rejected.
-func newCollector(cfg protocol.Config, instances int, ring *big.Int) *collector {
-	users := cfg.Users
-	c := &collector{
-		users:     users,
-		instances: instances,
+// newCollector prepares an empty collector for cfg's users and submission
+// shape. ring is the N² modulus of the Paillier key the stored halves are
+// encrypted under; every ciphertext of every submission must fall in
+// [0, ring) or the submission is rejected.
+func newCollector(cfg protocol.Config, ring *big.Int) *collector {
+	return &collector{
+		users:     cfg.Users,
 		want:      cfg.HalfLens(),
+		packed:    packedParams(cfg),
+		classes:   cfg.Classes,
 		ring:      ring,
-		halves:    make([][]*protocol.SubmissionHalf, instances),
-		covered:   make([]*big.Int, instances),
-		batches:   make([][]relayBatch, instances),
+		halves:    make([]*protocol.SubmissionHalf, cfg.Users),
+		covered:   new(big.Int),
 		batchSeen: make(map[batchKey][32]byte),
-		remaining: users * instances,
+		remaining: cfg.Users,
 		done:      make(chan struct{}),
 	}
-	for i := range c.halves {
-		c.halves[i] = make([]*protocol.SubmissionHalf, users)
-		c.covered[i] = new(big.Int)
-	}
-	if cfg.Packing {
-		c.packed = &ingest.PackedParams{
-			Width:    cfg.PackedWidth(),
-			PerVec:   cfg.PackedCiphertexts(),
-			Headroom: cfg.PackedHeadroomBits(),
-		}
-		c.packedClasses = cfg.Classes
-	}
-	return c
 }
 
-// reject counts a refused submission by reason and returns the wrapped
-// sentinel; serveUserConn tolerates rejections without dropping the
-// connection, so one hostile frame cannot suppress a user's later valid
-// submissions.
-func (c *collector) reject(reason string, err error) error {
+// packedParams is the slot layout of cfg's packed submissions (nil when
+// cfg does not pack).
+func packedParams(cfg protocol.Config) *ingest.PackedParams {
+	if !cfg.Packing {
+		return nil
+	}
+	return &ingest.PackedParams{
+		Width:    cfg.PackedWidth(),
+		PerVec:   cfg.PackedCiphertexts(),
+		Headroom: cfg.PackedHeadroomBits(),
+	}
+}
+
+// rejectSubmission counts a refused submission by reason, reports it to
+// events (the journal hook, may be nil) and returns the wrapped sentinel;
+// serveUserConn tolerates rejections without dropping the connection, so
+// one hostile frame cannot suppress a user's later valid submissions.
+func rejectSubmission(events func(string), reason string, err error) error {
 	submissionsRejected(reason).Inc()
-	if c.events != nil {
-		c.events(reason)
+	if events != nil {
+		events(reason)
 	}
 	return fmt.Errorf("%w (%s): %v", errRejectedSubmission, reason, err)
 }
 
+// reject is rejectSubmission with the collector's journal hook.
+func (c *collector) reject(reason string, err error) error {
+	return rejectSubmission(c.events, reason, err)
+}
+
+// inRing reports whether every ciphertext of half lies in [0, ring) (always
+// true without a ring).
+func (c *collector) inRing(half protocol.SubmissionHalf) bool {
+	if c.ring == nil {
+		return true
+	}
+	for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
+		for _, ct := range group {
+			if ct == nil || ct.C == nil || ct.C.Sign() < 0 || ct.C.Cmp(c.ring) >= 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // add validates and records one submission. Validation order: identity and
-// shape first (unknown-user, bad-instance, bad-length), ring membership of
-// every ciphertext, then exact-once semantics — a byte-identical replay of
-// the recorded submission is a tolerated duplicate (reconnect idempotency),
-// a conflicting one is rejected first-write-wins, and anything arriving
-// after the collector released is rejected as late.
-func (c *collector) add(user, instance int, half protocol.SubmissionHalf) error {
+// shape first (unknown-user, bad-length), ring membership of every
+// ciphertext, then exact-once semantics — a byte-identical replay of the
+// recorded submission is a tolerated duplicate (reconnect idempotency), a
+// conflicting one is rejected first-write-wins, and anything arriving after
+// the collector released is rejected as late.
+func (c *collector) add(user int, half protocol.SubmissionHalf) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if user < 0 || user >= c.users {
 		return c.reject("unknown-user", fmt.Errorf("user index %d outside [0, %d)", user, c.users))
 	}
-	if instance < 0 || instance >= c.instances {
-		return c.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", instance, c.instances))
-	}
 	if half.Lens() != c.want {
 		return c.reject("bad-length", fmt.Errorf("submission has %v ciphertexts, want %v", half.Lens(), c.want))
 	}
-	if c.ring != nil {
-		for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
-			for _, ct := range group {
-				if ct == nil || ct.C == nil || ct.C.Sign() < 0 || ct.C.Cmp(c.ring) >= 0 {
-					return c.reject("out-of-ring", fmt.Errorf("user %d instance %d ciphertext outside [0, N²)", user, instance))
-				}
-			}
-		}
+	if !c.inRing(half) {
+		return c.reject("out-of-ring", fmt.Errorf("user %d ciphertext outside [0, N²)", user))
 	}
-	if prev := c.halves[instance][user]; prev != nil {
+	if prev := c.halves[user]; prev != nil {
 		if halfEqual(*prev, half) {
-			return fmt.Errorf("%w from user %d for instance %d", errDuplicateSubmission, user, instance)
+			return fmt.Errorf("%w from user %d", errDuplicateSubmission, user)
 		}
-		return c.reject("duplicate", fmt.Errorf("conflicting resubmission from user %d for instance %d (first write wins)", user, instance))
+		return c.reject("duplicate", fmt.Errorf("conflicting resubmission from user %d (first write wins)", user))
 	}
-	if c.covered[instance].Bit(user) == 1 {
+	if c.covered.Bit(user) == 1 {
 		// The user is already pre-summed inside a relay batch; its bytes
 		// cannot be compared, so a direct frame is a conflicting identity.
-		return c.reject("duplicate", fmt.Errorf("user %d already covered by a relay batch for instance %d", user, instance))
+		return c.reject("duplicate", fmt.Errorf("user %d already covered by a relay batch", user))
 	}
 	if c.released {
-		return c.reject("late", fmt.Errorf("submission from user %d for instance %d arrived after release", user, instance))
+		return c.reject("late", fmt.Errorf("submission from user %d arrived after release", user))
 	}
 	h := half
-	c.halves[instance][user] = &h
-	c.covered[instance].SetBit(c.covered[instance], user, 1)
+	c.halves[user] = &h
+	c.covered.SetBit(c.covered, user, 1)
 	c.remaining--
 	c.signalFullLocked()
 	return nil
@@ -271,26 +284,17 @@ func (c *collector) add(user, instance int, half protocol.SubmissionHalf) error 
 // tolerated replay, a conflicting one is rejected, and a bitmap that
 // overlaps any covered user is rejected whole (a relay never legitimately
 // re-sums a delivered user).
-func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half protocol.SubmissionHalf, digest [32]byte) error {
+func (c *collector) addBatch(relay, seq int64, bm *big.Int, half protocol.SubmissionHalf, digest [32]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if instance < 0 || instance >= c.instances {
-		return c.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", instance, c.instances))
-	}
 	if bm == nil || bm.Sign() <= 0 || bm.BitLen() > c.users {
 		return c.reject("bad-bitmap", fmt.Errorf("batch relay=%d seq=%d bitmap names users outside [0, %d)", relay, seq, c.users))
 	}
 	if half.Lens() != c.want {
 		return c.reject("bad-length", fmt.Errorf("batch has %v ciphertexts, want %v", half.Lens(), c.want))
 	}
-	if c.ring != nil {
-		for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
-			for _, ct := range group {
-				if ct == nil || ct.C == nil || ct.C.Sign() < 0 || ct.C.Cmp(c.ring) >= 0 {
-					return c.reject("out-of-ring", fmt.Errorf("batch relay=%d seq=%d ciphertext outside [0, N²)", relay, seq))
-				}
-			}
-		}
+	if !c.inRing(half) {
+		return c.reject("out-of-ring", fmt.Errorf("batch relay=%d seq=%d ciphertext outside [0, N²)", relay, seq))
 	}
 	key := batchKey{relay: relay, seq: seq}
 	if prev, ok := c.batchSeen[key]; ok {
@@ -299,15 +303,15 @@ func (c *collector) addBatch(relay, seq int64, instance int, bm *big.Int, half p
 		}
 		return c.reject("duplicate", fmt.Errorf("conflicting reuse of batch identity relay=%d seq=%d (first write wins)", relay, seq))
 	}
-	if new(big.Int).And(c.covered[instance], bm).Sign() != 0 {
-		return c.reject("overlap", fmt.Errorf("batch relay=%d seq=%d repeats already-covered users for instance %d", relay, seq, instance))
+	if new(big.Int).And(c.covered, bm).Sign() != 0 {
+		return c.reject("overlap", fmt.Errorf("batch relay=%d seq=%d repeats already-covered users", relay, seq))
 	}
 	if c.released {
 		return c.reject("late", fmt.Errorf("batch relay=%d seq=%d arrived after release", relay, seq))
 	}
 	c.batchSeen[key] = digest
-	c.covered[instance].Or(c.covered[instance], bm)
-	c.batches[instance] = append(c.batches[instance], relayBatch{bm: new(big.Int).Set(bm), half: half})
+	c.covered.Or(c.covered, bm)
+	c.batches = append(c.batches, relayBatch{bm: new(big.Int).Set(bm), half: half})
 	c.remaining -= ingest.Popcount(bm)
 	c.signalFullLocked()
 	return nil
@@ -356,11 +360,12 @@ func halfEqual(a, b protocol.SubmissionHalf) bool {
 }
 
 // wait blocks until full participation, until window has elapsed since the
-// grid opened at since (window <= 0: no deadline, only the full grid
-// releases) or until ctx ends, then freezes the grid: later submissions are
-// rejected as late, so both servers' participant sets stay stable across
-// retries. The first release feeds the quorum-wait histogram with the time
-// the grid was open; waiting on a released grid again returns at once.
+// query opened at since (window <= 0: no deadline, only a full collector
+// releases) or until ctx ends, then freezes the collector: later submissions
+// are rejected as late, so both servers' participant sets stay stable
+// across retries. The first release feeds the quorum-wait histogram with
+// the time the query was open; waiting on a released collector again
+// returns at once.
 func (c *collector) wait(ctx context.Context, since time.Time, window time.Duration, role string) error {
 	var deadline <-chan time.Time
 	if window > 0 {
@@ -372,10 +377,8 @@ func (c *collector) wait(ctx context.Context, since time.Time, window time.Durat
 	case <-c.done:
 	case <-deadline:
 	case <-ctx.Done():
-		c.mu.Lock()
-		missing := c.remaining
-		c.mu.Unlock()
-		return fmt.Errorf("deploy: timed out with %d submissions missing: %w", missing, ctx.Err())
+		got, want := c.counts()
+		return fmt.Errorf("deploy: timed out with %d submissions missing: %w", want-got, ctx.Err())
 	}
 	c.mu.Lock()
 	first := !c.released
@@ -387,41 +390,40 @@ func (c *collector) wait(ctx context.Context, since time.Time, window time.Durat
 	return nil
 }
 
-// counts reports filled and total grid cells.
+// counts reports filled and total cells.
 func (c *collector) counts() (got, want int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.users*c.instances - c.remaining, c.users * c.instances
+	return c.users - c.remaining, c.users
 }
 
-// bitmap returns the participant bitmap for one instance: bit u set iff
-// user u's validated submission is held locally — directly or inside a
-// relay batch.
-func (c *collector) bitmap(i int) *big.Int {
+// bitmap returns the participant bitmap: bit u set iff user u's validated
+// submission is held locally — directly or inside a relay batch.
+func (c *collector) bitmap() *big.Int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return new(big.Int).Set(c.covered[i])
+	return new(big.Int).Set(c.covered)
 }
 
-// maskedGroups returns the aggregation groups for one instance restricted
-// to the agreed participant set. A relay batch is atomic — its members were
+// maskedGroups returns the aggregation groups restricted to the agreed
+// participant set. A relay batch is atomic — its members were
 // homomorphically summed at the relay and cannot be separated — so an
 // agreed set that covers only part of a batch is a fatal peer mismatch
 // (the servers would sum different subsets), as is an agreed participant
 // with no local submission.
-func (c *collector) maskedGroups(i int, agreed *big.Int) ([]protocol.Group, error) {
+func (c *collector) maskedGroups(agreed *big.Int) ([]protocol.Group, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	groups := make([]protocol.Group, 0, len(c.batches[i])+c.users)
+	groups := make([]protocol.Group, 0, len(c.batches)+c.users)
 	rest := new(big.Int).Set(agreed)
-	for _, b := range c.batches[i] {
+	for _, b := range c.batches {
 		inter := new(big.Int).And(b.bm, agreed)
 		if inter.Sign() == 0 {
 			continue
 		}
 		if inter.Cmp(b.bm) != 0 {
-			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant set for instance %d splits a relay batch (a pre-sum cannot be separated): %w",
-				i, protocol.ErrPeerMismatch))
+			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant set splits a relay batch (a pre-sum cannot be separated): %w",
+				protocol.ErrPeerMismatch))
 		}
 		groups = append(groups, protocol.Group{Members: ingest.BitmapIndices(b.bm, c.users), Half: b.half})
 		rest.AndNot(rest, b.bm)
@@ -430,10 +432,10 @@ func (c *collector) maskedGroups(i int, agreed *big.Int) ([]protocol.Group, erro
 		if rest.Bit(u) == 0 {
 			continue
 		}
-		h := c.halves[i][u]
+		h := c.halves[u]
 		if h == nil {
-			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant %d has no local submission for instance %d: %w",
-				u, i, protocol.ErrPeerMismatch))
+			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant %d has no local submission: %w",
+				u, protocol.ErrPeerMismatch))
 		}
 		groups = append(groups, protocol.Group{Members: []int{u}, Half: *h})
 	}

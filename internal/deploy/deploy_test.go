@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"testing"
@@ -43,11 +44,27 @@ func testSetup(t *testing.T, users int) (*keystore.S1File, *keystore.S2File, *ke
 	return s1, s2, pub, cfg
 }
 
-// serveGrid drains one user connection into col the way a batch run does:
-// the frame's instance slot names the grid row.
-func serveGrid(ctx context.Context, conn transport.Conn, col *collector) error {
-	s := &serverSetup{col: col}
-	return s.serveUserConn(ctx, conn, ServerOptions{}, func(i int) (*collector, int) { return col, i }, nil)
+// cloneFile deep-copies a key file with a JSON round trip. S2 zeroizes its
+// private keys in place on exit, so a test that runs two deployments on one
+// key set hands each run its own copy.
+func cloneFile[T any](t *testing.T, f *T) *T {
+	t.Helper()
+	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(T)
+	if err := json.Unmarshal(b, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// serveGrid drains one user connection into cols the way RunIngest does:
+// the frame's instance slot i names cols[i].
+func serveGrid(ctx context.Context, conn transport.Conn, cfg protocol.Config, cols ...*collector) error {
+	s := &serverSetup{cfg: cfg}
+	return s.serveUserConn(ctx, conn, ServerOptions{}, byIndex(cols), nil)
 }
 
 // oneHot builds a one-hot float vote vector.
@@ -283,7 +300,7 @@ func TestEncodeHalfValidation(t *testing.T) {
 
 func TestCollector(t *testing.T) {
 	_, _, pubFile, cfg := testSetup(t, 2)
-	col := newCollector(cfg, 1, nil)
+	col := newCollector(cfg, nil)
 
 	bigUnits, err := votesToUnits(oneHot(cfg.Classes, 0), cfg.Classes)
 	if err != nil {
@@ -293,17 +310,17 @@ func TestCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.add(0, 0, sub.ToS1); err != nil {
+	if err := col.add(0, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.add(0, 0, sub.ToS1); err == nil {
+	if err := col.add(0, sub.ToS1); err == nil {
 		t.Error("expected duplicate error")
 	}
-	if err := col.add(5, 0, sub.ToS1); err == nil {
+	if err := col.add(5, sub.ToS1); err == nil {
 		t.Error("expected user range error")
 	}
-	if err := col.add(0, 9, sub.ToS1); err == nil {
-		t.Error("expected instance range error")
+	if byIndex([]*collector{col})(9) != nil {
+		t.Error("expected no collector for an unregistered query")
 	}
 	// Timeout while one submission is missing.
 	shortCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -312,13 +329,13 @@ func TestCollector(t *testing.T) {
 		t.Error("expected timeout with missing submissions")
 	}
 	// Complete it.
-	if err := col.add(1, 0, sub.ToS1); err != nil {
+	if err := col.add(1, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.wait(context.Background(), time.Now(), 0, "s1"); err != nil {
 		t.Errorf("wait after completion: %v", err)
 	}
-	got, err := col.maskedGroups(0, col.bitmap(0))
+	got, err := col.maskedGroups(col.bitmap())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
@@ -13,8 +12,8 @@ import (
 )
 
 // dialS1 establishes one peer connection to S1: dial within the retry
-// budget, send the hello (the config's caps, the serve-mode bits naming the
-// link, if any, and the wire version), and adopt the trace context S1
+// budget, send the hello (the config's caps, capServeCtl on the ctl link,
+// and the wire version), and adopt the trace context S1
 // answers every accepted hello with. Reconnections replay the trace frame;
 // adoption is idempotent, so replays after the first are no-ops.
 func (s *serverSetup) dialS1(ctx context.Context, opts ServerOptions, linkCaps, seed int64) (transport.Conn, error) {
@@ -36,7 +35,7 @@ func (s *serverSetup) dialS1(ctx context.Context, opts ServerOptions, linkCaps, 
 	id, err := recvTraceContext(ctx, conn)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("deploy: S1 did not answer the peer hello (it closes the link on a wire-version, packing or serve-mode mismatch): %w", err)
+		return nil, fmt.Errorf("deploy: S1 did not answer the peer hello (it closes the link on a wire-version or packing mismatch): %w", err)
 	}
 	s.adoptTraceID(id, opts)
 	return conn, nil
@@ -51,35 +50,31 @@ func s2Seed(seed int64) int64 {
 	return seed
 }
 
-// beginHandler resolves one begin frame to a query and runs S2's side of the
-// attempt on peer (followQuery). keep reports whether the link is still
-// clean — false discards it and S1's replay arrives on a fresh one; a
-// non-nil error aborts the whole session.
-type beginHandler func(ctx context.Context, peer transport.Conn, f sessionFrame) (keep bool, err error)
-
 // followSession is S2's end of the peer-link session: it follows S1's
-// session frames on peer (nil: dial first), handing every begin frame to
-// begin, until the end frame, whose status it returns. A lost link is
-// re-established through connect within a consecutive-failure budget of
-// MaxRetries; when the budget exhausts (S1 is gone and the end frame was
-// lost) it returns statusNone and the caller assembles its report from local
-// results. frameTimeout bounds the wait for each session frame; 0 waits
-// indefinitely — a dead connection still surfaces as a Recv error, S1 closes
-// its end before retrying.
-func (s *serverSetup) followSession(ctx context.Context, opts ServerOptions, peer transport.Conn,
-	connect func() (transport.Conn, error), frameTimeout time.Duration, begin beginHandler) (int64, error) {
+// session frames on links from connect, handing every begin frame to begin
+// — which runs S2's side of the attempt and reports whether the link is
+// still clean; false discards it and S1's replay arrives on a fresh one —
+// until the end frame. A lost link is re-established within a
+// consecutive-failure budget of MaxRetries; when the budget exhausts (S1 is
+// gone and the end frame was lost) it returns nil and the caller reports
+// its local results. There is no per-frame deadline — an idle link between
+// queries is normal, and a dead connection still surfaces as a Recv error
+// because S1 closes its end before retrying — so ctx bounds the wait.
+func (s *serverSetup) followSession(ctx context.Context, opts ServerOptions,
+	connect func() (transport.Conn, error), begin func(context.Context, transport.Conn, sessionFrame) bool) error {
+	var peer transport.Conn
 	consecFail := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			if peer != nil {
 				peer.Close()
 			}
-			return statusNone, fmt.Errorf("deploy: run cancelled: %w", err)
+			return fmt.Errorf("deploy: run cancelled: %w", err)
 		}
 		if peer == nil {
 			if consecFail > opts.MaxRetries {
-				opts.log(levelWarn, "S2 reconnect budget exhausted; assembling report from local results")
-				return statusNone, nil
+				opts.log(levelWarn, "S2 reconnect budget exhausted; reporting local results")
+				return nil
 			}
 			if consecFail > 0 {
 				retriesTotal("s2", "reconnect").Inc()
@@ -94,17 +89,12 @@ func (s *serverSetup) followSession(ctx context.Context, opts ServerOptions, pee
 			}
 			opts.log(levelDebug, "S2 protocol link to S1 established")
 		}
-		fctx, cancel := ctx, func() {}
-		if frameTimeout > 0 {
-			fctx, cancel = context.WithTimeout(ctx, frameTimeout)
-		}
-		frame, err := recvSessionFrame(fctx, peer)
-		cancel()
+		frame, err := recvSessionFrame(ctx, peer)
 		if err != nil {
 			peer.Close()
 			peer = nil
 			if !attemptRetryable(ctx, err) {
-				return statusNone, fmt.Errorf("deploy: s2 session: %w", err)
+				return fmt.Errorf("deploy: s2 session: %w", err)
 			}
 			consecFail++
 			continue
@@ -112,27 +102,23 @@ func (s *serverSetup) followSession(ctx context.Context, opts ServerOptions, pee
 		consecFail = 0
 		if frame.code == ctrlEndSession {
 			peer.Close()
-			return frame.status, nil
+			return nil
 		}
-		keep, err := begin(ctx, peer, frame)
-		if !keep {
+		if !begin(ctx, peer, frame) {
 			peer.Close()
 			peer = nil
 			consecFail++
-		}
-		if err != nil {
-			return statusNone, err
 		}
 	}
 }
 
 // followQuery is S2's side of one announced attempt of the query f names,
-// whose submissions are row of col: count a replay, agree the participant
+// whose submissions are in col: count a replay, agree the participant
 // set and run Alg. 5 under the attempt deadline. The result carries the
 // attempt's local verdict; linkClean says whether the connection survives
 // it.
 func (s *serverSetup) followQuery(ctx context.Context, opts ServerOptions, rng io.Reader, keys protocol.KeysS2,
-	peer transport.Conn, f sessionFrame, col *collector, row int) InstanceResult {
+	peer transport.Conn, f sessionFrame, col *collector) InstanceResult {
 	id := f.instance
 	if f.attempt > 0 {
 		retriesTotal("s2", "instance").Inc()
@@ -142,7 +128,7 @@ func (s *serverSetup) followQuery(ctx context.Context, opts ServerOptions, rng i
 	defer cancel()
 	res := InstanceResult{Instance: id, Outcome: protocol.Outcome{Consensus: false, Label: -1}, Attempts: f.attempt + 1}
 	var groups []protocol.Group
-	groups, res.Participants, res.Err = s.agreeParticipants(actx, opts, "s2", peer, id, col, row)
+	groups, res.Participants, res.Err = s.agreeParticipants(actx, opts, "s2", peer, id, col)
 	res.Dropped = s.cfg.Users - res.Participants
 	if res.Err != nil {
 		return res

@@ -3,10 +3,13 @@ package deploy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/big"
+	"slices"
 	"testing"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
@@ -31,8 +34,8 @@ func FuzzPeerFrames(f *testing.F) {
 		{Kind: transport.KindControl, Flags: []int64{partyUser, 0, wireVersion}}, // version on a user hello
 		{Kind: transport.KindControl, Flags: []int64{ctrlTraceContext, 1 << 40}},
 		{Kind: transport.KindControl, Flags: []int64{ctrlTraceContext, -1}},
-		{Kind: transport.KindControl, Flags: []int64{ctrlBeginInstance, 3, 0, statusOK}},
-		{Kind: transport.KindControl, Flags: []int64{ctrlEndSession, statusFailed}},
+		{Kind: transport.KindControl, Flags: []int64{ctrlBeginInstance, 3, 0}},
+		{Kind: transport.KindControl, Flags: []int64{ctrlEndSession}},
 		{Kind: transport.KindControl, Flags: []int64{ctrlBeginInstance, 3}}, // short
 		bitmap(ctrlParticipants, 3, 0b0110),
 		bitmap(ctrlParticipants, 4, 0b0110), // wrong instance
@@ -41,6 +44,8 @@ func FuzzPeerFrames(f *testing.F) {
 		bitmap(ctrlParticipantsAck, 3, 0b1000),                             // not a subset of the proposal
 		{Kind: transport.KindControl, Flags: []int64{ctrlParticipants, 3}}, // no bitmap
 		{Kind: transport.KindBatch, Flags: []int64{int64(transport.KindControl), 1, 0, 0}},
+		{Kind: transport.KindControl, Flags: []int64{ctrlBeginInstance, 3, 0, 1}}, // a version 2 begin
+		{Kind: transport.KindControl, Flags: []int64{ctrlEndSession, 1}},          // a version 2 end
 	} {
 		var buf bytes.Buffer
 		if err := transport.WriteMessage(&buf, m); err != nil {
@@ -180,14 +185,14 @@ func FuzzUserFrames(f *testing.F) {
 		}
 		cfg := grid(packed)
 		st := &serveState{
-			s:          &serverSetup{cfg: cfg, col: newCollector(cfg, 1, nil), trace: newTraceState()},
+			s:          &serverSetup{cfg: cfg, trace: newTraceState()},
 			queries:    map[int]*serveQuery{},
 			grants:     map[grantKey]*serveQuery{},
 			admissions: map[string]int{},
 			draining:   true,
 		}
 		for qid := 0; qid < known; qid++ {
-			q := &serveQuery{qid: qid, col: newCollector(cfg, 1, nil), done: make(chan struct{})}
+			q := &serveQuery{qid: qid, col: newCollector(cfg, nil), done: make(chan struct{})}
 			q.res = InstanceResult{Instance: qid, Outcome: protocol.Outcome{Label: -1}}
 			close(q.done) // result waits answer at once
 			st.queries[qid] = q
@@ -253,7 +258,7 @@ func FuzzUserFrames(f *testing.F) {
 
 		for qid, q := range st.queries {
 			q.col.mu.Lock()
-			owed, covered := q.col.owed, new(big.Int).Set(q.col.covered[0])
+			owed, covered := q.col.owed, new(big.Int).Set(q.col.covered)
 			q.col.mu.Unlock()
 			if owed != 0 {
 				t.Fatalf("query %d still owes %d acks after the connection ended", qid, owed)
@@ -262,12 +267,145 @@ func FuzzUserFrames(f *testing.F) {
 				t.Fatalf("query %d recorded cells %b no frame named (allowed %b)", qid, covered, &allowed[qid])
 			}
 		}
-		if got, _ := st.s.col.counts(); got != 0 {
-			t.Fatalf("the layout collector recorded %d cells", got)
-		}
 		after := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
 		if err == nil && int(after-before) != unknown {
 			t.Fatalf("%d frames named a query outside the table, %d unknown-query rejections counted", unknown, int(after-before))
+		}
+	})
+}
+
+// FuzzCtlFrames feeds an arbitrary frame sequence to S2's end of the ctl
+// link (serveS2.ctlServe) over a pipe, against a model of its epochs: epoch
+// 0 loaded, epoch 1 provisioned but retired, nothing else provisioned. No
+// sequence may panic it. Every request is answered with the model's reply —
+// an announce or prepare into an unprovisioned or retired epoch acks status
+// 1, a repeated announce acks what the first did without registering the
+// query twice, a repeated drain acks again — until the first frame that
+// ends the link: an unknown code ends it with a fatal error, a short frame
+// with an error.
+func FuzzCtlFrames(f *testing.F) {
+	ctrl := func(flags ...int64) *transport.Message {
+		return &transport.Message{Kind: transport.KindControl, Flags: flags}
+	}
+	for _, seq := range [][]*transport.Message{
+		{ctrl(ctrlServeAnnounce, 0, 0, 1), ctrl(ctrlServeAnnounce, 0, 0, 1), ctrl(ctrlServeAnnounce, 1, 0, 2)},  // replayed announce
+		{ctrl(ctrlServeAnnounce, 2, 1, 1), ctrl(ctrlServeAnnounce, 3, 5, 1), ctrl(ctrlServeAnnounce, 4, -1, 1)}, // retired, unprovisioned
+		{ctrl(ctrlEpochPrepare, 0), ctrl(ctrlEpochPrepare, 1), ctrl(ctrlEpochPrepare, 2), ctrl(ctrlEpochCommit, 0)},
+		{ctrl(ctrlServeAnnounce, 0, 0, 1), ctrl(ctrlEpochRetire, 0), ctrl(ctrlServeAnnounce, 0, 0, 1), ctrl(ctrlServeAnnounce, 1, 0, 1)},
+		{ctrl(ctrlServeDrain, 0), ctrl(ctrlServeDrain, 0), ctrl(ctrlServeAnnounce, 5, 0, 1)},
+		{ctrl(ctrlServeAnnounce, 0, 0)},                  // short announce
+		{ctrl(ctrlEpochPrepare)},                         // short frame
+		{ctrl()},                                         // no code at all
+		{ctrl(ctrlServeAck, 0, 0)},                       // a reply code S2 never receives
+		{ctrl(ctrlBeginInstance, 0, 0)},                  // a protocol-link code
+		{{Kind: transport.KindBatch, Flags: []int64{1}}}, // not a control frame
+	} {
+		var buf bytes.Buffer
+		for _, m := range seq {
+			if err := transport.WriteMessage(&buf, m); err != nil {
+				f.Fatal(err)
+			}
+		}
+		f.Add(buf.Bytes())
+	}
+
+	cfg := protocol.DefaultConfig(2)
+	cfg.Classes, cfg.Kappa = 4, 24
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var msgs []*transport.Message
+		for r := bytes.NewReader(data); len(msgs) < 32; {
+			m, err := transport.ReadMessage(r)
+			if err != nil {
+				break
+			}
+			msgs = append(msgs, m)
+		}
+		st := &serveS2{
+			s:          &serverSetup{cfg: cfg, trace: newTraceState()},
+			files:      make([]*keystore.S2File, 2),
+			epochs:     map[int]*s2Epoch{0: {}},
+			retired:    map[int]bool{1: true},
+			wantRetire: map[int]bool{},
+			queries:    map[int]*s2Query{},
+			results:    map[int]InstanceResult{},
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		near, far := transport.Pair()
+		defer near.Close()
+		drains := 0
+		served := make(chan error, 1)
+		go func() {
+			err := st.ctlServe(ctx, far, func() { drains++ })
+			far.Close()
+			served <- err
+		}()
+
+		// The model: which queries are registered, whether epoch 0 is
+		// retired, how many drains were acked, and how the link ends.
+		registered := map[int64]bool{}
+		retired0 := false
+		wantDrains := 0
+		fatal, ended := false, false
+		status := func(ok bool) int64 {
+			if ok {
+				return 0
+			}
+			return 1
+		}
+		for _, m := range msgs {
+			fl := m.Flags
+			var want []int64
+			switch {
+			case m.Kind != transport.KindControl || len(fl) < 2 || (fl[0] == ctrlServeAnnounce && len(fl) < 4):
+				ended = true
+			case fl[0] == ctrlServeAnnounce:
+				ok := registered[fl[1]] || (fl[2] == 0 && !retired0)
+				if ok {
+					registered[fl[1]] = true
+				}
+				want = []int64{ctrlServeAck, fl[1], status(ok)}
+			case fl[0] == ctrlEpochPrepare:
+				want = []int64{ctrlEpochAck, fl[1], status(fl[1] == 0 && !retired0)}
+			case fl[0] == ctrlEpochCommit:
+				want = []int64{ctrlEpochAck, fl[1], 0}
+			case fl[0] == ctrlEpochRetire:
+				retired0 = retired0 || fl[1] == 0
+				want = []int64{ctrlEpochAck, fl[1], 0}
+			case fl[0] == ctrlServeDrain:
+				wantDrains++
+				want = []int64{ctrlEpochAck, 0, 0}
+			default:
+				ended, fatal = true, true
+			}
+			if err := near.Send(ctx, m); err != nil {
+				t.Fatalf("ctl link closed before frame %v: %v", fl, err)
+			}
+			if ended {
+				break
+			}
+			reply, err := near.Recv(ctx)
+			if err != nil {
+				t.Fatalf("no reply to %v: %v", fl, err)
+			}
+			if reply.Kind != transport.KindControl || !slices.Equal(reply.Flags, want) {
+				t.Fatalf("reply to %v = %v %v, want %v", fl, reply.Kind, reply.Flags, want)
+			}
+		}
+		near.Close()
+		err := <-served
+		var fe *transport.FatalError
+		switch {
+		case err == nil:
+			t.Fatal("ctlServe returned without an error")
+		case fatal && !errors.As(err, &fe):
+			t.Fatalf("unknown ctl code ended the link with a retryable error: %v", err)
+		}
+		if drains != wantDrains || st.draining != (wantDrains > 0) {
+			t.Fatalf("drain callback ran %d times (draining=%v), want %d", drains, st.draining, wantDrains)
+		}
+		if len(st.queries) != len(registered) {
+			t.Fatalf("%d queries registered, want %d", len(st.queries), len(registered))
 		}
 	})
 }

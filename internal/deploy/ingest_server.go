@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"strings"
+	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -22,11 +23,12 @@ func relayBatchesTotal(outcome string) *obs.Counter {
 }
 
 // serveRelayConn drains combined frames from one relay connection into the
-// collector, acking each so the relay can retransmit over a reconnect. A
-// batch rejected by validation is acked with the rejected status — the
-// relay logs and counts it but does not retry (resending cannot help); an
-// undecodable frame has no (relay, seq) identity to ack and is dropped.
-func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, opts ServerOptions) {
+// collectors lookup names by the frames' instance slots, acking each so the
+// relay can retransmit over a reconnect. A batch rejected by validation —
+// or naming no query (unknown-query) — is acked with the rejected status:
+// the relay logs and counts it but does not retry (resending cannot help);
+// an undecodable frame has no (relay, seq) identity to ack and is dropped.
+func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, opts ServerOptions, lookup func(id int) *collector) {
 	for {
 		msg, err := conn.Recv(ctx)
 		if err != nil {
@@ -44,38 +46,51 @@ func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, op
 			opts.log(levelWarn, "dropping undecodable relay frame: %v", err)
 			continue
 		}
-		s.col.owe() // the relay awaits this frame's ack: no release until it is out
-		status := ingest.BatchAccepted
-		if reason, lerr := packedBatchCheck(s.col, c); reason != "" {
-			_ = s.col.reject(reason, lerr)
+		status := ingest.BatchRejected
+		col := lookup(c.Instance)
+		if col == nil {
+			submissionsRejected("unknown-query").Inc()
+			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: c.Instance, Note: "unknown-query"})
 			relayBatchesTotal("rejected").Inc()
-			status = ingest.BatchRejected
+			if conn.Send(ctx, batchAck(c, status)) != nil {
+				return
+			}
+			continue
+		}
+		col.owe() // the relay awaits this frame's ack: no release until it is out
+		if reason, lerr := packedBatchCheck(col, c); reason != "" {
+			_ = col.reject(reason, lerr)
+			relayBatchesTotal("rejected").Inc()
 		} else {
-			err = s.col.addBatch(c.Relay, c.Seq, c.Instance, c.Bitmap, c.Half, ingest.FrameDigest(msg))
+			err = col.addBatch(c.Relay, c.Seq, c.Bitmap, c.Half, ingest.FrameDigest(msg))
 			switch {
 			case err == nil:
+				status = ingest.BatchAccepted
 				relayBatchesTotal("accepted").Inc()
 				s.journalEvent(opts, obs.Event{Type: obs.EventRelayBatch, Instance: c.Instance,
 					Note: fmt.Sprintf("relay=%d seq=%d users=%d", c.Relay, c.Seq, c.Users())})
 			case errors.Is(err, errDuplicateSubmission):
+				status = ingest.BatchAccepted
 				relayBatchesTotal("replay").Inc() // idempotent retransmission; re-ack
 			case errors.Is(err, errRejectedSubmission):
 				relayBatchesTotal("rejected").Inc()
-				status = ingest.BatchRejected
 			default:
-				s.col.settle(1)
+				col.settle(1)
 				opts.log(levelWarn, "relay connection error: %v", err)
 				return
 			}
 		}
-		ack := &transport.Message{Kind: transport.KindControl,
-			Flags: []int64{ingest.CtrlBatchAck, c.Relay, c.Seq, status}}
-		err = conn.Send(ctx, ack)
-		s.col.settle(1)
+		err = conn.Send(ctx, batchAck(c, status))
+		col.settle(1)
 		if err != nil {
 			return
 		}
 	}
+}
+
+// batchAck is the ack of one combined frame.
+func batchAck(c ingest.Combined, status int64) *transport.Message {
+	return &transport.Message{Kind: transport.KindControl, Flags: []int64{ingest.CtrlBatchAck, c.Relay, c.Seq, status}}
 }
 
 // packedBatchCheck validates a combined frame's declared packing mode and
@@ -95,9 +110,9 @@ func packedBatchCheck(col *collector, c ingest.Combined) (string, error) {
 		return "slot-overflow", fmt.Errorf("batch relay=%d seq=%d sums %d users but width %d absorbs at most %d",
 			c.Relay, c.Seq, c.Users(), c.Width, p.Capacity(c.Width))
 	}
-	if c.Classes != col.packedClasses || c.Width != p.Width {
+	if c.Classes != col.classes || c.Width != p.Width {
 		return "bad-width", fmt.Errorf("batch relay=%d seq=%d declared packed layout %dx%d, want %dx%d",
-			c.Relay, c.Seq, c.Classes, c.Width, col.packedClasses, p.Width)
+			c.Relay, c.Seq, c.Classes, c.Width, col.classes, p.Width)
 	}
 	return "", nil
 }
@@ -119,39 +134,62 @@ type IngestReport struct {
 
 // RunIngest runs one server's ingestion path only: it accepts user and
 // relay submissions exactly like RunS1/RunS2 (same validation, same
-// metrics, same quorum/deadline release, same journal events) but stops
-// after the collector releases, without running the protocol: the
-// benchmark's ingestion workload uses it as its sink. role labels metrics and
-// the journal ("s1" or "s2"); ring is the N² modulus submissions must live
-// in (the peer server's Paillier key, as on the real servers).
+// metrics, same quorum/deadline release, same journal events), one
+// collector per instance behind the same query lookup, but stops once every
+// collector has released, without running the protocol: the benchmark's
+// ingestion workload uses it as its sink. role labels metrics and the
+// journal ("s1" or "s2"); ring is the N² modulus submissions must live in
+// (the peer server's Paillier key, as on the real servers).
 func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.Int, opts ServerOptions) (*IngestReport, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	s, err := setupServer(ctx, strings.ToUpper(role), cfg, opts, ring)
+	s, err := setupServer(ctx, strings.ToUpper(role), cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer s.admin.close(ctx)
 	defer s.journal.Close()
 	defer s.l.Close()
+	cols := make([]*collector, opts.Instances)
+	for i := range cols {
+		cols[i] = s.newCollector(ring)
+	}
+	lookup := byIndex(cols)
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
 	defer stopAccept()
 	s.trace.put(0) // an S2 sink has no peer to learn a trace ID from; tracing users get 0
-	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, nil), acceptErr)
-	if err := collectSubmissions(ctx, s, opts, strings.ToLower(role)); err != nil {
-		select {
-		case aerr := <-acceptErr:
-			return nil, aerr
-		default:
-		}
-		return nil, err
-	}
+	go s.acceptLoop(acceptCtx, opts, routes{
+		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, s, opts, lookup) },
+		user: func(ctx context.Context, conn transport.Conn) error {
+			return s.serveUserConn(ctx, conn, opts, lookup, nil)
+		},
+	}, acceptErr)
+	start := time.Now()
 	rep := &IngestReport{}
-	for i := 0; i < opts.Instances; i++ {
-		bm := s.col.bitmap(i)
+	for i, col := range cols {
+		if err := col.wait(ctx, start, opts.submitWindow(), strings.ToLower(role)); err != nil {
+			select {
+			case aerr := <-acceptErr:
+				return nil, aerr
+			default:
+			}
+			return nil, err
+		}
+		bm := col.bitmap()
 		rep.Instances = append(rep.Instances, IngestInstance{Instance: i, Participants: ingest.Popcount(bm), Bitmap: bm})
 	}
 	return rep, nil
+}
+
+// byIndex is the query lookup over a fixed collector list: id i names
+// cols[i], anything else no query.
+func byIndex(cols []*collector) func(id int) *collector {
+	return func(id int) *collector {
+		if id < 0 || id >= len(cols) {
+			return nil
+		}
+		return cols[id]
+	}
 }

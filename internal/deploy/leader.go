@@ -11,31 +11,29 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// s1Session is S1's end of the peer-link session: the link in hand, the
-// status the next begin or end frame reports, and the protocol randomness,
-// carried from one query to the next.
+// s1Session is S1's end of the peer-link session: the link in hand and the
+// protocol randomness, carried from one query to the next.
 type s1Session struct {
 	s    *serverSetup
 	opts ServerOptions
 	ps   *peerSource
 	peer transport.Conn
-	prev int64
 	rng  io.Reader
 }
 
 // newS1Session starts the session on the first claimed link.
 func newS1Session(s *serverSetup, opts ServerOptions, ps *peerSource, peer transport.Conn) *s1Session {
-	return &s1Session{s: s, opts: opts, ps: ps, peer: peer, prev: statusNone, rng: newRNG(opts.Seed)}
+	return &s1Session{s: s, opts: opts, ps: ps, peer: peer, rng: newRNG(opts.Seed)}
 }
 
 // run leads one query — id in the wire's instance slot, its submissions in
-// row of col, run under keys — to its terminal result: per attempt it claims
-// the freshest link, announces a begin frame carrying the previous query's
-// authoritative status, agrees the participant set and runs Alg. 5 under the
-// attempt deadline. A transient failure discards the connection (it leaves
-// unknown bytes in flight) and, budget permitting, retries on a fresh one.
-// Every wait is bounded, so run returns even if the peer vanishes.
-func (ss *s1Session) run(ctx context.Context, id int, col *collector, row int, keys protocol.KeysS1) InstanceResult {
+// col, run under keys — to its terminal result: per attempt it claims the
+// freshest link, announces a begin frame, agrees the participant set and
+// runs Alg. 5 under the attempt deadline. A transient failure discards the
+// connection (it leaves unknown bytes in flight) and, budget permitting,
+// retries on a fresh one. Every wait is bounded, so run returns even if the
+// peer vanishes.
+func (ss *s1Session) run(ctx context.Context, id int, col *collector, keys protocol.KeysS1) InstanceResult {
 	s, opts := ss.s, ss.opts
 	res := InstanceResult{Instance: id, Outcome: protocol.Outcome{Consensus: false, Label: -1}, Participants: s.cfg.Users}
 	for attempt := 0; attempt <= opts.MaxRetries; attempt++ {
@@ -53,10 +51,10 @@ func (ss *s1Session) run(ctx context.Context, id int, col *collector, row int, k
 		}
 		actx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
 		out, err := func() (*protocol.Outcome, error) {
-			if err := sendBegin(actx, ss.peer, id, attempt, ss.prev); err != nil {
+			if err := sendBegin(actx, ss.peer, id, attempt); err != nil {
 				return nil, fmt.Errorf("deploy: begin query %d: %w", id, err)
 			}
-			groups, p, err := s.agreeParticipants(actx, opts, "s1", ss.peer, id, col, row)
+			groups, p, err := s.agreeParticipants(actx, opts, "s1", ss.peer, id, col)
 			res.Participants = p
 			if err != nil {
 				return nil, err
@@ -84,21 +82,19 @@ func (ss *s1Session) run(ctx context.Context, id int, col *collector, row int, k
 		opts.log(levelWarn, "S1 query %d attempt %d failed, will retry: %v", id, attempt+1, err)
 	}
 	res.Dropped = s.cfg.Users - res.Participants
-	ss.prev = statusOK
 	if res.Err != nil {
 		if !errors.Is(res.Err, protocol.ErrQuorumNotMet) {
 			queriesFailed("s1").Inc()
 		}
 		opts.log(levelWarn, "S1 query %d failed after %d attempts: %v", id, res.Attempts, res.Err)
-		ss.prev = statusFailed
 	}
 	return res
 }
 
 // end delivers the end-of-session frame best-effort, reconnecting within
 // the retry budget (claimPeer: never at budget 0), and closes the link. S2
-// has a local fallback when the frame is lost, so failure here is logged,
-// not fatal.
+// stops on its reconnect budget or its drain timeout when the frame is
+// lost, so failure here is logged, not fatal.
 func (ss *s1Session) end(ctx context.Context) {
 	s, opts := ss.s, ss.opts
 	var lastErr error
@@ -110,7 +106,7 @@ func (ss *s1Session) end(ctx context.Context) {
 			break
 		}
 		ectx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-		lastErr = sendEnd(ectx, ss.peer, ss.prev)
+		lastErr = sendEnd(ectx, ss.peer)
 		cancel()
 		ss.peer.Close() // delivered, or unusable: either way this link is done
 		ss.peer = nil

@@ -31,15 +31,15 @@ func TestPackedCapabilityParity(t *testing.T) {
 		t.Fatalf("packed hello caps = %d, want capPacked (%d)", caps, capPacked)
 	}
 	// Agreement in both modes is accepted ...
-	if err := checkPeerHello(helloOf(plain), plain, false); err != nil {
+	if err := checkPeerHello(helloOf(plain), plain); err != nil {
 		t.Errorf("unpacked pair rejected: %v", err)
 	}
-	if err := checkPeerHello(helloOf(packed), packed, false); err != nil {
+	if err := checkPeerHello(helloOf(packed), packed); err != nil {
 		t.Errorf("packed pair rejected: %v", err)
 	}
 	// ... and a mismatch is caught whichever side's key file packs.
 	for _, c := range []struct{ s2, s1 protocol.Config }{{plain, packed}, {packed, plain}} {
-		err := checkPeerHello(helloOf(c.s2), c.s1, false)
+		err := checkPeerHello(helloOf(c.s2), c.s1)
 		if !errors.Is(err, protocol.ErrPeerMismatch) || transport.IsRetryable(err) {
 			t.Errorf("S2 packed=%v against S1 packed=%v: err = %v, want a fatal ErrPeerMismatch", c.s2.Packing, c.s1.Packing, err)
 		}

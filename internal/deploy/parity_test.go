@@ -71,8 +71,8 @@ func viewOf(t *testing.T, res InstanceResult, journal string, id int) queryView 
 // TestBatchServeParity runs the same seeded scenarios once through the batch
 // front end (RunS1Report/RunS2Report + SubmitVotes) and once through the
 // serve front end (ServeS1/ServeS2 + ServeClient, raw uploads where a user
-// must be withheld). Both drive the same session, so per scenario the two
-// modes must report the same label, ⊥ or quorum miss, the same
+// must be withheld). Both are the same run, so per scenario the two modes
+// must report the same label, ⊥ or quorum miss, the same
 // Participants/Dropped on both servers, and the same journal event types per
 // query on S1 and on S2.
 func TestBatchServeParity(t *testing.T) {
@@ -91,8 +91,8 @@ func TestBatchServeParity(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			// Fresh key files per scenario: a serve run zeroizes its epochs'
-			// private material on the way out.
+			// Fresh key files per run: S2 zeroizes its epochs' private
+			// material on the way out.
 			s1File, s2File, pub, cfg := testSetup(t, 3)
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -101,8 +101,8 @@ func TestBatchServeParity(t *testing.T) {
 				ListenAddr: "127.0.0.1:0", Instances: 1,
 				Quorum: sc.quorum, SubmitDeadline: sc.deadline, AttemptTimeout: 30 * time.Second,
 			}
-			b1, b2 := parityBatch(ctx, t, dir, base, sc, s1File, s2File, pub, cfg)
-			v1, v2 := parityServe(ctx, t, dir, base, sc, s1File, s2File, pub, cfg)
+			b1, b2 := parityBatch(ctx, t, dir, base, sc, cloneFile(t, s1File), cloneFile(t, s2File), pub, cfg)
+			v1, v2 := parityServe(ctx, t, dir, base, sc, cloneFile(t, s1File), cloneFile(t, s2File), pub, cfg)
 			for _, side := range []struct {
 				role         string
 				batch, serve queryView

@@ -13,9 +13,9 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Participation. Every query instance runs over the users whose validated
+// Participation. Every query runs over the users whose validated
 // submissions both servers hold. With ServerOptions.Quorum and
-// SubmitDeadline unset the collector releases only a full grid, so that is
+// SubmitDeadline unset a collector releases only when full, so that is
 // everyone; with either set it releases at the deadline with whoever showed
 // up. Either way S1 and S2 must sum the *same* subset, so they agree on it
 // per instance with a participant-bitmap exchange on the peer link, right
@@ -49,8 +49,9 @@ const (
 	ctrlParticipantsAck int64 = 105 // [code, instance] + Values [agreed]  S2→S1
 )
 
-// submissionsRejected counts submissions the collector refused, by reason
-// (unknown-user, bad-instance, bad-length, out-of-ring, duplicate, late).
+// submissionsRejected counts submissions a server refused, by reason
+// (unknown-user, unknown-query, bad-length, out-of-ring, duplicate, late,
+// and the packed and relay-batch reasons).
 func submissionsRejected(reason string) *obs.Counter {
 	return obs.Default.Counter("privconsensus_submissions_rejected_total",
 		"User submissions rejected by server-side validation.",
@@ -58,7 +59,7 @@ func submissionsRejected(reason string) *obs.Counter {
 }
 
 // peerCaps returns the capability bits S2 advertises in its peer hello for
-// the resolved protocol config (dialS1 adds the serve-mode link bits).
+// the resolved protocol config (dialS1 adds capServeCtl on the ctl link).
 func peerCaps(cfg protocol.Config) int64 {
 	if cfg.Packing {
 		return capPacked
@@ -87,28 +88,30 @@ func (o ServerOptions) quorumCount(users int) int {
 	return q
 }
 
-// submitWindow is the collector release deadline: SubmitDeadline, or the
-// attempt timeout when it is unset.
+// submitWindow is the collector release deadline: SubmitDeadline, the
+// attempt timeout when only Quorum is set, and 0 — only a full collector
+// releases — when neither is.
 func (o ServerOptions) submitWindow() time.Duration {
-	if o.SubmitDeadline > 0 {
+	switch {
+	case o.SubmitDeadline > 0:
 		return o.SubmitDeadline
+	case o.Quorum > 0:
+		return o.attemptTimeout()
 	}
-	return o.attemptTimeout()
+	return 0
 }
 
 // checkPeerHello verifies (on S1, before anything is sent back) that S2's
-// hello names this build's wire version, this server's packing mode and —
-// serve says which — the batch or the serve grammar. A mismatch would
-// desynchronize the wire, so it is refused with protocol.ErrPeerMismatch.
-func checkPeerHello(h hello, cfg protocol.Config, serve bool) error {
+// hello names this build's wire version and this server's packing mode. A
+// mismatch would desynchronize the wire, so it is refused with
+// protocol.ErrPeerMismatch.
+func checkPeerHello(h hello, cfg protocol.Config) error {
 	var why string
 	switch {
 	case h.version != wireVersion:
 		why = fmt.Sprintf("peer S2 speaks wire version %d, this server %d; run the same build on both servers", h.version, wireVersion)
 	case cfg.Packing != (h.caps&capPacked != 0):
 		why = "S1 and S2 disagree on slot packing; give both servers key files from the same keygen run"
-	case serve != (h.caps&capServe != 0):
-		why = "S1 and S2 disagree on serve mode; run both servers with or without -serve"
 	default:
 		return nil
 	}

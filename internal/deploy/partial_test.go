@@ -34,32 +34,31 @@ func testHalf(classes int, val int64) protocol.SubmissionHalf {
 func TestCollectorValidation(t *testing.T) {
 	const classes = 3
 	ring := big.NewInt(1000)
-	col := newCollector(protocol.Config{Users: 2, Classes: classes}, 2, ring)
+	col := newCollector(protocol.Config{Users: 2, Classes: classes}, ring)
 
-	reject := func(name string, user, instance int, h protocol.SubmissionHalf) {
+	reject := func(name string, user int, h protocol.SubmissionHalf) {
 		t.Helper()
-		err := col.add(user, instance, h)
+		err := col.add(user, h)
 		if !errors.Is(err, errRejectedSubmission) {
 			t.Errorf("%s: err = %v, want rejection", name, err)
 		}
 	}
-	reject("unknown user", -1, 0, testHalf(classes, 5))
-	reject("unknown user high", 2, 0, testHalf(classes, 5))
-	reject("bad instance", 0, 7, testHalf(classes, 5))
-	reject("bad length", 0, 0, testHalf(classes+1, 5))
-	reject("out of ring", 0, 0, testHalf(classes, 1000))
-	reject("negative ciphertext", 0, 0, testHalf(classes, -3))
+	reject("unknown user", -1, testHalf(classes, 5))
+	reject("unknown user high", 2, testHalf(classes, 5))
+	reject("bad length", 0, testHalf(classes+1, 5))
+	reject("out of ring", 0, testHalf(classes, 1000))
+	reject("negative ciphertext", 0, testHalf(classes, -3))
 
-	if err := col.add(0, 0, testHalf(classes, 5)); err != nil {
+	if err := col.add(0, testHalf(classes, 5)); err != nil {
 		t.Fatalf("valid submission rejected: %v", err)
 	}
 	// Byte-identical replay: tolerated duplicate, still one participant.
-	if err := col.add(0, 0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
+	if err := col.add(0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
 		t.Errorf("identical replay: err = %v, want duplicate sentinel", err)
 	}
 	// Conflicting resubmission: first write wins.
-	reject("conflicting resubmission", 0, 0, testHalf(classes, 6))
-	if bm := col.bitmap(0); ingest.Popcount(bm) != 1 || bm.Bit(0) != 1 {
+	reject("conflicting resubmission", 0, testHalf(classes, 6))
+	if bm := col.bitmap(); ingest.Popcount(bm) != 1 || bm.Bit(0) != 1 {
 		t.Errorf("bitmap after replays = %v, want only user 0", bm)
 	}
 	got, _ := col.counts()
@@ -73,10 +72,10 @@ func TestCollectorValidation(t *testing.T) {
 	if err := col.wait(ctx, time.Now(), time.Millisecond, "s1"); err != nil {
 		t.Fatal(err)
 	}
-	reject("late", 1, 0, testHalf(classes, 5))
+	reject("late", 1, testHalf(classes, 5))
 	// An identical replay of a pre-release submission is still tolerated
 	// after release (the reconnecting user is not a new participant).
-	if err := col.add(0, 0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
+	if err := col.add(0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
 		t.Errorf("post-release identical replay: err = %v, want duplicate sentinel", err)
 	}
 }
@@ -87,21 +86,21 @@ func TestCollectorValidation(t *testing.T) {
 // vote.
 func TestCollectorDedupReplay(t *testing.T) {
 	const classes = 2
-	col := newCollector(protocol.Config{Users: 3, Classes: classes}, 1, nil)
+	col := newCollector(protocol.Config{Users: 3, Classes: classes}, nil)
 	h := testHalf(classes, 42)
-	if err := col.add(1, 0, h); err != nil {
+	if err := col.add(1, h); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // replayed upload after reconnects
-		if err := col.add(1, 0, testHalf(classes, 42)); !errors.Is(err, errDuplicateSubmission) {
+		if err := col.add(1, testHalf(classes, 42)); !errors.Is(err, errDuplicateSubmission) {
 			t.Fatalf("replay %d: err = %v, want duplicate sentinel", i, err)
 		}
 	}
-	bm := col.bitmap(0)
+	bm := col.bitmap()
 	if ingest.Popcount(bm) != 1 {
 		t.Fatalf("replays inflated the participant set: bitmap %v", bm)
 	}
-	groups, err := col.maskedGroups(0, bm)
+	groups, err := col.maskedGroups(bm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +154,14 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 		}
 	}
 
+	cfg := protocol.Config{Users: 1, Classes: classes}
 	t.Run("ack", func(t *testing.T) {
-		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
+		col := newCollector(cfg, nil)
 		user, server := transport.Pair()
 		defer user.Close()
 		gated := &gatedConn{Conn: server, sending: make(chan struct{}), gate: make(chan struct{})}
 		served := make(chan error, 1)
-		go func() { served <- serveGrid(ctx, gated, col) }()
+		go func() { served <- serveGrid(ctx, gated, cfg, col) }()
 
 		upload(t, user)
 		if err := transport.SendControl(ctx, user, ctrlUploadDone, 0); err != nil {
@@ -190,10 +190,10 @@ func TestCollectorReleasesAfterAck(t *testing.T) {
 	// An uploader may die before its done frame: the closed connection
 	// settles the debt.
 	t.Run("hangup", func(t *testing.T) {
-		col := newCollector(protocol.Config{Users: 1, Classes: classes}, 1, nil)
+		col := newCollector(cfg, nil)
 		user, server := transport.Pair()
 		served := make(chan error, 1)
-		go func() { served <- serveGrid(ctx, server, col) }()
+		go func() { served <- serveGrid(ctx, server, cfg, col) }()
 		upload(t, user)
 		user.Close()
 		if err := <-served; err != nil {

@@ -16,11 +16,11 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Continuous-operation S1: the admission controller, ε-budget scheduler,
-// epoch state machine and query pipeline. See docs/PROTOCOL.md
-// § Continuous operation.
+// S1's one run: the admission controller, ε-budget scheduler, epoch state
+// machine and query pipeline, with or without pre-registered queries. See
+// docs/PROTOCOL.md § Continuous operation.
 
-// serveQuery is one admitted query's lifecycle state on S1. Collection
+// serveQuery is one registered query's lifecycle state on S1. Collection
 // (the per-query collector fed by the accept loop) overlaps the protocol
 // phases of earlier queries; the serve loop runs queries one at a time on
 // the peer protocol link once their collector releases.
@@ -36,9 +36,9 @@ type serveQuery struct {
 	done chan struct{} // closed exactly once, when res is final
 }
 
-// ServeReport summarizes one serve-mode run.
+// ServeReport summarizes one S1 run.
 type ServeReport struct {
-	// Results holds one entry per admitted query, in admission order.
+	// Results holds one entry per registered query, in query order.
 	Results []InstanceResult
 	// Admissions counts admission decisions by label ("admitted",
 	// "budget-exhausted", "draining", "overloaded", "unavailable").
@@ -54,7 +54,7 @@ type ServeReport struct {
 // TenantSpend is one tenant's committed state, as the ledger reports it.
 type TenantSpend = dp.TenantSpend
 
-// serveState is S1's shared serve-mode state. The accept-side admission
+// serveState is S1's shared run state. The accept-side admission
 // path and the serve loop communicate through it under mu; the ctl link
 // to S2 serializes its request/response exchanges independently.
 type serveState struct {
@@ -148,20 +148,28 @@ func (c *ctlLink) roundTrip(ctx context.Context, ackCode, code int64, args ...in
 	return nil, fmt.Errorf("deploy: serve ctl %d: %w", code, lastErr)
 }
 
-// ServeS1 runs S1 in continuous-operation mode: it admits queries over
-// the serve handshake, enforces per-tenant ε quotas at admission, runs
-// admitted queries on the peer-link session while later queries
-// collect, rotates key epochs (files[1:] are the pre-provisioned future
-// epochs), and drains gracefully when DrainCh fires or ctx ends.
+// ServeS1 runs S1 in continuous-operation mode: RunS1Queries with nothing
+// registered up front, so it admits queries until DrainCh fires or ctx
+// ends.
 func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (*ServeReport, error) {
+	return RunS1Queries(ctx, files, opts, 0)
+}
+
+// RunS1Queries is S1's one run. It registers queries 0..queries-1 for
+// tenant 0 under epoch 0 (reserving their spend in the ledger) before it
+// accepts a connection, admits further queries over the serve handshake
+// with per-tenant ε quotas, runs every query on the peer-link session while
+// later ones collect, rotates key epochs (files[1:] are the pre-provisioned
+// future epochs), and drains gracefully when DrainCh fires, when the
+// pre-registered queries have all resolved (queries > 0), or when ctx ends.
+func RunS1Queries(ctx context.Context, files []*keystore.S1File, opts ServeOptions, queries int) (*ServeReport, error) {
 	if len(files) == 0 {
-		return nil, fmt.Errorf("deploy: serve mode needs at least one epoch key file")
+		return nil, fmt.Errorf("deploy: need at least one epoch key file")
 	}
-	opts.Instances = 1 // serve mode has no batch instance count
+	if queries < 0 {
+		return nil, fmt.Errorf("deploy: negative query count %d", queries)
+	}
 	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateServe(); err != nil {
 		return nil, err
 	}
 	for i, f := range files[1:] {
@@ -181,11 +189,11 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	defer ledger.Close()
 	// Publish the admission state before setupServer opens the admin
 	// endpoint and the listener: a probe that can reach /healthz must never
-	// read batch mode's static "ok" from a serve-mode server.
+	// read the static "ok" of a process that runs no server.
 	cost := dp.QueryCost(files[0].Config.Sigma1, files[0].Config.Sigma2)
 	publishReadiness(false, ledger, cost)
 	defer obs.SetReadiness("", true)
-	s, err := setupServer(ctx, "S1", files[0].Config, opts.ServerOptions, ringOf(keys0.PeerPub))
+	s, err := setupServer(ctx, "S1", files[0].Config, opts.ServerOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +223,17 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	if st.cost == 0 && st.hasFiniteQuota() {
 		return nil, fmt.Errorf("deploy: tenant quotas need positive sigma1/sigma2 (accounting is off at zero noise)")
 	}
+	batch := make([]*serveQuery, queries)
+	for i := range batch {
+		if err := ledger.Reserve(0, cost); err != nil {
+			return nil, fmt.Errorf("deploy: registering query %d: %w", i, err)
+		}
+		st.mu.Lock()
+		batch[i] = st.registerLocked(0)
+		st.mu.Unlock()
+		st.decide("admitted", 0, i)
+		obs.ServeInflight("s1").Add(1)
+	}
 	st.ctl = &ctlLink{
 		src:     newPeerSource(),
 		retries: opts.MaxRetries,
@@ -243,11 +262,17 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 			return nil, aerr
 		default:
 		}
-		return nil, fmt.Errorf("deploy: waiting for S2 serve link: %w", err)
+		return nil, err
 	}
-	opts.log(levelInfo, "S1 serving: admission open (window %d, epoch 0 of %d provisioned)",
-		opts.maxInFlight(), len(files))
-	return st.run(ctx, ps, peer)
+	opts.log(levelInfo, "S1 connected to S2: admission open (window %d, %d queries registered, epoch 0 of %d provisioned, budget %d retries)",
+		opts.maxInFlight(), queries, len(files), opts.MaxRetries)
+	// One watcher hands the pre-registered queries over in query order.
+	go func() {
+		for _, q := range batch {
+			st.watch(acceptCtx, q)
+		}
+	}()
+	return st.run(ctx, ps, peer, queries)
 }
 
 // hasFiniteQuota reports whether any quota actually binds.
@@ -263,33 +288,38 @@ func (st *serveState) hasFiniteQuota() bool {
 	return false
 }
 
-// routes serves S1's serve-mode connections: peer hellos carrying
-// capServeCtl feed the ctl link, other peer hellos the protocol source; user
-// frames go to the collector of the query their instance slot names, and
-// admission and result-wait frames to userControl. Relays are refused.
+// routes serves S1's connections: peer hellos carrying capServeCtl feed the
+// ctl link, other peer hellos the protocol source; user frames and relay
+// batches go to the collector of the query their instance slot names, and
+// admission and result-wait frames to userControl.
 func (st *serveState) routes(ps *peerSource) routes {
 	opts := st.opts.ServerOptions
 	return routes{
 		peer: func(ctx context.Context, conn transport.Conn, h hello) {
 			switch {
-			case !acceptPeer(ctx, st.s, ps, conn, h, true, opts):
+			case !acceptPeer(ctx, st.s, ps, conn, h, opts):
 			case h.caps&capServeCtl != 0:
 				st.ctl.src.offer(conn)
 			default:
 				ps.offer(conn)
 			}
 		},
+		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, st.s, opts, st.collector) },
 		user: func(ctx context.Context, conn transport.Conn) error {
-			return st.s.serveUserConn(ctx, conn, opts, func(qid int) (*collector, int) {
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				if q := st.queries[qid]; q != nil {
-					return q.col, 0
-				}
-				return nil, 0
-			}, st.userControl)
+			return st.s.serveUserConn(ctx, conn, opts, st.collector, st.userControl)
 		},
 	}
+}
+
+// collector is the query lookup of S1's routes: the collector of query qid,
+// nil if no such query is registered.
+func (st *serveState) collector(qid int) *collector {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if q := st.queries[qid]; q != nil {
+		return q.col
+	}
+	return nil
 }
 
 // userControl answers the control frames only S1's clients send: admission
@@ -359,22 +389,8 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		st.ledger.Unreserve(tenant, st.cost)
 		return st.refuse(status, tenant)
 	}
-	q := &serveQuery{
-		qid:       st.nextQID,
-		tenant:    tenant,
-		epoch:     st.epoch,
-		cost:      st.cost,
-		announced: time.Now(),
-		done:      make(chan struct{}),
-	}
-	q.res = InstanceResult{Instance: q.qid, Outcome: protocol.Outcome{Consensus: false, Label: -1}}
-	q.col = st.newQueryCollector(q.epoch)
-	st.nextQID++
-	st.queries[q.qid] = q
+	q := st.registerLocked(tenant)
 	st.grants[key] = q
-	st.inflight++
-	st.epochLive[q.epoch]++
-	st.admitted++
 	rotateDue := st.opts.RotateAfter > 0 && st.admitted == st.opts.RotateAfter
 	st.mu.Unlock()
 
@@ -422,15 +438,29 @@ func (st *serveState) decide(decision string, tenant int64, qid int) {
 		Note: fmt.Sprintf("decision=%s tenant=%d", decision, tenant)})
 }
 
-// newQueryCollector builds the one-instance submission grid for a query
-// admitted under the given epoch. Callers hold st.mu (reads loaded keys).
-func (st *serveState) newQueryCollector(epoch int) *collector {
-	col := newCollector(st.s.cfg, 1, st.rings[epoch])
-	col.events = st.s.col.events
-	return col
+// registerLocked registers the next query ID for tenant under the current
+// epoch, with its own collector. Callers hold st.mu and have reserved the
+// query's spend.
+func (st *serveState) registerLocked(tenant int64) *serveQuery {
+	q := &serveQuery{
+		qid:       st.nextQID,
+		tenant:    tenant,
+		epoch:     st.epoch,
+		cost:      st.cost,
+		col:       st.s.newCollector(st.rings[st.epoch]),
+		announced: time.Now(),
+		done:      make(chan struct{}),
+	}
+	q.res = InstanceResult{Instance: q.qid, Outcome: protocol.Outcome{Consensus: false, Label: -1}}
+	st.nextQID++
+	st.queries[q.qid] = q
+	st.inflight++
+	st.epochLive[q.epoch]++
+	st.admitted++
+	return q
 }
 
-// watch releases the query when its grid fills or its submit window
+// watch releases the query when its collector fills or its submit window
 // elapses, then hands it to the serve loop.
 func (st *serveState) watch(ctx context.Context, q *serveQuery) {
 	if q.col.wait(ctx, q.announced, st.opts.submitWindow(), "s1") != nil {
@@ -464,13 +494,21 @@ func publishReadiness(draining bool, ledger *dp.Ledger, cost float64) {
 
 // run is the serve loop: it leads runnable queries one at a time on the
 // peer protocol link (s1Session.run with the query ID in the wire's instance
-// slot, the query's own one-row collector and its epoch's keys; collection
-// of later queries overlaps), applies rotation and drain triggers, and
-// returns the report once drained.
-func (st *serveState) run(ctx context.Context, ps *peerSource, peer transport.Conn) (*ServeReport, error) {
+// slot, the query's own collector and its epoch's keys; collection of later
+// queries overlaps), applies rotation and drain triggers — the last of the
+// pre-registered queries 0..pre-1 resolving is one — and returns the report
+// once drained. A cancelled run fails what is left and returns at once,
+// without the farewell to S2.
+func (st *serveState) run(ctx context.Context, ps *peerSource, peer transport.Conn, pre int) (*ServeReport, error) {
 	sess := newS1Session(st.s, st.opts.ServerOptions, ps, peer)
 	drainC := st.opts.DrainCh
 	var drainTimer <-chan time.Time
+	drain := func() {
+		drainC = nil
+		st.beginDrain()
+		drainTimer = time.After(st.opts.drainTimeout())
+	}
+	pending := pre
 	var runErr error
 
 loop:
@@ -480,39 +518,44 @@ loop:
 		}
 		select {
 		case q := <-st.runnable:
-			q.res = sess.run(ctx, q.qid, q.col, 0, st.epochKeys(q.epoch))
+			q.res = sess.run(ctx, q.qid, q.col, st.epochKeys(q.epoch))
 			st.resolve(q)
 			st.maybeRetire(ctx)
 			st.updateReadiness()
+			if q.qid < pre {
+				if pending--; pending == 0 && drainTimer == nil {
+					drain()
+				}
+			}
 		case <-st.rotateKick:
 			st.rotate(ctx)
 		case <-st.external(st.opts.RotateCh):
 			st.rotate(ctx)
 		case <-st.external(drainC):
-			drainC = nil
-			st.beginDrain()
-			drainTimer = time.After(st.opts.drainTimeout())
+			drain()
 		case <-drainTimer:
 			st.opts.log(levelWarn, "S1 drain timeout; failing %d unresolved queries", st.inflightCount())
 			st.failUnresolved(fmt.Errorf("deploy: drain timeout: %w", ErrDraining))
 			break loop
 		case <-ctx.Done():
-			runErr = ctx.Err()
 			st.beginDrain()
-			st.failUnresolved(fmt.Errorf("deploy: serve cancelled: %w", ctx.Err()))
+			missing := st.failUnresolved(fmt.Errorf("deploy: run cancelled: %w", ctx.Err()))
+			runErr = fmt.Errorf("deploy: run cancelled with %d submissions missing: %w", missing, ctx.Err())
 			break loop
 		}
 	}
 
-	// Tell S2 the stream is over: a drain marker on the ctl link (so it
-	// stops expecting announces) and the end-of-session frame on the
-	// protocol link (so its frame loop exits).
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), st.opts.attemptTimeout())
-	if _, err := st.ctl.roundTrip(dctx, ctrlEpochAck, ctrlServeDrain, 0); err != nil {
-		st.opts.log(levelWarn, "S1 could not deliver drain marker to S2: %v", err)
+	if runErr == nil {
+		// Tell S2 the stream is over: a drain marker on the ctl link (so it
+		// stops expecting announces) and the end-of-session frame on the
+		// protocol link (so its frame loop exits).
+		dctx, cancel := context.WithTimeout(ctx, st.opts.attemptTimeout())
+		if _, err := st.ctl.roundTrip(dctx, ctrlEpochAck, ctrlServeDrain, 0); err != nil {
+			st.opts.log(levelWarn, "S1 could not deliver drain marker to S2: %v", err)
+		}
+		sess.end(dctx)
+		cancel()
 	}
-	sess.end(dctx)
-	cancel()
 
 	st.mu.Lock()
 	results := make([]InstanceResult, 0, len(st.queries))
@@ -604,9 +647,10 @@ func (st *serveState) resolve(q *serveQuery) {
 }
 
 // failUnresolved resolves every still-open query with err (drain timeout
-// or cancellation). The queries never ran, but their admission was
-// granted, so they still commit conservatively.
-func (st *serveState) failUnresolved(err error) {
+// or cancellation) and returns how many submissions their collectors still
+// lacked. The queries never ran, but their registration reserved spend, so
+// they still commit conservatively.
+func (st *serveState) failUnresolved(err error) (missing int) {
 	st.mu.Lock()
 	var open []*serveQuery
 	for _, q := range st.queries {
@@ -618,10 +662,13 @@ func (st *serveState) failUnresolved(err error) {
 	}
 	st.mu.Unlock()
 	for _, q := range open {
+		got, want := q.col.counts()
+		missing += want - got
 		q.res.Err = err
 		queriesFailed("s1").Inc()
 		st.resolve(q)
 	}
+	return missing
 }
 
 // replyResult answers a result-wait: it blocks until the query resolves

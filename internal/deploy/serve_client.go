@@ -90,7 +90,7 @@ func NewServeClient(pubs []*keystore.PublicFile, opts ServeClientOptions) (*Serv
 	c, err := newClient(pubs[0].Config, ServerOptions{
 		Seed: opts.Seed, MaxRetries: opts.MaxRetries, Backoff: opts.Backoff, AttemptTimeout: opts.AttemptTimeout,
 		FaultSpec: opts.FaultSpec, LogLevel: opts.LogLevel, Logf: opts.Logf,
-	}, "client", capServe, opts.Seed+opts.Tenant+31)
+	}, "client", 0, opts.Seed+opts.Tenant+31)
 	if err != nil {
 		return nil, err
 	}

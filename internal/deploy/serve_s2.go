@@ -15,13 +15,13 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Continuous-operation S2: the serve-control follower. S2 dials two links
-// to S1 — the dedicated ctl link, on which S1 announces queries and
-// drives the epoch state machine, and the protocol link, on which S1's
-// begin frames (query ID in the instance slot) trigger protocol runs.
-// User submissions arrive on the accept loop keyed by query ID.
+// S2's one run: the serve-control follower. S2 dials two links to S1 — the
+// dedicated ctl link, on which S1 announces queries, drives the epoch state
+// machine and marks the drain, and the protocol link, on which S1's begin
+// frames (query ID in the instance slot) trigger protocol runs. User and
+// relay submissions arrive on the accept loop keyed by query ID.
 
-// s2Query is one announced query's state on S2.
+// s2Query is one registered query's state on S2.
 type s2Query struct {
 	qid       int
 	tenant    int64
@@ -37,7 +37,7 @@ type s2Epoch struct {
 	live int // protocol runs currently using this epoch's keys
 }
 
-// serveS2 is S2's shared serve-mode state.
+// serveS2 is S2's shared run state.
 type serveS2 struct {
 	s     *serverSetup
 	opts  ServeOptions
@@ -50,22 +50,31 @@ type serveS2 struct {
 	queries    map[int]*s2Query
 	results    map[int]InstanceResult
 	draining   bool
-	maxQID     int
 }
 
-// ServeS2 runs S2 in continuous-operation mode until S1 drains the
-// stream (or ctx ends). files[0] is the initial epoch; later entries are
-// the pre-provisioned rotation epochs, loaded on demand when S1 prepares
-// or announces into them.
+// ServeS2 runs S2 in continuous-operation mode: RunS2Queries with nothing
+// registered up front, following S1's announces until S1 drains the stream
+// (or ctx ends).
 func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (*Report, error) {
+	return RunS2Queries(ctx, files, opts, 0)
+}
+
+// RunS2Queries is S2's one run. It registers queries 0..queries-1 under
+// epoch 0, as S1 does, before it accepts a connection, registers the
+// queries S1 announces on the ctl link, runs S2's side of every query S1
+// begins, and returns its own verdict per query once S1 ends the session
+// (or ctx ends). files[0] is the initial epoch; later entries are the
+// pre-provisioned rotation epochs, loaded on demand when S1 prepares or
+// announces into them. Every epoch's private material is zeroized in place
+// on the way out.
+func RunS2Queries(ctx context.Context, files []*keystore.S2File, opts ServeOptions, queries int) (*Report, error) {
 	if len(files) == 0 {
-		return nil, fmt.Errorf("deploy: serve mode needs at least one epoch key file")
+		return nil, fmt.Errorf("deploy: need at least one epoch key file")
 	}
-	opts.Instances = 1
+	if queries < 0 {
+		return nil, fmt.Errorf("deploy: negative query count %d", queries)
+	}
 	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateServe(); err != nil {
 		return nil, err
 	}
 	if opts.PeerAddr == "" {
@@ -76,11 +85,7 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 			return nil, fmt.Errorf("deploy: epoch %d key file config differs from epoch 0", i+1)
 		}
 	}
-	keys0, err := files[0].KeysS2()
-	if err != nil {
-		return nil, err
-	}
-	s, err := setupServer(ctx, "S2", files[0].Config, opts.ServerOptions, ringOf(keys0.PeerPub))
+	s, err := setupServer(ctx, "S2", files[0].Config, opts.ServerOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +106,11 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 	defer st.closeEpochs()
 	if err := st.ensureEpoch(0); err != nil {
 		return nil, err
+	}
+	for qid := 0; qid < queries; qid++ {
+		if err := st.announce(qid, 0, 0); err != nil {
+			return nil, err
+		}
 	}
 	obs.ServeEpoch("s2").Set(0)
 
@@ -128,16 +138,14 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 	defer stopCtl()
 	go st.ctlLoop(ctlCtx, drained)
 
-	// Follow S1's begin frames on the protocol link until the end frame. No
-	// per-frame deadline: an idle serve link between queries is normal, and
-	// the drain backstop bounds the exit when the end frame is lost.
+	// Follow S1's begin frames on the protocol link until the end frame.
 	rng := newRNG(s2Seed(opts.Seed))
 	connect := func() (transport.Conn, error) {
-		return s.dialS1(drainCtx, opts.ServerOptions, capServe, opts.Seed+17)
+		return s.dialS1(drainCtx, opts.ServerOptions, 0, opts.Seed+17)
 	}
-	_, err = s.followSession(drainCtx, opts.ServerOptions, nil, connect, 0,
-		func(ctx context.Context, peer transport.Conn, f sessionFrame) (bool, error) {
-			return st.runServeQuery(ctx, f, peer, rng), nil // one query never aborts the service
+	err = s.followSession(drainCtx, opts.ServerOptions, connect,
+		func(ctx context.Context, peer transport.Conn, f sessionFrame) bool {
+			return st.runServeQuery(ctx, peer, f, rng) // one query never aborts the run
 		})
 	stopCtl()
 	if drainCtx.Err() != nil {
@@ -208,8 +216,9 @@ func (st *serveS2) finishRetireLocked(e int) {
 	st.opts.log(levelInfo, "S2 retired epoch %d: private material zeroized", e)
 }
 
-// announce registers an announced query (idempotent — a re-announce after
-// a lost ack returns success without a second registration).
+// announce registers a query, announced by S1 or pre-registered
+// (idempotent — a re-announce after a lost ack returns success without a
+// second registration).
 func (st *serveS2) announce(qid int, epoch int, tenant int64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -219,12 +228,8 @@ func (st *serveS2) announce(qid int, epoch int, tenant int64) error {
 	if err := st.ensureEpochLocked(epoch); err != nil {
 		return err
 	}
-	col := newCollector(st.s.cfg, 1, st.epochs[epoch].ring)
-	col.events = st.s.col.events
-	st.queries[qid] = &s2Query{qid: qid, tenant: tenant, epoch: epoch, col: col, announced: time.Now()}
-	if qid >= st.maxQID {
-		st.maxQID = qid + 1
-	}
+	st.queries[qid] = &s2Query{qid: qid, tenant: tenant, epoch: epoch,
+		col: st.s.newCollector(st.epochs[epoch].ring), announced: time.Now()}
 	obs.ServeInflight("s2").Add(1)
 	return nil
 }
@@ -242,7 +247,7 @@ func (st *serveS2) ctlLoop(ctx context.Context, drained func()) {
 		if fails > 0 {
 			sleepCtx(ctx, backoffDelay(opts.Backoff, fails))
 		}
-		conn, err := st.s.dialS1(ctx, opts.ServerOptions, capServe|capServeCtl, opts.Seed+43)
+		conn, err := st.s.dialS1(ctx, opts.ServerOptions, capServeCtl, opts.Seed+43)
 		if err != nil {
 			fails++
 			opts.log(levelWarn, "S2 ctl link dial failed: %v", err)
@@ -315,28 +320,36 @@ func (st *serveS2) ctlServe(ctx context.Context, conn transport.Conn, drained fu
 	}
 }
 
-// routes serves S2's serve-mode connections: user frames go to the collector
-// of the announced query their instance slot names. S2 accepts no peer (it
-// dials S1) and no relay, and answers no admission or result frames — those
-// are S1's.
+// routes serves S2's connections: user frames and relay batches go to the
+// collector of the query their instance slot names. S2 accepts no peer (it
+// dials S1), and answers no admission or result frames — those are S1's.
 func (st *serveS2) routes() routes {
-	return routes{user: func(ctx context.Context, conn transport.Conn) error {
-		return st.s.serveUserConn(ctx, conn, st.opts.ServerOptions, func(qid int) (*collector, int) {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if q := st.queries[qid]; q != nil {
-				return q.col, 0
-			}
-			return nil, 0
-		}, nil)
-	}}
+	opts := st.opts.ServerOptions
+	return routes{
+		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, st.s, opts, st.collector) },
+		user: func(ctx context.Context, conn transport.Conn) error {
+			return st.s.serveUserConn(ctx, conn, opts, st.collector, nil)
+		},
+	}
 }
 
-// runServeQuery resolves one begin frame to its announced query, waits for
-// the local collector to fill or the submit window to lapse (mirroring S1's
-// watcher), pins the query's epoch and runs the attempt. It returns false
-// when the connection must be discarded.
-func (st *serveS2) runServeQuery(ctx context.Context, f sessionFrame, peer transport.Conn, rng io.Reader) bool {
+// collector is the query lookup of S2's routes: the collector of query qid,
+// nil if no such query is registered.
+func (st *serveS2) collector(qid int) *collector {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if q := st.queries[qid]; q != nil {
+		return q.col
+	}
+	return nil
+}
+
+// runServeQuery resolves one begin frame to its registered query, waits —
+// at most one attempt timeout — for the local collector to fill or the
+// submit window to lapse (mirroring S1's watcher), pins the query's epoch
+// and runs the attempt. It returns false when the connection must be
+// discarded.
+func (st *serveS2) runServeQuery(ctx context.Context, peer transport.Conn, f sessionFrame, rng io.Reader) bool {
 	opts := st.opts
 	qid := f.instance
 	st.mu.Lock()
@@ -349,7 +362,10 @@ func (st *serveS2) runServeQuery(ctx context.Context, f sessionFrame, peer trans
 		opts.log(levelWarn, "S2 received begin for unannounced query %d", qid)
 		return false
 	}
-	if q.col.wait(ctx, q.announced, opts.submitWindow(), "s2") != nil {
+	wctx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
+	err := q.col.wait(wctx, q.announced, opts.submitWindow(), "s2")
+	cancel()
+	if err != nil {
 		return false
 	}
 
@@ -369,7 +385,7 @@ func (st *serveS2) runServeQuery(ctx context.Context, f sessionFrame, peer trans
 		st.mu.Unlock()
 	}()
 
-	res := st.s.followQuery(ctx, opts.ServerOptions, rng, ep.keys, peer, f, q.col, 0)
+	res := st.s.followQuery(ctx, opts.ServerOptions, rng, ep.keys, peer, f, q.col)
 	st.setResult(qid, res)
 	keep := linkClean(res.Err)
 	if !keep {
@@ -394,7 +410,7 @@ func (st *serveS2) setResult(qid int, res InstanceResult) {
 	st.mu.Unlock()
 }
 
-// report assembles the per-query report in query order. Announced queries
+// report assembles the per-query report in query order. Registered queries
 // that never ran locally appear with an error entry.
 func (st *serveS2) report() *Report {
 	st.mu.Lock()

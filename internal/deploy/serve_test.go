@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	mrand "math/rand"
 	"net/http"
@@ -94,14 +95,14 @@ func admitRaw(ctx context.Context, t *testing.T, conn transport.Conn, tenant, no
 	return reply[0], int(reply[1]), int(reply[2])
 }
 
-// serveUserConnTo dials addr and performs the serve user hello.
+// serveUserConnTo dials addr and performs the user hello.
 func serveUserConnTo(ctx context.Context, t *testing.T, addr string) transport.Conn {
 	t.Helper()
 	conn, err := transport.Dial(ctx, addr)
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
-	if err := sendHello(ctx, conn, partyUser, capServe); err != nil {
+	if err := sendHello(ctx, conn, partyUser, 0); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
 	return conn
@@ -515,5 +516,88 @@ func TestServeBudgetRefusal(t *testing.T) {
 	}
 	if err := b.Reserve(9, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("reloaded ledger still admits tenant 9: %v", err)
+	}
+}
+
+// TestServeWaitsForEveryoneByDefault pins the release rule: with Quorum and
+// SubmitDeadline unset no submit window is armed, so a query runs over every
+// configured user or not at all. Two of three users upload, and the query
+// is still collecting well past the attempt timeout. Drained then, it fails
+// with ErrDraining at the drain timeout; joined by the third user instead,
+// it runs over all three.
+func TestServeWaitsForEveryoneByDefault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serve deployment test is slow in -short mode")
+	}
+	const users = 3
+	for _, thirdUploads := range []bool{false, true} {
+		t.Run(fmt.Sprintf("third user uploads=%v", thirdUploads), func(t *testing.T) {
+			s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, 0, 0)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			drainCh := make(chan struct{})
+			base := ServerOptions{ListenAddr: "127.0.0.1:0", AttemptTimeout: 500 * time.Millisecond}
+			s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+			s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
+			go func() {
+				o := base
+				o.Seed, o.Ready = 1011, s1Ready
+				rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: o, DrainCh: drainCh})
+				s1Done <- s1ServeResult{rep, err}
+			}()
+			s1Addr := <-s1Ready
+			go func() {
+				o := base
+				o.Seed, o.Ready, o.PeerAddr = 1012, s2Ready, s1Addr
+				rep, err := ServeS2(ctx, s2Files, ServeOptions{ServerOptions: o})
+				s2Done <- s2ServeResult{rep, err}
+			}()
+			s2Addr := <-s2Ready
+
+			conn1, conn2 := serveUserConnTo(ctx, t, s1Addr), serveUserConnTo(ctx, t, s2Addr)
+			defer conn1.Close()
+			defer conn2.Close()
+			status, qid, _ := admitRaw(ctx, t, conn1, 1, 5001)
+			if status != admitOK {
+				t.Fatalf("admission status %d", status)
+			}
+			// The same seeds rebuild users 0 and 1 byte for byte, so the
+			// second upload replays them (tolerated duplicates) and adds
+			// user 2 alone.
+			upload := func(present int) {
+				uploadUsersRaw(ctx, t, cfg, pubs[0], qid, 2, present, testRNG(1020), mrand.New(mrand.NewSource(1021)), conn1, conn2)
+			}
+			upload(2)
+			time.Sleep(4 * base.AttemptTimeout)
+			if thirdUploads {
+				upload(3)
+			} else {
+				close(drainCh)
+			}
+			if err := transport.SendControl(ctx, conn1, ctrlResultWait, int64(qid)); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := transport.ExpectControl(ctx, conn1, ctrlResultReply)
+			if err != nil {
+				t.Fatalf("result: %v", err)
+			}
+			if thirdUploads {
+				close(drainCh)
+			}
+			r1, r2 := <-s1Done, <-s2Done
+			if r1.err != nil || r2.err != nil {
+				t.Fatalf("servers failed: s1=%v s2=%v", r1.err, r2.err)
+			}
+			if len(r1.rep.Results) != 1 {
+				t.Fatalf("S1 reports %d queries, want 1", len(r1.rep.Results))
+			}
+			res := r1.rep.Results[0]
+			switch {
+			case thirdUploads && (reply[1] != resultConsensus || reply[2] != 2 || res.Err != nil || res.Participants != users):
+				t.Errorf("with every user: reply %v, S1 result %+v; want consensus on 2 over all %d users", reply, res, users)
+			case !thirdUploads && (reply[1] != resultFailed || !errors.Is(res.Err, ErrDraining)):
+				t.Errorf("drained with a user missing: reply %v, S1 result %+v; want the query failed with ErrDraining", reply, res)
+			}
+		})
 	}
 }

@@ -10,13 +10,10 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// Continuous-operation (serve mode) wire vocabulary.
-//
-// A client that wants streaming admission advertises capServe in its
-// hello, S2's serve-mode peer links carry it too, and the serve-control
-// link S2 dials to S1 additionally carries capServeCtl. The bits name the
-// link; a batch deployment never sets them and none of the frames below
-// ever appear on it.
+// Admission and serve-control wire vocabulary. Every run speaks it: S2
+// dials the serve-control link beside the protocol link and marks its hello
+// with capServeCtl, the one bit that names a link. A batch run announces no
+// queries on it (both servers pre-register theirs) but drains through it.
 //
 // Three handshakes share the control-frame grammar (Flags[0] = code):
 //
@@ -38,9 +35,6 @@ import (
 //	session (S1 → S2, protocol link): the session begin/end frames
 //	    (100/101) with the query ID in the instance slot.
 const (
-	// capServe marks a hello from a party speaking the serve-mode
-	// admission grammar (clients) or serving it (the S2 protocol link).
-	capServe int64 = 64
 	// capServeCtl marks S2's dedicated serve-control connection to S1.
 	capServeCtl int64 = 128
 
@@ -135,10 +129,10 @@ func admitDecision(status int64) string {
 	}
 }
 
-// ServeOptions configures one continuously-operating server. The embedded
-// ServerOptions supplies the transport, observability, retry-budget and
-// participation settings; Instances is ignored (serve mode admits an
-// unbounded stream of queries).
+// ServeOptions configures one server run. The embedded ServerOptions
+// supplies the transport, observability, retry-budget and participation
+// settings; Instances is ignored here — the caller passes the number of
+// queries to pre-register (RunS1Queries, RunS2Queries).
 type ServeOptions struct {
 	ServerOptions
 
@@ -196,10 +190,11 @@ func (o ServeOptions) drainTimeout() time.Duration {
 	return 2 * o.attemptTimeout()
 }
 
-// validateServe checks the serve-specific options; the embedded batch
-// options are validated by the caller with Instances pinned to 1 (serve
-// mode has no instance count).
-func (o ServeOptions) validateServe() error {
+// validate checks the options.
+func (o ServeOptions) validate() error {
+	if err := o.validatePolicy(); err != nil {
+		return err
+	}
 	if o.MaxInFlight < 0 {
 		return fmt.Errorf("deploy: negative max in-flight %d", o.MaxInFlight)
 	}

@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"math/big"
@@ -34,7 +33,8 @@ type ServerOptions struct {
 	ListenAddr string
 	// PeerAddr is S1's address; only S2 dials it.
 	PeerAddr string
-	// Instances is the number of query instances to run.
+	// Instances is the number of queries a batch run (RunS1Report,
+	// RunS2Report, RunIngest) registers up front as queries 0..Instances-1.
 	Instances int
 	// Seed, when non-zero, makes protocol randomness deterministic.
 	Seed int64
@@ -74,19 +74,19 @@ type ServerOptions struct {
 	// connection this server accepts or dials (see
 	// transport.ParseFaultSpec). Testing only.
 	FaultSpec string
-	// Quorum is the minimum number of users a query instance needs to run.
-	// A value in (0, 1) is a fraction of the configured users (rounded up);
-	// >= 1 an absolute count; 0 any participation. An instance released
-	// with fewer participants fails cleanly with protocol.ErrQuorumNotMet
-	// instead of running. Quorum and SubmitDeadline are a policy, not a wire
+	// Quorum is the minimum number of users a query needs to run. A value
+	// in (0, 1) is a fraction of the configured users (rounded up); >= 1 an
+	// absolute count; 0 any participation. A query released with fewer
+	// participants fails cleanly with protocol.ErrQuorumNotMet instead of
+	// running. Quorum and SubmitDeadline are a policy, not a wire
 	// mode, but one the two servers must share: a mismatch can cost a wait
 	// or a quorum miss on one side.
 	Quorum float64
-	// SubmitDeadline bounds how long the collector waits for user
-	// submissions: when it elapses, every instance proceeds with whoever
-	// showed up (subject to Quorum). 0 with Quorum set falls back to
-	// AttemptTimeout as the submission window; 0 with Quorum unset waits
-	// for the full grid (the default).
+	// SubmitDeadline bounds how long a query's collector waits for user
+	// submissions, measured from the query's registration: when it elapses
+	// the query proceeds with whoever showed up (subject to Quorum). 0 with
+	// Quorum set falls back to AttemptTimeout as the submission window; 0
+	// with Quorum unset waits for every user (the default).
 	SubmitDeadline time.Duration
 	// JournalPath, when non-empty, appends every query's spans and
 	// lifecycle events (rejections, retries, faults, quorum decisions, δ
@@ -180,11 +180,17 @@ func (o ServerOptions) log(lv logLevel, format string, args ...any) {
 	o.Logf(format, args...)
 }
 
-// validate checks the options.
+// validate checks the options of a run that registers Instances queries up
+// front.
 func (o ServerOptions) validate() error {
 	if o.Instances < 1 {
 		return fmt.Errorf("deploy: need at least 1 instance, got %d", o.Instances)
 	}
+	return o.validatePolicy()
+}
+
+// validatePolicy checks everything but the instance count.
+func (o ServerOptions) validatePolicy() error {
 	if o.Quorum < 0 {
 		return fmt.Errorf("deploy: negative quorum %g", o.Quorum)
 	}
@@ -309,18 +315,16 @@ type serverSetup struct {
 	cfg     protocol.Config
 	admin   *adminHandle
 	l       *transport.Listener
-	col     *collector
 	faults  *transport.FaultInjector
 	journal *obs.Journal
 	trace   *traceState
+	// rejected journals one submission rejection (nil without a journal).
+	rejected func(reason string)
 }
 
-// setupServer performs the option validation, admin endpoint, listener,
-// collector, journal and trace-state setup common to S1 and S2. ring is
-// the N² modulus every stored ciphertext must live in (the peer's Paillier
-// key — submissions held by one server are encrypted under the other
-// server's public key).
-func setupServer(ctx context.Context, role string, cfg protocol.Config, opts ServerOptions, ring *big.Int) (*serverSetup, error) {
+// setupServer performs the config check, admin endpoint, listener, journal
+// and trace-state setup common to S1 and S2.
+func setupServer(ctx context.Context, role string, cfg protocol.Config, opts ServerOptions) (*serverSetup, error) {
 	if opts.Parallelism != 0 {
 		cfg.Parallelism = opts.Parallelism
 	}
@@ -381,46 +385,38 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	opts.log(levelInfo, "%s listening on %s", role, l.Addr())
 	opts.announceReady(l.Addr())
 	s.l = l
-	s.col = newCollector(cfg, opts.Instances, ring)
 	if s.journal != nil {
-		s.col.events = func(reason string) {
+		s.rejected = func(reason string) {
 			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: -1, Note: reason})
 		}
 	}
 	return s, nil
 }
 
-// collectSubmissions waits for user submissions and freezes the grid: with
-// Quorum and SubmitDeadline unset only a full grid releases, otherwise the
-// submit window does too. role is the metric label ("s1"/"s2").
-func collectSubmissions(ctx context.Context, s *serverSetup, opts ServerOptions, role string) error {
-	var window time.Duration
-	if opts.Quorum > 0 || opts.SubmitDeadline > 0 {
-		window = opts.submitWindow()
-	}
-	if err := s.col.wait(ctx, time.Now(), window, role); err != nil {
-		return err
-	}
-	got, want := s.col.counts()
-	opts.log(levelInfo, "%s released submissions with %d of %d cells filled (quorum %d of %d users per instance)",
-		strings.ToUpper(role), got, want, opts.quorumCount(s.cfg.Users), s.cfg.Users)
-	return nil
+// newCollector builds one query's collector. ring is the N² modulus every
+// stored ciphertext must live in (the peer's Paillier key of the query's
+// epoch — submissions held by one server are encrypted under the other
+// server's public key).
+func (s *serverSetup) newCollector(ring *big.Int) *collector {
+	col := newCollector(s.cfg, ring)
+	col.events = s.rejected
+	return col
 }
 
-// agreeParticipants resolves one query's submissions — row of col — on
-// either server as aggregation groups (relay batches whole, direct users as
+// agreeParticipants resolves one query's submissions — col — on either
+// server as aggregation groups (relay batches whole, direct users as
 // singletons): it runs the participant exchange under the wire id (S1
 // proposes, S2 intersects), publishes and journals the decision, and masks
-// the grid by the agreed set. It reports the participant count alongside
+// the collector by the agreed set. It reports the participant count alongside
 // (0 when the exchange itself failed), and protocol.ErrQuorumNotMet (no
 // protocol traffic follows) when the agreed set is below quorum.
 func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions, role string,
-	peer transport.Conn, id int, col *collector, row int) ([]protocol.Group, int, error) {
+	peer transport.Conn, id int, col *collector) ([]protocol.Group, int, error) {
 	exchange := exchangeParticipantsS2
 	if role == "s1" {
 		exchange = exchangeParticipantsS1
 	}
-	agreed, err := exchange(ctx, peer, id, col.bitmap(row))
+	agreed, err := exchange(ctx, peer, id, col.bitmap())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -434,14 +430,13 @@ func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions,
 		return nil, participants, fmt.Errorf("deploy: query %d has %d of %d participants: %w",
 			id, participants, s.cfg.Users, protocol.ErrQuorumNotMet)
 	}
-	groups, err := col.maskedGroups(row, agreed)
+	groups, err := col.maskedGroups(agreed)
 	return groups, participants, err
 }
 
-// RunS1 runs server S1: it listens for all users and for S2, collects the
-// submissions, executes Alg. 5 once per instance over the peer connection,
-// and returns the outcomes. Any failed instance is returned as an error;
-// use RunS1Report to get per-instance results with graceful degradation.
+// RunS1 runs server S1 for opts.Instances queries and returns their
+// outcomes. Any failed query is returned as an error; use RunS1Report to
+// get per-query results with graceful degradation.
 func RunS1(ctx context.Context, file *keystore.S1File, opts ServerOptions) ([]protocol.Outcome, error) {
 	rep, err := RunS1Report(ctx, file, opts)
 	if err != nil {
@@ -453,85 +448,20 @@ func RunS1(ctx context.Context, file *keystore.S1File, opts ServerOptions) ([]pr
 	return rep.Outcomes(), nil
 }
 
-// RunS1Report runs server S1 and returns a per-instance Report. It leads
-// the peer-link session (s1Session.run) over the grid's instances in order:
-// transient I/O failures are retried on a fresh peer connection up to the
-// MaxRetries budget, and an instance that exhausts its budget is recorded
-// as failed while the rest of the batch completes.
+// RunS1Report runs server S1 as a batch: RunS1Queries over the one key file
+// with queries 0..opts.Instances-1 registered for tenant 0, an in-memory
+// ledger and no drain trigger, so the run drains once they resolve. A query
+// that exhausts its retry budget is recorded as failed while the rest
+// complete.
 func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	keys, err := file.KeysS1()
+	rep, err := RunS1Queries(ctx, []*keystore.S1File{file}, ServeOptions{ServerOptions: opts}, opts.Instances)
 	if err != nil {
 		return nil, err
 	}
-	keys.Precompute() // build fixed-base tables once at key load
-	s, err := setupServer(ctx, "S1", file.Config, opts, ringOf(keys.PeerPub))
-	if err != nil {
-		return nil, err
-	}
-	defer s.admin.close(ctx)
-	defer s.journal.Close()
-	defer s.l.Close()
-
-	ps := newPeerSource()
-	defer ps.close()
-	acceptErr := make(chan error, 1)
-	acceptCtx, stopAccept := context.WithCancel(ctx)
-	defer stopAccept()
-	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, ps), acceptErr)
-
-	// Claim the initial peer link (the accept loop has already checked its
-	// hello), then lead the per-instance session. The accept loop keeps
-	// running so S2 reconnections land in the peerSource.
-	awaitCtx, cancel := context.WithTimeout(ctx, opts.attemptTimeout())
-	peer, err := ps.await(awaitCtx)
-	cancel()
-	if err != nil {
-		select {
-		case aerr := <-acceptErr:
-			return nil, aerr
-		default:
-		}
-		return nil, err
-	}
-	opts.log(levelInfo, "S1 connected to peer S2 (budget %d retries)", opts.MaxRetries)
-	if err := collectSubmissions(ctx, s, opts, "s1"); err != nil {
-		peer.Close()
-		return nil, err
-	}
-	sess := newS1Session(s, opts, ps, peer)
-	results := make([]InstanceResult, opts.Instances)
-	for i := range results {
-		results[i] = sess.run(ctx, i, s.col, i, keys)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("deploy: run cancelled after instance %d: %w", i, err)
-		}
-	}
-	sess.end(ctx)
-	return &Report{Results: results}, nil
-}
-
-// gridRoutes serves a batch run's connections: the peer link, on S1, which
-// passes its peerSource (nil on servers that accept no peer), where a
-// reconnection replaces the previous link; relay batches and user frames
-// into the run's grid, the frame's instance slot naming the row.
-func (s *serverSetup) gridRoutes(opts ServerOptions, ps *peerSource) routes {
-	r := routes{
-		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, s, opts) },
-		user: func(ctx context.Context, conn transport.Conn) error {
-			return s.serveUserConn(ctx, conn, opts, func(i int) (*collector, int) { return s.col, i }, nil)
-		},
-	}
-	if ps != nil {
-		r.peer = func(ctx context.Context, conn transport.Conn, h hello) {
-			if acceptPeer(ctx, s, ps, conn, h, false, opts) {
-				ps.offer(conn)
-			}
-		}
-	}
-	return r
+	return &Report{Results: rep.Results}, nil
 }
 
 // ringOf returns the Paillier ciphertext ring bound N² (nil for a nil key).
@@ -542,10 +472,9 @@ func ringOf(pk *paillier.PublicKey) *big.Int {
 	return pk.N2
 }
 
-// RunS2 runs server S2: it listens for users on its own address, dials S1
-// for the protocol channel, and mirrors S1's per-instance execution. Any
-// failed instance is returned as an error; use RunS2Report for
-// per-instance results.
+// RunS2 runs server S2 for opts.Instances queries, mirroring S1, and returns
+// their outcomes. Any failed query is returned as an error; use RunS2Report
+// for per-query results.
 func RunS2(ctx context.Context, file *keystore.S2File, opts ServerOptions) ([]protocol.Outcome, error) {
 	rep, err := RunS2Report(ctx, file, opts)
 	if err != nil {
@@ -557,132 +486,15 @@ func RunS2(ctx context.Context, file *keystore.S2File, opts ServerOptions) ([]pr
 	return rep.Outcomes(), nil
 }
 
-// RunS2Report runs server S2 and returns a per-instance Report. It follows
-// S1's session: it re-runs any instance S1 re-announces (replays are
-// idempotent — the outcome is a deterministic function of the submissions)
-// and re-establishes the peer link, within the MaxRetries budget, whenever
-// it drops.
+// RunS2Report runs server S2 as a batch: RunS2Queries over the one key file
+// with queries 0..opts.Instances-1 registered. It reports its own verdict
+// per query and returns once S1 ends the session (or, the end frame lost,
+// its reconnect budget or drain timeout runs out).
 func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions) (*Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if opts.PeerAddr == "" {
-		return nil, fmt.Errorf("deploy: S2 requires the S1 peer address")
-	}
-	keys, err := file.KeysS2()
-	if err != nil {
-		return nil, err
-	}
-	keys.Precompute() // build fixed-base tables once at key load
-	s, err := setupServer(ctx, "S2", file.Config, opts, ringOf(keys.PeerPub))
-	if err != nil {
-		return nil, err
-	}
-	defer s.admin.close(ctx)
-	defer s.journal.Close()
-	defer s.l.Close()
-
-	acceptErr := make(chan error, 1)
-	acceptCtx, stopAccept := context.WithCancel(ctx)
-	defer stopAccept()
-	go s.acceptLoop(acceptCtx, opts, s.gridRoutes(opts, nil), acceptErr)
-
-	connect := func() (transport.Conn, error) { return s.dialS1(ctx, opts, 0, opts.Seed+17) }
-	peer, err := connect()
-	if err != nil {
-		return nil, err
-	}
-	opts.log(levelInfo, "S2 connected to peer S1 at %s", opts.PeerAddr)
-	if err := collectSubmissions(ctx, s, opts, "s2"); err != nil {
-		peer.Close()
-		return nil, err
-	}
-	// Follow S1's session over the grid: every begin frame (re)runs the
-	// named instance and carries the authoritative status of the previous
-	// one, the end frame that of the last. A begin outside the grid or a
-	// failure a fresh link cannot fix aborts the run.
-	n := opts.Instances
-	rng := newRNG(s2Seed(opts.Seed))
-	statuses := make([]int64, n)
-	local := make([]*InstanceResult, n)  // freshest local attempt per instance
-	done := make([]*protocol.Outcome, n) // last completed local outcome
-	attempts := make([]int, n)
-	last, err := s.followSession(ctx, opts, peer, connect, opts.attemptTimeout(),
-		func(ctx context.Context, peer transport.Conn, f sessionFrame) (bool, error) {
-			i := f.instance
-			if i < 0 || i >= n {
-				return false, fmt.Errorf("deploy: s2 session: begin for instance %d outside [0, %d)", i, n)
-			}
-			if i > 0 {
-				statuses[i-1] = f.status
-			}
-			attempts[i]++
-			res := s.followQuery(ctx, opts, rng, keys, peer, f, s.col, i)
-			local[i] = &res
-			switch {
-			case res.Err == nil:
-				done[i] = &res.Outcome
-			case errors.Is(res.Err, protocol.ErrQuorumNotMet):
-				done[i] = nil
-			case !attemptRetryable(ctx, res.Err):
-				return false, res.Err
-			default:
-				opts.log(levelWarn, "S2 instance %d attempt failed, awaiting replay: %v", i, res.Err)
-			}
-			return linkClean(res.Err), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	statuses[n-1] = last
-
-	// Reconcile S1's authoritative statuses with the local runs.
-	results := make([]InstanceResult, n)
-	for i := 0; i < n; i++ {
-		res := InstanceResult{Instance: i, Outcome: protocol.Outcome{Consensus: false, Label: -1},
-			Attempts: attempts[i], Participants: s.cfg.Users}
-		var localErr error
-		if local[i] != nil {
-			res.Participants, localErr = local[i].Participants, local[i].Err
-		}
-		res.Dropped = s.cfg.Users - res.Participants
-		switch {
-		case statuses[i] == statusOK && done[i] != nil:
-			res.Outcome = *done[i]
-		case statuses[i] == statusOK:
-			// S1 committed the instance but our local run never finished
-			// (e.g. the final volley was lost). The label exists at S1.
-			res.Err = fmt.Errorf("deploy: s2 instance %d: peer reported success but the local run did not complete: %w",
-				i, firstNonNil(localErr, errPeerGone))
-		case errors.Is(localErr, protocol.ErrQuorumNotMet):
-			// A quorum miss is a clean local verdict, not a delivery
-			// failure; surface it regardless of the peer status.
-			res.Err = localErr
-		case statuses[i] == statusFailed:
-			res.Err = fmt.Errorf("deploy: s2 instance %d: %w", i, firstNonNil(localErr, errors.New("peer reported failure")))
-		case done[i] != nil && localErr == nil:
-			// No authoritative status (end frame lost) but the local run
-			// completed; the outcome is deterministic, so trust it.
-			res.Outcome = *done[i]
-		default:
-			res.Err = fmt.Errorf("deploy: s2 instance %d never completed: %w", i, firstNonNil(localErr, errPeerGone))
-		}
-		if res.Err != nil && !errors.Is(res.Err, protocol.ErrQuorumNotMet) {
-			queriesFailed("s2").Inc()
-		}
-		results[i] = res
-	}
-	return &Report{Results: results}, nil
-}
-
-// firstNonNil returns the first non-nil error.
-func firstNonNil(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return RunS2Queries(ctx, []*keystore.S2File{file}, ServeOptions{ServerOptions: opts}, opts.Instances)
 }
 
 // DefaultLogger returns a stdlib-backed log sink for the CLIs with

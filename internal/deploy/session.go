@@ -12,32 +12,25 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// The peer-link session. S1 leads (leader.go): it announces each query — a
-// batch instance or an admitted serve query, named in the begin frame's
-// instance slot — before running it and closes the session with an end
-// frame; S2 follows (follower.go). Both frames are idempotent — a query
-// announced twice (because an attempt died mid-run) is simply re-executed by
-// S2, and the consensus outcome is a deterministic function of the collected
-// submissions, so replays always reproduce the same label. A failed attempt
-// always discards the connection; retries run on a fresh one, so no attempt
-// ever sees another attempt's leftover bytes. ServerOptions.MaxRetries is
-// only the budget: at 0 the session runs each query's single attempt.
+// The peer-link session. S1 leads (leader.go): it announces each query —
+// named by its query ID in the begin frame's instance slot — before running
+// it and closes the session with an end frame; S2 follows (follower.go).
+// Both frames are idempotent — a query announced twice (because an attempt
+// died mid-run) is simply re-executed by S2, and the consensus outcome is a
+// deterministic function of the collected submissions, so replays always
+// reproduce the same label. Each server reports its own verdict per query.
+// A failed attempt always discards the connection; retries run on a fresh
+// one, so no attempt ever sees another attempt's leftover bytes.
+// ServerOptions.MaxRetries is only the budget: at 0 the session runs each
+// query's single attempt.
 
 // Session control codes, carried in Flags[0] of KindControl frames
 // exchanged after the hello.
 const (
-	ctrlBeginInstance int64 = 100 // [code, instance, attempt, prevStatus] S1→S2
-	ctrlEndSession    int64 = 101 // [code, lastStatus]                    S1→S2
-	ctrlUploadDone    int64 = 102 // [code, user]                          user→server
-	ctrlUploadAck     int64 = 103 // [code, user]                          server→user
-)
-
-// Authoritative per-instance statuses, propagated S1→S2 in begin/end
-// frames.
-const (
-	statusNone   int64 = 0
-	statusOK     int64 = 1
-	statusFailed int64 = 2
+	ctrlBeginInstance int64 = 100 // [code, instance, attempt] S1→S2
+	ctrlEndSession    int64 = 101 // [code]                    S1→S2
+	ctrlUploadDone    int64 = 102 // [code, user]              user→server
+	ctrlUploadAck     int64 = 103 // [code, user]              server→user
 )
 
 // retriesTotal counts retry attempts by role and scope (scope: instance,
@@ -55,21 +48,14 @@ func queriesFailed(role string) *obs.Counter {
 		obs.L("role", role))
 }
 
-// sendBegin announces (or re-announces) instance i, attempt a, carrying
-// the authoritative status of the previous instance.
-func sendBegin(ctx context.Context, conn transport.Conn, instance, attempt int, prevStatus int64) error {
-	return conn.Send(ctx, &transport.Message{
-		Kind:  transport.KindControl,
-		Flags: []int64{ctrlBeginInstance, int64(instance), int64(attempt), prevStatus},
-	})
+// sendBegin announces (or re-announces) attempt a of query instance.
+func sendBegin(ctx context.Context, conn transport.Conn, instance, attempt int) error {
+	return transport.SendControl(ctx, conn, ctrlBeginInstance, int64(instance), int64(attempt))
 }
 
-// sendEnd closes the session, carrying the status of the last instance.
-func sendEnd(ctx context.Context, conn transport.Conn, lastStatus int64) error {
-	return conn.Send(ctx, &transport.Message{
-		Kind:  transport.KindControl,
-		Flags: []int64{ctrlEndSession, lastStatus},
-	})
+// sendEnd closes the session.
+func sendEnd(ctx context.Context, conn transport.Conn) error {
+	return transport.SendControl(ctx, conn, ctrlEndSession)
 }
 
 // sessionFrame is a decoded begin or end frame.
@@ -77,7 +63,6 @@ type sessionFrame struct {
 	code     int64
 	instance int
 	attempt  int
-	status   int64 // prevStatus on begin, lastStatus on end
 }
 
 // recvSessionFrame reads the next begin/end frame on the peer link.
@@ -87,15 +72,10 @@ func recvSessionFrame(ctx context.Context, conn transport.Conn) (sessionFrame, e
 		return sessionFrame{}, err
 	}
 	switch {
-	case len(msg.Flags) == 4 && msg.Flags[0] == ctrlBeginInstance:
-		return sessionFrame{
-			code:     ctrlBeginInstance,
-			instance: int(msg.Flags[1]),
-			attempt:  int(msg.Flags[2]),
-			status:   msg.Flags[3],
-		}, nil
-	case len(msg.Flags) == 2 && msg.Flags[0] == ctrlEndSession:
-		return sessionFrame{code: ctrlEndSession, status: msg.Flags[1]}, nil
+	case len(msg.Flags) == 3 && msg.Flags[0] == ctrlBeginInstance:
+		return sessionFrame{code: ctrlBeginInstance, instance: int(msg.Flags[1]), attempt: int(msg.Flags[2])}, nil
+	case len(msg.Flags) == 1 && msg.Flags[0] == ctrlEndSession:
+		return sessionFrame{code: ctrlEndSession}, nil
 	}
 	return sessionFrame{}, transport.MarkFatal(fmt.Errorf("deploy: malformed session frame %v", msg.Flags))
 }
@@ -214,8 +194,8 @@ type InstanceResult struct {
 	Err error
 }
 
-// Report is the full result of a server run: one entry per
-// instance, in order, each either succeeded or cleanly failed.
+// Report is the full result of a server run: one entry per query, in
+// query order, each either succeeded or cleanly failed.
 type Report struct {
 	Results []InstanceResult
 }

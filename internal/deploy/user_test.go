@@ -72,7 +72,11 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 	defer l1.Close()
 	oneUser := cfg
 	oneUser.Users = 1
-	col1 := newCollector(oneUser, instances, nil)
+	col1 := make([]*collector, instances)
+	col2 := make([]*collector, instances)
+	for i := range col1 {
+		col1[i], col2[i] = newCollector(oneUser, nil), newCollector(oneUser, nil)
+	}
 	s1Err := make(chan error, 1)
 	go func() {
 		s1Err <- func() error {
@@ -95,7 +99,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				conn.Close()
 				return err
 			}
-			if err := col1.add(user, instance, half); err != nil {
+			if err := col1[instance].add(user, half); err != nil {
 				conn.Close()
 				return err
 			}
@@ -109,7 +113,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 			if _, err := recvHello(ctx, conn); err != nil {
 				return err
 			}
-			return serveGrid(ctx, conn, col1)
+			return serveGrid(ctx, conn, oneUser, col1...)
 		}()
 	}()
 
@@ -119,7 +123,6 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	col2 := newCollector(oneUser, instances, nil)
 	go func() {
 		for {
 			conn, err := l2.Accept()
@@ -131,7 +134,7 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				if _, err := recvHello(ctx, c); err != nil {
 					return
 				}
-				_ = serveGrid(ctx, c, col2)
+				_ = serveGrid(ctx, c, oneUser, col2...)
 			}(conn)
 		}
 	}()
@@ -155,18 +158,18 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 		t.Fatalf("flaky S1 stub: %v", err)
 	}
 
-	// Every cell filled exactly once: add() rejects duplicates, so a filled
-	// grid after a replay proves the dedup path absorbed the repeats.
+	// Every cell filled exactly once: add() rejects duplicates, so full
+	// collectors after a replay prove the dedup path absorbed the repeats.
 	wctx, wcancel := context.WithTimeout(ctx, 5*time.Second)
 	defer wcancel()
-	if err := col1.wait(wctx, time.Now(), 0, "s1"); err != nil {
-		t.Fatalf("S1 collector incomplete after replay: %v", err)
-	}
-	if err := col2.wait(wctx, time.Now(), 0, "s2"); err != nil {
-		t.Fatalf("S2 collector incomplete: %v", err)
-	}
 	for i := 0; i < instances; i++ {
-		if got := ingest.Popcount(col1.bitmap(i)); got != 1 {
+		if err := col1[i].wait(wctx, time.Now(), 0, "s1"); err != nil {
+			t.Fatalf("S1 collector %d incomplete after replay: %v", i, err)
+		}
+		if err := col2[i].wait(wctx, time.Now(), 0, "s2"); err != nil {
+			t.Fatalf("S2 collector %d incomplete: %v", i, err)
+		}
+		if got := ingest.Popcount(col1[i].bitmap()); got != 1 {
 			t.Errorf("S1 instance %d has %d submissions, want 1", i, got)
 		}
 	}

@@ -29,8 +29,8 @@ type peerTap struct {
 	mu     sync.Mutex
 	frames []string
 	// links holds the same records per tapped connection, in accept order,
-	// and caps the capability bits of each connection's hello: a serve-mode
-	// S2 dials a ctl link beside the protocol link.
+	// and caps the capability bits of each connection's hello: S2 dials a
+	// ctl link beside the protocol link.
 	links [][]string
 	caps  []int64
 }
@@ -103,15 +103,31 @@ func (p *peerTap) record(dir string, msg *transport.Message, link int) bool {
 	return true
 }
 
-func (p *peerTap) transcript() []string {
+// link returns the hello caps and the transcript of the one tapped link
+// whose hello does (ctl) or does not carry capServeCtl.
+func (p *peerTap) link(t *testing.T, ctl bool) (int64, []string) {
+	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return slices.Clone(p.frames)
+	found := -1
+	for i, caps := range p.caps {
+		if (caps&capServeCtl != 0) != ctl {
+			continue
+		}
+		if found >= 0 {
+			t.Fatalf("S2 dialed more than one such link (ctl=%v): %v", ctl, p.caps)
+		}
+		found = i
+	}
+	if found < 0 {
+		t.Fatalf("no tapped link with ctl=%v among the hellos %v", ctl, p.caps)
+	}
+	return p.caps[found], slices.Clone(p.links[found])
 }
 
 // tappedRun is one batch deployment of three users and two instances —
 // instance 0 unanimous on class 2, instance 1 split three ways (no
-// consensus at T = 50%) — whose peer link runs through a peerTap.
+// consensus at T = 50%) — whose peer links run through a peerTap.
 type tappedRun struct {
 	tap    *peerTap
 	r1, r2 *Report
@@ -156,7 +172,7 @@ func runTapped(t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File, p
 	return tappedRun{tap: tap, r1: d1.rep, r2: d2.rep, e1: d1.err, e2: d2.err}
 }
 
-// goldenTranscript is the peer link of a tappedRun, frame by frame: the
+// goldenTranscript is the protocol link of a tappedRun, frame by frame: the
 // handshake (hello with the wire version, trace context), then per instance
 // begin, the participant exchange and Alg. 5, then end. K = 4 classes, so a
 // comparison phase is two bracket levels of three batch frames; instance 1
@@ -176,7 +192,7 @@ func goldenTranscript(packed bool) []string {
 			"S1>S2 control 2 0 code=106", // trace context
 		}
 		begin = []string{
-			"S1>S2 control 4 0 code=100", // begin: instance, attempt, previous status
+			"S1>S2 control 3 0 code=100", // begin: instance, attempt
 			"S1>S2 control 2 1 code=104", // participants: bitmap
 			"S2>S1 control 2 1 code=105", // ack: agreed bitmap
 		}
@@ -214,7 +230,7 @@ func goldenTranscript(packed bool) []string {
 			"S1>S2 cipher-seq 0 4", fmt.Sprintf("S2>S1 cipher-seq 0 %d", cross), "S1>S2 plain-seq 0 4",
 			"S2>S1 result 1 0",
 		}
-		end = []string{"S1>S2 control 2 0 code=101"}
+		end = []string{"S1>S2 control 1 0 code=101"}
 	)
 	toThreshold := slices.Concat(begin, unpack(8), blindPermute(2), argmax, compare(4))
 	return slices.Concat(handshake,
@@ -223,13 +239,52 @@ func goldenTranscript(packed bool) []string {
 		end)
 }
 
+// goldenCtl is the ctl link of the same run: the handshake, one announce
+// exchange per admitted query (a batch run pre-registers its queries on
+// both servers and announces none), and the drain marker.
+func goldenCtl(announced int) []string {
+	ctl := []string{
+		"S2>S1 control 3 0 code=2",   // hello: party, caps with capServeCtl, wire version
+		"S1>S2 control 2 0 code=106", // trace context
+	}
+	for i := 0; i < announced; i++ {
+		ctl = append(ctl, "S1>S2 control 4 0 code=124", "S2>S1 control 3 0 code=125") // announce: qid, epoch, tenant
+	}
+	return append(ctl, "S1>S2 control 2 0 code=130", "S2>S1 control 3 0 code=127") // drain
+}
+
+// checkTapped compares a tapped run's two links with the golden
+// transcripts: the protocol link is the same in every run, the ctl link
+// carries announced announces.
+func checkTapped(t *testing.T, tap *peerTap, cfg protocol.Config, announced int) {
+	t.Helper()
+	for _, l := range []struct {
+		ctl  bool
+		caps int64
+		want []string
+	}{
+		{false, peerCaps(cfg), goldenTranscript(cfg.Packing)},
+		{true, peerCaps(cfg) | capServeCtl, goldenCtl(announced)},
+	} {
+		caps, got := tap.link(t, l.ctl)
+		if caps != l.caps {
+			t.Errorf("ctl=%v link hello caps = %d, want %d", l.ctl, caps, l.caps)
+		}
+		if !slices.Equal(got, l.want) {
+			t.Errorf("ctl=%v link transcript is not the golden one (a wire change must bump wireVersion):\ngot:\n%s\nwant:\n%s",
+				l.ctl, joinLines(got), joinLines(l.want))
+		}
+	}
+}
+
 // TestGoldenPeerTranscript pins the one S1↔S2 grammar: for a given packing
-// mode the peer-link transcript is the golden one whatever MaxRetries,
+// mode the protocol-link transcript is the golden one whatever MaxRetries,
 // Quorum, SubmitDeadline, JournalPath and Parallelism are — including when
 // the two servers set them differently — and so are the labels. The serve
-// rows run the same two queries through a serve-mode pair: its protocol link
-// must carry the same transcript frame for frame, its hello differing from
-// the batch one in the capServe bit alone.
+// rows run the same two queries through ServeS1/ServeS2 and a ServeClient:
+// the protocol link and both hellos are identical to the batch rows, and
+// the ctl link differs only by the two announces. Every run gets its own
+// copy of the key files: S2 zeroizes its private keys in place on exit.
 func TestGoldenPeerTranscript(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-endpoint deployment test is slow in -short mode")
@@ -252,12 +307,15 @@ func TestGoldenPeerTranscript(t *testing.T) {
 			ServerOptions{MaxRetries: 3, Parallelism: 4}},
 	}
 	for _, packed := range []bool{false, true} {
-		s1, s2, p := *s1File, *s2File, *pub
-		s1.Config.Packing, s2.Config.Packing, p.Config.Packing = packed, packed, packed
-		want := goldenTranscript(packed)
+		keys := func() (*keystore.S1File, *keystore.S2File, *keystore.PublicFile) {
+			s1, s2, p := cloneFile(t, s1File), cloneFile(t, s2File), cloneFile(t, pub)
+			s1.Config.Packing, s2.Config.Packing, p.Config.Packing = packed, packed, packed
+			return s1, s2, p
+		}
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("packed=%v/%s", packed, v.name), func(t *testing.T) {
-				run := runTapped(t, &s1, &s2, &p, v.o1, v.o2, 0)
+				s1, s2, p := keys()
+				run := runTapped(t, s1, s2, p, v.o1, v.o2, 0)
 				if run.e1 != nil || run.e2 != nil {
 					t.Fatalf("servers failed: s1=%v s2=%v", run.e1, run.e2)
 				}
@@ -270,34 +328,22 @@ func TestGoldenPeerTranscript(t *testing.T) {
 						t.Errorf("instance %d: s1 %+v (%v), s2 %+v (%v), want %+v", i, a.Outcome, a.Err, b.Outcome, b.Err, wantOut)
 					}
 				}
-				if got := run.tap.transcript(); !slices.Equal(got, want) {
-					t.Errorf("peer transcript is not the golden one (a wire change must bump wireVersion):\ngot:\n%s\nwant:\n%s",
-						joinLines(got), joinLines(want))
-				}
+				checkTapped(t, run.tap, s1.Config, 0)
 			})
 		}
 		t.Run(fmt.Sprintf("packed=%v/serve", packed), func(t *testing.T) {
-			caps, got := serveTapped(t, packed)
-			if wantCaps := peerCaps(s1.Config) | capServe; caps != wantCaps {
-				t.Errorf("serve protocol-link hello caps = %d, want %d (the batch caps plus capServe)", caps, wantCaps)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("serve protocol link does not carry the batch transcript:\ngot:\n%s\nwant:\n%s",
-					joinLines(got), joinLines(want))
-			}
+			s1, s2, p := keys()
+			checkTapped(t, serveTapped(t, s1, s2, p), s1.Config, 2)
 		})
 	}
 }
 
 // serveTapped runs the tappedRun queries — three users, query 0 unanimous on
 // class 2, query 1 split three ways — through a serve-mode pair whose S2
-// dials S1 through a peerTap, and returns the hello caps and transcript of
-// the protocol link (the one link without capServeCtl).
-func serveTapped(t *testing.T, packed bool) (int64, []string) {
+// dials S1 through a peerTap, and returns the tap.
+func serveTapped(t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File, pub *keystore.PublicFile) *peerTap {
 	t.Helper()
-	// Fresh key files: a serve run zeroizes its private material on exit.
-	s1File, s2File, pub, cfg := testSetup(t, 3)
-	s1File.Config.Packing, s2File.Config.Packing, pub.Config.Packing = packed, packed, packed
+	cfg := pub.Config
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	drain := make(chan struct{})
@@ -336,22 +382,7 @@ func serveTapped(t *testing.T, packed bool) (int64, []string) {
 	if e1, e2 := <-s1Done, <-s2Done; e1 != nil || e2 != nil {
 		t.Fatalf("serve servers failed: s1=%v s2=%v", e1, e2)
 	}
-	tap.mu.Lock()
-	defer tap.mu.Unlock()
-	protocolLink := -1
-	for i, caps := range tap.caps {
-		if caps&capServeCtl != 0 {
-			continue
-		}
-		if protocolLink >= 0 {
-			t.Fatalf("S2 dialed more than one protocol link: %v", tap.caps)
-		}
-		protocolLink = i
-	}
-	if protocolLink < 0 {
-		t.Fatalf("no protocol link among the tapped hellos %v", tap.caps)
-	}
-	return tap.caps[protocolLink], slices.Clone(tap.links[protocolLink])
+	return tap
 }
 
 func joinLines(ss []string) string {
@@ -362,17 +393,19 @@ func joinLines(ss []string) string {
 	return out
 }
 
-// TestPeerRefusals: a peer hello naming another wire version (or none, as a
-// pre-version build sends) and a key file selecting the all-pairs reference
-// are refused with a typed error before any frame is sent back.
+// TestPeerRefusals: a peer hello naming another wire version (the previous
+// one, or none, as a pre-version build sends) and a key file selecting the
+// all-pairs reference are refused with a typed error before any frame is
+// sent back.
 func TestPeerRefusals(t *testing.T) {
 	s1File, s2File, _, _ := testSetup(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	for name, flags := range map[string][]int64{
-		"other version": {partyPeer, peerCaps(s1File.Config), wireVersion + 1},
-		"no version":    {partyPeer, peerCaps(s1File.Config)},
+		"other version":  {partyPeer, peerCaps(s1File.Config), wireVersion + 1},
+		"version 2 peer": {partyPeer, peerCaps(s1File.Config), 2},
+		"no version":     {partyPeer, peerCaps(s1File.Config)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ready := make(chan string, 1)

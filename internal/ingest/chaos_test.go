@@ -2,6 +2,7 @@ package ingest_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -59,10 +60,13 @@ func chaosUserFrames(t *testing.T, cfg protocol.Config, pub *keystore.PublicFile
 
 // chaosServers starts the full S1/S2 protocol servers — policy carries the
 // instance count and the quorum / submit-deadline policy (both zero: wait
-// for everyone) — and returns their addresses and report channels.
+// for everyone) — and returns their addresses and report channels. Each
+// call runs on its own copy of the key files: S2 zeroizes its private keys
+// in place on exit, and the tests run two deployments on one key set.
 func chaosServers(ctx context.Context, t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File,
 	policy deploy.ServerOptions, j1, j2 string) (s1Addr, s2Addr string, s1Done, s2Done chan chaosReport) {
 	t.Helper()
+	s1File, s2File = cloneFile(t, s1File), cloneFile(t, s2File)
 	s1Ready := make(chan string, 1)
 	s2Ready := make(chan string, 1)
 	s1Done = make(chan chaosReport, 1)
@@ -92,6 +96,20 @@ func chaosServers(ctx context.Context, t *testing.T, s1File *keystore.S1File, s2
 	}()
 	s2Addr = <-s2Ready
 	return s1Addr, s2Addr, s1Done, s2Done
+}
+
+// cloneFile deep-copies a key file with a JSON round trip.
+func cloneFile[T any](t *testing.T, f *T) *T {
+	t.Helper()
+	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(T)
+	if err := json.Unmarshal(b, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 type chaosReport struct {

@@ -12,9 +12,10 @@ func relayUsers(side string) *obs.Counter {
 		obs.L("side", side))
 }
 
-// relayRejected counts frames a relay refused, by the same reason
-// vocabulary the servers use (unknown-user, bad-instance, bad-length,
-// out-of-ring, duplicate) plus the relay-specific overlap and bad-frame.
+// relayRejected counts frames a relay refused, by the reason vocabulary
+// the servers use (unknown-user, bad-length, out-of-ring, duplicate), with
+// bad-instance for an instance outside the relay's range, plus the
+// relay-specific overlap and bad-frame.
 func relayRejected(side, reason string) *obs.Counter {
 	return obs.Default.Counter("privconsensus_relay_rejected_total",
 		"Frames rejected by relay-side validation.",

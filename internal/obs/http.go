@@ -11,10 +11,10 @@ import (
 	"time"
 )
 
-// readiness is the process-wide serve-mode readiness state reported by
-// /healthz. Batch deployments never set it, so they keep the historic
-// static 200 "ok"; a serve-mode admission controller publishes
-// "admitting" / "draining" / "budget-exhausted" through SetReadiness.
+// readiness is the process-wide readiness state reported by /healthz. S1's
+// admission controller publishes "admitting" / "draining" /
+// "budget-exhausted" through SetReadiness; a process that runs none keeps
+// the static 200 "ok".
 var readiness atomic.Pointer[readinessState]
 
 type readinessState struct {
@@ -22,7 +22,7 @@ type readinessState struct {
 	ready bool
 }
 
-// SetReadiness publishes the serve-mode readiness state: /healthz answers
+// SetReadiness publishes the admission readiness state: /healthz answers
 // 200 with the state text when ready, 503 otherwise. Passing state == ""
 // restores the default static 200 "ok" probe.
 func SetReadiness(state string, ready bool) {
@@ -34,7 +34,7 @@ func SetReadiness(state string, ready bool) {
 }
 
 // Readiness reports the currently published serve-mode state ("" and true
-// when no serve mode is active and the probe is the static "ok").
+// when no S1 run is active and the probe is the static "ok").
 func Readiness() (state string, ready bool) {
 	if r := readiness.Load(); r != nil {
 		return r.state, r.ready
@@ -45,9 +45,9 @@ func Readiness() (state string, ready bool) {
 // NewAdminMux builds the admin HTTP mux for a registry:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/healthz       readiness probe: 200 "ok" in batch mode; in serve mode
-//	               the admission state ("admitting" 200, "draining" /
-//	               "budget-exhausted" 503) published via SetReadiness
+//	/healthz       readiness probe: the admission state ("admitting" 200,
+//	               "draining" / "budget-exhausted" 503) published via
+//	               SetReadiness, else 200 "ok"
 //	/debug/traces  JSON ring buffer of the last completed QueryTraces
 //	/debug/pprof/  stdlib profiling handlers
 //	/debug/vars    expvar JSON

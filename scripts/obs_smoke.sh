@@ -95,17 +95,18 @@ done
 wait "$s2_pid"
 s2_pid=""
 
+# Its one query resolved, S1 drains: /healthz answers 503 "draining".
 echo "== scraping /healthz"
-ok=""
+state=""
 for _ in $(seq 1 50); do
-    if body=$(curl -fsS "http://$METRICS_ADDR/healthz" 2>/dev/null); then
-        ok="$body"
+    state=$(curl -sS -w ' %{http_code}' "http://$METRICS_ADDR/healthz" 2>/dev/null | tr -d '\n' || true)
+    if [ "$state" = "draining 503" ]; then
         break
     fi
     sleep 0.2
 done
-if [ "$ok" != "ok" ]; then
-    echo "FAIL: /healthz did not return ok (got: '$ok')"
+if [ "$state" != "draining 503" ]; then
+    echo "FAIL: /healthz did not report draining with 503 (got: '$state')"
     dump_state
     exit 1
 fi
@@ -150,6 +151,10 @@ if ! grep -q '"Spans"' <<<"$traces"; then
     exit 1
 fi
 
+# The first signal drains (nothing is left to drain), the second ends the
+# metrics linger.
+kill "$s1_pid" 2>/dev/null || true
+sleep 0.5
 kill "$s1_pid" 2>/dev/null || true
 wait "$s1_pid" 2>/dev/null || true
 s1_pid=""
