@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke ci
+.PHONY: build vet fmt-check cross test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# 32-bit words and a second word kernel: the Montgomery tables pull
+# math/big's addMulVVW by linkname, so run the crypto packages with W = 32
+# (386 runs natively on an amd64 host) and vet the whole tree for arm64.
+cross:
+	GOARCH=386 $(GO) test ./internal/mathutil ./internal/paillier ./internal/dgk
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -76,7 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecompose$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
-	$(GO) test -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
+	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnKeyEncrypt$$' -fuzztime $(FUZZTIME) ./internal/paillier/
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldSlots$$' -fuzztime $(FUZZTIME) ./internal/paillier/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnerBitEncrypt$$' -fuzztime $(FUZZTIME) ./internal/dgk/
@@ -94,12 +101,14 @@ cover:
 
 # Short benchmark pass: the Tables I-II benches, the argmax strategy
 # ablation (tournament against the paper's all-pairs reference), the
-# Paillier encryption micro-bench (results/fixedbase_micro.txt) and the DGK
-# comparison kernels and the crossing fold (results/dgk_micro.txt), one
-# iteration each, so CI catches bench-harness rot without long runs. The
-# measured record of this repository is the end-to-end benchmark below.
+# Paillier encryption and fixed-base table micro-benches
+# (results/fixedbase_micro.txt) and the DGK comparison kernels and the
+# crossing fold (results/dgk_micro.txt), one iteration each, so CI catches
+# bench-harness rot without long runs. The measured record of this
+# repository is the end-to-end benchmark below.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes|BenchmarkPaillierEnc|BenchmarkDGKCompare|BenchmarkPaillierFold' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFixedBaseExp' -benchtime=1x ./internal/mathutil/
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the real serve
 # pair and relay tree over loopback at deployable key sizes, through the same
@@ -126,6 +135,6 @@ bench-compare:
 obs-smoke:
 	./scripts/obs_smoke.sh
 
-ci: build vet fmt-check race bench
+ci: build vet fmt-check cross race bench
 	$(MAKE) bench-e2e SECONDS=3 BENCH_ARGS=-smoke
 	$(MAKE) obs-smoke

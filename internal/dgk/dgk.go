@@ -417,15 +417,15 @@ func (pk *PublicKey) Encrypt(rng io.Reader, m *big.Int) (*Ciphertext, error) {
 		return nil, fmt.Errorf("dgk: sample randomness: %w", err)
 	}
 	// Both factors have fixed bases, so a warm key answers the whole
-	// product from its window tables; without tables, Shamir's trick still
-	// shares one squaring chain between the two exponentiations. Either
-	// path yields the exact same ciphertext value as g^m · h^r computed
-	// with two independent big.Int.Exp calls.
+	// product from its window tables; a key without tables computes the
+	// same value with two big.Int.Exp calls.
 	var c *big.Int
 	if gt, ht := pk.gTable(), pk.hTable(); gt != nil && ht != nil {
 		c = gt.MulExp(ht, m, r)
 	} else {
-		c = mathutil.MultiExp(pk.G, m, pk.H, r, pk.N)
+		c = new(big.Int).Exp(pk.G, m, pk.N)
+		c.Mul(c, new(big.Int).Exp(pk.H, r, pk.N))
+		c.Mod(c, pk.N)
 	}
 	encOps.Inc()
 	return &Ciphertext{C: c}, nil

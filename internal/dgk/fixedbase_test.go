@@ -8,7 +8,7 @@ import (
 // TestEncryptTablePathByteIdentical proves the fixed-base tables change
 // nothing on the wire: the same key and the same seeded rng produce
 // byte-for-byte identical ciphertexts with tables warmed and with tables
-// absent (the MultiExp fallback a key without precomp state uses).
+// absent (the big.Int.Exp path a key without precomp state takes).
 func TestEncryptTablePathByteIdentical(t *testing.T) {
 	key, err := GenerateKey(testRNG(11), TestParams())
 	if err != nil {
@@ -17,7 +17,7 @@ func TestEncryptTablePathByteIdentical(t *testing.T) {
 	withTables := key.Public()
 	withTables.Precompute()
 	// Same public material, but no precomp holder: Encrypt takes the
-	// MultiExp fallback path.
+	// big.Int.Exp path.
 	bare := &PublicKey{
 		N: withTables.N, G: withTables.G, H: withTables.H,
 		U: withTables.U, RBits: withTables.RBits, L: withTables.L,

@@ -1,19 +1,19 @@
 package mathutil
 
-// Fixed-base and simultaneous modular-exponentiation kernels for the
-// protocol hot path. Every protocol phase bottoms out in big.Int.Exp with a
-// base that is fixed for the lifetime of a key (DGK's g and h, Paillier's
-// blinding base), so a windowed precomputation table turns each
-// exponentiation into a short chain of multiplications with no squarings:
+// Fixed-base modular exponentiation for the protocol hot path. Every
+// blinding factor and every DGK encryption raises a base that is fixed for
+// the lifetime of a key (DGK's g and h, Paillier's blinding base), so a
+// windowed precomputation table turns each exponentiation into a short chain
+// of multiplications with no squarings:
 //
 //	base^e = Π_i base^(d_i · 2^(w·i))   where e = Σ_i d_i · 2^(w·i)
 //
 // with every factor base^(d · 2^(w·i)) looked up from the table. For a
 // t-bit exponent and window w this costs ~t/w multiplications against the
-// ~1.3t of a generic square-and-multiply.
-//
-// For one-shot base pairs, MultiExp implements Shamir's simultaneous
-// exponentiation: a^x · b^y over a single shared squaring chain.
+// ~1.3t of a generic square-and-multiply. The entries are kept in Montgomery
+// form and multiplied with montMul, so a walk performs no division: one
+// montMul by 1 and one conditional subtraction leave the domain with the
+// same value big.Int.Exp returns.
 //
 // Tables are immutable after construction and safe for concurrent use
 // without locks; build them once per (base, modulus) at key-load time and
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
 // Errors returned by the fixed-base kernel constructors.
@@ -33,9 +34,14 @@ var (
 	ErrNilBase     = errors.New("mathutil: fixed-base base must be non-nil")
 )
 
+// errZeroized is the panic value of an exponentiation on a zeroized table:
+// its entries are all zero, so it would answer 0 or 1 for every exponent —
+// a blinding factor anyone can strip. Only a bug reaches it.
+var errZeroized = errors.New("mathutil: fixed-base table used after Zeroize")
+
 // FixedBaseExp answers modular exponentiations for one fixed (base,
 // modulus) pair from a windowed precomputation table. The table holds
-// base^(d · 2^(w·i)) mod m for every window position i and digit d, so an
+// base^(d · 2^(w·i)) for every window position i and digit d, so an
 // in-range exponentiation performs only table lookups and multiplications.
 // Exponents that are negative or wider than maxBits fall back to
 // big.Int.Exp (never truncate); the two paths are distinguishable through
@@ -43,20 +49,26 @@ var (
 type FixedBaseExp struct {
 	base    *big.Int
 	modulus *big.Int
+	m       []big.Word // the modulus's n words
+	k       big.Word   // −m⁻¹ mod 2^W, for montMul
 	window  uint
 	digits  int
 	maxBits int
-	// table[i][d-1] = base^(d · 2^(window·i)) mod modulus, d in [1, 2^window).
-	table [][]*big.Int
+	// table is one arena of digits·(2^window − 1) entries of n words: entry
+	// (i, d), d in [1, 2^window), starts at word ((2^window − 1)·i + d − 1)·n
+	// and holds base^(d · 2^(window·i))·R mod modulus with R = 2^(W·n),
+	// below R but not necessarily below the modulus (montMul takes both).
+	table []big.Word
 }
 
 // windowFor picks the window width: wider windows mean fewer multiplications
 // per exponentiation ( ceil(maxBits/w) ) but 2^w - 1 table entries per
 // window position. The widths below minimize the multiplication count; the
-// price is memory, ceil(maxBits/w)·(2^w - 1) residues of the modulus: about
-// a megabyte for a 1024-bit DGK key's h table, and 9.6 MB — 11.0 MB
-// resident — for the blinding table of a 2048-bit Paillier key (147 rows of
-// 127 entries, 512 bytes each; EXPERIMENTS.md § PR 21 sizes window 8).
+// price is memory, ceil(maxBits/w)·(2^w - 1) words the size of the modulus:
+// 0.94 MB for a 1024-bit DGK key's h table (58 rows of 127 entries, 128
+// bytes each), and 9.6 MB for the blinding table of a 2048-bit Paillier key
+// (147 rows of 127 entries, 512 bytes each; EXPERIMENTS.md § PR 21 sizes
+// window 8).
 func windowFor(maxBits int) uint {
 	switch {
 	case maxBits <= 16:
@@ -71,9 +83,9 @@ func windowFor(maxBits int) uint {
 }
 
 // NewFixedBaseExp precomputes the window table for base^e mod modulus with
-// exponents up to maxBits bits. The modulus must be odd (matching the
-// Montgomery-friendly moduli of the crypto packages) and > 2. The table is
-// immutable once built and safe for lock-free concurrent reads.
+// exponents up to maxBits bits. The modulus must be odd (Montgomery form
+// needs it) and > 2. The table is immutable once built and safe for
+// lock-free concurrent reads.
 func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error) {
 	if base == nil {
 		return nil, ErrNilBase
@@ -87,56 +99,51 @@ func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error)
 	if maxBits <= 0 {
 		return nil, fmt.Errorf("%w, got %d", ErrBadMaxBits, maxBits)
 	}
-	m := new(big.Int).Set(modulus)
-	b := new(big.Int).Mod(base, m)
 	w := windowFor(maxBits)
-	digits := (maxBits + int(w) - 1) / int(w)
-	table := make([][]*big.Int, digits)
-	cur := new(big.Int).Set(b) // base^(2^(w·i)) as i advances
-	// Products go through one scratch value and entries are copied out of
-	// it: Mul sizes its result for its Karatsuba temporaries (six times the
-	// residue at 4096 bits) and Mod keeps that buffer, so entries built in
-	// place would each pin it for the table's lifetime.
-	var prod big.Int
-	for i := 0; i < digits; i++ {
-		row := make([]*big.Int, (1<<w)-1)
-		row[0] = new(big.Int).Set(cur)
-		for d := 2; d < 1<<w; d++ {
-			prod.Mul(row[d-2], cur)
-			prod.Mod(&prod, m)
-			row[d-1] = new(big.Int).Set(&prod)
+	f := &FixedBaseExp{
+		base:    new(big.Int).Mod(base, modulus),
+		modulus: new(big.Int).Set(modulus),
+		m:       append([]big.Word(nil), modulus.Bits()...),
+		window:  w,
+		digits:  (maxBits + int(w) - 1) / int(w),
+		maxBits: maxBits,
+	}
+	n := len(f.m)
+	f.k = montK(f.m[0])
+	row := (1<<w - 1) * n
+	f.table = make([]big.Word, f.digits*row)
+	scratch := make([]big.Word, 2*n)
+	// cur = base^(2^(w·i))·R as i advances. Entering the domain is the
+	// table's one division; every later step is a montMul.
+	cur := make([]big.Word, n)
+	copy(cur, new(big.Int).Mod(new(big.Int).Lsh(f.base, uint(bits.UintSize*n)), f.modulus).Bits())
+	for i := 0; i < f.digits; i++ {
+		r := f.table[i*row : (i+1)*row]
+		copy(r, cur)
+		for off := n; off < row; off += n {
+			montMul(r[off:off+n], scratch, r[off-n:off], cur, f.m, f.k)
 		}
-		table[i] = row
-		if i < digits-1 {
+		if i < f.digits-1 {
 			for j := uint(0); j < w; j++ {
-				cur.Mul(cur, cur)
-				cur.Mod(cur, m)
+				montMul(cur, scratch, cur, cur, f.m, f.k)
 			}
 		}
 	}
 	fixedBaseTables.Inc()
-	return &FixedBaseExp{
-		base: b, modulus: m,
-		window: w, digits: digits, maxBits: maxBits,
-		table: table,
-	}, nil
+	return f, nil
 }
 
-// Zeroize overwrites the base, the modulus and every table entry with zeros,
-// for tables derived from secret moduli. The table must not be used
-// afterwards.
+// Zeroize overwrites the base, the modulus and the whole table with zeros,
+// for tables derived from secret moduli. Any exponentiation afterwards
+// panics.
 func (f *FixedBaseExp) Zeroize() {
 	if f == nil {
 		return
 	}
 	ZeroInt(f.base)
 	ZeroInt(f.modulus)
-	for _, row := range f.table {
-		for _, v := range row {
-			ZeroInt(v)
-		}
-	}
-	f.table, f.digits = nil, 0
+	clear(f.m)
+	clear(f.table)
 }
 
 // MaxBits reports the widest exponent the table covers.
@@ -152,107 +159,106 @@ func (f *FixedBaseExp) Exp(e *big.Int) *big.Int {
 	if e == nil {
 		e = Zero
 	}
-	if e.Sign() < 0 || e.BitLen() > f.maxBits {
+	if !f.covers(e) {
 		fixedBaseFallbacks.Inc()
 		return new(big.Int).Exp(f.base, e, f.modulus)
 	}
 	fixedBaseHits.Inc()
-	// The accumulator starts as a copy of the first live table entry and
-	// the product scratch is reused across iterations, so a warm walk costs
-	// one Mul and one Mod per nonzero digit with no per-step allocations.
-	var acc, prod big.Int
-	started := false
-	for i := 0; i < f.digits; i++ {
-		d := f.digit(e, i)
-		if d == 0 {
-			continue
-		}
-		entry := f.table[i][d-1]
-		if !started {
-			acc.Set(entry)
-			started = true
-			continue
-		}
-		prod.Mul(&acc, entry)
-		acc.Mod(&prod, f.modulus)
-	}
-	if !started {
-		acc.SetInt64(1) // e == 0 (modulus > 2, so 1 needs no reduction)
-	}
-	return &acc
+	acc, scratch := f.buffers()
+	return f.leave(acc, scratch, f.walk(acc, scratch, e, false))
 }
 
 // MulExp returns f.base^x · g.base^y mod the shared modulus — the
 // fixed-base form of a simultaneous exponentiation, used for DGK's
-// g^m · h^r. Both tables must share one modulus; mismatched tables fall
-// back to composing the per-table results modulo f's modulus.
+// g^m · h^r. When both tables share one modulus and cover their exponents,
+// both walks multiply into one Montgomery accumulator and leave the domain
+// once; otherwise the per-table results are composed modulo f's modulus.
 func (f *FixedBaseExp) MulExp(g *FixedBaseExp, x, y *big.Int) *big.Int {
-	out := f.Exp(x)
-	out.Mul(out, g.Exp(y))
-	return out.Mod(out, f.modulus)
+	if x == nil {
+		x = Zero
+	}
+	if y == nil {
+		y = Zero
+	}
+	if !f.covers(x) || !g.covers(y) || f.modulus.Cmp(g.modulus) != 0 {
+		out := f.Exp(x)
+		out.Mul(out, g.Exp(y))
+		return out.Mod(out, f.modulus)
+	}
+	fixedBaseHits.Add(2)
+	acc, scratch := f.buffers()
+	return f.leave(acc, scratch, g.walk(acc, scratch, y, f.walk(acc, scratch, x, false)))
 }
 
-// digit extracts the i-th base-2^window digit of e.
-func (f *FixedBaseExp) digit(e *big.Int, i int) uint {
-	off := i * int(f.window)
-	var d uint
-	for j := 0; j < int(f.window); j++ {
-		d |= e.Bit(off+j) << j
+// covers reports whether e is answered from the table. It panics on a
+// zeroized table, whichever path e would take.
+func (f *FixedBaseExp) covers(e *big.Int) bool {
+	if f.modulus.Sign() == 0 {
+		panic(errZeroized)
 	}
-	return d
+	return e.Sign() >= 0 && e.BitLen() <= f.maxBits
 }
 
-// MultiExp computes a^x · b^y mod m for one-shot bases using Shamir's
-// simultaneous square-and-multiply: one shared squaring chain of
-// max(|x|, |y|) squarings instead of two, with a^b precombined. The result
-// equals the composition Exp(a,x,m) · Exp(b,y,m) mod m exactly (the
-// differential fuzz targets enforce this).
-//
-// m must be positive and the exponents non-negative; negative exponents
-// fall back to the big.Int.Exp composition (which yields modular inverses
-// when they exist and nil otherwise), and a nil or non-positive m returns
-// nil.
-func MultiExp(a, x, b, y, m *big.Int) *big.Int {
-	if a == nil || b == nil || x == nil || y == nil || m == nil || m.Sign() <= 0 {
-		return nil
-	}
-	if x.Sign() < 0 || y.Sign() < 0 {
-		ax := new(big.Int).Exp(a, x, m)
-		if ax == nil {
-			return nil
-		}
-		by := new(big.Int).Exp(b, y, m)
-		if by == nil {
-			return nil
-		}
-		ax.Mul(ax, by)
-		return ax.Mod(ax, m)
-	}
-	am := new(big.Int).Mod(a, m)
-	bm := new(big.Int).Mod(b, m)
-	ab := new(big.Int).Mul(am, bm)
-	ab.Mod(ab, m)
-	acc := new(big.Int).Mod(One, m) // 0 when m == 1, matching big.Int.Exp
-	n := x.BitLen()
-	if y.BitLen() > n {
-		n = y.BitLen()
-	}
-	for i := n - 1; i >= 0; i-- {
-		acc.Mul(acc, acc)
-		acc.Mod(acc, m)
-		var factor *big.Int
-		switch {
-		case x.Bit(i) == 1 && y.Bit(i) == 1:
-			factor = ab
-		case x.Bit(i) == 1:
-			factor = am
-		case y.Bit(i) == 1:
-			factor = bm
-		default:
+// buffers returns an n-word accumulator and 3n zeroed words of scratch:
+// montMul uses the first 2n, and leave writes its 1 into the last n, which
+// nothing else touches.
+func (f *FixedBaseExp) buffers() (acc, scratch []big.Word) {
+	n := len(f.m)
+	return make([]big.Word, n), make([]big.Word, 3*n)
+}
+
+// walk multiplies acc by base^e in the Montgomery domain, one table entry
+// per nonzero window digit of e. When started is false acc holds nothing
+// yet and the first entry is copied in; walk reports whether acc holds a
+// value on return.
+func (f *FixedBaseExp) walk(acc, scratch []big.Word, e *big.Int, started bool) bool {
+	n := len(f.m)
+	ew := e.Bits()
+	mask := big.Word(1)<<f.window - 1
+	for i := 0; i < f.digits; i++ {
+		d := int(wordAt(ew, uint(i)*f.window) & mask)
+		if d == 0 {
 			continue
 		}
-		acc.Mul(acc, factor)
-		acc.Mod(acc, m)
+		off := ((1<<f.window-1)*i + d - 1) * n
+		entry := f.table[off : off+n]
+		if !started {
+			copy(acc, entry)
+			started = true
+			continue
+		}
+		montMul(acc, scratch, acc, entry, f.m, f.k)
 	}
-	return acc
+	return started
+}
+
+// leave returns acc·R⁻¹ mod modulus: a montMul by 1 leaves the Montgomery
+// domain at most the modulus, and one conditional subtraction reduces it
+// fully. An accumulator that never started is the empty product, 1 (the
+// modulus is > 2, so 1 needs no reduction).
+func (f *FixedBaseExp) leave(acc, scratch []big.Word, started bool) *big.Int {
+	if !started {
+		return big.NewInt(1)
+	}
+	n := len(f.m)
+	one := scratch[2*n:]
+	one[0] = 1
+	montMul(acc, scratch, acc, one, f.m, f.k)
+	if subVV(scratch[:n], acc, f.m) == 0 {
+		copy(acc, scratch[:n])
+	}
+	return new(big.Int).SetBits(acc)
+}
+
+// wordAt returns the word of ew's bits that starts at bit off.
+func wordAt(ew []big.Word, off uint) big.Word {
+	i, s := int(off/bits.UintSize), off%bits.UintSize
+	var d big.Word
+	if i < len(ew) {
+		d = ew[i] >> s
+	}
+	if s != 0 && i+1 < len(ew) {
+		d |= ew[i+1] << (bits.UintSize - s)
+	}
+	return d
 }

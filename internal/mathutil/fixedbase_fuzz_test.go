@@ -2,20 +2,33 @@ package mathutil
 
 import (
 	"math/big"
+	"math/bits"
 	"testing"
 )
 
 // Differential fuzzing for the fixed-base kernels: on every input the
-// optimized path must agree exactly with math/big's Exp, which serves as the
+// optimized path must agree exactly with math/big, which serves as the
 // reference implementation. Inputs are capped (the harness feeds arbitrary
 // byte strings) so a single iteration stays fast enough for the CI budget.
 
-const fuzzMaxBytes = 64 // 512-bit operands, matching protocol key sizes
+const fuzzMaxBytes = 520 // 65 64-bit words: one past the 4096-bit n² of a 2048-bit Paillier key
 
 func clampBytes(b []byte) []byte {
 	if len(b) > fuzzMaxBytes {
 		return b[:fuzzMaxBytes]
 	}
+	return b
+}
+
+// oddOfBits returns an odd modulus of exactly the given bit length with a
+// fixed byte pattern, for fuzz seeds at the protocol's widths.
+func oddOfBits(nbits int) []byte {
+	b := make([]byte, nbits/8)
+	for i := range b {
+		b[i] = byte(0x5d * (i + 1))
+	}
+	b[0] |= 0x80
+	b[len(b)-1] |= 1
 	return b
 }
 
@@ -28,6 +41,12 @@ func FuzzFixedBaseExp(f *testing.F) {
 	f.Add([]byte{2}, []byte{0xff, 0xff}, []byte{0x12, 0x34, 0x56}, uint8(8))
 	f.Add([]byte{0}, []byte{9}, []byte{0}, uint8(1))
 	f.Add([]byte{0xfe, 0x12}, []byte{0xab, 0xcd, 0xef}, []byte{0xff, 0xff, 0xff, 0xff, 0xff}, uint8(40))
+	// The widths the protocol's tables use: DGK p and q, DGK n, Paillier
+	// p² and q², Paillier n².
+	for _, nbits := range []int{512, 1024, 2048, 4096} {
+		m := oddOfBits(nbits)
+		f.Add(m[1:], m, m[:24], uint8(200))
+	}
 	f.Fuzz(func(t *testing.T, baseB, modB, expB []byte, maxBits uint8) {
 		base := new(big.Int).SetBytes(clampBytes(baseB))
 		m := new(big.Int).SetBytes(clampBytes(modB))
@@ -48,31 +67,29 @@ func FuzzFixedBaseExp(f *testing.F) {
 	})
 }
 
-// FuzzMultiExp checks Shamir's simultaneous exponentiation against the
-// two-Exp composition a^x · b^y mod m for arbitrary operands.
-func FuzzMultiExp(f *testing.F) {
-	f.Add([]byte{2}, []byte{10}, []byte{3}, []byte{4}, []byte{101})
-	f.Add([]byte{0}, []byte{0}, []byte{0}, []byte{0}, []byte{1})
-	f.Add([]byte{0xff}, []byte{0xff, 0xff}, []byte{0x7f}, []byte{0x80}, []byte{0xab, 0xcd})
-	f.Fuzz(func(t *testing.T, aB, xB, bB, yB, mB []byte) {
-		a := new(big.Int).SetBytes(clampBytes(aB))
-		x := new(big.Int).SetBytes(clampBytes(xB))
-		b := new(big.Int).SetBytes(clampBytes(bB))
-		y := new(big.Int).SetBytes(clampBytes(yB))
+// FuzzMontMul checks montMul against x·y·R⁻¹ mod m computed with big.Int
+// for an odd modulus of up to 65 words and operands anywhere below R.
+func FuzzMontMul(f *testing.F) {
+	f.Add([]byte{2}, []byte{10}, []byte{101})
+	f.Add([]byte{0}, []byte{0}, []byte{1})
+	f.Add([]byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0xff, 0xff})
+	for _, nbits := range []int{512, 4096} {
+		m := oddOfBits(nbits)
+		f.Add(m, m[1:], m)
+	}
+	f.Fuzz(func(t *testing.T, xB, yB, mB []byte) {
 		m := new(big.Int).SetBytes(clampBytes(mB))
-		got := MultiExp(a, x, b, y, m)
-		if m.Sign() <= 0 {
-			if got != nil {
-				t.Fatalf("MultiExp with m=%v: got %v, want nil", m, got)
-			}
-			return
-		}
-		want := new(big.Int).Exp(a, x, m)
-		want.Mul(want, new(big.Int).Exp(b, y, m))
-		want.Mod(want, m)
-		if got == nil || got.Cmp(want) != 0 {
-			t.Fatalf("MultiExp(a=%v, x=%v, b=%v, y=%v, m=%v) = %v, want %v",
-				a, x, b, y, m, got, want)
-		}
+		m.SetBit(m, 0, 1)
+		n := len(m.Bits())
+		rBits := uint(bits.UintSize * n)
+		// Operands are reduced mod R, not mod m: montMul must take both.
+		x := truncBits(new(big.Int).SetBytes(clampBytes(xB)), rBits)
+		y := truncBits(new(big.Int).SetBytes(clampBytes(yB)), rBits)
+		checkMontMul(t, x, y, m)
 	})
+}
+
+// truncBits returns v mod 2^nbits.
+func truncBits(v *big.Int, nbits uint) *big.Int {
+	return v.Mod(v, new(big.Int).Lsh(One, nbits))
 }

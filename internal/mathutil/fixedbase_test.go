@@ -2,7 +2,9 @@ package mathutil
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -63,6 +65,12 @@ func TestFixedBaseExpZeroBase(t *testing.T) {
 	}
 	if got := f.Exp(big.NewInt(5)); got.Sign() != 0 {
 		t.Fatalf("0^5: got %v, want 0", got)
+	}
+	// 3² ≡ 0 mod 9, but the walk's accumulator holds a nonzero multiple of
+	// 9, so leaving the Montgomery domain lands on 9 itself and must reduce.
+	f = mustTable(t, big.NewInt(3), big.NewInt(9), 16)
+	if got := f.Exp(big.NewInt(2)); got.Sign() != 0 {
+		t.Fatalf("3^2 mod 9: got %v, want 0", got)
 	}
 }
 
@@ -185,88 +193,128 @@ func TestFixedBaseExpConcurrent(t *testing.T) {
 	}
 }
 
+// TestMulExpMatchesComposition covers the shared Montgomery walk (one
+// modulus, exponents in range) and the composition fallback (different
+// moduli, or an exponent past a table).
 func TestMulExpMatchesComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := big.NewInt(1<<31 - 1)
+	other := big.NewInt(1000003)
 	a, b := big.NewInt(123), big.NewInt(456789)
 	fa := mustTable(t, a, m, 60)
-	fb := mustTable(t, b, m, 60)
-	for i := 0; i < 50; i++ {
-		x := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 60))
-		y := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 60))
-		got := fa.MulExp(fb, x, y)
-		want := refExp(a, x, m)
-		want.Mul(want, refExp(b, y, m))
-		want.Mod(want, m)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("MulExp(x=%v, y=%v): got %v, want %v", x, y, got, want)
-		}
-	}
-}
-
-func TestMultiExpMatchesComposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	moduli := []*big.Int{big.NewInt(1), big.NewInt(3), big.NewInt(1009), big.NewInt(1<<31 - 1)}
-	for _, m := range moduli {
-		for i := 0; i < 40; i++ {
-			a := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 96))
-			b := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 96))
-			x := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 72))
-			y := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 72))
-			got := MultiExp(a, x, b, y, m)
+	for _, tc := range []struct {
+		name    string
+		mb      *big.Int // g's modulus; the result is taken mod m
+		yBits   uint
+		fbWidth int
+	}{
+		{"shared walk", m, 60, 60},
+		{"different moduli", other, 60, 60},
+		{"y past the table", m, 60, 40},
+	} {
+		fb := mustTable(t, b, tc.mb, tc.fbWidth)
+		for i := 0; i < 50; i++ {
+			x := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 60))
+			y := new(big.Int).Rand(rng, new(big.Int).Lsh(One, tc.yBits))
+			got := fa.MulExp(fb, x, y)
 			want := refExp(a, x, m)
-			want.Mul(want, refExp(b, y, m))
+			want.Mul(want, refExp(b, y, tc.mb))
 			want.Mod(want, m)
-			if got == nil || got.Cmp(want) != 0 {
-				t.Fatalf("m=%v a=%v x=%v b=%v y=%v: got %v, want %v", m, a, x, b, y, got, want)
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s: MulExp(x=%v, y=%v): got %v, want %v", tc.name, x, y, got, want)
 			}
 		}
 	}
+	if got := fa.MulExp(fa, nil, Zero); got.Cmp(One) != 0 {
+		t.Fatalf("a^0·a^0: got %v, want 1", got)
+	}
 }
 
-func TestMultiExpEdgeCases(t *testing.T) {
-	m := big.NewInt(101)
-	if got := MultiExp(big.NewInt(2), Zero, big.NewInt(3), Zero, m); got.Cmp(One) != 0 {
-		t.Fatalf("a^0·b^0: got %v, want 1", got)
-	}
-	if got := MultiExp(big.NewInt(2), Zero, big.NewInt(3), Zero, One); got.Sign() != 0 {
-		t.Fatalf("mod 1: got %v, want 0", got)
-	}
-	// Nil inputs and non-positive moduli yield nil, mirroring big.Int.Exp's
-	// nil result for impossible requests.
-	for _, bad := range []*big.Int{nil, Zero, big.NewInt(-5)} {
-		if got := MultiExp(big.NewInt(2), One, big.NewInt(3), One, bad); got != nil {
-			t.Fatalf("bad modulus %v: got %v, want nil", bad, got)
+// TestZeroizedTableRefuses: a zeroized table would answer 1 for every
+// in-range exponent (0 through the fallback) — a blinding factor anyone can
+// strip — so every exponentiation on it panics with errZeroized, on the
+// table path and the fallback alike, and no arena or modulus word survives.
+func TestZeroizedTableRefuses(t *testing.T) {
+	m, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffff61", 16)
+	f := mustTable(t, big.NewInt(3), m, 64)
+	g := mustTable(t, big.NewInt(5), m, 64)
+	arena, mod := f.table, f.m
+	f.Zeroize()
+	f.Zeroize() // idempotent
+	for i, w := range arena {
+		if w != 0 {
+			t.Fatalf("arena word %d of %d survived Zeroize", i, len(arena))
 		}
 	}
-	if got := MultiExp(nil, One, big.NewInt(3), One, m); got != nil {
-		t.Fatalf("nil base: got %v, want nil", got)
+	for i, w := range mod {
+		if w != 0 {
+			t.Fatalf("modulus word %d survived Zeroize", i)
+		}
 	}
-	// Negative exponent with invertible base matches the inverse composition.
-	got := MultiExp(big.NewInt(2), big.NewInt(-3), big.NewInt(3), big.NewInt(4), m)
-	want := refExp(big.NewInt(2), big.NewInt(-3), m)
-	want.Mul(want, refExp(big.NewInt(3), big.NewInt(4), m))
-	want.Mod(want, m)
-	if got == nil || got.Cmp(want) != 0 {
-		t.Fatalf("negative exponent: got %v, want %v", got, want)
+	if f.Modulus().Sign() != 0 {
+		t.Fatal("modulus survived Zeroize")
 	}
-	// Negative exponent with a non-invertible base has no answer: nil.
-	if got := MultiExp(big.NewInt(0), big.NewInt(-1), big.NewInt(3), One, m); got != nil {
-		t.Fatalf("non-invertible negative exponent: got %v, want nil", got)
+	for _, tc := range []struct {
+		name string
+		call func() *big.Int
+	}{
+		{"table path", func() *big.Int { return f.Exp(big.NewInt(99)) }},
+		{"zero exponent", func() *big.Int { return f.Exp(nil) }},
+		{"negative fallback", func() *big.Int { return f.Exp(big.NewInt(-1)) }},
+		{"oversized fallback", func() *big.Int { return f.Exp(new(big.Int).Lsh(One, 65)) }},
+		{"MulExp", func() *big.Int { return g.MulExp(f, One, One) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != errZeroized {
+					t.Fatalf("recovered %v, want panic %v", r, errZeroized)
+				}
+			}()
+			t.Fatalf("returned %v", tc.call())
+		})
 	}
 }
 
+// BenchmarkFixedBaseExp measures one table walk at each width the
+// protocol's tables use (modulus / exponent bits: DGK p and q 512 / 160,
+// DGK n 1024 / 400, Paillier p² and q² 2048 / 1024, Paillier n² 4096 /
+// 1024), next to one big.Int Mul+Mod at that width — a step of the walk
+// before the entries went to Montgomery form — and one montMul, a step of
+// the walk now (results/fixedbase_micro.txt).
 func BenchmarkFixedBaseExp(b *testing.B) {
-	m, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff61", 16)
-	f, err := NewFixedBaseExp(big.NewInt(3), m, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := new(big.Int).Sub(new(big.Int).Lsh(One, 256), big.NewInt(12345))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Exp(e)
+	rng := rand.New(rand.NewSource(28))
+	for _, w := range []struct{ mod, exp int }{{512, 160}, {1024, 400}, {2048, 1024}, {4096, 1024}} {
+		m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(w.mod)))
+		m.SetBit(m, 0, 1)
+		m.SetBit(m, w.mod-1, 1)
+		x, y := new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m)
+		f, err := NewFixedBaseExp(x, m, w.exp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(w.exp)))
+		b.Run(fmt.Sprintf("%d/exp", w.mod), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f.Exp(e)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/montmul", w.mod), func(b *testing.B) {
+			n := len(m.Bits())
+			z, t := toWords(x, n), make([]big.Word, 2*n)
+			yw := toWords(y, n)
+			for i := 0; i < b.N; i++ {
+				montMul(z, t, z, yw, f.m, f.k)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/mulmod", w.mod), func(b *testing.B) {
+			var acc, prod big.Int
+			acc.Set(x)
+			for i := 0; i < b.N; i++ {
+				prod.Mul(&acc, y)
+				acc.Mod(&prod, m)
+			}
+		})
 	}
 }
 
@@ -282,22 +330,18 @@ func BenchmarkBigIntExpBaseline(b *testing.B) {
 	}
 }
 
-// Table entries must be stored right-sized. big.Int.Mul sizes its result for
-// its Karatsuba temporaries (6x the residue at 4096 bits) and Mod keeps that
-// buffer, so entries multiplied in place would pin ~3 KB each — six times
-// the 11 MB the blinding table of a 2048-bit Paillier key should hold.
+// TestFixedBaseEntriesAreRightSized pins the table to one arena of exactly
+// digits·(2^w − 1) entries of n words, with no spare capacity and no
+// per-entry header: a 21-bit table over a 4096-bit modulus has window 4, so
+// 6 rows of 15 entries of 64 words (32 of them on 32-bit words).
 func TestFixedBaseEntriesAreRightSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 4096))
 	m.SetBit(m, 0, 1)
 	m.SetBit(m, 4095, 1)
 	fb := mustTable(t, new(big.Int).Rand(rng, m), m, 21)
-	limit := len(m.Bits()) + 8
-	for i, row := range fb.table {
-		for d, e := range row {
-			if c := cap(e.Bits()); c > limit {
-				t.Fatalf("entry [%d][%d] holds a %d-word buffer for a %d-word modulus", i, d, c, len(m.Bits()))
-			}
-		}
+	want := 6 * 15 * 4096 / bits.UintSize
+	if len(fb.table) != want || cap(fb.table) != want {
+		t.Fatalf("arena holds %d words (cap %d), want exactly %d", len(fb.table), cap(fb.table), want)
 	}
 }
