@@ -70,7 +70,10 @@ soak-full:
 # the crossing fold (decrypt-and-split equals the inputs at every slot shape
 # and both slot bounds), the four ingest frame decoders (user and combined,
 # packed and not: no panic, and whatever decodes re-encodes
-# byte-identically), the packed group layout
+# byte-identically), the one relay/server intake (arbitrary user and combined
+# frame sequences: the covered set is the accepted members, never a user
+# twice, a resent frame changes nothing, only documented refusal reasons),
+# the packed group layout
 # (no carry between slots at any feasible shape) and the one ε state-file
 # loader (never a panic, never fewer tenants than the file names, identical
 # spend after a persist and reload). One target per invocation (go fuzz
@@ -91,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePackedCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzIntake$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedJointLayout$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerLoad$$' -fuzztime $(FUZZTIME) ./internal/dp/
 

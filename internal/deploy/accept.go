@@ -2,12 +2,9 @@ package deploy
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
-	"github.com/privconsensus/privconsensus/internal/obs"
-	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -120,20 +117,21 @@ func replyTraceContext(ctx context.Context, s *serverSetup, conn transport.Conn)
 }
 
 // serveUserConn drains one client connection until the client closes: the
-// whole untrusted client surface of a server. Submit frames are decoded in
-// the server's resolved grammar and recorded in the collector that lookup
-// resolves the frame's instance slot to (nil is the counted unknown-query
-// rejection); replays after a reconnect are deduplicated there, and a
-// rejected frame never drops the connection, so one hostile frame cannot
-// suppress later valid ones. A done frame is answered with the ack. Every
-// submission recorded here is owed to its collector until that ack is out
-// or the connection is gone, so a release never cancels an exchange still
-// in flight (collector.owe). Any other control frame goes to control, if
-// the server has one (S1's admission and result-wait frames); without one
-// it ends the connection.
-func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn, opts ServerOptions,
+// whole untrusted client surface of a server. Submit frames are decoded and
+// checked in the server's rules (ingest.Rules.UserFrame) and recorded in the
+// collector that lookup resolves the frame's instance slot to (nil is the
+// counted unknown-query rejection); replays after a reconnect are
+// deduplicated there, and a rejected frame never drops the connection, so
+// one hostile frame cannot suppress later valid ones. A done frame is
+// answered with the ack. Every submission recorded here is owed to its
+// collector until that ack is out or the connection is gone, so a release
+// never cancels an exchange still in flight (collector.owe). Any other
+// control frame goes to control, if the server has one (S1's admission and
+// result-wait frames); without one it ends the connection.
+func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn,
 	lookup func(id int) *collector,
 	control func(ctx context.Context, conn transport.Conn, flags []int64) error) error {
+	rules := ingest.ConfigRules(s.cfg)
 	owed := map[*collector]int{} // submissions recorded here since the last ack
 	settle := func() {
 		for col, n := range owed {
@@ -169,49 +167,22 @@ func (s *serverSetup) serveUserConn(ctx context.Context, conn transport.Conn, op
 			}
 			continue
 		}
-		user, id, half, err := s.decodeSubmit(msg)
-		if errors.Is(err, errRejectedSubmission) {
-			continue // counted; keep serving valid frames
+		f, err := rules.UserFrame(msg)
+		var col *collector
+		if err == nil {
+			if col = lookup(f.Instance); col == nil {
+				err = ingest.UnknownQuery(f.Instance)
+			}
 		}
 		if err != nil {
-			return err
-		}
-		col := lookup(id)
-		if col == nil {
-			submissionsRejected("unknown-query").Inc()
-			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: id, Note: "unknown-query"})
-			continue
+			_ = rejectSubmission(s.rejected, err)
+			continue // counted; keep serving valid frames
 		}
 		col.owe()
-		if err := col.add(user, half); err != nil {
-			col.settle(1)
-			if errors.Is(err, errDuplicateSubmission) || errors.Is(err, errRejectedSubmission) {
-				continue // idempotent replay, or counted and excluded
-			}
-			return err
+		if col.add(f) != nil {
+			col.settle(1) // an idempotent replay, or counted and excluded
+			continue
 		}
 		owed[col]++
 	}
-}
-
-// decodeSubmit decodes one submit frame in the server's grammar, packed or
-// not. A packed frame must declare exactly the configured slot layout; a
-// mismatch is a counted rejection (errRejectedSubmission), not a decode
-// error. The returned id is the frame's instance slot.
-func (s *serverSetup) decodeSubmit(msg *transport.Message) (user, id int, half protocol.SubmissionHalf, err error) {
-	p := packedParams(s.cfg)
-	if p == nil {
-		return ingest.DecodeHalf(msg)
-	}
-	var classes, width int
-	user, id, classes, width, half, err = ingest.DecodePackedHalf(msg)
-	switch {
-	case err != nil:
-	case p.Capacity(width) < 1:
-		err = rejectSubmission(s.rejected, "slot-overflow", fmt.Errorf("user %d declared slot width %d below the %d headroom bits", user, width, p.Headroom))
-	case classes != s.cfg.Classes || width != p.Width:
-		err = rejectSubmission(s.rejected, "bad-width", fmt.Errorf("user %d declared packed layout %dx%d, want %dx%d",
-			user, classes, width, s.cfg.Classes, p.Width))
-	}
-	return user, id, half, err
 }

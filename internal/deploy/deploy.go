@@ -23,7 +23,10 @@
 //   - accept and ingest: accept.go — one accept loop over the caller's routes
 //     (peer, relay, user) and one user-connection handler: submit frames
 //     into the collector the run's query lookup names, done/ack, ack before
-//     release. ingest_server.go holds relay batches and RunIngest.
+//     release. ingest_server.go holds relay batches and RunIngest. Which
+//     frames a server accepts, in what order it checks them, what each
+//     refusal is called and when a frame is a replay is ingest.Intake's
+//     decision, the same one a relay makes; a collector embeds one.
 //   - client: client.go — build, dial/hello/attempt/backoff, frames → done →
 //     ack; SubmitVotes (user.go) and ServeClient (serve_client.go) call it.
 //
@@ -57,7 +60,6 @@ import (
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/obs"
-	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -119,34 +121,19 @@ func recvHello(ctx context.Context, conn transport.Conn) (hello, error) {
 	return h, nil
 }
 
-// collector gathers one query's user submissions until every user's cell is
+// collector gathers one query's submissions until every user's cell is
 // filled, or — with a submit deadline armed — until the deadline releases
-// whatever arrived. Every submission is validated on ingestion; rejected
-// submissions are counted by reason and never enter the collector.
+// whatever arrived. It embeds the query's ingest.Intake, which validates
+// every frame and keeps it exactly-once; the collector adds what only a
+// server has: late refusals after release, the ack debt, and the stored
+// aggregation groups.
 type collector struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	*ingest.Intake
 	users int
-	// want is the shape every half must have (protocol.Config.HalfLens):
-	// Classes ciphertexts per vector unpacked; packed, the joint
-	// Votes‖Thresh group, no Thresh, and the Noisy group.
-	want [3]int
-	// packed, when non-nil, marks the query as slot-packed: frames must
-	// declare exactly this layout (checked by serverSetup.decodeSubmit and
-	// packedBatchCheck before add/addBatch).
-	packed *ingest.PackedParams
-	// classes is the logical class count K packed frames must declare.
-	classes int
-	ring    *big.Int                   // Paillier N² the halves must live in (nil disables the check)
-	halves  []*protocol.SubmissionHalf // [user]
-	// covered has bit u set iff user u's submission is held locally —
-	// directly in halves, or pre-summed inside a relay batch. It is the
-	// authoritative participant bitmap.
-	covered *big.Int
-	// batches holds accepted relay pre-sums; their members have covered
-	// bits set but no per-user half.
-	batches []relayBatch
-	// batchSeen keys relay-batch replay dedup by (relay, seq) identity.
-	batchSeen map[batchKey][32]byte
+	// groups holds every accepted frame as one aggregation group: a direct
+	// user as a one-member group, a relay batch whole.
+	groups    []heldGroup
 	remaining int
 	// owed counts submissions recorded by a connection whose uploader has
 	// not been answered yet (a user's upload ack, a relay's
@@ -160,17 +147,11 @@ type collector struct {
 	events   func(reason string) // optional rejection observer (journal hook)
 }
 
-// relayBatch is one accepted combined frame: the homomorphic sum of the
-// bitmap members' halves.
-type relayBatch struct {
+// heldGroup is one accepted frame: the homomorphic sum of the bitmap
+// members' halves.
+type heldGroup struct {
 	bm   *big.Int
 	half protocol.SubmissionHalf
-}
-
-// batchKey identifies one relay batch for replay dedup.
-type batchKey struct {
-	relay int64
-	seq   int64
 }
 
 // newCollector prepares an empty collector for cfg's users and submission
@@ -179,140 +160,48 @@ type batchKey struct {
 // [0, ring) or the submission is rejected.
 func newCollector(cfg protocol.Config, ring *big.Int) *collector {
 	return &collector{
+		Intake:    ingest.NewIntake(ingest.ConfigRules(cfg), ring),
 		users:     cfg.Users,
-		want:      cfg.HalfLens(),
-		packed:    packedParams(cfg),
-		classes:   cfg.Classes,
-		ring:      ring,
-		halves:    make([]*protocol.SubmissionHalf, cfg.Users),
-		covered:   new(big.Int),
-		batchSeen: make(map[batchKey][32]byte),
 		remaining: cfg.Users,
 		done:      make(chan struct{}),
 	}
 }
 
-// packedParams is the slot layout of cfg's packed submissions (nil when
-// cfg does not pack).
-func packedParams(cfg protocol.Config) *ingest.PackedParams {
-	if !cfg.Packing {
-		return nil
-	}
-	return &ingest.PackedParams{
-		Width:    cfg.PackedWidth(),
-		PerVec:   cfg.PackedCiphertexts(),
-		Headroom: cfg.PackedHeadroomBits(),
-	}
-}
-
-// rejectSubmission counts a refused submission by reason, reports it to
-// events (the journal hook, may be nil) and returns the wrapped sentinel;
-// serveUserConn tolerates rejections without dropping the connection, so
+// rejectSubmission counts a refused frame under its reason, reports it to
+// events (the journal hook, may be nil) and returns it wrapped in
+// errRejectedSubmission; the connection handlers keep serving after it, so
 // one hostile frame cannot suppress a user's later valid submissions.
-func rejectSubmission(events func(string), reason string, err error) error {
-	submissionsRejected(reason).Inc()
-	if events != nil {
-		events(reason)
-	}
-	return fmt.Errorf("%w (%s): %v", errRejectedSubmission, reason, err)
-}
-
-// reject is rejectSubmission with the collector's journal hook.
-func (c *collector) reject(reason string, err error) error {
-	return rejectSubmission(c.events, reason, err)
-}
-
-// inRing reports whether every ciphertext of half lies in [0, ring) (always
-// true without a ring).
-func (c *collector) inRing(half protocol.SubmissionHalf) bool {
-	if c.ring == nil {
-		return true
-	}
-	for _, group := range [][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy} {
-		for _, ct := range group {
-			if ct == nil || ct.C == nil || ct.C.Sign() < 0 || ct.C.Cmp(c.ring) >= 0 {
-				return false
-			}
+func rejectSubmission(events func(string), err error) error {
+	var rej *ingest.Rejection
+	if errors.As(err, &rej) {
+		submissionsRejected(rej.Reason).Inc()
+		if events != nil {
+			events(rej.Reason)
 		}
 	}
-	return true
+	return fmt.Errorf("%w: %w", errRejectedSubmission, err)
 }
 
-// add validates and records one submission. Validation order: identity and
-// shape first (unknown-user, bad-length), ring membership of every
-// ciphertext, then exact-once semantics — a byte-identical replay of the
-// recorded submission is a tolerated duplicate (reconnect idempotency), a
-// conflicting one is rejected first-write-wins, and anything arriving after
-// the collector released is rejected as late.
-func (c *collector) add(user int, half protocol.SubmissionHalf) error {
+// add records one decoded frame the intake accepts. A byte-identical replay
+// of a recorded frame is a tolerated duplicate (reconnect idempotency),
+// before and after release; any other frame arriving after the collector
+// released is rejected as late.
+func (c *collector) add(f ingest.Frame) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if user < 0 || user >= c.users {
-		return c.reject("unknown-user", fmt.Errorf("user index %d outside [0, %d)", user, c.users))
+	replay, err := c.Check(f)
+	switch {
+	case err != nil:
+		return rejectSubmission(c.events, err)
+	case replay:
+		return fmt.Errorf("%w for instance %d", errDuplicateSubmission, f.Instance)
+	case c.released:
+		return rejectSubmission(c.events, &ingest.Rejection{Reason: "late",
+			Err: fmt.Errorf("frame for instance %d arrived after release", f.Instance)})
 	}
-	if half.Lens() != c.want {
-		return c.reject("bad-length", fmt.Errorf("submission has %v ciphertexts, want %v", half.Lens(), c.want))
-	}
-	if !c.inRing(half) {
-		return c.reject("out-of-ring", fmt.Errorf("user %d ciphertext outside [0, N²)", user))
-	}
-	if prev := c.halves[user]; prev != nil {
-		if halfEqual(*prev, half) {
-			return fmt.Errorf("%w from user %d", errDuplicateSubmission, user)
-		}
-		return c.reject("duplicate", fmt.Errorf("conflicting resubmission from user %d (first write wins)", user))
-	}
-	if c.covered.Bit(user) == 1 {
-		// The user is already pre-summed inside a relay batch; its bytes
-		// cannot be compared, so a direct frame is a conflicting identity.
-		return c.reject("duplicate", fmt.Errorf("user %d already covered by a relay batch", user))
-	}
-	if c.released {
-		return c.reject("late", fmt.Errorf("submission from user %d arrived after release", user))
-	}
-	h := half
-	c.halves[user] = &h
-	c.covered.SetBit(c.covered, user, 1)
-	c.remaining--
-	c.signalFullLocked()
-	return nil
-}
-
-// addBatch validates and records one relay batch. Validation mirrors add:
-// identity and shape first, ring membership, then exact-once semantics —
-// the (relay, seq) identity with a byte-identical frame digest is a
-// tolerated replay, a conflicting one is rejected, and a bitmap that
-// overlaps any covered user is rejected whole (a relay never legitimately
-// re-sums a delivered user).
-func (c *collector) addBatch(relay, seq int64, bm *big.Int, half protocol.SubmissionHalf, digest [32]byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if bm == nil || bm.Sign() <= 0 || bm.BitLen() > c.users {
-		return c.reject("bad-bitmap", fmt.Errorf("batch relay=%d seq=%d bitmap names users outside [0, %d)", relay, seq, c.users))
-	}
-	if half.Lens() != c.want {
-		return c.reject("bad-length", fmt.Errorf("batch has %v ciphertexts, want %v", half.Lens(), c.want))
-	}
-	if !c.inRing(half) {
-		return c.reject("out-of-ring", fmt.Errorf("batch relay=%d seq=%d ciphertext outside [0, N²)", relay, seq))
-	}
-	key := batchKey{relay: relay, seq: seq}
-	if prev, ok := c.batchSeen[key]; ok {
-		if prev == digest {
-			return fmt.Errorf("%w from relay %d seq %d", errDuplicateSubmission, relay, seq)
-		}
-		return c.reject("duplicate", fmt.Errorf("conflicting reuse of batch identity relay=%d seq=%d (first write wins)", relay, seq))
-	}
-	if new(big.Int).And(c.covered, bm).Sign() != 0 {
-		return c.reject("overlap", fmt.Errorf("batch relay=%d seq=%d repeats already-covered users", relay, seq))
-	}
-	if c.released {
-		return c.reject("late", fmt.Errorf("batch relay=%d seq=%d arrived after release", relay, seq))
-	}
-	c.batchSeen[key] = digest
-	c.covered.Or(c.covered, bm)
-	c.batches = append(c.batches, relayBatch{bm: new(big.Int).Set(bm), half: half})
-	c.remaining -= ingest.Popcount(bm)
+	c.Record(f)
+	c.groups = append(c.groups, heldGroup{bm: f.Members, half: f.Half})
+	c.remaining -= ingest.Popcount(f.Members)
 	c.signalFullLocked()
 	return nil
 }
@@ -343,20 +232,6 @@ func (c *collector) settle(n int) {
 	c.owed -= n
 	c.signalFullLocked()
 	c.mu.Unlock()
-}
-
-// halfEqual reports whether two equal-shape submission halves carry the
-// same ciphertext bytes.
-func halfEqual(a, b protocol.SubmissionHalf) bool {
-	pairs := [][2][]*paillier.Ciphertext{{a.Votes, b.Votes}, {a.Thresh, b.Thresh}, {a.Noisy, b.Noisy}}
-	for _, p := range pairs {
-		for i := range p[0] {
-			if p[0][i].C.Cmp(p[1][i].C) != 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // wait blocks until full participation, until window has elapsed since the
@@ -402,42 +277,35 @@ func (c *collector) counts() (got, want int) {
 func (c *collector) bitmap() *big.Int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return new(big.Int).Set(c.covered)
+	return new(big.Int).Set(c.Covered())
 }
 
 // maskedGroups returns the aggregation groups restricted to the agreed
 // participant set. A relay batch is atomic — its members were
 // homomorphically summed at the relay and cannot be separated — so an
-// agreed set that covers only part of a batch is a fatal peer mismatch
+// agreed set that covers only part of a group is a fatal peer mismatch
 // (the servers would sum different subsets), as is an agreed participant
 // with no local submission.
 func (c *collector) maskedGroups(agreed *big.Int) ([]protocol.Group, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	groups := make([]protocol.Group, 0, len(c.batches)+c.users)
+	groups := make([]protocol.Group, 0, len(c.groups))
 	rest := new(big.Int).Set(agreed)
-	for _, b := range c.batches {
-		inter := new(big.Int).And(b.bm, agreed)
+	for _, g := range c.groups {
+		inter := new(big.Int).And(g.bm, agreed)
 		if inter.Sign() == 0 {
 			continue
 		}
-		if inter.Cmp(b.bm) != 0 {
+		if inter.Cmp(g.bm) != 0 {
 			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant set splits a relay batch (a pre-sum cannot be separated): %w",
 				protocol.ErrPeerMismatch))
 		}
-		groups = append(groups, protocol.Group{Members: ingest.BitmapIndices(b.bm, c.users), Half: b.half})
-		rest.AndNot(rest, b.bm)
+		groups = append(groups, protocol.Group{Members: ingest.BitmapIndices(g.bm, c.users), Half: g.half})
+		rest.AndNot(rest, g.bm)
 	}
-	for u := 0; u < c.users; u++ {
-		if rest.Bit(u) == 0 {
-			continue
-		}
-		h := c.halves[u]
-		if h == nil {
-			return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant %d has no local submission: %w",
-				u, protocol.ErrPeerMismatch))
-		}
-		groups = append(groups, protocol.Group{Members: []int{u}, Half: *h})
+	if rest.Sign() != 0 {
+		return nil, transport.MarkFatal(fmt.Errorf("deploy: agreed participant %d has no local submission: %w",
+			rest.TrailingZeroBits(), protocol.ErrPeerMismatch))
 	}
 	return groups, nil
 }

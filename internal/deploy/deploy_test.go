@@ -64,7 +64,7 @@ func cloneFile[T any](t *testing.T, f *T) *T {
 // the frame's instance slot i names cols[i].
 func serveGrid(ctx context.Context, conn transport.Conn, cfg protocol.Config, cols ...*collector) error {
 	s := &serverSetup{cfg: cfg}
-	return s.serveUserConn(ctx, conn, ServerOptions{}, byIndex(cols), nil)
+	return s.serveUserConn(ctx, conn, byIndex(cols), nil)
 }
 
 // oneHot builds a one-hot float vote vector.
@@ -310,13 +310,13 @@ func TestCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.add(0, sub.ToS1); err != nil {
+	if err := submit(col, cfg, 0, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.add(0, sub.ToS1); err == nil {
+	if err := submit(col, cfg, 0, sub.ToS1); err == nil {
 		t.Error("expected duplicate error")
 	}
-	if err := col.add(5, sub.ToS1); err == nil {
+	if err := submit(col, cfg, 5, sub.ToS1); err == nil {
 		t.Error("expected user range error")
 	}
 	if byIndex([]*collector{col})(9) != nil {
@@ -329,7 +329,7 @@ func TestCollector(t *testing.T) {
 		t.Error("expected timeout with missing submissions")
 	}
 	// Complete it.
-	if err := col.add(1, sub.ToS1); err != nil {
+	if err := submit(col, cfg, 1, sub.ToS1); err != nil {
 		t.Fatal(err)
 	}
 	if err := col.wait(context.Background(), time.Now(), 0, "s1"); err != nil {

@@ -113,10 +113,11 @@ func FuzzPeerFrames(f *testing.F) {
 // grid's mode) looked up in a two-query table, the done/ack barrier, and the
 // admission and result-wait control hook (admission is draining, so every
 // request is answered with a typed refusal and nothing blocks). No sequence
-// may panic the handler; a malformed frame ends the connection with an
-// error or is a counted rejection; no cell is ever recorded for a query
-// outside the table or a user outside the grid — only for frames that name
-// both; a frame for an unknown query counts as unknown-query; and every
+// may panic the handler; a malformed frame is a counted rejection or, among
+// control frames, ends the connection with an error; no cell is ever
+// recorded for a query outside the table or a user outside the grid — only
+// for frames that name both; a frame from a known user for an unknown query
+// counts as unknown-query; and every
 // collector's ack debt is back to zero when the connection ends.
 func FuzzUserFrames(f *testing.F) {
 	const users, known = 2, 2 // query IDs 0 and 1 are in the table
@@ -213,17 +214,17 @@ func FuzzUserFrames(f *testing.F) {
 				continue
 			}
 			user, qid, _, err := ingest.DecodeHalf(m)
-			layoutOK := true // the layout is checked before the query is looked up
+			layoutOK := true
 			if packed {
 				var classes, width int
 				user, qid, classes, width, _, err = ingest.DecodePackedHalf(m)
 				layoutOK = classes == cfg.Classes && width == cfg.PackedWidth()
 			}
 			switch {
-			case err != nil || !layoutOK:
+			case err != nil || user < 0 || user >= users: // identity is checked before the query is looked up
 			case qid < 0 || qid >= known:
 				unknown++
-			case user >= 0 && user < users:
+			case layoutOK:
 				allowed[qid].SetBit(&allowed[qid], user, 1)
 			}
 		}
@@ -258,7 +259,7 @@ func FuzzUserFrames(f *testing.F) {
 
 		for qid, q := range st.queries {
 			q.col.mu.Lock()
-			owed, covered := q.col.owed, new(big.Int).Set(q.col.covered)
+			owed, covered := q.col.owed, new(big.Int).Set(q.col.Covered())
 			q.col.mu.Unlock()
 			if owed != 0 {
 				t.Fatalf("query %d still owes %d acks after the connection ended", qid, owed)

@@ -29,58 +29,45 @@ func relayBatchesTotal(outcome string) *obs.Counter {
 // the relay logs and counts it but does not retry (resending cannot help);
 // an undecodable frame has no (relay, seq) identity to ack and is dropped.
 func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, opts ServerOptions, lookup func(id int) *collector) {
+	rules := ingest.ConfigRules(s.cfg)
 	for {
 		msg, err := conn.Recv(ctx)
 		if err != nil {
 			return // relay closed or reconnecting; normal end of stream
 		}
-		var c ingest.Combined
-		if msg.Kind == transport.KindPacked {
-			c, err = ingest.DecodePackedCombined(msg)
-		} else {
-			c, err = ingest.DecodeCombined(msg)
+		f, err := rules.BatchFrame(msg)
+		var col *collector
+		if err == nil {
+			if col = lookup(f.Instance); col == nil {
+				err = ingest.UnknownQuery(f.Instance)
+			}
 		}
 		if err != nil {
-			submissionsRejected("bad-frame").Inc()
-			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: -1, Note: "bad-frame"})
-			opts.log(levelWarn, "dropping undecodable relay frame: %v", err)
-			continue
-		}
-		status := ingest.BatchRejected
-		col := lookup(c.Instance)
-		if col == nil {
-			submissionsRejected("unknown-query").Inc()
-			s.journalEvent(opts, obs.Event{Type: obs.EventRejection, Instance: c.Instance, Note: "unknown-query"})
+			_ = rejectSubmission(s.rejected, err)
+			if !f.Combined {
+				opts.log(levelWarn, "dropping undecodable relay frame: %v", err)
+				continue
+			}
 			relayBatchesTotal("rejected").Inc()
-			if conn.Send(ctx, batchAck(c, status)) != nil {
+			if conn.Send(ctx, batchAck(f, ingest.BatchRejected)) != nil {
 				return
 			}
 			continue
 		}
 		col.owe() // the relay awaits this frame's ack: no release until it is out
-		if reason, lerr := packedBatchCheck(col, c); reason != "" {
-			_ = col.reject(reason, lerr)
+		status := ingest.BatchAccepted
+		switch err := col.add(f); {
+		case err == nil:
+			relayBatchesTotal("accepted").Inc()
+			s.journalEvent(opts, obs.Event{Type: obs.EventRelayBatch, Instance: f.Instance,
+				Note: fmt.Sprintf("relay=%d seq=%d users=%d", f.Relay, f.Seq, ingest.Popcount(f.Members))})
+		case errors.Is(err, errDuplicateSubmission):
+			relayBatchesTotal("replay").Inc() // idempotent retransmission; re-ack
+		default:
+			status = ingest.BatchRejected
 			relayBatchesTotal("rejected").Inc()
-		} else {
-			err = col.addBatch(c.Relay, c.Seq, c.Bitmap, c.Half, ingest.FrameDigest(msg))
-			switch {
-			case err == nil:
-				status = ingest.BatchAccepted
-				relayBatchesTotal("accepted").Inc()
-				s.journalEvent(opts, obs.Event{Type: obs.EventRelayBatch, Instance: c.Instance,
-					Note: fmt.Sprintf("relay=%d seq=%d users=%d", c.Relay, c.Seq, c.Users())})
-			case errors.Is(err, errDuplicateSubmission):
-				status = ingest.BatchAccepted
-				relayBatchesTotal("replay").Inc() // idempotent retransmission; re-ack
-			case errors.Is(err, errRejectedSubmission):
-				relayBatchesTotal("rejected").Inc()
-			default:
-				col.settle(1)
-				opts.log(levelWarn, "relay connection error: %v", err)
-				return
-			}
 		}
-		err = conn.Send(ctx, batchAck(c, status))
+		err = conn.Send(ctx, batchAck(f, status))
 		col.settle(1)
 		if err != nil {
 			return
@@ -89,32 +76,8 @@ func serveRelayConn(ctx context.Context, conn transport.Conn, s *serverSetup, op
 }
 
 // batchAck is the ack of one combined frame.
-func batchAck(c ingest.Combined, status int64) *transport.Message {
-	return &transport.Message{Kind: transport.KindControl, Flags: []int64{ingest.CtrlBatchAck, c.Relay, c.Seq, status}}
-}
-
-// packedBatchCheck validates a combined frame's declared packing mode and
-// slot layout against the collector's expectations, returning a rejection
-// reason ("" when the frame is acceptable). Overflow capacity is judged
-// against the frame's own declared width before the layout comparison,
-// mirroring the relay tier's validation order.
-func packedBatchCheck(col *collector, c ingest.Combined) (string, error) {
-	p := col.packed
-	if (p != nil) != (c.Width > 0) {
-		return "bad-frame", fmt.Errorf("combined frame packing mode mismatch (frame packed=%v, server packed=%v)", c.Width > 0, p != nil)
-	}
-	if p == nil {
-		return "", nil
-	}
-	if c.Users() > p.Capacity(c.Width) {
-		return "slot-overflow", fmt.Errorf("batch relay=%d seq=%d sums %d users but width %d absorbs at most %d",
-			c.Relay, c.Seq, c.Users(), c.Width, p.Capacity(c.Width))
-	}
-	if c.Classes != col.classes || c.Width != p.Width {
-		return "bad-width", fmt.Errorf("batch relay=%d seq=%d declared packed layout %dx%d, want %dx%d",
-			c.Relay, c.Seq, c.Classes, c.Width, col.classes, p.Width)
-	}
-	return "", nil
+func batchAck(f ingest.Frame, status int64) *transport.Message {
+	return &transport.Message{Kind: transport.KindControl, Flags: []int64{ingest.CtrlBatchAck, f.Relay, f.Seq, status}}
 }
 
 // IngestInstance is one instance's final ingestion state.
@@ -163,7 +126,7 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 	go s.acceptLoop(acceptCtx, opts, routes{
 		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, s, opts, lookup) },
 		user: func(ctx context.Context, conn transport.Conn) error {
-			return s.serveUserConn(ctx, conn, opts, lookup, nil)
+			return s.serveUserConn(ctx, conn, lookup, nil)
 		},
 	}, acceptErr)
 	start := time.Now()

@@ -49,9 +49,8 @@ const (
 	ctrlParticipantsAck int64 = 105 // [code, instance] + Values [agreed]  S2→S1
 )
 
-// submissionsRejected counts submissions a server refused, by reason
-// (unknown-user, unknown-query, bad-length, out-of-ring, duplicate, late,
-// and the packed and relay-batch reasons).
+// submissionsRejected counts submissions a server refused, by reason: the
+// intake's (ingest.Rejection), plus late for a frame after release.
 func submissionsRejected(reason string) *obs.Counter {
 	return obs.Default.Counter("privconsensus_submissions_rejected_total",
 		"User submissions rejected by server-side validation.",

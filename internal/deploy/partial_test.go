@@ -27,6 +27,34 @@ func testHalf(classes int, val int64) protocol.SubmissionHalf {
 	return protocol.SubmissionHalf{Votes: group(), Thresh: group(), Noisy: group()}
 }
 
+// submit runs one user frame for query 0 through what serveUserConn does
+// with it: decode and identify it in cfg's rules, then add it.
+func submit(col *collector, cfg protocol.Config, user int, h protocol.SubmissionHalf) error {
+	msg, err := encodeSubmission(cfg, user, 0, h)
+	if err != nil {
+		return err
+	}
+	f, err := ingest.ConfigRules(cfg).UserFrame(msg)
+	if err != nil {
+		return rejectSubmission(nil, err)
+	}
+	return col.add(f)
+}
+
+// halfEqual reports whether two equal-shape submission halves carry the
+// same ciphertext bytes.
+func halfEqual(a, b protocol.SubmissionHalf) bool {
+	pairs := [][2][]*paillier.Ciphertext{{a.Votes, b.Votes}, {a.Thresh, b.Thresh}, {a.Noisy, b.Noisy}}
+	for _, p := range pairs {
+		for i := range p[0] {
+			if p[0][i].C.Cmp(p[1][i].C) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestCollectorValidation drives every rejection path of the hardened
 // ingestion: hostile frames are refused with the right reason and never
 // enter the grid, while the one tolerated case (byte-identical replay)
@@ -34,11 +62,12 @@ func testHalf(classes int, val int64) protocol.SubmissionHalf {
 func TestCollectorValidation(t *testing.T) {
 	const classes = 3
 	ring := big.NewInt(1000)
-	col := newCollector(protocol.Config{Users: 2, Classes: classes}, ring)
+	cfg := protocol.Config{Users: 2, Classes: classes}
+	col := newCollector(cfg, ring)
 
 	reject := func(name string, user int, h protocol.SubmissionHalf) {
 		t.Helper()
-		err := col.add(user, h)
+		err := submit(col, cfg, user, h)
 		if !errors.Is(err, errRejectedSubmission) {
 			t.Errorf("%s: err = %v, want rejection", name, err)
 		}
@@ -49,11 +78,11 @@ func TestCollectorValidation(t *testing.T) {
 	reject("out of ring", 0, testHalf(classes, 1000))
 	reject("negative ciphertext", 0, testHalf(classes, -3))
 
-	if err := col.add(0, testHalf(classes, 5)); err != nil {
+	if err := submit(col, cfg, 0, testHalf(classes, 5)); err != nil {
 		t.Fatalf("valid submission rejected: %v", err)
 	}
 	// Byte-identical replay: tolerated duplicate, still one participant.
-	if err := col.add(0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
+	if err := submit(col, cfg, 0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
 		t.Errorf("identical replay: err = %v, want duplicate sentinel", err)
 	}
 	// Conflicting resubmission: first write wins.
@@ -75,7 +104,7 @@ func TestCollectorValidation(t *testing.T) {
 	reject("late", 1, testHalf(classes, 5))
 	// An identical replay of a pre-release submission is still tolerated
 	// after release (the reconnecting user is not a new participant).
-	if err := col.add(0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
+	if err := submit(col, cfg, 0, testHalf(classes, 5)); !errors.Is(err, errDuplicateSubmission) {
 		t.Errorf("post-release identical replay: err = %v, want duplicate sentinel", err)
 	}
 }
@@ -86,13 +115,14 @@ func TestCollectorValidation(t *testing.T) {
 // vote.
 func TestCollectorDedupReplay(t *testing.T) {
 	const classes = 2
-	col := newCollector(protocol.Config{Users: 3, Classes: classes}, nil)
+	cfg := protocol.Config{Users: 3, Classes: classes}
+	col := newCollector(cfg, nil)
 	h := testHalf(classes, 42)
-	if err := col.add(1, h); err != nil {
+	if err := submit(col, cfg, 1, h); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // replayed upload after reconnects
-		if err := col.add(1, testHalf(classes, 42)); !errors.Is(err, errDuplicateSubmission) {
+		if err := submit(col, cfg, 1, testHalf(classes, 42)); !errors.Is(err, errDuplicateSubmission) {
 			t.Fatalf("replay %d: err = %v, want duplicate sentinel", i, err)
 		}
 	}

@@ -306,7 +306,7 @@ func (st *serveState) routes(ps *peerSource) routes {
 		},
 		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, st.s, opts, st.collector) },
 		user: func(ctx context.Context, conn transport.Conn) error {
-			return st.s.serveUserConn(ctx, conn, opts, st.collector, st.userControl)
+			return st.s.serveUserConn(ctx, conn, st.collector, st.userControl)
 		},
 	}
 }

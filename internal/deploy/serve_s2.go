@@ -328,7 +328,7 @@ func (st *serveS2) routes() routes {
 	return routes{
 		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, st.s, opts, st.collector) },
 		user: func(ctx context.Context, conn transport.Conn) error {
-			return st.s.serveUserConn(ctx, conn, opts, st.collector, nil)
+			return st.s.serveUserConn(ctx, conn, st.collector, nil)
 		},
 	}
 }

@@ -94,12 +94,12 @@ func TestSubmitVotesReconnectMidUpload(t *testing.T) {
 				return err
 			}
 			// Commit the first frame so the replay really duplicates it.
-			user, instance, half, err := ingest.DecodeHalf(msg)
+			f, err := ingest.ConfigRules(oneUser).UserFrame(msg)
 			if err != nil {
 				conn.Close()
 				return err
 			}
-			if err := col1[instance].add(user, half); err != nil {
+			if err := col1[f.Instance].add(f); err != nil {
 				conn.Close()
 				return err
 			}

@@ -190,9 +190,8 @@ func TestChaosRelayRehoming(t *testing.T) {
 				return ingest.Options{
 					UpstreamS1: s1Addr, UpstreamS2: s2Addr, RelayID: id,
 					Users: users, Instances: 1, Classes: cfg.Classes,
-					PK1: pub.PK1, PK2: pub.PK2, Packed: packedRelay(cfg),
-					BatchSize: 1, FlushInterval: 10 * time.Millisecond,
-					MaxRetries: 2, Backoff: 5 * time.Millisecond,
+					PK1: pub.PK1, PK2: pub.PK2, Packed: ingest.ConfigRules(cfg).Packed,
+					BatchSize: 1, MaxRetries: 2, Backoff: 5 * time.Millisecond,
 					Seed: id, FaultSpec: fault,
 					JournalPath: filepath.Join(journalDir, fmt.Sprintf("ingest-relay%d.jsonl", id)),
 				}

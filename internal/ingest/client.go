@@ -15,7 +15,8 @@ import (
 // the next one and replays every frame not yet confirmed — the replay is
 // safe because relays and servers dedup byte-identical frames (and at worst
 // a conflicting overlap is rejected, never double-counted). Re-homing
-// degrades ingestion latency, not participation.
+// degrades ingestion latency; a relay that dies after confirming an upload
+// loses it (see Confirm).
 type Uploader struct {
 	// Endpoints are tried in order; the uploader sticks with one until it
 	// exhausts MaxRetries against it.
@@ -157,8 +158,12 @@ func (u *Uploader) Send(ctx context.Context, msgs ...*transport.Message) error {
 	return nil
 }
 
-// Confirm performs the done/ack exchange: once the endpoint acks, every
-// frame sent so far is durably held by it and the replay buffer is cleared.
+// Confirm performs the done/ack exchange and then clears the replay buffer.
+// The ack says the endpoint holds every frame sent so far — a server in its
+// collector, a relay only merged into its open batch, which is sealed and
+// acked upstream later. A relay that dies in between loses those frames for
+// the query, and Confirm has already forgotten them (docs/PROTOCOL.md
+// § Re-homing).
 func (u *Uploader) Confirm(ctx context.Context, user int64) error {
 	for {
 		err := u.confirmOnce(ctx, user)

@@ -64,19 +64,6 @@ func oneHot(classes, label int) []float64 {
 	return v
 }
 
-// packedRelay derives the relay's slot-layout validation parameters from
-// the config, or nil when the deployment is unpacked.
-func packedRelay(cfg protocol.Config) *ingest.PackedParams {
-	if !cfg.Packing {
-		return nil
-	}
-	return &ingest.PackedParams{
-		Width:    cfg.PackedWidth(),
-		PerVec:   cfg.PackedCiphertexts(),
-		Headroom: cfg.PackedHeadroomBits(),
-	}
-}
-
 // startRelay launches one relay and returns its bound listen addresses.
 func startRelay(ctx context.Context, t *testing.T, opts ingest.Options) (s1Addr, s2Addr string, done <-chan error) {
 	t.Helper()
@@ -165,15 +152,17 @@ func TestTreeIngestionEndToEnd(t *testing.T) {
 							<-done
 						}
 					}()
-					// Every batch seals by size (6 users per leaf in two
-					// batches of 3; the mid relay merges two of those per
-					// batch of its own), so no run depends on the flush tick.
+					// Batches seal by size (6 users per leaf in batches of 3;
+					// the mid relay merges two of those per batch of its own)
+					// or on the flush tick, whichever comes first. Which users
+					// share a batch cannot change an outcome: pre-summing is
+					// grouping-invariant.
 					relay := func(id int64, up1, up2 string, batch int) (string, string) {
 						a1, a2, done := startRelay(relCtx, t, ingest.Options{
 							UpstreamS1: up1, UpstreamS2: up2, RelayID: id,
 							Users: users, Instances: len(votes), Classes: cfg.Classes,
-							PK1: pub.PK1, PK2: pub.PK2, Packed: packedRelay(cfg),
-							BatchSize: batch, FlushInterval: 2 * time.Second, Seed: id,
+							PK1: pub.PK1, PK2: pub.PK2, Packed: ingest.ConfigRules(cfg).Packed,
+							BatchSize: batch, Seed: id,
 						})
 						relays = append(relays, done)
 						return a1, a2

@@ -1,9 +1,10 @@
 // Package ingest implements the tree-structured aggregator ingestion tier:
 // stateless relay nodes that sit between users and the protocol servers,
-// validate submission frames with the same hostile-input rules the servers
-// apply, homomorphically pre-sum validated batches under the destination
-// server's peer public key, and forward one combined submission plus a
-// participant bitmap upstream. Because Paillier addition is ciphertext
+// validate submission frames through the one intake the servers run too
+// (intake.go: the hostile-input rules, their order and reasons, and
+// exactly-once dedup), homomorphically pre-sum validated batches under the
+// destination server's peer public key, and forward one combined submission
+// plus a participant bitmap upstream. Because Paillier addition is ciphertext
 // multiplication mod N² — commutative and associative — a relay's pre-sum
 // aggregates to the byte-identical ciphertext vector the server would have
 // computed from the individual frames, so the protocol outcome is exactly
@@ -25,7 +26,7 @@
 // capability bit; the upstream (a parent relay or a server) acks every
 // combined frame so the relay can retransmit over a reconnect. Replays are
 // idempotent: a (relay, seq) pair with an identical frame digest is
-// tolerated, a conflicting one is rejected first-write-wins.
+// tolerated, a conflicting one is rejected first-write-wins (Intake.Check).
 package ingest
 
 import (
@@ -305,16 +306,6 @@ func EncodePackedCombined(c Combined) (*transport.Message, error) {
 	}, nil
 }
 
-// decodeChild decodes a combined frame in whichever grammar the frame
-// kind declares; mode validation against the relay/server configuration
-// happens in the caller.
-func decodeChild(msg *transport.Message) (Combined, error) {
-	if msg.Kind == transport.KindPacked {
-		return DecodePackedCombined(msg)
-	}
-	return DecodeCombined(msg)
-}
-
 // DecodePackedCombined unpacks and shape-checks a packed combined frame.
 func DecodePackedCombined(msg *transport.Message) (Combined, error) {
 	var c Combined
@@ -406,8 +397,12 @@ func BitmapIndices(bm *big.Int, users int) []int {
 		return nil
 	}
 	out := make([]int, 0, Popcount(bm))
-	for u := 0; u < users; u++ {
-		if bm.Bit(u) == 1 {
+	for i, w := range bm.Bits() {
+		for w := uint(w); w != 0; w &= w - 1 {
+			u := i*bits.UintSize + bits.TrailingZeros(w)
+			if u >= users {
+				return out
+			}
 			out = append(out, u)
 		}
 	}

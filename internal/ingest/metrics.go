@@ -12,10 +12,8 @@ func relayUsers(side string) *obs.Counter {
 		obs.L("side", side))
 }
 
-// relayRejected counts frames a relay refused, by the reason vocabulary
-// the servers use (unknown-user, bad-length, out-of-ring, duplicate), with
-// bad-instance for an instance outside the relay's range, plus the
-// relay-specific overlap and bad-frame.
+// relayRejected counts frames a relay refused, by the intake's reasons —
+// the servers' list (intake.go) without late, which only a server emits.
 func relayRejected(side, reason string) *obs.Counter {
 	return obs.Default.Counter("privconsensus_relay_rejected_total",
 		"Frames rejected by relay-side validation.",

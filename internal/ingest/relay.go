@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sync"
@@ -50,12 +51,9 @@ type Options struct {
 	// position-wise; how many ciphertexts one has follows from Classes,
 	// Width and the size of the public keys.
 	Packed *PackedParams
-	// BatchSize seals a batch after this many users (default 64).
+	// BatchSize seals a batch after this many users (default 64); a
+	// non-empty open batch also seals every flushInterval.
 	BatchSize int
-	// FlushInterval seals a non-empty open batch at least this often
-	// (default 50ms), bounding the latency a quorum deadline can lose to
-	// batching.
-	FlushInterval time.Duration
 	// MaxRetries bounds upstream delivery attempts per batch beyond the
 	// first (default 2). A batch that exhausts the budget is dropped and
 	// counted; its users are expected to re-home.
@@ -111,13 +109,14 @@ func (p *PackedParams) Capacity(width int) int {
 	}
 }
 
+// flushInterval seals a non-empty open batch at least this often, bounding
+// the latency a quorum deadline can lose to batching.
+const flushInterval = 50 * time.Millisecond
+
 // withDefaults resolves option defaults.
 func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 50 * time.Millisecond
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
@@ -166,6 +165,16 @@ func (o Options) validate() error {
 	return nil
 }
 
+// rules are the frame rules of the side that pre-sums under pk: the server's
+// rules, with a packed half's joint group counted from pk's bit length.
+func (o Options) rules(pk *paillier.PublicKey) Rules {
+	r := Rules{Users: o.Users, Classes: o.Classes, Packed: o.Packed, Want: [3]int{o.Classes, o.Classes, o.Classes}}
+	if p := o.Packed; p != nil {
+		r.Want = [3]int{protocol.PackedGroupCiphertexts(2, o.Classes, p.Width, pk.N.BitLen()), 0, p.PerVec}
+	}
+	return r
+}
+
 // log emits a progress line when a sink is configured.
 func (o Options) log(format string, args ...any) {
 	if o.Logf != nil {
@@ -188,12 +197,6 @@ type sealed struct {
 	msg      *transport.Message
 }
 
-// childKey identifies a child relay's batch for replay dedup.
-type childKey struct {
-	relay int64
-	seq   int64
-}
-
 // openBatch accumulates the running homomorphic sums of one instance's
 // in-progress batch.
 type openBatch struct {
@@ -202,16 +205,11 @@ type openBatch struct {
 	n    int
 }
 
-// sideInstance is one instance's ingestion state on one side.
+// sideInstance is one instance's ingestion state on one side: the intake
+// that records which users are summed into some batch, and the open batch.
 type sideInstance struct {
-	// covered has bit u set iff user u's frame (direct or via a child
-	// batch) is already summed into some batch on this side.
-	covered *big.Int
-	// digests keys replay dedup for directly-ingested users. Child-batch
-	// members have no per-user digest; the covered bit alone rejects a
-	// second identity for them.
-	digests map[int][32]byte
-	open    *openBatch
+	*Intake
+	open *openBatch
 }
 
 // side is one destination pipeline of a relay (everything bound for S1, or
@@ -219,233 +217,118 @@ type sideInstance struct {
 type side struct {
 	name     string // "s1" or "s2"
 	pk       *paillier.PublicKey
-	ring     *big.Int
 	upstream string
 	r        *relay
-	// want is the shape of a well-formed half on this side (ciphertext
-	// counts of Votes, Thresh, Noisy; see protocol.Config.HalfLens).
-	want [3]int
+	rules    Rules
 
-	mu        sync.Mutex
-	insts     []*sideInstance
-	nextSeq   int64
-	childSeen map[childKey][32]byte
+	mu      sync.Mutex
+	insts   []*sideInstance
+	nextSeq int64
 
 	out chan *sealed
 }
 
 // newSide builds one destination pipeline.
 func newSide(r *relay, name string, pk *paillier.PublicKey, upstream string) *side {
-	k := r.opts.Classes
-	want := [3]int{k, k, k}
-	if p := r.opts.Packed; p != nil {
-		want = [3]int{protocol.PackedGroupCiphertexts(2, k, p.Width, pk.N.BitLen()), 0, p.PerVec}
-	}
 	s := &side{
-		name:      name,
-		pk:        pk,
-		ring:      pk.N2,
-		upstream:  upstream,
-		r:         r,
-		want:      want,
-		insts:     make([]*sideInstance, r.opts.Instances),
-		childSeen: make(map[childKey][32]byte),
-		out:       make(chan *sealed, 256),
+		name:     name,
+		pk:       pk,
+		upstream: upstream,
+		r:        r,
+		rules:    r.opts.rules(pk),
+		insts:    make([]*sideInstance, r.opts.Instances),
+		out:      make(chan *sealed, 256),
 	}
+	// A child's (relay, seq) names one batch on the whole side: reusing it
+	// for another instance is a duplicate too.
+	batches := make(map[batchID][32]byte)
 	for i := range s.insts {
-		s.insts[i] = &sideInstance{covered: new(big.Int), digests: make(map[int][32]byte)}
+		s.insts[i] = &sideInstance{Intake: newIntake(s.rules, pk.N2, batches)}
 	}
 	return s
 }
-
-// errRejected marks a frame refused by relay-side validation; the serving
-// loop counts it and keeps the connection.
-type rejectError struct {
-	reason string
-	err    error
-}
-
-func (e *rejectError) Error() string {
-	return fmt.Sprintf("ingest: rejected (%s): %v", e.reason, e.err)
-}
-func (e *rejectError) Unwrap() error { return e.err }
 
 // errReplay marks a tolerated byte-identical duplicate: not an error, not
 // new data.
 var errReplay = fmt.Errorf("ingest: duplicate frame replayed")
 
-// reject counts and journals one refused frame.
-func (s *side) reject(reason string, err error) error {
-	relayRejected(s.name, reason).Inc()
-	s.r.journalEvent(obs.Event{Type: obs.EventRejection, Instance: -1, Note: reason})
-	return &rejectError{reason: reason, err: err}
-}
-
-// ringCheck verifies every ciphertext of a half lives in [0, N²).
-func (s *side) ringCheck(half [3][]*paillier.Ciphertext) bool {
-	for _, group := range half {
-		for _, ct := range group {
-			if ct == nil || ct.C == nil || ct.C.Sign() < 0 || ct.C.Cmp(s.ring) >= 0 {
-				return false
-			}
-		}
+// refuse counts and journals a refused frame; a replay passes uncounted.
+func (s *side) refuse(err error) error {
+	var rej *Rejection
+	if errors.As(err, &rej) {
+		relayRejected(s.name, rej.Reason).Inc()
+		s.r.journalEvent(obs.Event{Type: obs.EventRejection, Instance: -1, Note: rej.Reason})
 	}
-	return true
+	return err
 }
 
-// addUser validates one directly-submitted user frame and folds it into the
-// instance's open batch, sealing the batch when it reaches BatchSize. The
-// validation order mirrors the server collector exactly: identity and shape
-// first, ring membership, then exact-once semantics.
+// admit checks a decoded frame against its instance's intake and folds it
+// into the open batch, sealing the batch when it reaches BatchSize.
+func (s *side) admit(f Frame) (*sealed, error) {
+	if f.Instance < 0 || f.Instance >= len(s.insts) {
+		return nil, UnknownQuery(f.Instance)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inst := s.insts[f.Instance]
+	replay, err := inst.Check(f)
+	switch {
+	case err != nil:
+		return nil, err
+	case replay:
+		return nil, errReplay // idempotent retransmission after a reconnect
+	}
+	inst.Record(f)
+	s.mergeLocked(inst, f)
+	return s.maybeSealLocked(f.Instance, inst, false), nil
+}
+
+// addUser admits one directly-submitted user frame.
 func (s *side) addUser(msg *transport.Message) (*sealed, error) {
-	opts := s.r.opts
-	var (
-		user, instance int
-		classes, width int
-		half           protocol.SubmissionHalf
-		err            error
-	)
-	if opts.Packed != nil {
-		user, instance, classes, width, half, err = DecodePackedHalf(msg)
-	} else {
-		user, instance, half, err = DecodeHalf(msg)
-	}
+	f, err := s.rules.UserFrame(msg)
 	if err != nil {
-		return nil, s.reject("bad-frame", err)
+		return nil, s.refuse(err)
 	}
-	if user < 0 || user >= opts.Users {
-		return nil, s.reject("unknown-user", fmt.Errorf("user index %d outside [0, %d)", user, opts.Users))
+	b, err := s.admit(f)
+	if err != nil {
+		return nil, s.refuse(err)
 	}
-	if instance < 0 || instance >= opts.Instances {
-		return nil, s.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", instance, opts.Instances))
-	}
-	if half.Lens() != s.want {
-		return nil, s.reject("bad-length", fmt.Errorf("submission has %v ciphertexts, want %v", half.Lens(), s.want))
-	}
-	if p := opts.Packed; p != nil {
-		// The frame's own declared width must leave room for at least one
-		// contribution above the headroom before we even compare layouts.
-		if p.Capacity(width) < 1 {
-			return nil, s.reject("slot-overflow", fmt.Errorf("declared slot width %d leaves no room above %d headroom bits", width, p.Headroom))
-		}
-		if classes != opts.Classes || width != p.Width {
-			return nil, s.reject("bad-width", fmt.Errorf("packed layout %d classes x %d bits, want %d x %d",
-				classes, width, opts.Classes, p.Width))
-		}
-	}
-	if !s.ringCheck([3][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy}) {
-		return nil, s.reject("out-of-ring", fmt.Errorf("user %d instance %d ciphertext outside [0, N²)", user, instance))
-	}
-	digest := FrameDigest(msg)
-
-	s.mu.Lock()
-	inst := s.insts[instance]
-	if inst.covered.Bit(user) == 1 {
-		prev, direct := inst.digests[user]
-		s.mu.Unlock()
-		if direct && prev == digest {
-			return nil, errReplay // idempotent retransmission after a reconnect
-		}
-		return nil, s.reject("duplicate", fmt.Errorf("conflicting resubmission from user %d for instance %d (first write wins)", user, instance))
-	}
-	bm := new(big.Int).SetBit(new(big.Int), user, 1)
-	if err := s.mergeLocked(inst, bm, half, 1); err != nil {
-		s.mu.Unlock()
-		return nil, s.reject("bad-frame", err)
-	}
-	inst.digests[user] = digest
-	out := s.maybeSealLocked(instance, inst, false)
-	s.mu.Unlock()
 	relayUsers(s.name).Inc()
-	return out, nil
+	return b, nil
 }
 
-// addChild validates one child relay's combined frame and merges it into
-// the instance's open batch. The returned ack status distinguishes a
-// tolerated replay (acked again, not re-counted) from fresh data.
-func (s *side) addChild(msg *transport.Message) (*sealed, int64, error) {
-	opts := s.r.opts
-	c, err := decodeChild(msg)
-	if err != nil {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-frame", err)
+// addChild admits one child relay's combined frame and returns its ack —
+// accepted for fresh data and a tolerated replay alike, rejected otherwise —
+// or no ack for a frame that did not decode (it names no batch).
+func (s *side) addChild(msg *transport.Message) (*sealed, *transport.Message, error) {
+	f, err := s.rules.BatchFrame(msg)
+	var b *sealed
+	if err == nil {
+		b, err = s.admit(f)
 	}
-	if (opts.Packed != nil) != (c.Width > 0) {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-frame",
-			fmt.Errorf("combined frame packing mode mismatch (frame packed=%v, relay packed=%v)", c.Width > 0, opts.Packed != nil))
+	status, outcome := BatchAccepted, "accepted"
+	switch {
+	case err == errReplay:
+		outcome = "replay"
+	case err != nil:
+		status, outcome = BatchRejected, "rejected"
+		s.refuse(err)
 	}
-	if c.Instance < 0 || c.Instance >= opts.Instances {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-instance", fmt.Errorf("instance index %d outside [0, %d)", c.Instance, opts.Instances))
+	relayBatchesIn(s.name, outcome).Inc()
+	if !f.Combined {
+		return nil, nil, err
 	}
-	if c.Half.Lens() != s.want {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-length", fmt.Errorf("combined frame has %v ciphertexts, want %v", c.Half.Lens(), s.want))
-	}
-	if p := opts.Packed; p != nil {
-		// Overflow capacity is judged against the frame's own declared
-		// width first: a batch claiming more members than any slot of
-		// that width could have absorbed is structurally invalid even
-		// before the layout comparison.
-		if c.Users() > p.Capacity(c.Width) {
-			relayBatchesIn(s.name, "rejected").Inc()
-			return nil, BatchRejected, s.reject("slot-overflow",
-				fmt.Errorf("batch relay=%d seq=%d sums %d users but width %d absorbs at most %d", c.Relay, c.Seq, c.Users(), c.Width, p.Capacity(c.Width)))
-		}
-		if c.Classes != opts.Classes || c.Width != p.Width {
-			relayBatchesIn(s.name, "rejected").Inc()
-			return nil, BatchRejected, s.reject("bad-width", fmt.Errorf("packed layout %d classes x %d bits, want %d x %d",
-				c.Classes, c.Width, opts.Classes, p.Width))
-		}
-	}
-	if c.Bitmap.BitLen() > opts.Users {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("unknown-user", fmt.Errorf("bitmap names users beyond [0, %d)", opts.Users))
-	}
-	if !s.ringCheck([3][]*paillier.Ciphertext{c.Half.Votes, c.Half.Thresh, c.Half.Noisy}) {
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("out-of-ring", fmt.Errorf("relay %d seq %d ciphertext outside [0, N²)", c.Relay, c.Seq))
-	}
-	digest := FrameDigest(msg)
-	key := childKey{relay: c.Relay, seq: c.Seq}
-
-	s.mu.Lock()
-	if prev, ok := s.childSeen[key]; ok {
-		s.mu.Unlock()
-		if prev == digest {
-			relayBatchesIn(s.name, "replay").Inc()
-			return nil, BatchAccepted, errReplay
-		}
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("duplicate", fmt.Errorf("conflicting reuse of batch identity relay=%d seq=%d", c.Relay, c.Seq))
-	}
-	inst := s.insts[c.Instance]
-	if new(big.Int).And(inst.covered, c.Bitmap).Sign() != 0 {
-		s.mu.Unlock()
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("overlap", fmt.Errorf("batch relay=%d seq=%d repeats already-covered users", c.Relay, c.Seq))
-	}
-	if err := s.mergeLocked(inst, c.Bitmap, c.Half, c.Users()); err != nil {
-		s.mu.Unlock()
-		relayBatchesIn(s.name, "rejected").Inc()
-		return nil, BatchRejected, s.reject("bad-frame", err)
-	}
-	s.childSeen[key] = digest
-	out := s.maybeSealLocked(c.Instance, inst, false)
-	s.mu.Unlock()
-	relayBatchesIn(s.name, "accepted").Inc()
-	return out, BatchAccepted, nil
+	return b, &transport.Message{Kind: transport.KindControl, Flags: []int64{CtrlBatchAck, f.Relay, f.Seq, status}}, err
 }
 
-// mergeLocked folds a (bitmap, half, weight) unit into the instance's open
-// batch. Caller holds s.mu. weight is the number of users the unit covers.
-func (s *side) mergeLocked(inst *sideInstance, bm *big.Int, half protocol.SubmissionHalf, weight int) error {
+// mergeLocked folds an admitted frame into the instance's open batch.
+// Caller holds s.mu.
+func (s *side) mergeLocked(inst *sideInstance, f Frame) {
 	if inst.open == nil {
 		inst.open = &openBatch{bm: new(big.Int)}
 	}
 	o := inst.open
-	fields := [3][]*paillier.Ciphertext{half.Votes, half.Thresh, half.Noisy}
+	fields := [3][]*paillier.Ciphertext{f.Half.Votes, f.Half.Thresh, f.Half.Noisy}
 	// One scratch big.Int serves every fold of this frame: the
 	// accumulators are private to the open batch, so in-place AddInto
 	// avoids the two allocations per element that Add would make.
@@ -460,15 +343,12 @@ func (s *side) mergeLocked(inst *sideInstance, bm *big.Int, half protocol.Submis
 			continue
 		}
 		for i, ct := range vec {
-			if err := s.pk.AddInto(o.sums[fi][i], ct, scratch); err != nil {
-				return fmt.Errorf("ingest: pre-sum class %d: %w", i, err)
-			}
+			// Cannot fail: the intake checked every ciphertext lies in [0, N²).
+			_ = s.pk.AddInto(o.sums[fi][i], ct, scratch)
 		}
 	}
-	o.bm.Or(o.bm, bm)
-	o.n += weight
-	inst.covered.Or(inst.covered, bm)
-	return nil
+	o.bm.Or(o.bm, f.Members)
+	o.n += Popcount(f.Members)
 }
 
 // maybeSealLocked seals the instance's open batch when it reached
@@ -517,10 +397,10 @@ func (s *side) push(ctx context.Context, b *sealed) {
 	}
 }
 
-// flushLoop seals non-empty open batches every FlushInterval so a trickle
+// flushLoop seals non-empty open batches every flushInterval so a trickle
 // of users is never stuck behind an unfilled batch.
 func (s *side) flushLoop(ctx context.Context) {
-	t := time.NewTicker(s.r.opts.FlushInterval)
+	t := time.NewTicker(flushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -682,33 +562,17 @@ func (s *side) serve(ctx context.Context, conn transport.Conn) {
 			}
 		case (msg.Kind == transport.KindShares && len(msg.Flags) == 5) ||
 			(msg.Kind == transport.KindPacked && len(msg.Flags) == 7):
-			c, errc := decodeChild(msg)
-			b, status, err := s.addChild(msg)
+			b, ack, _ := s.addChild(msg)
 			s.push(ctx, b)
-			if errc != nil {
-				// Undecodable child batches cannot be acked (no identity);
-				// drop the frame, keep the connection.
-				continue
-			}
-			if err != nil && err != errReplay {
-				if _, ok := err.(*rejectError); !ok {
-					return
-				}
-			}
-			ack := &transport.Message{Kind: transport.KindControl,
-				Flags: []int64{CtrlBatchAck, c.Relay, c.Seq, status}}
-			if err := conn.Send(ctx, ack); err != nil {
+			// An undecodable child batch names no batch to ack: the frame
+			// is dropped, the connection kept.
+			if ack != nil && conn.Send(ctx, ack) != nil {
 				return
 			}
 		default:
-			b, err := s.addUser(msg)
+			// A refusal is counted; the connection stays.
+			b, _ := s.addUser(msg)
 			s.push(ctx, b)
-			if err != nil && err != errReplay {
-				if _, ok := err.(*rejectError); !ok {
-					s.r.opts.log("relay %d/%s: connection error: %v", s.r.opts.RelayID, s.name, err)
-					return
-				}
-			}
 		}
 	}
 }

@@ -76,8 +76,8 @@ func TestRelayPackedValidationReasons(t *testing.T) {
 	// and the noisy group cost one ciphertext each.
 	p := &PackedParams{Width: 20, PerVec: 1, Headroom: 10}
 	s := testPackedSide(t, 4, 2, 4, 3, p)
-	if s.want != [3]int{1, 0, 1} {
-		t.Fatalf("relay derived half shape %v, want [1 0 1]", s.want)
+	if s.rules.Want != [3]int{1, 0, 1} {
+		t.Fatalf("relay derived half shape %v, want [1 0 1]", s.rules.Want)
 	}
 	cases := []struct {
 		name   string
@@ -86,7 +86,7 @@ func TestRelayPackedValidationReasons(t *testing.T) {
 	}{
 		{"mode-mismatch", userFrame(t, 0, 0, 4, 5), "bad-frame"},
 		{"unknown-user", packedFrame(t, 9, 0, 4, 20, 1, 1, 5), "unknown-user"},
-		{"bad-instance", packedFrame(t, 0, 5, 4, 20, 1, 1, 5), "bad-instance"},
+		{"unknown-query", packedFrame(t, 0, 5, 4, 20, 1, 1, 5), "unknown-query"},
 		{"old-count", packedFrame(t, 0, 0, 4, 20, 2, 1, 5), "bad-length"},
 		{"wrong-pervec", packedFrame(t, 0, 0, 4, 20, 2, 2, 5), "bad-length"},
 		// Width 10 equals the headroom: Capacity(10) = 0, so the frame
@@ -124,8 +124,8 @@ func TestRelayPackedValidationReasons(t *testing.T) {
 func TestRelayPackedPresumIsPositionWise(t *testing.T) {
 	p := &PackedParams{Width: 20, PerVec: 1, Headroom: 10}
 	s := testPackedSide(t, 4, 1, 8, 2, p)
-	if s.want != [3]int{2, 0, 1} {
-		t.Fatalf("relay derived half shape %v, want [2 0 1]", s.want)
+	if s.rules.Want != [3]int{2, 0, 1} {
+		t.Fatalf("relay derived half shape %v, want [2 0 1]", s.rules.Want)
 	}
 	if b, err := s.addUser(packedFrame(t, 0, 0, 8, 20, 2, 1, 5)); err != nil || b != nil {
 		t.Fatalf("first frame: batch %v, err %v", b, err)
@@ -138,7 +138,7 @@ func TestRelayPackedPresumIsPositionWise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Half.Lens() != s.want || c.Users() != 2 || c.Bitmap.Int64() != 0b1001 {
+	if c.Half.Lens() != s.rules.Want || c.Users() != 2 || c.Bitmap.Int64() != 0b1001 {
 		t.Fatalf("combined frame: shape %v, %d users, bitmap %b", c.Half.Lens(), c.Users(), c.Bitmap)
 	}
 	for _, ct := range append(c.Half.Votes, c.Half.Noisy...) {
@@ -207,12 +207,12 @@ func TestRelayPackedChildValidation(t *testing.T) {
 
 	for _, tc := range cases {
 		before := rejectedCount(tc.reason)
-		b, status, err := s.addChild(tc.msg)
+		b, ack, err := s.addChild(tc.msg)
 		if b != nil {
 			t.Errorf("%s: sealed a batch from a hostile child frame", tc.name)
 		}
-		if status != BatchRejected {
-			t.Errorf("%s: ack status = %d, want BatchRejected", tc.name, status)
+		if ackStatus(ack) != BatchRejected {
+			t.Errorf("%s: ack status = %d, want BatchRejected", tc.name, ackStatus(ack))
 		}
 		if got := rejectReason(t, err); got != tc.reason {
 			t.Errorf("%s: reason = %q, want %q", tc.name, got, tc.reason)
@@ -223,14 +223,14 @@ func TestRelayPackedChildValidation(t *testing.T) {
 	}
 	neverSummed(t, s)
 	// A conforming packed child batch still merges after the hostility.
-	if _, status, err := s.addChild(packedChild(9, 0b11, 4, 20, 1, 1)); err != nil || status != BatchAccepted {
-		t.Errorf("conforming packed child batch refused: %v (status %d)", err, status)
+	if _, ack, err := s.addChild(packedChild(9, 0b11, 4, 20, 1, 1)); err != nil || ackStatus(ack) != BatchAccepted {
+		t.Errorf("conforming packed child batch refused: %v (status %d)", err, ackStatus(ack))
 	}
 	// And the other mode mismatch: a packed combined frame on an unpacked
 	// relay.
 	u, _ := testSide(t, 8, 1, 4, 100)
-	if _, status, err := u.addChild(packedChild(0, 0b11, 4, 20, 1, 1)); rejectReason(t, err) != "bad-frame" || status != BatchRejected {
-		t.Errorf("packed child batch on unpacked relay: %v (status %d)", err, status)
+	if _, ack, err := u.addChild(packedChild(0, 0b11, 4, 20, 1, 1)); rejectReason(t, err) != "bad-frame" || ackStatus(ack) != BatchRejected {
+		t.Errorf("packed child batch on unpacked relay: %v (status %d)", err, ackStatus(ack))
 	}
 }
 

@@ -40,11 +40,19 @@ func userFrame(t *testing.T, user, instance, classes int, val int64) *transport.
 // shape.
 func rejectReason(t *testing.T, err error) string {
 	t.Helper()
-	var re *rejectError
+	var re *Rejection
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want a rejection", err)
 	}
-	return re.reason
+	return re.Reason
+}
+
+// ackStatus reads the status of a batch ack (-1: no ack).
+func ackStatus(ack *transport.Message) int64 {
+	if ack == nil {
+		return -1
+	}
+	return ack.Flags[3]
 }
 
 func TestRelayValidationReasons(t *testing.T) {
@@ -56,7 +64,7 @@ func TestRelayValidationReasons(t *testing.T) {
 	}{
 		{"unknown-user", userFrame(t, 9, 0, 2, 5), "unknown-user"},
 		{"negative-user", userFrame(t, -1, 0, 2, 5), "unknown-user"},
-		{"bad-instance", userFrame(t, 0, 5, 2, 5), "bad-instance"},
+		{"unknown-query", userFrame(t, 0, 5, 2, 5), "unknown-query"},
 		{"bad-length", userFrame(t, 0, 0, 3, 5), "bad-length"},
 	}
 	for _, tc := range cases {
@@ -70,7 +78,7 @@ func TestRelayValidationReasons(t *testing.T) {
 	}
 	// Out-of-ring: a ciphertext at N² exactly.
 	big2 := testHalf(2, 1)
-	big2.Votes[0] = &paillier.Ciphertext{C: new(big.Int).Set(s.ring)}
+	big2.Votes[0] = &paillier.Ciphertext{C: new(big.Int).Set(s.pk.N2)}
 	msg, err := EncodeHalf(0, 0, big2)
 	if err != nil {
 		t.Fatal(err)
@@ -160,32 +168,32 @@ func TestRelayChildBatchMergeAndDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, status, err := s.addChild(msg); err != nil || status != BatchAccepted {
-		t.Fatalf("child batch refused: %v (status %d)", err, status)
+	if _, ack, err := s.addChild(msg); err != nil || ackStatus(ack) != BatchAccepted {
+		t.Fatalf("child batch refused: %v (status %d)", err, ackStatus(ack))
 	}
 	if s.insts[0].open.n != 2 || s.insts[0].covered.Int64() != 0b11 {
 		t.Errorf("merge state: n=%d covered=%v", s.insts[0].open.n, s.insts[0].covered)
 	}
 	// Byte-identical replay: acked accepted, not re-merged.
-	if _, status, err := s.addChild(msg); err != errReplay || status != BatchAccepted {
-		t.Errorf("replay: err=%v status=%d", err, status)
+	if _, ack, err := s.addChild(msg); err != errReplay || ackStatus(ack) != BatchAccepted {
+		t.Errorf("replay: err=%v status=%d", err, ackStatus(ack))
 	}
 	if s.insts[0].open.n != 2 {
 		t.Error("replay re-merged the batch")
 	}
 	// Conflicting reuse of the same (relay, seq) identity.
 	conflict, _ := EncodeCombined(Combined{Relay: 3, Seq: 0, Instance: 0, Bitmap: big.NewInt(0b100), Half: testHalf(2, 9)})
-	if _, status, err := s.addChild(conflict); rejectReason(t, err) != "duplicate" || status != BatchRejected {
-		t.Errorf("conflicting identity: err=%v status=%d", err, status)
+	if _, ack, err := s.addChild(conflict); rejectReason(t, err) != "duplicate" || ackStatus(ack) != BatchRejected {
+		t.Errorf("conflicting identity: err=%v status=%d", err, ackStatus(ack))
 	}
 	// Overlapping membership under a fresh identity.
 	overlap, _ := EncodeCombined(Combined{Relay: 3, Seq: 1, Instance: 0, Bitmap: big.NewInt(0b110), Half: testHalf(2, 9)})
-	if _, status, err := s.addChild(overlap); rejectReason(t, err) != "overlap" || status != BatchRejected {
-		t.Errorf("overlapping batch: err=%v status=%d", err, status)
+	if _, ack, err := s.addChild(overlap); rejectReason(t, err) != "overlap" || ackStatus(ack) != BatchRejected {
+		t.Errorf("overlapping batch: err=%v status=%d", err, ackStatus(ack))
 	}
 	// Bitmap naming users beyond the grid.
 	wide, _ := EncodeCombined(Combined{Relay: 3, Seq: 2, Instance: 0, Bitmap: new(big.Int).Lsh(big.NewInt(1), 20), Half: testHalf(2, 9)})
-	if _, _, err := s.addChild(wide); rejectReason(t, err) != "unknown-user" {
+	if _, _, err := s.addChild(wide); rejectReason(t, err) != "bad-bitmap" {
 		t.Errorf("wide bitmap: %v", err)
 	}
 }
