@@ -74,9 +74,11 @@ soak-full:
 # frame sequences: the covered set is the accepted members, never a user
 # twice, a resent frame changes nothing, only documented refusal reasons),
 # the packed group layout
-# (no carry between slots at any feasible shape) and the one ε state-file
+# (no carry between slots at any feasible shape), the one ε state-file
 # loader (never a panic, never fewer tenants than the file names, identical
-# spend after a persist and reload). One target per invocation (go fuzz
+# spend after a persist and reload) and the event journal's reader, verifier
+# and torn-tail recovery (never a panic; a verified journal reopens and
+# extends by exactly one record). One target per invocation (go fuzz
 # requires it); FUZZTIME bounds each.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMessage$$' -fuzztime $(FUZZTIME) ./internal/transport/
@@ -97,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntake$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedJointLayout$$' -fuzztime $(FUZZTIME) ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerLoad$$' -fuzztime $(FUZZTIME) ./internal/dp/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME) ./internal/obs/
 
 # Coverage with a regression floor (scripts/coverage_baseline.txt); leaves
 # the profile at results/coverage.out.

@@ -42,7 +42,6 @@ func run(args []string) error {
 		instances = fs.Int("instances", 0, "protocol instances for table1/table2")
 		benchU    = fs.Int("bench-users", 10, "user count for table1/table2")
 		svgDir    = fs.String("svg", "", "also write each figure as an SVG into this directory")
-		par       = fs.Int("parallelism", 0, "CPU worker bound for table1/table2 (0 = NumCPU, 1 = inline); never changes the wire")
 		argmax    = fs.String("argmax", "", "argmax schedule for table1/table2: tournament (default) or allpairs, the paper's reference")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,7 +82,6 @@ func run(args []string) error {
 	pb := experiments.DefaultProtocolBenchConfig()
 	pb.Users = *benchU
 	pb.Seed = *seed
-	pb.Parallelism = *par
 	pb.ArgmaxStrategy = *argmax
 	if *instances > 0 {
 		pb.Instances = *instances

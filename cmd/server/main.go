@@ -59,7 +59,6 @@ func run(args []string) error {
 		instances    = fs.Int("instances", 1, "queries to register up front and drain after (0 = admit on demand until signalled)")
 		timeout      = fs.Duration("timeout", 10*time.Minute, "overall deadline")
 		seed         = fs.Int64("seed", 0, "deterministic seed (0 = crypto/rand)")
-		par          = fs.Int("parallelism", 0, "CPU worker bound for this server's crypto (0 = key file / NumCPU, 1 = inline); never changes the wire")
 		metrics      = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = disabled)")
 		linger       = fs.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the last query")
 		retries      = fs.Int("max-retries", 0, "per-query retry budget on transient I/O failures (0 = one attempt, a lost peer link is final)")
@@ -98,7 +97,6 @@ func run(args []string) error {
 			ListenAddr:     *listen,
 			PeerAddr:       *peer,
 			Seed:           *seed,
-			Parallelism:    *par,
 			MetricsAddr:    *metrics,
 			MetricsLinger:  *linger,
 			MaxRetries:     *retries,

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/big"
 	mrand "math/rand"
 	"net"
@@ -42,11 +41,6 @@ type Config struct {
 	// DGKBits sizes the DGK comparison modulus. Zero selects a fast
 	// simulation default (192); production should use >= 1024.
 	DGKBits int
-	// Parallelism bounds the CPU workers used for homomorphic aggregation,
-	// Paillier re-randomization and the per-item compute of the batched
-	// DGK comparisons. Zero uses runtime.NumCPU; 1 runs everything inline.
-	// It never changes the wire.
-	Parallelism int
 	// Seed, when non-zero, makes the engine fully deterministic (for
 	// tests and reproducible simulations). Zero uses crypto/rand.
 	Seed int64
@@ -182,12 +176,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := mintEngineTraceID(cfg.Seed)
+		id, err := obs.MintTraceID(cfg.Seed)
 		if err != nil {
 			journal.Close()
 			return nil, err
 		}
-		if err := journal.BeginTrace(id); err != nil {
+		if err := journal.BeginTrace(obs.TraceIDString(id)); err != nil {
 			journal.Close()
 			return nil, err
 		}
@@ -201,28 +195,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		acct:    acct,
 		journal: journal,
 	}, nil
-}
-
-// mintEngineTraceID draws the in-process run's trace identity:
-// deterministic from a distinct stream when seeded, crypto/rand otherwise.
-func mintEngineTraceID(seed int64) (string, error) {
-	var rng io.Reader = rand.Reader
-	if seed != 0 {
-		rng = mrand.New(mrand.NewSource(seed + 8191))
-	}
-	var b [8]byte
-	for {
-		if _, err := io.ReadFull(rng, b[:]); err != nil {
-			return "", fmt.Errorf("privconsensus: mint trace id: %w", err)
-		}
-		id := uint64(0)
-		for _, x := range b {
-			id = id<<8 | uint64(x)
-		}
-		if id &^= 1 << 63; id != 0 {
-			return fmt.Sprintf("t-%016x", id), nil
-		}
-	}
 }
 
 // Close releases the engine's durable resources: the event journal and
@@ -261,7 +233,6 @@ func toProtocolConfig(cfg Config) (protocol.Config, error) {
 	if cfg.DGKBits > 0 {
 		pcfg.DGK = dgk.Params{NBits: cfg.DGKBits, TBits: 40, U: 1009, L: 56}
 	}
-	pcfg.Parallelism = cfg.Parallelism
 	if err := pcfg.Validate(); err != nil {
 		return protocol.Config{}, err
 	}
@@ -336,32 +307,11 @@ func (e *Engine) submissionsFor(votes [][]float64) ([]*Submission, error) {
 		subs[u] = sub
 		participants++
 	}
-	if q := e.quorumCount(); participants < q {
+	if q := protocol.QuorumCount(e.cfg.Quorum, e.pcfg.Users, e.pcfg.Users); participants < q {
 		return nil, fmt.Errorf("privconsensus: %d of %d users voted, quorum is %d: %w",
 			participants, e.pcfg.Users, q, ErrQuorumNotMet)
 	}
 	return subs, nil
-}
-
-// quorumCount resolves Config.Quorum against the user count: (0, 1) is a
-// fraction rounded up, >= 1 an absolute count, clamped to [1, Users]. With
-// Quorum unset every user must vote.
-func (e *Engine) quorumCount() int {
-	q := e.pcfg.Users
-	switch {
-	case e.cfg.Quorum <= 0:
-	case e.cfg.Quorum < 1:
-		q = int(math.Ceil(e.cfg.Quorum * float64(e.pcfg.Users)))
-	default:
-		q = int(math.Round(e.cfg.Quorum))
-	}
-	if q < 1 {
-		q = 1
-	}
-	if q > e.pcfg.Users {
-		q = e.pcfg.Users
-	}
-	return q
 }
 
 // StepStats reports one protocol step's cost, mirroring the rows of the
@@ -391,7 +341,7 @@ func (e *Engine) LabelInstanceMetered(ctx context.Context, votes [][]float64) (*
 	return out, stats, err
 }
 
-// labelInstance runs both servers over an in-memory transport. statsWanted
+// labelInstance runs both servers in process (protocol.RunPair). statsWanted
 // distinguishes the metered entry point; a meter is created regardless so
 // every query yields a full trace (see LastTrace).
 func (e *Engine) labelInstance(ctx context.Context, votes [][]float64, subs []*Submission, meter *transport.Meter) (*Outcome, []StepStats, error) {
@@ -414,60 +364,35 @@ func (e *Engine) labelInstance(ctx context.Context, votes [][]float64, subs []*S
 	dgk.WatchOps(tracer)
 	mathutil.WatchOps(tracer)
 
-	c1, c2 := transport.Pair() // raw: the protocol meters its own link
-	defer c1.Close()
-	defer c2.Close()
-
-	type result struct {
-		out *Outcome
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		// Only S1's run carries the tracer: the spans of one query must
-		// come from a single sequential protocol execution.
-		out, err := e.runServerMetered(obs.WithTracer(ctx, tracer), RoleS1, c1, subs, meter)
-		ch <- result{out, err}
-	}()
-	out2, err := e.runServer(ctx, RoleS2, c2, subs)
-	r1 := <-ch
-
-	finishTrace := func(runErr error) {
-		meter.FillTrace(tracer)
-		switch {
-		case runErr != nil:
-			tracer.Finish("error", runErr)
-		case out2 != nil && out2.Consensus:
-			tracer.Finish(fmt.Sprintf("consensus label=%d", out2.Label), nil)
-		default:
-			tracer.Finish("no-consensus", nil)
+	inner := make([]*protocol.Submission, len(subs))
+	for u, s := range subs {
+		if s != nil {
+			inner[u] = s.inner
 		}
-		qt := tracer.Trace()
-		e.traceMu.Lock()
-		e.lastTrace = qt
-		e.traceMu.Unlock()
-		obs.DefaultTraces.Add(qt)
-		// Journal append failures must not fail the query; the outcome is
-		// already decided.
-		e.journal.AppendTrace(int(qn)-1, 1, qt) //nolint:errcheck
 	}
-
+	out, err := protocol.RunPair(obs.WithTracer(ctx, tracer), e.pcfg, e.keys.ForS1(), e.keys.ForS2(),
+		e.runRNG(), e.runRNG(), inner, meter)
+	meter.FillTrace(tracer)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("privconsensus: %w", err)
+		tracer.Finish("error", err)
+	case out.Consensus:
+		tracer.Finish(fmt.Sprintf("consensus label=%d", out.Label), nil)
+	default:
+		tracer.Finish("no-consensus", nil)
+	}
+	qt := tracer.Trace()
+	e.traceMu.Lock()
+	e.lastTrace = qt
+	e.traceMu.Unlock()
+	obs.DefaultTraces.Add(qt)
+	// Journal append failures must not fail the query; the outcome is
+	// already decided.
+	e.journal.AppendTrace(int(qn)-1, 1, qt) //nolint:errcheck
 	if err != nil {
-		err = fmt.Errorf("privconsensus: S2: %w", err)
-		finishTrace(err)
 		return nil, nil, err
 	}
-	if r1.err != nil {
-		err = fmt.Errorf("privconsensus: S1: %w", r1.err)
-		finishTrace(err)
-		return nil, nil, err
-	}
-	if *r1.out != *out2 {
-		err = fmt.Errorf("privconsensus: servers disagree: %+v vs %+v", r1.out, out2)
-		finishTrace(err)
-		return nil, nil, err
-	}
-	finishTrace(nil)
 	var stats []StepStats
 	if statsWanted {
 		for _, s := range meter.Snapshot() {
@@ -480,7 +405,7 @@ func (e *Engine) labelInstance(ctx context.Context, votes [][]float64, subs []*S
 			})
 		}
 	}
-	return out2, stats, nil
+	return e.outcome(out), stats, nil
 }
 
 // LastTrace returns the QueryTrace of the most recent in-process query run
@@ -604,16 +529,6 @@ func (e *Engine) journalSpend(query int, note string) {
 // connection (e.g. TCP), for deployments where S1 and S2 are separate
 // processes. subs must contain every user's submission in user order.
 func (e *Engine) RunServer(ctx context.Context, role Role, conn net.Conn, subs []*Submission) (*Outcome, error) {
-	return e.runServer(ctx, role, transport.NewTCPConn(conn), subs)
-}
-
-// runServer dispatches to the protocol engine over any transport.
-func (e *Engine) runServer(ctx context.Context, role Role, conn transport.Conn, subs []*Submission) (*Outcome, error) {
-	return e.runServerMetered(ctx, role, conn, subs, nil)
-}
-
-// runServerMetered is runServer with optional step accounting.
-func (e *Engine) runServerMetered(ctx context.Context, role Role, conn transport.Conn, subs []*Submission, meter *transport.Meter) (*Outcome, error) {
 	halves := make([]protocol.SubmissionHalf, len(subs))
 	for i, s := range subs {
 		if s == nil || s.inner == nil {
@@ -628,32 +543,40 @@ func (e *Engine) runServerMetered(ctx context.Context, role Role, conn transport
 			halves[i] = s.inner.ToS2
 		}
 	}
-	e.rngMu.Lock()
-	var seed int64
-	if r, ok := e.rng.(*mrand.Rand); ok {
-		seed = r.Int63()
-	}
-	e.rngMu.Unlock()
-	var rng io.Reader = rand.Reader
-	if seed != 0 {
-		rng = mrand.New(mrand.NewSource(seed))
-	}
-
 	var (
 		out *protocol.Outcome
 		err error
 	)
+	tc := transport.NewTCPConn(conn)
 	switch role {
 	case RoleS1:
-		out, err = protocol.RunS1(ctx, rng, e.pcfg, e.keys.ForS1(), conn, halves, meter)
+		out, err = protocol.RunS1(ctx, e.runRNG(), e.pcfg, e.keys.ForS1(), tc, halves, nil)
 	case RoleS2:
-		out, err = protocol.RunS2(ctx, rng, e.pcfg, e.keys.ForS2(), conn, halves, meter)
+		out, err = protocol.RunS2(ctx, e.runRNG(), e.pcfg, e.keys.ForS2(), tc, halves, nil)
 	default:
 		return nil, fmt.Errorf("privconsensus: unknown role %d", int(role))
 	}
 	if err != nil {
 		return nil, err
 	}
+	return e.outcome(out), nil
+}
+
+// runRNG returns the randomness of one server run: a stream seeded from the
+// engine's own when the engine is seeded, crypto/rand otherwise.
+func (e *Engine) runRNG() io.Reader {
+	e.rngMu.Lock()
+	defer e.rngMu.Unlock()
+	if r, ok := e.rng.(*mrand.Rand); ok {
+		if seed := r.Int63(); seed != 0 {
+			return mrand.New(mrand.NewSource(seed))
+		}
+	}
+	return rand.Reader
+}
+
+// outcome lifts a protocol outcome into the public one.
+func (e *Engine) outcome(out *protocol.Outcome) *Outcome {
 	return &Outcome{Consensus: out.Consensus, Label: out.Label,
-		Participants: out.Participants, Dropped: e.pcfg.Users - out.Participants}, nil
+		Participants: out.Participants, Dropped: e.pcfg.Users - out.Participants}
 }

@@ -128,7 +128,7 @@ func TestChaosUserDropoutSchedule(t *testing.T) {
 		t.Fatalf("S2 structural failure: %v", r2.err)
 	}
 
-	quorum := ServerOptions{Quorum: 0.5}.quorumCount(users)
+	quorum := protocol.QuorumCount(0.5, users, 1)
 	for i := 0; i < instances; i++ {
 		a, b := r1.rep.Results[i], r2.rep.Results[i]
 		switch {

@@ -159,8 +159,8 @@ func (c *client) adoptTrace(id int64) {
 	if c.journal == nil || id == 0 {
 		return
 	}
-	c.link.log(levelDebug, "trace context %s adopted", traceIDString(id))
-	if err := c.journal.BeginTrace(traceIDString(id)); err != nil {
+	c.link.log(levelDebug, "trace context %s adopted", obs.TraceIDString(id))
+	if err := c.journal.BeginTrace(obs.TraceIDString(id)); err != nil {
 		c.link.log(levelWarn, "journal trace anchor failed: %v", err)
 	}
 }

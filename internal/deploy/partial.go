@@ -3,7 +3,6 @@ package deploy
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/big"
 	"time"
 
@@ -64,27 +63,6 @@ func peerCaps(cfg protocol.Config) int64 {
 		return capPacked
 	}
 	return 0
-}
-
-// quorumCount resolves the Quorum option against the configured user count:
-// (0,1) is a fraction rounded up, >= 1 an absolute count, 0 means any
-// participation (1). The result is clamped to [1, users].
-func (o ServerOptions) quorumCount(users int) int {
-	q := 1
-	switch {
-	case o.Quorum <= 0:
-	case o.Quorum < 1:
-		q = int(math.Ceil(o.Quorum * float64(users)))
-	default:
-		q = int(math.Round(o.Quorum))
-	}
-	if q < 1 {
-		q = 1
-	}
-	if q > users {
-		q = users
-	}
-	return q
 }
 
 // submitWindow is the collector release deadline: SubmitDeadline, the

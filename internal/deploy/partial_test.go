@@ -324,31 +324,6 @@ func TestParticipantExchangeMismatchIsFatal(t *testing.T) {
 	}
 }
 
-// TestQuorumCountResolution covers the fraction/absolute/clamping rules.
-func TestQuorumCountResolution(t *testing.T) {
-	cases := []struct {
-		quorum float64
-		users  int
-		want   int
-	}{
-		{0, 10, 1},     // any participation
-		{0.5, 10, 5},   // fraction
-		{0.51, 10, 6},  // fraction rounds up
-		{0.05, 10, 1},  // tiny fraction still needs someone
-		{1, 10, 1},     // absolute one
-		{7, 10, 7},     // absolute count
-		{25, 10, 10},   // clamped to users
-		{0.9999, 3, 3}, // fraction ceil hits users
-		{2.4, 10, 2},   // absolute rounds
-	}
-	for _, c := range cases {
-		got := ServerOptions{Quorum: c.quorum}.quorumCount(c.users)
-		if got != c.want {
-			t.Errorf("quorumCount(%g, %d users) = %d, want %d", c.quorum, c.users, got, c.want)
-		}
-	}
-}
-
 // TestPartialDeploymentEndToEnd runs the full two-server TCP deployment
 // with a submit deadline while one configured user never shows up: both
 // instances must complete over the two present users and report the same

@@ -38,10 +38,6 @@ type ServerOptions struct {
 	Instances int
 	// Seed, when non-zero, makes protocol randomness deterministic.
 	Seed int64
-	// Parallelism, when non-zero, overrides the key file's protocol
-	// parallelism: the bound on this server's CPU-bound crypto workers
-	// (0 = NumCPU). It never touches the wire; the servers need not agree.
-	Parallelism int
 	// MetricsAddr, when non-empty, serves the observability admin endpoint
 	// (/metrics, /healthz, /debug/pprof/*, /debug/vars) on that address.
 	MetricsAddr string
@@ -325,9 +321,6 @@ type serverSetup struct {
 // setupServer performs the config check, admin endpoint, listener, journal
 // and trace-state setup common to S1 and S2.
 func setupServer(ctx context.Context, role string, cfg protocol.Config, opts ServerOptions) (*serverSetup, error) {
-	if opts.Parallelism != 0 {
-		cfg.Parallelism = opts.Parallelism
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -335,7 +328,7 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 		return nil, fmt.Errorf("deploy: key file selects the %q argmax schedule, a test reference deployments do not run: %w",
 			cfg.ArgmaxStrategy, protocol.ErrBadConfig)
 	}
-	obs.SetBuildInfo(nil, int(wireVersion), cfg.ResolvedParallelism())
+	obs.SetBuildInfo(nil, int(wireVersion), protocol.Workers())
 	inj, err := opts.faults()
 	if err != nil {
 		return nil, err
@@ -361,7 +354,7 @@ func setupServer(ctx context.Context, role string, cfg protocol.Config, opts Ser
 	if role == "S1" {
 		// S1 mints the run's trace identity at startup, journaling or not,
 		// so the accept loop can hand it to S2 and users without waiting.
-		id, err := mintTraceID(opts.Seed)
+		id, err := obs.MintTraceID(opts.Seed)
 		if err != nil {
 			s.journal.Close()
 			admin.close(ctx)
@@ -420,7 +413,7 @@ func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions,
 	if err != nil {
 		return nil, 0, err
 	}
-	participants, quorum := ingest.Popcount(agreed), opts.quorumCount(s.cfg.Users)
+	participants, quorum := ingest.Popcount(agreed), protocol.QuorumCount(opts.Quorum, s.cfg.Users, 1)
 	obs.Participants(role).Set(float64(participants))
 	s.journalEvent(opts, obs.Event{Type: obs.EventQuorum, Instance: id,
 		Note: fmt.Sprintf("participants=%d dropped=%d quorum=%d", participants, s.cfg.Users-participants, quorum)})

@@ -2,9 +2,7 @@ package deploy
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -31,33 +29,6 @@ const capTrace int64 = 8
 
 // ctrlTraceContext carries the minted trace ID: [code, traceID].
 const ctrlTraceContext int64 = 106
-
-// mintTraceID draws a non-zero 63-bit trace ID: deterministic from a
-// distinct stream when seeded, crypto/rand otherwise.
-func mintTraceID(seed int64) (int64, error) {
-	if seed != 0 {
-		seed += 8191 // stay off the protocol's deterministic stream
-	}
-	rng := newRNG(seed)
-	var b [8]byte
-	for {
-		if _, err := io.ReadFull(rng, b[:]); err != nil {
-			return 0, fmt.Errorf("deploy: mint trace id: %w", err)
-		}
-		id := int64(binary.BigEndian.Uint64(b[:]) &^ (1 << 63))
-		if id != 0 {
-			return id, nil
-		}
-	}
-}
-
-// traceIDString renders a trace ID for journals and logs.
-func traceIDString(id int64) string {
-	if id == 0 {
-		return ""
-	}
-	return fmt.Sprintf("t-%016x", uint64(id))
-}
 
 // traceState publishes the run's trace ID once it is known. S1 mints it at
 // setup; S2 learns it from the first peer connection, and tracing user
@@ -107,7 +78,7 @@ func (t *traceState) idString() string {
 	if !t.set {
 		return ""
 	}
-	return traceIDString(t.id)
+	return obs.TraceIDString(t.id)
 }
 
 // sendTraceContext delivers the trace ID on a fresh connection.
@@ -141,8 +112,8 @@ func (s *serverSetup) adoptTraceID(id int64, opts ServerOptions) {
 	if id == 0 {
 		return
 	}
-	opts.log(levelDebug, "trace context %s adopted", traceIDString(id))
-	if err := s.journal.BeginTrace(traceIDString(id)); err != nil {
+	opts.log(levelDebug, "trace context %s adopted", obs.TraceIDString(id))
+	if err := s.journal.BeginTrace(obs.TraceIDString(id)); err != nil {
 		opts.log(levelWarn, "journal trace anchor failed: %v", err)
 	}
 }

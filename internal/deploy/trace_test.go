@@ -11,44 +11,6 @@ import (
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// TestMintTraceID checks determinism, stream separation and rendering.
-func TestMintTraceID(t *testing.T) {
-	a, err := mintTraceID(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mintTraceID(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("same seed minted %d then %d; trace IDs must be reproducible", a, b)
-	}
-	if a <= 0 {
-		t.Errorf("minted ID %d, want positive 63-bit", a)
-	}
-	c, err := mintTraceID(43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Errorf("seeds 42 and 43 minted the same ID %d", a)
-	}
-	random, err := mintTraceID(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if random <= 0 {
-		t.Errorf("unseeded mint returned %d, want positive", random)
-	}
-	if got := traceIDString(0x1f); got != "t-000000000000001f" {
-		t.Errorf("traceIDString(0x1f) = %q", got)
-	}
-	if got := traceIDString(0); got != "" {
-		t.Errorf("traceIDString(0) = %q, want empty (untraced)", got)
-	}
-}
-
 // TestTraceState checks the publish-once semantics user connections rely on.
 func TestTraceState(t *testing.T) {
 	ts := newTraceState()

@@ -279,7 +279,7 @@ func checkTapped(t *testing.T, tap *peerTap, cfg protocol.Config, announced int)
 
 // TestGoldenPeerTranscript pins the one S1↔S2 grammar: for a given packing
 // mode the protocol-link transcript is the golden one whatever MaxRetries,
-// Quorum, SubmitDeadline, JournalPath and Parallelism are — including when
+// Quorum, SubmitDeadline and JournalPath are — including when
 // the two servers set them differently — and so are the labels. The serve
 // rows run the same two queries through ServeS1/ServeS2 and a ServeClient:
 // the protocol link and both hellos are identical to the batch rows, and
@@ -301,10 +301,9 @@ func TestGoldenPeerTranscript(t *testing.T) {
 		{"retries", ServerOptions{MaxRetries: 2}, ServerOptions{MaxRetries: 2}},
 		{"quorum+deadline", policy, policy},
 		{"journals", ServerOptions{JournalPath: journal("a1.jsonl")}, ServerOptions{JournalPath: journal("a2.jsonl")}},
-		{"parallelism=1", ServerOptions{Parallelism: 1}, ServerOptions{Parallelism: 1}},
-		{"mismatched budgets, journals and workers",
-			ServerOptions{MaxRetries: 0, JournalPath: journal("b1.jsonl"), Parallelism: 1},
-			ServerOptions{MaxRetries: 3, Parallelism: 4}},
+		{"mismatched budgets and journals",
+			ServerOptions{MaxRetries: 0, JournalPath: journal("b1.jsonl")},
+			ServerOptions{MaxRetries: 3}},
 	}
 	for _, packed := range []bool{false, true} {
 		keys := func() (*keystore.S1File, *keystore.S2File, *keystore.PublicFile) {

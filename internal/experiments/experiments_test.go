@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/privconsensus/privconsensus/internal/ml"
@@ -229,5 +230,46 @@ func TestFig6Shape(t *testing.T) {
 	}
 	if len(figs[2].Series) != 3 {
 		t.Errorf("fig6c expected 3 division series, got %d", len(figs[2].Series))
+	}
+}
+
+// Table II's user-to-server bytes are the exact mean upload over every
+// instance and user: summed over the whole run, divided once.
+func TestProtocolBenchUserBytesExactMean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crypto protocol bench is slow in -short mode")
+	}
+	cfg := DefaultProtocolBenchConfig()
+	pcfg, err := benchProtocolConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Key generation draws a variable number of bytes (crypto/rand.Prime),
+	// so the run and the replay share keys and restart one submission stream.
+	keys, err := protocol.GenerateKeys(rand.New(rand.NewSource(cfg.Seed)), pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := benchWithKeys(cfg, pcfg, keys, rand.New(rand.NewSource(cfg.Seed+1)))
+	if err != nil {
+		t.Fatalf("ProtocolBench: %v", err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 1))
+	var votes, noisy int64
+	for inst := 0; inst < cfg.Instances; inst++ {
+		subs, err := buildInstance(rng, pcfg, cfg, keys, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subs {
+			n := int64(protocol.SubmissionBytes(protocol.SubmissionHalf{Noisy: s.ToS1.Noisy}))
+			votes += int64(protocol.SubmissionBytes(s.ToS1)) - n
+			noisy += n
+		}
+	}
+	uploads := int64(cfg.Instances * cfg.Users)
+	if res.UserToServerBytes != votes/uploads || res.UserToServerBytes2 != noisy/uploads {
+		t.Errorf("user-to-server bytes %d / %d, want the exact means %d / %d (%d and %d bytes over %d uploads)",
+			res.UserToServerBytes, res.UserToServerBytes2, votes/uploads, noisy/uploads, votes, noisy, uploads)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -23,9 +22,6 @@ type ProtocolBenchConfig struct {
 	// ForceConsensus biases the votes so the threshold check passes and
 	// every step (6)-(9) executes, as in the paper's measurements.
 	ForceConsensus bool
-	// Parallelism is forwarded to protocol.Config.Parallelism: the CPU
-	// worker bound (0 uses runtime.NumCPU). It does not touch the wire.
-	Parallelism int
 	// ArgmaxStrategy is forwarded to protocol.Config.ArgmaxStrategy:
 	// empty or "tournament" runs the batched bracket, "allpairs" the
 	// paper's all-pairs reference schedule Tables I-II were measured with.
@@ -100,18 +96,8 @@ func stepOrder() []string {
 // ProtocolBench runs the full crypto protocol cfg.Instances times over an
 // in-memory transport and aggregates per-step metrics.
 func ProtocolBench(cfg ProtocolBenchConfig) (*ProtocolBenchResult, error) {
-	if cfg.Instances < 1 || cfg.Users < 1 || cfg.Classes < 2 {
-		return nil, fmt.Errorf("experiments: invalid protocol bench config %+v", cfg)
-	}
-	pcfg := protocol.DefaultConfig(cfg.Users)
-	pcfg.Classes = cfg.Classes
-	pcfg.Parallelism = cfg.Parallelism
-	pcfg.ArgmaxStrategy = cfg.ArgmaxStrategy
-	pcfg.Packing = cfg.Packing
-	if cfg.PaillierBits > 0 {
-		pcfg.PaillierBits = cfg.PaillierBits
-	}
-	if err := pcfg.Validate(); err != nil {
+	pcfg, err := benchProtocolConfig(cfg)
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -119,21 +105,34 @@ func ProtocolBench(cfg ProtocolBenchConfig) (*ProtocolBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return benchWithKeys(cfg, pcfg, keys, rng)
+}
 
+// benchWithKeys runs the instances of ProtocolBench under keys, drawing the
+// users' submissions from rng.
+func benchWithKeys(cfg ProtocolBenchConfig, pcfg protocol.Config, keys *protocol.Keys, rng *rand.Rand) (*ProtocolBenchResult, error) {
 	meter := transport.NewMeter()
 	res := &ProtocolBenchResult{Config: cfg}
 	var overall time.Duration
+	var userBytes1, userBytes2 int64
 
 	for inst := 0; inst < cfg.Instances; inst++ {
-		subs, userBytes1, userBytes2, err := buildInstance(rng, pcfg, cfg, keys, inst)
+		subs, err := buildInstance(rng, pcfg, cfg, keys, inst)
 		if err != nil {
 			return nil, err
 		}
-		res.UserToServerBytes += userBytes1 / int64(cfg.Instances*cfg.Users)
-		res.UserToServerBytes2 += userBytes2 / int64(cfg.Instances*cfg.Users)
+		for _, sub := range subs {
+			b1, b2 := uploadBytes(sub.ToS1)
+			userBytes1 += b1
+			userBytes2 += b2
+		}
 
+		seed := cfg.Seed + int64(inst)
 		start := time.Now()
-		out, err := runCryptoInstance(pcfg, keys, subs, meter, cfg.Seed+int64(inst))
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+		out, err := protocol.RunPair(ctx, pcfg, keys.ForS1(), keys.ForS2(),
+			rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1)), subs, meter)
+		cancel()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: instance %d: %w", inst, err)
 		}
@@ -143,6 +142,10 @@ func ProtocolBench(cfg ProtocolBenchConfig) (*ProtocolBenchResult, error) {
 		}
 	}
 
+	// Sum first, divide once: a per-instance division would truncate once
+	// per instance.
+	res.UserToServerBytes = userBytes1 / int64(cfg.Instances*cfg.Users)
+	res.UserToServerBytes2 = userBytes2 / int64(cfg.Instances*cfg.Users)
 	res.Overall = overall / time.Duration(cfg.Instances)
 	for _, step := range stepOrder() {
 		s, ok := meter.Step(step)
@@ -170,11 +173,33 @@ func ProtocolBench(cfg ProtocolBenchConfig) (*ProtocolBenchResult, error) {
 	return res, nil
 }
 
+// benchProtocolConfig builds and checks the protocol parameters of a run.
+func benchProtocolConfig(cfg ProtocolBenchConfig) (protocol.Config, error) {
+	if cfg.Instances < 1 || cfg.Users < 1 || cfg.Classes < 2 {
+		return protocol.Config{}, fmt.Errorf("experiments: invalid protocol bench config %+v", cfg)
+	}
+	pcfg := protocol.DefaultConfig(cfg.Users)
+	pcfg.Classes = cfg.Classes
+	pcfg.ArgmaxStrategy = cfg.ArgmaxStrategy
+	pcfg.Packing = cfg.Packing
+	if cfg.PaillierBits > 0 {
+		pcfg.PaillierBits = cfg.PaillierBits
+	}
+	return pcfg, pcfg.Validate()
+}
+
+// uploadBytes splits one user's upload to S1 into the bytes of the first
+// secure sum (votes and threshold shares, step 2) and of the second (noisy
+// shares, step 6).
+func uploadBytes(h protocol.SubmissionHalf) (step2, step6 int64) {
+	return int64(protocol.SubmissionBytes(protocol.SubmissionHalf{Votes: h.Votes, Thresh: h.Thresh})),
+		int64(protocol.SubmissionBytes(protocol.SubmissionHalf{Noisy: h.Noisy}))
+}
+
 // buildInstance creates all users' submissions for one query instance.
 func buildInstance(rng *rand.Rand, pcfg protocol.Config, cfg ProtocolBenchConfig,
-	keys *protocol.Keys, inst int) ([]*protocol.Submission, int64, int64, error) {
+	keys *protocol.Keys, inst int) ([]*protocol.Submission, error) {
 	subs := make([]*protocol.Submission, cfg.Users)
-	var bytes1, bytes2 int64
 	majority := rng.Intn(cfg.Classes)
 	for u := 0; u < cfg.Users; u++ {
 		label := majority
@@ -190,59 +215,9 @@ func buildInstance(rng *rand.Rand, pcfg protocol.Config, cfg ProtocolBenchConfig
 		sub, _, err := protocol.BuildSubmission(rng, noise, pcfg, u, votes,
 			keys.S1Paillier.Public(), keys.S2Paillier.Public())
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 		subs[u] = sub
-		bytes1 += int64(halfBytes(sub.ToS1.Votes) + halfBytes(sub.ToS1.Thresh))
-		bytes2 += int64(halfBytes(sub.ToS1.Noisy))
 	}
-	return subs, bytes1, bytes2, nil
-}
-
-// halfBytes sums the wire size of a ciphertext vector.
-func halfBytes(cs []*paillier.Ciphertext) int {
-	n := 0
-	for _, c := range cs {
-		n += 5 + len(c.Bytes())
-	}
-	return n
-}
-
-// runCryptoInstance executes one Alg. 5 run over an in-memory pair.
-func runCryptoInstance(pcfg protocol.Config, keys *protocol.Keys,
-	subs []*protocol.Submission, meter *transport.Meter, seed int64) (*protocol.Outcome, error) {
-	c1, c2 := transport.Pair() // raw: the protocol meters its own link
-	defer c1.Close()
-	defer c2.Close()
-
-	s1Subs := make([]protocol.SubmissionHalf, len(subs))
-	s2Subs := make([]protocol.SubmissionHalf, len(subs))
-	for i, s := range subs {
-		s1Subs[i] = s.ToS1
-		s2Subs[i] = s.ToS2
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-
-	type result struct {
-		out *protocol.Outcome
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		out, err := protocol.RunS1(ctx, rand.New(rand.NewSource(seed)), pcfg, keys.ForS1(), c1, s1Subs, meter)
-		ch <- result{out, err}
-	}()
-	out2, err := protocol.RunS2(ctx, rand.New(rand.NewSource(seed+1)), pcfg, keys.ForS2(), c2, s2Subs, nil)
-	if err != nil {
-		return nil, err
-	}
-	r1 := <-ch
-	if r1.err != nil {
-		return nil, r1.err
-	}
-	if r1.out.Consensus != out2.Consensus || r1.out.Label != out2.Label {
-		return nil, fmt.Errorf("experiments: servers disagree: %+v vs %+v", r1.out, out2)
-	}
-	return r1.out, nil
+	return subs, nil
 }

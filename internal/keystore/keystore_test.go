@@ -3,19 +3,20 @@ package keystore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
-	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -139,42 +140,56 @@ func runWithLoadedKeys(t *testing.T, cfg protocol.Config, s1 *S1File, s2 *S2File
 		votes[i] = big.NewInt(0)
 	}
 	votes[1] = big.NewInt(protocol.VoteScale)
-	subs := make([]protocol.SubmissionHalf, cfg.Users)
-	subs2 := make([]protocol.SubmissionHalf, cfg.Users)
-	for u := 0; u < cfg.Users; u++ {
+	subs := make([]*protocol.Submission, cfg.Users)
+	for u := range subs {
 		sub, _, err := protocol.BuildSubmission(testRNG(int64(10+u)), testRNG(int64(20+u)), cfg, u, votes, pub.PK1, pub.PK2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[u] = sub.ToS1
-		subs2[u] = sub.ToS2
+		subs[u] = sub
 	}
-	connA, connB := transport.Pair()
-	defer connA.Close()
-	defer connB.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	type res struct {
-		out *protocol.Outcome
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		out, err := protocol.RunS1(ctx, testRNG(30), cfg, keys1, connA, subs, nil)
-		ch <- res{out, err}
-	}()
-	out2, err := protocol.RunS2(ctx, testRNG(31), cfg, keys2, connB, subs2, nil)
+	out, err := protocol.RunPair(ctx, cfg, keys1, keys2, testRNG(30), testRNG(31), subs, nil)
 	if err != nil {
-		t.Fatalf("RunS2 with loaded keys: %v", err)
+		t.Fatalf("run with loaded keys: %v", err)
 	}
-	r1 := <-ch
-	if r1.err != nil {
-		t.Fatalf("RunS1 with loaded keys: %v", r1.err)
+	if !out.Consensus || out.Label != 1 {
+		t.Fatalf("loaded-key outcome %+v, want consensus on 1", out)
 	}
-	if !out2.Consensus || out2.Label != 1 {
-		t.Fatalf("loaded-key outcome %+v, want consensus on 1", out2)
+}
+
+// Key files written while protocol.Config still carried the worker bound
+// hold that field in their config. They still load — the field is ignored —
+// and run.
+func TestOldKeyFilesWithWorkerBoundLoad(t *testing.T) {
+	var s1 S1File
+	var s2 S2File
+	var pub PublicFile
+	for name, v := range map[string]any{"s1": &s1, "s2": &s2, "public": &pub} {
+		path := filepath.Join("testdata", "parent_"+name+".json")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file struct{ Config map[string]json.RawMessage }
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		stale := 0
+		for field := range file.Config {
+			if _, ok := reflect.TypeOf(protocol.Config{}).FieldByName(field); !ok {
+				stale++
+			}
+		}
+		if stale != 1 {
+			t.Fatalf("%s config has %d fields Config lacks, want the one worker bound", path, stale)
+		}
+		if err := Load(path, v); err != nil {
+			t.Fatalf("load %s: %v", path, err)
+		}
 	}
-	_ = r1
+	runWithLoadedKeys(t, s1.Config, &s1, &s2, &pub)
 }
 
 func TestValidateRejectsBadFiles(t *testing.T) {

@@ -319,3 +319,34 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(0.01)
 	}
 }
+
+// TestMintTraceID checks determinism, stream separation and rendering. The
+// seeded IDs are pinned: a seeded engine and a seeded S1 journal exactly
+// these.
+func TestMintTraceID(t *testing.T) {
+	for seed, want := range map[int64]string{7: "t-17fe391018162ef9", 42: "t-78c6ba50ea2ecfbc"} {
+		id, err := MintTraceID(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := TraceIDString(id); got != want {
+			t.Errorf("seed %d minted %s, want %s", seed, got, want)
+		}
+	}
+	a, err := MintTraceID(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := MintTraceID(43); err != nil || c == a {
+		t.Errorf("seeds 42 and 43 minted %d and %d (%v)", a, c, err)
+	}
+	if random, err := MintTraceID(0); err != nil || random <= 0 {
+		t.Errorf("unseeded mint returned %d (%v), want positive", random, err)
+	}
+	if got := TraceIDString(0x1f); got != "t-000000000000001f" {
+		t.Errorf("TraceIDString(0x1f) = %q", got)
+	}
+	if got := TraceIDString(0); got != "" {
+		t.Errorf("TraceIDString(0) = %q, want empty (untraced)", got)
+	}
+}

@@ -2,7 +2,11 @@ package obs
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"fmt"
+	"io"
+	mrand "math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -327,4 +331,32 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 func TracerFrom(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
+}
+
+// MintTraceID draws a run's non-zero 63-bit trace ID: deterministic when
+// seed is non-zero (from the seed+8191 stream, off the protocol's own),
+// crypto/rand otherwise.
+func MintTraceID(seed int64) (int64, error) {
+	var rng io.Reader = crand.Reader
+	if seed != 0 {
+		rng = mrand.New(mrand.NewSource(seed + 8191))
+	}
+	var b [8]byte
+	for {
+		if _, err := io.ReadFull(rng, b[:]); err != nil {
+			return 0, fmt.Errorf("obs: mint trace id: %w", err)
+		}
+		if id := int64(binary.BigEndian.Uint64(b[:]) &^ (1 << 63)); id != 0 {
+			return id, nil
+		}
+	}
+}
+
+// TraceIDString renders a trace ID for journals and logs ("t-%016x"; ""
+// for 0, an untraced run).
+func TraceIDString(id int64) string {
+	if id == 0 {
+		return ""
+	}
+	return fmt.Sprintf("t-%016x", uint64(id))
 }

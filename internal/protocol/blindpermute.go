@@ -33,18 +33,13 @@ import (
 // as in the unpacked protocol — and nothing else — without an unpack round
 // for S1's half. S2's sequences are per-class in both modes (see unpack.go).
 
-// bpResultS1 is S1's output of one Blind-and-Permute invocation.
-type bpResultS1 struct {
+// bpResult is one party's output of one Blind-and-Permute invocation.
+type bpResult struct {
 	// Plain[s] = pi(seq_s + r_s) as signed integers.
 	Plain [][]*big.Int
-	// Pi1 is S1's private permutation share, needed for Restoration.
-	Pi1 perm.Permutation
-}
-
-// bpResultS2 is S2's output.
-type bpResultS2 struct {
-	Plain [][]*big.Int
-	Pi2   perm.Permutation
+	// Pi is the party's private permutation share (pi1 at S1, pi2 at S2),
+	// needed for Restoration.
+	Pi perm.Permutation
 }
 
 // bpS1GroupLen is the number of ciphertexts S1 brings to a Blind-and-Permute
@@ -94,7 +89,7 @@ func applyPerSeq(apply func([]*big.Int) ([]*big.Int, error), vals []*big.Int, k 
 // encrypted sequences (all under pk2): their nSeq·K per-class ciphertexts
 // back to back, or the slot-packed group in packed mode.
 func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
-	conn transport.Conn, group []*paillier.Ciphertext, nSeq int) (*bpResultS1, error) {
+	conn transport.Conn, group []*paillier.Ciphertext, nSeq int) (*bpResult, error) {
 	k := cfg.Classes
 	if want := bpS1GroupLen(cfg, nSeq); len(group) != want {
 		return nil, fmt.Errorf("protocol: %d-sequence group has %d ciphertexts, want %d", nSeq, len(group), want)
@@ -192,14 +187,14 @@ func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 		return nil, fmt.Errorf("protocol: B&P step 5 send: %w", err)
 	}
 
-	return &bpResultS1{Plain: out, Pi1: pi1}, nil
+	return &bpResult{Plain: out, Pi: pi1}, nil
 }
 
 // blindPermuteS2 runs S2's side of Alg. 2 for the matching sequences (all
 // under pk1, per-class in both modes). nUsers is the (public) participant
 // count whose per-user slot bias packed mode strips in step 2.
 func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
-	conn transport.Conn, seqs [][]*paillier.Ciphertext, nUsers int) (*bpResultS2, error) {
+	conn transport.Conn, seqs [][]*paillier.Ciphertext, nUsers int) (*bpResult, error) {
 	k := cfg.Classes
 	nSeq := len(seqs)
 	for s, seq := range seqs {
@@ -291,7 +286,7 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	}
 	// Fresh encryptions of -r3 dominate step 4's CPU cost; fan out.
 	encNegR3 := make([]*big.Int, nSeq*k)
-	if err := mathutil.ParallelFor(cfg.parallelism(), nSeq*k, func(idx int) error {
+	if err := mathutil.ParallelFor(Workers(), nSeq*k, func(idx int) error {
 		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Neg(r3[idx]))
 		if err != nil {
 			return fmt.Errorf("protocol: B&P step 4 encrypt -r3: %w", err)
@@ -322,5 +317,5 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	for s := 0; s < nSeq; s++ {
 		out[s] = final[s*k : (s+1)*k]
 	}
-	return &bpResultS2{Plain: out, Pi2: pi2}, nil
+	return &bpResult{Plain: out, Pi: pi2}, nil
 }

@@ -1,16 +1,19 @@
 package protocol
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/paillier"
+	"github.com/privconsensus/privconsensus/internal/perm"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -28,16 +31,94 @@ type Outcome struct {
 }
 
 // comparer is one party's side of the run's DGK exchanges, bound to the
-// run's conn, rng and worker bound: the batched exchange the tournament and
-// the threshold check use, and the single exchange of the all-pairs
-// reference schedule. It is the one seam a different selection primitive
-// would replace.
+// run's conn and rng: the batched exchange the tournament and the threshold
+// check use, and the single exchange of the all-pairs reference schedule. It
+// is the one seam a different selection primitive would replace.
 type comparer struct {
 	// negate marks the DGK "B" party (S2), which supplies the mirrored
 	// difference so one >= bit answers both parties.
 	negate bool
 	one    func(ctx context.Context, diff *big.Int) (bool, error)
 	batch  func(ctx context.Context, diffs []*big.Int) ([]bool, error)
+}
+
+// party is one server's side of every Alg. 5 step, bound to the run's keys,
+// rng and metered conn; run walks the steps in the one order both servers
+// share.
+type party struct {
+	// peerPub is the key the role's stored halves are encrypted under.
+	peerPub *paillier.PublicKey
+	cmp     comparer
+	// deltaSign is the sign the role applies δ with (see thresholdAdjustment):
+	// S1 subtracts it at every position and S2 adds it, so the comparison
+	// bias stays position-independent.
+	deltaSign int64
+	// unpack runs the role's side of one blinded unpack of its packed group
+	// of nSeq aggregated sequences and returns what blindPermute takes.
+	unpack func(ctx context.Context, group []*paillier.Ciphertext, nSeq, nUsers int) ([][]*paillier.Ciphertext, error)
+	// blindPermute runs the role's side of Alg. 2 over nSeq sequences.
+	blindPermute func(ctx context.Context, seqs [][]*paillier.Ciphertext, nSeq, nUsers int) (*bpResult, error)
+	// restore runs the role's side of Alg. 3 for the permuted winner pTilde.
+	restore func(ctx context.Context, pi perm.Permutation, pTilde int) (int, error)
+}
+
+// role is one server's key view, KeysS1 or KeysS2.
+type role interface {
+	Precompute()
+	party(cfg Config, rng io.Reader, conn transport.Conn) party
+}
+
+// party binds S1's side: DGK party A, key owner of the blinded unpack (its
+// own group stays packed; Blind-and-Permute step 1 masks it as it is).
+func (k KeysS1) party(cfg Config, rng io.Reader, conn transport.Conn) party {
+	return party{
+		peerPub:   k.PeerPub,
+		deltaSign: -1,
+		cmp: comparer{
+			one: func(ctx context.Context, d *big.Int) (bool, error) {
+				return k.DGKPub.CompareSignedA(ctx, rng, conn, d)
+			},
+			batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
+				return k.DGKPub.CompareSignedBatchA(ctx, rng, conn, ds, Workers())
+			},
+		},
+		unpack: func(ctx context.Context, group []*paillier.Ciphertext, nSeq, _ int) ([][]*paillier.Ciphertext, error) {
+			return [][]*paillier.Ciphertext{group}, unpackS1(ctx, rng, cfg, k, conn, nSeq)
+		},
+		blindPermute: func(ctx context.Context, seqs [][]*paillier.Ciphertext, nSeq, _ int) (*bpResult, error) {
+			return blindPermuteS1(ctx, rng, cfg, k, conn, slices.Concat(seqs...), nSeq)
+		},
+		restore: func(ctx context.Context, pi perm.Permutation, _ int) (int, error) {
+			return restoreS1(ctx, rng, cfg, k, conn, pi)
+		},
+	}
+}
+
+// party binds S2's side: DGK party B, holder of the group the blinded
+// unpack splits into per-class ciphertexts.
+func (k KeysS2) party(cfg Config, rng io.Reader, conn transport.Conn) party {
+	return party{
+		peerPub:   k.PeerPub,
+		deltaSign: 1,
+		cmp: comparer{
+			negate: true,
+			one: func(ctx context.Context, d *big.Int) (bool, error) {
+				return k.DGK.CompareSignedB(ctx, rng, conn, d)
+			},
+			batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
+				return k.DGK.CompareSignedBatchB(ctx, rng, conn, ds, Workers())
+			},
+		},
+		unpack: func(ctx context.Context, group []*paillier.Ciphertext, nSeq, nUsers int) ([][]*paillier.Ciphertext, error) {
+			return unpackS2(ctx, rng, cfg, k, conn, group, nSeq, nUsers)
+		},
+		blindPermute: func(ctx context.Context, seqs [][]*paillier.Ciphertext, _, nUsers int) (*bpResult, error) {
+			return blindPermuteS2(ctx, rng, cfg, k, conn, seqs, nUsers)
+		},
+		restore: func(ctx context.Context, pi perm.Permutation, pTilde int) (int, error) {
+			return restoreS2(ctx, rng, cfg, k, conn, pi, pTilde)
+		},
+	}
 }
 
 // timeStep attributes fn's wall time to step in meter (nil meter OK), opens
@@ -67,13 +148,7 @@ func timeStep(ctx context.Context, meter *transport.Meter, step string, fn func(
 // pk2); nil halves mark dropped users. meter may be nil.
 func RunS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(subs) != cfg.Users {
-		return nil, fmt.Errorf("protocol: got %d submissions, want %d", len(subs), cfg.Users)
-	}
-	return RunS1Groups(ctx, rng, cfg, keys, conn, GroupSingletons(subs), meter)
+	return runSubmissions(ctx, rng, cfg, keys, conn, subs, meter)
 }
 
 // RunS1Groups is RunS1 over pre-aggregated ingestion groups (see Group):
@@ -82,188 +157,14 @@ func RunS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 // byte-identical to running RunS1 with the same users submitting directly.
 func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	keys.Precompute() // warm fixed-base tables before the first phase
-	par := cfg.parallelism()
-	if par > 1 {
-		// math/rand sources are not safe for concurrent draws.
-		rng = &lockedReader{r: rng}
-	}
-	// The protocol owns metering: callers hand over the raw conn.
-	conn := transport.Metered(raw, meter, StepSecureSum1)
-	cmp := comparer{
-		one: func(ctx context.Context, d *big.Int) (bool, error) {
-			return keys.DGKPub.CompareSignedA(ctx, rng, conn, d)
-		},
-		batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
-			return keys.DGKPub.CompareSignedBatchA(ctx, rng, conn, ds, par)
-		},
-	}
-
-	// Partial participation: aggregate only the present subset. Both
-	// servers must mask the same subset (the deploy layer agrees on it via
-	// the participant bitmap exchange, whole groups at a time).
-	active, participants, adjust, err := groupInputs(cfg, groups)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 2: Secure Sum — aggregate user shares homomorphically.
-	var aggVotes, aggThresh, aggNoisy []*paillier.Ciphertext
-	err = timeStep(ctx, meter, StepSecureSum1, func() error {
-		var err error
-		aggVotes, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Votes })
-		if err != nil {
-			return err
-		}
-		aggThresh, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Thresh })
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S1 secure sum: %w", err)
-	}
-
-	// Packed mode: one blinded interactive unpack turns S2's packed group
-	// into the per-class ciphertexts Alg. 2 step 4 permutes. S1's stays
-	// packed; Blind-and-Permute step 1 masks it as it is.
-	if cfg.Packing {
-		conn.SetStep(StepUnpack1)
-		err = timeStep(ctx, meter, StepUnpack1, func() error {
-			return unpackS1(ctx, rng, cfg, keys, conn, 2)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("protocol: S1 packed unpack: %w", err)
-		}
-	}
-
-	// Step 3: Blind-and-Permute the vote and threshold sequences together.
-	conn.SetStep(StepBlindPerm1)
-	var bp *bpResultS1
-	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
-		var err error
-		// Packed, aggVotes already is the joint group and aggThresh empty.
-		bp, err = blindPermuteS1(ctx, rng, cfg, keys, conn, append(aggVotes, aggThresh...), 2)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	votesSeq, threshSeq := bp.Plain[0], bp.Plain[1]
-	// Shift the threshold decision from the baked-in 2*O_P to the target
-	// 2*H (see thresholdAdjustment): S1 subtracts delta at every position,
-	// S2 adds it, so the comparison bias stays position-independent. At
-	// full participation delta is zero and nothing changes.
-	if adjust.Sign() != 0 {
-		for _, v := range threshSeq {
-			v.Sub(v, adjust)
-		}
-		// δ is public under the protocol's threat model (it derives from
-		// the agreed participant count, not from any vote), so recording
-		// it in the trace does not leak.
-		if tr := obs.TracerFrom(ctx); tr != nil {
-			tr.RecordEvent(obs.EventDelta, fmt.Sprintf("delta=%s participants=%d", adjust, len(participants)))
-		}
-	}
-
-	// Step 4: Secure Comparison — find pi(i*).
-	conn.SetStep(StepCompare1)
-	var pStar int
-	err = timeStep(ctx, meter, StepCompare1, func() error {
-		var err error
-		pStar, err = argmaxPermuted(ctx, cfg, cmp, votesSeq)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S1 comparison phase 1: %w", err)
-	}
-
-	// Step 5: Threshold Checking at pi(i*) (optionally at all positions).
-	conn.SetStep(StepThreshold)
-	var pass bool
-	err = timeStep(ctx, meter, StepThreshold, func() error {
-		var err error
-		pass, err = thresholdCheck(ctx, cfg, cmp, threshSeq, pStar)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S1 threshold check: %w", err)
-	}
-	if !pass {
-		return &Outcome{Consensus: false, Label: -1, Participants: len(participants)}, nil
-	}
-
-	// Step 6: second Secure Sum (noisy shares).
-	err = timeStep(ctx, meter, StepSecureSum2, func() error {
-		var err error
-		aggNoisy, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Noisy })
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S1 secure sum 2: %w", err)
-	}
-
-	if cfg.Packing {
-		conn.SetStep(StepUnpack2)
-		err = timeStep(ctx, meter, StepUnpack2, func() error {
-			return unpackS1(ctx, rng, cfg, keys, conn, 1)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("protocol: S1 packed unpack 2: %w", err)
-		}
-	}
-
-	// Step 7: fresh Blind-and-Permute on the noisy votes.
-	conn.SetStep(StepBlindPerm2)
-	var bp2 *bpResultS1
-	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
-		var err error
-		bp2, err = blindPermuteS1(ctx, rng, cfg, keys, conn, aggNoisy, 1)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 8: Secure Comparison to find pi'(i~*).
-	conn.SetStep(StepCompare2)
-	var pTilde int
-	err = timeStep(ctx, meter, StepCompare2, func() error {
-		var err error
-		pTilde, err = argmaxPermuted(ctx, cfg, cmp, bp2.Plain[0])
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S1 comparison phase 2: %w", err)
-	}
-	_ = pTilde // S1's share of the knowledge is pi1'; restoration reveals the label.
-
-	// Step 9: Restoration.
-	conn.SetStep(StepRestoration)
-	var label int
-	err = timeStep(ctx, meter, StepRestoration, func() error {
-		var err error
-		label, err = restoreS1(ctx, rng, cfg, keys, conn, bp2.Pi1)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Consensus: true, Label: label, Participants: len(participants)}, nil
+	return run(ctx, rng, cfg, keys, raw, groups, meter)
 }
 
 // RunS2 executes S2's role in Alg. 5. subs holds every user's ToS2 half
 // (encrypted under pk1); nil halves mark dropped users.
 func RunS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(subs) != cfg.Users {
-		return nil, fmt.Errorf("protocol: got %d submissions, want %d", len(subs), cfg.Users)
-	}
-	return RunS2Groups(ctx, rng, cfg, keys, conn, GroupSingletons(subs), meter)
+	return runSubmissions(ctx, rng, cfg, keys, conn, subs, meter)
 }
 
 // RunS2WithPools is RunS2.
@@ -280,163 +181,221 @@ func RunS2WithPools(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 // RunS1Groups.
 func RunS2Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
+	return run(ctx, rng, cfg, keys, raw, groups, meter)
+}
+
+// runSubmissions runs one role over a full-length (Users-sized) submission slice.
+func runSubmissions(ctx context.Context, rng io.Reader, cfg Config, keys role,
+	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(subs) != cfg.Users {
+		return nil, fmt.Errorf("protocol: got %d submissions, want %d", len(subs), cfg.Users)
+	}
+	return run(ctx, rng, cfg, keys, conn, GroupSingletons(subs), meter)
+}
+
+// run walks Alg. 5 steps 2–9 for one role: secure sum (packed: then the
+// blinded unpack), Blind-and-Permute, comparison, threshold check, and on a
+// pass the second secure sum, Blind-and-Permute and comparison, and
+// Restoration. Both servers run this one schedule, each over its own party.
+func run(ctx context.Context, rng io.Reader, cfg Config, keys role,
+	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	keys.Precompute() // warm fixed-base tables before the first phase
-	par := cfg.parallelism()
-	if par > 1 {
-		rng = &lockedReader{r: rng}
-	}
+	// math/rand sources are not safe for concurrent draws.
+	rng = &lockedReader{r: rng}
+	// The protocol owns metering: callers hand over the raw conn.
 	conn := transport.Metered(raw, meter, StepSecureSum1)
-	cmp := comparer{
-		negate: true,
-		one: func(ctx context.Context, d *big.Int) (bool, error) {
-			return keys.DGK.CompareSignedB(ctx, rng, conn, d)
-		},
-		batch: func(ctx context.Context, ds []*big.Int) ([]bool, error) {
-			return keys.DGK.CompareSignedBatchB(ctx, rng, conn, ds, par)
-		},
+	p := keys.party(cfg, rng, conn)
+	// step runs one Alg. 5 step under its label: the link's traffic, the
+	// meter's time, the trace span and the phase histogram all carry it.
+	step := func(name string, fn func() error) error {
+		conn.SetStep(name)
+		if err := timeStep(ctx, meter, name, fn); err != nil {
+			return fmt.Errorf("protocol: %s: %w", name, err)
+		}
+		return nil
 	}
 
-	// Partial participation: mirror RunS1Groups' subset masking exactly.
+	// Partial participation: aggregate only the present subset. Both
+	// servers must mask the same subset (the deploy layer agrees on it via
+	// the participant bitmap exchange, whole groups at a time).
 	active, participants, adjust, err := groupInputs(cfg, groups)
 	if err != nil {
 		return nil, err
 	}
+	nUsers := len(participants)
 
-	var aggVotes, aggThresh, aggNoisy []*paillier.Ciphertext
-	err = timeStep(ctx, meter, StepSecureSum1, func() error {
-		var err error
-		aggVotes, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Votes })
-		if err != nil {
-			return err
-		}
-		aggThresh, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Thresh })
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S2 secure sum: %w", err)
-	}
-
-	if cfg.Packing {
-		conn.SetStep(StepUnpack1)
-		err = timeStep(ctx, meter, StepUnpack1, func() error {
-			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggVotes, 2, len(participants))
-			if uerr != nil {
-				return uerr
+	// sumAndPermute runs one secure sum (step 2 or 6) over the given
+	// submission fields, packed the blinded unpack of its group, and the
+	// Blind-and-Permute (step 3 or 7) of the summed sequences.
+	sumAndPermute := func(sumStep, unpackStep, bpStep string, fields ...func(SubmissionHalf) []*paillier.Ciphertext) (*bpResult, error) {
+		nSeq := len(fields)
+		sums := make([][]*paillier.Ciphertext, nSeq)
+		err := step(sumStep, func() error {
+			for i, field := range fields {
+				var err error
+				if sums[i], err = aggregate(p.peerPub, active, Workers(), field); err != nil {
+					return err
+				}
 			}
-			aggVotes, aggThresh = out[0], out[1]
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("protocol: S2 packed unpack: %w", err)
+			return nil, err
 		}
+		// Packed, sums[0] is the joint group and the rest are empty.
+		if cfg.Packing {
+			if err := step(unpackStep, func() error {
+				var err error
+				sums, err = p.unpack(ctx, sums[0], nSeq, nUsers)
+				return err
+			}); err != nil {
+				return nil, err
+			}
+		}
+		var bp *bpResult
+		err = step(bpStep, func() error {
+			var err error
+			bp, err = p.blindPermute(ctx, sums, nSeq, nUsers)
+			return err
+		})
+		return bp, err
+	}
+	// argmax runs one Secure Comparison phase (step 4 or 8) for pi(i*).
+	argmax := func(cmpStep string, seq []*big.Int) (int, error) {
+		var pos int
+		err := step(cmpStep, func() error {
+			var err error
+			pos, err = argmaxPermuted(ctx, cfg, p.cmp, seq)
+			return err
+		})
+		return pos, err
 	}
 
-	conn.SetStep(StepBlindPerm1)
-	var bp *bpResultS2
-	err = timeStep(ctx, meter, StepBlindPerm1, func() error {
-		var err error
-		bp, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggVotes, aggThresh}, len(participants))
-		return err
-	})
+	// Steps 2-3 run the vote and threshold sequences together.
+	bp, err := sumAndPermute(StepSecureSum1, StepUnpack1, StepBlindPerm1,
+		func(h SubmissionHalf) []*paillier.Ciphertext { return h.Votes },
+		func(h SubmissionHalf) []*paillier.Ciphertext { return h.Thresh })
 	if err != nil {
 		return nil, err
 	}
 	votesSeq, threshSeq := bp.Plain[0], bp.Plain[1]
-	// S2 adds the same delta S1 subtracts; see the RunS1 comment.
+	// Shift the threshold decision from the baked-in 2*O_P to the target
+	// 2*H; at full participation delta is zero and nothing changes.
 	if adjust.Sign() != 0 {
+		signed := new(big.Int).Mul(adjust, big.NewInt(p.deltaSign))
 		for _, v := range threshSeq {
-			v.Add(v, adjust)
+			v.Add(v, signed)
 		}
+		// δ is public under the protocol's threat model (it derives from
+		// the agreed participant count, not from any vote), so recording
+		// it in the trace does not leak.
 		if tr := obs.TracerFrom(ctx); tr != nil {
-			tr.RecordEvent(obs.EventDelta, fmt.Sprintf("delta=%s participants=%d", adjust, len(participants)))
+			tr.RecordEvent(obs.EventDelta, fmt.Sprintf("delta=%s participants=%d", adjust, nUsers))
 		}
 	}
 
-	conn.SetStep(StepCompare1)
-	var pStar int
-	err = timeStep(ctx, meter, StepCompare1, func() error {
-		var err error
-		pStar, err = argmaxPermuted(ctx, cfg, cmp, votesSeq)
-		return err
-	})
+	// Step 4: Secure Comparison — find pi(i*).
+	pStar, err := argmax(StepCompare1, votesSeq)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: S2 comparison phase 1: %w", err)
+		return nil, err
 	}
 
-	conn.SetStep(StepThreshold)
+	// Step 5: Threshold Checking at pi(i*) (optionally at all positions).
 	var pass bool
-	err = timeStep(ctx, meter, StepThreshold, func() error {
+	if err := step(StepThreshold, func() error {
 		var err error
-		pass, err = thresholdCheck(ctx, cfg, cmp, threshSeq, pStar)
+		pass, err = thresholdCheck(ctx, cfg, p.cmp, threshSeq, pStar)
 		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S2 threshold check: %w", err)
+	}); err != nil {
+		return nil, err
 	}
 	if !pass {
-		return &Outcome{Consensus: false, Label: -1, Participants: len(participants)}, nil
+		return &Outcome{Consensus: false, Label: -1, Participants: nUsers}, nil
 	}
 
-	err = timeStep(ctx, meter, StepSecureSum2, func() error {
-		var err error
-		aggNoisy, err = aggregate(keys.PeerPub, active, par, func(h SubmissionHalf) []*paillier.Ciphertext { return h.Noisy })
-		return err
-	})
+	// Steps 6-7: second secure sum and a fresh Blind-and-Permute on the
+	// noisy votes.
+	bp2, err := sumAndPermute(StepSecureSum2, StepUnpack2, StepBlindPerm2,
+		func(h SubmissionHalf) []*paillier.Ciphertext { return h.Noisy })
 	if err != nil {
-		return nil, fmt.Errorf("protocol: S2 secure sum 2: %w", err)
+		return nil, err
 	}
 
-	if cfg.Packing {
-		conn.SetStep(StepUnpack2)
-		err = timeStep(ctx, meter, StepUnpack2, func() error {
-			out, uerr := unpackS2(ctx, rng, cfg, keys, conn, aggNoisy, 1, len(participants))
-			if uerr != nil {
-				return uerr
-			}
-			aggNoisy = out[0]
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("protocol: S2 packed unpack 2: %w", err)
+	// Step 8: Secure Comparison to find pi'(i~*).
+	pTilde, err := argmax(StepCompare2, bp2.Plain[0])
+	if err != nil {
+		return nil, err
+	}
+
+	// Step 9: Restoration maps pi'(i~*) back to the label.
+	var label int
+	if err := step(StepRestoration, func() error {
+		var err error
+		label, err = p.restore(ctx, bp2.Pi, pTilde)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return &Outcome{Consensus: true, Label: label, Participants: nUsers}, nil
+}
+
+// RunPair runs one Alg. 5 execution with both servers in this process over
+// transport.Pair: S1 with rng1, meter (may be nil) and ctx's ambient tracer;
+// S2 with rng2 and neither, since one query's spans must come from one
+// sequential run. subs holds every user's submission; a nil entry marks an
+// absent user. It returns the outcome both servers reached, an error naming
+// the side that failed first, or one saying they disagree.
+func RunPair(ctx context.Context, cfg Config, keys1 KeysS1, keys2 KeysS2, rng1, rng2 io.Reader,
+	subs []*Submission, meter *transport.Meter) (*Outcome, error) {
+	c1, c2 := transport.Pair()
+	return runPair(ctx, cfg, keys1, keys2, rng1, rng2, subs, meter, c1, c2)
+}
+
+// runPair is RunPair over the two ends of a caller-built link.
+func runPair(ctx context.Context, cfg Config, keys1 KeysS1, keys2 KeysS2, rng1, rng2 io.Reader,
+	subs []*Submission, meter *transport.Meter, c1, c2 transport.Conn) (*Outcome, error) {
+	defer c1.Close()
+	defer c2.Close()
+	h1 := make([]SubmissionHalf, len(subs))
+	h2 := make([]SubmissionHalf, len(subs))
+	for u, s := range subs {
+		if s != nil {
+			h1[u], h2[u] = s.ToS1, s.ToS2
 		}
 	}
-
-	conn.SetStep(StepBlindPerm2)
-	var bp2 *bpResultS2
-	err = timeStep(ctx, meter, StepBlindPerm2, func() error {
-		var err error
-		bp2, err = blindPermuteS2(ctx, rng, cfg, keys, conn, [][]*paillier.Ciphertext{aggNoisy}, len(participants))
-		return err
-	})
-	if err != nil {
-		return nil, err
+	var outs [2]*Outcome
+	errs := make(chan error, len(outs))
+	side := func(i int, run func() (*Outcome, error)) {
+		out, err := run()
+		if err != nil {
+			err = fmt.Errorf("protocol: S%d: %w", i+1, err)
+		}
+		outs[i] = out
+		errs <- err
 	}
-
-	conn.SetStep(StepCompare2)
-	var pTilde int
-	err = timeStep(ctx, meter, StepCompare2, func() error {
-		var err error
-		pTilde, err = argmaxPermuted(ctx, cfg, cmp, bp2.Plain[0])
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("protocol: S2 comparison phase 2: %w", err)
+	go side(0, func() (*Outcome, error) { return RunS1(ctx, rng1, cfg, keys1, c1, h1, meter) })
+	go side(1, func() (*Outcome, error) { return RunS2(obs.WithTracer(ctx, nil), rng2, cfg, keys2, c2, h2, nil) })
+	var first error
+	for range outs {
+		if err := <-errs; err != nil {
+			first = cmp.Or(first, err)
+			c1.Close() // unblock the other side
+			c2.Close()
+		}
 	}
-
-	conn.SetStep(StepRestoration)
-	var label int
-	err = timeStep(ctx, meter, StepRestoration, func() error {
-		var err error
-		label, err = restoreS2(ctx, rng, cfg, keys, conn, bp2.Pi2, pTilde)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	if first != nil {
+		return nil, first
 	}
-	return &Outcome{Consensus: true, Label: label, Participants: len(participants)}, nil
+	if *outs[0] != *outs[1] {
+		return nil, fmt.Errorf("protocol: servers disagree: %+v vs %+v", *outs[0], *outs[1])
+	}
+	return outs[0], nil
 }
 
 // groupInputs resolves the ingestion groups of one query instance into the
@@ -480,9 +439,9 @@ func groupInputs(cfg Config, groups []Group) ([]SubmissionHalf, []int, *big.Int,
 
 // aggregate homomorphically sums one field of every user's submission
 // half. With par > 1 the users are split into chunks summed concurrently
-// and the chunk partials combined in a tree; Paillier addition is
-// ciphertext multiplication mod N^2 — associative and commutative — so
-// every grouping yields the identical ciphertext vector.
+// and the chunk partials folded in order; Paillier addition is ciphertext
+// multiplication mod N^2 — associative and commutative — so every grouping
+// yields the identical ciphertext vector.
 func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field func(SubmissionHalf) []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
 	k := len(field(subs[0]))
 	for u := 1; u < len(subs); u++ {
@@ -532,30 +491,13 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 	if err != nil {
 		return nil, err
 	}
-	// Tree-combine the chunk partials pairwise.
-	for len(partials) > 1 {
-		half := (len(partials) + 1) / 2
-		next := make([][]*paillier.Ciphertext, half)
-		err := mathutil.ParallelFor(par, half, func(j int) error {
-			a := partials[2*j]
-			if 2*j+1 == len(partials) {
-				next[j] = a
-				return nil
+	scratch := new(big.Int)
+	for _, part := range partials[1:] {
+		for i := range part {
+			if err := pk.AddInto(partials[0][i], part[i], scratch); err != nil {
+				return nil, fmt.Errorf("protocol: aggregate combine class %d: %w", i, err)
 			}
-			b := partials[2*j+1]
-			scratch := new(big.Int)
-			for i := range a {
-				if err := pk.AddInto(a[i], b[i], scratch); err != nil {
-					return fmt.Errorf("protocol: aggregate combine class %d: %w", i, err)
-				}
-			}
-			next[j] = a
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		partials = next
 	}
 	return partials[0], nil
 }
@@ -573,71 +515,52 @@ func argmaxPermuted(ctx context.Context, cfg Config, cmp comparer, seq []*big.In
 	if cfg.tournament() {
 		return tournamentArgmax(ctx, cfg, cmp, seq)
 	}
-	jobs := argmaxJobs(cfg, seq, cmp.negate)
-	geqs, err := cmp.each(ctx, jobs)
+	var pairs [][2]int
+	var diffs []*big.Int
+	for p := 0; p < cfg.Classes; p++ {
+		for q := p + 1; q < cfg.Classes; q++ {
+			pairs = append(pairs, [2]int{p, q})
+			diffs = append(diffs, cmp.diff(seq, p, q))
+		}
+	}
+	geqs, err := cmp.each(ctx, diffs, func(i int) string {
+		return fmt.Sprintf("compare pair (%d,%d)", pairs[i][0], pairs[i][1])
+	})
 	if err != nil {
 		return -1, err
 	}
-	strategyComparisons(cfg).Add(int64(len(jobs)))
-	return argmaxWinner(cfg, geqs)
+	strategyComparisons(cfg).Add(int64(len(pairs)))
+	wins := newWinsMatrix(cfg.Classes)
+	for i, pq := range pairs {
+		wins.set(pq[0], pq[1], geqs[i])
+	}
+	return wins.winner()
 }
 
-// cmpJob is one secure comparison of the reference schedule.
-type cmpJob struct {
-	// tag labels the comparison in errors, e.g. "compare pair (2,5)".
-	tag string
-	// diff is this party's comparison input.
-	diff *big.Int
+// diff is this party's input to the comparison of positions p < q: S1
+// supplies seq[p] - seq[q], S2 (the DGK "B" party) the mirrored seq[q] -
+// seq[p], so one >= bit answers both parties.
+func (c comparer) diff(seq []*big.Int, p, q int) *big.Int {
+	if c.negate {
+		return new(big.Int).Sub(seq[q], seq[p])
+	}
+	return new(big.Int).Sub(seq[p], seq[q])
 }
 
-// each runs jobs one exchange at a time, in job order, and returns the
-// per-job >= bits: the wire of the all-pairs reference schedule.
-func (c comparer) each(ctx context.Context, jobs []cmpJob) ([]bool, error) {
-	out := make([]bool, len(jobs))
-	for i, job := range jobs {
-		geq, err := c.one(ctx, job.diff)
+// each runs one exchange per diff, in order, and returns the per-diff >=
+// bits: the wire of the all-pairs reference schedule. tag names diff i in
+// errors.
+func (c comparer) each(ctx context.Context, diffs []*big.Int, tag func(i int) string) ([]bool, error) {
+	out := make([]bool, len(diffs))
+	for i, d := range diffs {
+		geq, err := c.one(ctx, d)
 		cmpJobsTotal.Inc()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", job.tag, err)
+			return nil, fmt.Errorf("%s: %w", tag(i), err)
 		}
 		out[i] = geq
 	}
 	return out, nil
-}
-
-// argmaxJobs builds the all-pairs comparison jobs in the (p, q), p < q,
-// row-major order both servers share. S2 (the DGK "B" party) negates the
-// differences so one >= bit answers both parties.
-func argmaxJobs(cfg Config, seq []*big.Int, negate bool) []cmpJob {
-	k := cfg.Classes
-	jobs := make([]cmpJob, 0, k*(k-1)/2)
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			d := new(big.Int)
-			if negate {
-				d.Sub(seq[q], seq[p])
-			} else {
-				d.Sub(seq[p], seq[q])
-			}
-			jobs = append(jobs, cmpJob{tag: fmt.Sprintf("compare pair (%d,%d)", p, q), diff: d})
-		}
-	}
-	return jobs
-}
-
-// argmaxWinner folds the per-pair >= bits (in argmaxJobs order) into the
-// winning permuted position.
-func argmaxWinner(cfg Config, geqs []bool) (int, error) {
-	k := cfg.Classes
-	wins := newWinsMatrix(k)
-	i := 0
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			wins.set(p, q, geqs[i])
-			i++
-		}
-	}
-	return wins.winner()
 }
 
 // winsMatrix records pairwise >= outcomes; ties are awarded to the lower
@@ -688,39 +611,23 @@ func (m *winsMatrix) winner() (int, error) {
 // all-pairs reference keeps one exchange per position.
 func thresholdCheck(ctx context.Context, cfg Config, cmp comparer, threshSeq []*big.Int, pStar int) (bool, error) {
 	positions := checkPositions(cfg, pStar)
-	jobs := thresholdJobs(positions, threshSeq)
+	diffs := make([]*big.Int, len(positions))
+	for i, p := range positions {
+		diffs[i] = threshSeq[p]
+	}
 	var geqs []bool
 	var err error
 	if cfg.tournament() {
-		geqs, err = cmp.batch(ctx, jobDiffs(jobs))
-		cmpJobsTotal.Add(int64(len(jobs)))
+		geqs, err = cmp.batch(ctx, diffs)
+		cmpJobsTotal.Add(int64(len(diffs)))
 	} else {
-		geqs, err = cmp.each(ctx, jobs)
+		geqs, err = cmp.each(ctx, diffs, func(i int) string { return fmt.Sprintf("threshold position %d", positions[i]) })
 	}
 	if err != nil {
 		return false, err
 	}
-	strategyComparisons(cfg).Add(int64(len(jobs)))
+	strategyComparisons(cfg).Add(int64(len(diffs)))
 	return thresholdPass(positions, geqs, pStar), nil
-}
-
-// jobDiffs projects a job list onto its comparison inputs for the batched
-// exchanges.
-func jobDiffs(jobs []cmpJob) []*big.Int {
-	diffs := make([]*big.Int, len(jobs))
-	for i, j := range jobs {
-		diffs[i] = j.diff
-	}
-	return diffs
-}
-
-// thresholdJobs builds one comparison job per checked permuted position.
-func thresholdJobs(positions []int, threshSeq []*big.Int) []cmpJob {
-	jobs := make([]cmpJob, len(positions))
-	for i, p := range positions {
-		jobs[i] = cmpJob{tag: fmt.Sprintf("threshold position %d", p), diff: threshSeq[p]}
-	}
-	return jobs
 }
 
 // thresholdPass extracts the deciding bit: only the comparison at pStar

@@ -4,54 +4,32 @@ import (
 	"context"
 	"math/big"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
-// runInstance executes one full Alg. 5 run over an in-memory transport and
-// returns both servers' outcomes. meter (may be nil) sees S1's side.
-func runInstance(t *testing.T, cfg Config, keys *Keys, subs []*Submission, meter *transport.Meter) (*Outcome, *Outcome) {
+// runInstance executes one full Alg. 5 run through RunPair and returns the
+// outcome both servers agreed on. meter (may be nil) sees S1's side.
+func runInstance(t *testing.T, cfg Config, keys *Keys, subs []*Submission, meter *transport.Meter) *Outcome {
 	t.Helper()
-	c1, c2 := transport.Pair()
-	return runInstanceOn(t, cfg, keys, subs, meter, c1, c2)
-}
-
-// runInstanceOn is runInstance over caller-supplied (possibly wrapped) conns.
-func runInstanceOn(t *testing.T, cfg Config, keys *Keys, subs []*Submission, meter *transport.Meter, c1, c2 transport.Conn) (*Outcome, *Outcome) {
-	t.Helper()
-	defer c1.Close()
-	defer c2.Close()
-
-	s1Subs := make([]SubmissionHalf, len(subs))
-	s2Subs := make([]SubmissionHalf, len(subs))
-	for i, s := range subs {
-		s1Subs[i] = s.ToS1
-		s2Subs[i] = s.ToS2
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-
-	type result struct {
-		out *Outcome
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		out, err := RunS1(ctx, testRNG(101), cfg, keys.ForS1(), c1, s1Subs, meter)
-		ch <- result{out, err}
-	}()
-	out2, err := RunS2(ctx, testRNG(102), cfg, keys.ForS2(), c2, s2Subs, nil)
+	out, err := RunPair(ctx, cfg, keys.ForS1(), keys.ForS2(), testRNG(101), testRNG(102), subs, meter)
 	if err != nil {
-		t.Fatalf("RunS2: %v", err)
+		t.Fatal(err)
 	}
-	r1 := <-ch
-	if r1.err != nil {
-		t.Fatalf("RunS1: %v", r1.err)
-	}
-	return r1.out, out2
+	return out
+}
+
+// setWorkers runs the rest of the test with GOMAXPROCS — the crypto worker
+// bound — at n, restoring the old value when the test ends.
+func setWorkers(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // buildAll constructs submissions + disclosures for a set of user votes.
@@ -90,12 +68,9 @@ func TestFullProtocolConsensusNoNoise(t *testing.T) {
 		oneHotVotes(cfg.Classes, 0),
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 21)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree: %+v vs %+v", out1, out2)
-	}
-	if !out1.Consensus || out1.Label != 2 {
-		t.Fatalf("outcome = %+v, want consensus on label 2", out1)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if !out.Consensus || out.Label != 2 {
+		t.Fatalf("outcome = %+v, want consensus on label 2", out)
 	}
 }
 
@@ -116,12 +91,9 @@ func TestFullProtocolNoConsensusNoNoise(t *testing.T) {
 		oneHotVotes(cfg.Classes, 3),
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 23)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree: %+v vs %+v", out1, out2)
-	}
-	if out1.Consensus || out1.Label != -1 {
-		t.Fatalf("outcome = %+v, want no consensus", out1)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if out.Consensus || out.Label != -1 {
+		t.Fatalf("outcome = %+v, want no consensus", out)
 	}
 }
 
@@ -155,10 +127,7 @@ func TestFullProtocolMatchesPlainReference(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		out1, out2 := runInstance(t, cfg, keys, subs, nil)
-		if *out1 != *out2 {
-			t.Fatalf("trial %d: servers disagree: %+v vs %+v", trial, out1, out2)
-		}
+		out := runInstance(t, cfg, keys, subs, nil)
 		// Exact agreement with the plaintext reference is only guaranteed
 		// for a unique maximum (tied maxima carry different z1 noise
 		// depending on which tied class the permuted argmax selects).
@@ -173,8 +142,8 @@ func TestFullProtocolMatchesPlainReference(t *testing.T) {
 		if !uniqueMax {
 			continue
 		}
-		if out1.Consensus != wantOK {
-			t.Fatalf("trial %d: consensus = %v, plaintext reference = %v", trial, out1.Consensus, wantOK)
+		if out.Consensus != wantOK {
+			t.Fatalf("trial %d: consensus = %v, plaintext reference = %v", trial, out.Consensus, wantOK)
 		}
 		if !wantOK {
 			continue
@@ -186,9 +155,9 @@ func TestFullProtocolMatchesPlainReference(t *testing.T) {
 			noisy[i] = new(big.Int).Add(aggVotes[i], new(big.Int).Lsh(z2[i], 1))
 		}
 		maxVal := noisy[argmaxBig(noisy)]
-		if noisy[out1.Label].Cmp(maxVal) != 0 {
+		if noisy[out.Label].Cmp(maxVal) != 0 {
 			t.Fatalf("trial %d: crypto label %d (value %v) is not a maximizer (max %v, plain label %d)",
-				trial, out1.Label, noisy[out1.Label], maxVal, wantLabel)
+				trial, out.Label, noisy[out.Label], maxVal, wantLabel)
 		}
 	}
 }
@@ -223,12 +192,12 @@ func TestFullProtocolSoftmaxVotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out1, _ := runInstance(t, cfg, keys, subs, nil)
-	if out1.Consensus != wantOK || (wantOK && out1.Label != wantLabel) {
-		t.Fatalf("softmax outcome %+v, want ok=%v label=%d", out1, wantOK, wantLabel)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if out.Consensus != wantOK || (wantOK && out.Label != wantLabel) {
+		t.Fatalf("softmax outcome %+v, want ok=%v label=%d", out, wantOK, wantLabel)
 	}
-	if !out1.Consensus || out1.Label != 0 {
-		t.Fatalf("expected consensus on class 0, got %+v", out1)
+	if !out.Consensus || out.Label != 0 {
+		t.Fatalf("expected consensus on class 0, got %+v", out)
 	}
 }
 
@@ -247,9 +216,9 @@ func TestFullProtocolMeterRecordsSteps(t *testing.T) {
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 71)
 	meter := transport.NewMeter()
-	out1, _ := runInstance(t, cfg, keys, subs, meter)
-	if !out1.Consensus {
-		t.Fatalf("expected consensus, got %+v", out1)
+	out := runInstance(t, cfg, keys, subs, meter)
+	if !out.Consensus {
+		t.Fatalf("expected consensus, got %+v", out)
 	}
 	for _, step := range []string{
 		StepBlindPerm1, StepCompare1, StepThreshold,
@@ -290,9 +259,9 @@ func TestFullProtocolBinaryClasses(t *testing.T) {
 		oneHotVotes(2, 1), oneHotVotes(2, 0),
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 131)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 || !out1.Consensus || out1.Label != 1 {
-		t.Fatalf("binary outcome %+v/%+v, want consensus on 1", out1, out2)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if !out.Consensus || out.Label != 1 {
+		t.Fatalf("binary outcome %+v, want consensus on 1", out)
 	}
 }
 
@@ -308,9 +277,9 @@ func TestFullProtocolSingleUser(t *testing.T) {
 	}
 	votes := [][]*big.Int{oneHotVotes(cfg.Classes, 2)}
 	subs, _ := buildAll(t, cfg, keys, votes, 133)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 || !out1.Consensus || out1.Label != 2 {
-		t.Fatalf("single-user outcome %+v/%+v, want consensus on 2", out1, out2)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if !out.Consensus || out.Label != 2 {
+		t.Fatalf("single-user outcome %+v, want consensus on 2", out)
 	}
 }
 
@@ -333,9 +302,9 @@ func TestFullProtocolSinglePositionThreshold(t *testing.T) {
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 121)
 	meter := transport.NewMeter()
-	out1, out2 := runInstance(t, cfg, keys, subs, meter)
-	if *out1 != *out2 || !out1.Consensus || out1.Label != 3 {
-		t.Fatalf("single-position outcome %+v/%+v, want consensus on 3", out1, out2)
+	out := runInstance(t, cfg, keys, subs, meter)
+	if !out.Consensus || out.Label != 3 {
+		t.Fatalf("single-position outcome %+v, want consensus on 3", out)
 	}
 	// One threshold comparison instead of Classes of them.
 	thr, ok := meter.Step(StepThreshold)
@@ -383,6 +352,24 @@ func TestRunFailsOnClosedTransport(t *testing.T) {
 	defer cancel()
 	if _, err := RunS1(ctx, testRNG(92), cfg, keys.ForS1(), connA, s1Subs, nil); err == nil {
 		t.Fatal("expected transport error")
+	}
+}
+
+// RunPair names the side that failed first: a malformed half at S2 fails
+// S2 before any frame, and S1's closed link must not take the blame.
+func TestRunPairNamesFailingSide(t *testing.T) {
+	cfg := testConfig(2)
+	keys, err := GenerateKeys(testRNG(93), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, _ := buildAll(t, cfg, keys, [][]*big.Int{oneHotVotes(cfg.Classes, 0), oneHotVotes(cfg.Classes, 0)}, 94)
+	subs[1].ToS2.Votes = subs[1].ToS2.Votes[:1]
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = RunPair(ctx, cfg, keys.ForS1(), keys.ForS2(), testRNG(95), testRNG(96), subs, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "protocol: S2: ") {
+		t.Fatalf("err = %v, want S2 named as the failing side", err)
 	}
 }
 

@@ -93,12 +93,9 @@ func TestPackedProtocolConsensusNoNoise(t *testing.T) {
 		oneHotVotes(cfg.Classes, 0),
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 76)
-	out1, out2 := runInstance(t, cfg, keys, subs, nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree: %+v vs %+v", out1, out2)
-	}
-	if !out1.Consensus || out1.Label != 2 {
-		t.Fatalf("outcome = %+v, want consensus on label 2", out1)
+	out := runInstance(t, cfg, keys, subs, nil)
+	if !out.Consensus || out.Label != 2 {
+		t.Fatalf("outcome = %+v, want consensus on label 2", out)
 	}
 }
 
@@ -158,16 +155,10 @@ func TestPackedMatchesUnpackedOutcomes(t *testing.T) {
 			continue
 		}
 
-		packedOut1, packedOut2 := runInstance(t, packedCfg, keys, packedSubs, nil)
-		plainOut1, plainOut2 := runInstance(t, plainCfg, keys, plainSubs, nil)
-		if *packedOut1 != *packedOut2 {
-			t.Fatalf("trial %d: packed servers disagree: %+v vs %+v", trial, packedOut1, packedOut2)
-		}
-		if *plainOut1 != *plainOut2 {
-			t.Fatalf("trial %d: unpacked servers disagree: %+v vs %+v", trial, plainOut1, plainOut2)
-		}
-		if *packedOut1 != *plainOut1 {
-			t.Fatalf("trial %d: packed outcome %+v != unpacked outcome %+v", trial, packedOut1, plainOut1)
+		packedOut := runInstance(t, packedCfg, keys, packedSubs, nil)
+		plainOut := runInstance(t, plainCfg, keys, plainSubs, nil)
+		if *packedOut != *plainOut {
+			t.Fatalf("trial %d: packed outcome %+v != unpacked outcome %+v", trial, packedOut, plainOut)
 		}
 	}
 }
@@ -197,11 +188,8 @@ func TestPackedPartialParticipationMatchesUnpacked(t *testing.T) {
 	plainSubs, _ := buildAll(t, plainCfg, keys, votes, 111)
 
 	for _, participants := range [][]int{{0, 2, 3, 5}, {0, 2, 3}, {2, 5}} {
-		packedOut, packedOut2 := runInstance(t, base, keys, maskSubmissions(packedSubs, participants), nil)
-		plainOut, _ := runInstance(t, plainCfg, keys, maskSubmissions(plainSubs, participants), nil)
-		if *packedOut != *packedOut2 {
-			t.Fatalf("participants %v: packed servers disagree: %+v vs %+v", participants, packedOut, packedOut2)
-		}
+		packedOut := runInstance(t, base, keys, maskSubmissions(packedSubs, participants), nil)
+		plainOut := runInstance(t, plainCfg, keys, maskSubmissions(plainSubs, participants), nil)
 		if *packedOut != *plainOut {
 			t.Fatalf("participants %v: packed %+v != unpacked %+v", participants, packedOut, plainOut)
 		}
@@ -455,18 +443,15 @@ func TestPackedFusedMatchesPlaintextRule(t *testing.T) {
 			}
 
 			subs, _ := buildAll(t, cfg, keys, votes, int64(400+10*si+trial))
-			out1, out2 := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
-			t.Logf("shape=%+v participants=%v counts=%v: %+v", shape, participants, counts, out1)
-			if *out1 != *out2 {
-				t.Fatalf("shape %+v trial=%d: servers disagree: %+v vs %+v", shape, trial, out1, out2)
-			}
-			if out1.Consensus != wantOK || out1.Participants != len(participants) {
+			out := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
+			t.Logf("shape=%+v participants=%v counts=%v: %+v", shape, participants, counts, out)
+			if out.Consensus != wantOK || out.Participants != len(participants) {
 				t.Fatalf("shape %+v trial=%d counts=%v participants=%v: outcome %+v, plaintext rule says consensus=%v",
-					shape, trial, counts, participants, out1, wantOK)
+					shape, trial, counts, participants, out, wantOK)
 			}
-			if wantOK && counts[out1.Label] != counts[wantLabel] {
+			if wantOK && counts[out.Label] != counts[wantLabel] {
 				t.Fatalf("shape %+v trial=%d counts=%v: released label %d is not a maximum (plaintext rule: %d)",
-					shape, trial, counts, out1.Label, wantLabel)
+					shape, trial, counts, out.Label, wantLabel)
 			}
 		}
 	}

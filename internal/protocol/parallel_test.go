@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -72,8 +73,8 @@ func (c *shapeConn) Recv(ctx context.Context) (*transport.Message, error) {
 	return msg, err
 }
 
-// Parallelism is a worker bound, not a wire mode: at 1 and at 4 workers the
-// full protocol reaches identical outcomes and exchanges frames of identical
+// The worker bound is not a wire mode: at GOMAXPROCS 1 and 4 the full
+// protocol reaches identical outcomes and exchanges frames of identical
 // shape in identical order.
 func TestFullProtocolParallelMatchesSequential(t *testing.T) {
 	cfg := testConfig(6)
@@ -90,37 +91,30 @@ func TestFullProtocolParallelMatchesSequential(t *testing.T) {
 		oneHotVotes(cfg.Classes, 0),
 	}
 
-	outcomes := make(map[int][2]*Outcome)
+	outcomes := make(map[int]*Outcome)
 	shapes := make(map[int][]string)
 	for _, par := range []int{1, 4} {
-		pcfg := cfg
-		pcfg.Parallelism = par
-		subs, _ := buildAll(t, pcfg, keys, votes, 77)
+		setWorkers(t, par)
+		subs, _ := buildAll(t, cfg, keys, votes, 77)
 		c1, c2 := transport.Pair()
 		rec := &shapeConn{Conn: c1}
-		out1, out2 := runInstanceOn(t, pcfg, keys, subs, nil, rec, c2)
-		outcomes[par] = [2]*Outcome{out1, out2}
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		out, err := runPair(ctx, cfg, keys.ForS1(), keys.ForS2(), testRNG(101), testRNG(102), subs, nil, rec, c2)
+		cancel()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", par, err)
+		}
+		outcomes[par] = out
 		shapes[par] = rec.shapes
 	}
 	seq, con := outcomes[1], outcomes[4]
-	for side := 0; side < 2; side++ {
-		if seq[side].Consensus != con[side].Consensus || seq[side].Label != con[side].Label {
-			t.Errorf("server %d: parallel outcome (%v, %d) != sequential (%v, %d)",
-				side+1, con[side].Consensus, con[side].Label, seq[side].Consensus, seq[side].Label)
-		}
+	if *seq != *con {
+		t.Errorf("parallel outcome %+v != sequential %+v", *con, *seq)
 	}
-	if !seq[0].Consensus || seq[0].Label != 3 {
-		t.Errorf("expected consensus on label 3, got (%v, %d)", seq[0].Consensus, seq[0].Label)
+	if !seq.Consensus || seq.Label != 3 {
+		t.Errorf("expected consensus on label 3, got (%v, %d)", seq.Consensus, seq.Label)
 	}
 	if len(shapes[1]) == 0 || !slices.Equal(shapes[1], shapes[4]) {
 		t.Errorf("frame shapes differ between 1 and 4 workers:\n%v\n%v", shapes[1], shapes[4])
-	}
-}
-
-func TestConfigValidateNegativeParallelism(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Parallelism = -2
-	if err := cfg.Validate(); err == nil {
-		t.Error("expected validation error for negative parallelism")
 	}
 }

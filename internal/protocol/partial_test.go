@@ -45,15 +45,12 @@ func TestPartialParticipationFractionMode(t *testing.T) {
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 31)
 	participants := []int{0, 2, 3, 5}
-	out1, out2 := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree: %+v vs %+v", out1, out2)
+	out := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
+	if !out.Consensus || out.Label != 1 {
+		t.Fatalf("outcome = %+v, want consensus on label 1", out)
 	}
-	if !out1.Consensus || out1.Label != 1 {
-		t.Fatalf("outcome = %+v, want consensus on label 1", out1)
-	}
-	if out1.Participants != len(participants) {
-		t.Fatalf("Participants = %d, want %d", out1.Participants, len(participants))
+	if out.Participants != len(participants) {
+		t.Fatalf("Participants = %d, want %d", out.Participants, len(participants))
 	}
 }
 
@@ -77,15 +74,12 @@ func TestPartialParticipationAbsoluteMode(t *testing.T) {
 		oneHotVotes(cfg.Classes, 0),
 	}
 	subs, _ := buildAll(t, cfg, keys, votes, 33)
-	out1, out2 := runInstance(t, cfg, keys, maskSubmissions(subs, []int{0, 2, 3, 5}), nil)
-	if *out1 != *out2 {
-		t.Fatalf("servers disagree: %+v vs %+v", out1, out2)
+	out := runInstance(t, cfg, keys, maskSubmissions(subs, []int{0, 2, 3, 5}), nil)
+	if out.Consensus {
+		t.Fatalf("outcome = %+v, want no consensus under absolute threshold", out)
 	}
-	if out1.Consensus {
-		t.Fatalf("outcome = %+v, want no consensus under absolute threshold", out1)
-	}
-	if out1.Participants != 4 {
-		t.Fatalf("Participants = %d, want 4", out1.Participants)
+	if out.Participants != 4 {
+		t.Fatalf("Participants = %d, want 4", out.Participants)
 	}
 }
 
@@ -123,15 +117,12 @@ func TestPartialParticipationMatchesPlainReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: PlainOutcome: %v", trial, err)
 		}
-		out1, out2 := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
-		if *out1 != *out2 {
-			t.Fatalf("trial %d: servers disagree: %+v vs %+v", trial, out1, out2)
+		out := runInstance(t, cfg, keys, maskSubmissions(subs, participants), nil)
+		if out.Consensus != wantCons {
+			t.Fatalf("trial %d: consensus = %v, want %v", trial, out.Consensus, wantCons)
 		}
-		if out1.Consensus != wantCons {
-			t.Fatalf("trial %d: consensus = %v, want %v", trial, out1.Consensus, wantCons)
-		}
-		if wantCons && out1.Label != wantLabel {
-			t.Fatalf("trial %d: label = %d, want %d", trial, out1.Label, wantLabel)
+		if wantCons && out.Label != wantLabel {
+			t.Fatalf("trial %d: label = %d, want %d", trial, out.Label, wantLabel)
 		}
 	}
 }
@@ -167,5 +158,32 @@ func TestParticipantIndices(t *testing.T) {
 	}
 	if subs[1].Present() || !subs[0].Present() {
 		t.Fatal("Present misclassifies halves")
+	}
+}
+
+// TestQuorumCountResolution covers the fraction/absolute/clamping rules and
+// each caller's meaning of unset: every user (engine) or any one (deploy).
+func TestQuorumCountResolution(t *testing.T) {
+	cases := []struct {
+		quorum       float64
+		users, unset int
+		want         int
+	}{
+		{0, 10, 1, 1},     // deploy: any participation
+		{0, 10, 10, 10},   // engine: every user
+		{-1, 10, 10, 10},  // negative is unset
+		{0.5, 10, 1, 5},   // fraction
+		{0.51, 10, 10, 6}, // fraction rounds up
+		{0.05, 10, 1, 1},  // tiny fraction still needs someone
+		{1, 10, 10, 1},    // absolute one
+		{7, 10, 1, 7},     // absolute count
+		{25, 10, 1, 10},   // clamped to users
+		{0.9999, 3, 1, 3}, // fraction ceil hits users
+		{2.4, 10, 1, 2},   // absolute rounds
+	}
+	for _, c := range cases {
+		if got := QuorumCount(c.quorum, c.users, c.unset); got != c.want {
+			t.Errorf("QuorumCount(%g, %d users, unset %d) = %d, want %d", c.quorum, c.users, c.unset, got, c.want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"runtime"
+	"reflect"
 	"sync"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
@@ -122,14 +122,6 @@ type Config struct {
 	// plaintext — Validate rejects infeasible combinations (the paper's
 	// 64-bit toy keys cannot pack).
 	Packing bool
-	// Parallelism bounds the CPU-bound crypto workers (homomorphic
-	// aggregation, Paillier re-randomization and decryption, the per-item
-	// compute of a batched comparison exchange). 0 selects
-	// runtime.NumCPU(); 1 runs everything inline, so rng draws happen in a
-	// deterministic order. It never changes a frame: the transcript, the
-	// comparison outcomes and the released label are identical at every
-	// setting, and the two servers need not agree on it.
-	Parallelism int
 }
 
 // DefaultConfig mirrors the paper's experimental setup: 10 classes,
@@ -184,9 +176,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: values up to %d bits exceed Paillier plaintext space (%d-bit modulus)",
 			ErrBadConfig, bound.BitLen(), c.PaillierBits)
 	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("%w: negative parallelism %d", ErrBadConfig, c.Parallelism)
-	}
 	if c.Packing && c.PackedSlotsPerPlaintext() < 1 {
 		return fmt.Errorf("%w: packed slot width %d bits does not fit %d-bit Paillier plaintexts; use a larger key",
 			ErrBadConfig, c.PackedWidth(), c.PaillierBits)
@@ -210,21 +199,6 @@ func (c Config) ResolvedArgmaxStrategy() string {
 
 // tournament reports whether the tournament argmax schedule is in effect.
 func (c Config) tournament() bool { return c.ResolvedArgmaxStrategy() == StrategyTournament }
-
-// ResolvedParallelism resolves the configured worker bound (0 = NumCPU),
-// for identity labels such as the build-info gauge.
-func (c Config) ResolvedParallelism() int { return c.parallelism() }
-
-// parallelism resolves the configured worker bound (0 = NumCPU).
-func (c Config) parallelism() int {
-	if c.Parallelism == 0 {
-		if n := runtime.NumCPU(); n > 1 {
-			return n
-		}
-		return 1
-	}
-	return c.Parallelism
-}
 
 // valueBound returns an upper bound on |v| for any value v entering a DGK
 // comparison: masked aggregated share differences plus aggregate noise.
@@ -369,7 +343,7 @@ func (c Config) crossLayout() paillier.Packing {
 
 // crossLen is the number of ciphertexts nSeq sequences cross the peer link
 // in: at most one sequence per ciphertext, so the count never depends on
-// Parallelism and a two-sequence crossing folds on two cores.
+// the worker bound and a two-sequence crossing folds on two cores.
 func (c Config) crossLen(nSeq int) int { return nSeq * c.crossLayout().Plaintexts() }
 
 // noiseClamp bounds the magnitude of any integer noise share: 2^kappa
@@ -433,6 +407,22 @@ func (c Config) thresholdAdjustment(participants []int) (*big.Int, error) {
 		op.Add(op, off)
 	}
 	return h.Sub(h, op), nil
+}
+
+// QuorumCount resolves a quorum setting against the user count: a value in
+// (0, 1) is a fraction of users rounded up, >= 1 an absolute count, and
+// unset (<= 0) stands for `unset` users — every user for the library
+// engine, any one for a deployment. The result is clamped to [1, users].
+func QuorumCount(quorum float64, users, unset int) int {
+	q := unset
+	switch {
+	case quorum <= 0:
+	case quorum < 1:
+		q = int(math.Ceil(quorum * float64(users)))
+	default:
+		q = int(math.Round(quorum))
+	}
+	return max(1, min(q, users))
 }
 
 // Present reports whether the half carries a submission: zero-value halves
@@ -520,29 +510,21 @@ type KeysS1 struct {
 // protocol phase. The tables are independent, so they build concurrently;
 // every build has finished when Precompute returns. Idempotent and safe to
 // call concurrently.
-func (k KeysS1) Precompute() {
-	var builds []func()
-	if k.Own != nil {
-		builds = append(builds, k.Own.Precompute)
-	}
-	if k.PeerPub != nil {
-		builds = append(builds, k.PeerPub.Precompute)
-	}
-	if k.DGKPub != nil {
-		builds = append(builds, k.DGKPub.Precompute)
-	}
-	runAll(builds)
-}
+func (k KeysS1) Precompute() { precomputeAll(k.Own, k.PeerPub, k.DGKPub) }
 
-// runAll runs every fn on its own goroutine and waits for all of them.
-func runAll(fns []func()) {
+// precomputeAll builds the tables of every key present (non-nil), each on
+// its own goroutine, and waits for all of them.
+func precomputeAll(keys ...interface{ Precompute() }) {
 	var wg sync.WaitGroup
-	for _, fn := range fns {
+	for _, key := range keys {
+		if reflect.ValueOf(key).IsNil() {
+			continue
+		}
 		wg.Add(1)
-		go func(fn func()) {
+		go func() {
 			defer wg.Done()
-			fn()
-		}(fn)
+			key.Precompute()
+		}()
 	}
 	wg.Wait()
 }
@@ -556,19 +538,7 @@ type KeysS2 struct {
 
 // Precompute warms the fixed-base exponentiation tables in S2's view; see
 // KeysS1.Precompute.
-func (k KeysS2) Precompute() {
-	var builds []func()
-	if k.Own != nil {
-		builds = append(builds, k.Own.Precompute)
-	}
-	if k.PeerPub != nil {
-		builds = append(builds, k.PeerPub.Precompute)
-	}
-	if k.DGK != nil {
-		builds = append(builds, k.DGK.Precompute)
-	}
-	runAll(builds)
-}
+func (k KeysS2) Precompute() { precomputeAll(k.Own, k.PeerPub, k.DGK) }
 
 // Zeroize destroys S1's private key material in place (epoch retirement
 // after a serve-mode key rotation). Public peer keys are left intact.

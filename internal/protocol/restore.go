@@ -67,7 +67,7 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 
 	// Step 4: strip r1 and re-encrypt under pk1.
 	reenc := make([]*big.Int, k)
-	if err := mathutil.ParallelFor(cfg.parallelism(), k, func(i int) error {
+	if err := mathutil.ParallelFor(Workers(), k, func(i int) error {
 		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Sub(msg.Values[i], r1[i]))
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 4 encrypt: %w", err)
@@ -122,7 +122,7 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 		return -1, err
 	}
 	enc := make([]*big.Int, k)
-	if err := mathutil.ParallelFor(cfg.parallelism(), k, func(i int) error {
+	if err := mathutil.ParallelFor(Workers(), k, func(i int) error {
 		c, err := keys.Own.Encrypt(rng, oneHot[i])
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 1 encrypt: %w", err)

@@ -43,7 +43,7 @@ func encryptShares(t *testing.T, keys *Keys, aSeqs, bSeqs [][]int64) ([]*paillie
 
 // runBlindPermute executes Alg. 2 directly over an in-memory pair for the
 // given plaintext share sequences, returning both results.
-func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int64) (*bpResultS1, *bpResultS2) {
+func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int64) (*bpResult, *bpResult) {
 	t.Helper()
 	encA, encB := encryptShares(t, keys, aSeqs, bSeqs)
 	connA, connB := transport.Pair()
@@ -54,13 +54,13 @@ func runBlindPermute(t *testing.T, cfg Config, keys *Keys, aSeqs, bSeqs [][]int6
 
 // runBlindPermuteOn executes Alg. 2 over the given link ends.
 func runBlindPermuteOn(t *testing.T, cfg Config, keys *Keys, connA, connB transport.Conn,
-	encA []*paillier.Ciphertext, encB [][]*paillier.Ciphertext) (*bpResultS1, *bpResultS2) {
+	encA []*paillier.Ciphertext, encB [][]*paillier.Ciphertext) (*bpResult, *bpResult) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
 	type s1res struct {
-		r   *bpResultS1
+		r   *bpResult
 		err error
 	}
 	ch := make(chan s1res, 1)
@@ -97,7 +97,7 @@ func TestBlindPermuteIdentity(t *testing.T) {
 		t.Fatalf("expected 2 output sequences each, got %d/%d", len(r1.Plain), len(r2.Plain))
 	}
 
-	pi, err := r1.Pi1.Compose(r2.Pi2)
+	pi, err := r1.Pi.Compose(r2.Pi)
 	if err != nil {
 		t.Fatal(err)
 	}

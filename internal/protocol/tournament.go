@@ -48,8 +48,8 @@ func tournamentLevelPairs(survivors []int) [][2]int {
 // tournamentArgmax runs the bracket and returns the winning permuted
 // position. Both servers call it with identical cfg and survivor evolution;
 // the per-pair >= bits are the protocol's shared outcome, so both fold to
-// the same champion. The DGK "B" party flips the difference direction, as in
-// argmaxJobs.
+// the same champion. The DGK "B" party flips the difference direction (see
+// comparer.diff).
 func tournamentArgmax(ctx context.Context, cfg Config, cmp comparer, seq []*big.Int) (int, error) {
 	if len(seq) != cfg.Classes {
 		return -1, fmt.Errorf("protocol: tournament over %d values, want %d", len(seq), cfg.Classes)
@@ -62,13 +62,7 @@ func tournamentArgmax(ctx context.Context, cfg Config, cmp comparer, seq []*big.
 		pairs := tournamentLevelPairs(survivors)
 		diffs := make([]*big.Int, len(pairs))
 		for i, pq := range pairs {
-			d := new(big.Int)
-			if cmp.negate {
-				d.Sub(seq[pq[1]], seq[pq[0]])
-			} else {
-				d.Sub(seq[pq[0]], seq[pq[1]])
-			}
-			diffs[i] = d
+			diffs[i] = cmp.diff(seq, pq[0], pq[1])
 		}
 		geqs, err := cmp.batch(ctx, diffs)
 		if err != nil {

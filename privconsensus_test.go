@@ -92,7 +92,7 @@ func TestEngineVoteValidation(t *testing.T) {
 	if _, err := e.LabelInstance(ctx, [][]float64{oneHot(4, 0)}); err == nil {
 		t.Error("expected error for wrong user count")
 	}
-	if _, err := e.runServer(ctx, RoleS1, nil, []*Submission{nil, nil, nil}); err == nil {
+	if _, err := e.RunServer(ctx, RoleS1, nil, []*Submission{nil, nil, nil}); err == nil {
 		t.Error("expected error for nil submissions")
 	}
 }

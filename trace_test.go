@@ -3,6 +3,7 @@ package privconsensus
 import (
 	"context"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,12 +14,12 @@ import (
 // TestTraceBytesMatchMeterExactly is the observability acceptance check:
 // the QueryTrace's per-phase byte totals must equal the transport meter's
 // totals exactly, because step labels and trace phases are the same strings
-// and FillTrace copies the meter's numbers verbatim.
+// and FillTrace copies the meter's numbers verbatim — at every worker bound.
 func TestTraceBytesMatchMeterExactly(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 4} {
+		runtime.GOMAXPROCS(par)
 		e := testEngine(t, 5, 4)
-		e.cfg.Parallelism = par
-		e.pcfg.Parallelism = par
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		votes := [][]float64{
 			oneHot(4, 2), oneHot(4, 2), oneHot(4, 2), oneHot(4, 2), oneHot(4, 1),
