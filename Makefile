@@ -63,8 +63,8 @@ soak-full:
 # handler every run serves clients with (arbitrary frame sequences: submit,
 # done, admission, result-wait, junk), S2's end of the serve-control link
 # (announce, epoch and drain frames against a model of its epochs), the
-# partial-write
-# recomposition, the fault-spec parser, the fixed-base
+# key-file loader (never a panic; an accepted file reloads to equal bytes),
+# the fault-spec parser, the fixed-base
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
 # CRT Paillier and DGK encryptions (differential against the public paths),
 # the crossing fold (decrypt-and-split equals the inputs at every slot shape
@@ -85,7 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
 	$(GO) test -run '^$$' -fuzz '^FuzzUserFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
 	$(GO) test -run '^$$' -fuzz '^FuzzCtlFrames$$' -fuzztime $(FUZZTIME) ./internal/deploy/
-	$(GO) test -run '^$$' -fuzz '^FuzzSegmentRecompose$$' -fuzztime $(FUZZTIME) ./internal/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyFiles$$' -fuzztime $(FUZZTIME) ./internal/keystore/
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime $(FUZZTIME) ./internal/mathutil/

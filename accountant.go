@@ -64,8 +64,7 @@ func (a *Accountant) RecordQuery(sigma1 float64) error {
 	if sigma1 <= 0 {
 		return dp.ErrBadSigma
 	}
-	_, err := a.ledger.Commit(0, 0, sigma1, 0, false)
-	return err
+	return a.commit(sigma1, 0, false)
 }
 
 // RecordRelease records the RNM spend of one released label with deviation
@@ -74,7 +73,14 @@ func (a *Accountant) RecordRelease(sigma2 float64) error {
 	if sigma2 <= 0 {
 		return dp.ErrBadSigma
 	}
-	_, err := a.ledger.Commit(0, 0, 0, sigma2, true)
+	return a.commit(0, sigma2, true)
+}
+
+// commit records one finished query in a single ledger write: its SVT check
+// when sigma1 > 0 and, when released and sigma2 > 0, its RNM release — the
+// rule deploy S1 applies to every query it resolves.
+func (a *Accountant) commit(sigma1, sigma2 float64, released bool) error {
+	_, err := a.ledger.Commit(0, 0, sigma1, sigma2, released)
 	return err
 }
 

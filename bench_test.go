@@ -508,30 +508,6 @@ func bitName(l int) string {
 	return "L=" + string(rune('0'+l/10)) + string(rune('0'+l%10))
 }
 
-// BenchmarkTransportSegmentation isolates the paper's 18-digit decimal
-// segmentation workaround vs raw binary framing.
-func BenchmarkTransportSegmentation(b *testing.B) {
-	val := new(big.Int).Lsh(big.NewInt(1), 1024)
-	val.Sub(val, big.NewInt(12345))
-	b.Run("segmented", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			segs, err := transport.Segment(val)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := transport.Recompose(segs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("raw", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bytes := val.Bytes()
-			_ = new(big.Int).SetBytes(bytes)
-		}
-	})
-}
-
 // BenchmarkKeySizes measures the full protocol instance cost across
 // Paillier key sizes (the paper prototypes with 64-bit keys).
 func BenchmarkKeySizes(b *testing.B) {

@@ -9,12 +9,13 @@
 //
 //	server -role s2 -keys keys/s2.json -listen :9002 -peer host1:9001 -instances 5
 //
-// A run registers queries 0..instances-1 before it accepts a connection
-// (users upload to them with cmd/user) and drains once they have resolved.
-// Meanwhile, and forever with -instances 0, S1 admits further queries on
-// demand (cmd/user -serve) under per-tenant ε quotas. -keys is a
-// comma-separated list of per-epoch key files, the later ones used by key
-// rotations:
+// Both roles start through deploy.ServeS1/ServeS2, whatever the flags: a
+// run registers queries 0..instances-1 (ServeOptions.Instances) before it
+// accepts a connection (users upload to them with cmd/user) and drains once
+// they have resolved. Meanwhile, and forever with -instances 0, S1 admits
+// further queries on demand (cmd/user -serve) under per-tenant ε quotas.
+// -keys is a comma-separated list of per-epoch key files, the later ones
+// used by key rotations:
 //
 //	server -role s1 -instances 0 -keys keys/s1.e0.json,keys/s1.e1.json \
 //	    -ledger state/ledger.json -tenant-quota 1=2.5,2=1.0 -rotate-after 500
@@ -96,6 +97,7 @@ func run(args []string) error {
 		ServerOptions: deploy.ServerOptions{
 			ListenAddr:     *listen,
 			PeerAddr:       *peer,
+			Instances:      *instances,
 			Seed:           *seed,
 			MetricsAddr:    *metrics,
 			MetricsLinger:  *linger,
@@ -129,7 +131,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		rep, err := deploy.RunS1Queries(ctx, files, opts, *instances)
+		rep, err := deploy.ServeS1(ctx, files, opts)
 		if err != nil {
 			return err
 		}
@@ -140,7 +142,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		rep, err := deploy.RunS2Queries(ctx, files, opts, *instances)
+		rep, err := deploy.ServeS2(ctx, files, opts)
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@
 // Three layers of API are exposed:
 //
 //   - Engine runs the full cryptographic protocol (Alg. 5) for individual
-//     query instances, in-process or across real connections.
+//     query instances in one process (separate servers: cmd/server).
 //   - Accountant / PlanNoise handle the Rényi-DP privacy arithmetic of
 //     Theorem 5.
 //   - RunPATE simulates the end-to-end semi-supervised knowledge-transfer

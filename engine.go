@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/big"
 	mrand "math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,15 +105,6 @@ type Outcome struct {
 type Submission struct {
 	inner *protocol.Submission
 }
-
-// Role identifies a protocol server.
-type Role int
-
-// The two non-colluding servers of the protocol.
-const (
-	RoleS1 Role = iota + 1
-	RoleS2
-)
 
 // Engine holds the key material and configuration for running the private
 // consensus protocol. Create one with NewEngine; an Engine is safe for
@@ -494,20 +484,20 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 		res.Outcomes = append(res.Outcomes, *out)
 		res.Participants += out.Participants
 		res.Dropped += out.Dropped
-		if e.cfg.Sigma1 > 0 {
-			if err := acc.RecordQuery(e.cfg.Sigma1); err != nil {
-				return nil, err
-			}
-			e.journalSpend(q, fmt.Sprintf("svt sigma=%g", e.cfg.Sigma1))
-		}
+		svt, rnm := e.cfg.Sigma1 > 0, out.Consensus && e.cfg.Sigma2 > 0
 		if out.Consensus {
 			res.Released++
-			if e.cfg.Sigma2 > 0 {
-				if err := acc.RecordRelease(e.cfg.Sigma2); err != nil {
-					return nil, err
-				}
-				e.journalSpend(q, fmt.Sprintf("rnm sigma=%g", e.cfg.Sigma2))
+		}
+		if svt || rnm {
+			if err := acc.commit(e.cfg.Sigma1, e.cfg.Sigma2, out.Consensus); err != nil {
+				return nil, err
 			}
+		}
+		if svt {
+			e.journalSpend(q, fmt.Sprintf("svt sigma=%g", e.cfg.Sigma1))
+		}
+		if rnm {
+			e.journalSpend(q, fmt.Sprintf("rnm sigma=%g", e.cfg.Sigma2))
 		}
 	}
 	eps, _, err := acc.Epsilon(1e-6)
@@ -523,43 +513,6 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 // spend itself is already durably recorded by the accountant).
 func (e *Engine) journalSpend(query int, note string) {
 	e.journal.Append(obs.Event{Type: obs.EventSpend, Instance: query, Note: note}) //nolint:errcheck
-}
-
-// RunServer executes one server's role over an established network
-// connection (e.g. TCP), for deployments where S1 and S2 are separate
-// processes. subs must contain every user's submission in user order.
-func (e *Engine) RunServer(ctx context.Context, role Role, conn net.Conn, subs []*Submission) (*Outcome, error) {
-	halves := make([]protocol.SubmissionHalf, len(subs))
-	for i, s := range subs {
-		if s == nil || s.inner == nil {
-			if e.cfg.Quorum > 0 {
-				continue // absent user: a zero half is skipped by the protocol
-			}
-			return nil, fmt.Errorf("privconsensus: nil submission at index %d", i)
-		}
-		if role == RoleS1 {
-			halves[i] = s.inner.ToS1
-		} else {
-			halves[i] = s.inner.ToS2
-		}
-	}
-	var (
-		out *protocol.Outcome
-		err error
-	)
-	tc := transport.NewTCPConn(conn)
-	switch role {
-	case RoleS1:
-		out, err = protocol.RunS1(ctx, e.runRNG(), e.pcfg, e.keys.ForS1(), tc, halves, nil)
-	case RoleS2:
-		out, err = protocol.RunS2(ctx, e.runRNG(), e.pcfg, e.keys.ForS2(), tc, halves, nil)
-	default:
-		return nil, fmt.Errorf("privconsensus: unknown role %d", int(role))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.outcome(out), nil
 }
 
 // runRNG returns the randomness of one server run: a stream seeded from the

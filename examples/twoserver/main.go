@@ -2,20 +2,24 @@
 // of the paper's threat model (two non-colluding servers operated by
 // different organizations).
 //
-// The process plays all roles for demonstration purposes: it generates key
-// material, builds each user's encrypted submission, starts S1 on a TCP
-// listener, connects S2 to it, and runs the full Alg. 5 protocol over the
-// socket.
+// The process plays every party for demonstration purposes, through the
+// calls cmd/keygen, cmd/server and cmd/user make: it generates the key
+// material and splits it into per-server key files, starts S1 and S2 on
+// loopback TCP with one query registered, and has each user upload its
+// encrypted vote to both servers. The servers agree on the participants
+// and run the full Alg. 5 protocol over their peer link.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"net"
+	"math/rand"
 	"time"
 
-	privconsensus "github.com/privconsensus/privconsensus"
+	"github.com/privconsensus/privconsensus/internal/deploy"
+	"github.com/privconsensus/privconsensus/internal/keystore"
+	"github.com/privconsensus/privconsensus/internal/protocol"
 )
 
 func main() {
@@ -26,83 +30,99 @@ func main() {
 
 func run() error {
 	const users, classes = 8, 6
-	cfg := privconsensus.Config{
-		Classes:       classes,
-		Users:         users,
-		ThresholdFrac: 0.6,
-		Sigma1:        1,
-		Sigma2:        1,
-		Seed:          99,
-	}
-	engine, err := privconsensus.NewEngine(cfg)
+	cfg := protocol.DefaultConfig(users)
+	cfg.Classes = classes
+	cfg.Sigma1, cfg.Sigma2 = 1, 1
+	// Seeded for a reproducible demonstration; cmd/keygen reads crypto/rand.
+	keys, err := protocol.GenerateKeys(rand.New(rand.NewSource(99)), cfg)
 	if err != nil {
-		return fmt.Errorf("create engine: %w", err)
+		return fmt.Errorf("generate keys: %w", err)
 	}
-
-	// Users build their encrypted submissions: 7 of 8 vote class 4.
-	subs := make([]*privconsensus.Submission, users)
-	for u := 0; u < users; u++ {
-		votes := make([]float64, classes)
-		if u == 3 {
-			votes[1] = 1
-		} else {
-			votes[4] = 1
-		}
-		sub, err := engine.SubmissionFor(u, votes)
-		if err != nil {
-			return fmt.Errorf("user %d submission: %w", u, err)
-		}
-		subs[u] = sub
-	}
-
-	// S1 listens; S2 dials.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	s1File, s2File, pubFile, err := keystore.Split(cfg, keys)
 	if err != nil {
 		return err
 	}
-	defer l.Close()
-	fmt.Printf("S1 listening on %s\n", l.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
+	// S1 listens for users and for S2; S2 listens for users and dials S1.
+	// Both register query 0 and return once it has resolved.
 	type result struct {
-		out *privconsensus.Outcome
-		err error
+		results []deploy.InstanceResult
+		err     error
 	}
-	s1Done := make(chan result, 1)
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan result, 1), make(chan result, 1)
 	go func() {
-		conn, err := l.Accept()
+		rep, err := deploy.ServeS1(ctx, []*keystore.S1File{s1File}, deploy.ServeOptions{ServerOptions: deploy.ServerOptions{
+			ListenAddr: "127.0.0.1:0", Instances: 1, Ready: s1Ready,
+		}})
 		if err != nil {
-			s1Done <- result{nil, err}
+			s1Done <- result{err: err}
 			return
 		}
-		defer conn.Close()
-		fmt.Printf("S1 accepted S2 from %s\n", conn.RemoteAddr())
-		out, err := engine.RunServer(ctx, privconsensus.RoleS1, conn, subs)
-		s1Done <- result{out, err}
+		s1Done <- result{results: rep.Results}
 	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		return err
+	var s1Addr, s2Addr string
+	select {
+	case s1Addr = <-s1Ready:
+	case r := <-s1Done:
+		return fmt.Errorf("S1: %w", r.err)
 	}
-	defer conn.Close()
+	fmt.Printf("S1 listening on %s\n", s1Addr)
+	go func() {
+		rep, err := deploy.ServeS2(ctx, []*keystore.S2File{s2File}, deploy.ServeOptions{ServerOptions: deploy.ServerOptions{
+			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: 1, Ready: s2Ready,
+		}})
+		if err != nil {
+			s2Done <- result{err: err}
+			return
+		}
+		s2Done <- result{results: rep.Results}
+	}()
+	select {
+	case s2Addr = <-s2Ready:
+	case r := <-s2Done:
+		return fmt.Errorf("S2: %w", r.err)
+	}
+	fmt.Printf("S2 listening on %s, peered with S1\n", s2Addr)
 
+	// Each user encrypts its vote and uploads one half to each server:
+	// 7 of 8 vote class 4.
 	start := time.Now()
-	out2, err := engine.RunServer(ctx, privconsensus.RoleS2, conn, subs)
-	if err != nil {
-		return fmt.Errorf("S2: %w", err)
-	}
-	r1 := <-s1Done
-	if r1.err != nil {
-		return fmt.Errorf("S1: %w", r1.err)
+	for u := 0; u < users; u++ {
+		vote := make([]float64, classes)
+		if u == 3 {
+			vote[1] = 1
+		} else {
+			vote[4] = 1
+		}
+		if err := deploy.SubmitVotes(ctx, pubFile, deploy.UserOptions{
+			User: u, S1Addr: s1Addr, S2Addr: s2Addr, Seed: int64(100 + u),
+		}, [][]float64{vote}); err != nil {
+			return fmt.Errorf("user %d: %w", u, err)
+		}
 	}
 
-	fmt.Printf("protocol finished in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Printf("S1 outcome: consensus=%v label=%d\n", r1.out.Consensus, r1.out.Label)
-	fmt.Printf("S2 outcome: consensus=%v label=%d\n", out2.Consensus, out2.Label)
-	if *r1.out != *out2 {
+	var outcomes []protocol.Outcome
+	for _, side := range []struct {
+		role string
+		done chan result
+	}{{"S1", s1Done}, {"S2", s2Done}} {
+		r := <-side.done
+		if r.err == nil && (len(r.results) != 1 || r.results[0].Err != nil) {
+			r.err = fmt.Errorf("query 0 did not complete: %+v", r.results)
+		}
+		if r.err != nil {
+			return fmt.Errorf("%s: %w", side.role, r.err)
+		}
+		out := r.results[0].Outcome
+		fmt.Printf("%s outcome: consensus=%v label=%d (%d participants)\n", side.role, out.Consensus, out.Label, out.Participants)
+		outcomes = append(outcomes, out)
+	}
+	fmt.Printf("query resolved %v after the first upload\n", time.Since(start).Round(time.Millisecond))
+	if outcomes[0] != outcomes[1] {
 		return fmt.Errorf("servers disagree")
 	}
 	fmt.Println("both servers agree; neither ever saw an individual vote.")

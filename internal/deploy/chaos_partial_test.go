@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -55,22 +56,18 @@ func TestChaosUserDropoutSchedule(t *testing.T) {
 			AttemptTimeout: 45 * time.Second,
 		}
 	}
-	type repResult struct {
-		rep *Report
-		err error
-	}
 	s1Ready := make(chan string, 1)
-	s1Done := make(chan repResult, 1)
+	s1Done := make(chan s1ServeResult, 1)
 	go func() {
-		rep, err := RunS1Report(ctx, s1File, partial("127.0.0.1:0", "", 901, s1Ready))
-		s1Done <- repResult{rep, err}
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: partial("127.0.0.1:0", "", 901, s1Ready)})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 	s2Ready := make(chan string, 1)
-	s2Done := make(chan repResult, 1)
+	s2Done := make(chan s2ServeResult, 1)
 	go func() {
-		rep, err := RunS2Report(ctx, s2File, partial("127.0.0.1:0", s1Addr, 902, s2Ready))
-		s2Done <- repResult{rep, err}
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: partial("127.0.0.1:0", s1Addr, 902, s2Ready)})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 

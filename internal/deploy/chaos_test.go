@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 )
 
@@ -49,18 +50,13 @@ func TestChaosResilientDeployment(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 
-	type repResult struct {
-		rep *Report
-		err error
-	}
-
 	// S1 injects faults into every connection it accepts: the S2 peer link
 	// and both user uploads all run through the fault layer.
 	s1Ready := make(chan string, 1)
 	metricsReady := make(chan string, 1)
-	s1Done := make(chan repResult, 1)
+	s1Done := make(chan s1ServeResult, 1)
 	go func() {
-		rep, err := RunS1Report(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr:     "127.0.0.1:0",
 			Instances:      instances,
 			Seed:           601,
@@ -73,16 +69,16 @@ func TestChaosResilientDeployment(t *testing.T) {
 			MetricsReady:   metricsReady,
 			MetricsLinger:  5 * time.Second,
 			JournalPath:    s1Journal,
-		})
-		s1Done <- repResult{rep, err}
+		}})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 	metricsAddr := <-metricsReady
 
 	s2Ready := make(chan string, 1)
-	s2Done := make(chan repResult, 1)
+	s2Done := make(chan s2ServeResult, 1)
 	go func() {
-		rep, err := RunS2Report(ctx, s2File, ServerOptions{
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr:     "127.0.0.1:0",
 			PeerAddr:       s1Addr,
 			Instances:      instances,
@@ -92,8 +88,8 @@ func TestChaosResilientDeployment(t *testing.T) {
 			Backoff:        5 * time.Millisecond,
 			AttemptTimeout: 30 * time.Second,
 			JournalPath:    s2Journal,
-		})
-		s2Done <- repResult{rep, err}
+		}})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 
@@ -144,8 +140,8 @@ func TestChaosResilientDeployment(t *testing.T) {
 		t.Fatalf("S2 report has %d results, want %d", got, instances)
 	}
 
-	okBoth := checkChaosReport(t, "s1", r1.rep, instances)
-	_ = checkChaosReport(t, "s2", r2.rep, instances)
+	okBoth := checkChaosReport(t, "s1", r1.rep.Results, instances)
+	_ = checkChaosReport(t, "s2", r2.rep.Results, instances)
 	for i := 0; i < instances; i++ {
 		a, b := r1.rep.Results[i], r2.rep.Results[i]
 		if a.Err == nil && b.Err == nil && a.Outcome != b.Outcome {
@@ -192,10 +188,10 @@ func TestChaosResilientDeployment(t *testing.T) {
 
 // checkChaosReport asserts every instance either reached consensus on label
 // 1 or failed cleanly, and returns the success count.
-func checkChaosReport(t *testing.T, role string, rep *Report, instances int) int {
+func checkChaosReport(t *testing.T, role string, results []InstanceResult, instances int) int {
 	t.Helper()
 	ok := 0
-	for i, res := range rep.Results {
+	for i, res := range results {
 		if res.Instance != i {
 			t.Errorf("%s result %d has instance index %d", role, i, res.Instance)
 		}

@@ -4,11 +4,11 @@
 // that builds and delivers encrypted submissions. There is one run per
 // server: the serve core (serve.go on S1, serve_s2.go on S2) admits queries,
 // each with its own collector, and runs them one at a time on the peer
-// link. A batch run (RunS1Report/RunS2Report + SubmitVotes) is that core
-// with queries 0..Instances-1 registered for tenant 0 before the first
-// connection is accepted, then drained once they resolve; continuous
-// operation (ServeS1/ServeS2 + ServeClient) registers nothing up front and
-// drains when told to.
+// link. ServeS1 and ServeS2 are the only ways to start it. A batch run
+// (ServeOptions.Instances = N, users on SubmitVotes) registers queries
+// 0..N-1 for tenant 0 before the first connection is accepted and drains
+// once they resolve; continuous operation (Instances 0, users on
+// ServeClient) registers nothing up front and drains when told to.
 //
 //   - messages: deploy.go (hello), session.go (begin/end, upload done/ack),
 //     partial.go (participant exchange), trace.go (trace context),

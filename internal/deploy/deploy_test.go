@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -67,6 +68,19 @@ func serveGrid(ctx context.Context, conn transport.Conn, cfg protocol.Config, co
 	return s.serveUserConn(ctx, conn, byIndex(cols), nil)
 }
 
+// outcomes returns a run's per-query outcomes in query order, or the first
+// failed query's error.
+func outcomes(results []InstanceResult) ([]protocol.Outcome, error) {
+	out := make([]protocol.Outcome, len(results))
+	for i, res := range results {
+		if res.Err != nil {
+			return nil, fmt.Errorf("instance %d failed after %d attempts: %w", res.Instance, res.Attempts, res.Err)
+		}
+		out[i] = res.Outcome
+	}
+	return out, nil
+}
+
 // oneHot builds a one-hot float vote vector.
 func oneHot(classes, label int) []float64 {
 	v := make([]float64, classes)
@@ -96,18 +110,28 @@ func TestEndToEndDeployment(t *testing.T) {
 	}
 	s1Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: instances, Seed: 201, Ready: s1Ready,
-		})
+		}})
+		if err != nil {
+			s1Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s1Done <- serverResult{out, err}
 	}()
 	s1Addr := <-s1Ready
 
 	s2Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS2(ctx, s2File, ServerOptions{
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: instances, Seed: 202, Ready: s2Ready,
-		})
+		}})
+		if err != nil {
+			s2Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s2Done <- serverResult{out, err}
 	}()
 	s2Addr := <-s2Ready
@@ -171,9 +195,14 @@ func TestBadHelloIsDropped(t *testing.T) {
 	}
 	s1Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: 1, Seed: 400, Ready: s1Ready,
-		})
+		}})
+		if err != nil {
+			s1Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s1Done <- serverResult{out, err}
 	}()
 	s1Addr := <-s1Ready
@@ -190,9 +219,14 @@ func TestBadHelloIsDropped(t *testing.T) {
 
 	s2Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS2(ctx, s2File, ServerOptions{
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: 1, Seed: 401, Ready: s2Ready,
-		})
+		}})
+		if err != nil {
+			s2Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s2Done <- serverResult{out, err}
 	}()
 	s2Addr := <-s2Ready
@@ -222,9 +256,12 @@ func TestServerTimesOutOnMissingUsers(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: 1, Ready: ready,
-		})
+		}})
+		if err == nil {
+			_, err = outcomes(rep.Results)
+		}
 		done <- err
 	}()
 	addr := <-ready
@@ -363,19 +400,21 @@ func TestVotesToUnits(t *testing.T) {
 func TestServerOptionValidation(t *testing.T) {
 	s1File, s2File, pubFile, cfg := testSetup(t, 2)
 	ctx := context.Background()
-	if _, err := RunS1(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0"}); err == nil {
-		t.Error("expected instances error")
+	serve := func(opts ServerOptions) (err1, err2 error) {
+		_, err1 = ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: opts})
+		_, err2 = ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: opts})
+		return err1, err2
 	}
-	if _, err := RunS2(ctx, s2File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}); err == nil {
+	if err1, err2 := serve(ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: -1}); err1 == nil || err2 == nil {
+		t.Errorf("Instances -1 accepted: S1 %v, S2 %v", err1, err2)
+	}
+	if _, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}}); err == nil {
 		t.Error("expected peer-address error")
 	}
 	// A negative retry budget would run zero attempts and report a ⊥ the
 	// protocol never produced; every entry point refuses it.
-	if _, err := RunS1(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1, MaxRetries: -1}); err == nil {
-		t.Error("S1 accepted a negative retry budget")
-	}
-	if _, err := RunS2(ctx, s2File, ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1, MaxRetries: -1}); err == nil {
-		t.Error("S2 accepted a negative retry budget")
+	if err1, err2 := serve(ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1, MaxRetries: -1}); err1 == nil || err2 == nil {
+		t.Errorf("negative retry budget accepted: S1 %v, S2 %v", err1, err2)
 	}
 	if err := SubmitVotes(ctx, pubFile, UserOptions{MaxRetries: -1}, [][]float64{oneHot(cfg.Classes, 0)}); err == nil {
 		t.Error("user client accepted a negative retry budget")

@@ -96,7 +96,7 @@ type IngestReport struct {
 }
 
 // RunIngest runs one server's ingestion path only: it accepts user and
-// relay submissions exactly like RunS1/RunS2 (same validation, same
+// relay submissions exactly like ServeS1/ServeS2 (same validation, same
 // metrics, same quorum/deadline release, same journal events), one
 // collector per instance behind the same query lookup, but stops once every
 // collector has released, without running the protocol: the benchmark's

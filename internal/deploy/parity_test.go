@@ -68,10 +68,10 @@ func viewOf(t *testing.T, res InstanceResult, journal string, id int) queryView 
 	return v
 }
 
-// TestBatchServeParity runs the same seeded scenarios once through the batch
-// front end (RunS1Report/RunS2Report + SubmitVotes) and once through the
-// serve front end (ServeS1/ServeS2 + ServeClient, raw uploads where a user
-// must be withheld). Both are the same run, so per scenario the two modes
+// TestBatchServeParity runs the same seeded scenarios once as a batch
+// (ServeS1/ServeS2 with Instances 1 + SubmitVotes) and once admitted on
+// demand (Instances 0 + ServeClient, raw uploads where a user must be
+// withheld). Both are the same run, so per scenario the two modes
 // must report the same label, ⊥ or quorum miss, the same
 // Participants/Dropped on both servers, and the same journal event types per
 // query on S1 and on S2.
@@ -98,8 +98,7 @@ func TestBatchServeParity(t *testing.T) {
 			defer cancel()
 			dir := t.TempDir()
 			base := ServerOptions{
-				ListenAddr: "127.0.0.1:0", Instances: 1,
-				Quorum: sc.quorum, SubmitDeadline: sc.deadline, AttemptTimeout: 30 * time.Second,
+				ListenAddr: "127.0.0.1:0", Quorum: sc.quorum, SubmitDeadline: sc.deadline, AttemptTimeout: 30 * time.Second,
 			}
 			b1, b2 := parityBatch(ctx, t, dir, base, sc, cloneFile(t, s1File), cloneFile(t, s2File), pub, cfg)
 			v1, v2 := parityServe(ctx, t, dir, base, sc, cloneFile(t, s1File), cloneFile(t, s2File), pub, cfg)
@@ -127,25 +126,22 @@ func TestBatchServeParity(t *testing.T) {
 func parityBatch(ctx context.Context, t *testing.T, dir string, base ServerOptions, sc parityScenario,
 	s1File *keystore.S1File, s2File *keystore.S2File, pub *keystore.PublicFile, cfg protocol.Config) (queryView, queryView) {
 	t.Helper()
-	type done struct {
-		rep *Report
-		err error
-	}
+	base.Instances = 1
 	j1, j2 := filepath.Join(dir, "batch-s1.jsonl"), filepath.Join(dir, "batch-s2.jsonl")
 	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
-	s1Done, s2Done := make(chan done, 1), make(chan done, 1)
+	s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
 	go func() {
 		o := base
 		o.Seed, o.Ready, o.JournalPath = 411, s1Ready, j1
-		rep, err := RunS1Report(ctx, s1File, o)
-		s1Done <- done{rep, err}
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: o})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 	go func() {
 		o := base
 		o.Seed, o.Ready, o.JournalPath, o.PeerAddr = 412, s2Ready, j2, s1Addr
-		rep, err := RunS2Report(ctx, s2File, o)
-		s2Done <- done{rep, err}
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: o})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 	for u := 0; u < sc.present; u++ {

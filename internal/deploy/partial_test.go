@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/paillier"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -352,23 +353,19 @@ func TestPartialDeploymentEndToEnd(t *testing.T) {
 		}
 	}
 
-	type repResult struct {
-		rep *Report
-		err error
-	}
 	s1Ready := make(chan string, 1)
-	s1Done := make(chan repResult, 1)
+	s1Done := make(chan s1ServeResult, 1)
 	go func() {
-		rep, err := RunS1Report(ctx, s1File, partial("127.0.0.1:0", "", 211, s1Ready))
-		s1Done <- repResult{rep, err}
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: partial("127.0.0.1:0", "", 211, s1Ready)})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 
 	s2Ready := make(chan string, 1)
-	s2Done := make(chan repResult, 1)
+	s2Done := make(chan s2ServeResult, 1)
 	go func() {
-		rep, err := RunS2Report(ctx, s2File, partial("127.0.0.1:0", s1Addr, 212, s2Ready))
-		s2Done <- repResult{rep, err}
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: partial("127.0.0.1:0", s1Addr, 212, s2Ready)})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 
@@ -443,22 +440,18 @@ func TestQuorumNotMetEndToEnd(t *testing.T) {
 			AttemptTimeout: 30 * time.Second,
 		}
 	}
-	type repResult struct {
-		rep *Report
-		err error
-	}
 	s1Ready := make(chan string, 1)
-	s1Done := make(chan repResult, 1)
+	s1Done := make(chan s1ServeResult, 1)
 	go func() {
-		rep, err := RunS1Report(ctx, s1File, opts("127.0.0.1:0", "", 221, s1Ready))
-		s1Done <- repResult{rep, err}
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: opts("127.0.0.1:0", "", 221, s1Ready)})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 	s2Ready := make(chan string, 1)
-	s2Done := make(chan repResult, 1)
+	s2Done := make(chan s2ServeResult, 1)
 	go func() {
-		rep, err := RunS2Report(ctx, s2File, opts("127.0.0.1:0", s1Addr, 222, s2Ready))
-		s2Done <- repResult{rep, err}
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: opts("127.0.0.1:0", s1Addr, 222, s2Ready)})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 
@@ -476,8 +469,8 @@ func TestQuorumNotMetEndToEnd(t *testing.T) {
 	if r2.err != nil {
 		t.Fatalf("S2 structural failure: %v", r2.err)
 	}
-	for role, rep := range map[string]*Report{"s1": r1.rep, "s2": r2.rep} {
-		res := rep.Results[0]
+	for role, results := range map[string][]InstanceResult{"s1": r1.rep.Results, "s2": r2.rep.Results} {
+		res := results[0]
 		if !errors.Is(res.Err, protocol.ErrQuorumNotMet) {
 			t.Errorf("%s instance 0: err = %v, want ErrQuorumNotMet", role, res.Err)
 		}

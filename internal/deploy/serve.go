@@ -148,26 +148,17 @@ func (c *ctlLink) roundTrip(ctx context.Context, ackCode, code int64, args ...in
 	return nil, fmt.Errorf("deploy: serve ctl %d: %w", code, lastErr)
 }
 
-// ServeS1 runs S1 in continuous-operation mode: RunS1Queries with nothing
-// registered up front, so it admits queries until DrainCh fires or ctx
-// ends.
-func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (*ServeReport, error) {
-	return RunS1Queries(ctx, files, opts, 0)
-}
-
-// RunS1Queries is S1's one run. It registers queries 0..queries-1 for
+// ServeS1 is S1's one run. It registers queries 0..opts.Instances-1 for
 // tenant 0 under epoch 0 (reserving their spend in the ledger) before it
 // accepts a connection, admits further queries over the serve handshake
 // with per-tenant ε quotas, runs every query on the peer-link session while
 // later ones collect, rotates key epochs (files[1:] are the pre-provisioned
 // future epochs), and drains gracefully when DrainCh fires, when the
-// pre-registered queries have all resolved (queries > 0), or when ctx ends.
-func RunS1Queries(ctx context.Context, files []*keystore.S1File, opts ServeOptions, queries int) (*ServeReport, error) {
+// pre-registered queries have all resolved (Instances > 0), or when ctx
+// ends.
+func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (*ServeReport, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("deploy: need at least one epoch key file")
-	}
-	if queries < 0 {
-		return nil, fmt.Errorf("deploy: negative query count %d", queries)
 	}
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -223,7 +214,7 @@ func RunS1Queries(ctx context.Context, files []*keystore.S1File, opts ServeOptio
 	if st.cost == 0 && st.hasFiniteQuota() {
 		return nil, fmt.Errorf("deploy: tenant quotas need positive sigma1/sigma2 (accounting is off at zero noise)")
 	}
-	batch := make([]*serveQuery, queries)
+	batch := make([]*serveQuery, opts.Instances)
 	for i := range batch {
 		if err := ledger.Reserve(0, cost); err != nil {
 			return nil, fmt.Errorf("deploy: registering query %d: %w", i, err)
@@ -265,14 +256,14 @@ func RunS1Queries(ctx context.Context, files []*keystore.S1File, opts ServeOptio
 		return nil, err
 	}
 	opts.log(levelInfo, "S1 connected to S2: admission open (window %d, %d queries registered, epoch 0 of %d provisioned, budget %d retries)",
-		opts.maxInFlight(), queries, len(files), opts.MaxRetries)
+		opts.maxInFlight(), opts.Instances, len(files), opts.MaxRetries)
 	// One watcher hands the pre-registered queries over in query order.
 	go func() {
 		for _, q := range batch {
 			st.watch(acceptCtx, q)
 		}
 	}()
-	return st.run(ctx, ps, peer, queries)
+	return st.run(ctx, ps, peer, opts.Instances)
 }
 
 // hasFiniteQuota reports whether any quota actually binds.

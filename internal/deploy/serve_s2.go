@@ -52,14 +52,7 @@ type serveS2 struct {
 	draining   bool
 }
 
-// ServeS2 runs S2 in continuous-operation mode: RunS2Queries with nothing
-// registered up front, following S1's announces until S1 drains the stream
-// (or ctx ends).
-func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (*Report, error) {
-	return RunS2Queries(ctx, files, opts, 0)
-}
-
-// RunS2Queries is S2's one run. It registers queries 0..queries-1 under
+// ServeS2 is S2's one run. It registers queries 0..opts.Instances-1 under
 // epoch 0, as S1 does, before it accepts a connection, registers the
 // queries S1 announces on the ctl link, runs S2's side of every query S1
 // begins, and returns its own verdict per query once S1 ends the session
@@ -67,12 +60,9 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 // pre-provisioned rotation epochs, loaded on demand when S1 prepares or
 // announces into them. Every epoch's private material is zeroized in place
 // on the way out.
-func RunS2Queries(ctx context.Context, files []*keystore.S2File, opts ServeOptions, queries int) (*Report, error) {
+func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (*Report, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("deploy: need at least one epoch key file")
-	}
-	if queries < 0 {
-		return nil, fmt.Errorf("deploy: negative query count %d", queries)
 	}
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -107,7 +97,7 @@ func RunS2Queries(ctx context.Context, files []*keystore.S2File, opts ServeOptio
 	if err := st.ensureEpoch(0); err != nil {
 		return nil, err
 	}
-	for qid := 0; qid < queries; qid++ {
+	for qid := 0; qid < opts.Instances; qid++ {
 		if err := st.announce(qid, 0, 0); err != nil {
 			return nil, err
 		}

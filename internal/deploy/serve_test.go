@@ -601,3 +601,56 @@ func TestServeWaitsForEveryoneByDefault(t *testing.T) {
 		})
 	}
 }
+
+// TestServeHonoursInstances starts both servers with Instances 2 and no
+// DrainCh: they must register queries 0 and 1 before accepting, serve them
+// to SubmitVotes users, and return on their own once both have resolved,
+// each reporting exactly those two queries. The context deadline only
+// bounds a run that would otherwise wait for a drain nobody sends.
+func TestServeHonoursInstances(t *testing.T) {
+	const users = 2
+	s1File, s2File, pub, cfg := testSetup(t, users)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
+	go func() {
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
+			ListenAddr: "127.0.0.1:0", Instances: 2, Seed: 741, Ready: s1Ready,
+		}})
+		s1Done <- s1ServeResult{rep, err}
+	}()
+	s1Addr := <-s1Ready
+	go func() {
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
+			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: 2, Seed: 742, Ready: s2Ready,
+		}})
+		s2Done <- s2ServeResult{rep, err}
+	}()
+	s2Addr := <-s2Ready
+
+	labels := []int{1, 3} // query i is unanimous on labels[i]
+	for u := 0; u < users; u++ {
+		if err := SubmitVotes(ctx, pub, UserOptions{User: u, S1Addr: s1Addr, S2Addr: s2Addr, Seed: int64(750 + u)},
+			[][]float64{oneHot(cfg.Classes, labels[0]), oneHot(cfg.Classes, labels[1])}); err != nil {
+			t.Fatalf("user %d: %v", u, err)
+		}
+	}
+	r1, r2 := <-s1Done, <-s2Done
+	if ctx.Err() != nil {
+		t.Fatalf("servers returned only at the deadline (s1 %v, s2 %v): the registered queries never drained the run", r1.err, r2.err)
+	}
+	if r1.err != nil || r2.err != nil {
+		t.Fatalf("servers failed: s1 %v, s2 %v", r1.err, r2.err)
+	}
+	for role, results := range map[string][]InstanceResult{"s1": r1.rep.Results, "s2": r2.rep.Results} {
+		if len(results) != len(labels) {
+			t.Fatalf("%s reports %d queries, want %d", role, len(results), len(labels))
+		}
+		for i, res := range results {
+			if res.Instance != i || res.Err != nil || !res.Outcome.Consensus || res.Outcome.Label != labels[i] {
+				t.Errorf("%s query %d: %+v, want query %d with consensus on label %d", role, i, res, i, labels[i])
+			}
+		}
+	}
+}

@@ -129,10 +129,12 @@ func admitDecision(status int64) string {
 	}
 }
 
-// ServeOptions configures one server run. The embedded ServerOptions
-// supplies the transport, observability, retry-budget and participation
-// settings; Instances is ignored here — the caller passes the number of
-// queries to pre-register (RunS1Queries, RunS2Queries).
+// ServeOptions configures one server run (ServeS1, ServeS2). The embedded
+// ServerOptions supplies the transport, observability, retry-budget and
+// participation settings and, in Instances, the number of queries both
+// servers pre-register as 0..Instances-1: a run with Instances > 0 drains
+// once those resolve, one with Instances == 0 admits on demand until
+// DrainCh fires or ctx ends.
 type ServeOptions struct {
 	ServerOptions
 
@@ -194,6 +196,9 @@ func (o ServeOptions) drainTimeout() time.Duration {
 func (o ServeOptions) validate() error {
 	if err := o.validatePolicy(); err != nil {
 		return err
+	}
+	if o.Instances < 0 {
+		return fmt.Errorf("deploy: negative instance count %d", o.Instances)
 	}
 	if o.MaxInFlight < 0 {
 		return fmt.Errorf("deploy: negative max in-flight %d", o.MaxInFlight)

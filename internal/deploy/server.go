@@ -11,7 +11,6 @@ import (
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
 	"github.com/privconsensus/privconsensus/internal/ingest"
-	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/paillier"
@@ -33,8 +32,10 @@ type ServerOptions struct {
 	ListenAddr string
 	// PeerAddr is S1's address; only S2 dials it.
 	PeerAddr string
-	// Instances is the number of queries a batch run (RunS1Report,
-	// RunS2Report, RunIngest) registers up front as queries 0..Instances-1.
+	// Instances is the number of queries a run (ServeS1, ServeS2,
+	// RunIngest) registers up front as queries 0..Instances-1. ServeS1 and
+	// ServeS2 drain once those resolve; 0 makes them admit on demand until
+	// drained.
 	Instances int
 	// Seed, when non-zero, makes protocol randomness deterministic.
 	Seed int64
@@ -176,8 +177,8 @@ func (o ServerOptions) log(lv logLevel, format string, args ...any) {
 	o.Logf(format, args...)
 }
 
-// validate checks the options of a run that registers Instances queries up
-// front.
+// validate checks the options of a RunIngest sink, which needs at least
+// one instance to collect.
 func (o ServerOptions) validate() error {
 	if o.Instances < 1 {
 		return fmt.Errorf("deploy: need at least 1 instance, got %d", o.Instances)
@@ -427,67 +428,12 @@ func (s *serverSetup) agreeParticipants(ctx context.Context, opts ServerOptions,
 	return groups, participants, err
 }
 
-// RunS1 runs server S1 for opts.Instances queries and returns their
-// outcomes. Any failed query is returned as an error; use RunS1Report to
-// get per-query results with graceful degradation.
-func RunS1(ctx context.Context, file *keystore.S1File, opts ServerOptions) ([]protocol.Outcome, error) {
-	rep, err := RunS1Report(ctx, file, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		return nil, ferr
-	}
-	return rep.Outcomes(), nil
-}
-
-// RunS1Report runs server S1 as a batch: RunS1Queries over the one key file
-// with queries 0..opts.Instances-1 registered for tenant 0, an in-memory
-// ledger and no drain trigger, so the run drains once they resolve. A query
-// that exhausts its retry budget is recorded as failed while the rest
-// complete.
-func RunS1Report(ctx context.Context, file *keystore.S1File, opts ServerOptions) (*Report, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	rep, err := RunS1Queries(ctx, []*keystore.S1File{file}, ServeOptions{ServerOptions: opts}, opts.Instances)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Results: rep.Results}, nil
-}
-
 // ringOf returns the Paillier ciphertext ring bound N² (nil for a nil key).
 func ringOf(pk *paillier.PublicKey) *big.Int {
 	if pk == nil {
 		return nil
 	}
 	return pk.N2
-}
-
-// RunS2 runs server S2 for opts.Instances queries, mirroring S1, and returns
-// their outcomes. Any failed query is returned as an error; use RunS2Report
-// for per-query results.
-func RunS2(ctx context.Context, file *keystore.S2File, opts ServerOptions) ([]protocol.Outcome, error) {
-	rep, err := RunS2Report(ctx, file, opts)
-	if err != nil {
-		return nil, err
-	}
-	if ferr := rep.FirstErr(); ferr != nil {
-		return nil, ferr
-	}
-	return rep.Outcomes(), nil
-}
-
-// RunS2Report runs server S2 as a batch: RunS2Queries over the one key file
-// with queries 0..opts.Instances-1 registered. It reports its own verdict
-// per query and returns once S1 ends the session (or, the end frame lost,
-// its reconnect budget or drain timeout runs out).
-func RunS2Report(ctx context.Context, file *keystore.S2File, opts ServerOptions) (*Report, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	return RunS2Queries(ctx, []*keystore.S2File{file}, ServeOptions{ServerOptions: opts}, opts.Instances)
 }
 
 // DefaultLogger returns a stdlib-backed log sink for the CLIs with

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -26,9 +27,9 @@ func TestAcceptLoopCtxCancellation(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunS1(ctx, s1File, ServerOptions{
+		_, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: 1, Ready: ready,
-		})
+		}})
 		done <- err
 	}()
 	<-ready
@@ -57,9 +58,12 @@ func TestUserDropsMidUpload(t *testing.T) {
 	done := make(chan error, 1)
 	const instances = 2
 	go func() {
-		_, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: instances, Ready: ready,
-		})
+		}})
+		if err == nil {
+			_, err = outcomes(rep.Results)
+		}
 		done <- err
 	}()
 	addr := <-ready
@@ -130,11 +134,11 @@ func TestPeerDropAtZeroBudget(t *testing.T) {
 	if run.e1 != nil || run.e2 != nil {
 		t.Fatalf("structural failure instead of per-instance errors: s1=%v s2=%v", run.e1, run.e2)
 	}
-	for role, rep := range map[string]*Report{"s1": run.r1, "s2": run.r2} {
-		if len(rep.Results) != 2 {
-			t.Fatalf("%s reported %d instances, want 2", role, len(rep.Results))
+	for role, results := range map[string][]InstanceResult{"s1": run.r1.Results, "s2": run.r2.Results} {
+		if len(results) != 2 {
+			t.Fatalf("%s reported %d instances, want 2", role, len(results))
 		}
-		first, second := rep.Results[0], rep.Results[1]
+		first, second := results[0], results[1]
 		if first.Err == nil || (!transport.IsRetryable(first.Err) && !errors.Is(first.Err, errPeerGone)) {
 			t.Errorf("%s instance 0: err = %v, want the link failure", role, first.Err)
 		}
@@ -174,11 +178,16 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 	s1Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: 1, Seed: 800, Ready: s1Ready,
 			MetricsAddr: "127.0.0.1:0", MetricsReady: metricsReady,
 			MetricsLinger: time.Minute,
-		})
+		}})
+		if err != nil {
+			s1Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s1Done <- serverResult{out, err}
 	}()
 	s1Addr := <-s1Ready
@@ -186,9 +195,14 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 
 	s2Done := make(chan serverResult, 1)
 	go func() {
-		out, err := RunS2(ctx, s2File, ServerOptions{
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: 1, Seed: 801, Ready: s2Ready,
-		})
+		}})
+		if err != nil {
+			s2Done <- serverResult{nil, err}
+			return
+		}
+		out, err := outcomes(rep.Results)
 		s2Done <- serverResult{out, err}
 	}()
 	s2Addr := <-s2Ready

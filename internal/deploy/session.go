@@ -200,38 +200,6 @@ type Report struct {
 	Results []InstanceResult
 }
 
-// Outcomes returns the per-instance outcomes in order; failed instances
-// carry the placeholder {Consensus: false, Label: -1}.
-func (r *Report) Outcomes() []protocol.Outcome {
-	out := make([]protocol.Outcome, len(r.Results))
-	for i, res := range r.Results {
-		out[i] = res.Outcome
-	}
-	return out
-}
-
-// Failed returns the instances that did not complete.
-func (r *Report) Failed() []InstanceResult {
-	var out []InstanceResult
-	for _, res := range r.Results {
-		if res.Err != nil {
-			out = append(out, res)
-		}
-	}
-	return out
-}
-
-// FirstErr returns the first failed instance's error, or nil.
-func (r *Report) FirstErr() error {
-	for _, res := range r.Results {
-		if res.Err != nil {
-			return fmt.Errorf("deploy: instance %d failed after %d attempts: %w",
-				res.Instance, res.Attempts, res.Err)
-		}
-	}
-	return nil
-}
-
 // attemptRetryable decides whether a failed instance attempt may be
 // retried: the parent context must still be live (a cancelled run stops
 // immediately) and the error must classify as transient I/O. Per-attempt

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
@@ -102,10 +103,13 @@ func TestTracedDeploymentEndToEnd(t *testing.T) {
 	s1Ready := make(chan string, 1)
 	s1Done := make(chan error, 1)
 	go func() {
-		_, err := RunS1(ctx, s1File, ServerOptions{
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", Instances: instances, Seed: 201,
 			Ready: s1Ready, JournalPath: s1Journal,
-		})
+		}})
+		if err == nil {
+			_, err = outcomes(rep.Results)
+		}
 		s1Done <- err
 	}()
 	s1Addr := <-s1Ready
@@ -113,10 +117,13 @@ func TestTracedDeploymentEndToEnd(t *testing.T) {
 	s2Ready := make(chan string, 1)
 	s2Done := make(chan error, 1)
 	go func() {
-		_, err := RunS2(ctx, s2File, ServerOptions{
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: ServerOptions{
 			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Instances: instances,
 			Seed: 202, Ready: s2Ready, JournalPath: s2Journal,
-		})
+		}})
+		if err == nil {
+			_, err = outcomes(rep.Results)
+		}
 		s2Done <- err
 	}()
 	s2Addr := <-s2Ready

@@ -130,7 +130,8 @@ func (p *peerTap) link(t *testing.T, ctl bool) (int64, []string) {
 // consensus at T = 50%) — whose peer links run through a peerTap.
 type tappedRun struct {
 	tap    *peerTap
-	r1, r2 *Report
+	r1     *ServeReport
+	r2     *Report
 	e1, e2 error
 }
 
@@ -141,23 +142,19 @@ func runTapped(t *testing.T, s1File *keystore.S1File, s2File *keystore.S2File, p
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	type done struct {
-		rep *Report
-		err error
-	}
 	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
-	s1Done, s2Done := make(chan done, 1), make(chan done, 1)
+	s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
 	o1.ListenAddr, o1.Instances, o1.Seed, o1.Ready = "127.0.0.1:0", instances, 901, s1Ready
 	go func() {
-		rep, err := RunS1Report(ctx, s1File, o1)
-		s1Done <- done{rep, err}
+		rep, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: o1})
+		s1Done <- s1ServeResult{rep, err}
 	}()
 	s1Addr := <-s1Ready
 	tap := startPeerTap(t, ctx, s1Addr, cutAfter)
 	o2.ListenAddr, o2.PeerAddr, o2.Instances, o2.Seed, o2.Ready = "127.0.0.1:0", tap.l.Addr(), instances, 902, s2Ready
 	go func() {
-		rep, err := RunS2Report(ctx, s2File, o2)
-		s2Done <- done{rep, err}
+		rep, err := ServeS2(ctx, []*keystore.S2File{s2File}, ServeOptions{ServerOptions: o2})
+		s2Done <- s2ServeResult{rep, err}
 	}()
 	s2Addr := <-s2Ready
 
@@ -410,7 +407,7 @@ func TestPeerRefusals(t *testing.T) {
 			ready := make(chan string, 1)
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunS1Report(ctx, s1File, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1, Ready: ready})
+				_, err := ServeS1(ctx, []*keystore.S1File{s1File}, ServeOptions{ServerOptions: ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1, Ready: ready}})
 				done <- err
 			}()
 			conn, err := transport.Dial(ctx, <-ready)
@@ -439,10 +436,10 @@ func TestPeerRefusals(t *testing.T) {
 		s1, s2 := *s1File, *s2File
 		s1.Config.ArgmaxStrategy, s2.Config.ArgmaxStrategy = protocol.StrategyAllPairs, protocol.StrategyAllPairs
 		// Neither server gets as far as listening or dialing.
-		if _, err := RunS1Report(ctx, &s1, ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}); !errors.Is(err, protocol.ErrBadConfig) {
+		if _, err := ServeS1(ctx, []*keystore.S1File{&s1}, ServeOptions{ServerOptions: ServerOptions{ListenAddr: "127.0.0.1:0", Instances: 1}}); !errors.Is(err, protocol.ErrBadConfig) {
 			t.Errorf("S1 returned %v, want ErrBadConfig", err)
 		}
-		if _, err := RunS2Report(ctx, &s2, ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1}); !errors.Is(err, protocol.ErrBadConfig) {
+		if _, err := ServeS2(ctx, []*keystore.S2File{&s2}, ServeOptions{ServerOptions: ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1}}); !errors.Is(err, protocol.ErrBadConfig) {
 			t.Errorf("S2 returned %v, want ErrBadConfig", err)
 		}
 	})

@@ -10,6 +10,13 @@ import (
 // The private key stores the secret prime p and the subgroup orders v_p, v_q
 // alongside the public elements; q = n/p and the tables are rebuilt on load.
 
+// maxU bounds the plaintext space a key file may declare. The key owner
+// decrypts through a table of u entries built at load, so a file with a
+// huge u (any u·v_p dividing p−1 passes the subgroup check) would make the
+// loader run out of memory instead of refusing it. Keys are generated with
+// u = 1009.
+const maxU = 1 << 16
+
 // publicKeyJSON is the wire form of a PublicKey.
 type publicKeyJSON struct {
 	N     string `json:"n"`
@@ -59,8 +66,8 @@ func (raw publicKeyJSON) toPublic() (*PublicKey, error) {
 	if !ok || h.Sign() <= 0 {
 		return nil, fmt.Errorf("dgk: invalid generator h")
 	}
-	if raw.U < 3 || raw.RBits < 8 || raw.L < 1 || raw.L > 62 {
-		return nil, fmt.Errorf("dgk: invalid parameters u=%d rBits=%d l=%d", raw.U, raw.RBits, raw.L)
+	if raw.U < 3 || raw.U > maxU || raw.RBits < 8 || raw.L < 1 || raw.L > 62 {
+		return nil, fmt.Errorf("%w: u=%d rBits=%d l=%d", ErrBadParams, raw.U, raw.RBits, raw.L)
 	}
 	return &PublicKey{
 		N: n, G: g, H: h,

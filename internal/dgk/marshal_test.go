@@ -81,6 +81,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":99}`), &pk); err == nil {
 		t.Error("expected error for out-of-range L")
 	}
+	// u = 2^40 fits this key's subgroups (2^40 divides p−1, h = 1, g has
+	// order 2^40 mod p), so only the bound on u stops the loader from
+	// building a 2^40-entry decryption table.
+	hugeU := `{"public":{"n":"6597089557866299971","g":"64","h":"1","u":1099511627776,"rBits":100,"l":40},"p":"6597069766657","vp":"1"}`
+	if err := json.Unmarshal([]byte(hugeU), new(PrivateKey)); !errors.Is(err, ErrBadParams) {
+		t.Errorf("u = 2^40: load error %v, want ErrBadParams", err)
+	}
 	var k PrivateKey
 	if err := json.Unmarshal([]byte(`{"public":{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":40},"p":"8","vp":"5"}`), &k); err == nil {
 		t.Error("expected error for composite secret prime")

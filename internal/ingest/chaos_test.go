@@ -81,8 +81,12 @@ func chaosServers(ctx context.Context, t *testing.T, s1File *keystore.S1File, s2
 		opts.Seed = 601
 		opts.Ready = s1Ready
 		opts.JournalPath = j1
-		rep, err := deploy.RunS1Report(ctx, s1File, opts)
-		s1Done <- chaosReport{rep, err}
+		rep, err := deploy.ServeS1(ctx, []*keystore.S1File{s1File}, deploy.ServeOptions{ServerOptions: opts})
+		if err != nil {
+			s1Done <- chaosReport{nil, err}
+			return
+		}
+		s1Done <- chaosReport{&deploy.Report{Results: rep.Results}, nil}
 	}()
 	s1Addr = <-s1Ready
 	go func() {
@@ -91,7 +95,7 @@ func chaosServers(ctx context.Context, t *testing.T, s1File *keystore.S1File, s2
 		opts.Ready = s2Ready
 		opts.PeerAddr = s1Addr
 		opts.JournalPath = j2
-		rep, err := deploy.RunS2Report(ctx, s2File, opts)
+		rep, err := deploy.ServeS2(ctx, []*keystore.S2File{s2File}, deploy.ServeOptions{ServerOptions: opts})
 		s2Done <- chaosReport{rep, err}
 	}()
 	s2Addr = <-s2Ready

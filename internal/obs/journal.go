@@ -221,16 +221,6 @@ func (j *Journal) recover() error {
 // errJournalClosed reports an append on a closed journal.
 var errJournalClosed = errors.New("obs: journal closed")
 
-// SetTrace sets the default trace ID stamped on events that carry none.
-func (j *Journal) SetTrace(id string) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.trace = id
-	j.mu.Unlock()
-}
-
 // BeginTrace records the trace identity for this process: it becomes the
 // default stamp for later events and a trace-begin anchor event is
 // appended (once — later calls with the same or another ID only restamp).

@@ -171,12 +171,6 @@ func DurationBuckets() []float64 {
 	return []float64{0.0001, 0.0005, 0.002, 0.01, 0.05, 0.25, 1, 4, 15, 60, 120}
 }
 
-// SizeBuckets covers protocol message and step traffic sizes in bytes:
-// 64 B up to 64 MB in 4x steps.
-func SizeBuckets() []float64 {
-	return []float64{64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216, 67108864}
-}
-
 // metric is one registered series: a name, an optional label set, and
 // exactly one of the value types.
 type metric struct {

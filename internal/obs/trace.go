@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -303,19 +302,6 @@ func (t *Tracer) Trace() *QueryTrace {
 	}
 	out.Events = append([]TraceEvent(nil), t.trace.Events...)
 	return &out
-}
-
-// OpNames returns the sorted short names of watched counters, for stable
-// rendering.
-func (t *Tracer) OpNames() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.watched))
-	for n := range t.watched {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // tracerKey is the context key for the ambient tracer.

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -510,12 +509,4 @@ func IsRetryable(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne)
-}
-
-// FaultKinds returns the metric label values in stable order (for tests
-// and docs).
-func FaultKinds() []string {
-	kinds := []string{faultReset, faultStall, faultPartial, faultDelay}
-	sort.Strings(kinds)
-	return kinds
 }

@@ -41,43 +41,3 @@ func FuzzReadMessage(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSegmentRecompose checks the segmentation codec against arbitrary
-// segment lists.
-func FuzzSegmentRecompose(f *testing.F) {
-	f.Add([]byte{1, 2, 3})
-	f.Add([]byte{0})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		// Interpret raw bytes as a big integer; segment and recompose.
-		v, err := Recompose(bytesToSegs(raw))
-		if err != nil {
-			return
-		}
-		segs, err := Segment(v)
-		if err != nil {
-			t.Fatalf("segment recomposed value: %v", err)
-		}
-		back, err := Recompose(segs)
-		if err != nil || back.Cmp(v) != 0 {
-			t.Fatalf("round trip mismatch: %v vs %v (%v)", v, back, err)
-		}
-	})
-}
-
-// bytesToSegs derives a segment list from fuzz bytes.
-func bytesToSegs(raw []byte) []int64 {
-	if len(raw) == 0 {
-		return nil
-	}
-	segs := make([]int64, 0, len(raw)/4+1)
-	var cur int64
-	for i, b := range raw {
-		cur = cur*251 + int64(b)
-		if i%4 == 3 {
-			segs = append(segs, cur%1000000000000000000)
-			cur = 0
-		}
-	}
-	segs = append(segs, cur%1000000000000000000)
-	return segs
-}

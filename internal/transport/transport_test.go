@@ -346,79 +346,3 @@ func TestMeterAccounting(t *testing.T) {
 		t.Error("Reset did not clear stats")
 	}
 }
-
-func TestSegmentRoundTrip(t *testing.T) {
-	vals := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(999999999999999999),  // 18 nines: one segment
-		big.NewInt(1000000000000000000), // needs two segments
-		new(big.Int).Lsh(big.NewInt(1), 256),
-	}
-	for _, v := range vals {
-		segs, err := Segment(v)
-		if err != nil {
-			t.Fatalf("Segment(%v): %v", v, err)
-		}
-		back, err := Recompose(segs)
-		if err != nil {
-			t.Fatalf("Recompose: %v", err)
-		}
-		if back.Cmp(v) != 0 {
-			t.Errorf("segment round trip %v -> %v", v, back)
-		}
-	}
-}
-
-func TestSegmentRejectsNegative(t *testing.T) {
-	if _, err := Segment(big.NewInt(-1)); err == nil {
-		t.Fatal("expected error for negative value")
-	}
-	if _, err := Segment(nil); err == nil {
-		t.Fatal("expected error for nil value")
-	}
-	if _, err := Recompose(nil); err == nil {
-		t.Fatal("expected error for empty segments")
-	}
-	if _, err := Recompose([]int64{-3}); err == nil {
-		t.Fatal("expected error for out-of-range segment")
-	}
-}
-
-func TestSegmentVectorRoundTrip(t *testing.T) {
-	vs := []*big.Int{big.NewInt(5), new(big.Int).Lsh(big.NewInt(7), 128), big.NewInt(0)}
-	segs, counts, err := SegmentVector(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := RecomposeVector(segs, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if back[i].Cmp(vs[i]) != 0 {
-			t.Errorf("element %d: %v != %v", i, back[i], vs[i])
-		}
-	}
-	if _, err := RecomposeVector(segs, []int{1}); err == nil {
-		t.Error("expected error for trailing segments")
-	}
-	if _, err := RecomposeVector(segs[:1], counts); err == nil {
-		t.Error("expected error for short segments")
-	}
-}
-
-func TestSegmentQuick(t *testing.T) {
-	f := func(raw []byte) bool {
-		v := new(big.Int).SetBytes(raw)
-		segs, err := Segment(v)
-		if err != nil {
-			return false
-		}
-		back, err := Recompose(segs)
-		return err == nil && back.Cmp(v) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -3,7 +3,6 @@ package privconsensus
 import (
 	"context"
 	"math"
-	"net"
 	"testing"
 	"time"
 )
@@ -91,66 +90,6 @@ func TestEngineVoteValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := e.LabelInstance(ctx, [][]float64{oneHot(4, 0)}); err == nil {
 		t.Error("expected error for wrong user count")
-	}
-	if _, err := e.RunServer(ctx, RoleS1, nil, []*Submission{nil, nil, nil}); err == nil {
-		t.Error("expected error for nil submissions")
-	}
-}
-
-func TestEngineOverTCP(t *testing.T) {
-	e := testEngine(t, 3, 3)
-	votes := [][]float64{oneHot(3, 1), oneHot(3, 1), oneHot(3, 0)}
-	subs := make([]*Submission, len(votes))
-	for u, v := range votes {
-		s, err := e.SubmissionFor(u, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs[u] = s
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	type result struct {
-		out *Outcome
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			ch <- result{nil, err}
-			return
-		}
-		defer conn.Close()
-		out, err := e.RunServer(ctx, RoleS1, conn, subs)
-		ch <- result{out, err}
-	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	out2, err := e.RunServer(ctx, RoleS2, conn, subs)
-	if err != nil {
-		t.Fatalf("S2 over TCP: %v", err)
-	}
-	r1 := <-ch
-	if r1.err != nil {
-		t.Fatalf("S1 over TCP: %v", r1.err)
-	}
-	if *r1.out != *out2 {
-		t.Fatalf("servers disagree over TCP: %+v vs %+v", r1.out, out2)
-	}
-	if !out2.Consensus || out2.Label != 1 {
-		t.Fatalf("TCP outcome %+v, want consensus on 1", out2)
 	}
 }
 
