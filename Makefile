@@ -14,10 +14,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # 32-bit words and a second word kernel: the Montgomery tables pull
-# math/big's addMulVVW by linkname, so run the crypto packages with W = 32
-# (386 runs natively on an amd64 host) and vet the whole tree for arm64.
+# math/big's addMulVVW by linkname, and the transport codec sizes and
+# writes values by BitLen/FillBytes, so run the crypto packages and the
+# transport with W = 32 (386 runs natively on an amd64 host) and vet the
+# whole tree for arm64.
 cross:
-	GOARCH=386 $(GO) test ./internal/mathutil ./internal/paillier ./internal/dgk
+	GOARCH=386 $(GO) test ./internal/mathutil ./internal/paillier ./internal/dgk ./internal/transport
 	GOARCH=arm64 $(GO) vet ./...
 
 test:

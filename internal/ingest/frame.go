@@ -342,13 +342,12 @@ func DecodePackedCombined(msg *transport.Message) (Combined, error) {
 // over the frame's codec encoding. Relays and servers key their replay
 // dedup on it, so a byte-identical retransmission (after a reconnect) is
 // tolerated while a conflicting reuse of the same identity is rejected.
-func FrameDigest(msg *transport.Message) [32]byte {
+func FrameDigest(msg *transport.Message) (out [32]byte) {
 	h := sha256.New()
 	// The codec encoding is deterministic; an encode error (nil value)
 	// cannot happen for frames that passed Encode*/Decode*.
 	_ = transport.WriteMessage(h, msg)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 

@@ -21,25 +21,38 @@ const (
 	maxValueBytes = 1 << 24 // max bytes per big integer (16 MiB)
 )
 
-// EncodedSize returns the exact number of payload bytes WriteMessage will
-// produce for msg, used by the byte-accounting layer.
+// EncodedSize returns the exact number of payload bytes the codec produces
+// for msg, without encoding or allocating.
 func EncodedSize(msg *Message) int {
 	size := 1 + 4 + 8*len(msg.Flags) + 4
 	for _, v := range msg.Values {
 		size += 1 + 4
 		if v != nil {
-			size += len(v.Bytes())
+			size += (v.BitLen() + 7) / 8
 		}
 	}
 	return size
 }
 
-// WriteMessage encodes msg onto w.
+// WriteMessage encodes msg onto w in one Write.
 func WriteMessage(w io.Writer, msg *Message) error {
-	if msg == nil {
-		return fmt.Errorf("transport: cannot encode nil message")
+	buf, err := encode(msg, 0)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, 0, EncodedSize(msg))
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
+}
+
+// encode returns msg's codec encoding behind head bytes left for the caller
+// (a frame's length prefix), each value written once by FillBytes.
+func encode(msg *Message, head int) ([]byte, error) {
+	if msg == nil {
+		return nil, fmt.Errorf("transport: cannot encode nil message")
+	}
+	buf := make([]byte, head, head+EncodedSize(msg))
 	buf = append(buf, byte(msg.Kind))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg.Flags)))
 	for _, f := range msg.Flags {
@@ -48,21 +61,19 @@ func WriteMessage(w io.Writer, msg *Message) error {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg.Values)))
 	for i, v := range msg.Values {
 		if v == nil {
-			return fmt.Errorf("transport: nil value at index %d", i)
+			return nil, fmt.Errorf("transport: nil value at index %d", i)
 		}
 		sign := byte(0)
 		if v.Sign() < 0 {
 			sign = 1
 		}
-		vb := v.Bytes()
+		n := (v.BitLen() + 7) / 8
 		buf = append(buf, sign)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(vb)))
-		buf = append(buf, vb...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+		buf = buf[:len(buf)+n]
+		v.FillBytes(buf[len(buf)-n:])
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	return nil
+	return buf, nil
 }
 
 // ReadMessage decodes one message from r.

@@ -41,6 +41,9 @@ const (
 
 // FaultSpec configures a FaultInjector. All probabilities are per I/O
 // operation and must lie in [0, 1]; at most one fault fires per operation.
+// A write is one whole frame (length prefix and payload leave in one
+// Write), so the write side draws once per frame; a read is one fill of
+// the receiver's buffer, which may hold part of a frame or several.
 type FaultSpec struct {
 	// Seed makes the schedule deterministic. Connections are numbered in
 	// accept/dial order and each direction of each connection draws from

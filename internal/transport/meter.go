@@ -88,14 +88,6 @@ func (m *Meter) RecordElapsed(step string, d time.Duration) {
 	m.get(step).Elapsed += d
 }
 
-// Time runs fn and attributes its wall time to step, returning fn's error.
-func (m *Meter) Time(step string, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	m.RecordElapsed(step, time.Since(start))
-	return err
-}
-
 // Snapshot returns a copy of the per-step stats, sorted by step name.
 func (m *Meter) Snapshot() []StepStats {
 	m.mu.Lock()
@@ -146,13 +138,6 @@ func (m *Meter) String() string {
 			s.Rounds, s.Elapsed.Round(time.Microsecond))
 	}
 	return b.String()
-}
-
-// Reset clears all accumulated stats.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.steps = make(map[string]*StepStats)
 }
 
 // meteredConn wraps a Conn, attributing traffic to a step label that the

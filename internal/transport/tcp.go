@@ -15,7 +15,8 @@ import (
 //
 //	tcpFrame := payloadLen(4) payload
 //
-// where payload is the codec output of WriteMessage.
+// where payload is the codec output of WriteMessage. Send hands the socket
+// a whole frame in one Write, so an unencodable message writes nothing.
 type tcpConn struct {
 	nc net.Conn
 	br *bufio.Reader
@@ -84,16 +85,15 @@ func (c *tcpConn) Send(ctx context.Context, msg *Message) error {
 	if err := c.applyDeadline(ctx, c.nc.SetWriteDeadline); err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	size := EncodedSize(msg)
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(size))
-	if _, err := c.nc.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("transport: write frame length: %w", err)
-	}
-	if err := WriteMessage(c.nc, msg); err != nil {
+	frame, err := encode(msg, 4)
+	if err != nil {
 		return err
 	}
-	wireBytesSent.Add(int64(size) + 4)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if _, err := c.nc.Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	wireBytesSent.Add(int64(len(frame)))
 	wireMsgsSent.Inc()
 	return nil
 }
