@@ -24,16 +24,30 @@ func (c *replayConn) Recv(context.Context) (*transport.Message, error) {
 	return c.frames[(c.next-1)%2], nil
 }
 
-// BenchmarkDGKCompare measures the comparison protocol's kernels at the
-// deployable shape (1024-bit modulus, 160-bit subgroups, L = 56): one bit
-// encryption on the public path and on the key owner's CRT path, party A's
-// round 2 for one comparison (blind: L terms and L blinding
-// exponentiations), one zero test, and one whole exchange over an in-memory
-// pair. results/dgk_micro.txt holds alternated parent/change readings; this
-// file builds at the parent too, where owner-encrypt is the public path.
+// BenchmarkDGKCompare measures the comparison protocol's kernels at two
+// shapes: the deployable one (1024-bit modulus, 160-bit subgroups) and the
+// paper's 64-bit regime as the bench's serve_paper64 runs it (192-bit
+// modulus, 40-bit subgroups), both with L = 56: one bit encryption on the
+// public path and on the key owner's CRT path, party A's round 2 for one
+// comparison (blind: L terms and L blinding exponentiations), one zero
+// test, and one whole exchange over an in-memory pair. results/dgk_micro.txt
+// holds alternated parent/change readings; this file builds at older
+// commits too, where owner-encrypt is the public path.
 func BenchmarkDGKCompare(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		params dgk.Params
+	}{
+		{"1024", dgk.Params{NBits: 1024, TBits: 160, U: 1009, L: 56}},
+		{"paper64", dgk.Params{NBits: 192, TBits: 40, U: 1009, L: 56}},
+	} {
+		b.Run(shape.name, func(b *testing.B) { benchDGKCompare(b, shape.params) })
+	}
+}
+
+func benchDGKCompare(b *testing.B, params dgk.Params) {
 	rng := rand.New(rand.NewSource(10))
-	sk, err := dgk.GenerateKey(rng, dgk.Params{NBits: 1024, TBits: 160, U: 1009, L: 56})
+	sk, err := dgk.GenerateKey(rng, params)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -198,107 +198,118 @@ func (k *PrivateKey) encryptBits(rng io.Reader, vals []*big.Int, par int) ([][]*
 // blind is party A's round 2: for each of its values and B's encrypted bit
 // vector, the blinded, permuted E(r_i * c_i) sequence. The E(c_i) of one
 // comparison form a chain (multiplications only, see compareTerms); the
-// blinding exponentiations are independent per bit.
+// blinding exponentiations are independent per bit. All of it runs in n's
+// Montgomery domain, and each blinded value leaves it once.
 func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int, par int) ([][]*big.Int, error) {
-	n, l := len(vals), pk.L
-	terms := make([][]*big.Int, n)
+	ctx := pk.nMont()
+	if ctx == nil {
+		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
+	}
+	n, l, w := len(vals), pk.L, ctx.Words()
+	terms := make([][]big.Word, n)
 	pis := make([]perm.Permutation, n)
 	out := make([][]*big.Int, n)
+	// Per comparison: each position's w words and 3w of scratch, and headers.
+	work := make([][]big.Word, n)
+	blinded := make([][]big.Int, n)
 	err := mathutil.ParallelFor(par, n, func(i int) (err error) {
-		if terms[i], err = pk.compareTerms(rng, vals[i], encBits[i]); err != nil {
+		if terms[i], err = pk.compareTerms(rng, ctx, vals[i], encBits[i]); err != nil {
 			return fmt.Errorf("dgk: comparison %d: %w", i, err)
 		}
 		// Permute so B cannot tell which bit position (if any) was zero.
 		pis[i], err = perm.New(rng, l)
-		out[i] = make([]*big.Int, l)
+		out[i], work[i], blinded[i] = make([]*big.Int, l), make([]big.Word, 4*l*w), make([]big.Int, l)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	bound := new(big.Int).Sub(pk.U, mathutil.One)
 	err = mathutil.ParallelFor(par, n*l, func(idx int) error {
 		i, pos := idx/l, idx%l
 		// Blind with a random nonzero exponent: zero stays zero, nonzero
 		// becomes uniform nonzero.
-		r, err := randNonzero(rng, pk.U)
+		r, err := randNonzero(rng, bound)
 		if err != nil {
 			return err
 		}
-		out[i][pis[i][pos]] = r.Exp(terms[i][pos], r, pk.N)
+		buf := work[i][4*pos*w : 4*(pos+1)*w]
+		z := buf[:w:w]
+		ctx.Exp(z, terms[i][pos*w:(pos+1)*w], r, buf[w:])
+		ctx.Leave(z, z, buf[w:])
+		out[i][pis[i][pos]] = blinded[i][pos].SetBits(z)
 		return nil
 	})
 	return out, err
 }
 
-// compareTerms computes E(c_i), i = 0..L-1, for A's value a against B's
-// encrypted bits, scanning from the MSB so the XOR prefix sum over j > i
-// accumulates incrementally:
+// compareTerms computes E(c_i), i = 0..L-1, in the Montgomery domain of
+// ctx (n's), for A's value a against B's encrypted bits, scanning from the
+// MSB so the XOR prefix sum over j > i accumulates incrementally:
 //
 //	c_i = a_i - b_i + 1 + 3 * sum_{j>i} (a_j XOR b_j)
 //
 // with E(a_j XOR b_j) = E(b_j) when a_j = 0 and E(1 - b_j) otherwise. All of
-// it is multiplications modulo n: the L negations E(-b_i) = E(b_i)^(-1) come
-// from one modular inversion (Montgomery's trick) and 3*sum is two more
-// multiplications.
-func (pk *PublicKey) compareTerms(rng io.Reader, a *big.Int, encBits []*big.Int) ([]*big.Int, error) {
-	if len(encBits) != pk.L {
-		return nil, fmt.Errorf("dgk: expected %d encrypted bits, got %d", pk.L, len(encBits))
+// it is multiplications: the L negations E(-b_i) = E(b_i)^(-1) come from
+// one modular inversion of the bits' product (Montgomery's trick) and 3*sum
+// is two more multiplications. It returns the L terms' words, w per term.
+func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int, encBits []*big.Int) ([]big.Word, error) {
+	l, w := pk.L, ctx.Words()
+	if len(encBits) != l {
+		return nil, fmt.Errorf("dgk: expected %d encrypted bits, got %d", l, len(encBits))
 	}
+	// The terms, the bits and the bits' inverses, L values each, then
+	// xorSum, g, g², a temporary and 3w of scratch.
+	buf := make([]big.Word, (3*l+7)*w)
+	at := func(k int) []big.Word { return buf[k*w : (k+1)*w] }
+	bit := func(i int) []big.Word { return at(l + i) }
+	neg := func(i int) []big.Word { return at(2*l + i) }
+	xorSum, g, g2, tmp, scratch := at(3*l), at(3*l+1), at(3*l+2), at(3*l+3), buf[(3*l+4)*w:]
 	for i, v := range encBits {
 		if err := pk.validateCiphertext(&Ciphertext{C: v}); err != nil {
 			return nil, fmt.Errorf("dgk: bit %d: %w", i, err)
 		}
+		ctx.Enter(bit(i), v, scratch)
 	}
-	neg, err := invertAll(encBits, pk.N)
+	// Montgomery's trick: the prefix products b_0···b_i go into neg, the
+	// product's one inverse walks back down turning each into b_i^(-1).
+	copy(neg(0), bit(0))
+	for i := 1; i < l; i++ {
+		ctx.Mul(neg(i), neg(i-1), bit(i), scratch)
+	}
+	ctx.Leave(tmp, neg(l-1), scratch)
+	inv, err := mathutil.ModInverse(new(big.Int).SetBits(tmp), pk.N)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dgk: encrypted bits are not units: %w", err)
 	}
+	ctx.Enter(tmp, inv, scratch)
+	for i := l - 1; i > 0; i-- {
+		ctx.Mul(neg(i), tmp, neg(i-1), scratch)
+		ctx.Mul(tmp, tmp, bit(i), scratch)
+	}
+	copy(neg(0), tmp)
 	zero, err := pk.Encrypt(rng, mathutil.Zero)
 	if err != nil {
 		return nil, err
 	}
-	xorSum := zero.C // over the processed (higher) positions
-	mul := func(x, y *big.Int) *big.Int {
-		z := new(big.Int).Mul(x, y)
-		return z.Mod(z, pk.N)
-	}
-	gPlus := [2]*big.Int{pk.G, mul(pk.G, pk.G)} // E(a_i + 1) with unit randomness
-	terms := make([]*big.Int, pk.L)
-	for i := pk.L - 1; i >= 0; i-- {
+	ctx.Enter(xorSum, zero.C, scratch) // over the processed (higher) positions
+	ctx.Enter(g, pk.G, scratch)
+	ctx.Mul(g2, g, g, scratch)
+	gPlus := [2][]big.Word{g, g2} // E(a_i + 1) with unit randomness
+	for i := l - 1; i >= 0; i-- {
 		ai := a.Bit(i)
-		triple := mul(mul(xorSum, xorSum), xorSum)
-		terms[i] = mul(mul(neg[i], gPlus[ai]), triple)
+		ctx.Mul(tmp, xorSum, xorSum, scratch)
+		ctx.Mul(tmp, tmp, xorSum, scratch)
+		ctx.Mul(at(i), neg(i), gPlus[ai], scratch) // the term E(c_i)
+		ctx.Mul(at(i), at(i), tmp, scratch)
 		if ai == 0 {
-			xorSum = mul(xorSum, encBits[i])
+			ctx.Mul(xorSum, xorSum, bit(i), scratch)
 		} else {
-			xorSum = mul(xorSum, mul(neg[i], pk.G)) // 1 - b_i
+			ctx.Mul(tmp, neg(i), g, scratch) // 1 - b_i
+			ctx.Mul(xorSum, xorSum, tmp, scratch)
 		}
 	}
-	return terms, nil
-}
-
-// invertAll returns every v^(-1) mod n from one modular inversion of the
-// running product (Montgomery's trick): 3(len-1) multiplications instead of
-// an exponentiation per element.
-func invertAll(vals []*big.Int, n *big.Int) ([]*big.Int, error) {
-	prefix := make([]*big.Int, len(vals)) // prefix[i] = vals[0]···vals[i]
-	acc := big.NewInt(1)
-	for i, v := range vals {
-		acc = new(big.Int).Mul(acc, v)
-		prefix[i] = acc.Mod(acc, n)
-	}
-	inv, err := mathutil.ModInverse(acc, n)
-	if err != nil {
-		return nil, fmt.Errorf("dgk: encrypted bits are not units: %w", err)
-	}
-	out := make([]*big.Int, len(vals))
-	for i := len(vals) - 1; i > 0; i-- {
-		out[i] = new(big.Int).Mul(inv, prefix[i-1])
-		out[i].Mod(out[i], n)
-		inv.Mod(inv.Mul(inv, vals[i]), n)
-	}
-	out[0] = inv
-	return out, nil
+	return buf[:l*w], nil
 }
 
 // zeroTest is party B's decision of each comparison from its blinded round-2
@@ -364,9 +375,8 @@ func checkRange(v *big.Int, l int) error {
 	return nil
 }
 
-// randNonzero samples uniformly from [1, u).
-func randNonzero(rng io.Reader, u *big.Int) (*big.Int, error) {
-	bound := new(big.Int).Sub(u, mathutil.One)
+// randNonzero samples uniformly from [1, u), given bound = u − 1.
+func randNonzero(rng io.Reader, bound *big.Int) (*big.Int, error) {
 	r, err := mathutil.RandInt(rng, bound)
 	if err != nil {
 		return nil, err

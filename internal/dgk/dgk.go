@@ -131,6 +131,17 @@ func (pk *PublicKey) hTable() *mathutil.FixedBaseExp {
 	return pk.pre.h
 }
 
+// nMont returns the modulus's Montgomery context for party A's kernels:
+// the g table's, or one built per call for a key without tables; nil if n
+// is even.
+func (pk *PublicKey) nMont() *mathutil.Mont {
+	if gt := pk.gTable(); gt != nil {
+		return gt.Mont()
+	}
+	ctx, _ := mathutil.NewMont(pk.N)
+	return ctx
+}
+
 // Precompute eagerly builds the fixed-base tables so the first encryption
 // after key load does not pay the table-construction cost. Safe to call
 // concurrently and more than once.
@@ -147,6 +158,8 @@ type PrivateKey struct {
 	// q = n/p and its subgroup order v_q serve only the owner's encryptions.
 	// vq is nil for a key file written before the format carried "vq".
 	q, vq *big.Int
+	// zt is p's Montgomery context, for IsZero; nil once zeroized.
+	zt *mathutil.Mont
 	// decTable maps (g^{v_p})^m mod p -> m for full decryption.
 	decTable map[string]uint64
 	// own holds the lazily-built CRT encryption tables. They are derived
@@ -211,6 +224,8 @@ func (sk *PrivateKey) Zeroize() {
 		mathutil.ZeroInt(v)
 	}
 	sk.p, sk.vp, sk.q, sk.vq = nil, nil, nil, nil
+	sk.zt.Zeroize()
+	sk.zt = nil
 	if own := sk.own; own != nil {
 		own.p.Zeroize()
 		own.q.Zeroize()
@@ -311,7 +326,7 @@ func GenerateKey(rng io.Reader, params Params) (*PrivateKey, error) {
 		p: p, vp: vp, q: q, vq: vq,
 		own: &ownPrecomp{},
 	}
-	key.buildDecTable(params.U)
+	key.buildSecret(params.U)
 	return key, nil
 }
 
@@ -372,8 +387,10 @@ func elementOfOrder(rng io.Reader, s, a, b *big.Int) (*big.Int, error) {
 	return nil, errors.New("dgk: no element of required order found")
 }
 
-// buildDecTable precomputes the discrete-log table for full decryption.
-func (k *PrivateKey) buildDecTable(u uint64) {
+// buildSecret builds the zero test's Montgomery context modulo p and the
+// discrete-log table for full decryption.
+func (k *PrivateKey) buildSecret(u uint64) {
+	k.zt, _ = mathutil.NewMont(k.p)          // p is an odd prime: it cannot fail
 	base := new(big.Int).Exp(k.G, k.vp, k.p) // g^{vp} mod p, order u
 	k.decTable = make(map[string]uint64, u)
 	acc := big.NewInt(1)
@@ -502,17 +519,21 @@ func (pk *PublicKey) Neg(c *Ciphertext) (*Ciphertext, error) {
 }
 
 // IsZero reports whether c encrypts 0, using the fast zero test
-// c^{v_p} mod p == 1.
+// c^{v_p} mod p == 1, computed in p's Montgomery domain with no division.
 func (k *PrivateKey) IsZero(c *Ciphertext) (bool, error) {
-	if k.p == nil {
+	zt := k.zt
+	if zt == nil {
 		return false, ErrNoPrivateKey // zeroized
 	}
 	if err := k.validateCiphertext(c); err != nil {
 		return false, err
 	}
-	t := new(big.Int).Exp(c.C, k.vp, k.p)
+	n := zt.Words()
+	x := make([]big.Word, 18*n) // the value, then Exp's scratch
+	zt.Enter(x[:n], c.C, x[n:])
+	zt.Exp(x[:n], x[:n], k.vp, x[n:])
 	zeroTests.Inc()
-	return t.Cmp(mathutil.One) == 0, nil
+	return zt.IsOne(x[:n]), nil
 }
 
 // Decrypt fully decrypts c via the discrete-log table.

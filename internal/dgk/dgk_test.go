@@ -417,13 +417,18 @@ func TestZeroizeRetiresKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, vp := key.p, key.vp
+	p, vp, zt := key.p, key.vp, key.zt
 
 	key.Zeroize()
 	key.Zeroize() // idempotent
 
 	if p.Sign() != 0 || vp.Sign() != 0 {
 		t.Error("secret factor or subgroup order survived Zeroize")
+	}
+	// The zero test's Montgomery context is derived from p: its words are
+	// overwritten (R mod p reads zero) and the key drops it.
+	if key.zt != nil || !zt.IsOne(make([]big.Word, zt.Words())) {
+		t.Error("the zero test's Montgomery context survived Zeroize")
 	}
 	if key.decTable != nil {
 		t.Error("decryption table survived Zeroize")

@@ -52,22 +52,22 @@ func (pk *PublicKey) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// toPublic validates and converts the wire form.
+// toPublic validates and converts the wire form. The modulus must be odd
+// and at least 3 (a product of two odd primes; the Montgomery kernels need
+// it odd), and g and h must lie in [2, n).
 func (raw publicKeyJSON) toPublic() (*PublicKey, error) {
-	n, ok := new(big.Int).SetString(raw.N, 10)
-	if !ok || n.Sign() <= 0 {
-		return nil, fmt.Errorf("dgk: invalid modulus")
-	}
-	g, ok := new(big.Int).SetString(raw.G, 10)
-	if !ok || g.Sign() <= 0 {
-		return nil, fmt.Errorf("dgk: invalid generator g")
-	}
-	h, ok := new(big.Int).SetString(raw.H, 10)
-	if !ok || h.Sign() <= 0 {
-		return nil, fmt.Errorf("dgk: invalid generator h")
-	}
 	if raw.U < 3 || raw.U > maxU || raw.RBits < 8 || raw.L < 1 || raw.L > 62 {
 		return nil, fmt.Errorf("%w: u=%d rBits=%d l=%d", ErrBadParams, raw.U, raw.RBits, raw.L)
+	}
+	n, ok := new(big.Int).SetString(raw.N, 10)
+	if !ok || n.Cmp(big.NewInt(3)) < 0 || n.Bit(0) == 0 {
+		return nil, fmt.Errorf("%w: the modulus must be odd and at least 3", ErrBadParams)
+	}
+	g, okG := new(big.Int).SetString(raw.G, 10)
+	h, okH := new(big.Int).SetString(raw.H, 10)
+	two := big.NewInt(2)
+	if !okG || !okH || g.Cmp(two) < 0 || g.Cmp(n) >= 0 || h.Cmp(two) < 0 || h.Cmp(n) >= 0 {
+		return nil, fmt.Errorf("%w: the generators g and h must lie in [2, n)", ErrBadParams)
 	}
 	return &PublicKey{
 		N: n, G: g, H: h,
@@ -146,7 +146,7 @@ func (k *PrivateKey) UnmarshalJSON(data []byte) error {
 	k.PublicKey = *pub
 	k.p, k.vp, k.q, k.vq = p, vp, q, vq
 	k.own = &ownPrecomp{}
-	k.buildDecTable(pub.U.Uint64())
+	k.buildSecret(pub.U.Uint64())
 	return nil
 }
 

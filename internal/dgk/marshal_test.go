@@ -74,19 +74,35 @@ func TestPrivateKeyJSONRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	var pk PublicKey
-	if err := json.Unmarshal([]byte(`{"n":"0","g":"1","h":"1","u":1009,"rBits":100,"l":40}`), &pk); err == nil {
-		t.Error("expected error for zero modulus")
+	// An even 190-bit modulus: every fixed-base table and the Montgomery
+	// context need an odd one.
+	even := new(big.Int).Lsh(big.NewInt(1), 189)
+	even.Add(even, big.NewInt(1234))
+	evenN := `{"n":"` + even.String() + `","g":"2","h":"3","u":1009,"rBits":100,"l":40}`
+	for _, tc := range []struct{ name, pub string }{
+		{"zero modulus", `{"n":"0","g":"1","h":"1","u":1009,"rBits":100,"l":40}`},
+		{"out-of-range L", `{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":99}`},
+		// n = 2 used to load and encrypt 0 to the ciphertext 1.
+		{"modulus 2", `{"n":"2","g":"1","h":"1","u":1009,"rBits":100,"l":40}`},
+		{"even modulus", evenN},
+		{"g = 1", `{"n":"77","g":"1","h":"3","u":1009,"rBits":100,"l":40}`},
+		{"h = n", `{"n":"77","g":"2","h":"77","u":1009,"rBits":100,"l":40}`},
+	} {
+		if err := json.Unmarshal([]byte(tc.pub), new(PublicKey)); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: public key load error %v, want ErrBadParams", tc.name, err)
+		}
+		// The private-key loader inherits the check.
+		priv := `{"public":` + tc.pub + `,"p":"7","vp":"1"}`
+		if err := json.Unmarshal([]byte(priv), new(PrivateKey)); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: private key load error %v, want ErrBadParams", tc.name, err)
+		}
 	}
-	if err := json.Unmarshal([]byte(`{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":99}`), &pk); err == nil {
-		t.Error("expected error for out-of-range L")
-	}
-	// u = 2^40 fits this key's subgroups (2^40 divides p−1, h = 1, g has
-	// order 2^40 mod p), so only the bound on u stops the loader from
-	// building a 2^40-entry decryption table.
+	// u = 2^40 fits this key's subgroups (2^40 divides p−1, g has order
+	// 2^40 mod p), so only the bound on u stops the loader from building a
+	// 2^40-entry decryption table; it is checked before the generators.
 	hugeU := `{"public":{"n":"6597089557866299971","g":"64","h":"1","u":1099511627776,"rBits":100,"l":40},"p":"6597069766657","vp":"1"}`
-	if err := json.Unmarshal([]byte(hugeU), new(PrivateKey)); !errors.Is(err, ErrBadParams) {
-		t.Errorf("u = 2^40: load error %v, want ErrBadParams", err)
+	if err := json.Unmarshal([]byte(hugeU), new(PrivateKey)); !errors.Is(err, ErrBadParams) || !strings.Contains(err.Error(), "u=1099511627776") {
+		t.Errorf("u = 2^40: load error %v, want ErrBadParams naming u", err)
 	}
 	var k PrivateKey
 	if err := json.Unmarshal([]byte(`{"public":{"n":"77","g":"2","h":"3","u":1009,"rBits":100,"l":40},"p":"8","vp":"5"}`), &k); err == nil {

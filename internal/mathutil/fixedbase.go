@@ -26,12 +26,10 @@ import (
 	"math/bits"
 )
 
-// Errors returned by the fixed-base kernel constructors.
+// Errors returned by the fixed-base kernel constructors, besides NewMont's.
 var (
-	ErrEvenModulus = errors.New("mathutil: fixed-base modulus must be odd")
-	ErrBadModulus  = errors.New("mathutil: fixed-base modulus must be > 2")
-	ErrBadMaxBits  = errors.New("mathutil: fixed-base maxBits must be positive")
-	ErrNilBase     = errors.New("mathutil: fixed-base base must be non-nil")
+	ErrBadMaxBits = errors.New("mathutil: fixed-base maxBits must be positive")
+	ErrNilBase    = errors.New("mathutil: fixed-base base must be non-nil")
 )
 
 // errZeroized is the panic value of an exponentiation on a zeroized table:
@@ -48,16 +46,13 @@ var errZeroized = errors.New("mathutil: fixed-base table used after Zeroize")
 // the privconsensus_fixedbase_{hits,fallbacks}_total counters.
 type FixedBaseExp struct {
 	base    *big.Int
-	modulus *big.Int
-	m       []big.Word // the modulus's n words
-	k       big.Word   // −m⁻¹ mod 2^W, for montMul
+	mont    *Mont
 	window  uint
 	digits  int
 	maxBits int
 	// table is one arena of digits·(2^window − 1) entries of n words: entry
 	// (i, d), d in [1, 2^window), starts at word ((2^window − 1)·i + d − 1)·n
-	// and holds base^(d · 2^(window·i))·R mod modulus with R = 2^(W·n),
-	// below R but not necessarily below the modulus (montMul takes both).
+	// and holds base^(d · 2^(window·i))·R mod modulus with R = 2^(W·n).
 	table []big.Word
 }
 
@@ -90,11 +85,9 @@ func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error)
 	if base == nil {
 		return nil, ErrNilBase
 	}
-	if modulus == nil || modulus.Cmp(Two) <= 0 {
-		return nil, fmt.Errorf("%w, got %v", ErrBadModulus, modulus)
-	}
-	if modulus.Bit(0) == 0 {
-		return nil, fmt.Errorf("%w, got %v", ErrEvenModulus, modulus)
+	mont, err := NewMont(modulus)
+	if err != nil {
+		return nil, err
 	}
 	if maxBits <= 0 {
 		return nil, fmt.Errorf("%w, got %d", ErrBadMaxBits, maxBits)
@@ -102,30 +95,26 @@ func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error)
 	w := windowFor(maxBits)
 	f := &FixedBaseExp{
 		base:    new(big.Int).Mod(base, modulus),
-		modulus: new(big.Int).Set(modulus),
-		m:       append([]big.Word(nil), modulus.Bits()...),
+		mont:    mont,
 		window:  w,
 		digits:  (maxBits + int(w) - 1) / int(w),
 		maxBits: maxBits,
 	}
-	n := len(f.m)
-	f.k = montK(f.m[0])
+	n := mont.Words()
 	row := (1<<w - 1) * n
 	f.table = make([]big.Word, f.digits*row)
-	scratch := make([]big.Word, 2*n)
-	// cur = base^(2^(w·i))·R as i advances. Entering the domain is the
-	// table's one division; every later step is a montMul.
-	cur := make([]big.Word, n)
-	copy(cur, new(big.Int).Mod(new(big.Int).Lsh(f.base, uint(bits.UintSize*n)), f.modulus).Bits())
+	// cur = base^(2^(w·i))·R as i advances; every step is a montMul.
+	cur, scratch := f.buffers()
+	mont.Enter(cur, f.base, scratch)
 	for i := 0; i < f.digits; i++ {
 		r := f.table[i*row : (i+1)*row]
 		copy(r, cur)
 		for off := n; off < row; off += n {
-			montMul(r[off:off+n], scratch, r[off-n:off], cur, f.m, f.k)
+			mont.Mul(r[off:off+n], r[off-n:off], cur, scratch)
 		}
 		if i < f.digits-1 {
 			for j := uint(0); j < w; j++ {
-				montMul(cur, scratch, cur, cur, f.m, f.k)
+				mont.Mul(cur, cur, cur, scratch)
 			}
 		}
 	}
@@ -141,16 +130,18 @@ func (f *FixedBaseExp) Zeroize() {
 		return
 	}
 	ZeroInt(f.base)
-	ZeroInt(f.modulus)
-	clear(f.m)
+	f.mont.Zeroize()
 	clear(f.table)
 }
+
+// Mont returns the table's Montgomery context, which callers may share.
+func (f *FixedBaseExp) Mont() *Mont { return f.mont }
 
 // MaxBits reports the widest exponent the table covers.
 func (f *FixedBaseExp) MaxBits() int { return f.maxBits }
 
 // Modulus returns the table's modulus. Callers must not mutate it.
-func (f *FixedBaseExp) Modulus() *big.Int { return f.modulus }
+func (f *FixedBaseExp) Modulus() *big.Int { return f.mont.mod }
 
 // Exp returns base^e mod modulus. Exponents in [0, 2^maxBits) are answered
 // from the table with only multiplications; anything else (negative, nil or
@@ -161,7 +152,7 @@ func (f *FixedBaseExp) Exp(e *big.Int) *big.Int {
 	}
 	if !f.covers(e) {
 		fixedBaseFallbacks.Inc()
-		return new(big.Int).Exp(f.base, e, f.modulus)
+		return new(big.Int).Exp(f.base, e, f.mont.mod)
 	}
 	fixedBaseHits.Inc()
 	acc, scratch := f.buffers()
@@ -180,10 +171,10 @@ func (f *FixedBaseExp) MulExp(g *FixedBaseExp, x, y *big.Int) *big.Int {
 	if y == nil {
 		y = Zero
 	}
-	if !f.covers(x) || !g.covers(y) || f.modulus.Cmp(g.modulus) != 0 {
+	if !f.covers(x) || !g.covers(y) || f.mont.mod.Cmp(g.mont.mod) != 0 {
 		out := f.Exp(x)
 		out.Mul(out, g.Exp(y))
-		return out.Mod(out, f.modulus)
+		return out.Mod(out, f.mont.mod)
 	}
 	fixedBaseHits.Add(2)
 	acc, scratch := f.buffers()
@@ -193,17 +184,16 @@ func (f *FixedBaseExp) MulExp(g *FixedBaseExp, x, y *big.Int) *big.Int {
 // covers reports whether e is answered from the table. It panics on a
 // zeroized table, whichever path e would take.
 func (f *FixedBaseExp) covers(e *big.Int) bool {
-	if f.modulus.Sign() == 0 {
+	if f.mont.mod.Sign() == 0 {
 		panic(errZeroized)
 	}
 	return e.Sign() >= 0 && e.BitLen() <= f.maxBits
 }
 
-// buffers returns an n-word accumulator and 3n zeroed words of scratch:
-// montMul uses the first 2n, and leave writes its 1 into the last n, which
-// nothing else touches.
+// buffers returns an n-word accumulator and the 3n words of scratch the
+// Montgomery context asks for.
 func (f *FixedBaseExp) buffers() (acc, scratch []big.Word) {
-	n := len(f.m)
+	n := f.mont.Words()
 	return make([]big.Word, n), make([]big.Word, 3*n)
 }
 
@@ -212,7 +202,7 @@ func (f *FixedBaseExp) buffers() (acc, scratch []big.Word) {
 // yet and the first entry is copied in; walk reports whether acc holds a
 // value on return.
 func (f *FixedBaseExp) walk(acc, scratch []big.Word, e *big.Int, started bool) bool {
-	n := len(f.m)
+	n := f.mont.Words()
 	ew := e.Bits()
 	mask := big.Word(1)<<f.window - 1
 	for i := 0; i < f.digits; i++ {
@@ -227,26 +217,18 @@ func (f *FixedBaseExp) walk(acc, scratch []big.Word, e *big.Int, started bool) b
 			started = true
 			continue
 		}
-		montMul(acc, scratch, acc, entry, f.m, f.k)
+		f.mont.Mul(acc, acc, entry, scratch)
 	}
 	return started
 }
 
-// leave returns acc·R⁻¹ mod modulus: a montMul by 1 leaves the Montgomery
-// domain at most the modulus, and one conditional subtraction reduces it
-// fully. An accumulator that never started is the empty product, 1 (the
-// modulus is > 2, so 1 needs no reduction).
+// leave returns acc·R⁻¹ mod modulus. An accumulator that never started is
+// the empty product, 1 (the modulus is > 2, so 1 needs no reduction).
 func (f *FixedBaseExp) leave(acc, scratch []big.Word, started bool) *big.Int {
 	if !started {
 		return big.NewInt(1)
 	}
-	n := len(f.m)
-	one := scratch[2*n:]
-	one[0] = 1
-	montMul(acc, scratch, acc, one, f.m, f.k)
-	if subVV(scratch[:n], acc, f.m) == 0 {
-		copy(acc, scratch[:n])
-	}
+	f.mont.Leave(acc, acc, scratch)
 	return new(big.Int).SetBits(acc)
 }
 

@@ -1,6 +1,7 @@
 package mathutil
 
 import (
+	"errors"
 	"math/big"
 	"math/bits"
 	"testing"
@@ -68,16 +69,24 @@ func FuzzFixedBaseExp(f *testing.F) {
 }
 
 // FuzzMontMul checks montMul against x·y·R⁻¹ mod m computed with big.Int
-// for an odd modulus of up to 65 words and operands anywhere below R.
+// for an odd modulus of up to 65 words and operands anywhere below R, and
+// the Montgomery context of the same modulus against big.Int.Exp: entering
+// x (up to twice the modulus's width, as a DGK ciphertext is to p), raising
+// it to e (up to 200 bits: 0, 1, square and multiply up to 16 bits, the
+// window beyond), leaving, and the is-one test inside the domain.
 func FuzzMontMul(f *testing.F) {
-	f.Add([]byte{2}, []byte{10}, []byte{101})
-	f.Add([]byte{0}, []byte{0}, []byte{1})
-	f.Add([]byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0xff, 0xff})
-	for _, nbits := range []int{512, 4096} {
+	f.Add([]byte{2}, []byte{10}, []byte{101}, []byte{0})
+	f.Add([]byte{0}, []byte{0}, []byte{1}, []byte{1})
+	f.Add([]byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0x03, 0xf0})
+	f.Add([]byte{100}, []byte{1}, []byte{101}, []byte{100}) // Fermat: x^(m−1) = 1
+	// Moduli of 1 to 64 words (a paper-shape DGK p is 96 bits, a deployed
+	// one 512), bases twice as wide, exponents of 16 and 200 bits.
+	for _, nbits := range []int{64, 96, 512, 2560, 4096} {
 		m := oddOfBits(nbits)
-		f.Add(m, m[1:], m)
+		f.Add(append(m[1:], m...), m[1:], m, oddOfBits(200))
+		f.Add(m, m[1:], m, []byte{0xff, 0xff})
 	}
-	f.Fuzz(func(t *testing.T, xB, yB, mB []byte) {
+	f.Fuzz(func(t *testing.T, xB, yB, mB, eB []byte) {
 		m := new(big.Int).SetBytes(clampBytes(mB))
 		m.SetBit(m, 0, 1)
 		n := len(m.Bits())
@@ -86,6 +95,27 @@ func FuzzMontMul(f *testing.F) {
 		x := truncBits(new(big.Int).SetBytes(clampBytes(xB)), rBits)
 		y := truncBits(new(big.Int).SetBytes(clampBytes(yB)), rBits)
 		checkMontMul(t, x, y, m)
+
+		ctx, err := NewMont(m)
+		if err != nil {
+			if m.Cmp(Two) > 0 || !errors.Is(err, ErrBadModulus) {
+				t.Fatalf("NewMont(%v): %v", m, err)
+			}
+			return
+		}
+		base := new(big.Int).SetBytes(clampBytes(xB))
+		base = truncBits(base, uint(2*m.BitLen()))
+		e := new(big.Int).SetBytes(eB[:min(len(eB), 25)])
+		z, scratch := make([]big.Word, n), make([]big.Word, 17*n)
+		ctx.Enter(z, base, scratch)
+		ctx.Exp(z, z, e, scratch)
+		isOne := ctx.IsOne(z)
+		ctx.Leave(z, z, scratch)
+		got := new(big.Int).SetBits(z)
+		want := new(big.Int).Exp(base, e, m)
+		if got.Cmp(want) != 0 || isOne != (want.Cmp(One) == 0) {
+			t.Fatalf("Mont(m=%v): %v^%v = %v (is one: %v), want %v", m, base, e, got, isOne, want)
+		}
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -238,7 +239,7 @@ func TestZeroizedTableRefuses(t *testing.T) {
 	m, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffff61", 16)
 	f := mustTable(t, big.NewInt(3), m, 64)
 	g := mustTable(t, big.NewInt(5), m, 64)
-	arena, mod := f.table, f.m
+	arena, mont := f.table, *f.mont
 	f.Zeroize()
 	f.Zeroize() // idempotent
 	for i, w := range arena {
@@ -246,9 +247,9 @@ func TestZeroizedTableRefuses(t *testing.T) {
 			t.Fatalf("arena word %d of %d survived Zeroize", i, len(arena))
 		}
 	}
-	for i, w := range mod {
+	for i, w := range slices.Concat(mont.m, mont.rr, mont.one) {
 		if w != 0 {
-			t.Fatalf("modulus word %d survived Zeroize", i)
+			t.Fatalf("Montgomery context word %d (modulus, R², R) survived Zeroize", i)
 		}
 	}
 	if f.Modulus().Sign() != 0 {
@@ -304,7 +305,7 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 			z, t := toWords(x, n), make([]big.Word, 2*n)
 			yw := toWords(y, n)
 			for i := 0; i < b.N; i++ {
-				montMul(z, t, z, yw, f.m, f.k)
+				f.mont.Mul(z, z, yw, t)
 			}
 		})
 		b.Run(fmt.Sprintf("%d/mulmod", w.mod), func(b *testing.B) {

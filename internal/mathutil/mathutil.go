@@ -74,11 +74,6 @@ func ModInverse(a, n *big.Int) (*big.Int, error) {
 	return inv, nil
 }
 
-// Mod returns a mod n normalized to [0, n).
-func Mod(a, n *big.Int) *big.Int {
-	return new(big.Int).Mod(a, n)
-}
-
 // ToSigned interprets v in [0, n) as a signed residue in [-n/2, n/2):
 // values above n/2 are mapped to v - n. This is the standard encoding for
 // signed plaintexts in additively homomorphic schemes.

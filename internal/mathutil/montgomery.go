@@ -1,16 +1,128 @@
 package mathutil
 
 // Montgomery multiplication on math/big's own word kernel. The fixed-base
-// tables keep their entries in Montgomery form (x·R mod m, R = 2^(W·n) for
-// an n-word modulus), so a table walk multiplies with montMul and never
-// divides: the product is reduced by adding multiples of m that clear its
-// low words, not by a long division.
+// tables and the DGK comparison kernels keep their values in Montgomery
+// form (x·R mod m, R = 2^(W·n) for an n-word modulus), so a product is a
+// montMul and never divides: it is reduced by adding multiples of m that
+// clear its low words, not by a long division.
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 	_ "unsafe" // for go:linkname
 )
+
+// Errors returned by NewMont.
+var (
+	ErrEvenModulus = errors.New("mathutil: Montgomery modulus must be odd")
+	ErrBadModulus  = errors.New("mathutil: Montgomery modulus must be > 2")
+)
+
+// Mont is the Montgomery context of one odd modulus m > 2: m's n words,
+// k = −m⁻¹ mod 2^W, R² mod m and R mod m. It is immutable after NewMont,
+// so workers share it without locks. Values in the domain are n-word
+// slices kept below m. Scratch holds 3n words (17n for Exp with an
+// exponent wider than 16 bits), and outputs may alias inputs.
+type Mont struct {
+	mod        *big.Int
+	m, rr, one []big.Word
+	k          big.Word
+}
+
+// NewMont builds the context of m with one division.
+func NewMont(m *big.Int) (*Mont, error) {
+	if m == nil || m.Cmp(Two) <= 0 {
+		return nil, fmt.Errorf("%w, got %v", ErrBadModulus, m)
+	}
+	if m.Bit(0) == 0 {
+		return nil, fmt.Errorf("%w, got %v", ErrEvenModulus, m)
+	}
+	n := len(m.Bits())
+	c := &Mont{mod: new(big.Int).Set(m), m: slices.Clone(m.Bits()), k: montK(m.Bits()[0])}
+	c.rr, c.one = make([]big.Word, n), make([]big.Word, n)
+	copy(c.rr, new(big.Int).Mod(new(big.Int).Lsh(One, uint(2*bits.UintSize*n)), m).Bits())
+	c.Leave(c.one, c.rr, make([]big.Word, 3*n)) // R²·R⁻¹
+	return c, nil
+}
+
+// Words returns n.
+func (c *Mont) Words() int { return len(c.m) }
+
+// Enter sets z = x·R mod m for x ≥ 0 of any width without dividing: x's
+// n-word chunks are folded in from the top, z ← z·R + x_j·R, both products
+// montMuls by R² (three for a DGK ciphertext entering p's domain).
+func (c *Mont) Enter(z []big.Word, x *big.Int, scratch []big.Word) {
+	n, xw := len(c.m), x.Bits()
+	t, chunk := scratch[:2*n], scratch[2*n:3*n]
+	clear(z)
+	for j := (len(xw)+n-1)/n - 1; j >= 0; j-- {
+		if len(xw) > (j+1)*n {
+			montMul(z, t, z, c.rr, c.m, c.k)
+		}
+		clear(chunk)
+		copy(chunk, xw[j*n:min((j+1)*n, len(xw))])
+		montMul(chunk, t, chunk, c.rr, c.m, c.k)
+		reduceOnce(z, z, c.m, addMulVVW(z, chunk, 1)) // z + x_j·R
+	}
+}
+
+// Mul sets z = x·y.
+func (c *Mont) Mul(z, x, y, scratch []big.Word) { montMul(z, scratch, x, y, c.m, c.k) }
+
+// Exp sets z = x^e for e ≥ 0 from a table of x¹…x^(2^w−1) in scratch:
+// square and multiply (w = 1) for exponents of at most 16 bits, such as
+// DGK's blinding exponents, and a 4-bit window for wider ones.
+func (c *Mont) Exp(z, x []big.Word, e *big.Int, scratch []big.Word) {
+	n, t, bl, w := len(c.m), scratch[:2*len(c.m)], e.BitLen(), 1
+	if bl > 16 {
+		w = 4
+	}
+	tab := scratch[2*n : (2+1<<w-1)*n] // x^d at [(d−1)·n, d·n)
+	copy(tab, x)
+	for d := n; d < len(tab); d += n {
+		montMul(tab[d:d+n], t, tab[d-n:d], tab[:n], c.m, c.k)
+	}
+	copy(z, c.one)
+	top := (bl+w-1)/w - 1
+	for i := top; i >= 0; i-- {
+		d := int(wordAt(e.Bits(), uint(w*i)) & (1<<w - 1))
+		if i == top { // the top digit is nonzero
+			copy(z, tab[(d-1)*n:d*n])
+			continue
+		}
+		for j := 0; j < w; j++ {
+			montMul(z, t, z, z, c.m, c.k)
+		}
+		if d != 0 {
+			montMul(z, t, z, tab[(d-1)*n:d*n], c.m, c.k)
+		}
+	}
+}
+
+// Leave sets z = x·R⁻¹ mod m.
+func (c *Mont) Leave(z, x, scratch []big.Word) {
+	one := scratch[2*len(c.m) : 3*len(c.m)]
+	clear(one)
+	one[0] = 1
+	montMul(z, scratch, x, one, c.m, c.k)
+}
+
+// IsOne reports whether x is 1 in the domain (R mod m), without leaving it.
+func (c *Mont) IsOne(x []big.Word) bool { return slices.Equal(x, c.one) }
+
+// Zeroize overwrites the context's words, for one derived from a secret
+// modulus; its owner then drops it.
+func (c *Mont) Zeroize() {
+	if c != nil {
+		ZeroInt(c.mod)
+		clear(c.m)
+		clear(c.rr)
+		clear(c.one)
+	}
+}
 
 // addMulVVW sets z = z + x·y over len(z) == len(x) words and returns the
 // carry word. It is math/big's assembly inner loop, the one big.Int.Exp's
@@ -24,11 +136,11 @@ import (
 func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 
 // montMul sets z = x·y·R⁻¹ mod m, up to multiples of m: the result is
-// below R and congruent to x·y·R⁻¹, and it is at most m when one of x, y is
-// 1 (the exit from the Montgomery domain). x, y and m have n = len(m)
-// words, x and y need only be below R, m must be odd, and k = −m⁻¹ mod 2^W
-// (montK). scratch holds at least 2n words; z may alias x or y. This is the
-// CIOS loop of math/big's nat.montgomery.
+// below R and congruent to x·y·R⁻¹, and below m whenever x·y < m·R — when
+// x and y are below m, or one of them is 1 (the exit from the domain).
+// x, y and m have n = len(m) words, x and y need only be below R, m must be
+// odd, and k = −m⁻¹ mod 2^W (montK). scratch holds at least 2n words; z
+// may alias x or y. This is the CIOS loop of math/big's nat.montgomery.
 func montMul(z, scratch, x, y, m []big.Word, k big.Word) {
 	n := len(m)
 	t := scratch[:2*n]
@@ -48,11 +160,23 @@ func montMul(z, scratch, x, y, m []big.Word, k big.Word) {
 			c = 0
 		}
 	}
-	if c != 0 {
-		subVV(z, t[n:], m)
-	} else {
-		copy(z, t[n:])
+	reduceOnce(z, t[n:], m, c)
+}
+
+// reduceOnce sets z = x − m if x, with the carry word c above it, is at
+// least m, and z = x otherwise; z may alias x. A value below R + m ends
+// below R, and one below 2m ends below m.
+func reduceOnce(z, x, m []big.Word, c big.Word) {
+	for i := len(x) - 1; c == 0 && i >= 0; i-- {
+		if x[i] != m[i] {
+			if x[i] < m[i] {
+				copy(z, x)
+				return
+			}
+			break
+		}
 	}
+	subVV(z, x, m)
 }
 
 // subVV sets z = x − y over len(z) words and returns the borrow.
