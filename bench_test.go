@@ -411,8 +411,10 @@ func BenchmarkPaillierFold(b *testing.B) {
 	})
 	b.Run("decrypt-each", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := key.DecryptSignedVector(cts); err != nil {
-				b.Fatal(err)
+			for _, c := range cts {
+				if _, err := key.DecryptSigned(c); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -479,18 +481,20 @@ func BenchmarkDGKBitLength(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			a := big.NewInt(12345 % (1 << l))
-			v := big.NewInt(54321 % (1 << l))
+			// The unsigned values 12345 and 54321 mod 2^l, shifted into the
+			// signed entry points' range.
+			a := big.NewInt(12345%(1<<l) - 1<<(l-1))
+			v := big.NewInt(54321%(1<<l) - 1<<(l-1))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				connA, connB := transport.Pair()
 				errCh := make(chan error, 1)
 				go func() {
-					_, err := key.Public().CompareA(context.Background(), rand.New(rand.NewSource(5)), connA, a)
+					_, err := key.Public().CompareSignedA(context.Background(), rand.New(rand.NewSource(5)), connA, a)
 					errCh <- err
 				}()
-				if _, err := key.CompareB(context.Background(), rand.New(rand.NewSource(6)), connB, v); err != nil {
+				if _, err := key.CompareSignedB(context.Background(), rand.New(rand.NewSource(6)), connB, v); err != nil {
 					b.Fatal(err)
 				}
 				if err := <-errCh; err != nil {

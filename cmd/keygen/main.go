@@ -40,7 +40,7 @@ func parseConfig(args []string) (protocol.Config, string, error) {
 		sigma1    = fs.Float64("sigma1", 4, "SVT noise deviation (votes)")
 		sigma2    = fs.Float64("sigma2", 2, "report-noisy-max deviation (votes)")
 		paillier  = fs.Int("paillier-bits", 64, "Paillier modulus bits (paper: 64; production: >= 2048)")
-		dgkBits   = fs.Int("dgk-bits", 192, "DGK modulus bits (production: >= 1024)")
+		dgkBits   = fs.Int("dgk-bits", 192, "DGK modulus bits (v_p, v_q stay 40 bits at every size: ord(h) ~80 bits, found in ~2^40 group operations)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return protocol.Config{}, "", err

@@ -82,10 +82,10 @@ func benchDGKCompare(b *testing.B, params dgk.Params) {
 		}
 		conn.frames[0] = &transport.Message{Kind: transport.KindBits, Values: bits}
 		conn.frames[1] = &transport.Message{Kind: transport.KindResult, Flags: []int64{1}}
-		a := big.NewInt(0x5a5a5a5a5a5a5a)
+		a := big.NewInt(0x5a5a5a5a5a5a5a - 1<<(pk.L-1)) // signed form of an unsigned L-bit value
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pk.CompareA(ctx, rng, conn, a); err != nil {
+			if _, err := pk.CompareSignedA(ctx, rng, conn, a); err != nil {
 				b.Fatal(err)
 			}
 		}

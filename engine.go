@@ -38,7 +38,9 @@ type Config struct {
 	// production: >= 2048). Zero selects the default 64.
 	PaillierBits int
 	// DGKBits sizes the DGK comparison modulus. Zero selects a fast
-	// simulation default (192); production should use >= 1024.
+	// simulation default (192). Only the modulus grows: the secret primes
+	// v_p, v_q stay 40 bits at every size, so ord(h) is about 80 bits and
+	// can be found in about 2^40 group operations (README § Security notes).
 	DGKBits int
 	// Seed, when non-zero, makes the engine fully deterministic (for
 	// tests and reproducible simulations). Zero uses crypto/rand.

@@ -109,13 +109,6 @@ type AttrSpec struct {
 	Test  int
 }
 
-// CelebALike mirrors CelebA: 200k images with 40 sparse binary attributes.
-func CelebALike() Spec {
-	// Returned as a Spec-compatible marker; use GenerateAttrs with
-	// CelebAAttrSpec for the real generator.
-	return Spec{Name: "celeba", Classes: 40, Dim: 24, Noise: 0.6, Train: 160000, Test: 40000}
-}
-
 // CelebAAttrSpec returns the attribute-generator parameters for the CelebA
 // stand-in.
 func CelebAAttrSpec() AttrSpec {

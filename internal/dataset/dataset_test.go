@@ -11,7 +11,7 @@ import (
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestSpecsValidate(t *testing.T) {
-	for _, s := range []Spec{MNISTLike(), SVHNLike(), CelebALike()} {
+	for _, s := range []Spec{MNISTLike(), SVHNLike()} {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name, err)
 		}

@@ -7,7 +7,9 @@ import (
 	"math/big"
 	"slices"
 	"testing"
+	"time"
 
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/obs"
@@ -107,25 +109,94 @@ func FuzzPeerFrames(f *testing.F) {
 	})
 }
 
+// admissionState builds S1's serve state for cfg with live admission: an
+// in-memory ledger under opts' quotas, no pre-registered query, and a fake S2
+// on the ctl link that acks every announce ack approves and refuses the rest
+// (status 1, as S2 refuses an announce into an epoch it does not hold). The
+// fake S2 answers until ctx ends.
+func admissionState(ctx context.Context, t testing.TB, cfg protocol.Config, opts ServeOptions, ack func(qid, tenant int64) bool) *serveState {
+	t.Helper()
+	ledger, err := dp.OpenLedger("", opts.Tenants, opts.DefaultQuota, opts.delta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { obs.SetReadiness("", true) }) // a refusal may publish budget-exhausted
+	s1End, s2End := transport.Pair()
+	go func() {
+		defer s2End.Close()
+		for {
+			m, err := s2End.Recv(ctx)
+			if err != nil || len(m.Flags) < 4 || m.Flags[0] != ctrlServeAnnounce {
+				return
+			}
+			status := int64(0)
+			if !ack(m.Flags[1], m.Flags[3]) {
+				status = 1
+			}
+			if transport.SendControl(ctx, s2End, ctrlServeAck, m.Flags[1], status) != nil {
+				return
+			}
+		}
+	}()
+	src := newPeerSource()
+	src.offer(s1End)
+	return &serveState{
+		s:          &serverSetup{cfg: cfg, trace: newTraceState()},
+		opts:       opts,
+		ledger:     ledger,
+		cost:       dp.QueryCost(cfg.Sigma1, cfg.Sigma2),
+		ctl:        &ctlLink{src: src, timeout: time.Minute},
+		rings:      []*big.Int{nil},
+		queries:    map[int]*serveQuery{},
+		grants:     map[grantKey]*serveQuery{},
+		epochLive:  map[int]int{},
+		retired:    map[int]bool{},
+		admissions: map[string]int{},
+		rotateKick: make(chan struct{}, 1),
+	}
+}
+
 // FuzzUserFrames feeds an arbitrary frame sequence through the one
 // user-connection handler — the whole untrusted client surface of both modes
 // — as S1's serve routes wire it: submit frames (packed or not, by the
-// grid's mode) looked up in a two-query table, the done/ack barrier, and the
-// admission and result-wait control hook (admission is draining, so every
-// request is answered with a typed refusal and nothing blocks). No sequence
-// may panic the handler; a malformed frame is a counted rejection or, among
-// control frames, ends the connection with an error; no cell is ever
-// recorded for a query outside the table or a user outside the grid — only
-// for frames that name both; a frame from a known user for an unknown query
-// counts as unknown-query; and every
-// collector's ack debt is back to zero when the connection ends.
+// grid's mode) looked up in a two-query table, the done/ack barrier, result
+// waits, and live admission. Admission runs against an in-memory ledger in
+// which tenant 1 can afford one query and every other tenant is unlimited,
+// a window of two in-flight queries, and a fake S2 that acks the announce of
+// every even query ID and refuses the odd ones. No sequence may panic the
+// handler; a malformed frame is a counted rejection or, among control
+// frames, ends the connection with an error; no cell is ever recorded for a
+// query outside the table or a user outside the grid — only for frames that
+// name both; a frame from a known user for a query that never existed counts
+// as unknown-query; every collector's ack debt is back to zero when the
+// connection ends; one (tenant, nonce) is granted at most one query and no
+// query is granted twice; the in-flight count never exceeds the window; and
+// a refused announce hands its reservation back, so tenant 1's remaining
+// budget is exactly one query less the live ones it was granted.
 func FuzzUserFrames(f *testing.F) {
 	const users, known = 2, 2 // query IDs 0 and 1 are in the table
+	const window, quotaTenant, quotaQueries = 2, 1, 1
 	grid := func(packed bool) protocol.Config {
 		cfg := protocol.DefaultConfig(users)
 		cfg.Classes, cfg.Kappa, cfg.Packing = 4, 24, packed
 		return cfg
 	}
+	// A quota half-way between the ε of quotaQueries and quotaQueries+1
+	// queries' spend.
+	cost := dp.QueryCost(grid(false).Sigma1, grid(false).Sigma2)
+	opts := ServeOptions{MaxInFlight: window}
+	epsOf := func(n int) float64 {
+		var a dp.Accountant
+		if err := a.AddLinear(float64(n) * cost); err != nil {
+			f.Fatal(err)
+		}
+		eps, _, err := a.Epsilon(opts.delta())
+		if err != nil {
+			f.Fatal(err)
+		}
+		return eps
+	}
+	opts.Tenants = map[int64]float64{quotaTenant: (epsOf(quotaQueries) + epsOf(quotaQueries+1)) / 2}
 	half := func(cfg protocol.Config, val int64) protocol.SubmissionHalf {
 		group := func(n int) []*paillier.Ciphertext {
 			out := make([]*paillier.Ciphertext, n)
@@ -140,6 +211,7 @@ func FuzzUserFrames(f *testing.F) {
 	ctrl := func(flags ...int64) *transport.Message {
 		return &transport.Message{Kind: transport.KindControl, Flags: flags}
 	}
+	admit := func(tenant, nonce int64) *transport.Message { return ctrl(ctrlAdmitRequest, tenant, nonce) }
 	for _, packed := range []bool{false, true} {
 		cfg := grid(packed)
 		submit := func(user, qid int, val int64) *transport.Message {
@@ -157,12 +229,17 @@ func FuzzUserFrames(f *testing.F) {
 			{submit(0, 0, 5), submit(1, 0, 6), ctrl(ctrlUploadDone, -1)},
 			{submit(0, 0, 5), submit(0, 0, 5), submit(0, 0, 7), ctrl(ctrlUploadDone, 0), submit(1, 1, 8)}, // replay, conflict
 			{submit(0, 7, 5), submit(5, 0, 5), submit(-1, 1, 5), ctrl(ctrlUploadDone)},                    // unknown query, users out of range
-			{ctrl(ctrlAdmitRequest, 3, 99), ctrl(ctrlResultWait, 1), ctrl(ctrlResultWait, 42), submit(1, 1, 9)},
-			{ctrl(ctrlAdmitRequest, 3)},   // short admit
-			{ctrl(ctrlResultWait)},        // short result wait
-			{ctrl()},                      // no code at all
-			{ctrl(ctrlServeAnnounce, 0)},  // a code clients do not own
-			{submit(0, 0, 5), wrongWidth}, // the other grammar, or a bad layout
+			{admit(3, 99), ctrl(ctrlResultWait, 1), ctrl(ctrlResultWait, 42), submit(1, 1, 9)},
+			{admit(quotaTenant, 10), submit(0, 2, 5), ctrl(ctrlUploadDone, 2)}, // a grant, then its upload
+			{admit(quotaTenant, 10), admit(quotaTenant, 10), admit(3, 11)},     // a replayed nonce, then a refused announce
+			{admit(2, 1), admit(2, 2), admit(2, 3), admit(2, 4), admit(3, 1)},  // the window fills: overloaded
+			{admit(quotaTenant, 1), admit(quotaTenant, 2)},                     // the budget runs out
+			{admit(3, 1), admit(quotaTenant, 1), admit(quotaTenant, 2)},        // a refused announce hands its reservation back
+			{ctrl(ctrlAdmitRequest, 3)},                                        // short admit
+			{ctrl(ctrlResultWait)},                                             // short result wait
+			{ctrl()},                                                           // no code at all
+			{ctrl(ctrlServeAnnounce, 0)},                                       // a code clients do not own
+			{submit(0, 0, 5), wrongWidth},                                      // the other grammar, or a bad layout
 			{submit(0, 0, 5), {Kind: transport.KindBatch, Flags: []int64{1}}},
 		} {
 			var buf bytes.Buffer
@@ -184,14 +261,32 @@ func FuzzUserFrames(f *testing.F) {
 			}
 			msgs = append(msgs, m)
 		}
-		cfg := grid(packed)
-		st := &serveState{
-			s:          &serverSetup{cfg: cfg, trace: newTraceState()},
-			queries:    map[int]*serveQuery{},
-			grants:     map[grantKey]*serveQuery{},
-			admissions: map[string]int{},
-			draining:   true,
+		// A result wait for a query this sequence's own admissions could
+		// grant would block until that query resolves, which it never does
+		// here: drop it.
+		isAdmit := func(m *transport.Message) bool {
+			return m.Kind == transport.KindControl && len(m.Flags) >= 3 && m.Flags[0] == ctrlAdmitRequest
 		}
+		grantable := int64(known)
+		for _, m := range msgs {
+			if isAdmit(m) {
+				grantable++
+			}
+		}
+		kept := msgs[:0]
+		for _, m := range msgs {
+			if m.Kind == transport.KindControl && len(m.Flags) >= 2 && m.Flags[0] == ctrlResultWait && m.Flags[1] >= known && m.Flags[1] < grantable {
+				continue
+			}
+			kept = append(kept, m)
+		}
+		msgs = kept
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := grid(packed)
+		st := admissionState(ctx, t, cfg, opts, func(qid, _ int64) bool { return qid%2 == 0 })
+		st.nextQID = known
 		for qid := 0; qid < known; qid++ {
 			q := &serveQuery{qid: qid, col: newCollector(cfg, nil), done: make(chan struct{})}
 			q.res = InstanceResult{Instance: qid, Outcome: protocol.Outcome{Label: -1}}
@@ -199,15 +294,22 @@ func FuzzUserFrames(f *testing.F) {
 			st.queries[qid] = q
 		}
 
-		// What the sequence may legitimately record, how many frames name a
-		// query outside the table, and how many replies it earns.
-		var allowed [known]big.Int
-		unknown, replies := 0, 0
+		// The submissions the sequence names, the admissions it asks for and
+		// how many replies it earns.
+		type named struct {
+			user, qid int
+			records   bool // the frame's layout fits the grid
+		}
+		var subs []named
+		var asks []grantKey
+		replies := 0
 		for _, m := range msgs {
 			if m.Kind == transport.KindControl {
 				switch {
+				case isAdmit(m):
+					asks = append(asks, grantKey{tenant: m.Flags[1], nonce: m.Flags[2]})
+					replies++
 				case len(m.Flags) >= 1 && m.Flags[0] == ctrlUploadDone,
-					len(m.Flags) >= 3 && m.Flags[0] == ctrlAdmitRequest,
 					len(m.Flags) >= 2 && m.Flags[0] == ctrlResultWait:
 					replies++
 				}
@@ -220,17 +322,11 @@ func FuzzUserFrames(f *testing.F) {
 				user, qid, classes, width, _, err = ingest.DecodePackedHalf(m)
 				layoutOK = classes == cfg.Classes && width == cfg.PackedWidth()
 			}
-			switch {
-			case err != nil || user < 0 || user >= users: // identity is checked before the query is looked up
-			case qid < 0 || qid >= known:
-				unknown++
-			case layoutOK:
-				allowed[qid].SetBit(&allowed[qid], user, 1)
+			if err == nil && user >= 0 && user < users { // identity is checked before the query is looked up
+				subs = append(subs, named{user, qid, layoutOK})
 			}
 		}
 
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
 		before := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
 		user, server := transport.Pair()
 		served := make(chan error, 1)
@@ -239,12 +335,23 @@ func FuzzUserFrames(f *testing.F) {
 			server.Close() // as the accept loop does: unblocks the client side
 			served <- err
 		}()
+		var admitReplies [][]int64
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
 			for got := 0; got < replies; got++ {
-				if _, err := user.Recv(ctx); err != nil {
+				m, err := user.Recv(ctx)
+				if err != nil {
 					return
+				}
+				if len(m.Flags) >= 4 && m.Flags[0] == ctrlAdmitReply {
+					admitReplies = append(admitReplies, m.Flags[1:4])
+				}
+				st.mu.Lock()
+				inflight := st.inflight
+				st.mu.Unlock()
+				if inflight > window {
+					t.Errorf("%d queries in flight, window %d", inflight, window)
 				}
 			}
 		}()
@@ -257,6 +364,43 @@ func FuzzUserFrames(f *testing.F) {
 		user.Close()
 		err := <-served
 
+		// One grant per (tenant, nonce), replayed as granted, and no query
+		// granted twice.
+		grantOf := map[grantKey]int64{}
+		keyOf := map[int64]grantKey{}
+		for i, r := range admitReplies {
+			k := asks[i]
+			if prev, ok := grantOf[k]; ok && (r[0] != admitOK || r[1] != prev) {
+				t.Fatalf("(tenant %d, nonce %d) was granted query %d, then answered status %d query %d", k.tenant, k.nonce, prev, r[0], r[1])
+			}
+			if r[0] != admitOK {
+				continue
+			}
+			if prev, ok := keyOf[r[1]]; ok && prev != k {
+				t.Fatalf("query %d granted to %+v and to %+v", r[1], prev, k)
+			}
+			grantOf[k], keyOf[r[1]] = r[1], k
+		}
+
+		// Cells only where a frame named both the user and a live query.
+		allowed := map[int]*big.Int{}
+		unknown, ambiguous := 0, 0
+		for _, sub := range subs {
+			qid := sub.qid
+			switch _, live := st.queries[qid]; {
+			case !live:
+				unknown++ // never existed while the connection ran
+			case qid >= known:
+				ambiguous++ // unknown-query if it arrived before its grant
+			}
+			if sub.records {
+				if allowed[qid] == nil {
+					allowed[qid] = new(big.Int)
+				}
+				allowed[qid].SetBit(allowed[qid], sub.user, 1)
+			}
+		}
+		live := 0
 		for qid, q := range st.queries {
 			q.col.mu.Lock()
 			owed, covered := q.col.owed, new(big.Int).Set(q.col.Covered())
@@ -264,13 +408,29 @@ func FuzzUserFrames(f *testing.F) {
 			if owed != 0 {
 				t.Fatalf("query %d still owes %d acks after the connection ended", qid, owed)
 			}
-			if extra := new(big.Int).AndNot(covered, &allowed[qid]); extra.Sign() != 0 {
-				t.Fatalf("query %d recorded cells %b no frame named (allowed %b)", qid, covered, &allowed[qid])
+			ok := allowed[qid]
+			if ok == nil {
+				ok = new(big.Int)
+			}
+			if extra := new(big.Int).AndNot(covered, ok); extra.Sign() != 0 {
+				t.Fatalf("query %d recorded cells %b no frame named (allowed %b)", qid, covered, ok)
+			}
+			if q.tenant == quotaTenant && qid >= known {
+				live++
 			}
 		}
 		after := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
-		if err == nil && int(after-before) != unknown {
-			t.Fatalf("%d frames named a query outside the table, %d unknown-query rejections counted", unknown, int(after-before))
+		if got := int(after - before); err == nil && (got < unknown || got > unknown+ambiguous) {
+			t.Fatalf("%d frames named a query that never existed (%d more a granted one), %d unknown-query rejections counted", unknown, ambiguous, got)
+		}
+
+		// The ledger holds exactly the live grants' reservations.
+		left := 0
+		for left <= quotaQueries && st.ledger.Reserve(quotaTenant, st.cost) == nil {
+			left++
+		}
+		if left != quotaQueries-live {
+			t.Fatalf("tenant %d can still reserve %d queries with %d live, want %d", quotaTenant, left, live, quotaQueries-live)
 		}
 	})
 }

@@ -79,7 +79,7 @@ type serveState struct {
 	inflight   int
 	epochLive  map[int]int
 	retired    map[int]bool
-	admitted   int
+	admitted   int // announced admissions: what RotateAfter counts
 	admissions map[string]int
 	rotations  int
 
@@ -221,6 +221,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		}
 		st.mu.Lock()
 		batch[i] = st.registerLocked(0)
+		st.admitted++
 		st.mu.Unlock()
 		st.decide("admitted", 0, i)
 		obs.ServeInflight("s1").Add(1)
@@ -382,7 +383,6 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 	}
 	q := st.registerLocked(tenant)
 	st.grants[key] = q
-	rotateDue := st.opts.RotateAfter > 0 && st.admitted == st.opts.RotateAfter
 	st.mu.Unlock()
 
 	reply, err := st.ctl.roundTrip(ctx, ctrlServeAck, ctrlServeAnnounce, int64(q.qid), int64(q.epoch), tenant)
@@ -401,6 +401,12 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		return st.refuse(admitUnavailable, tenant)
 	}
 
+	// Only announced admissions count toward RotateAfter: one S2 refused
+	// must not use up the count that triggers the rotation.
+	st.mu.Lock()
+	st.admitted++
+	rotateDue := st.opts.RotateAfter > 0 && st.admitted == st.opts.RotateAfter
+	st.mu.Unlock()
 	st.decide("admitted", tenant, q.qid)
 	obs.ServeInflight("s1").Add(1)
 	go st.watch(ctx, q)
@@ -447,7 +453,6 @@ func (st *serveState) registerLocked(tenant int64) *serveQuery {
 	st.queries[q.qid] = q
 	st.inflight++
 	st.epochLive[q.epoch]++
-	st.admitted++
 	return q
 }
 

@@ -170,6 +170,31 @@ func healthzState(t *testing.T, addr string) (int, string) {
 	return resp.StatusCode, strings.TrimSpace(string(body))
 }
 
+// TestRotateAfterCountsAnnouncedAdmissions holds RotateAfter to admissions
+// S2 acknowledged: S2 refuses the announce of the admission that would reach
+// the count, and the next admission it acks must still kick the rotation.
+func TestRotateAfterCountsAnnouncedAdmissions(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := ServeOptions{RotateAfter: 2}
+	st := admissionState(ctx, t, protocol.DefaultConfig(2), opts, func(qid, _ int64) bool { return qid != 1 })
+	for nonce, want := range []struct {
+		status int64
+		kick   bool
+	}{{admitOK, false}, {admitUnavailable, false}, {admitOK, true}} {
+		status, _, _ := st.admit(ctx, 7, int64(nonce))
+		kicked := false
+		select {
+		case <-st.rotateKick:
+			kicked = true
+		default:
+		}
+		if status != want.status || kicked != want.kick {
+			t.Fatalf("admission %d: status %d, rotation kicked %v; want %d, %v", nonce, status, kicked, want.status, want.kick)
+		}
+	}
+}
+
 // TestServeGracefulShutdown covers the serve-mode lifecycle end to end:
 // pipelined admission (a second query completes while the first is still
 // collecting), the admission window (a third admit while two queries are in

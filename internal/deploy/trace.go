@@ -70,17 +70,6 @@ func (t *traceState) get(ctx context.Context) (int64, error) {
 	}
 }
 
-// idString returns the published ID rendered for journals ("" if unset or
-// untraced).
-func (t *traceState) idString() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.set {
-		return ""
-	}
-	return obs.TraceIDString(t.id)
-}
-
 // sendTraceContext delivers the trace ID on a fresh connection.
 func sendTraceContext(ctx context.Context, conn transport.Conn, id int64) error {
 	return conn.Send(ctx, &transport.Message{

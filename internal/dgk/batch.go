@@ -14,7 +14,8 @@ import (
 // transport.KindBatch frame instead of n separate messages. The per-item
 // cryptography — bit encryptions, blinding, permutation, zero tests — is
 // identical to the single-comparison protocol; only the framing changes, so
-// a batch of size 1 releases the exact same information as CompareA/B.
+// a batch of size 1 releases the exact same information as
+// CompareSignedA/B.
 //
 //	1. B -> A: batch of n KindBits items (L encrypted bits each).
 //	2. A -> B: batch of n KindCipherSeq items (L blinded permuted values).
@@ -25,35 +26,24 @@ import (
 // different core counts stay in lock step; with par > 1 the rng must be
 // safe for concurrent draws (the protocol layer wraps it).
 
-// CompareBatchA runs party A's side of a batch of comparisons: it holds
-// vals[i] for each and learns the per-item bit (vals[i] >= b_i). Results are
-// returned in input order.
-func (pk *PublicKey) CompareBatchA(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
-	return pk.exchangeA(ctx, rng, conn, vals, par, true)
-}
-
-// CompareSignedBatchA is CompareBatchA for signed values in
-// (-2^(L-1), 2^(L-1)).
+// CompareSignedBatchA runs party A's side of a batch of signed comparisons:
+// it holds vals[i] in (-2^(L-1), 2^(L-1)) for each and learns the per-item
+// bit (vals[i] >= b_i). Results are returned in input order.
 func (pk *PublicKey) CompareSignedBatchA(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
 	shifted, err := shiftSignedAll(vals, pk.L)
 	if err != nil {
 		return nil, err
 	}
-	return pk.CompareBatchA(ctx, rng, conn, shifted, par)
+	return pk.exchangeA(ctx, rng, conn, shifted, par, true)
 }
 
-// CompareBatchB runs party B's side (the key owner) of the batch.
-func (k *PrivateKey) CompareBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
-	return k.exchangeB(ctx, rng, conn, vals, par, true)
-}
-
-// CompareSignedBatchB is CompareBatchB for signed values.
+// CompareSignedBatchB runs party B's side (the key owner) of the batch.
 func (k *PrivateKey) CompareSignedBatchB(ctx context.Context, rng io.Reader, conn transport.Conn, vals []*big.Int, par int) ([]bool, error) {
 	shifted, err := shiftSignedAll(vals, k.L)
 	if err != nil {
 		return nil, err
 	}
-	return k.CompareBatchB(ctx, rng, conn, shifted, par)
+	return k.exchangeB(ctx, rng, conn, shifted, par, true)
 }
 
 // shiftSignedAll maps every value through shiftSigned.

@@ -95,17 +95,17 @@ func TestCompareBatchRejects(t *testing.T) {
 	defer connA.Close()
 	defer connB.Close()
 
-	if _, err := key.Public().CompareBatchA(ctx, testRNG(203), connA, nil, 1); err == nil {
+	if _, err := key.Public().CompareSignedBatchA(ctx, testRNG(203), connA, nil, 1); err == nil {
 		t.Error("expected empty-batch error on A side")
 	}
-	if _, err := key.CompareBatchB(ctx, testRNG(203), connB, nil, 1); err == nil {
+	if _, err := key.CompareSignedBatchB(ctx, testRNG(203), connB, nil, 1); err == nil {
 		t.Error("expected empty-batch error on B side")
 	}
 	huge := new(big.Int).Lsh(big.NewInt(1), 60)
-	if _, err := key.Public().CompareBatchA(ctx, testRNG(203), connA, []*big.Int{huge}, 1); err == nil {
+	if _, err := key.Public().CompareSignedBatchA(ctx, testRNG(203), connA, []*big.Int{huge}, 1); err == nil {
 		t.Error("expected range error on A side")
 	}
-	if _, err := key.CompareBatchB(ctx, testRNG(203), connB, []*big.Int{huge}, 1); err == nil {
+	if _, err := key.CompareSignedBatchB(ctx, testRNG(203), connB, []*big.Int{huge}, 1); err == nil {
 		t.Error("expected range error on B side")
 	}
 }

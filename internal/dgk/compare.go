@@ -34,16 +34,26 @@ import (
 // declared output for both servers, so B forwarding it to A leaks nothing
 // extra.
 
-// CompareA runs party A's side: it holds value a and learns (a >= b).
-func (pk *PublicKey) CompareA(ctx context.Context, rng io.Reader, conn transport.Conn, a *big.Int) (bool, error) {
-	geq, err := pk.exchangeA(ctx, rng, conn, []*big.Int{a}, 1, false)
+// CompareSignedA runs party A's side for a signed value a in
+// (-2^(L-1), 2^(L-1)): it learns (a >= b). Both parties shift their inputs
+// by +2^(L-1) before the bitwise protocol.
+func (pk *PublicKey) CompareSignedA(ctx context.Context, rng io.Reader, conn transport.Conn, a *big.Int) (bool, error) {
+	shifted, err := shiftSigned(a, pk.L)
+	if err != nil {
+		return false, err
+	}
+	geq, err := pk.exchangeA(ctx, rng, conn, []*big.Int{shifted}, 1, false)
 	return err == nil && geq[0], err
 }
 
-// CompareB runs party B's side (the key owner): it holds value b and learns
-// (a >= b).
-func (k *PrivateKey) CompareB(ctx context.Context, rng io.Reader, conn transport.Conn, b *big.Int) (bool, error) {
-	geq, err := k.exchangeB(ctx, rng, conn, []*big.Int{b}, 1, false)
+// CompareSignedB runs party B's side (the key owner) for a signed value b in
+// (-2^(L-1), 2^(L-1)): it learns (a >= b).
+func (k *PrivateKey) CompareSignedB(ctx context.Context, rng io.Reader, conn transport.Conn, b *big.Int) (bool, error) {
+	shifted, err := shiftSigned(b, k.L)
+	if err != nil {
+		return false, err
+	}
+	geq, err := k.exchangeB(ctx, rng, conn, []*big.Int{shifted}, 1, false)
 	return err == nil && geq[0], err
 }
 
@@ -336,25 +346,6 @@ func (k *PrivateKey) zeroTest(blinded [][]*big.Int, par int) ([]bool, error) {
 		geq[i] = !slices.Contains(isZero[i*k.L:(i+1)*k.L], true) // a zero exists iff a < b
 	}
 	return geq, nil
-}
-
-// CompareSignedA is CompareA for signed values in (-2^(L-1), 2^(L-1)): both
-// parties shift their inputs by +2^(L-1) before the bitwise protocol.
-func (pk *PublicKey) CompareSignedA(ctx context.Context, rng io.Reader, conn transport.Conn, a *big.Int) (bool, error) {
-	shifted, err := shiftSigned(a, pk.L)
-	if err != nil {
-		return false, err
-	}
-	return pk.CompareA(ctx, rng, conn, shifted)
-}
-
-// CompareSignedB is CompareB for signed values in (-2^(L-1), 2^(L-1)).
-func (k *PrivateKey) CompareSignedB(ctx context.Context, rng io.Reader, conn transport.Conn, b *big.Int) (bool, error) {
-	shifted, err := shiftSigned(b, k.L)
-	if err != nil {
-		return false, err
-	}
-	return k.CompareB(ctx, rng, conn, shifted)
 }
 
 // shiftSigned maps v in (-2^(L-1), 2^(L-1)) to v + 2^(L-1) in (0, 2^L).

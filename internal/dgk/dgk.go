@@ -46,17 +46,6 @@ type Params struct {
 	L int
 }
 
-// DefaultParams returns parameters suitable for the paper's experimental
-// regime: 40-bit compared values with a comfortable plaintext space.
-func DefaultParams() Params {
-	return Params{NBits: 512, TBits: 160, U: 1009, L: 40}
-}
-
-// TestParams returns small, fast parameters for tests and simulations.
-func TestParams() Params {
-	return Params{NBits: 192, TBits: 40, U: 1009, L: 40}
-}
-
 // Validate checks internal consistency of the parameters.
 func (p Params) Validate() error {
 	if p.L <= 0 || p.L > 62 {

@@ -14,6 +14,12 @@ import (
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// testParams returns small, fast parameters: the paper's 40-bit values
+// under a 192-bit modulus.
+func testParams() Params {
+	return Params{NBits: 192, TBits: 40, U: 1009, L: 40}
+}
+
 var (
 	sharedKeyOnce sync.Once
 	sharedKey     *PrivateKey
@@ -24,7 +30,7 @@ var (
 func sharedTestKey(t testing.TB) *PrivateKey {
 	t.Helper()
 	sharedKeyOnce.Do(func() {
-		key, err := GenerateKey(testRNG(99), TestParams())
+		key, err := GenerateKey(testRNG(99), testParams())
 		if err != nil {
 			t.Fatalf("GenerateKey: %v", err)
 		}
@@ -42,8 +48,7 @@ func TestParamsValidate(t *testing.T) {
 		p    Params
 		ok   bool
 	}{
-		{"default", DefaultParams(), true},
-		{"test", TestParams(), true},
+		{"test", testParams(), true},
 		{"l too large", Params{NBits: 512, TBits: 160, U: 1009, L: 63}, false},
 		{"l zero", Params{NBits: 512, TBits: 160, U: 1009, L: 0}, false},
 		{"u too small", Params{NBits: 512, TBits: 160, U: 101, L: 40}, false},
@@ -241,9 +246,14 @@ func TestCiphertextValidation(t *testing.T) {
 }
 
 // runCompare executes the comparison protocol over an in-memory transport
-// and checks both parties agree.
+// and checks both parties agree. Unsigned L-bit inputs go through the
+// signed entry points shifted down by 2^(L-1), so the exchange compares
+// exactly a and b.
 func runCompare(t *testing.T, key *PrivateKey, a, b *big.Int, signed bool) bool {
 	t.Helper()
+	if !signed {
+		a, b = toSigned(a, key.L), toSigned(b, key.L)
+	}
 	connA, connB := transport.Pair()
 	defer connA.Close()
 	defer connB.Close()
@@ -255,36 +265,28 @@ func runCompare(t *testing.T, key *PrivateKey, a, b *big.Int, signed bool) bool 
 	}
 	resA := make(chan result, 1)
 	go func() {
-		rng := testRNG(11)
-		var geq bool
-		var err error
-		if signed {
-			geq, err = key.Public().CompareSignedA(ctx, rng, connA, a)
-		} else {
-			geq, err = key.Public().CompareA(ctx, rng, connA, a)
-		}
+		geq, err := key.Public().CompareSignedA(ctx, testRNG(11), connA, a)
 		resA <- result{geq, err}
 	}()
 
-	rng := testRNG(12)
-	var geqB bool
-	var err error
-	if signed {
-		geqB, err = key.CompareSignedB(ctx, rng, connB, b)
-	} else {
-		geqB, err = key.CompareB(ctx, rng, connB, b)
-	}
+	geqB, err := key.CompareSignedB(ctx, testRNG(12), connB, b)
 	if err != nil {
-		t.Fatalf("CompareB: %v", err)
+		t.Fatalf("CompareSignedB: %v", err)
 	}
 	ra := <-resA
 	if ra.err != nil {
-		t.Fatalf("CompareA: %v", ra.err)
+		t.Fatalf("CompareSignedA: %v", ra.err)
 	}
 	if ra.geq != geqB {
 		t.Fatalf("parties disagree: A=%v B=%v", ra.geq, geqB)
 	}
 	return geqB
+}
+
+// toSigned maps an unsigned L-bit value into the signed entry points'
+// range: they add 2^(L-1) back before the bitwise protocol.
+func toSigned(v *big.Int, l int) *big.Int {
+	return new(big.Int).Sub(v, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
 }
 
 func TestCompareProtocol(t *testing.T) {
@@ -355,10 +357,10 @@ func TestCompareRejectsOutOfRange(t *testing.T) {
 	defer connB.Close()
 	ctx := context.Background()
 	huge := new(big.Int).Lsh(big.NewInt(1), 41)
-	if _, err := key.Public().CompareA(ctx, testRNG(1), connA, huge); err == nil {
+	if _, err := key.Public().CompareSignedA(ctx, testRNG(1), connA, huge); err == nil {
 		t.Error("expected range error on A side")
 	}
-	if _, err := key.CompareB(ctx, testRNG(1), connB, huge); err == nil {
+	if _, err := key.CompareSignedB(ctx, testRNG(1), connB, huge); err == nil {
 		t.Error("expected range error on B side")
 	}
 	if _, err := key.Public().CompareSignedA(ctx, testRNG(1), connA, new(big.Int).Neg(huge)); err == nil {
@@ -373,7 +375,7 @@ func TestCompareContextCancel(t *testing.T) {
 	defer connB.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := key.Public().CompareA(ctx, testRNG(1), connA, big.NewInt(5)); err == nil {
+	if _, err := key.Public().CompareSignedA(ctx, testRNG(1), connA, big.NewInt(5)); err == nil {
 		t.Error("expected context error")
 	}
 	_ = connB
@@ -409,7 +411,7 @@ func TestGenerateKeyRejectsBadParams(t *testing.T) {
 // and decryption with ErrNoPrivateKey instead of dereferencing wiped fields,
 // while the public half keeps encrypting.
 func TestZeroizeRetiresKey(t *testing.T) {
-	key, err := GenerateKey(testRNG(91), TestParams())
+	key, err := GenerateKey(testRNG(91), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

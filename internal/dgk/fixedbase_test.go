@@ -10,7 +10,7 @@ import (
 // byte-for-byte identical ciphertexts with tables warmed and with tables
 // absent (the big.Int.Exp path a key without precomp state takes).
 func TestEncryptTablePathByteIdentical(t *testing.T) {
-	key, err := GenerateKey(testRNG(11), TestParams())
+	key, err := GenerateKey(testRNG(11), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestUnmarshalRefusesMismatchedSubgroups(t *testing.T) {
 	if good.Vq != key.vq.String() {
 		t.Fatalf("marshaled v_q = %q, want %v", good.Vq, key.vq)
 	}
-	other, err := GenerateKey(testRNG(98), TestParams())
+	other, err := GenerateKey(testRNG(98), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // 192-bit test shape and the 1024-bit/160-bit shape of the deployable bench.
 var ownerKeys = sync.OnceValue(func() []*PrivateKey {
 	var keys []*PrivateKey
-	for i, params := range []Params{TestParams(), {NBits: 1024, TBits: 160, U: 1009, L: 56}} {
+	for i, params := range []Params{testParams(), {NBits: 1024, TBits: 160, U: 1009, L: 56}} {
 		key, err := GenerateKey(testRNG(int64(300+i)), params)
 		if err != nil {
 			panic(err)
@@ -120,7 +120,7 @@ func reachablePointers(v reflect.Value, seen map[uintptr]bool) {
 // reachable from a Public() copy — which is handed to S1 and the keystore's
 // S1 file — may point at them, even after both table sets are built.
 func TestPublicCopyCannotReachOwnerTables(t *testing.T) {
-	key, err := GenerateKey(testRNG(310), TestParams())
+	key, err := GenerateKey(testRNG(310), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPublicCopyCannotReachOwnerTables(t *testing.T) {
 // A zeroized key refuses the owner's encryption (and with it both B-side
 // exchanges) with ErrNoPrivateKey and leaves no table behind.
 func TestOwnerEncryptAfterZeroize(t *testing.T) {
-	key, err := GenerateKey(testRNG(311), TestParams())
+	key, err := GenerateKey(testRNG(311), testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,21 @@ func TestOwnerEncryptAfterZeroize(t *testing.T) {
 	connA, connB := transport.Pair()
 	defer connA.Close()
 	defer connB.Close()
-	if _, err := key.CompareB(context.Background(), testRNG(2), connB, big.NewInt(3)); !errors.Is(err, ErrNoPrivateKey) {
-		t.Errorf("CompareB on zeroized key: %v, want ErrNoPrivateKey", err)
+	if _, err := key.CompareSignedB(context.Background(), testRNG(2), connB, big.NewInt(3)); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("CompareSignedB on zeroized key: %v, want ErrNoPrivateKey", err)
 	}
-	if _, err := key.CompareBatchB(context.Background(), testRNG(2), connB, []*big.Int{big.NewInt(3)}, 2); !errors.Is(err, ErrNoPrivateKey) {
-		t.Errorf("CompareBatchB on zeroized key: %v, want ErrNoPrivateKey", err)
+	if _, err := key.CompareSignedBatchB(context.Background(), testRNG(2), connB, []*big.Int{big.NewInt(3)}, 2); !errors.Is(err, ErrNoPrivateKey) {
+		t.Errorf("CompareSignedBatchB on zeroized key: %v, want ErrNoPrivateKey", err)
 	}
+}
+
+// signedAll maps every value through toSigned.
+func signedAll(vs []*big.Int, l int) []*big.Int {
+	out := make([]*big.Int, len(vs))
+	for i, v := range vs {
+		out[i] = toSigned(v, l)
+	}
+	return out
 }
 
 // TestCompareMatchesCmp is the differential test of the three kernels
@@ -246,7 +255,7 @@ func TestCompareMatchesCmp(t *testing.T) {
 			out := make([]bool, len(as))
 			for i, a := range as {
 				var err error
-				if out[i], err = key.Public().CompareA(ctx, lockRNG(321), conn, a); err != nil {
+				if out[i], err = key.Public().CompareSignedA(ctx, lockRNG(321), conn, toSigned(a, key.L)); err != nil {
 					return nil, err
 				}
 			}
@@ -256,7 +265,7 @@ func TestCompareMatchesCmp(t *testing.T) {
 			out := make([]bool, len(bs))
 			for i, b := range bs {
 				var err error
-				if out[i], err = key.CompareB(ctx, lockRNG(322), conn, b); err != nil {
+				if out[i], err = key.CompareSignedB(ctx, lockRNG(322), conn, toSigned(b, key.L)); err != nil {
 					return nil, err
 				}
 			}
@@ -267,10 +276,10 @@ func TestCompareMatchesCmp(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		geqA, geqB := exchange(
 			func(conn transport.Conn) ([]bool, error) {
-				return key.Public().CompareBatchA(ctx, lockRNG(323), conn, as, par)
+				return key.Public().CompareSignedBatchA(ctx, lockRNG(323), conn, signedAll(as, key.L), par)
 			},
 			func(conn transport.Conn) ([]bool, error) {
-				return key.CompareBatchB(ctx, lockRNG(324), conn, bs, par)
+				return key.CompareSignedBatchB(ctx, lockRNG(324), conn, signedAll(bs, key.L), par)
 			})
 		check("batched exchange", geqA, geqB)
 	}

@@ -24,15 +24,6 @@ func Gaussian(rng *rand.Rand, sigma float64) float64 {
 	return rng.NormFloat64() * sigma
 }
 
-// GaussianVector draws k independent samples from N(0, sigma^2).
-func GaussianVector(rng *rand.Rand, sigma float64, k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = Gaussian(rng, sigma)
-	}
-	return out
-}
-
 // UserNoiseSigma1 returns the standard deviation each user applies to its
 // z1 shares so that the threshold check carries total noise N(0, sigma1^2).
 //
@@ -49,14 +40,6 @@ func UserNoiseSigma1(sigma1 float64, users int) (float64, error) {
 		return 0, fmt.Errorf("dp: user count must be positive, got %d", users)
 	}
 	return sigma1 / (2 * math.Sqrt(float64(users))), nil
-}
-
-// UserNoiseSigma2 returns the per-user deviation for the z2 shares. Both
-// servers receive +z2^u (Alg. 5 step 6), so the recombined noisy votes
-// carry 2*Σ z2^u; per-user deviation sigma2/(2*sqrt(|U|)) yields total
-// N(0, sigma2^2).
-func UserNoiseSigma2(sigma2 float64, users int) (float64, error) {
-	return UserNoiseSigma1(sigma2, users)
 }
 
 // NoisyThresholdCheck is the plaintext reference of the Sparse Vector
@@ -143,9 +126,6 @@ func (a *Accountant) Coefficient() float64 { return a.coef }
 // Counts returns the number of recorded SVT and RNM invocations.
 func (a *Accountant) Counts() (svt, rnm int) { return a.svtCount, a.rnmCount }
 
-// RDPEpsilon returns the composed RDP epsilon at order alpha.
-func (a *Accountant) RDPEpsilon(alpha float64) float64 { return a.coef * alpha }
-
 // accountantState is the serialized shape of an Accountant: the linear RDP
 // coefficient plus the invocation counters, which fully determine the
 // privacy spend.
@@ -207,19 +187,6 @@ func TheoremFiveEpsilon(sigma1, sigma2, delta float64) (float64, error) {
 	}
 	c := 9/(2*sigma1*sigma1) + 1/(sigma2*sigma2)
 	return math.Sqrt(2*(9/(sigma1*sigma1)+2/(sigma2*sigma2))*math.Log(1/delta)) + c, nil
-}
-
-// TheoremFiveAlpha returns the optimal RDP order from Theorem 5:
-//
-//	α* = 1 + sqrt(2*log(1/δ) / (9/σ1² + 2/σ2²))
-func TheoremFiveAlpha(sigma1, sigma2, delta float64) (float64, error) {
-	if sigma1 <= 0 || sigma2 <= 0 {
-		return 0, ErrBadSigma
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, ErrBadDelta
-	}
-	return 1 + math.Sqrt(2*math.Log(1/delta)/(9/(sigma1*sigma1)+2/(sigma2*sigma2))), nil
 }
 
 // CoefficientForEpsilon inverts the linear-RDP conversion: it returns the

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 )
 
 const (
@@ -25,8 +24,6 @@ const (
 	// MinFloat and MaxFloat bound the representable range [-2^15, 2^15).
 	MinFloat = -(1 << 15)
 	MaxFloat = 1 << 15
-	// MaxEncoded is the largest encodable integer (exclusive bound 2^32).
-	MaxEncoded = 1<<32 - 1
 )
 
 // ErrOutOfRange is returned by Encode for values outside [-2^15, 2^15).
@@ -46,92 +43,15 @@ func Encode(r float64) (uint64, error) {
 	return uint64(int64(scaled) + Offset), nil
 }
 
-// EncodeClamped encodes r, saturating values outside the representable range
-// instead of failing. NaN encodes as zero.
-func EncodeClamped(r float64) uint64 {
-	switch {
-	case math.IsNaN(r):
-		r = 0
-	case r < MinFloat:
-		r = MinFloat
-	case r >= MaxFloat:
-		r = math.Nextafter(MaxFloat, 0)
-	}
-	v, err := Encode(r)
-	if err != nil {
-		// Unreachable after clamping; return the midpoint encoding of 0.
-		return Offset
-	}
-	return v
-}
-
-// Decode converts a fixed-point integer back to its float value.
-func Decode(v uint64) (float64, error) {
-	if v > MaxEncoded {
-		return 0, fmt.Errorf("fixedpoint: encoded value %d exceeds 32 bits", v)
-	}
-	return float64(int64(v)-Offset) / Scale, nil
-}
-
 // EncodeUnits converts a float to signed fixed-point units (R * 2^16,
 // truncated) WITHOUT the 2^31 sign offset of Eq. (8). The protocol layer
 // uses signed Paillier residues, which handle negative values natively;
 // the paper's offset exists only because its pipeline required unsigned
-// plaintexts (and must be compensated after every homomorphic sum, cf.
-// DecodeSum).
+// plaintexts (and must be compensated after every homomorphic sum).
 func EncodeUnits(r float64) (int64, error) {
 	v, err := Encode(r)
 	if err != nil {
 		return 0, err
 	}
 	return int64(v) - Offset, nil
-}
-
-// DecodeUnits converts signed fixed-point units back to a float.
-func DecodeUnits(units int64) float64 {
-	return float64(units) / Scale
-}
-
-// EncodeBig encodes r as a big.Int, for direct use in homomorphic plaintexts.
-func EncodeBig(r float64) (*big.Int, error) {
-	v, err := Encode(r)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetUint64(v), nil
-}
-
-// DecodeBig decodes a big.Int produced by EncodeBig.
-func DecodeBig(v *big.Int) (float64, error) {
-	if v.Sign() < 0 || !v.IsUint64() {
-		return 0, fmt.Errorf("fixedpoint: %v is not a valid encoded value", v)
-	}
-	return Decode(v.Uint64())
-}
-
-// EncodeVector encodes each element of rs. It fails on the first
-// out-of-range element.
-func EncodeVector(rs []float64) ([]*big.Int, error) {
-	out := make([]*big.Int, len(rs))
-	for i, r := range rs {
-		v, err := EncodeBig(r)
-		if err != nil {
-			return nil, fmt.Errorf("fixedpoint: element %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// DecodeSum decodes the sum of n encoded values: summing n encodings adds
-// n*Offset, which must be removed before scaling down.
-func DecodeSum(sum *big.Int, n int) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("fixedpoint: negative addend count %d", n)
-	}
-	adj := new(big.Int).Sub(sum, new(big.Int).Mul(big.NewInt(Offset), big.NewInt(int64(n))))
-	f := new(big.Float).SetInt(adj)
-	f.Quo(f, big.NewFloat(Scale))
-	out, _ := f.Float64()
-	return out, nil
 }

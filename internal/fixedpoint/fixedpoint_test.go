@@ -1,11 +1,19 @@
 package fixedpoint
 
 import (
+	"fmt"
 	"math"
-	"math/big"
 	"testing"
 	"testing/quick"
 )
+
+// decode converts a fixed-point integer back to its float value.
+func decode(v uint64) (float64, error) {
+	if v >= 1<<32 {
+		return 0, fmt.Errorf("fixedpoint: encoded value %d exceeds 32 bits", v)
+	}
+	return float64(int64(v)-Offset) / Scale, nil
+}
 
 func TestEncodeDecodeExact(t *testing.T) {
 	// Values with at most 16 fractional bits round-trip exactly.
@@ -15,9 +23,9 @@ func TestEncodeDecodeExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode(%g): %v", c, err)
 		}
-		dec, err := Decode(enc)
+		dec, err := decode(enc)
 		if err != nil {
-			t.Fatalf("Decode(%d): %v", enc, err)
+			t.Fatalf("decode(%d): %v", enc, err)
 		}
 		if dec != c {
 			t.Errorf("round trip %g -> %d -> %g", c, enc, dec)
@@ -53,22 +61,8 @@ func TestEncodeZeroIsOffset(t *testing.T) {
 	}
 }
 
-func TestEncodeClamped(t *testing.T) {
-	if got := EncodeClamped(1e9); got != EncodeClamped(MaxFloat-1e-9) {
-		t.Errorf("clamp high: got %d", got)
-	}
-	low := EncodeClamped(-1e9)
-	wantLow, _ := Encode(MinFloat)
-	if low != wantLow {
-		t.Errorf("clamp low: got %d want %d", low, wantLow)
-	}
-	if got := EncodeClamped(math.NaN()); got != Offset {
-		t.Errorf("NaN should clamp to zero encoding, got %d", got)
-	}
-}
-
 func TestDecodeRejectsOversize(t *testing.T) {
-	if _, err := Decode(1 << 33); err == nil {
+	if _, err := decode(1 << 33); err == nil {
 		t.Error("expected error for > 32-bit encoded value")
 	}
 }
@@ -81,7 +75,7 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := Decode(enc)
+		dec, err := decode(enc)
 		if err != nil {
 			return false
 		}
@@ -113,48 +107,6 @@ func TestMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestEncodeVector(t *testing.T) {
-	vs, err := EncodeVector([]float64{0, 1.5, -2.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 3 {
-		t.Fatalf("expected 3 elements, got %d", len(vs))
-	}
-	got, err := DecodeBig(vs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1.5 {
-		t.Errorf("DecodeBig = %g, want 1.5", got)
-	}
-	if _, err := EncodeVector([]float64{1e9}); err == nil {
-		t.Error("expected error for out-of-range element")
-	}
-}
-
-func TestDecodeSum(t *testing.T) {
-	vals := []float64{1.5, -0.25, 3}
-	sum := new(big.Int)
-	for _, v := range vals {
-		e, err := EncodeBig(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum.Add(sum, e)
-	}
-	got, err := DecodeSum(sum, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4.25) > 1e-9 {
-		t.Errorf("DecodeSum = %g, want 4.25", got)
-	}
-	if _, err := DecodeSum(sum, -1); err == nil {
-		t.Error("expected error for negative count")
-	}
-}
-
 func TestEncodeUnits(t *testing.T) {
 	cases := []struct {
 		in   float64
@@ -174,8 +126,8 @@ func TestEncodeUnits(t *testing.T) {
 		if got != c.want {
 			t.Errorf("EncodeUnits(%g) = %d, want %d", c.in, got, c.want)
 		}
-		if back := DecodeUnits(got); back != c.in {
-			t.Errorf("DecodeUnits(%d) = %g, want %g", got, back, c.in)
+		if back := float64(got) / Scale; back != c.in {
+			t.Errorf("units %d scale back to %g, want %g", got, back, c.in)
 		}
 	}
 	if _, err := EncodeUnits(1e9); err == nil {
@@ -198,11 +150,5 @@ func TestEncodeUnitsMatchesPaperEncoding(t *testing.T) {
 		if units != int64(paper)-Offset {
 			t.Errorf("EncodeUnits(%g) = %d, paper form gives %d", r, units, int64(paper)-Offset)
 		}
-	}
-}
-
-func TestDecodeBigRejectsNegative(t *testing.T) {
-	if _, err := DecodeBig(big.NewInt(-1)); err == nil {
-		t.Error("expected error for negative big value")
 	}
 }

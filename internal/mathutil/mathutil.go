@@ -150,30 +150,3 @@ func (c *CRTParams) Zeroize() {
 	ZeroInt(c.Q)
 	ZeroInt(c.QInvP)
 }
-
-// Bits decomposes v into exactly width little-endian bits. It returns an
-// error if v is negative or does not fit in width bits.
-func Bits(v *big.Int, width int) ([]uint8, error) {
-	if v.Sign() < 0 {
-		return nil, fmt.Errorf("mathutil: Bits requires non-negative value, got %v", v)
-	}
-	if v.BitLen() > width {
-		return nil, fmt.Errorf("mathutil: value %v exceeds %d bits", v, width)
-	}
-	bits := make([]uint8, width)
-	for i := 0; i < width; i++ {
-		bits[i] = uint8(v.Bit(i))
-	}
-	return bits, nil
-}
-
-// FromBits recomposes little-endian bits into an integer.
-func FromBits(bits []uint8) *big.Int {
-	v := new(big.Int)
-	for i, b := range bits {
-		if b != 0 {
-			v.SetBit(v, i, 1)
-		}
-	}
-	return v
-}

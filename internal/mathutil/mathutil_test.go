@@ -144,40 +144,3 @@ func TestCRTRejectsNonCoprime(t *testing.T) {
 		t.Fatal("expected error for non-coprime moduli")
 	}
 }
-
-func TestBitsRoundTrip(t *testing.T) {
-	v := big.NewInt(0b1011001)
-	bits, err := Bits(v, 10)
-	if err != nil {
-		t.Fatalf("Bits: %v", err)
-	}
-	if len(bits) != 10 {
-		t.Fatalf("expected 10 bits, got %d", len(bits))
-	}
-	if got := FromBits(bits); got.Cmp(v) != 0 {
-		t.Fatalf("FromBits(Bits(v)) = %v, want %v", got, v)
-	}
-}
-
-func TestBitsRejectsOversize(t *testing.T) {
-	if _, err := Bits(big.NewInt(256), 8); err == nil {
-		t.Fatal("expected error for value exceeding width")
-	}
-	if _, err := Bits(big.NewInt(-1), 8); err == nil {
-		t.Fatal("expected error for negative value")
-	}
-}
-
-func TestBitsRoundTripQuick(t *testing.T) {
-	f := func(raw uint32) bool {
-		v := new(big.Int).SetUint64(uint64(raw))
-		bits, err := Bits(v, 32)
-		if err != nil {
-			return false
-		}
-		return FromBits(bits).Cmp(v) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

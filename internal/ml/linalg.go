@@ -11,42 +11,11 @@ package ml
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
 // ErrDimensionMismatch is returned when vector/matrix shapes disagree.
 var ErrDimensionMismatch = errors.New("ml: dimension mismatch")
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(a), len(b))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
-// AXPY computes y += alpha * x in place.
-func AXPY(alpha float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("%w: %d vs %d", ErrDimensionMismatch, len(x), len(y))
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-	return nil
-}
-
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
 
 // Softmax returns the softmax of logits, computed stably.
 func Softmax(logits []float64) []float64 {

@@ -9,33 +9,6 @@ import (
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestDot(t *testing.T) {
-	got, err := Dot([]float64{1, 2, 3}, []float64{4, 5, 6})
-	if err != nil || got != 32 {
-		t.Errorf("Dot = %g, %v; want 32", got, err)
-	}
-	if _, err := Dot([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected dimension error")
-	}
-}
-
-func TestAXPYScale(t *testing.T) {
-	y := []float64{1, 1}
-	if err := AXPY(2, []float64{3, 4}, y); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 7 || y[1] != 9 {
-		t.Errorf("AXPY result %v", y)
-	}
-	if err := AXPY(1, []float64{1}, y); err == nil {
-		t.Error("expected dimension error")
-	}
-	Scale(0.5, y)
-	if y[0] != 3.5 || y[1] != 4.5 {
-		t.Errorf("Scale result %v", y)
-	}
-}
-
 func TestSoftmaxProperties(t *testing.T) {
 	p := Softmax([]float64{1, 2, 3})
 	var sum float64

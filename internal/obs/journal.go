@@ -348,14 +348,6 @@ func (j *Journal) AppendTrace(instance, attempt int, qt *QueryTrace) error {
 	})
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
-}
-
 // Close flushes and closes the journal file. Nil-safe and idempotent.
 func (j *Journal) Close() error {
 	if j == nil {

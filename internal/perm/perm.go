@@ -1,6 +1,6 @@
 // Package perm implements the random permutations used by the
 // Blind-and-Permute and Restoration protocols (Algs. 2 and 3): generation,
-// composition, inversion, and application to sequences of big integers.
+// inversion, and application to sequences of big integers.
 package perm
 
 import (
@@ -40,27 +40,6 @@ func New(rng io.Reader, k int) (Permutation, error) {
 	return p, nil
 }
 
-// Identity returns the identity permutation of size k.
-func Identity(k int) Permutation {
-	p := make(Permutation, k)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
-// Valid reports whether p is a bijection on {0, ..., len(p)-1}.
-func (p Permutation) Valid() bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
 // Inverse returns the permutation q with q[p[i]] = i.
 func (p Permutation) Inverse() Permutation {
 	inv := make(Permutation, len(p))
@@ -68,19 +47,6 @@ func (p Permutation) Inverse() Permutation {
 		inv[v] = i
 	}
 	return inv
-}
-
-// Compose returns the permutation that first applies q then p, i.e.
-// (p ∘ q)[i] = p[q[i]]. Applying the result equals Apply(p, Apply(q, seq)).
-func (p Permutation) Compose(q Permutation) (Permutation, error) {
-	if len(p) != len(q) {
-		return nil, fmt.Errorf("perm: size mismatch %d vs %d", len(p), len(q))
-	}
-	out := make(Permutation, len(p))
-	for i := range q {
-		out[i] = p[q[i]]
-	}
-	return out, nil
 }
 
 // Apply permutes seq: out[p[i]] = seq[i]. The input is not modified; the
@@ -100,27 +66,6 @@ func (p Permutation) Apply(seq []*big.Int) ([]*big.Int, error) {
 // ApplyInverse undoes Apply: ApplyInverse(Apply(seq)) == seq.
 func (p Permutation) ApplyInverse(seq []*big.Int) ([]*big.Int, error) {
 	return p.Inverse().Apply(seq)
-}
-
-// Image returns p[i], the destination index of source index i.
-func (p Permutation) Image(i int) (int, error) {
-	if i < 0 || i >= len(p) {
-		return 0, fmt.Errorf("perm: index %d out of range [0, %d)", i, len(p))
-	}
-	return p[i], nil
-}
-
-// Preimage returns the source index that maps to destination index j.
-func (p Permutation) Preimage(j int) (int, error) {
-	if j < 0 || j >= len(p) {
-		return 0, fmt.Errorf("perm: index %d out of range [0, %d)", j, len(p))
-	}
-	for i, v := range p {
-		if v == j {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("perm: invalid permutation, no preimage for %d", j)
 }
 
 // OneHot returns a length-k vector with a 1 at index i and 0 elsewhere,

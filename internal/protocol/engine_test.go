@@ -118,7 +118,7 @@ func TestFullProtocolMatchesPlainReference(t *testing.T) {
 		}
 		subs, discs := buildAll(t, cfg, keys, votes, int64(50+trial))
 
-		aggVotes, z1, z2, err := AggregateDisclosures(discs)
+		aggVotes, z1, z2, err := aggregateDisclosures(discs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestFullProtocolSoftmaxVotes(t *testing.T) {
 		mk(0.1, 0.3, 0.3, 0.3),
 	}
 	subs, discs := buildAll(t, cfg, keys, votes, 61)
-	aggVotes, z1, z2, err := AggregateDisclosures(discs)
+	aggVotes, z1, z2, err := aggregateDisclosures(discs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestPackedMatchesUnpackedOutcomes(t *testing.T) {
 		packedSubs, discs := buildAll(t, packedCfg, keys, votes, int64(100+trial))
 		plainSubs, _ := buildAll(t, plainCfg, keys, votes, int64(100+trial))
 
-		aggVotes, _, z2, err := AggregateDisclosures(discs)
+		aggVotes, _, z2, err := aggregateDisclosures(discs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,9 +109,9 @@ func TestPartialParticipationMatchesPlainReference(t *testing.T) {
 		for _, u := range participants {
 			kept = append(kept, discs[u])
 		}
-		aggVotes, z1, z2, err := AggregateDisclosures(kept)
+		aggVotes, z1, z2, err := aggregateDisclosures(kept)
 		if err != nil {
-			t.Fatalf("trial %d: AggregateDisclosures: %v", trial, err)
+			t.Fatalf("trial %d: aggregateDisclosures: %v", trial, err)
 		}
 		wantCons, wantLabel, err := PlainOutcome(aggVotes, z1, z2, cfg.ParticipantThresholdUnits(len(participants)))
 		if err != nil {
@@ -152,12 +152,10 @@ func TestParticipantIndices(t *testing.T) {
 	subs := make([]SubmissionHalf, 4)
 	subs[0].Votes = []*paillier.Ciphertext{{}}
 	subs[3].Votes = []*paillier.Ciphertext{{}}
-	got := ParticipantIndices(subs)
-	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("ParticipantIndices = %v, want [0 3]", got)
-	}
-	if subs[1].Present() || !subs[0].Present() {
-		t.Fatal("Present misclassifies halves")
+	for u, h := range subs {
+		if want := u == 0 || u == 3; h.Present() != want {
+			t.Fatalf("user %d: Present = %v, want %v", u, h.Present(), want)
+		}
 	}
 }
 

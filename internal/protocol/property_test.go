@@ -117,7 +117,7 @@ func TestFullProtocolQuick(t *testing.T) {
 			votes[u] = oneHotVotes(cfg.Classes, voteRng.Intn(cfg.Classes))
 		}
 		subs, discs := buildAll(t, cfg, keys, votes, seed+5000)
-		aggVotes, z1, z2, err := AggregateDisclosures(discs)
+		aggVotes, z1, z2, err := aggregateDisclosures(discs)
 		if err != nil {
 			return false
 		}

@@ -61,7 +61,6 @@ const (
 var (
 	ErrBadConfig    = errors.New("protocol: invalid configuration")
 	ErrVoteRange    = errors.New("protocol: vote outside [0, VoteScale]")
-	ErrNoConsensus  = errors.New("protocol: threshold not met")
 	ErrPeerMismatch = errors.New("protocol: peers disagree on protocol state")
 	// ErrQuorumNotMet reports that a query released with fewer participants
 	// than the configured quorum and was not run. It is terminal for the
@@ -429,18 +428,6 @@ func QuorumCount(quorum float64, users, unset int) int {
 // mark users that dropped out of a partial-participation query.
 func (h SubmissionHalf) Present() bool { return len(h.Votes) > 0 }
 
-// ParticipantIndices returns the indices of the present submissions in a
-// full-length (Users-sized) submission slice, in ascending order.
-func ParticipantIndices(subs []SubmissionHalf) []int {
-	out := make([]int, 0, len(subs))
-	for u, h := range subs {
-		if h.Present() {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // Group is one pre-aggregated ingestion unit entering Alg. 5: the
 // homomorphic sum of the listed members' submission halves. Direct user
 // submissions are singleton groups; a relay's combined frame (see
@@ -744,30 +731,6 @@ func argmaxBig(vs []*big.Int) int {
 		}
 	}
 	return best
-}
-
-// AggregateDisclosures sums per-user plaintext disclosures for the
-// reference path.
-func AggregateDisclosures(ds []*Disclosure) (votes, z1, z2 []*big.Int, err error) {
-	if len(ds) == 0 {
-		return nil, nil, nil, fmt.Errorf("protocol: no disclosures")
-	}
-	vv := make([][]*big.Int, len(ds))
-	zz1 := make([][]*big.Int, len(ds))
-	zz2 := make([][]*big.Int, len(ds))
-	for i, d := range ds {
-		vv[i], zz1[i], zz2[i] = d.Votes, d.Z1, d.Z2
-	}
-	if votes, err = secshare.SumShares(vv); err != nil {
-		return nil, nil, nil, err
-	}
-	if z1, err = secshare.SumShares(zz1); err != nil {
-		return nil, nil, nil, err
-	}
-	if z2, err = secshare.SumShares(zz2); err != nil {
-		return nil, nil, nil, err
-	}
-	return votes, z1, z2, nil
 }
 
 // sampleNoiseShares draws the per-user, per-class Gaussian noise shares in

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -8,10 +9,24 @@ import (
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dgk"
-	"github.com/privconsensus/privconsensus/internal/secshare"
+	"github.com/privconsensus/privconsensus/internal/paillier"
 )
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// decryptSigned decrypts each ciphertext as a signed residue.
+func decryptSigned(t *testing.T, key *paillier.PrivateKey, cs []*paillier.Ciphertext) []*big.Int {
+	t.Helper()
+	out := make([]*big.Int, len(cs))
+	for i, c := range cs {
+		m, err := key.DecryptSigned(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
 
 // testConfig returns a small, fast configuration for protocol tests.
 func testConfig(users int) Config {
@@ -115,21 +130,11 @@ func TestBuildSubmissionShareIdentities(t *testing.T) {
 	}
 
 	// Decrypt both halves and verify the share identities.
-	a, err := keys.S2Paillier.DecryptSignedVector(sub.ToS1.Votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := keys.S1Paillier.DecryptSignedVector(sub.ToS2.Votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := secshare.Recombine(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := decryptSigned(t, keys.S2Paillier, sub.ToS1.Votes)
+	b := decryptSigned(t, keys.S1Paillier, sub.ToS2.Votes)
 	for i := range votes {
-		if rec[i].Cmp(votes[i]) != 0 {
-			t.Errorf("vote share recombination class %d: %v != %v", i, rec[i], votes[i])
+		if rec := new(big.Int).Add(a[i], b[i]); rec.Cmp(votes[i]) != 0 {
+			t.Errorf("vote share recombination class %d: %v != %v", i, rec, votes[i])
 		}
 	}
 
@@ -138,14 +143,8 @@ func TestBuildSubmissionShareIdentities(t *testing.T) {
 	// toS1 = a - off + z1, toS2 = off - b - z1, so toS1 + toS2 = a - b.
 	// Verify instead toS1 - (-toS2) identities via the aggregate:
 	// toS1 - toS2 = a + b + 2z1 - 2off = votes + 2z1 - 2off.
-	ts1, err := keys.S2Paillier.DecryptSignedVector(sub.ToS1.Thresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2, err := keys.S1Paillier.DecryptSignedVector(sub.ToS2.Thresh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts1 := decryptSigned(t, keys.S2Paillier, sub.ToS1.Thresh)
+	ts2 := decryptSigned(t, keys.S1Paillier, sub.ToS2.Thresh)
 	off, err := cfg.PerUserOffset(0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +159,8 @@ func TestBuildSubmissionShareIdentities(t *testing.T) {
 	}
 
 	// Noisy halves: toS1 + toS2 = votes + 2*z2.
-	n1, err := keys.S2Paillier.DecryptSignedVector(sub.ToS1.Noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := keys.S1Paillier.DecryptSignedVector(sub.ToS2.Noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n1 := decryptSigned(t, keys.S2Paillier, sub.ToS1.Noisy)
+	n2 := decryptSigned(t, keys.S1Paillier, sub.ToS2.Noisy)
 	for i := range votes {
 		sum := new(big.Int).Add(n1[i], n2[i])
 		want := new(big.Int).Add(votes[i], new(big.Int).Lsh(disc.Z2[i], 1))
@@ -244,6 +237,28 @@ func TestPlainOutcome(t *testing.T) {
 	}
 }
 
+// aggregateDisclosures sums per-user plaintext disclosures: the plaintext
+// reference the tests hold the secure runs to.
+func aggregateDisclosures(ds []*Disclosure) (votes, z1, z2 []*big.Int, err error) {
+	if len(ds) == 0 {
+		return nil, nil, nil, fmt.Errorf("protocol: no disclosures")
+	}
+	sum := func(field func(*Disclosure) []*big.Int) []*big.Int {
+		out := make([]*big.Int, len(field(ds[0])))
+		for i := range out {
+			out[i] = new(big.Int)
+			for _, d := range ds {
+				out[i].Add(out[i], field(d)[i])
+			}
+		}
+		return out
+	}
+	votes = sum(func(d *Disclosure) []*big.Int { return d.Votes })
+	z1 = sum(func(d *Disclosure) []*big.Int { return d.Z1 })
+	z2 = sum(func(d *Disclosure) []*big.Int { return d.Z2 })
+	return votes, z1, z2, nil
+}
+
 func TestAggregateDisclosures(t *testing.T) {
 	d1 := &Disclosure{
 		Votes: []*big.Int{big.NewInt(1), big.NewInt(2)},
@@ -255,14 +270,14 @@ func TestAggregateDisclosures(t *testing.T) {
 		Z1:    []*big.Int{big.NewInt(30), big.NewInt(40)},
 		Z2:    []*big.Int{big.NewInt(50), big.NewInt(60)},
 	}
-	votes, z1, z2, err := AggregateDisclosures([]*Disclosure{d1, d2})
+	votes, z1, z2, err := aggregateDisclosures([]*Disclosure{d1, d2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if votes[0].Int64() != 11 || z1[1].Int64() != 44 || z2[0].Int64() != 55 {
 		t.Errorf("aggregation wrong: %v %v %v", votes, z1, z2)
 	}
-	if _, _, _, err := AggregateDisclosures(nil); err == nil {
+	if _, _, _, err := aggregateDisclosures(nil); err == nil {
 		t.Error("expected error for empty input")
 	}
 }

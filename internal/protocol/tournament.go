@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"math/bits"
 )
 
 // Tournament argmax: a blinded single-elimination bracket over the permuted
@@ -23,15 +22,6 @@ import (
 // tie to the lower position — so the champion is the lowest permuted
 // position attaining the maximum, the same position winsMatrix.winner
 // returns. The parity tests assert this on tied inputs.
-
-// tournamentRounds returns the number of bracket levels for k entrants:
-// ceil(log2(k)), 0 for a single entrant.
-func tournamentRounds(k int) int {
-	if k <= 1 {
-		return 0
-	}
-	return bits.Len(uint(k - 1))
-}
 
 // tournamentLevelPairs pairs one level's ascending survivor list: (s[0],
 // s[1]), (s[2], s[3]), ... An odd trailing survivor sits the level out (a

@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// tournamentRounds returns the number of bracket levels for k entrants:
+// ceil(log2(k)), 0 for a single entrant.
+func tournamentRounds(k int) int {
+	if k <= 1 {
+		return 0
+	}
+	return bits.Len(uint(k - 1))
+}
+
 func TestTournamentRounds(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 10: 4, 16: 4, 17: 5, 32: 5}
 	for k, want := range cases {

