@@ -324,7 +324,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer engine.Close()
 			votes := [][]float64{
 				{0, 0, 1, 0}, {0, 0, 1, 0}, {0, 0, 1, 0}, {1, 0, 0, 0},
 			}

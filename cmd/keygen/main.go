@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/privconsensus/privconsensus/internal/dgk"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 )
@@ -50,12 +49,9 @@ func parseConfig(args []string) (protocol.Config, string, error) {
 	cfg.Classes = *classes
 	cfg.ThresholdFrac = *threshold
 	cfg.Sigma1, cfg.Sigma2 = *sigma1, *sigma2
-	cfg.PaillierBits = *paillier
-	cfg.DGK = dgk.Params{NBits: *dgkBits, TBits: 40, U: 1009, L: 56}
-	// Submissions are slot-packed iff that costs fewer ciphertexts than the
-	// unpacked 3K per half, i.e. at least two slots fit one plaintext. Every
-	// party reads the mode from its key file, so it is decided here, once.
-	cfg.Packing = cfg.PackedSlotsPerPlaintext() >= 2
+	// Every party reads the packing mode from its key file, so it is
+	// decided here, once, with the key sizes.
+	cfg = cfg.KeyShape(*paillier, *dgkBits)
 	return cfg, *outDir, cfg.Validate()
 }
 

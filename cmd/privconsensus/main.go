@@ -1,8 +1,8 @@
 // Command privconsensus runs the full private-consensus PATE pipeline end
 // to end on a synthetic dataset and reports accuracy, retention and privacy
 // spend. With -crypto it additionally runs the cryptographic protocol
-// (Paillier + DGK + blind-and-permute) on a sample of query instances and
-// verifies the decisions against the plaintext path.
+// (Paillier + DGK + blind-and-permute) on a sample of query instances, on
+// a two-server pair the library engine starts on loopback.
 package main
 
 import (
@@ -37,7 +37,7 @@ func run(args []string) error {
 		sigma2      = fs.Float64("sigma2", 4, "report-noisy-max deviation (votes)")
 		seed        = fs.Int64("seed", 1, "RNG seed")
 		crypto      = fs.Int("crypto", 0, "also run the cryptographic protocol on N sample instances")
-		acctPath    = fs.String("accountant-path", "", "persist the crypto sample's privacy accountant to this file; reloaded on the next run so the (eps, delta) budget accumulates across restarts")
+		acctPath    = fs.String("accountant-path", "", "persist the crypto sample's privacy ledger (S1's) to this file; reloaded on the next run so the (eps, delta) budget accumulates across restarts")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,7 +86,8 @@ func run(args []string) error {
 }
 
 // runCryptoSample runs the real two-server protocol on synthetic one-hot
-// votes to demonstrate the cryptographic path.
+// votes to demonstrate the cryptographic path. With acctPath set, S1's
+// ledger lives there and the reported ε is cumulative across runs.
 func runCryptoSample(instances, users int, threshold, sigma1, sigma2 float64, seed int64, acctPath string) error {
 	cfg := privconsensus.DefaultConfig(users)
 	cfg.ThresholdFrac = threshold

@@ -38,9 +38,9 @@ import (
 	"syscall"
 	"time"
 
-	privconsensus "github.com/privconsensus/privconsensus"
 	"github.com/privconsensus/privconsensus/internal/deploy"
 	"github.com/privconsensus/privconsensus/internal/keystore"
+	"github.com/privconsensus/privconsensus/internal/protocol"
 )
 
 func main() {
@@ -255,7 +255,7 @@ func printResults(role string, results []deploy.InstanceResult) error {
 			part = fmt.Sprintf(" (%d of %d users)", res.Participants, res.Participants+res.Dropped)
 		}
 		switch {
-		case errors.Is(res.Err, privconsensus.ErrQuorumNotMet):
+		case errors.Is(res.Err, protocol.ErrQuorumNotMet):
 			fmt.Printf("  query %d: quorum not met%s\n", res.Instance, part)
 		case res.Err != nil:
 			failed++

@@ -1,5 +1,6 @@
-// Command trace inspects the event journals written by the servers, the
-// user clients and the in-process engine (-journal / Config.JournalPath).
+// Command trace inspects the event journals written by the servers and the
+// user clients (-journal). A library engine's Config.JournalPath is its S1
+// server's journal, one trace ID per call.
 //
 // Merge journals from every process of a run into per-query timelines:
 //

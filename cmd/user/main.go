@@ -44,7 +44,7 @@ func run(args []string) error {
 		votesArg = fs.String("votes", "", "comma-separated winning class per instance, e.g. 2,2,7")
 		probsArg = fs.String("probs", "", "softmax votes: semicolon-separated probability vectors, e.g. 0.7:0.2:0.1;0.1:0.8:0.1")
 		timeout  = fs.Duration("timeout", time.Minute, "submission deadline")
-		seed     = fs.Int64("seed", 0, "deterministic seed (0 = crypto/rand)")
+		seed     = fs.Int64("seed", 0, "deterministic seed (0 = crypto/rand); must differ per user, or users draw identical masks and noise")
 		retries  = fs.Int("max-retries", 0, "upload retry budget on transient I/O failures (0 = one attempt)")
 		backoff  = fs.Duration("backoff", 50*time.Millisecond, "initial retry backoff (doubles per retry)")
 		faults   = fs.String("fault-spec", "", "inject deterministic connection faults (testing only)")

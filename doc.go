@@ -14,13 +14,11 @@
 //
 // Three layers of API are exposed:
 //
-//   - Engine runs the full cryptographic protocol (Alg. 5) for individual
-//     query instances in one process (separate servers: cmd/server).
-//   - Accountant / PlanNoise handle the Rényi-DP privacy arithmetic of
-//     Theorem 5.
-//   - RunPATE simulates the end-to-end semi-supervised knowledge-transfer
-//     pipeline (teachers, consensus labeling, student training) on
-//     synthetic datasets, reproducing the paper's accuracy experiments.
+//   - Engine runs the full cryptographic protocol (Alg. 5) on the
+//     deployment's two servers (cmd/server), started on loopback per call.
+//   - Accountant / PlanNoise do the Rényi-DP arithmetic of Theorem 5.
+//   - RunPATE simulates the semi-supervised knowledge-transfer pipeline
+//     (teachers, consensus labeling, student training) on synthetic data.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.

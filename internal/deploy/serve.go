@@ -66,6 +66,9 @@ type serveState struct {
 
 	ledger *dp.Ledger
 	cost   float64 // worst-case per-query coefficient
+	// commitErr is the first spend the ledger failed to record; the run
+	// returns it when it drains.
+	commitErr error
 
 	ctl *ctlLink
 
@@ -155,7 +158,9 @@ func (c *ctlLink) roundTrip(ctx context.Context, ackCode, code int64, args ...in
 // later ones collect, rotates key epochs (files[1:] are the pre-provisioned
 // future epochs), and drains gracefully when DrainCh fires, when the
 // pre-registered queries have all resolved (Instances > 0), or when ctx
-// ends.
+// ends. A run that drained returns its report, and with it an error if ctx
+// ended first or if the ledger failed to record a spend (the in-memory
+// Tenants are then ahead of LedgerPath's file).
 func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (*ServeReport, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("deploy: need at least one epoch key file")
@@ -569,10 +574,11 @@ loop:
 	for k, v := range st.admissions {
 		rep.Admissions[k] = v
 	}
+	commitErr := st.commitErr
 	st.mu.Unlock()
 	rep.Tenants = st.ledger.Spends()
 	st.opts.log(levelInfo, "S1 drained: %d queries, %d rotations, final epoch %d", len(rep.Results), rep.Rotations, rep.Epoch)
-	return rep, runErr
+	return rep, errors.Join(runErr, commitErr)
 }
 
 // external adapts a possibly-nil trigger channel for select (a nil
@@ -624,6 +630,11 @@ func (st *serveState) resolve(q *serveQuery) {
 	eps, err := st.ledger.Commit(q.tenant, q.cost, cfg.Sigma1, cfg.Sigma2, released)
 	if err != nil {
 		st.opts.log(levelWarn, "S1 ledger commit for query %d failed: %v", q.qid, err)
+		st.mu.Lock()
+		if st.commitErr == nil {
+			st.commitErr = fmt.Errorf("deploy: S1 ledger did not record query %d's spend: %w", q.qid, err)
+		}
+		st.mu.Unlock()
 	}
 	obs.TenantEpsilon(strconv.FormatInt(q.tenant, 10)).Set(eps)
 	if cfg.Sigma1 > 0 {

@@ -147,7 +147,7 @@ type ServeOptions struct {
 	// Delta is the δ at which quotas are evaluated (default 1e-6).
 	Delta float64
 	// LedgerPath, when non-empty, persists the per-tenant spend ledger
-	// (fsync + exclusive lock, like the engine accountant). Empty keeps
+	// (fsync + exclusive lock; the library engine's AccountantPath). Empty keeps
 	// the ledger in memory — quotas still apply within the run.
 	LedgerPath string
 	// MaxInFlight bounds admitted-but-unresolved queries (default 4);

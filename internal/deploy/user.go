@@ -17,7 +17,9 @@ type UserOptions struct {
 	// S1Addr and S2Addr are the servers' listen addresses.
 	S1Addr string
 	S2Addr string
-	// Seed, when non-zero, makes share/noise randomness deterministic.
+	// Seed, when non-zero, makes share/noise randomness deterministic. It
+	// must differ per user: users that share a seed draw identical masks
+	// and noise.
 	Seed int64
 	// MaxRetries is the upload retry budget: on a transient failure the
 	// client reconnects and replays the whole upload up to this many

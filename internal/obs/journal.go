@@ -156,10 +156,10 @@ type Journal struct {
 	clock    func() time.Time
 }
 
-// OpenJournal opens (or creates) the journal at path for appending. An
-// existing file is scanned for structural integrity: a torn final line —
-// the only damage a crashed writer can leave — is truncated away and the
-// chain re-anchors on the last intact record.
+// OpenJournal opens (or creates) the journal at path for appending. In an
+// existing file a torn final line — the only damage a crashed writer can
+// leave — is truncated away and the chain re-anchors on the last intact
+// record.
 func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -182,31 +182,39 @@ func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 	return j, nil
 }
 
-// recover scans the existing file, keeps the longest decodable prefix of
-// complete lines, truncates anything after it, and restores seq/last so
-// appends continue the chain.
+// recover restores seq/last from the existing file so appends continue the
+// chain. Appends are single writes, so a crashed writer can only tear the
+// final line: recover anchors on the last complete line that decodes and
+// truncates whatever follows it. It reads only the file's tail unless that
+// holds no intact record, so a reopen costs the same however long the
+// journal has grown. Damage further up is left for VerifyJournal to report.
 func (j *Journal) recover() error {
-	data, err := io.ReadAll(j.f)
+	size, err := j.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("obs: scan journal: %w", err)
 	}
-	good := int64(0) // byte offset past the last intact record
-	rest := data
-	for {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // torn tail (or empty remainder): drop
+	good := int64(0) // byte offset past the anchoring record
+	for window := int64(64 << 10); good == 0; window = size {
+		off := max(size-window, 0)
+		tail := make([]byte, size-off)
+		if _, err := j.f.ReadAt(tail, off); err != nil {
+			return fmt.Errorf("obs: scan journal: %w", err)
 		}
-		var ev Event
-		if err := json.Unmarshal(rest[:nl], &ev); err != nil || ev.Hash == "" {
-			break // undecodable line: treat it and everything after as torn
+		// Walk back over complete lines; the window's first line may be
+		// partial, so it never decodes.
+		for end := bytes.LastIndexByte(tail, '\n'); end >= 0; end = bytes.LastIndexByte(tail[:end], '\n') {
+			var ev Event
+			if err := json.Unmarshal(tail[bytes.LastIndexByte(tail[:end], '\n')+1:end], &ev); err == nil && ev.Hash != "" {
+				j.seq, j.last = ev.Seq, ev.Hash
+				good = off + int64(end) + 1
+				break
+			}
 		}
-		j.seq = ev.Seq
-		j.last = ev.Hash
-		good += int64(nl) + 1
-		rest = rest[nl+1:]
+		if off == 0 {
+			break
+		}
 	}
-	if good < int64(len(data)) {
+	if good < size {
 		if err := j.f.Truncate(good); err != nil {
 			return fmt.Errorf("obs: truncate torn journal tail: %w", err)
 		}

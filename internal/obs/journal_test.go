@@ -131,6 +131,47 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalReopenLongFile reopens journals longer than the tail window
+// recovery reads: the chain continues from the last record whether that
+// record sits in the window or, behind a torn tail longer than the window,
+// only in the full file.
+func TestJournalReopenLongFile(t *testing.T) {
+	for _, torn := range []int{0, 70 << 10} {
+		path := filepath.Join(t.TempDir(), "j.jsonl")
+		j, err := OpenJournal(path, JournalOptions{Role: "s1", MaxBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 400 // ~100 KB, past the 64 KiB window
+		for i := 0; i < n; i++ {
+			if err := j.Append(Event{Type: EventRetry, Instance: i, Note: "instance"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(strings.Repeat("x", torn)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		j, err = OpenJournal(path, JournalOptions{Role: "s1", MaxBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(Event{Type: EventRetry, Instance: n, Note: "reopened"}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if m, err := VerifyJournalFile(path); err != nil || m != n+1 {
+			t.Fatalf("torn tail of %d bytes: %d records verify (%v), want %d", torn, m, err, n+1)
+		}
+	}
+}
+
 // TestJournalTamperDetected rewrites a mid-chain record's content and
 // checks VerifyJournal names the damage; removing a record breaks the
 // chain links too.

@@ -133,10 +133,21 @@ func DefaultConfig(users int) Config {
 		Sigma1:                4,
 		Sigma2:                2,
 		Kappa:                 40,
-		PaillierBits:          64,
-		DGK:                   dgk.Params{NBits: 192, TBits: 40, U: 1009, L: 56},
 		ThresholdAllPositions: true,
-	}
+	}.KeyShape(64, 192)
+}
+
+// KeyShape returns c with its keys sized: paillierBits-bit Paillier moduli,
+// a dgkBits-bit DGK modulus with the DGK parameters every size shares, and
+// slot packing on iff at least two slots fit one plaintext (a packed half
+// then costs fewer ciphertexts than the unpacked 3K). Packing depends on
+// Users and Classes, so set those first. cmd/keygen and the library engine
+// size their keys here, so every key file agrees on the shape.
+func (c Config) KeyShape(paillierBits, dgkBits int) Config {
+	c.PaillierBits = paillierBits
+	c.DGK = dgk.Params{NBits: dgkBits, TBits: 40, U: 1009, L: 56}
+	c.Packing = c.PackedSlotsPerPlaintext() >= 2
+	return c
 }
 
 // Validate checks the configuration, including that all protocol

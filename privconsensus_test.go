@@ -3,8 +3,14 @@ package privconsensus
 import (
 	"context"
 	"math"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
+
+	"github.com/privconsensus/privconsensus/internal/keystore"
 )
 
 // testEngine builds a small deterministic engine for tests.
@@ -44,6 +50,46 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestEngineKeyFileMatchesKeygen holds the engine and cmd/keygen to one key
+// shape: for the same sizes, keygen's s1.json and the engine's S1 key file
+// embed the same protocol configuration, packing mode included.
+func TestEngineKeyFileMatchesKeygen(t *testing.T) {
+	gotool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go tool on PATH to build cmd/keygen: %v", err)
+	}
+	keygen := filepath.Join(t.TempDir(), "keygen")
+	build := exec.Command(gotool, "build", "-o", keygen, "./cmd/keygen")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build keygen: %v\n%s", err, out)
+	}
+	for _, size := range []struct {
+		paillier, dgk int
+		packed        bool
+	}{{64, 192, false}, {256, 160, true}} {
+		dir := t.TempDir()
+		run := exec.Command(keygen, "-out", dir, "-users", "4", "-classes", "3", "-threshold", "0.5",
+			"-sigma1", "1", "-sigma2", "2", "-paillier-bits", strconv.Itoa(size.paillier), "-dgk-bits", strconv.Itoa(size.dgk))
+		if out, err := run.CombinedOutput(); err != nil {
+			t.Fatalf("keygen: %v\n%s", err, out)
+		}
+		var fromKeygen keystore.S1File
+		if err := keystore.Load(filepath.Join(dir, "s1.json"), &fromKeygen); err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(Config{Classes: 3, Users: 4, ThresholdFrac: 0.5, Sigma1: 1, Sigma2: 2,
+			PaillierBits: size.paillier, DGKBits: size.dgk, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromEngine := e.s1
+		if fromEngine.Config != fromKeygen.Config || fromKeygen.Config.Packing != size.packed {
+			t.Errorf("%d/%d bits: engine key file config\n%+v\nkeygen's\n%+v\n(want packing %v)",
+				size.paillier, size.dgk, fromEngine.Config, fromKeygen.Config, size.packed)
+		}
+	}
+}
+
 func TestEngineLabelInstanceConsensus(t *testing.T) {
 	e := testEngine(t, 5, 4)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -78,53 +124,28 @@ func TestEngineLabelInstanceNoConsensus(t *testing.T) {
 
 func TestEngineVoteValidation(t *testing.T) {
 	e := testEngine(t, 3, 4)
-	if _, err := e.SubmissionFor(0, []float64{1, 0}); err == nil {
-		t.Error("expected error for wrong vote length")
-	}
-	if _, err := e.SubmissionFor(0, []float64{2, 0, 0, 0}); err == nil {
-		t.Error("expected error for vote > 1")
-	}
-	if _, err := e.SubmissionFor(0, []float64{-0.5, 0, 0, 0}); err == nil {
-		t.Error("expected error for negative vote")
-	}
 	ctx := context.Background()
-	if _, err := e.LabelInstance(ctx, [][]float64{oneHot(4, 0)}); err == nil {
+	good := oneHot(4, 0)
+	for name, row := range map[string][]float64{
+		"wrong vote length": {1, 0},
+		"vote > 1":          {2, 0, 0, 0},
+		"negative vote":     {-0.5, 0, 0, 0},
+		"NaN vote":          {math.NaN(), 0, 0, 0},
+		"absent user":       nil,
+	} {
+		if _, err := e.LabelInstance(ctx, [][]float64{good, row, good}); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	if _, err := e.LabelInstance(ctx, [][]float64{good}); err == nil {
 		t.Error("expected error for wrong user count")
 	}
 }
 
-func TestEngineLabelInstanceMetered(t *testing.T) {
-	e := testEngine(t, 4, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	votes := [][]float64{oneHot(3, 2), oneHot(3, 2), oneHot(3, 2), oneHot(3, 0)}
-	out, stats, err := e.LabelInstanceMetered(ctx, votes)
-	if err != nil {
-		t.Fatalf("LabelInstanceMetered: %v", err)
-	}
-	if !out.Consensus || out.Label != 2 {
-		t.Fatalf("outcome %+v, want consensus on 2", out)
-	}
-	if len(stats) == 0 {
-		t.Fatal("no step stats recorded")
-	}
-	byStep := map[string]StepStats{}
-	for _, s := range stats {
-		byStep[s.Step] = s
-	}
-	cmp, ok := byStep["secure-comparison(4)"]
-	if !ok || cmp.BytesSent == 0 {
-		t.Errorf("comparison step not metered: %+v", stats)
-	}
-	bp, ok := byStep["blind-and-permute(3)"]
-	if !ok {
-		t.Error("blind-and-permute step missing")
-	}
-	if cmp.BytesSent <= bp.BytesSent {
-		t.Errorf("Table II shape violated: comparison %d <= B&P %d", cmp.BytesSent, bp.BytesSent)
-	}
-}
-
+// TestEngineLabelBatch runs two batches on one engine after a call whose
+// context was already cancelled: every pair zeroizes its copy of S2's keys
+// on exit and shares the engine's kept S1 keys, and each later call must
+// still run.
 func TestEngineLabelBatch(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.Classes = 3
@@ -140,21 +161,58 @@ func TestEngineLabelBatch(t *testing.T) {
 		{oneHot(3, 0), oneHot(3, 0), oneHot(3, 0), oneHot(3, 0)}, // unanimous
 		{oneHot(3, 0), oneHot(3, 1), oneHot(3, 2), oneHot(3, 1)}, // split
 	}
-	res, err := e.LabelBatch(ctx, batch)
-	if err != nil {
-		t.Fatalf("LabelBatch: %v", err)
+	cancelled, stop := context.WithCancel(ctx)
+	stop()
+	if _, err := e.LabelBatch(cancelled, batch); err == nil {
+		t.Fatal("LabelBatch on a cancelled context succeeded")
 	}
-	if len(res.Outcomes) != 2 {
-		t.Fatalf("expected 2 outcomes, got %d", len(res.Outcomes))
+	for call := 1; call <= 2; call++ {
+		res, err := e.LabelBatch(ctx, batch)
+		if err != nil {
+			t.Fatalf("call %d: LabelBatch: %v", call, err)
+		}
+		if len(res.Outcomes) != 2 || len(res.Failed) != 0 {
+			t.Fatalf("call %d: %+v, want 2 outcomes and no failures", call, res)
+		}
+		if !res.Outcomes[0].Consensus || res.Outcomes[0].Label != 0 {
+			t.Errorf("call %d: unanimous batch entry gave %+v, want consensus on 0", call, res.Outcomes[0])
+		}
+		if res.Released < 1 || res.Epsilon <= 0 {
+			t.Errorf("call %d: released %d, epsilon %g: spend not tracked", call, res.Released, res.Epsilon)
+		}
 	}
-	if !res.Outcomes[0].Consensus {
-		t.Error("unanimous batch entry should reach consensus")
+	res, err := e.LabelBatch(ctx, nil)
+	if err != nil || len(res.Outcomes) != 0 || res.Epsilon != 0 {
+		t.Fatalf("empty batch: %+v, %v; want an empty result", res, err)
 	}
-	if res.Epsilon <= 0 {
-		t.Errorf("batch epsilon not tracked: %+v", res)
+}
+
+// TestEngineSeedDeterministic holds Config.Seed to its promise: two engines
+// with one seed release the same labels for the same noisy batch.
+func TestEngineSeedDeterministic(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Classes = 3
+	cfg.Sigma1, cfg.Sigma2 = 3, 3
+	cfg.Seed = 11
+	batch := make([][][]float64, 8)
+	for q := range batch {
+		batch[q] = [][]float64{oneHot(3, q%3), oneHot(3, q%3), oneHot(3, (q+1)%3), oneHot(3, q%3)}
 	}
-	if res.Released < 1 {
-		t.Errorf("released count wrong: %+v", res)
+	var first []Outcome
+	for run := 0; run < 2; run++ {
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.LabelBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = res.Outcomes
+		} else if !slices.Equal(first, res.Outcomes) {
+			t.Fatalf("same seed, different outcomes:\n%v\n%v", first, res.Outcomes)
+		}
 	}
 }
 

@@ -32,12 +32,12 @@ var surfaceAllowlist = map[string]string{
 	"transport.Meter.Totals":         "bench/ reads replay byte totals (ROADMAP item 1 (a))",
 	"transport.Dial":                 "bench/ and the deploy tests dial a server as a raw client",
 	// References and test hooks that other packages' tests or benchmarks need.
-	"protocol.PlainOutcome":           "plaintext Alg. 1 reference the deploy and root tests hold the secure runs to",
+	"protocol.PlainOutcome":           "plaintext Alg. 1 reference the protocol tests hold the secure runs to",
 	"pate.PlainLabeler":               "non-private Alg. 1 labeler the protocol tests hold packed runs to",
 	"paillier.PrivateKey.DecryptSlow": "non-CRT decryption that BenchmarkPaillierCRT measures the CRT path against",
 	"obs.Registry.SetEnabled":         "BenchmarkObsOverhead switches the registry off to measure its cost",
-	"obs.Registry.CounterValue":       "tests in deploy, ingest and the root read counters through it",
-	"obs.QueryTrace.Span":             "the root and transport tests look up one phase's span",
+	"obs.Registry.CounterValue":       "tests in deploy, ingest, obs and transport read counters through it",
+	"obs.QueryTrace.Span":             "the obs and transport tests look up one phase's span",
 	"mathutil.FixedBaseExp.MaxBits":   "paillier and dgk tests check the tables' exponent bound",
 	"mathutil.FixedBaseExp.Modulus":   "paillier and dgk tests check which modulus a table serves",
 }
@@ -284,11 +284,15 @@ func (s *surfaceScan) collectRefs(f surfaceFile, pkgNames map[string]string) {
 	for _, d := range f.ast.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			from := "func " + d.Name.Name
+			recv := ""
 			if d.Recv != nil {
-				from = declKey(f.importPath, recvName(d), d.Name.Name)
-			} else if k := declKey(f.importPath, "", d.Name.Name); k != "" {
-				from = k
+				recv = recvName(d)
+			}
+			// Outside internal/ a function is named by its full import
+			// path, so every function in the module has its own key.
+			from := declKey(f.importPath, recv, d.Name.Name)
+			if from == "" {
+				from = strings.TrimSuffix(f.importPath+"."+recv, ".") + "." + d.Name.Name
 			}
 			// The receiver list names the method's own type: not a use.
 			walk(d.Type, from)
@@ -381,6 +385,27 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		case used:
 			t.Errorf("surfaceAllowlist entry %s is stale: it now has a product caller", key)
 		}
+	}
+}
+
+// TestOneSpendRecorder holds the module to one place that records an ε
+// spend: dp's (*Ledger).Commit has exactly one non-test caller, deploy S1's
+// resolve. Methods resolve by name, so Commit must also be declared on no
+// other type in the module.
+func TestOneSpendRecorder(t *testing.T) {
+	s := scanModule(t)
+	for typ, methods := range s.methods {
+		if methods["Commit"] && !strings.HasSuffix(typ, "/internal/dp.Ledger") {
+			t.Errorf("%s declares Commit too: the caller check below cannot tell it from dp's (*Ledger).Commit", typ)
+		}
+	}
+	var callers []string
+	for from := range s.refs[".Commit"] {
+		callers = append(callers, from)
+	}
+	sort.Strings(callers)
+	if want := []string{"deploy.serveState.resolve"}; !slices.Equal(callers, want) {
+		t.Errorf("dp's (*Ledger).Commit is called from %v, want only %v: every ε spend goes through deploy S1's ledger", callers, want)
 	}
 }
 
