@@ -135,7 +135,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		printS1Report(rep)
+		printS1Report(rep, *instances)
 		results = rep.Results
 	case "s2":
 		files, err := loadEpochFiles[keystore.S2File](*keysPath)
@@ -149,6 +149,9 @@ func run(args []string) error {
 		results = rep.Results
 	default:
 		return fmt.Errorf("-role must be s1 or s2, got %q", *role)
+	}
+	if *instances == 0 {
+		return nil
 	}
 	return printResults(*role, results)
 }
@@ -227,8 +230,9 @@ func loadEpochFiles[T any](spec string) ([]*T, error) {
 }
 
 // printS1Report prints what only S1 knows: admissions, rotations and the
-// committed per-tenant spend.
-func printS1Report(rep *deploy.ServeReport) {
+// committed per-tenant spend. The report lists no query admitted on demand;
+// their outcomes are in the journal.
+func printS1Report(rep *deploy.ServeReport, instances int) {
 	fmt.Printf("s1: %d rotations, final epoch %d\n", rep.Rotations, rep.Epoch)
 	decisions := make([]string, 0, len(rep.Admissions))
 	for d := range rep.Admissions {
@@ -242,12 +246,15 @@ func printS1Report(rep *deploy.ServeReport) {
 		fmt.Printf("  tenant %d: epsilon %.6g over %d queries (%d releases)\n",
 			spend.Tenant, spend.Epsilon, spend.Queries, spend.Releases)
 	}
+	if n := rep.Admissions["admitted"] - instances; n > 0 {
+		fmt.Printf("  %d queries admitted on demand: read their outcomes from the -journal with cmd/trace\n", n)
+	}
 }
 
-// printResults prints one line per query and fails the command if any
-// query failed; a quorum miss is a clean verdict, not a failure.
+// printResults prints one line per pre-registered query and fails the
+// command if any failed; a quorum miss is a clean verdict, not a failure.
 func printResults(role string, results []deploy.InstanceResult) error {
-	fmt.Printf("%s finished %d queries:\n", role, len(results))
+	fmt.Printf("%s finished %d registered queries:\n", role, len(results))
 	failed := 0
 	for _, res := range results {
 		part := ""

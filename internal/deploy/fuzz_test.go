@@ -148,8 +148,8 @@ func admissionState(ctx context.Context, t testing.TB, cfg protocol.Config, opts
 		ctl:        &ctlLink{src: src, timeout: time.Minute},
 		rings:      []*big.Int{nil},
 		queries:    map[int]*serveQuery{},
+		past:       map[int]*serveQuery{},
 		grants:     map[grantKey]*serveQuery{},
-		epochLive:  map[int]int{},
 		retired:    map[int]bool{},
 		admissions: map[string]int{},
 		rotateKick: make(chan struct{}, 1),
@@ -163,19 +163,23 @@ func admissionState(ctx context.Context, t testing.TB, cfg protocol.Config, opts
 // waits, and live admission. Admission runs against an in-memory ledger in
 // which tenant 1 can afford one query and every other tenant is unlimited,
 // a window of two in-flight queries, and a fake S2 that acks the announce of
-// every even query ID and refuses the odd ones. No sequence may panic the
-// handler; a malformed frame is a counted rejection or, among control
-// frames, ends the connection with an error; no cell is ever recorded for a
-// query outside the table or a user outside the grid — only for frames that
-// name both; a frame from a known user for a query that never existed counts
-// as unknown-query; every collector's ack debt is back to zero when the
-// connection ends; one (tenant, nonce) is granted at most one query and no
-// query is granted twice; the in-flight count never exceeds the window; and
-// a refused announce hands its reservation back, so tenant 1's remaining
-// budget is exactly one query less the live ones it was granted.
+// every even query ID and refuses the odd ones. Behind the table, a full
+// replay window of queries tenant 4 was granted and that resolved, and two
+// older ones already forgotten. No sequence may panic the handler; a malformed frame
+// is a counted rejection or, among control frames, ends the connection with
+// an error; no cell is ever recorded for a query outside the table or a user
+// outside the grid — only for frames that name both; a frame from a known
+// user for a query that is not in flight counts as unknown-query; every
+// collector's ack debt is back to zero when the connection ends; one
+// (tenant, nonce) is granted at most one query and no query is granted
+// twice; a grant in the replay window is replayed as granted; a result wait
+// is answered from the table or the window, and resultUnknown for a
+// forgotten or never granted query; the in-flight count never exceeds the
+// window; and a refused announce hands its reservation back, so tenant 1's
+// remaining budget is exactly one query less the live ones it was granted.
 func FuzzUserFrames(f *testing.F) {
 	const users, known = 2, 2 // query IDs 0 and 1 are in the table
-	const window, quotaTenant, quotaQueries = 2, 1, 1
+	const window, quotaTenant, quotaQueries, pastTenant = 2, 1, 1, 4
 	grid := func(packed bool) protocol.Config {
 		cfg := protocol.DefaultConfig(users)
 		cfg.Classes, cfg.Kappa, cfg.Packing = 4, 24, packed
@@ -184,7 +188,14 @@ func FuzzUserFrames(f *testing.F) {
 	// A quota half-way between the ε of quotaQueries and quotaQueries+1
 	// queries' spend.
 	cost := dp.QueryCost(grid(false).Sigma1, grid(false).Sigma2)
-	opts := ServeOptions{MaxInFlight: window}
+	opts := ServeOptions{MaxInFlight: known + window} // the table's queries are in flight too
+	// Queries known..fresh-1 resolved in order, granted to pastTenant with
+	// nonce = query ID; the first two have left the replay window again, so
+	// it holds [oldest, fresh), and admissions start at the even query ID
+	// fresh, which the fake S2 acks.
+	forgotten, fresh := known, known+opts.replayWindow()+2
+	oldest := fresh - opts.replayWindow()
+	pastLabel := func(qid int) int64 { return int64(qid % 4) }
 	epsOf := func(n int) float64 {
 		var a dp.Accountant
 		if err := a.AddLinear(float64(n) * cost); err != nil {
@@ -230,17 +241,23 @@ func FuzzUserFrames(f *testing.F) {
 			{submit(0, 0, 5), submit(0, 0, 5), submit(0, 0, 7), ctrl(ctrlUploadDone, 0), submit(1, 1, 8)}, // replay, conflict
 			{submit(0, 7, 5), submit(5, 0, 5), submit(-1, 1, 5), ctrl(ctrlUploadDone)},                    // unknown query, users out of range
 			{admit(3, 99), ctrl(ctrlResultWait, 1), ctrl(ctrlResultWait, 42), submit(1, 1, 9)},
-			{admit(quotaTenant, 10), submit(0, 2, 5), ctrl(ctrlUploadDone, 2)}, // a grant, then its upload
-			{admit(quotaTenant, 10), admit(quotaTenant, 10), admit(3, 11)},     // a replayed nonce, then a refused announce
-			{admit(2, 1), admit(2, 2), admit(2, 3), admit(2, 4), admit(3, 1)},  // the window fills: overloaded
-			{admit(quotaTenant, 1), admit(quotaTenant, 2)},                     // the budget runs out
-			{admit(3, 1), admit(quotaTenant, 1), admit(quotaTenant, 2)},        // a refused announce hands its reservation back
-			{ctrl(ctrlAdmitRequest, 3)},                                        // short admit
-			{ctrl(ctrlResultWait)},                                             // short result wait
-			{ctrl()},                                                           // no code at all
-			{ctrl(ctrlServeAnnounce, 0)},                                       // a code clients do not own
-			{submit(0, 0, 5), wrongWidth},                                      // the other grammar, or a bad layout
+			{admit(quotaTenant, 10), submit(0, fresh, 5), ctrl(ctrlUploadDone, 2)}, // a grant, then its upload
+			{admit(quotaTenant, 10), admit(quotaTenant, 10), admit(3, 11)},         // a replayed nonce, then a refused announce
+			{admit(2, 1), admit(2, 2), admit(2, 3), admit(2, 4), admit(3, 1)},      // the window fills: overloaded
+			{admit(quotaTenant, 1), admit(quotaTenant, 2)},                         // the budget runs out
+			{admit(3, 1), admit(quotaTenant, 1), admit(quotaTenant, 2)},            // a refused announce hands its reservation back
+			{ctrl(ctrlAdmitRequest, 3)},                                            // short admit
+			{ctrl(ctrlResultWait)},                                                 // short result wait
+			{ctrl()},                                                               // no code at all
+			{ctrl(ctrlServeAnnounce, 0)},                                           // a code clients do not own
+			{submit(0, 0, 5), wrongWidth},                                          // the other grammar, or a bad layout
 			{submit(0, 0, 5), {Kind: transport.KindBatch, Flags: []int64{1}}},
+			// A resolved query's grant and result replayed from the window, a
+			// forgotten one's past it.
+			{admit(pastTenant, 42), ctrl(ctrlResultWait, 42), ctrl(ctrlResultWait, int64(forgotten)), admit(pastTenant, int64(forgotten))},
+			// Uploads for a resolved and a forgotten query; a result wait for
+			// one never granted.
+			{submit(0, 42, 5), submit(0, forgotten, 5), ctrl(ctrlResultWait, int64(fresh+5))},
 		} {
 			var buf bytes.Buffer
 			for _, m := range seq {
@@ -267,7 +284,7 @@ func FuzzUserFrames(f *testing.F) {
 		isAdmit := func(m *transport.Message) bool {
 			return m.Kind == transport.KindControl && len(m.Flags) >= 3 && m.Flags[0] == ctrlAdmitRequest
 		}
-		grantable := int64(known)
+		grantable := int64(fresh)
 		for _, m := range msgs {
 			if isAdmit(m) {
 				grantable++
@@ -275,7 +292,7 @@ func FuzzUserFrames(f *testing.F) {
 		}
 		kept := msgs[:0]
 		for _, m := range msgs {
-			if m.Kind == transport.KindControl && len(m.Flags) >= 2 && m.Flags[0] == ctrlResultWait && m.Flags[1] >= known && m.Flags[1] < grantable {
+			if m.Kind == transport.KindControl && len(m.Flags) >= 2 && m.Flags[0] == ctrlResultWait && m.Flags[1] >= int64(fresh) && m.Flags[1] < grantable {
 				continue
 			}
 			kept = append(kept, m)
@@ -286,12 +303,19 @@ func FuzzUserFrames(f *testing.F) {
 		defer cancel()
 		cfg := grid(packed)
 		st := admissionState(ctx, t, cfg, opts, func(qid, _ int64) bool { return qid%2 == 0 })
-		st.nextQID = known
+		st.nextQID = fresh
 		for qid := 0; qid < known; qid++ {
 			q := &serveQuery{qid: qid, col: newCollector(cfg, nil), done: make(chan struct{})}
 			q.res = InstanceResult{Instance: qid, Outcome: protocol.Outcome{Label: -1}}
 			close(q.done) // result waits answer at once
 			st.queries[qid] = q
+		}
+		for qid := known; qid < fresh; qid++ {
+			key := grantKey{tenant: pastTenant, nonce: int64(qid)}
+			q := &serveQuery{qid: qid, tenant: pastTenant, grant: &key, done: make(chan struct{}), res: InstanceResult{Instance: qid,
+				Outcome: protocol.Outcome{Consensus: true, Label: int(pastLabel(qid))}, Attempts: 1}}
+			close(q.done)
+			st.rememberLocked(q)
 		}
 
 		// The submissions the sequence names, the admissions it asks for and
@@ -335,7 +359,7 @@ func FuzzUserFrames(f *testing.F) {
 			server.Close() // as the accept loop does: unblocks the client side
 			served <- err
 		}()
-		var admitReplies [][]int64
+		var admitReplies, resultReplies [][]int64
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
@@ -347,8 +371,11 @@ func FuzzUserFrames(f *testing.F) {
 				if len(m.Flags) >= 4 && m.Flags[0] == ctrlAdmitReply {
 					admitReplies = append(admitReplies, m.Flags[1:4])
 				}
+				if len(m.Flags) >= 5 && m.Flags[0] == ctrlResultReply {
+					resultReplies = append(resultReplies, m.Flags[1:5])
+				}
 				st.mu.Lock()
-				inflight := st.inflight
+				inflight := len(st.queries) - known
 				st.mu.Unlock()
 				if inflight > window {
 					t.Errorf("%d queries in flight, window %d", inflight, window)
@@ -373,13 +400,36 @@ func FuzzUserFrames(f *testing.F) {
 			if prev, ok := grantOf[k]; ok && (r[0] != admitOK || r[1] != prev) {
 				t.Fatalf("(tenant %d, nonce %d) was granted query %d, then answered status %d query %d", k.tenant, k.nonce, prev, r[0], r[1])
 			}
+			inWindow := k.tenant == pastTenant && k.nonce >= int64(oldest) && k.nonce < int64(fresh)
+			if inWindow && (r[0] != admitOK || r[1] != k.nonce) {
+				t.Fatalf("replayed grant (tenant %d, nonce %d) of a resolved query answered status %d query %d", k.tenant, k.nonce, r[0], r[1])
+			}
 			if r[0] != admitOK {
 				continue
+			}
+			if !inWindow && r[1] < int64(fresh) {
+				t.Fatalf("(tenant %d, nonce %d) was granted query %d, which resolved before the connection", k.tenant, k.nonce, r[1])
 			}
 			if prev, ok := keyOf[r[1]]; ok && prev != k {
 				t.Fatalf("query %d granted to %+v and to %+v", r[1], prev, k)
 			}
 			grantOf[k], keyOf[r[1]] = r[1], k
+		}
+
+		// Result waits: the table's queries have resolved without consensus,
+		// the window's with their label; anything else is unknown.
+		for _, r := range resultReplies {
+			qid := r[0]
+			want := []int64{qid, resultUnknown, -1, 0}
+			switch {
+			case qid >= 0 && qid < known:
+				want = []int64{qid, resultNoConsensus, -1, 0}
+			case qid >= int64(oldest) && qid < int64(fresh):
+				want = []int64{qid, resultConsensus, pastLabel(int(qid)), 1}
+			}
+			if !slices.Equal(r, want) {
+				t.Fatalf("result wait for query %d answered %v, want %v", qid, r, want)
+			}
 		}
 
 		// Cells only where a frame named both the user and a live query.
@@ -488,7 +538,6 @@ func FuzzCtlFrames(f *testing.F) {
 			retired:    map[int]bool{1: true},
 			wantRetire: map[int]bool{},
 			queries:    map[int]*s2Query{},
-			results:    map[int]InstanceResult{},
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

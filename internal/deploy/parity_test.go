@@ -41,6 +41,8 @@ type queryView struct {
 	Events string
 }
 
+// viewOf is the view of a pre-registered query: its report entry, which
+// must agree with what the journal recorded (journalView).
 func viewOf(t *testing.T, res InstanceResult, journal string, id int) queryView {
 	t.Helper()
 	v := queryView{
@@ -49,13 +51,47 @@ func viewOf(t *testing.T, res InstanceResult, journal string, id int) queryView 
 		Participants: res.Participants, Dropped: res.Dropped,
 	}
 	v.Failed = res.Err != nil && !v.QuorumMiss
+	jv := journalView(t, journal, id)
+	v.Events = jv.Events
+	if v != jv {
+		t.Errorf("%s: query %d reported %+v, journaled %+v", journal, id, v, jv)
+	}
+	return v
+}
+
+// journalView is the view of a query read from one server's journal alone,
+// the record an admitted query leaves: participants from the last quorum
+// decision, the outcome from the last closing query record.
+func journalView(t *testing.T, journal string, id int) queryView {
+	t.Helper()
 	evs, err := obs.ReadJournalFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := queryView{Label: -1, Failed: true}
 	counts := map[string]int{}
 	for _, ev := range evs {
-		if ev.Instance == id && ev.Type != obs.EventAdmission && ev.Type != obs.EventSpend {
+		if ev.Instance != id {
+			continue
+		}
+		switch ev.Type {
+		case obs.EventQuorum:
+			var quorum int
+			if _, err := fmt.Sscanf(ev.Note, "participants=%d dropped=%d quorum=%d", &v.Participants, &v.Dropped, &quorum); err != nil {
+				t.Fatalf("%s: quorum record %q: %v", journal, ev.Note, err)
+			}
+			v.QuorumMiss = v.Participants < quorum
+			v.Failed = false
+		case obs.EventQuery:
+			v.Failed = ev.Err != ""
+			v.Consensus = !v.Failed && ev.Note != "no-consensus"
+			if v.Consensus {
+				if _, err := fmt.Sscanf(ev.Note, "consensus label=%d", &v.Label); err != nil {
+					t.Fatalf("%s: query record %q: %v", journal, ev.Note, err)
+				}
+			}
+		}
+		if ev.Type != obs.EventAdmission && ev.Type != obs.EventSpend {
 			counts[ev.Type]++
 		}
 	}
@@ -159,7 +195,8 @@ func parityBatch(ctx context.Context, t *testing.T, dir string, base ServerOptio
 
 // parityServe runs one scenario as the first query of a serve deployment:
 // through ServeClient when every user votes, over raw client connections
-// when some must be withheld.
+// when some must be withheld. The query is admitted, so the servers'
+// journals are its record.
 func parityServe(ctx context.Context, t *testing.T, dir string, base ServerOptions, sc parityScenario,
 	s1File *keystore.S1File, s2File *keystore.S2File, pub *keystore.PublicFile, cfg protocol.Config) (queryView, queryView) {
 	t.Helper()
@@ -219,10 +256,10 @@ func parityServe(ctx context.Context, t *testing.T, dir string, base ServerOptio
 	if d1.err != nil || d2.err != nil {
 		t.Fatalf("serve servers failed: s1=%v s2=%v", d1.err, d2.err)
 	}
-	if len(d1.rep.Results) != 1 || len(d2.rep.Results) != 1 {
-		t.Fatalf("serve reports hold %d / %d queries, want 1 each", len(d1.rep.Results), len(d2.rep.Results))
+	if len(d1.rep.Results) != 0 || len(d2.rep.Results) != 0 {
+		t.Fatalf("serve reports hold %d / %d queries, want none: nothing was pre-registered", len(d1.rep.Results), len(d2.rep.Results))
 	}
-	return viewOf(t, d1.rep.Results[0], j1, qid), viewOf(t, d2.rep.Results[0], j2, qid)
+	return journalView(t, j1, qid), journalView(t, j2, qid)
 }
 
 // TestBackoffDelay pins the retry schedule: no wait before a first attempt,

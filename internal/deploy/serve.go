@@ -23,14 +23,15 @@ import (
 // serveQuery is one registered query's lifecycle state on S1. Collection
 // (the per-query collector fed by the accept loop) overlaps the protocol
 // phases of earlier queries; the serve loop runs queries one at a time on
-// the peer protocol link once their collector releases.
+// the peer protocol link once their collector releases. Once resolved, a
+// copy without the collector answers replays while in the replay window.
 type serveQuery struct {
 	qid       int
 	tenant    int64
 	epoch     int
-	cost      float64
 	col       *collector
 	announced time.Time
+	grant     *grantKey // nil for a pre-registered query
 
 	res  InstanceResult
 	done chan struct{} // closed exactly once, when res is final
@@ -38,7 +39,10 @@ type serveQuery struct {
 
 // ServeReport summarizes one S1 run.
 type ServeReport struct {
-	// Results holds one entry per registered query, in query order.
+	// Results holds one entry per pre-registered query (Instances), in
+	// query order. A query admitted on demand leaves no entry: its record
+	// is the journal (admission, query and spend events), Admissions and
+	// Tenants.
 	Results []InstanceResult
 	// Admissions counts admission decisions by label ("admitted",
 	// "budget-exhausted", "draining", "overloaded", "unavailable").
@@ -77,10 +81,11 @@ type serveState struct {
 	epoch      int
 	loaded     int // epochs with keys loaded: [0, loaded)
 	nextQID    int
-	queries    map[int]*serveQuery
-	grants     map[grantKey]*serveQuery
-	inflight   int
-	epochLive  map[int]int
+	queries    map[int]*serveQuery // registered, not yet resolved
+	past       map[int]*serveQuery // the replay window, oldest first in pastOrder
+	pastOrder  []int
+	grants     map[grantKey]*serveQuery // admissions in queries or past
+	batch      []InstanceResult         // the pre-registered queries' results
 	retired    map[int]bool
 	admitted   int // announced admissions: what RotateAfter counts
 	admissions map[string]int
@@ -206,8 +211,9 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		ledger:     ledger,
 		cost:       cost,
 		queries:    make(map[int]*serveQuery),
+		past:       make(map[int]*serveQuery),
 		grants:     make(map[grantKey]*serveQuery),
-		epochLive:  make(map[int]int),
+		batch:      make([]InstanceResult, opts.Instances),
 		retired:    make(map[int]bool),
 		admissions: make(map[string]int),
 		runnable:   make(chan *serveQuery),
@@ -219,13 +225,13 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	if st.cost == 0 && st.hasFiniteQuota() {
 		return nil, fmt.Errorf("deploy: tenant quotas need positive sigma1/sigma2 (accounting is off at zero noise)")
 	}
-	batch := make([]*serveQuery, opts.Instances)
-	for i := range batch {
+	pre := make([]*serveQuery, opts.Instances)
+	for i := range pre {
 		if err := ledger.Reserve(0, cost); err != nil {
 			return nil, fmt.Errorf("deploy: registering query %d: %w", i, err)
 		}
 		st.mu.Lock()
-		batch[i] = st.registerLocked(0)
+		pre[i] = st.registerLocked(0)
 		st.admitted++
 		st.mu.Unlock()
 		st.decide("admitted", 0, i)
@@ -265,7 +271,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		opts.maxInFlight(), opts.Instances, len(files), opts.MaxRetries)
 	// One watcher hands the pre-registered queries over in query order.
 	go func() {
-		for _, q := range batch {
+		for _, q := range pre {
 			st.watch(acceptCtx, q)
 		}
 	}()
@@ -321,8 +327,8 @@ func (st *serveState) collector(qid int) *collector {
 
 // userControl answers the control frames only S1's clients send: admission
 // requests and blocking result waits. A reply that cannot be delivered is
-// not an error — the client is gone, grants are idempotent and results stay
-// queryable.
+// not an error — the client is gone, and a replayed admit or result wait is
+// answered again while the query is in flight or in the replay window.
 func (st *serveState) userControl(ctx context.Context, conn transport.Conn, flags []int64) error {
 	switch {
 	case len(flags) >= 3 && flags[0] == ctrlAdmitRequest:
@@ -356,7 +362,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		st.mu.Unlock()
 		return st.refuse(admitDraining, tenant)
 	}
-	if st.inflight >= st.opts.maxInFlight() {
+	if len(st.queries) >= st.opts.maxInFlight() {
 		st.mu.Unlock()
 		return st.refuse(admitOverloaded, tenant)
 	}
@@ -377,7 +383,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 	// begun, or concurrent admissions filled the window, while this one was
 	// reserving.
 	st.mu.Lock()
-	if st.draining || st.inflight >= st.opts.maxInFlight() {
+	if st.draining || len(st.queries) >= st.opts.maxInFlight() {
 		status = admitOverloaded
 		if st.draining {
 			status = admitDraining
@@ -387,6 +393,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		return st.refuse(status, tenant)
 	}
 	q := st.registerLocked(tenant)
+	q.grant = &key
 	st.grants[key] = q
 	st.mu.Unlock()
 
@@ -399,8 +406,6 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		st.mu.Lock()
 		delete(st.queries, q.qid)
 		delete(st.grants, key)
-		st.inflight--
-		st.epochLive[q.epoch]--
 		st.mu.Unlock()
 		st.ledger.Unreserve(tenant, st.cost)
 		return st.refuse(admitUnavailable, tenant)
@@ -426,7 +431,7 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 
 // refuse records one typed refusal.
 func (st *serveState) refuse(status int64, tenant int64) (int64, int, int) {
-	st.decide(admitDecision(status), tenant, -1)
+	st.decide(admitStatuses[status].decision, tenant, -1)
 	return status, 0, 0
 }
 
@@ -448,7 +453,6 @@ func (st *serveState) registerLocked(tenant int64) *serveQuery {
 		qid:       st.nextQID,
 		tenant:    tenant,
 		epoch:     st.epoch,
-		cost:      st.cost,
 		col:       st.s.newCollector(st.rings[st.epoch]),
 		announced: time.Now(),
 		done:      make(chan struct{}),
@@ -456,8 +460,6 @@ func (st *serveState) registerLocked(tenant int64) *serveQuery {
 	q.res = InstanceResult{Instance: q.qid, Outcome: protocol.Outcome{Consensus: false, Label: -1}}
 	st.nextQID++
 	st.queries[q.qid] = q
-	st.inflight++
-	st.epochLive[q.epoch]++
 	return q
 }
 
@@ -530,9 +532,9 @@ loop:
 			}
 		case <-st.rotateKick:
 			st.rotate(ctx)
-		case <-st.external(st.opts.RotateCh):
+		case <-st.opts.RotateCh:
 			st.rotate(ctx)
-		case <-st.external(drainC):
+		case <-drainC:
 			drain()
 		case <-drainTimer:
 			st.opts.log(levelWarn, "S1 drain timeout; failing %d unresolved queries", st.inflightCount())
@@ -559,14 +561,9 @@ loop:
 	}
 
 	st.mu.Lock()
-	results := make([]InstanceResult, 0, len(st.queries))
-	for qid := 0; qid < st.nextQID; qid++ {
-		if q, ok := st.queries[qid]; ok {
-			results = append(results, q.res)
-		}
-	}
+	registered := st.nextQID
 	rep := &ServeReport{
-		Results:    results,
+		Results:    st.batch,
 		Admissions: make(map[string]int, len(st.admissions)),
 		Rotations:  st.rotations,
 		Epoch:      st.epoch,
@@ -577,27 +574,23 @@ loop:
 	commitErr := st.commitErr
 	st.mu.Unlock()
 	rep.Tenants = st.ledger.Spends()
-	st.opts.log(levelInfo, "S1 drained: %d queries, %d rotations, final epoch %d", len(rep.Results), rep.Rotations, rep.Epoch)
+	st.opts.log(levelInfo, "S1 drained: %d queries, %d rotations, final epoch %d", registered, rep.Rotations, rep.Epoch)
 	return rep, errors.Join(runErr, commitErr)
 }
-
-// external adapts a possibly-nil trigger channel for select (a nil
-// channel never fires).
-func (st *serveState) external(ch <-chan struct{}) <-chan struct{} { return ch }
 
 // drained reports whether the loop may exit: draining with nothing in
 // flight.
 func (st *serveState) drained() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.draining && st.inflight == 0
+	return st.draining && len(st.queries) == 0
 }
 
 // inflightCount returns the live admission count.
 func (st *serveState) inflightCount() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.inflight
+	return len(st.queries)
 }
 
 // beginDrain stops admission; in-flight queries keep running.
@@ -623,11 +616,12 @@ func (st *serveState) epochKeys(epoch int) protocol.KeysS1 {
 // resolve finalizes a query: ledger commit (SVT always — conservative,
 // protocol bytes may have flowed on any attempt — RNM only on a released
 // label), the spend journal records the soak replays, bookkeeping, and
-// the result broadcast to waiting clients.
+// the result broadcast to waiting clients. The collector goes with it: only
+// the replay window (and, if pre-registered, the report) keeps the result.
 func (st *serveState) resolve(q *serveQuery) {
 	released := q.res.Err == nil && q.res.Outcome.Consensus
 	cfg := st.s.cfg
-	eps, err := st.ledger.Commit(q.tenant, q.cost, cfg.Sigma1, cfg.Sigma2, released)
+	eps, err := st.ledger.Commit(q.tenant, st.cost, cfg.Sigma1, cfg.Sigma2, released)
 	if err != nil {
 		st.opts.log(levelWarn, "S1 ledger commit for query %d failed: %v", q.qid, err)
 		st.mu.Lock()
@@ -646,11 +640,34 @@ func (st *serveState) resolve(q *serveQuery) {
 			Note: fmt.Sprintf("rnm sigma=%g tenant=%d", cfg.Sigma2, q.tenant)})
 	}
 	st.mu.Lock()
-	st.inflight--
-	st.epochLive[q.epoch]--
+	st.rememberLocked(q)
+	if q.qid < len(st.batch) {
+		st.batch[q.qid] = q.res
+	}
 	st.mu.Unlock()
 	obs.ServeInflight("s1").Add(-1)
 	close(q.done)
+}
+
+// rememberLocked moves a resolved query from queries into the replay
+// window, as a copy without its collector, and forgets the window's oldest
+// entry, grant included, once the window is full. Callers hold st.mu.
+func (st *serveState) rememberLocked(q *serveQuery) {
+	past := &serveQuery{qid: q.qid, tenant: q.tenant, epoch: q.epoch, grant: q.grant, res: q.res, done: q.done}
+	delete(st.queries, q.qid)
+	st.past[q.qid] = past
+	if q.grant != nil {
+		st.grants[*q.grant] = past
+	}
+	st.pastOrder = append(st.pastOrder, q.qid)
+	if len(st.pastOrder) > st.opts.replayWindow() {
+		old := st.past[st.pastOrder[0]]
+		if old.grant != nil {
+			delete(st.grants, *old.grant)
+		}
+		delete(st.past, old.qid)
+		st.pastOrder = st.pastOrder[1:]
+	}
 }
 
 // failUnresolved resolves every still-open query with err (drain timeout
@@ -659,13 +676,9 @@ func (st *serveState) resolve(q *serveQuery) {
 // they still commit conservatively.
 func (st *serveState) failUnresolved(err error) (missing int) {
 	st.mu.Lock()
-	var open []*serveQuery
+	open := make([]*serveQuery, 0, len(st.queries))
 	for _, q := range st.queries {
-		select {
-		case <-q.done:
-		default:
-			open = append(open, q)
-		}
+		open = append(open, q)
 	}
 	st.mu.Unlock()
 	for _, q := range open {
@@ -680,11 +693,15 @@ func (st *serveState) failUnresolved(err error) (missing int) {
 
 // replyResult answers a result-wait: it blocks until the query resolves
 // (the client sends nothing else on the connection until the reply), then
-// reports the terminal status.
+// reports the terminal status. A query neither in flight nor in the replay
+// window is resultUnknown.
 func (st *serveState) replyResult(ctx context.Context, conn transport.Conn, qid64 int64) error {
 	qid := int(qid64)
 	st.mu.Lock()
 	q := st.queries[qid]
+	if q == nil {
+		q = st.past[qid]
+	}
 	st.mu.Unlock()
 	if q == nil {
 		return transport.SendControl(ctx, conn, ctrlResultReply, qid64, resultUnknown, -1, 0)
@@ -750,11 +767,12 @@ func (st *serveState) rotate(ctx context.Context) {
 	}
 	st.epoch = next
 	st.rotations++
+	draining := len(st.queries) // all under older epochs
 	st.mu.Unlock()
 	obs.ServeEpoch("s1").Set(float64(next))
 	st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventEpoch, Instance: -1,
 		Note: fmt.Sprintf("committed epoch=%d", next)})
-	st.opts.log(levelInfo, "S1 rotated to epoch %d; epoch %d drains %d in-flight queries", next, next-1, st.epochLiveCount(next-1))
+	st.opts.log(levelInfo, "S1 rotated to epoch %d; %d in-flight queries drain under older epochs", next, draining)
 
 	if _, err := st.ctl.roundTrip(ctx, ctrlEpochAck, ctrlEpochCommit, int64(next)); err != nil {
 		// S2 learns epochs authoritatively from announces; the commit
@@ -764,22 +782,19 @@ func (st *serveState) rotate(ctx context.Context) {
 	st.maybeRetire(ctx)
 }
 
-// epochLiveCount returns the in-flight count of one epoch.
-func (st *serveState) epochLiveCount(epoch int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.epochLive[epoch]
-}
-
 // maybeRetire zeroizes every pre-current epoch whose last in-flight query
 // has resolved, telling S2 to do the same. Admission can no longer grant
 // into those epochs (grants only use the current one), so retirement is
 // final.
 func (st *serveState) maybeRetire(ctx context.Context) {
 	st.mu.Lock()
+	live := make(map[int]bool)
+	for _, q := range st.queries {
+		live[q.epoch] = true
+	}
 	var retire []int
 	for e := 0; e < st.epoch; e++ {
-		if e < st.loaded && !st.retired[e] && st.epochLive[e] == 0 {
+		if e < st.loaded && !st.retired[e] && !live[e] {
 			st.retired[e] = true
 			retire = append(retire, e)
 		}

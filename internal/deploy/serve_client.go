@@ -165,8 +165,9 @@ func (c *ServeClient) admit(ctx context.Context, nonce int64) (qid, epoch int, e
 	return int(reply[1]), int(reply[2]), nil
 }
 
-// await blocks on the query's result; the wait is idempotent (results
-// stay queryable), so a dropped connection simply re-asks.
+// await blocks on the query's result; the wait is idempotent (S1 answers
+// it from its replay window once the query resolved), so a dropped
+// connection simply re-asks.
 func (c *ServeClient) await(ctx context.Context, qid, epoch int) (*ServeResult, error) {
 	var reply []int64
 	_, err := c.exchange(ctx, "result", "result", c.opts.S1Addr, func(actx context.Context, conn transport.Conn) error {
@@ -195,7 +196,7 @@ func (c *ServeClient) await(ctx context.Context, qid, epoch int) (*ServeResult, 
 	case resultQuorumMiss:
 		return res, fmt.Errorf("deploy: query %d: %w", qid, protocol.ErrQuorumNotMet)
 	case resultUnknown:
-		return res, fmt.Errorf("deploy: query %d unknown to the server", qid)
+		return res, fmt.Errorf("deploy: query %d is neither in flight nor among S1's recently resolved queries; its outcome is in S1's journal", qid)
 	default:
 		return res, fmt.Errorf("deploy: query %d after %d attempts: %w", qid, res.Attempts, ErrQueryFailed)
 	}

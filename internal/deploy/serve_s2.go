@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,13 +20,14 @@ import (
 // frames (query ID in the instance slot) trigger protocol runs. User and
 // relay submissions arrive on the accept loop keyed by query ID.
 
-// s2Query is one registered query's state on S2.
+// s2Query is one registered query's state on S2, held until S1 begins
+// another query after it (or the run ends).
 type s2Query struct {
 	qid       int
-	tenant    int64
 	epoch     int
 	col       *collector
 	announced time.Time
+	ran       bool // an attempt ended here: the in-flight gauge no longer counts it
 }
 
 // s2Epoch is one epoch's loaded material on S2.
@@ -48,18 +48,19 @@ type serveS2 struct {
 	retired    map[int]bool
 	wantRetire map[int]bool
 	queries    map[int]*s2Query
-	results    map[int]InstanceResult
+	begun      *s2Query         // the query of the last begin frame
+	batch      []InstanceResult // the pre-registered queries' results
 	draining   bool
 }
 
 // ServeS2 is S2's one run. It registers queries 0..opts.Instances-1 under
 // epoch 0, as S1 does, before it accepts a connection, registers the
 // queries S1 announces on the ctl link, runs S2's side of every query S1
-// begins, and returns its own verdict per query once S1 ends the session
-// (or ctx ends). files[0] is the initial epoch; later entries are the
-// pre-provisioned rotation epochs, loaded on demand when S1 prepares or
-// announces into them. Every epoch's private material is zeroized in place
-// on the way out.
+// begins, and returns its own verdict per pre-registered query once S1
+// ends the session (or ctx ends). files[0] is the initial epoch; later
+// entries are the pre-provisioned rotation epochs, loaded on demand when S1
+// prepares or announces into them. Every epoch's private material is
+// zeroized in place on the way out.
 func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (*Report, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("deploy: need at least one epoch key file")
@@ -91,14 +92,16 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 		retired:    make(map[int]bool),
 		wantRetire: make(map[int]bool),
 		queries:    make(map[int]*s2Query),
-		results:    make(map[int]InstanceResult),
+		batch:      make([]InstanceResult, opts.Instances),
 	}
 	defer st.closeEpochs()
 	if err := st.ensureEpoch(0); err != nil {
 		return nil, err
 	}
-	for qid := 0; qid < opts.Instances; qid++ {
-		if err := st.announce(qid, 0, 0); err != nil {
+	for qid := range st.batch {
+		st.batch[qid] = InstanceResult{Instance: qid, Outcome: protocol.Outcome{Label: -1},
+			Err: fmt.Errorf("deploy: s2 query %d never completed: %w", qid, errPeerGone)}
+		if err := st.announce(qid, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -141,7 +144,7 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 	if drainCtx.Err() != nil {
 		err = nil // drained or cancelled: the report stands
 	}
-	return st.report(), err
+	return &Report{Results: st.batch}, err
 }
 
 // closeEpochs zeroizes every still-open epoch's keys.
@@ -209,7 +212,7 @@ func (st *serveS2) finishRetireLocked(e int) {
 // announce registers a query, announced by S1 or pre-registered
 // (idempotent — a re-announce after a lost ack returns success without a
 // second registration).
-func (st *serveS2) announce(qid int, epoch int, tenant int64) error {
+func (st *serveS2) announce(qid, epoch int) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.queries[qid]; ok {
@@ -218,8 +221,7 @@ func (st *serveS2) announce(qid int, epoch int, tenant int64) error {
 	if err := st.ensureEpochLocked(epoch); err != nil {
 		return err
 	}
-	st.queries[qid] = &s2Query{qid: qid, tenant: tenant, epoch: epoch,
-		col: st.s.newCollector(st.epochs[epoch].ring), announced: time.Now()}
+	st.queries[qid] = &s2Query{qid: qid, epoch: epoch, col: st.s.newCollector(st.epochs[epoch].ring), announced: time.Now()}
 	obs.ServeInflight("s2").Add(1)
 	return nil
 }
@@ -271,7 +273,7 @@ func (st *serveS2) ctlServe(ctx context.Context, conn transport.Conn, drained fu
 				return fmt.Errorf("deploy: short announce frame %v", msg.Flags)
 			}
 			status := int64(0)
-			if err := st.announce(int(arg), int(msg.Flags[2]), msg.Flags[3]); err != nil {
+			if err := st.announce(int(arg), int(msg.Flags[2])); err != nil {
 				st.opts.log(levelWarn, "S2 refusing announced query %d: %v", arg, err)
 				status = 1
 			}
@@ -338,12 +340,23 @@ func (st *serveS2) collector(qid int) *collector {
 // at most one attempt timeout — for the local collector to fill or the
 // submit window to lapse (mirroring S1's watcher), pins the query's epoch
 // and runs the attempt. It returns false when the connection must be
-// discarded.
+// discarded. S1 runs one query at a time, retries included, and never
+// begins a resolved one again: a begin for another query than the last one
+// begun means S1 is done with that one, and S2 forgets it.
 func (st *serveS2) runServeQuery(ctx context.Context, peer transport.Conn, f sessionFrame, rng io.Reader) bool {
 	opts := st.opts
 	qid := f.instance
 	st.mu.Lock()
 	q := st.queries[qid]
+	if prev := st.begun; q != nil && prev != nil && prev != q {
+		delete(st.queries, prev.qid)
+		if !prev.ran {
+			obs.ServeInflight("s2").Add(-1)
+		}
+	}
+	if q != nil {
+		st.begun = q
+	}
 	st.mu.Unlock()
 	if q == nil {
 		// The announce ack was delivered before any begin frame can name
@@ -376,7 +389,7 @@ func (st *serveS2) runServeQuery(ctx context.Context, peer transport.Conn, f ses
 	}()
 
 	res := st.s.followQuery(ctx, opts.ServerOptions, rng, ep.keys, peer, f, q.col)
-	st.setResult(qid, res)
+	st.setResult(q, res)
 	keep := linkClean(res.Err)
 	if !keep {
 		opts.log(levelWarn, "S2 query %d attempt failed, awaiting replay: %v", qid, res.Err)
@@ -384,43 +397,23 @@ func (st *serveS2) runServeQuery(ctx context.Context, peer transport.Conn, f ses
 	return keep
 }
 
-// setResult records a query's freshest local result.
-func (st *serveS2) setResult(qid int, res InstanceResult) {
+// setResult records the end of an attempt: the first one takes the query
+// off the in-flight gauge, and a pre-registered query's result goes into
+// the report.
+func (st *serveS2) setResult(q *s2Query, res InstanceResult) {
 	st.mu.Lock()
-	prev, seen := st.results[qid]
-	if !seen {
+	defer st.mu.Unlock()
+	if !q.ran {
+		q.ran = true
 		obs.ServeInflight("s2").Add(-1)
 	}
-	if seen && prev.Err == nil && res.Err != nil {
+	if q.qid >= len(st.batch) {
+		return
+	}
+	if prev := st.batch[q.qid]; prev.Err == nil && res.Err != nil {
 		// A completed outcome is never downgraded by a later failed replay.
 		res = prev
 		res.Attempts++
 	}
-	st.results[qid] = res
-	st.mu.Unlock()
-}
-
-// report assembles the per-query report in query order. Registered queries
-// that never ran locally appear with an error entry.
-func (st *serveS2) report() *Report {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	qids := make([]int, 0, len(st.queries))
-	for qid := range st.queries {
-		qids = append(qids, qid)
-	}
-	sort.Ints(qids)
-	results := make([]InstanceResult, 0, len(qids))
-	for _, qid := range qids {
-		if res, ok := st.results[qid]; ok {
-			results = append(results, res)
-			continue
-		}
-		results = append(results, InstanceResult{
-			Instance: qid,
-			Outcome:  protocol.Outcome{Consensus: false, Label: -1},
-			Err:      fmt.Errorf("deploy: s2 query %d never completed: %w", qid, errPeerGone),
-		})
-	}
-	return &Report{Results: results}
+	st.batch[q.qid] = res
 }

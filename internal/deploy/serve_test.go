@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -199,9 +200,10 @@ func TestRotateAfterCountsAnnouncedAdmissions(t *testing.T) {
 // pipelined admission (a second query completes while the first is still
 // collecting), the admission window (a third admit while two queries are in
 // flight is refused with the typed overloaded status, and granted once one
-// resolves), /healthz readiness transitions, the drain handshake (stop
-// admitting, finish in-flight queries, flush state) and journal
-// integrity with no torn tail.
+// resolves), the replay window (a resolved query's admit and result wait
+// replay as answered, its uploads are unknown-query), /healthz readiness
+// transitions, the drain handshake (stop admitting, finish in-flight
+// queries, flush state) and journal integrity with no torn tail.
 func TestServeGracefulShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve deployment test is slow in -short mode")
@@ -214,6 +216,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
+	failedBefore := obs.Default.CounterValue("queries_failed_total", obs.L("role", "s1"))
 
 	drainCh := make(chan struct{})
 	s1Ready := make(chan string, 1)
@@ -318,6 +321,21 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatalf("query B while A in flight: reply %v, err %v, want consensus on label 1", reply, err)
 	}
 
+	// B has resolved and S1 has forgotten its collector, but the replay
+	// window still answers a replayed admit with the original grant and a
+	// replayed result wait with the result.
+	if status, qid, epoch := admitRaw(ctx, t, connB1, 2, 2001); status != admitOK || qid != qidB || epoch != epochB {
+		t.Fatalf("admission replay after B resolved = (%d, qid %d, epoch %d), want the original grant (0, qid %d, epoch %d)",
+			status, qid, epoch, qidB, epochB)
+	}
+	if err := transport.SendControl(ctx, connB1, ctrlResultWait, int64(qidB)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := transport.ExpectControl(ctx, connB1, ctrlResultReply); err != nil ||
+		len(reply) < 4 || reply[1] != resultConsensus || reply[2] != 1 {
+		t.Fatalf("result wait replayed after B resolved: reply %v, err %v, want consensus on label 1", reply, err)
+	}
+
 	// B resolved, so the window has room again: the refused tenant is
 	// admitted and its query runs to completion beside the still-open A.
 	resC, err := clientC.Do(ctx, votes)
@@ -326,6 +344,13 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if !resC.Consensus || resC.Label != 1 || resC.QID == qidA || resC.QID == qidB {
 		t.Fatalf("query C outcome %+v, want consensus on label 1 under a fresh query ID", resC)
+	}
+	// S1 began C after B, so S2 has forgotten B too: a late upload for B
+	// is unknown-query on both servers.
+	unknownBefore := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query"))
+	uploadQueryRaw(ctx, t, cfg, pubs[epochB], qidB, 2, testRNG(635), mrand.New(mrand.NewSource(636)), connB1, connB2)
+	if got := obs.Default.CounterValue("privconsensus_submissions_rejected_total", obs.L("reason", "unknown-query")) - unknownBefore; got != 2*users {
+		t.Fatalf("%d uploads for resolved query B counted as unknown-query, want %d (both servers forgot it)", got, 2*users)
 	}
 
 	// Drain with A still in flight: admission must refuse with the typed
@@ -368,13 +393,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if r2.err != nil {
 		t.Fatalf("S2 serve: %v", r2.err)
 	}
-	if got := len(r1.rep.Results); got != 3 {
-		t.Fatalf("S1 report has %d results, want 3 (the overloaded refusals registered nothing)", got)
+	if len(r1.rep.Results) != 0 || len(r2.rep.Results) != 0 {
+		t.Errorf("reports list %d / %d queries; a run with no pre-registered query lists none", len(r1.rep.Results), len(r2.rep.Results))
 	}
-	for _, res := range r1.rep.Results {
-		if res.Err != nil {
-			t.Errorf("query %d failed under graceful drain: %v", res.Instance, res.Err)
-		}
+	if got := obs.Default.CounterValue("queries_failed_total", obs.L("role", "s1")) - failedBefore; got != 0 {
+		t.Errorf("%d queries failed under graceful drain", got)
 	}
 	if got := r1.rep.Admissions["admitted"]; got != 3 {
 		t.Errorf("admitted count %d, want 3", got)
@@ -549,7 +572,8 @@ func TestServeBudgetRefusal(t *testing.T) {
 // configured user or not at all. Two of three users upload, and the query
 // is still collecting well past the attempt timeout. Drained then, it fails
 // with ErrDraining at the drain timeout; joined by the third user instead,
-// it runs over all three.
+// it runs over all three. The query was admitted, so the reply and S1's
+// journal are its record.
 func TestServeWaitsForEveryoneByDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve deployment test is slow in -short mode")
@@ -564,9 +588,10 @@ func TestServeWaitsForEveryoneByDefault(t *testing.T) {
 			base := ServerOptions{ListenAddr: "127.0.0.1:0", AttemptTimeout: 500 * time.Millisecond}
 			s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
 			s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
+			journal := filepath.Join(t.TempDir(), "s1.jsonl")
 			go func() {
 				o := base
-				o.Seed, o.Ready = 1011, s1Ready
+				o.Seed, o.Ready, o.JournalPath = 1011, s1Ready, journal
 				rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: o, DrainCh: drainCh})
 				s1Done <- s1ServeResult{rep, err}
 			}()
@@ -613,15 +638,22 @@ func TestServeWaitsForEveryoneByDefault(t *testing.T) {
 			if r1.err != nil || r2.err != nil {
 				t.Fatalf("servers failed: s1=%v s2=%v", r1.err, r2.err)
 			}
-			if len(r1.rep.Results) != 1 {
-				t.Fatalf("S1 reports %d queries, want 1", len(r1.rep.Results))
+			evs, err := obs.ReadJournalFile(journal)
+			if err != nil {
+				t.Fatal(err)
 			}
-			res := r1.rep.Results[0]
+			var quorum []string // the participant decisions S1 journaled for the query
+			for _, ev := range evs {
+				if ev.Type == obs.EventQuorum && ev.Instance == qid {
+					quorum = append(quorum, ev.Note)
+				}
+			}
+			want := fmt.Sprintf("participants=%d dropped=0 quorum=1", users)
 			switch {
-			case thirdUploads && (reply[1] != resultConsensus || reply[2] != 2 || res.Err != nil || res.Participants != users):
-				t.Errorf("with every user: reply %v, S1 result %+v; want consensus on 2 over all %d users", reply, res, users)
-			case !thirdUploads && (reply[1] != resultFailed || !errors.Is(res.Err, ErrDraining)):
-				t.Errorf("drained with a user missing: reply %v, S1 result %+v; want the query failed with ErrDraining", reply, res)
+			case thirdUploads && (reply[1] != resultConsensus || reply[2] != 2 || len(quorum) != 1 || quorum[0] != want):
+				t.Errorf("with every user: reply %v, S1 journaled %q; want consensus on 2 over all %d users", reply, quorum, users)
+			case !thirdUploads && (reply[1] != resultFailed || len(quorum) != 0):
+				t.Errorf("drained with a user missing: reply %v, S1 journaled %q; want the query failed by the drain, never run", reply, quorum)
 			}
 		})
 	}
@@ -677,5 +709,69 @@ func TestServeHonoursInstances(t *testing.T) {
 				t.Errorf("%s query %d: %+v, want query %d with consensus on label %d", role, i, res, i, labels[i])
 			}
 		}
+	}
+}
+
+// TestServeForgetsResolvedQueries holds a long-running pair's memory flat:
+// one client serves 1,000 queries through one pair, and the live heap
+// after a collection at query 1,000 is within 1 MB of the one at query
+// 200. S1 keeps a query's collector only while it is in flight and S2
+// until S1 begins the next query; what stays per resolved query is S1's
+// bounded replay window.
+func TestServeForgetsResolvedQueries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serve deployment test is slow in -short mode")
+	}
+	const users, total, mark = 2, 1000, 200
+	s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, 2, 1.5)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	drainCh := make(chan struct{})
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
+	go func() {
+		rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: ServerOptions{
+			ListenAddr: "127.0.0.1:0", Seed: 911, Ready: s1Ready,
+		}, DrainCh: drainCh})
+		s1Done <- s1ServeResult{rep, err}
+	}()
+	s1Addr := <-s1Ready
+	go func() {
+		rep, err := ServeS2(ctx, s2Files, ServeOptions{ServerOptions: ServerOptions{
+			ListenAddr: "127.0.0.1:0", PeerAddr: s1Addr, Seed: 912, Ready: s2Ready,
+		}})
+		s2Done <- s2ServeResult{rep, err}
+	}()
+	s2Addr := <-s2Ready
+
+	client, err := NewServeClient(pubs, ServeClientOptions{Tenant: 1, S1Addr: s1Addr, S2Addr: s2Addr, Seed: 921})
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes := [][]float64{oneHot(cfg.Classes, 1), oneHot(cfg.Classes, 1)}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	var atMark int64
+	for q := 1; q <= total; q++ {
+		if _, err := client.Do(ctx, votes); err != nil {
+			t.Fatalf("query %d: %v", q, err)
+		}
+		if q == mark {
+			atMark = liveHeap()
+		}
+	}
+	grown := liveHeap() - atMark
+	close(drainCh)
+	if r1, r2 := <-s1Done, <-s2Done; r1.err != nil || r2.err != nil {
+		t.Fatalf("servers failed: s1 %v, s2 %v", r1.err, r2.err)
+	}
+	t.Logf("live heap grew %.2f MB from query %d to query %d", float64(grown)/(1<<20), mark, total)
+	if grown > 1<<20 {
+		t.Errorf("live heap grew %.2f MB from query %d to query %d, want at most 1 MB: a resolved query is still held",
+			float64(grown)/(1<<20), mark, total)
 	}
 }

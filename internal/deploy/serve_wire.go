@@ -93,40 +93,25 @@ var (
 	ErrQueryFailed = errors.New("deploy: query failed after exhausting retries")
 )
 
-// admitError maps a typed admission status to its error (nil for admitOK).
-func admitError(status int64) error {
-	switch status {
-	case admitOK:
-		return nil
-	case admitBudgetExhausted:
-		return ErrBudgetExhausted
-	case admitDraining:
-		return ErrDraining
-	case admitOverloaded:
-		return ErrOverloaded
-	case admitUnavailable:
-		return ErrServeUnavailable
-	default:
-		return fmt.Errorf("deploy: unknown admission status %d", status)
-	}
+// admitStatuses names every admission status: its metric and journal
+// label, and the error a client gets for it (nil for admitOK).
+var admitStatuses = map[int64]struct {
+	decision string
+	err      error
+}{
+	admitOK:              {"admitted", nil},
+	admitBudgetExhausted: {"budget-exhausted", ErrBudgetExhausted},
+	admitDraining:        {"draining", ErrDraining},
+	admitOverloaded:      {"overloaded", ErrOverloaded},
+	admitUnavailable:     {"unavailable", ErrServeUnavailable},
 }
 
-// admitDecision is the metric/journal label of an admission status.
-func admitDecision(status int64) string {
-	switch status {
-	case admitOK:
-		return "admitted"
-	case admitBudgetExhausted:
-		return "budget-exhausted"
-	case admitDraining:
-		return "draining"
-	case admitOverloaded:
-		return "overloaded"
-	case admitUnavailable:
-		return "unavailable"
-	default:
-		return "unknown"
+// admitError maps a typed admission status to its error (nil for admitOK).
+func admitError(status int64) error {
+	if st, ok := admitStatuses[status]; ok {
+		return st.err
 	}
+	return fmt.Errorf("deploy: unknown admission status %d", status)
 }
 
 // ServeOptions configures one server run (ServeS1, ServeS2). The embedded
@@ -183,6 +168,13 @@ func (o ServeOptions) maxInFlight() int {
 	}
 	return 4
 }
+
+// replayWindow is how many resolved queries S1 still answers a replayed
+// admit or result wait for, oldest forgotten first: 64 turnovers of the
+// admission window, far more than resolve while a client backs off to
+// replay a lost reply. A result wait beyond it is answered resultUnknown;
+// an admit replayed beyond it is a new admission.
+func (o ServeOptions) replayWindow() int { return 64 * o.maxInFlight() }
 
 // drainTimeout returns the drain bound with its default.
 func (o ServeOptions) drainTimeout() time.Duration {

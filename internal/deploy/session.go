@@ -194,7 +194,7 @@ type InstanceResult struct {
 	Err error
 }
 
-// Report is the full result of a server run: one entry per query, in
+// Report is S2's result of a run: one entry per pre-registered query, in
 // query order, each either succeeded or cleanly failed.
 type Report struct {
 	Results []InstanceResult

@@ -160,8 +160,8 @@ func runWithLoadedKeys(t *testing.T, cfg protocol.Config, s1 *S1File, s2 *S2File
 }
 
 // Key files written while protocol.Config still carried the worker bound
-// hold that field in their config. They still load — the field is ignored —
-// and run.
+// and the absolute-threshold switch hold those fields in their config. They
+// still load — the fields are ignored — and run.
 func TestOldKeyFilesWithWorkerBoundLoad(t *testing.T) {
 	var s1 S1File
 	var s2 S2File
@@ -182,8 +182,8 @@ func TestOldKeyFilesWithWorkerBoundLoad(t *testing.T) {
 				stale++
 			}
 		}
-		if stale != 1 {
-			t.Fatalf("%s config has %d fields Config lacks, want the one worker bound", path, stale)
+		if stale != 2 {
+			t.Fatalf("%s config has %d fields Config lacks, want the worker bound and AbsoluteThreshold", path, stale)
 		}
 		if err := Load(path, v); err != nil {
 			t.Fatalf("load %s: %v", path, err)

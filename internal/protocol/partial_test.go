@@ -25,8 +25,9 @@ func maskSubmissions(subs []*Submission, keep []int) []*Submission {
 	return out
 }
 
-// Fraction mode: with 4 of 6 users present and 3 of them voting class 1,
-// the threshold re-scales to 0.6*4 = 2.4 votes, so consensus is reached.
+// With 4 of 6 users present and 3 of them voting class 1, the threshold
+// re-scales to 0.6*4 = 2.4 votes, so consensus is reached (it would miss the
+// full-population threshold 0.6*6 = 3.6).
 func TestPartialParticipationFractionMode(t *testing.T) {
 	cfg := testConfig(6)
 	cfg.Sigma1, cfg.Sigma2 = 0, 0
@@ -51,35 +52,6 @@ func TestPartialParticipationFractionMode(t *testing.T) {
 	}
 	if out.Participants != len(participants) {
 		t.Fatalf("Participants = %d, want %d", out.Participants, len(participants))
-	}
-}
-
-// Absolute mode: the same 3-of-4 subset fails the full-population threshold
-// 0.6*6 = 3.6 votes.
-func TestPartialParticipationAbsoluteMode(t *testing.T) {
-	cfg := testConfig(6)
-	cfg.Sigma1, cfg.Sigma2 = 0, 0
-	cfg.ThresholdFrac = 0.6
-	cfg.AbsoluteThreshold = true
-	keys, err := GenerateKeys(testRNG(32), cfg)
-	if err != nil {
-		t.Fatalf("GenerateKeys: %v", err)
-	}
-	votes := [][]*big.Int{
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 3), // dropped
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 1),
-		oneHotVotes(cfg.Classes, 3), // dropped
-		oneHotVotes(cfg.Classes, 0),
-	}
-	subs, _ := buildAll(t, cfg, keys, votes, 33)
-	out := runInstance(t, cfg, keys, maskSubmissions(subs, []int{0, 2, 3, 5}), nil)
-	if out.Consensus {
-		t.Fatalf("outcome = %+v, want no consensus under absolute threshold", out)
-	}
-	if out.Participants != 4 {
-		t.Fatalf("Participants = %d, want 4", out.Participants)
 	}
 }
 
@@ -127,24 +99,21 @@ func TestPartialParticipationMatchesPlainReference(t *testing.T) {
 	}
 }
 
-// ParticipantThresholdUnits at full participation equals ThresholdUnits in
-// both modes, so the adjustment delta is zero and the wire is untouched.
+// ParticipantThresholdUnits at full participation equals ThresholdUnits, so
+// the adjustment delta is zero and the wire is untouched.
 func TestThresholdAdjustmentZeroAtFullParticipation(t *testing.T) {
-	for _, abs := range []bool{false, true} {
-		cfg := testConfig(9)
-		cfg.ThresholdFrac = 0.61
-		cfg.AbsoluteThreshold = abs
-		all := make([]int, cfg.Users)
-		for i := range all {
-			all[i] = i
-		}
-		delta, err := cfg.thresholdAdjustment(all)
-		if err != nil {
-			t.Fatalf("abs=%v: %v", abs, err)
-		}
-		if delta.Sign() != 0 {
-			t.Fatalf("abs=%v: delta = %v at full participation, want 0", abs, delta)
-		}
+	cfg := testConfig(9)
+	cfg.ThresholdFrac = 0.61
+	all := make([]int, cfg.Users)
+	for i := range all {
+		all[i] = i
+	}
+	delta, err := cfg.thresholdAdjustment(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Sign() != 0 {
+		t.Fatalf("delta = %v at full participation, want 0", delta)
 	}
 }
 

@@ -87,14 +87,6 @@ type Config struct {
 	PaillierBits int
 	// DGK parameterizes the comparison cryptosystem.
 	DGK dgk.Params
-	// AbsoluteThreshold keeps the consensus threshold T at
-	// ThresholdFrac*Users even when a query runs over a partial
-	// participant set (nil entries in the submission slice). The default
-	// (false) re-scales T to ThresholdFrac*|participants|, preserving the
-	// paper's fraction-of-voters semantics under dropout. At full
-	// participation the two modes are byte-for-byte identical on the wire:
-	// the post-decryption adjustment both modes apply is exactly zero.
-	AbsoluteThreshold bool
 	// ThresholdAllPositions runs the DGK threshold check at every
 	// permuted position rather than only at pi(i*). This matches the
 	// traffic ratios of the paper's Table II and avoids revealing
@@ -386,14 +378,10 @@ func (c Config) PerUserOffset(user int) (*big.Int, error) {
 }
 
 // ParticipantThresholdUnits returns T in vote units for a query answered by
-// `participants` users, per the configured threshold mode: in absolute mode
-// T stays at ThresholdUnits() regardless of participation; otherwise it
-// scales to ThresholdFrac of the participants who actually showed up.
+// `participants` users: ThresholdFrac of the participants who actually
+// showed up, the paper's fraction-of-voters semantics under dropout.
 // Rounded to the nearest even integer so T/2 is exact.
 func (c Config) ParticipantThresholdUnits(participants int) *big.Int {
-	if c.AbsoluteThreshold {
-		return c.ThresholdUnits()
-	}
 	t := int64(math.Round(c.ThresholdFrac * float64(participants) * VoteScale / 2))
 	return big.NewInt(2 * t)
 }
@@ -404,8 +392,8 @@ func (c Config) ParticipantThresholdUnits(participants int) *big.Int {
 // The DGK threshold comparison natively decides c_P + 2*Z1 >= 2*O_P; S1
 // subtracting delta from its decrypted threshold sequence while S2 adds it
 // shifts the decision to c_P + 2*Z1 >= 2*H exactly. At full participation
-// O_P = T/2 and delta = 0 in both threshold modes, so the full-participation
-// wire format is untouched.
+// O_P = T/2 and delta = 0, so the full-participation wire format is
+// untouched.
 func (c Config) thresholdAdjustment(participants []int) (*big.Int, error) {
 	h := new(big.Int).Rsh(c.ParticipantThresholdUnits(len(participants)), 1)
 	op := new(big.Int)
