@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check cross test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare obs-smoke ci
+.PHONY: build vet fmt-check cross test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare experiments obs-smoke ci
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,19 @@ bench-e2e:
 bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<runset.json> B=<runset.json>"; exit 2; }
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The accuracy tables and figures at the quick profile (cmd/experiments
+# defaults), one file per experiment id, so two commits' outputs can be
+# diffed: make experiments OUT=/tmp/a (about 10 s).
+EXPERIMENT_IDS = table3 fig2 fig3 fig4 fig5 fig6 fig3eps
+experiments:
+	@test -n "$(OUT)" || { echo "usage: make experiments OUT=<dir>"; exit 2; }
+	@mkdir -p $(OUT)
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+		$(GO) build -o "$$bin/experiments" ./cmd/experiments && \
+		for id in $(EXPERIMENT_IDS); do \
+			echo "$(OUT)/$$id.txt"; "$$bin/experiments" $$id > $(OUT)/$$id.txt || exit 1; \
+		done
 
 # End-to-end observability smoke test: two real server processes with the
 # admin endpoint enabled, one full query, then scrape /metrics and /healthz.

@@ -10,6 +10,10 @@
 //
 //	trace -verify s1.jsonl s2.jsonl
 //
+// A journal that outgrew its size limit was rotated to s1.jsonl.1,
+// s1.jsonl.2, …; naming s1.jsonl reads and verifies those segments, oldest
+// first, and the live file as one chain.
+//
 // Export a Chrome trace-event file (load it in chrome://tracing or Perfetto):
 //
 //	trace -chrome run.json s1.jsonl s2.jsonl

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,6 +133,46 @@ func TestRunVerify(t *testing.T) {
 	}
 	if err := run([]string{"-verify", s1, s2}, &bytes.Buffer{}); err == nil {
 		t.Error("verify accepted a tampered journal")
+	}
+}
+
+// TestRunVerifySegments verifies a rotated journal as one chain: its
+// segments <path>.1, <path>.2, oldest first, then the live file. A missing
+// middle segment breaks the chain.
+func TestRunVerifySegments(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestJournal(t, dir, "s1", "t-00000000000000aa")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	if len(lines) < 3 {
+		t.Fatalf("test journal has %d records, want at least 3", len(lines))
+	}
+	// Split the chain as rotation does: oldest records in <path>.1.
+	for name, part := range map[string][][]byte{
+		path + ".1": lines[:1],
+		path + ".2": lines[1:2],
+		path:        lines[2:],
+	} {
+		if err := os.WriteFile(name, bytes.Join(part, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-verify", path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s: %d records, chain OK", path, len(lines)); !strings.Contains(buf.String(), want) {
+		t.Fatalf("verify printed\n%s\nwant %q", buf.String(), want)
+	}
+	if err := os.Remove(path + ".2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-verify", path}, &bytes.Buffer{}); err == nil {
+		t.Error("verify accepted a journal with a segment missing")
 	}
 }
 

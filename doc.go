@@ -18,7 +18,11 @@
 //     deployment's two servers (cmd/server), started on loopback per call.
 //   - Accountant / PlanNoise do the Rényi-DP arithmetic of Theorem 5.
 //   - RunPATE simulates the semi-supervised knowledge-transfer pipeline
-//     (teachers, consensus labeling, student training) on synthetic data.
+//     (teachers, consensus labeling, student training) on synthetic data:
+//     one K-class decision per query for mnist and svhn, one two-class
+//     decision per attribute for celeba. VoteType and SelfTrain apply to
+//     the multiclass task; the noisy-argmax baseline draws only Sigma2, so
+//     its ε does not depend on Sigma1.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.

@@ -50,7 +50,6 @@ type serveS2 struct {
 	queries    map[int]*s2Query
 	begun      *s2Query         // the query of the last begin frame
 	batch      []InstanceResult // the pre-registered queries' results
-	draining   bool
 }
 
 // ServeS2 is S2's one run. It registers queries 0..opts.Instances-1 under
@@ -297,9 +296,6 @@ func (st *serveS2) ctlServe(ctx context.Context, conn transport.Conn, drained fu
 			st.retire(int(arg))
 			reply = &transport.Message{Kind: transport.KindControl, Flags: []int64{ctrlEpochAck, arg, 0}}
 		case ctrlServeDrain:
-			st.mu.Lock()
-			st.draining = true
-			st.mu.Unlock()
 			st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventEpoch, Instance: -1, Note: "draining"})
 			reply = &transport.Message{Kind: transport.KindControl, Flags: []int64{ctrlEpochAck, 0, 0}}
 			drained()

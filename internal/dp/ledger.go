@@ -224,8 +224,8 @@ func (l *Ledger) releaseLocked(tenant int64, cost float64) {
 	}
 }
 
-// Commit records the actual spend of one finished query — the SVT check
-// when sigma1 > 0, the RNM release when released and sigma2 > 0 — releases
+// Commit records one finished query and, when released, its label — at the
+// SVT cost when sigma1 > 0 and the RNM cost when sigma2 > 0 — releases
 // the query's reservation of cost, persists the ledger and returns the
 // tenant's committed ε at the ledger's δ. A closed durable ledger refuses
 // the spend (it would race whichever ledger now owns the path); otherwise
@@ -243,11 +243,17 @@ func (l *Ledger) Commit(tenant int64, cost, sigma1, sigma2 float64, released boo
 		err = fmt.Errorf("dp: ledger %s is closed", l.path)
 	} else {
 		l.tenants[tenant] = acct
+		// Every query and release counts; a zero sigma adds no cost.
 		if sigma1 > 0 {
 			_ = acct.AddSVT(sigma1) // fails only on sigma <= 0
+		} else {
+			acct.svtCount++
 		}
-		if released && sigma2 > 0 {
+		switch {
+		case released && sigma2 > 0:
 			_ = acct.AddRNM(sigma2)
+		case released:
+			acct.rnmCount++
 		}
 		l.releaseLocked(tenant, cost)
 		err = l.persistLocked()

@@ -111,6 +111,67 @@ func TestLedgerCommitMatchesAccountant(t *testing.T) {
 	}
 }
 
+// A zero sigma makes a query free, not uncounted: the ledger counts every
+// committed query and release whatever the sigmas, and the counts survive a
+// reload.
+func TestLedgerCountsZeroNoiseQueries(t *testing.T) {
+	const delta = 1e-6
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	b, err := OpenLedger(path, nil, 0, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tenant         int64
+		sigma1, sigma2 float64
+		released       bool
+	}{
+		{1, 0, 0, true}, {1, 0, 0, false}, // accounting off
+		{2, 0, 2, true}, {2, 0, 2, false}, // SVT off
+		{3, 4, 0, true}, {3, 4, 0, false}, // RNM off
+	} {
+		cost := QueryCost(c.sigma1, c.sigma2)
+		if err := b.Reserve(c.tenant, cost); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Commit(c.tenant, cost, c.sigma1, c.sigma2, c.released); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []TenantSpend{
+		{Tenant: 1, Queries: 2, Releases: 1},
+		{Tenant: 2, Coefficient: RNMCost(1, 2), Queries: 2, Releases: 1},
+		{Tenant: 3, Coefficient: 2 * SVTCost(1, 4), Queries: 2, Releases: 1},
+	}
+	check := func(l *Ledger, when string) {
+		t.Helper()
+		got := l.Spends()
+		if len(got) != len(want) {
+			t.Fatalf("%s: spends %+v, want %d tenants", when, got, len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			g.Epsilon = 0
+			if g != w {
+				t.Errorf("%s: tenant %d spend %+v, want %+v", when, w.Tenant, got[i], w)
+			}
+		}
+		if got[0].Epsilon != 0 {
+			t.Errorf("%s: a run with accounting off spent ε %g", when, got[0].Epsilon)
+		}
+	}
+	check(b, "live")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := OpenLedger(path, nil, 0, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	check(b2, "reloaded")
+}
+
 func TestLedgerPersistsAndLocks(t *testing.T) {
 	const sigma1, sigma2, delta = 4.0, 2.0, 1e-6
 	cost := QueryCost(sigma1, sigma2)
@@ -229,12 +290,14 @@ func TestLedgerLoadsParentStateFiles(t *testing.T) {
 	if got := b.Spends(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ledger spends %+v, want %+v", got, want)
 	}
-	// A commit that spends nothing still rewrites the file: same bytes.
+	// A zero-noise query spends nothing and rewrites the file in the same
+	// format: the parent's bytes with tenant 1's query count one higher.
 	if _, err := b.Commit(1, 0, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
+	raw = bytes.Replace(raw, []byte(`"svt_count": 3`), []byte(`"svt_count": 4`), 1)
 	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, raw) {
-		t.Fatalf("ledger rewritten as\n%s\nwant the parent's bytes\n%s (err %v)", rewritten, raw, err)
+		t.Fatalf("ledger rewritten as\n%s\nwant\n%s (err %v)", rewritten, raw, err)
 	}
 
 	// The flat accountant file: three queries, two releases, as tenant 0.

@@ -42,11 +42,10 @@ func Fig3EpsilonMatched(opts Options) ([]EpsMatchedCell, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	spec := dataset.SVHNLike()
 	var out []EpsMatchedCell
 	for _, level := range PrivacyLevels() {
 		for _, users := range opts.Users {
-			cons := opts.baseConfig(spec, users, dataset.DivisionEven)
+			cons := opts.baseConfig("svhn", users, dataset.DivisionEven)
 			cons.Sigma1, cons.Sigma2 = level.Sigma1, level.Sigma2
 			consRes, err := runAveraged(cons, opts.Reps)
 			if err != nil {
@@ -64,7 +63,7 @@ func Fig3EpsilonMatched(opts Options) ([]EpsMatchedCell, error) {
 			}
 			baseSigma := math.Sqrt(float64(opts.Queries) / coef)
 
-			base := opts.baseConfig(spec, users, dataset.DivisionEven)
+			base := opts.baseConfig("svhn", users, dataset.DivisionEven)
 			base.UseConsensus = false
 			base.Sigma1 = 0
 			base.Sigma2 = baseSigma

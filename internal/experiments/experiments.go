@@ -101,13 +101,14 @@ type Figure struct {
 	Series []Series
 }
 
-// runAveraged runs the multiclass pipeline Reps times with distinct seeds
-// and averages the results.
+// runAveraged runs the pipeline Reps times with distinct seeds and
+// averages the results.
 func runAveraged(cfg pate.PipelineConfig, reps int) (*pate.Result, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	avg := &pate.Result{}
+	retained := 0
 	for r := 0; r < reps; r++ {
 		c := cfg
 		c.Seed = cfg.Seed + int64(r)*7919
@@ -122,15 +123,16 @@ func runAveraged(cfg pate.PipelineConfig, reps int) (*pate.Result, error) {
 		avg.Retention += res.Retention / float64(reps)
 		avg.StudentAccuracy += res.StudentAccuracy / float64(reps)
 		avg.Epsilon += res.Epsilon / float64(reps)
-		avg.Retained += res.Retained / reps
+		retained += res.Retained
 	}
+	avg.Retained = retained / reps
 	return avg, nil
 }
 
 // baseConfig assembles a pipeline config from the shared options.
-func (o Options) baseConfig(spec dataset.Spec, users int, div dataset.Division) pate.PipelineConfig {
+func (o Options) baseConfig(name string, users int, div dataset.Division) pate.PipelineConfig {
 	return pate.PipelineConfig{
-		Spec:          spec,
+		Dataset:       name,
 		Scale:         o.Scale,
 		Users:         users,
 		Division:      div,
@@ -142,17 +144,5 @@ func (o Options) baseConfig(spec dataset.Spec, users int, div dataset.Division) 
 		Sigma2:        4,
 		Train:         o.Train,
 		Seed:          o.Seed,
-	}
-}
-
-// specByName resolves the paper's dataset names.
-func specByName(name string) (dataset.Spec, error) {
-	switch name {
-	case "mnist":
-		return dataset.MNISTLike(), nil
-	case "svhn":
-		return dataset.SVHNLike(), nil
-	default:
-		return dataset.Spec{}, fmt.Errorf("experiments: unknown dataset %q", name)
 	}
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/privconsensus/privconsensus/internal/dataset"
 	"github.com/privconsensus/privconsensus/internal/ml"
 	"github.com/privconsensus/privconsensus/internal/protocol"
 )
@@ -51,11 +53,15 @@ func TestPrivacyLevelsOrdered(t *testing.T) {
 	}
 }
 
-func TestSpecByName(t *testing.T) {
-	if _, err := specByName("mnist"); err != nil {
-		t.Error(err)
+// Every dataset the experiments name is one the pipeline runs.
+func TestBaseConfigDatasets(t *testing.T) {
+	opts := DefaultOptions()
+	for _, name := range []string{"mnist", "svhn", "celeba"} {
+		if err := opts.baseConfig(name, 10, dataset.DivisionEven).Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
-	if _, err := specByName("bogus"); err == nil {
+	if err := opts.baseConfig("bogus", 10, dataset.DivisionEven).Validate(); err == nil {
 		t.Error("expected error for unknown dataset")
 	}
 }
@@ -230,6 +236,31 @@ func TestFig6Shape(t *testing.T) {
 	}
 	if len(figs[2].Series) != 3 {
 		t.Errorf("fig6c expected 3 division series, got %d", len(figs[2].Series))
+	}
+
+	// Reps averages over seeds here as in every other figure.
+	opts.Reps = 2
+	avg, err := Fig6(opts)
+	if err != nil {
+		t.Fatalf("Fig6 with 2 reps: %v", err)
+	}
+	if reflect.DeepEqual(avg, figs) {
+		t.Error("Fig6 ignores Reps: 2 reps print the same figures as 1")
+	}
+}
+
+// runAveraged divides the summed Retained once: the baseline releases all
+// 7 queries of each rep, so two reps average to 7, not 7/2 + 7/2 = 6.
+func TestRunAveragedRetainedSumsFirst(t *testing.T) {
+	cfg := tinyOptions().baseConfig("svhn", 5, dataset.DivisionEven)
+	cfg.Queries = 7
+	cfg.UseConsensus = false
+	avg, err := runAveraged(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg.Retained != 7 {
+		t.Errorf("averaged Retained %d, want 7", avg.Retained)
 	}
 }
 

@@ -27,11 +27,10 @@ func Table3(opts Options) ([]Table3Cell, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	spec := dataset.SVHNLike()
 	var out []Table3Cell
 	for _, users := range opts.Users {
 		for _, div := range unevenDivisions() {
-			cfg := opts.baseConfig(spec, users, div)
+			cfg := opts.baseConfig("svhn", users, div)
 			res, err := runAveraged(cfg, opts.Reps)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table3 users=%d div=%v: %w", users, div, err)
@@ -53,17 +52,17 @@ func Fig2(opts Options) ([]Figure, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	specs := []dataset.Spec{dataset.MNISTLike(), dataset.SVHNLike()}
+	names := []string{"mnist", "svhn"}
 
 	even := Figure{ID: "fig2a", Title: "User accuracy, even distribution",
 		XLabel: "users", YLabel: "user accuracy"}
-	for _, spec := range specs {
-		s := Series{Name: spec.Name}
+	for _, name := range names {
+		s := Series{Name: name}
 		for _, users := range opts.Users {
-			cfg := opts.baseConfig(spec, users, dataset.DivisionEven)
+			cfg := opts.baseConfig(name, users, dataset.DivisionEven)
 			res, err := runAveraged(cfg, opts.Reps)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: fig2 even %s users=%d: %w", spec.Name, users, err)
+				return nil, fmt.Errorf("experiments: fig2 even %s users=%d: %w", name, users, err)
 			}
 			s.X = append(s.X, float64(users))
 			s.Y = append(s.Y, res.UserAccMean)
@@ -76,14 +75,14 @@ func Fig2(opts Options) ([]Figure, error) {
 	for di, div := range unevenDivisions() {
 		fig := Figure{ID: ids[di], Title: fmt.Sprintf("User accuracy, division %v", div),
 			XLabel: "users", YLabel: "user accuracy"}
-		for _, spec := range specs {
-			maj := Series{Name: spec.Name + "/majority"}
-			minr := Series{Name: spec.Name + "/minority"}
+		for _, name := range names {
+			maj := Series{Name: name + "/majority"}
+			minr := Series{Name: name + "/minority"}
 			for _, users := range opts.Users {
-				cfg := opts.baseConfig(spec, users, div)
+				cfg := opts.baseConfig(name, users, div)
 				res, err := runAveraged(cfg, opts.Reps)
 				if err != nil {
-					return nil, fmt.Errorf("experiments: fig2 %v %s users=%d: %w", div, spec.Name, users, err)
+					return nil, fmt.Errorf("experiments: fig2 %v %s users=%d: %w", div, name, users, err)
 				}
 				maj.X = append(maj.X, float64(users))
 				maj.Y = append(maj.Y, res.MajorityAcc)
@@ -111,10 +110,6 @@ func Fig3(opts Options) ([]Figure, error) {
 		"svhn":  {"fig3c", "fig3d"},
 	}
 	for _, name := range []string{"mnist", "svhn"} {
-		spec, err := specByName(name)
-		if err != nil {
-			return nil, err
-		}
 		labelFig := Figure{ID: ids[name][0], Title: "Label accuracy (" + name + ")",
 			XLabel: "users", YLabel: "label accuracy"}
 		aggFig := Figure{ID: ids[name][1], Title: "Aggregator accuracy (" + name + ")",
@@ -128,7 +123,7 @@ func Fig3(opts Options) ([]Figure, error) {
 				labelSeries := Series{Name: fmt.Sprintf("%s/%s", method, level.Name)}
 				aggSeries := Series{Name: labelSeries.Name}
 				for _, users := range opts.Users {
-					cfg := opts.baseConfig(spec, users, dataset.DivisionEven)
+					cfg := opts.baseConfig(name, users, dataset.DivisionEven)
 					cfg.UseConsensus = consensus
 					cfg.Sigma1, cfg.Sigma2 = level.Sigma1, level.Sigma2
 					res, err := runAveraged(cfg, opts.Reps)
@@ -161,10 +156,6 @@ func Fig4(opts Options) ([]Figure, error) {
 		"svhn":  {"fig4c", "fig4d"},
 	}
 	for _, name := range []string{"mnist", "svhn"} {
-		spec, err := specByName(name)
-		if err != nil {
-			return nil, err
-		}
 		for vi, vt := range []pate.VoteType{pate.OneHot, pate.Softmax} {
 			fig := Figure{ID: ids[name][vi],
 				Title:  fmt.Sprintf("Aggregator accuracy with %v labels (%s)", vt, name),
@@ -172,7 +163,7 @@ func Fig4(opts Options) ([]Figure, error) {
 			for _, level := range PrivacyLevels() {
 				s := Series{Name: level.Name}
 				for _, users := range opts.Users {
-					cfg := opts.baseConfig(spec, users, dataset.DivisionEven)
+					cfg := opts.baseConfig(name, users, dataset.DivisionEven)
 					cfg.VoteType = vt
 					cfg.Sigma1, cfg.Sigma2 = level.Sigma1, level.Sigma2
 					res, err := runAveraged(cfg, opts.Reps)
@@ -206,10 +197,6 @@ func Fig5(opts Options) ([]Figure, error) {
 	thrIDs := map[string]string{"mnist": "fig5a", "svhn": "fig5b"}
 	unevenIDs := map[string]string{"mnist": "fig5c", "svhn": "fig5d"}
 	for _, name := range []string{"mnist", "svhn"} {
-		spec, err := specByName(name)
-		if err != nil {
-			return nil, err
-		}
 		// (a)(b): threshold sweep; one series per user count.
 		fig := Figure{ID: thrIDs[name],
 			Title:  "Aggregator accuracy vs threshold (" + name + ")",
@@ -217,7 +204,7 @@ func Fig5(opts Options) ([]Figure, error) {
 		for _, users := range opts.Users {
 			s := Series{Name: fmt.Sprintf("%d users", users)}
 			for _, thr := range Fig5Thresholds() {
-				cfg := opts.baseConfig(spec, users, dataset.DivisionEven)
+				cfg := opts.baseConfig(name, users, dataset.DivisionEven)
 				cfg.ThresholdFrac = thr
 				res, err := runAveraged(cfg, opts.Reps)
 				if err != nil {
@@ -237,7 +224,7 @@ func Fig5(opts Options) ([]Figure, error) {
 		for _, div := range unevenDivisions() {
 			s := Series{Name: div.String()}
 			for _, users := range opts.Users {
-				cfg := opts.baseConfig(spec, users, div)
+				cfg := opts.baseConfig(name, users, div)
 				res, err := runAveraged(cfg, opts.Reps)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: fig5 uneven %s %v users=%d: %w", name, div, users, err)
@@ -258,22 +245,8 @@ func Fig6(opts Options) ([]Figure, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	spec := dataset.CelebAAttrSpec()
-	run := func(users int, div dataset.Division) (*pate.AttrResult, error) {
-		cfg := pate.AttrPipelineConfig{
-			Spec:          spec,
-			Scale:         opts.Scale,
-			Users:         users,
-			Division:      div,
-			Queries:       opts.Queries,
-			UseConsensus:  true,
-			ThresholdFrac: 0.6,
-			Sigma1:        4,
-			Sigma2:        4,
-			Train:         opts.Train,
-			Seed:          opts.Seed,
-		}
-		return pate.RunAttrPipeline(cfg)
+	run := func(users int, div dataset.Division) (*pate.Result, error) {
+		return runAveraged(opts.baseConfig("celeba", users, div), opts.Reps)
 	}
 
 	labelEven := Figure{ID: "fig6a", Title: "Label accuracy, even (CelebA)",

@@ -9,6 +9,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -20,7 +24,9 @@ import (
 // or reordering of committed records is detectable by VerifyJournal. The
 // chain anchors at whatever the first record of a file carries in Prev —
 // "" for a fresh journal, the last hash of the previous segment after a
-// size rotation — so a rotated pair of files verifies as one chain.
+// size rotation. Rotation renames the full file to the next unused
+// <path>.N (<path>.1, <path>.2, …) and deletes nothing, so the segments,
+// oldest first, then <path> itself verify as one chain.
 //
 // Crash tolerance: a record is one write(2) of one line, so a crash can at
 // worst leave a torn final line (no trailing newline, or undecodable
@@ -131,10 +137,11 @@ func eventHash(ev Event) (string, error) {
 type JournalOptions struct {
 	// Role stamps every appended event that carries none of its own.
 	Role string
-	// MaxBytes rotates the file to <path>.1 when an append would push it
-	// past this size (0 selects the 8 MiB default; < 0 disables rotation).
-	// The hash chain and sequence numbers continue across the rotation.
-	MaxBytes int64
+	// maxBytes rotates the file to the next <path>.N when an append would
+	// push it past this size (0 selects the 8 MiB default; < 0 disables
+	// rotation). The hash chain and sequence numbers continue across the
+	// rotation.
+	maxBytes int64
 }
 
 // defaultJournalMaxBytes is the rotation threshold when unconfigured.
@@ -159,7 +166,7 @@ type Journal struct {
 // OpenJournal opens (or creates) the journal at path for appending. In an
 // existing file a torn final line — the only damage a crashed writer can
 // leave — is truncated away and the chain re-anchors on the last intact
-// record.
+// record, or on the newest rotated segment's when the file holds none.
 func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -168,7 +175,7 @@ func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 	j := &Journal{
 		f:        f,
 		path:     path,
-		maxBytes: o.MaxBytes,
+		maxBytes: o.maxBytes,
 		role:     o.Role,
 		clock:    time.Now,
 	}
@@ -185,34 +192,21 @@ func OpenJournal(path string, o JournalOptions) (*Journal, error) {
 // recover restores seq/last from the existing file so appends continue the
 // chain. Appends are single writes, so a crashed writer can only tear the
 // final line: recover anchors on the last complete line that decodes and
-// truncates whatever follows it. It reads only the file's tail unless that
-// holds no intact record, so a reopen costs the same however long the
-// journal has grown. Damage further up is left for VerifyJournal to report.
+// truncates whatever follows it. A file with no intact record (fresh, or
+// cut short right after a rotation) continues the newest segment's chain.
 func (j *Journal) recover() error {
+	seq, last, good, err := lastRecord(j.f)
+	if err != nil {
+		return err
+	}
+	if good == 0 {
+		if seq, last, err = lastSegmentRecord(j.path); err != nil {
+			return err
+		}
+	}
 	size, err := j.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("obs: scan journal: %w", err)
-	}
-	good := int64(0) // byte offset past the anchoring record
-	for window := int64(64 << 10); good == 0; window = size {
-		off := max(size-window, 0)
-		tail := make([]byte, size-off)
-		if _, err := j.f.ReadAt(tail, off); err != nil {
-			return fmt.Errorf("obs: scan journal: %w", err)
-		}
-		// Walk back over complete lines; the window's first line may be
-		// partial, so it never decodes.
-		for end := bytes.LastIndexByte(tail, '\n'); end >= 0; end = bytes.LastIndexByte(tail[:end], '\n') {
-			var ev Event
-			if err := json.Unmarshal(tail[bytes.LastIndexByte(tail[:end], '\n')+1:end], &ev); err == nil && ev.Hash != "" {
-				j.seq, j.last = ev.Seq, ev.Hash
-				good = off + int64(end) + 1
-				break
-			}
-		}
-		if off == 0 {
-			break
-		}
 	}
 	if good < size {
 		if err := j.f.Truncate(good); err != nil {
@@ -222,8 +216,97 @@ func (j *Journal) recover() error {
 	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("obs: seek journal: %w", err)
 	}
-	j.size = good
+	j.seq, j.last, j.size = seq, last, good
 	return nil
+}
+
+// lastRecord finds the last complete line of f that decodes as a record and
+// returns its Seq and Hash and the byte offset just past it (0 when there is
+// none). It reads only the file's tail unless that holds no intact record,
+// so a reopen costs the same however long the journal has grown. Damage
+// further up is left for VerifyJournal to report.
+func lastRecord(f *os.File) (seq uint64, hash string, good int64, err error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, "", 0, fmt.Errorf("obs: scan journal: %w", err)
+	}
+	for window := int64(64 << 10); good == 0; window = size {
+		off := max(size-window, 0)
+		tail := make([]byte, size-off)
+		if _, err := f.ReadAt(tail, off); err != nil {
+			return 0, "", 0, fmt.Errorf("obs: scan journal: %w", err)
+		}
+		// Walk back over complete lines; the window's first line may be
+		// partial, so it never decodes.
+		for end := bytes.LastIndexByte(tail, '\n'); end >= 0; end = bytes.LastIndexByte(tail[:end], '\n') {
+			var ev Event
+			if err := json.Unmarshal(tail[bytes.LastIndexByte(tail[:end], '\n')+1:end], &ev); err == nil && ev.Hash != "" {
+				return ev.Seq, ev.Hash, off + int64(end) + 1, nil
+			}
+		}
+		if off == 0 {
+			break
+		}
+	}
+	return 0, "", 0, nil
+}
+
+// lastSegmentRecord returns the Seq and Hash of the newest rotated
+// segment's last record ("" when there is no segment).
+func lastSegmentRecord(path string) (uint64, string, error) {
+	names, _, err := segments(path)
+	if err != nil || len(names) == 0 {
+		return 0, "", err
+	}
+	f, err := os.Open(names[len(names)-1])
+	if err != nil {
+		return 0, "", fmt.Errorf("obs: open journal segment: %w", err)
+	}
+	defer f.Close()
+	seq, hash, _, err := lastRecord(f)
+	return seq, hash, err
+}
+
+// segments returns the rotated segments <path>.N of the journal at path,
+// oldest (smallest N) first, and the next unused N, one past the largest.
+func segments(path string) (names []string, next int, err error) {
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		return nil, 0, fmt.Errorf("obs: list journal segments: %w", err)
+	}
+	prefix := filepath.Base(path) + "."
+	var nums []int
+	for _, e := range entries {
+		suffix, ok := strings.CutPrefix(e.Name(), prefix)
+		if n, err := strconv.Atoi(suffix); ok && err == nil && n > 0 && strconv.Itoa(n) == suffix {
+			nums = append(nums, n)
+		}
+	}
+	sort.Ints(nums)
+	next = 1
+	for _, n := range nums {
+		names = append(names, path+"."+strconv.Itoa(n))
+		next = n + 1
+	}
+	return names, next, nil
+}
+
+// readJournalFiles reads the journal at path as written: its rotated
+// segments, oldest first, then path itself.
+func readJournalFiles(path string) ([]byte, error) {
+	names, _, err := segments(path)
+	if err != nil {
+		return nil, err
+	}
+	var data []byte
+	for _, name := range append(names, path) {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			return nil, fmt.Errorf("obs: open journal: %w", err)
+		}
+		data = append(data, b...)
+	}
+	return data, nil
 }
 
 // errJournalClosed reports an append on a closed journal.
@@ -295,14 +378,18 @@ func (j *Journal) Append(ev Event) error {
 	return nil
 }
 
-// rotateLocked moves the current file to <path>.1 (replacing any previous
-// rotation) and starts a fresh file. The chain continues: the new file's
-// first record carries the rotated file's last hash in Prev.
+// rotateLocked moves the current file to the next unused <path>.N, one past
+// the newest segment, and starts a fresh file. The chain continues: the new
+// file's first record carries the rotated file's last hash in Prev.
 func (j *Journal) rotateLocked() error {
+	_, next, err := segments(j.path)
+	if err != nil {
+		return err
+	}
 	if err := j.f.Close(); err != nil {
 		return fmt.Errorf("obs: rotate journal: %w", err)
 	}
-	if err := os.Rename(j.path, j.path+".1"); err != nil {
+	if err := os.Rename(j.path, j.path+"."+strconv.Itoa(next)); err != nil {
 		return fmt.Errorf("obs: rotate journal: %w", err)
 	}
 	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -419,14 +506,15 @@ func VerifyJournal(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// VerifyJournalFile verifies the chain of one journal file.
+// VerifyJournalFile verifies the journal at path as one chain: its rotated
+// segments <path>.N, oldest first, then the file itself. It returns the
+// number of verified records across them.
 func VerifyJournalFile(path string) (int, error) {
-	f, err := os.Open(path)
+	data, err := readJournalFiles(path)
 	if err != nil {
-		return 0, fmt.Errorf("obs: open journal: %w", err)
+		return 0, err
 	}
-	defer f.Close()
-	n, err := VerifyJournal(f)
+	n, err := VerifyJournal(bytes.NewReader(data))
 	if err != nil {
 		return n, fmt.Errorf("%s: %w", path, err)
 	}
@@ -457,12 +545,12 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// ReadJournalFile reads one journal file leniently.
+// ReadJournalFile reads the journal at path leniently, its rotated
+// segments first.
 func ReadJournalFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
+	data, err := readJournalFiles(path)
 	if err != nil {
-		return nil, fmt.Errorf("obs: open journal: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ReadJournal(f)
+	return ReadJournal(bytes.NewReader(data))
 }

@@ -53,7 +53,7 @@ func FuzzJournal(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := OpenJournal(path, JournalOptions{Role: "s2", MaxBytes: -1})
+		j, err := OpenJournal(path, JournalOptions{Role: "s2", maxBytes: -1})
 		if err != nil {
 			t.Fatalf("OpenJournal: %v", err)
 		}

@@ -138,7 +138,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 func TestJournalReopenLongFile(t *testing.T) {
 	for _, torn := range []int{0, 70 << 10} {
 		path := filepath.Join(t.TempDir(), "j.jsonl")
-		j, err := OpenJournal(path, JournalOptions{Role: "s1", MaxBytes: -1})
+		j, err := OpenJournal(path, JournalOptions{Role: "s1", maxBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestJournalReopenLongFile(t *testing.T) {
 		}
 		f.Close()
 
-		j, err = OpenJournal(path, JournalOptions{Role: "s1", MaxBytes: -1})
+		j, err = OpenJournal(path, JournalOptions{Role: "s1", maxBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +228,8 @@ func join(lines [][]byte) []byte {
 func TestJournalRotation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	// One record is ~200 bytes; 1200 forces exactly one rotation over 8
-	// appends (a second rotation would drop the first segment — only the
-	// latest <path>.1 is kept).
-	j, err := OpenJournal(path, JournalOptions{Role: "s1", MaxBytes: 1200})
+	// appends.
+	j, err := OpenJournal(path, JournalOptions{Role: "s1", maxBytes: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +265,88 @@ func TestJournalRotation(t *testing.T) {
 	}
 	if n != 8 {
 		t.Fatalf("concatenated chain has %d records, want 8", n)
+	}
+}
+
+// TestJournalRotationKeepsEveryRecord rotates three times and more: each
+// rotation takes the next unused <path>.N, so no segment is overwritten, and
+// the journal — segments oldest first, then the live file — reads and
+// verifies as one chain of every record, across a reopen and across a live
+// file cut short right after a rotation.
+func TestJournalRotationKeepsEveryRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	appendN := func(n int) {
+		t.Helper()
+		// ~200-byte records, so a file holds at most two.
+		j, err := OpenJournal(path, JournalOptions{Role: "s1", maxBytes: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := j.Append(Event{Type: EventRetry, Instance: i, Note: "instance"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want int) {
+		t.Helper()
+		if n, err := VerifyJournalFile(path); err != nil || n != want {
+			t.Fatalf("journal verifies %d records (%v), want %d", n, err, want)
+		}
+		evs, err := ReadJournalFile(path)
+		if err != nil || len(evs) != want {
+			t.Fatalf("journal reads %d records (%v), want %d", len(evs), err, want)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("record %d has seq %d: segments out of order or lost", i, ev.Seq)
+			}
+		}
+	}
+
+	appendN(7)
+	for n := 1; n <= 3; n++ {
+		if _, err := os.Stat(fmt.Sprintf("%s.%d", path, n)); err != nil {
+			t.Fatalf("segment %d missing after 7 appends: %v", n, err)
+		}
+	}
+	check(7)
+	appendN(4) // a reopen continues the chain and the numbering
+	check(11)
+
+	// A live file left empty right after a rotation continues the newest
+	// segment's chain.
+	_, next, err := segments(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path, fmt.Sprintf("%s.%d", path, next)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendN(1)
+	check(12)
+
+	// Old segments go from the oldest end: rotation never reuses their
+	// numbers, and what is left still verifies as one chain.
+	oldest, err := ReadJournalFile(path + ".1")
+	if err != nil || len(oldest) == 0 {
+		t.Fatalf("oldest segment: %d records (%v)", len(oldest), err)
+	}
+	if err := os.Remove(path + ".1"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(4)
+	if _, err := os.Stat(path + ".1"); err == nil {
+		t.Fatal("rotation reused the removed oldest segment's name")
+	}
+	if n, err := VerifyJournalFile(path); err != nil || n != 16-len(oldest) {
+		t.Fatalf("journal verifies %d records (%v), want %d", n, err, 16-len(oldest))
 	}
 }
 

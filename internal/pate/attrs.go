@@ -5,13 +5,12 @@ import (
 	"math/rand"
 
 	"github.com/privconsensus/privconsensus/internal/dataset"
-	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/ml"
 )
 
-// Attribute (CelebA-like) pipeline: each of the 40 binary attributes is a
-// separate two-class vote; consensus is checked attribute-by-attribute, so
-// one query may yield labels for some attributes and be discarded for
+// Attribute (CelebA-like) task: each of the 40 binary attributes is a
+// separate two-class decision; consensus is checked attribute-by-attribute,
+// so one query may yield labels for some attributes and be discarded for
 // others (§VI-C's sparse-positive discussion).
 
 // AttrTeachers is an ensemble of per-user attribute models.
@@ -20,7 +19,14 @@ type AttrTeachers struct {
 	Attrs  int
 }
 
-// TrainAttrTeachers fits one attribute model per user partition.
+// zeroHead is an untrained binary head: it predicts the negative (majority)
+// value everywhere.
+func zeroHead(dim int) *ml.BinaryClassifier {
+	return &ml.BinaryClassifier{W: make([]float64, dim+1), Dim: dim}
+}
+
+// TrainAttrTeachers fits one attribute model per user partition. Users
+// whose partition is empty get all-zero heads.
 func TrainAttrTeachers(rng *rand.Rand, part *dataset.Partition, attrs int, cfg ml.TrainConfig) (*AttrTeachers, error) {
 	if len(part.Users) == 0 {
 		return nil, ErrNoTeachers
@@ -37,7 +43,7 @@ func TrainAttrTeachers(rng *rand.Rand, part *dataset.Partition, attrs int, cfg m
 			}
 			heads := make([]*ml.BinaryClassifier, attrs)
 			for a := range heads {
-				heads[a] = &ml.BinaryClassifier{W: make([]float64, dim+1), Dim: dim}
+				heads[a] = zeroHead(dim)
 			}
 			out.Models[u] = &ml.AttributeModel{Heads: heads, Dim: dim}
 			continue
@@ -64,13 +70,16 @@ func (t *AttrTeachers) Accuracies(test *ml.Dataset) ([]float64, error) {
 	return out, nil
 }
 
-// AttrVotes returns, for attribute a of query x, the two-class vote totals
+// totals returns, for each attribute of query x, the two-class vote totals
 // [votes-for-negative, votes-for-positive].
-func (t *AttrTeachers) AttrVotes(x []float64) ([][2]float64, error) {
+func (t *AttrTeachers) totals(x []float64) ([][]float64, error) {
 	if len(t.Models) == 0 {
 		return nil, ErrNoTeachers
 	}
-	out := make([][2]float64, t.Attrs)
+	out := make([][]float64, t.Attrs)
+	for a := range out {
+		out[a] = make([]float64, 2)
+	}
 	for u, m := range t.Models {
 		pred, err := m.PredictAttrs(x)
 		if err != nil {
@@ -87,171 +96,56 @@ func (t *AttrTeachers) AttrVotes(x []float64) ([][2]float64, error) {
 	return out, nil
 }
 
-// AttrPipelineConfig drives one CelebA-like experiment run.
-type AttrPipelineConfig struct {
-	Spec          dataset.AttrSpec
-	Scale         float64
-	Users         int
-	Division      dataset.Division
-	Queries       int
-	UseConsensus  bool
-	ThresholdFrac float64
-	Sigma1        float64
-	Sigma2        float64
-	Train         ml.TrainConfig
-	Seed          int64
+// attributes is the CelebA task: one two-class decision per attribute.
+type attributes struct {
+	spec dataset.AttrSpec
+	*AttrTeachers
 }
 
-// Validate checks the configuration.
-func (c AttrPipelineConfig) Validate() error {
-	if err := c.Spec.Validate(); err != nil {
-		return err
-	}
-	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("pate: scale %g outside (0, 1]", c.Scale)
-	}
-	if c.Users < 1 || c.Queries < 1 {
-		return fmt.Errorf("pate: invalid users=%d queries=%d", c.Users, c.Queries)
-	}
-	if c.ThresholdFrac < 0 || c.ThresholdFrac > 1 || c.Sigma1 < 0 || c.Sigma2 < 0 {
-		return fmt.Errorf("pate: invalid threshold/sigma parameters")
-	}
-	return c.Train.Validate()
+func (t *attributes) generate(rng *rand.Rand) (train, test *ml.Dataset, err error) {
+	return dataset.GenerateAttrs(rng, t.spec)
 }
 
-// AttrResult summarizes one attribute-pipeline run.
-type AttrResult struct {
-	UserAccMean     float64
-	MajorityAcc     float64
-	MinorityAcc     float64
-	LabelAccuracy   float64 // over retained (instance, attribute) pairs
-	Retention       float64 // retained pairs / total pairs
-	StudentAccuracy float64
-	Epsilon         float64
-	Retained        int
+func (t *attributes) decisions() int { return t.spec.Attrs }
+
+func (t *attributes) teach(rng *rand.Rand, part *dataset.Partition, cfg ml.TrainConfig, test *ml.Dataset) ([]float64, error) {
+	var err error
+	if t.AttrTeachers, err = TrainAttrTeachers(rng, part, t.spec.Attrs, cfg); err != nil {
+		return nil, err
+	}
+	return t.Accuracies(test)
 }
 
-// RunAttrPipeline executes the CelebA-like end-to-end flow.
-func RunAttrPipeline(cfg AttrPipelineConfig) (*AttrResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+func (t *attributes) truth(pool *ml.Dataset, row, attr int) int {
+	if pool.Attrs[row][attr] {
+		return 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	spec := cfg.Spec.Scaled(cfg.Scale)
-	train, test, err := dataset.GenerateAttrs(rng, spec)
-	if err != nil {
-		return nil, err
-	}
-	queries := min(cfg.Queries, train.Len()-cfg.Users)
-	pool, userData, err := dataset.QuerySplit(rng, train, queries)
-	if err != nil {
-		return nil, err
-	}
-	part, err := dataset.PartitionUneven(rng, userData, cfg.Users, cfg.Division)
-	if err != nil {
-		return nil, err
-	}
-	teachers, err := TrainAttrTeachers(rng, part, spec.Attrs, cfg.Train)
-	if err != nil {
-		return nil, err
-	}
+	return 0
+}
 
-	res := &AttrResult{}
-	accs, err := teachers.Accuracies(test)
-	if err != nil {
-		return nil, err
-	}
-	res.UserAccMean = mean(accs)
-	if len(part.MajorityIdx) > 0 {
-		res.MajorityAcc = meanAt(accs, part.MajorityIdx)
-		res.MinorityAcc = meanAt(accs, part.MinorityIdx)
-	}
-
-	threshold := cfg.ThresholdFrac * float64(cfg.Users)
-	var labeler Labeler
-	if cfg.UseConsensus {
-		labeler = ConsensusLabeler{Threshold: threshold, Sigma1: cfg.Sigma1, Sigma2: cfg.Sigma2}
-	} else {
-		labeler = BaselineLabeler{Sigma2: cfg.Sigma2}
-	}
-
-	// Per-attribute labeled subsets: pairs[a] lists (row in pool, label).
-	type pair struct {
-		row   int
-		value bool
-	}
-	perAttr := make([][]pair, spec.Attrs)
-	totalPairs := pool.Len() * spec.Attrs
-	correct, retained, released := 0, 0, 0
-	for i, x := range pool.X {
-		votes, err := teachers.AttrVotes(x)
-		if err != nil {
-			return nil, err
-		}
-		for a := 0; a < spec.Attrs; a++ {
-			label, ok := labeler.Label(rng, votes[a][:])
-			if !ok {
-				continue
-			}
-			released++
-			retained++
-			val := label == 1
-			perAttr[a] = append(perAttr[a], pair{row: i, value: val})
-			if val == pool.Attrs[i][a] {
-				correct++
+// student trains one binary head per attribute on that attribute's
+// released labels; an attribute with none keeps a zero (majority negative)
+// head.
+func (t *attributes) student(rng *rand.Rand, pool *ml.Dataset, labels [][]int, cfg ml.TrainConfig, test *ml.Dataset) (float64, error) {
+	dim := t.spec.Dim
+	student := &ml.AttributeModel{Heads: make([]*ml.BinaryClassifier, t.spec.Attrs), Dim: dim}
+	for a := range student.Heads {
+		sub := &ml.Dataset{Classes: 1}
+		for i, x := range pool.X {
+			if label := labels[i][a]; label >= 0 {
+				sub.X = append(sub.X, x)
+				sub.Attrs = append(sub.Attrs, []bool{label == 1})
 			}
 		}
-	}
-	res.Retained = retained
-	res.Retention = float64(retained) / float64(totalPairs)
-	if retained > 0 {
-		res.LabelAccuracy = float64(correct) / float64(retained)
-	}
-
-	// Student: one binary head per attribute, trained on that attribute's
-	// retained pairs; attributes with no pairs keep a zero (majority
-	// negative) head.
-	dim := spec.Dim
-	student := &ml.AttributeModel{Heads: make([]*ml.BinaryClassifier, spec.Attrs), Dim: dim}
-	for a := 0; a < spec.Attrs; a++ {
-		if len(perAttr[a]) == 0 {
-			student.Heads[a] = &ml.BinaryClassifier{W: make([]float64, dim+1), Dim: dim}
+		if sub.Len() == 0 {
+			student.Heads[a] = zeroHead(dim)
 			continue
 		}
-		sub := &ml.Dataset{Classes: 1, X: make([][]float64, len(perAttr[a])), Attrs: make([][]bool, len(perAttr[a]))}
-		for j, p := range perAttr[a] {
-			sub.X[j] = pool.X[p.row]
-			sub.Attrs[j] = []bool{p.value}
-		}
-		m, err := ml.TrainAttributes(rng, sub, cfg.Train)
+		m, err := ml.TrainAttributes(rng, sub, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("pate: train student head %d: %w", a, err)
+			return 0, fmt.Errorf("pate: train student head %d: %w", a, err)
 		}
 		student.Heads[a] = m.Heads[0]
 	}
-	if res.StudentAccuracy, err = student.AttrAccuracy(test); err != nil {
-		return nil, err
-	}
-
-	// Privacy: each (query, attribute) vote release is a mechanism
-	// invocation.
-	if cfg.Sigma1 > 0 && cfg.Sigma2 > 0 {
-		acc := dp.NewAccountant()
-		if cfg.UseConsensus {
-			if err := acc.AddLinear(float64(totalPairs) * 9 / (2 * cfg.Sigma1 * cfg.Sigma1)); err != nil {
-				return nil, err
-			}
-			if err := acc.AddLinear(float64(released) / (cfg.Sigma2 * cfg.Sigma2)); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := acc.AddLinear(float64(totalPairs) / (cfg.Sigma2 * cfg.Sigma2)); err != nil {
-				return nil, err
-			}
-		}
-		if res.Epsilon, _, err = acc.Epsilon(1e-6); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return student.AttrAccuracy(test)
 }

@@ -176,10 +176,9 @@ func (l ConsensusLabeler) Label(rng *rand.Rand, votes []float64) (int, bool) {
 func (ConsensusLabeler) SpendsRNM() bool { return true }
 
 // BaselineLabeler is the paper's comparison baseline (§VI-C): it always
-// releases the noisy argmax, with no consensus check. For fair comparison
-// it applies the same total noise budget by using both sigmas on the
-// argmax (the paper applies "the same differential privacy scheme and the
-// same privacy level").
+// releases the noisy argmax, with no consensus check. It draws only the
+// RNM noise sigma2 (the paper applies "the same differential privacy
+// scheme and the same privacy level"), so its ε never depends on sigma1.
 type BaselineLabeler struct {
 	Sigma2 float64
 }

@@ -1,6 +1,7 @@
 package pate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestPlainLabeler(t *testing.T) {
 
 func TestRunPipelineConsensusBeatsBaselineOnLabelAccuracy(t *testing.T) {
 	base := PipelineConfig{
-		Spec:          dataset.SVHNLike(),
+		Dataset:       "svhn",
 		Scale:         0.01,
 		Users:         20,
 		Division:      dataset.DivisionEven,
@@ -201,7 +202,7 @@ func TestRunPipelineConsensusBeatsBaselineOnLabelAccuracy(t *testing.T) {
 
 func TestRunPipelineUnevenGroupsReported(t *testing.T) {
 	cfg := PipelineConfig{
-		Spec:          dataset.MNISTLike(),
+		Dataset:       "mnist",
 		Scale:         0.01,
 		Users:         10,
 		Division:      dataset.Division28,
@@ -232,7 +233,7 @@ func TestRunPipelineUnevenGroupsReported(t *testing.T) {
 
 func TestRunPipelineValidation(t *testing.T) {
 	good := PipelineConfig{
-		Spec: dataset.MNISTLike(), Scale: 0.01, Users: 5, Division: dataset.DivisionEven,
+		Dataset: "mnist", Scale: 0.01, Users: 5, Division: dataset.DivisionEven,
 		VoteType: OneHot, Queries: 10, ThresholdFrac: 0.5, Sigma1: 1, Sigma2: 1,
 		Train: fastTrain(), Seed: 1,
 	}
@@ -248,6 +249,7 @@ func TestRunPipelineValidation(t *testing.T) {
 		func(c *PipelineConfig) { c.Sigma1 = -1 },
 		func(c *PipelineConfig) { c.VoteType = 0 },
 		func(c *PipelineConfig) { c.Train.Epochs = 0 },
+		func(c *PipelineConfig) { c.Dataset = "bogus" },
 	}
 	for i, mutate := range cases {
 		cfg := good
@@ -255,6 +257,29 @@ func TestRunPipelineValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+}
+
+func TestRunAttrPipelineValidation(t *testing.T) {
+	// The attribute task takes no vote type: that belongs to the
+	// multiclass task only.
+	good := PipelineConfig{
+		Dataset: "celeba", Scale: 0.01, Users: 5, Division: dataset.DivisionEven,
+		Queries: 10, ThresholdFrac: 0.5, Sigma1: 1, Sigma2: 1,
+		Train: fastTrain(), Seed: 1,
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("attribute config rejected: %v", err)
+	}
+	bad := good
+	bad.Scale = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for zero scale")
+	}
+	bad = good
+	bad.Users = 0
+	if err := bad.Validate(); err == nil {
+		t.Error("expected error for zero users")
 	}
 }
 
@@ -278,9 +303,9 @@ func TestEpsilonSpendAccounting(t *testing.T) {
 	}
 }
 
-func TestRunAttrPipeline(t *testing.T) {
-	cfg := AttrPipelineConfig{
-		Spec:          dataset.CelebAAttrSpec(),
+func TestRunPipelineAttributes(t *testing.T) {
+	cfg := PipelineConfig{
+		Dataset:       "celeba",
 		Scale:         0.004,
 		Users:         10,
 		Division:      dataset.DivisionEven,
@@ -292,9 +317,9 @@ func TestRunAttrPipeline(t *testing.T) {
 		Train:         ml.TrainConfig{Epochs: 5, LearnRate: 0.3, L2: 1e-4, BatchSize: 16},
 		Seed:          9,
 	}
-	r, err := RunAttrPipeline(cfg)
+	r, err := RunPipeline(cfg)
 	if err != nil {
-		t.Fatalf("RunAttrPipeline: %v", err)
+		t.Fatalf("RunPipeline: %v", err)
 	}
 	if r.UserAccMean < 0.6 {
 		t.Errorf("attribute teachers too weak: %g", r.UserAccMean)
@@ -308,21 +333,14 @@ func TestRunAttrPipeline(t *testing.T) {
 	if r.StudentAccuracy <= 0.5 {
 		t.Errorf("student accuracy %g not better than chance", r.StudentAccuracy)
 	}
-	if r.Epsilon <= 0 {
-		t.Errorf("epsilon not computed")
+	// Every (query, attribute) pair is one decision: 40 queries of 40
+	// attributes.
+	if want := int(math.Round(r.Retention * 40 * 40)); r.Retained != want {
+		t.Errorf("retained %d pairs, retention implies %d", r.Retained, want)
 	}
-}
-
-func TestRunAttrPipelineValidation(t *testing.T) {
-	bad := AttrPipelineConfig{Spec: dataset.CelebAAttrSpec(), Scale: 0, Users: 5, Queries: 10,
-		ThresholdFrac: 0.5, Train: fastTrain()}
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for zero scale")
-	}
-	bad.Scale = 0.01
-	bad.Users = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("expected error for zero users")
+	want, err := cfg.epsilonSpend(40*40, r.Retained)
+	if err != nil || r.Epsilon <= 0 || r.Epsilon != want {
+		t.Errorf("epsilon %g, want %g over 1600 decisions (%v)", r.Epsilon, want, err)
 	}
 }
 
@@ -371,8 +389,14 @@ func TestTrainAttrTeachersEmptyUser(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TrainAttrTeachers with empty user: %v", err)
 	}
-	if _, err := teachers.AttrVotes(test.X[0]); err != nil {
-		t.Fatalf("AttrVotes: %v", err)
+	totals, err := teachers.totals(test.X[0])
+	if err != nil {
+		t.Fatalf("totals: %v", err)
+	}
+	for a, v := range totals {
+		if len(v) != 2 || v[0]+v[1] != 2 {
+			t.Fatalf("attribute %d totals %v, want two votes over two classes", a, v)
+		}
 	}
 	if _, err := TrainAttrTeachers(rng, &dataset.Partition{}, 40, fastTrain()); err == nil {
 		t.Error("expected error for empty partition")

@@ -9,17 +9,21 @@ import (
 	"github.com/privconsensus/privconsensus/internal/ml"
 )
 
-// PipelineConfig drives one end-to-end multiclass experiment run.
+// PipelineConfig drives one end-to-end knowledge-transfer run.
 type PipelineConfig struct {
-	// Spec describes the dataset; Scale shrinks its sample counts for
-	// fast runs (1.0 = paper-sized).
-	Spec  dataset.Spec
+	// Dataset names the synthetic dataset and with it the task: "mnist"
+	// and "svhn" make one K-class decision per query, "celeba" one
+	// two-class decision per attribute.
+	Dataset string
+	// Scale shrinks the dataset's sample counts for fast runs (1.0 =
+	// paper-sized).
 	Scale float64
 	// Users is the number of teachers.
 	Users int
 	// Division selects the data distribution across users.
 	Division dataset.Division
-	// VoteType selects one-hot or softmax teacher votes.
+	// VoteType selects one-hot or softmax teacher votes (multiclass task;
+	// attribute teachers vote one-hot per attribute).
 	VoteType VoteType
 	// Queries is the size of the aggregator's unlabeled pool (the paper
 	// sets aside 9000 training samples).
@@ -35,38 +39,72 @@ type PipelineConfig struct {
 	Train ml.TrainConfig
 	// Seed makes the run reproducible.
 	Seed int64
-	// SelfTrain enables the semi-supervised self-training extension: the
-	// student pseudo-labels the discarded (unlabeled) queries it is
-	// confident about and refits. Spends no extra privacy budget.
+	// SelfTrain enables the semi-supervised self-training extension of the
+	// multiclass task: the student pseudo-labels the discarded (unlabeled)
+	// queries it is confident about and refits (DefaultSelfTrainConfig).
+	// Spends no extra privacy budget.
 	SelfTrain bool
-	// SelfTrainCfg tunes the loop (zero value = DefaultSelfTrainConfig).
-	SelfTrainCfg SelfTrainConfig
 }
 
 // Validate checks the configuration.
 func (c PipelineConfig) Validate() error {
-	if err := c.Spec.Validate(); err != nil {
-		return err
-	}
+	_, err := c.task()
+	return err
+}
+
+// task checks the configuration and returns the task its dataset runs.
+func (c PipelineConfig) task() (task, error) {
 	if c.Scale <= 0 || c.Scale > 1 {
-		return fmt.Errorf("pate: scale %g outside (0, 1]", c.Scale)
+		return nil, fmt.Errorf("pate: scale %g outside (0, 1]", c.Scale)
 	}
 	if c.Users < 1 {
-		return fmt.Errorf("pate: need at least 1 user, got %d", c.Users)
+		return nil, fmt.Errorf("pate: need at least 1 user, got %d", c.Users)
 	}
 	if c.Queries < 1 {
-		return fmt.Errorf("pate: need at least 1 query, got %d", c.Queries)
+		return nil, fmt.Errorf("pate: need at least 1 query, got %d", c.Queries)
 	}
 	if c.ThresholdFrac < 0 || c.ThresholdFrac > 1 {
-		return fmt.Errorf("pate: threshold fraction %g outside [0, 1]", c.ThresholdFrac)
+		return nil, fmt.Errorf("pate: threshold fraction %g outside [0, 1]", c.ThresholdFrac)
 	}
 	if c.Sigma1 < 0 || c.Sigma2 < 0 {
-		return fmt.Errorf("pate: negative sigma")
+		return nil, fmt.Errorf("pate: negative sigma")
 	}
-	if c.VoteType != OneHot && c.VoteType != Softmax {
-		return fmt.Errorf("pate: unknown vote type %d", int(c.VoteType))
+	if err := c.Train.Validate(); err != nil {
+		return nil, err
 	}
-	return c.Train.Validate()
+	switch c.Dataset {
+	case "mnist", "svhn":
+		if c.VoteType != OneHot && c.VoteType != Softmax {
+			return nil, fmt.Errorf("pate: unknown vote type %d", int(c.VoteType))
+		}
+		spec := dataset.MNISTLike()
+		if c.Dataset == "svhn" {
+			spec = dataset.SVHNLike()
+		}
+		return &multiclass{spec: spec.Scaled(c.Scale), vt: c.VoteType, selfTrain: c.SelfTrain}, nil
+	case "celeba":
+		return &attributes{spec: dataset.CelebAAttrSpec().Scaled(c.Scale)}, nil
+	default:
+		return nil, fmt.Errorf("pate: unknown dataset %q (want mnist, svhn or celeba)", c.Dataset)
+	}
+}
+
+// task is what a run needs from its dataset: the data, the teachers and
+// their votes, the truth of a decision and the student. The pipeline asks
+// the teachers decisions() separate questions per query.
+type task interface {
+	generate(rng *rand.Rand) (train, test *ml.Dataset, err error)
+	decisions() int
+	// teach trains one teacher per user and returns each one's accuracy
+	// on test.
+	teach(rng *rand.Rand, part *dataset.Partition, cfg ml.TrainConfig, test *ml.Dataset) ([]float64, error)
+	// totals returns query x's vote totals, one vector per decision.
+	totals(x []float64) ([][]float64, error)
+	truth(pool *ml.Dataset, row, decision int) int
+	// student trains the aggregator's model on the released labels
+	// (labels[row][decision], -1 where none was released) and returns its
+	// accuracy on test.
+	student(rng *rand.Rand, pool *ml.Dataset, labels [][]int, cfg ml.TrainConfig, test *ml.Dataset) (float64, error)
 }
 
 // Result summarizes one pipeline run.
@@ -77,30 +115,32 @@ type Result struct {
 	// (Fig. 2b-d); zero for even distributions.
 	MajorityAcc float64
 	MinorityAcc float64
-	// LabelAccuracy is the fraction of retained queries labeled
-	// correctly (Fig. 3a/3c).
+	// LabelAccuracy is the fraction of released labels that are correct
+	// (Fig. 3a/3c).
 	LabelAccuracy float64
-	// Retention is the fraction of queries that reached consensus
+	// Retention is the fraction of decisions that reached consensus
 	// (Table III).
 	Retention float64
 	// StudentAccuracy is the aggregator model's test accuracy after
-	// training on the retained pairs (Fig. 3b/3d).
+	// training on the released labels (Fig. 3b/3d).
 	StudentAccuracy float64
 	// Epsilon is the (ε, δ=1e-6)-DP spend of the label release.
 	Epsilon float64
-	// Retained is the number of labeled training pairs.
+	// Retained is the number of released labels.
 	Retained int
 }
 
-// RunPipeline executes the full semi-supervised knowledge transfer flow.
+// RunPipeline executes the semi-supervised knowledge transfer flow of
+// Fig. 1: generate → query split → partition → teachers → label every
+// (query, decision) → student → ε.
 func RunPipeline(cfg PipelineConfig) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	t, err := cfg.task()
+	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	spec := cfg.Spec.Scaled(cfg.Scale)
-	train, test, err := dataset.Generate(rng, spec)
+	train, test, err := t.generate(rng)
 	if err != nil {
 		return nil, err
 	}
@@ -113,51 +153,47 @@ func RunPipeline(cfg PipelineConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	teachers, err := TrainTeachers(rng, part, spec.Classes, cfg.Train)
+	accs, err := t.teach(rng, part, cfg.Train, test)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{}
-	accs, err := teachers.Accuracies(test)
-	if err != nil {
-		return nil, err
-	}
-	res.UserAccMean = mean(accs)
+	res := &Result{UserAccMean: mean(accs)}
 	if len(part.MajorityIdx) > 0 {
 		res.MajorityAcc = meanAt(accs, part.MajorityIdx)
 		res.MinorityAcc = meanAt(accs, part.MinorityIdx)
 	}
 
 	labeler := cfg.labeler()
-	labeled, unlabeled, correct, err := labelPool(rng, teachers, pool, cfg.VoteType, labeler)
-	if err != nil {
-		return nil, err
-	}
-	res.Retained = labeled.Len()
-	res.Retention = float64(labeled.Len()) / float64(pool.Len())
-	if labeled.Len() > 0 {
-		res.LabelAccuracy = float64(correct) / float64(labeled.Len())
-		var student *ml.SoftmaxClassifier
-		if cfg.SelfTrain {
-			stCfg := cfg.SelfTrainCfg
-			if stCfg == (SelfTrainConfig{}) {
-				stCfg = DefaultSelfTrainConfig()
-			}
-			student, _, err = SelfTrain(rng, labeled, unlabeled, cfg.Train, stCfg)
-		} else {
-			student, err = ml.TrainSoftmax(rng, labeled, cfg.Train)
-		}
+	labels := make([][]int, pool.Len())
+	correct := 0
+	for i, x := range pool.X {
+		totals, err := t.totals(x)
 		if err != nil {
-			return nil, fmt.Errorf("pate: train student: %w", err)
-		}
-		if res.StudentAccuracy, err = student.Accuracy(test); err != nil {
 			return nil, err
 		}
+		labels[i] = make([]int, len(totals))
+		for d, votes := range totals {
+			label, ok := labeler.Label(rng, votes)
+			if !ok {
+				labels[i][d] = -1
+				continue
+			}
+			labels[i][d] = label
+			res.Retained++
+			if label == t.truth(pool, i, d) {
+				correct++
+			}
+		}
 	}
-
-	res.Epsilon, err = cfg.epsilonSpend(pool.Len(), labeled.Len())
-	if err != nil {
+	decisions := pool.Len() * t.decisions()
+	res.Retention = float64(res.Retained) / float64(decisions)
+	if res.Retained > 0 {
+		res.LabelAccuracy = float64(correct) / float64(res.Retained)
+	}
+	if res.StudentAccuracy, err = t.student(rng, pool, labels, cfg.Train, test); err != nil {
+		return nil, err
+	}
+	if res.Epsilon, err = cfg.epsilonSpend(decisions, res.Retained); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -175,65 +211,99 @@ func (c PipelineConfig) labeler() Labeler {
 	return BaselineLabeler{Sigma2: c.Sigma2}
 }
 
-// labelPool queries the teachers on every pool instance and collects the
-// retained (instance, label) pairs, the rejected (unlabeled) instances, and
-// the count labeled correctly.
-func labelPool(rng *rand.Rand, teachers *Teachers, pool *ml.Dataset, vt VoteType, labeler Labeler) (labeled, unlabeled *ml.Dataset, correct int, err error) {
-	labeled = &ml.Dataset{Classes: pool.Classes}
-	unlabeled = &ml.Dataset{Classes: pool.Classes}
-	for i, x := range pool.X {
-		votes, err := teachers.Votes(x, vt)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		total, err := SumVotes(votes)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		label, ok := labeler.Label(rng, total)
-		if !ok {
-			unlabeled.X = append(unlabeled.X, x)
-			continue
-		}
-		labeled.X = append(labeled.X, x)
-		labeled.Labels = append(labeled.Labels, label)
-		if label == pool.Labels[i] {
-			correct++
-		}
-	}
-	return labeled, unlabeled, correct, nil
-}
-
-// epsilonSpend computes the (ε, δ=1e-6) privacy cost: every query pays the
-// SVT budget; released labels additionally pay RNM. The baseline (no
-// threshold) pays RNM on every query.
-func (c PipelineConfig) epsilonSpend(queries, released int) (float64, error) {
-	// Zero sigma marks a non-private ablation run; the baseline never
-	// uses sigma1.
+// epsilonSpend computes the (ε, δ=1e-6) privacy cost of a run that made
+// the given number of decisions and released labels for some of them:
+// under consensus every decision pays the SVT budget and every released
+// label RNM; the baseline (no threshold) pays RNM on every decision and
+// never uses sigma1. A zero sigma the mechanism uses marks a non-private
+// ablation run, reported as ε = 0.
+func (c PipelineConfig) epsilonSpend(decisions, released int) (float64, error) {
 	if c.Sigma2 == 0 || (c.UseConsensus && c.Sigma1 == 0) {
 		return 0, nil
 	}
 	acc := dp.NewAccountant()
+	rnm := decisions
 	if c.UseConsensus {
-		for i := 0; i < queries; i++ {
+		for range decisions {
 			if err := acc.AddSVT(c.Sigma1); err != nil {
 				return 0, err
 			}
 		}
-		for i := 0; i < released; i++ {
-			if err := acc.AddRNM(c.Sigma2); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		for i := 0; i < queries; i++ {
-			if err := acc.AddRNM(c.Sigma2); err != nil {
-				return 0, err
-			}
+		rnm = released
+	}
+	for range rnm {
+		if err := acc.AddRNM(c.Sigma2); err != nil {
+			return 0, err
 		}
 	}
 	eps, _, err := acc.Epsilon(1e-6)
 	return eps, err
+}
+
+// multiclass is the MNIST/SVHN task: one K-class decision per query.
+type multiclass struct {
+	spec      dataset.Spec
+	vt        VoteType
+	selfTrain bool
+	teachers  *Teachers
+}
+
+func (m *multiclass) generate(rng *rand.Rand) (train, test *ml.Dataset, err error) {
+	return dataset.Generate(rng, m.spec)
+}
+
+func (m *multiclass) decisions() int { return 1 }
+
+func (m *multiclass) teach(rng *rand.Rand, part *dataset.Partition, cfg ml.TrainConfig, test *ml.Dataset) ([]float64, error) {
+	var err error
+	if m.teachers, err = TrainTeachers(rng, part, m.spec.Classes, cfg); err != nil {
+		return nil, err
+	}
+	return m.teachers.Accuracies(test)
+}
+
+func (m *multiclass) totals(x []float64) ([][]float64, error) {
+	votes, err := m.teachers.Votes(x, m.vt)
+	if err != nil {
+		return nil, err
+	}
+	total, err := SumVotes(votes)
+	if err != nil {
+		return nil, err
+	}
+	return [][]float64{total}, nil
+}
+
+func (m *multiclass) truth(pool *ml.Dataset, row, _ int) int { return pool.Labels[row] }
+
+// student trains a softmax model on the labeled queries, self-training on
+// the discarded ones when enabled; with no labeled query there is no
+// student and its accuracy is 0.
+func (m *multiclass) student(rng *rand.Rand, pool *ml.Dataset, labels [][]int, cfg ml.TrainConfig, test *ml.Dataset) (float64, error) {
+	labeled := &ml.Dataset{Classes: pool.Classes}
+	unlabeled := &ml.Dataset{Classes: pool.Classes}
+	for i, x := range pool.X {
+		if label := labels[i][0]; label >= 0 {
+			labeled.X = append(labeled.X, x)
+			labeled.Labels = append(labeled.Labels, label)
+		} else {
+			unlabeled.X = append(unlabeled.X, x)
+		}
+	}
+	if labeled.Len() == 0 {
+		return 0, nil
+	}
+	var student *ml.SoftmaxClassifier
+	var err error
+	if m.selfTrain {
+		student, _, err = SelfTrain(rng, labeled, unlabeled, cfg, DefaultSelfTrainConfig())
+	} else {
+		student, err = ml.TrainSoftmax(rng, labeled, cfg)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("pate: train student: %w", err)
+	}
+	return student.Accuracy(test)
 }
 
 // mean returns the arithmetic mean of xs (0 for empty input).

@@ -109,7 +109,7 @@ func TestSelfTrainEdgeCases(t *testing.T) {
 
 func TestPipelineSelfTrainFlag(t *testing.T) {
 	base := PipelineConfig{
-		Spec:          dataset.SVHNLike(),
+		Dataset:       "svhn",
 		Scale:         0.01,
 		Users:         15,
 		Division:      dataset.DivisionEven,

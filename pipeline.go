@@ -24,12 +24,15 @@ type PATEConfig struct {
 	// Division selects the data distribution: "even", "2-8", "3-7",
 	// "4-6".
 	Division string
-	// VoteType is "one-hot" (default) or "softmax". Ignored for celeba.
+	// VoteType is "one-hot" (default) or "softmax"; it applies to the
+	// multiclass task (mnist, svhn), and celeba's attribute teachers vote
+	// one-hot per attribute.
 	VoteType string
 	// Queries is the aggregator's unlabeled pool size (paper: 9000).
 	Queries int
 	// UseConsensus selects the paper's mechanism; false runs the noisy
-	// argmax baseline.
+	// argmax baseline, which draws only Sigma2 noise, so its Epsilon does
+	// not depend on Sigma1.
 	UseConsensus bool
 	// ThresholdFrac is the consensus threshold (default 0.6 if zero).
 	ThresholdFrac float64
@@ -54,7 +57,8 @@ type PATEResult struct {
 	MajorityAcc, MinorityAcc float64
 	// LabelAccuracy is the fraction of released labels that are correct.
 	LabelAccuracy float64
-	// Retention is the fraction of queries that reached consensus.
+	// Retention is the fraction of decisions that reached consensus (one
+	// per query, or one per query and attribute for celeba).
 	Retention float64
 	// StudentAccuracy is the aggregator model's held-out accuracy.
 	StudentAccuracy float64
@@ -70,51 +74,6 @@ func RunPATE(cfg PATEConfig) (*PATEResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	thr := cfg.ThresholdFrac
-	if thr == 0 {
-		thr = 0.6
-	}
-	train := ml.DefaultTrainConfig()
-	if cfg.Epochs > 0 {
-		train.Epochs = cfg.Epochs
-	}
-
-	if cfg.Dataset == "celeba" {
-		acfg := pate.AttrPipelineConfig{
-			Spec:          dataset.CelebAAttrSpec(),
-			Scale:         cfg.Scale,
-			Users:         cfg.Users,
-			Division:      div,
-			Queries:       cfg.Queries,
-			UseConsensus:  cfg.UseConsensus,
-			ThresholdFrac: thr,
-			Sigma1:        cfg.Sigma1,
-			Sigma2:        cfg.Sigma2,
-			Train:         train,
-			Seed:          cfg.Seed,
-		}
-		res, err := pate.RunAttrPipeline(acfg)
-		if err != nil {
-			return nil, err
-		}
-		return &PATEResult{
-			UserAccMean: res.UserAccMean,
-			MajorityAcc: res.MajorityAcc, MinorityAcc: res.MinorityAcc,
-			LabelAccuracy: res.LabelAccuracy, Retention: res.Retention,
-			StudentAccuracy: res.StudentAccuracy, Epsilon: res.Epsilon,
-			Retained: res.Retained,
-		}, nil
-	}
-
-	var spec dataset.Spec
-	switch cfg.Dataset {
-	case "mnist":
-		spec = dataset.MNISTLike()
-	case "svhn":
-		spec = dataset.SVHNLike()
-	default:
-		return nil, fmt.Errorf("privconsensus: unknown dataset %q (want mnist, svhn or celeba)", cfg.Dataset)
-	}
 	vt := pate.OneHot
 	switch cfg.VoteType {
 	case "", "one-hot", "onehot":
@@ -123,8 +82,16 @@ func RunPATE(cfg PATEConfig) (*PATEResult, error) {
 	default:
 		return nil, fmt.Errorf("privconsensus: unknown vote type %q", cfg.VoteType)
 	}
-	pcfg := pate.PipelineConfig{
-		Spec:          spec,
+	thr := cfg.ThresholdFrac
+	if thr == 0 {
+		thr = 0.6
+	}
+	train := ml.DefaultTrainConfig()
+	if cfg.Epochs > 0 {
+		train.Epochs = cfg.Epochs
+	}
+	res, err := pate.RunPipeline(pate.PipelineConfig{
+		Dataset:       cfg.Dataset,
 		Scale:         cfg.Scale,
 		Users:         cfg.Users,
 		Division:      div,
@@ -137,18 +104,12 @@ func RunPATE(cfg PATEConfig) (*PATEResult, error) {
 		Train:         train,
 		Seed:          cfg.Seed,
 		SelfTrain:     cfg.SelfTrain,
-	}
-	res, err := pate.RunPipeline(pcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &PATEResult{
-		UserAccMean: res.UserAccMean,
-		MajorityAcc: res.MajorityAcc, MinorityAcc: res.MinorityAcc,
-		LabelAccuracy: res.LabelAccuracy, Retention: res.Retention,
-		StudentAccuracy: res.StudentAccuracy, Epsilon: res.Epsilon,
-		Retained: res.Retained,
-	}, nil
+	out := PATEResult(*res)
+	return &out, nil
 }
 
 // parseDivision maps the public division names onto the internal enum.

@@ -2,6 +2,7 @@ package privconsensus
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/keystore"
 )
 
@@ -327,6 +329,58 @@ func TestRunPATECelebA(t *testing.T) {
 	}
 	if res.MajorityAcc == 0 || res.MinorityAcc == 0 {
 		t.Errorf("group accuracies missing: %+v", res)
+	}
+}
+
+// TestPATEEpsilonZeroSigmaRule holds both tasks to one ε rule: consensus
+// pays SVT(σ1) on every decision and RNM(σ2) on every released label, the
+// baseline RNM(σ2) on every decision and nothing for σ1; a zero σ the
+// mechanism uses reports ε = 0.
+func TestPATEEpsilonZeroSigmaRule(t *testing.T) {
+	const queries = 20
+	for _, task := range []struct {
+		dataset   string
+		decisions int // per query
+	}{{"mnist", 1}, {"celeba", 40}} {
+		for _, consensus := range []bool{true, false} {
+			baseline := map[float64]float64{} // σ2 → the baseline's ε
+			for _, sigma1 := range []float64{0, 4} {
+				for _, sigma2 := range []float64{0, 4} {
+					res, err := RunPATE(PATEConfig{Dataset: task.dataset, Scale: 0.004, Users: 6, Queries: queries,
+						UseConsensus: consensus, Sigma1: sigma1, Sigma2: sigma2, Seed: 3, Epochs: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s consensus=%v σ1=%g σ2=%g", task.dataset, consensus, sigma1, sigma2)
+					want := 0.0
+					if sigma2 > 0 && (!consensus || sigma1 > 0) {
+						decisions := queries * task.decisions
+						acc := dp.NewAccountant()
+						rnm := decisions
+						if consensus {
+							for range decisions {
+								_ = acc.AddSVT(sigma1)
+							}
+							rnm = res.Retained
+						}
+						for range rnm {
+							_ = acc.AddRNM(sigma2)
+						}
+						want, _, _ = acc.Epsilon(1e-6)
+					}
+					if math.Abs(res.Epsilon-want) > 1e-9*want || (want == 0) != (res.Epsilon == 0) {
+						t.Errorf("%s: ε = %v, want %v", name, res.Epsilon, want)
+					}
+					if consensus {
+						continue
+					}
+					if prev, ok := baseline[sigma2]; ok && prev != res.Epsilon {
+						t.Errorf("%s: baseline ε %v depends on σ1 (%v at σ1=0)", name, res.Epsilon, prev)
+					}
+					baseline[sigma2] = res.Epsilon
+				}
+			}
+		}
 	}
 }
 
