@@ -233,7 +233,7 @@ func (e *Engine) LabelBatch(ctx context.Context, votes [][][]float64) (*BatchRes
 		for u := range seeds {
 			seeds[u] = e.seed()
 		}
-		err = mathutil.ParallelFor(protocol.Workers(), len(rows), func(u int) error {
+		err = mathutil.ParallelFor(protocol.Workers(), len(rows), func(_, u int) error {
 			return deploy.SubmitVotes(ctx, e.pub, deploy.UserOptions{User: u, S1Addr: addr1, S2Addr: addr2, Seed: seeds[u]}, rows[u])
 		})
 		if err != nil {

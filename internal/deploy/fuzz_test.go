@@ -59,7 +59,7 @@ func FuzzPeerFrames(f *testing.F) {
 	const instance = 3
 	local := big.NewInt(0b0111) // S2's set, and S1's proposal
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := transport.ReadMessage(bytes.NewReader(data))
+		msg, _, err := transport.DecodeMessage(data)
 		if err != nil {
 			return
 		}
@@ -271,12 +271,13 @@ func FuzzUserFrames(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, packed bool) {
 		var msgs []*transport.Message
-		for r := bytes.NewReader(data); len(msgs) < 32; {
-			m, err := transport.ReadMessage(r)
+		for rest := data; len(msgs) < 32; {
+			m, n, err := transport.DecodeMessage(rest)
 			if err != nil {
 				break
 			}
 			msgs = append(msgs, m)
+			rest = rest[n:]
 		}
 		// A result wait for a query this sequence's own admissions could
 		// grant would block until that query resolves, which it never does
@@ -524,12 +525,13 @@ func FuzzCtlFrames(f *testing.F) {
 	cfg.Classes, cfg.Kappa = 4, 24
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var msgs []*transport.Message
-		for r := bytes.NewReader(data); len(msgs) < 32; {
-			m, err := transport.ReadMessage(r)
+		for rest := data; len(msgs) < 32; {
+			m, n, err := transport.DecodeMessage(rest)
 			if err != nil {
 				break
 			}
 			msgs = append(msgs, m)
+			rest = rest[n:]
 		}
 		st := &serveS2{
 			s:          &serverSetup{cfg: cfg, trace: newTraceState()},

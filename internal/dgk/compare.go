@@ -181,28 +181,94 @@ func itemValues(items []*transport.Message) [][]*big.Int {
 // The three compute kernels below are all of the protocol's cryptography.
 // Each fans out over the n·L bit positions, not the n comparisons, so a
 // bracket level of one comparison still uses every worker; with par > 1 rng
-// must be safe for concurrent draws.
+// must be safe for concurrent draws. Each writes its values into one slab
+// of big.Int headers over one word arena and works in one scratch per
+// worker (see workers), so its allocations do not grow with n·L.
+
+// workers hands each ParallelFor worker its own scratch, built on the
+// worker's first call. It lives for one kernel call.
+type workers[T any] struct {
+	s    []T
+	made []bool
+	mk   func() T
+}
+
+func newWorkers[T any](par int, mk func() T) *workers[T] {
+	return &workers[T]{s: make([]T, max(par, 1)), made: make([]bool, max(par, 1)), mk: mk}
+}
+
+// get returns worker w's scratch.
+func (ws *workers[T]) get(w int) T {
+	if !ws.made[w] {
+		ws.s[w], ws.made[w] = ws.mk(), true
+	}
+	return ws.s[w]
+}
+
+// slab returns n comparisons' L values each as views of one []big.Int,
+// and the flat headers behind them.
+func slab(n, l int) ([][]*big.Int, []big.Int) {
+	vals, ptrs := make([]big.Int, n*l), make([]*big.Int, n*l)
+	for i := range ptrs {
+		ptrs[i] = &vals[i]
+	}
+	out := make([][]*big.Int, n)
+	for i := range out {
+		out[i] = ptrs[i*l : (i+1)*l : (i+1)*l]
+	}
+	return out, vals
+}
 
 // encryptBits is party B's round 1: the L bitwise encryptions (little-endian)
-// of each value, under B's own key at the owner's cost.
+// of each value, under B's own key at the owner's cost. A bit's g^m is a
+// choice between g^0 and g^1 in n's Montgomery domain, so each encryption
+// is two CRT table walks, one recombination and one multiplication.
 func (k *PrivateKey) encryptBits(rng io.Reader, vals []*big.Int, par int) ([][]*big.Int, error) {
-	out := make([][]*big.Int, len(vals))
 	for i, v := range vals {
 		if err := checkRange(v, k.L); err != nil {
 			return nil, fmt.Errorf("dgk: comparison %d: %w", i, err)
 		}
-		out[i] = make([]*big.Int, k.L)
 	}
-	err := mathutil.ParallelFor(par, len(vals)*k.L, func(idx int) error {
+	own := k.ownTables()
+	if own == nil || own.crt == nil {
+		return nil, ErrNoPrivateKey
+	}
+	ctx := k.nMont()
+	if ctx == nil {
+		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
+	}
+	w := ctx.Words()
+	out, cts := slab(len(vals), k.L)
+	arena := make([]big.Word, (len(cts)+2)*w)
+	g := arena[len(cts)*w:] // g^0 and g^1 in the domain
+	scratch := newWorkers(par, k.newOwnScratch)
+	kernel := scratch.get(0).w
+	ctx.Enter(g[:w], mathutil.One, kernel)
+	ctx.Enter(g[w:], k.G, kernel)
+	err := mathutil.ParallelFor(par, len(cts), func(wk, idx int) error {
 		i, pos := idx/k.L, idx%k.L
-		c, err := k.Encrypt(rng, big.NewInt(int64(vals[i].Bit(pos))))
-		if err != nil {
+		bit := int(vals[i].Bit(pos))
+		z := arena[idx*w : (idx+1)*w : (idx+1)*w]
+		if err := k.encryptOwn(z, rng, own, ctx, g[bit*w:(bit+1)*w], scratch.get(wk)); err != nil {
 			return fmt.Errorf("dgk: comparison %d bit %d: %w", i, pos, err)
 		}
-		out[i][pos] = c.C
+		cts[idx].SetBits(z)
 		return nil
 	})
+	for _, s := range scratch.s {
+		if s != nil {
+			clear(s.w) // residues modulo p and q
+		}
+	}
 	return out, err
+}
+
+// blindScratch is one worker's memory for party A's blinding: the draw,
+// its byte buffer and Mont.Exp's scratch for a ≤ 16-bit exponent.
+type blindScratch struct {
+	r   big.Int
+	buf []byte
+	w   []big.Word
 }
 
 // blind is party A's round 2: for each of its values and B's encrypted bit
@@ -216,42 +282,50 @@ func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int,
 		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
 	}
 	n, l, w := len(vals), pk.L, ctx.Words()
-	terms := make([][]big.Word, n)
+	// One arena: every comparison's L terms, then every blinded value, w
+	// words each.
+	arena := make([]big.Word, 2*n*l*w)
+	terms, blinded := arena[:n*l*w], arena[n*l*w:]
 	pis := make([]perm.Permutation, n)
-	out := make([][]*big.Int, n)
-	// Per comparison: each position's w words and 3w of scratch, and headers.
-	work := make([][]big.Word, n)
-	blinded := make([][]big.Int, n)
-	err := mathutil.ParallelFor(par, n, func(i int) (err error) {
-		if terms[i], err = pk.compareTerms(rng, ctx, vals[i], encBits[i]); err != nil {
+	chain := newWorkers(par, func() []big.Word { return make([]big.Word, termScratch(l)*w) })
+	err := mathutil.ParallelFor(par, n, func(wk, i int) (err error) {
+		if err = pk.compareTerms(rng, ctx, vals[i], encBits[i], terms[i*l*w:(i+1)*l*w], chain.get(wk)); err != nil {
 			return fmt.Errorf("dgk: comparison %d: %w", i, err)
 		}
 		// Permute so B cannot tell which bit position (if any) was zero.
 		pis[i], err = perm.New(rng, l)
-		out[i], work[i], blinded[i] = make([]*big.Int, l), make([]big.Word, 4*l*w), make([]big.Int, l)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	bound := new(big.Int).Sub(pk.U, mathutil.One)
-	err = mathutil.ParallelFor(par, n*l, func(idx int) error {
+	scratch := newWorkers(par, func() *blindScratch {
+		return &blindScratch{buf: make([]byte, (bound.BitLen()+7)/8), w: make([]big.Word, 3*w)}
+	})
+	out, vs := slab(n, l)
+	err = mathutil.ParallelFor(par, n*l, func(wk, idx int) error {
 		i, pos := idx/l, idx%l
+		s := scratch.get(wk)
 		// Blind with a random nonzero exponent: zero stays zero, nonzero
 		// becomes uniform nonzero.
-		r, err := randNonzero(rng, bound)
+		r, err := randNonzero(&s.r, rng, bound, s.buf)
 		if err != nil {
 			return err
 		}
-		buf := work[i][4*pos*w : 4*(pos+1)*w]
-		z := buf[:w:w]
-		ctx.Exp(z, terms[i][pos*w:(pos+1)*w], r, buf[w:])
-		ctx.Leave(z, z, buf[w:])
-		out[i][pis[i][pos]] = blinded[i][pos].SetBits(z)
+		z := blinded[idx*w : (idx+1)*w : (idx+1)*w]
+		ctx.Exp(z, terms[idx*w:(idx+1)*w], r, s.w)
+		ctx.Leave(z, z, s.w)
+		out[i][pis[i][pos]] = vs[idx].SetBits(z)
 		return nil
 	})
 	return out, err
 }
+
+// termScratch is compareTerms' scratch per word of n: the bits and the
+// bits' inverses, L values each, then xorSum, g, g², a temporary and 3
+// words for the multiplications.
+func termScratch(l int) int { return 2*l + 7 }
 
 // compareTerms computes E(c_i), i = 0..L-1, in the Montgomery domain of
 // ctx (n's), for A's value a against B's encrypted bits, scanning from the
@@ -262,22 +336,21 @@ func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int,
 // with E(a_j XOR b_j) = E(b_j) when a_j = 0 and E(1 - b_j) otherwise. All of
 // it is multiplications: the L negations E(-b_i) = E(b_i)^(-1) come from
 // one modular inversion of the bits' product (Montgomery's trick) and 3*sum
-// is two more multiplications. It returns the L terms' words, w per term.
-func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int, encBits []*big.Int) ([]big.Word, error) {
+// is two more multiplications. It writes the L terms' words, w per term,
+// into terms and works in buf, termScratch(L)·w words the caller owns.
+func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int, encBits []*big.Int, terms, buf []big.Word) error {
 	l, w := pk.L, ctx.Words()
 	if len(encBits) != l {
-		return nil, fmt.Errorf("dgk: expected %d encrypted bits, got %d", l, len(encBits))
+		return fmt.Errorf("dgk: expected %d encrypted bits, got %d", l, len(encBits))
 	}
-	// The terms, the bits and the bits' inverses, L values each, then
-	// xorSum, g, g², a temporary and 3w of scratch.
-	buf := make([]big.Word, (3*l+7)*w)
 	at := func(k int) []big.Word { return buf[k*w : (k+1)*w] }
-	bit := func(i int) []big.Word { return at(l + i) }
-	neg := func(i int) []big.Word { return at(2*l + i) }
-	xorSum, g, g2, tmp, scratch := at(3*l), at(3*l+1), at(3*l+2), at(3*l+3), buf[(3*l+4)*w:]
+	term := func(i int) []big.Word { return terms[i*w : (i+1)*w] }
+	bit := func(i int) []big.Word { return at(i) }
+	neg := func(i int) []big.Word { return at(l + i) }
+	xorSum, g, g2, tmp, scratch := at(2*l), at(2*l+1), at(2*l+2), at(2*l+3), buf[(2*l+4)*w:]
 	for i, v := range encBits {
 		if err := pk.validateCiphertext(&Ciphertext{C: v}); err != nil {
-			return nil, fmt.Errorf("dgk: bit %d: %w", i, err)
+			return fmt.Errorf("dgk: bit %d: %w", i, err)
 		}
 		ctx.Enter(bit(i), v, scratch)
 	}
@@ -290,7 +363,7 @@ func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int,
 	ctx.Leave(tmp, neg(l-1), scratch)
 	inv, err := mathutil.ModInverse(new(big.Int).SetBits(tmp), pk.N)
 	if err != nil {
-		return nil, fmt.Errorf("dgk: encrypted bits are not units: %w", err)
+		return fmt.Errorf("dgk: encrypted bits are not units: %w", err)
 	}
 	ctx.Enter(tmp, inv, scratch)
 	for i := l - 1; i > 0; i-- {
@@ -300,7 +373,7 @@ func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int,
 	copy(neg(0), tmp)
 	zero, err := pk.Encrypt(rng, mathutil.Zero)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ctx.Enter(xorSum, zero.C, scratch) // over the processed (higher) positions
 	ctx.Enter(g, pk.G, scratch)
@@ -310,8 +383,8 @@ func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int,
 		ai := a.Bit(i)
 		ctx.Mul(tmp, xorSum, xorSum, scratch)
 		ctx.Mul(tmp, tmp, xorSum, scratch)
-		ctx.Mul(at(i), neg(i), gPlus[ai], scratch) // the term E(c_i)
-		ctx.Mul(at(i), at(i), tmp, scratch)
+		ctx.Mul(term(i), neg(i), gPlus[ai], scratch) // the term E(c_i)
+		ctx.Mul(term(i), term(i), tmp, scratch)
 		if ai == 0 {
 			ctx.Mul(xorSum, xorSum, bit(i), scratch)
 		} else {
@@ -319,25 +392,35 @@ func (pk *PublicKey) compareTerms(rng io.Reader, ctx *mathutil.Mont, a *big.Int,
 			ctx.Mul(xorSum, xorSum, tmp, scratch)
 		}
 	}
-	return buf[:l*w], nil
+	return nil
 }
 
 // zeroTest is party B's decision of each comparison from its blinded round-2
 // sequence: a >= b iff no value decrypts to zero. Every position is tested so
 // the work is constant regardless of outcome.
 func (k *PrivateKey) zeroTest(blinded [][]*big.Int, par int) ([]bool, error) {
+	zt := k.zt
+	if zt == nil {
+		return nil, ErrNoPrivateKey // zeroized
+	}
 	for i, vals := range blinded {
 		if len(vals) != k.L {
 			return nil, fmt.Errorf("dgk: comparison %d: expected %d blinded values, got %d", i, k.L, len(vals))
 		}
 	}
 	isZero := make([]bool, len(blinded)*k.L)
-	err := mathutil.ParallelFor(par, len(isZero), func(idx int) (err error) {
-		if isZero[idx], err = k.IsZero(&Ciphertext{C: blinded[idx/k.L][idx%k.L]}); err != nil {
+	scratch := newWorkers(par, func() []big.Word { return make([]big.Word, zeroTestWords*zt.Words()) })
+	err := mathutil.ParallelFor(par, len(isZero), func(w, idx int) error {
+		c := blinded[idx/k.L][idx%k.L]
+		if err := k.validateCiphertext(&Ciphertext{C: c}); err != nil {
 			return fmt.Errorf("dgk: comparison %d zero-test %d: %w", idx/k.L, idx%k.L, err)
 		}
+		isZero[idx] = k.isZero(zt, c, scratch.get(w))
 		return nil
 	})
+	for _, x := range scratch.s {
+		clear(x) // powers modulo p
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -366,9 +449,10 @@ func checkRange(v *big.Int, l int) error {
 	return nil
 }
 
-// randNonzero samples uniformly from [1, u), given bound = u − 1.
-func randNonzero(rng io.Reader, bound *big.Int) (*big.Int, error) {
-	r, err := mathutil.RandInt(rng, bound)
+// randNonzero sets z to a uniform draw from [1, u), given bound = u − 1,
+// in the caller's byte buffer (see mathutil.RandInt).
+func randNonzero(z *big.Int, rng io.Reader, bound *big.Int, buf []byte) (*big.Int, error) {
+	r, err := mathutil.RandInt(z, rng, bound, buf)
 	if err != nil {
 		return nil, err
 	}

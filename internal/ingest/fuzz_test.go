@@ -25,7 +25,7 @@ func fuzzFrames(f *testing.F, seeds []*transport.Message, decode func(*transport
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := transport.ReadMessage(bytes.NewReader(data))
+		msg, _, err := transport.DecodeMessage(data)
 		if err != nil {
 			return
 		}

@@ -113,11 +113,12 @@ func FuzzIntake(f *testing.F) {
 			}
 			return replay, ""
 		}
-		for rd, n := bytes.NewReader(data), 0; n < 32; n++ {
-			msg, err := transport.ReadMessage(rd)
+		for rest, n := data, 0; n < 32; n++ {
+			msg, used, err := transport.DecodeMessage(rest)
 			if err != nil {
 				break
 			}
+			rest = rest[used:]
 			replay, reason := admit(msg, true)
 			if in.Covered().Cmp(accepted) != 0 {
 				t.Fatalf("covered %b, accepted frames name %b", in.Covered(), accepted)

@@ -104,7 +104,7 @@ func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error)
 	row := (1<<w - 1) * n
 	f.table = make([]big.Word, f.digits*row)
 	// cur = base^(2^(w·i))·R as i advances; every step is a montMul.
-	cur, scratch := f.buffers()
+	cur, scratch := make([]big.Word, n), make([]big.Word, 3*n)
 	mont.Enter(cur, f.base, scratch)
 	for i := 0; i < f.digits; i++ {
 		r := f.table[i*row : (i+1)*row]
@@ -143,28 +143,32 @@ func (f *FixedBaseExp) MaxBits() int { return f.maxBits }
 // Modulus returns the table's modulus. Callers must not mutate it.
 func (f *FixedBaseExp) Modulus() *big.Int { return f.mont.mod }
 
-// Exp returns base^e mod modulus. Exponents in [0, 2^maxBits) are answered
-// from the table with only multiplications; anything else (negative, nil or
-// oversized) falls back to big.Int.Exp so results are never truncated.
-func (f *FixedBaseExp) Exp(e *big.Int) *big.Int {
+// Exp sets z to base^e mod modulus, as Words() little-endian words below
+// the modulus. Exponents in [0, 2^maxBits) are answered from the table with
+// only multiplications in scratch, at least 3·Words() words the caller
+// owns; z must not alias it. Anything else (negative, nil or oversized)
+// falls back to big.Int.Exp, which allocates, so results are never
+// truncated.
+func (f *FixedBaseExp) Exp(z []big.Word, e *big.Int, scratch []big.Word) {
 	if e == nil {
 		e = Zero
 	}
 	if !f.covers(e) {
 		fixedBaseFallbacks.Inc()
-		return new(big.Int).Exp(f.base, e, f.mont.mod)
+		setWords(z, f.fallback(e))
+		return
 	}
 	fixedBaseHits.Inc()
-	acc, scratch := f.buffers()
-	return f.leave(acc, scratch, f.walk(acc, scratch, e, false))
+	f.leave(z, scratch, f.walk(z, scratch, e, false))
 }
 
-// MulExp returns f.base^x · g.base^y mod the shared modulus — the
-// fixed-base form of a simultaneous exponentiation, used for DGK's
-// g^m · h^r. When both tables share one modulus and cover their exponents,
-// both walks multiply into one Montgomery accumulator and leave the domain
-// once; otherwise the per-table results are composed modulo f's modulus.
-func (f *FixedBaseExp) MulExp(g *FixedBaseExp, x, y *big.Int) *big.Int {
+// MulExp sets z to f.base^x · g.base^y mod f's modulus — the fixed-base
+// form of a simultaneous exponentiation, used for DGK's g^m · h^r; z and
+// scratch are as in Exp. When both tables share one modulus and cover
+// their exponents, both walks multiply into one Montgomery accumulator and
+// leave the domain once; otherwise the per-table results are composed
+// modulo f's modulus with big.Int arithmetic, which allocates.
+func (f *FixedBaseExp) MulExp(g *FixedBaseExp, z []big.Word, x, y *big.Int, scratch []big.Word) {
 	if x == nil {
 		x = Zero
 	}
@@ -172,13 +176,32 @@ func (f *FixedBaseExp) MulExp(g *FixedBaseExp, x, y *big.Int) *big.Int {
 		y = Zero
 	}
 	if !f.covers(x) || !g.covers(y) || f.mont.mod.Cmp(g.mont.mod) != 0 {
-		out := f.Exp(x)
-		out.Mul(out, g.Exp(y))
-		return out.Mod(out, f.mont.mod)
+		gy := make([]big.Word, g.mont.Words())
+		g.Exp(gy, y, make([]big.Word, 3*len(gy)))
+		f.Exp(z, x, scratch)
+		out := new(big.Int).Mul(new(big.Int).SetBits(z), new(big.Int).SetBits(gy))
+		setWords(z, out.Mod(out, f.mont.mod))
+		return
 	}
 	fixedBaseHits.Add(2)
-	acc, scratch := f.buffers()
-	return f.leave(acc, scratch, g.walk(acc, scratch, y, f.walk(acc, scratch, x, false)))
+	f.leave(z, scratch, g.walk(z, scratch, y, f.walk(z, scratch, x, false)))
+}
+
+// fallback is big.Int.Exp for an exponent the table does not cover. A
+// negative exponent of a base with no inverse has no answer; only a bug
+// asks for one.
+func (f *FixedBaseExp) fallback(e *big.Int) *big.Int {
+	out := new(big.Int).Exp(f.base, e, f.mont.mod)
+	if out == nil {
+		panic(fmt.Sprintf("mathutil: %v has no inverse modulo the table's modulus", f.base))
+	}
+	return out
+}
+
+// setWords writes x, below the modulus, into z's words.
+func setWords(z []big.Word, x *big.Int) {
+	clear(z)
+	copy(z, x.Bits())
 }
 
 // covers reports whether e is answered from the table. It panics on a
@@ -188,13 +211,6 @@ func (f *FixedBaseExp) covers(e *big.Int) bool {
 		panic(errZeroized)
 	}
 	return e.Sign() >= 0 && e.BitLen() <= f.maxBits
-}
-
-// buffers returns an n-word accumulator and the 3n words of scratch the
-// Montgomery context asks for.
-func (f *FixedBaseExp) buffers() (acc, scratch []big.Word) {
-	n := f.mont.Words()
-	return make([]big.Word, n), make([]big.Word, 3*n)
 }
 
 // walk multiplies acc by base^e in the Montgomery domain, one table entry
@@ -222,14 +238,15 @@ func (f *FixedBaseExp) walk(acc, scratch []big.Word, e *big.Int, started bool) b
 	return started
 }
 
-// leave returns acc·R⁻¹ mod modulus. An accumulator that never started is
-// the empty product, 1 (the modulus is > 2, so 1 needs no reduction).
-func (f *FixedBaseExp) leave(acc, scratch []big.Word, started bool) *big.Int {
+// leave sets acc to acc·R⁻¹ mod modulus. An accumulator that never started
+// is the empty product, 1 (the modulus is > 2, so 1 needs no reduction).
+func (f *FixedBaseExp) leave(acc, scratch []big.Word, started bool) {
 	if !started {
-		return big.NewInt(1)
+		clear(acc)
+		acc[0] = 1
+		return
 	}
 	f.mont.Leave(acc, acc, scratch)
-	return new(big.Int).SetBits(acc)
 }
 
 // wordAt returns the word of ew's bits that starts at bit off.

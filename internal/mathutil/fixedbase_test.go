@@ -16,6 +16,20 @@ import (
 // refExp is the reference the fixed-base kernel must agree with.
 func refExp(base, e, m *big.Int) *big.Int { return new(big.Int).Exp(base, e, m) }
 
+// expOf is f.Exp into fresh words, as a big.Int.
+func expOf(f *FixedBaseExp, e *big.Int) *big.Int {
+	z := make([]big.Word, f.mont.Words())
+	f.Exp(z, e, make([]big.Word, 3*len(z)))
+	return new(big.Int).SetBits(z)
+}
+
+// mulExpOf is f.MulExp into fresh words, as a big.Int.
+func mulExpOf(f, g *FixedBaseExp, x, y *big.Int) *big.Int {
+	z := make([]big.Word, f.mont.Words())
+	f.MulExp(g, z, x, y, make([]big.Word, 3*len(z)))
+	return new(big.Int).SetBits(z)
+}
+
 func mustTable(t *testing.T, base, m *big.Int, maxBits int) *FixedBaseExp {
 	t.Helper()
 	f, err := NewFixedBaseExp(base, m, maxBits)
@@ -38,7 +52,7 @@ func TestFixedBaseExpMatchesBigIntExp(t *testing.T) {
 			for trial := 0; trial < 25; trial++ {
 				bits := rng.Intn(maxBits + 1)
 				e := new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(bits)))
-				got := f.Exp(e)
+				got := expOf(f, e)
 				want := refExp(base, e, m)
 				if got.Cmp(want) != 0 {
 					t.Fatalf("m=%v maxBits=%d e=%v: got %v, want %v", m, maxBits, e, got, want)
@@ -50,10 +64,10 @@ func TestFixedBaseExpMatchesBigIntExp(t *testing.T) {
 
 func TestFixedBaseExpZeroExponent(t *testing.T) {
 	f := mustTable(t, big.NewInt(7), big.NewInt(101), 64)
-	if got := f.Exp(Zero); got.Cmp(One) != 0 {
+	if got := expOf(f, Zero); got.Cmp(One) != 0 {
 		t.Fatalf("base^0: got %v, want 1", got)
 	}
-	if got := f.Exp(nil); got.Cmp(One) != 0 {
+	if got := expOf(f, nil); got.Cmp(One) != 0 {
 		t.Fatalf("base^nil: got %v, want 1", got)
 	}
 }
@@ -61,16 +75,16 @@ func TestFixedBaseExpZeroExponent(t *testing.T) {
 func TestFixedBaseExpZeroBase(t *testing.T) {
 	// base ≡ 0 mod m: 0^0 = 1, 0^e = 0 for e > 0 (matching big.Int.Exp).
 	f := mustTable(t, big.NewInt(101), big.NewInt(101), 16)
-	if got := f.Exp(Zero); got.Cmp(One) != 0 {
+	if got := expOf(f, Zero); got.Cmp(One) != 0 {
 		t.Fatalf("0^0: got %v, want 1", got)
 	}
-	if got := f.Exp(big.NewInt(5)); got.Sign() != 0 {
+	if got := expOf(f, big.NewInt(5)); got.Sign() != 0 {
 		t.Fatalf("0^5: got %v, want 0", got)
 	}
 	// 3² ≡ 0 mod 9, but the walk's accumulator holds a nonzero multiple of
 	// 9, so leaving the Montgomery domain lands on 9 itself and must reduce.
 	f = mustTable(t, big.NewInt(3), big.NewInt(9), 16)
-	if got := f.Exp(big.NewInt(2)); got.Sign() != 0 {
+	if got := expOf(f, big.NewInt(2)); got.Sign() != 0 {
 		t.Fatalf("3^2 mod 9: got %v, want 0", got)
 	}
 }
@@ -89,7 +103,7 @@ func TestFixedBaseExpOversizedFallsBack(t *testing.T) {
 	hitsBefore := obs.Default.CounterValue("privconsensus_fixedbase_hits_total")
 	fallbacksBefore := obs.Default.CounterValue("privconsensus_fixedbase_fallbacks_total")
 
-	got := f.Exp(e)
+	got := expOf(f, e)
 	want := refExp(base, e, m)
 	if got.Cmp(want) != 0 {
 		t.Fatalf("oversized exponent: got %v, want %v (truncated table walk?)", got, want)
@@ -104,13 +118,13 @@ func TestFixedBaseExpOversizedFallsBack(t *testing.T) {
 	// Negative exponents also fall back; with gcd(base, m) = 1 the modular
 	// inverse path must match big.Int.Exp exactly.
 	neg := big.NewInt(-7)
-	if got, want := f.Exp(neg), refExp(base, neg, m); got.Cmp(want) != 0 {
+	if got, want := expOf(f, neg), refExp(base, neg, m); got.Cmp(want) != 0 {
 		t.Fatalf("negative exponent: got %v, want %v", got, want)
 	}
 
 	// In-range exponents keep hitting the table.
 	small := big.NewInt(99)
-	if got, want := f.Exp(small), refExp(base, small, m); got.Cmp(want) != 0 {
+	if got, want := expOf(f, small), refExp(base, small, m); got.Cmp(want) != 0 {
 		t.Fatalf("in-range exponent after fallback: got %v, want %v", got, want)
 	}
 	if d := obs.Default.CounterValue("privconsensus_fixedbase_hits_total") - hitsBefore; d != 1 {
@@ -123,11 +137,11 @@ func TestFixedBaseExpBoundaryWidth(t *testing.T) {
 	m := big.NewInt(1009)
 	f := mustTable(t, big.NewInt(11), m, 10)
 	edge := new(big.Int).Sub(new(big.Int).Lsh(One, 10), One) // 2^10 - 1
-	if got, want := f.Exp(edge), refExp(big.NewInt(11), edge, m); got.Cmp(want) != 0 {
+	if got, want := expOf(f, edge), refExp(big.NewInt(11), edge, m); got.Cmp(want) != 0 {
 		t.Fatalf("edge exponent: got %v, want %v", got, want)
 	}
 	over := new(big.Int).Lsh(One, 10) // 11 bits
-	if got, want := f.Exp(over), refExp(big.NewInt(11), over, m); got.Cmp(want) != 0 {
+	if got, want := expOf(f, over), refExp(big.NewInt(11), over, m); got.Cmp(want) != 0 {
 		t.Fatalf("just-over exponent: got %v, want %v", got, want)
 	}
 }
@@ -180,7 +194,7 @@ func TestFixedBaseExpConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				e := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 128))
-				if got, want := f.Exp(e), refExp(big.NewInt(3), e, m); got.Cmp(want) != 0 {
+				if got, want := expOf(f, e), refExp(big.NewInt(3), e, m); got.Cmp(want) != 0 {
 					errs <- "mismatch for e=" + e.String()
 					return
 				}
@@ -217,7 +231,7 @@ func TestMulExpMatchesComposition(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			x := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 60))
 			y := new(big.Int).Rand(rng, new(big.Int).Lsh(One, tc.yBits))
-			got := fa.MulExp(fb, x, y)
+			got := mulExpOf(fa, fb, x, y)
 			want := refExp(a, x, m)
 			want.Mul(want, refExp(b, y, tc.mb))
 			want.Mod(want, m)
@@ -226,7 +240,7 @@ func TestMulExpMatchesComposition(t *testing.T) {
 			}
 		}
 	}
-	if got := fa.MulExp(fa, nil, Zero); got.Cmp(One) != 0 {
+	if got := mulExpOf(fa, fa, nil, Zero); got.Cmp(One) != 0 {
 		t.Fatalf("a^0·a^0: got %v, want 1", got)
 	}
 }
@@ -259,11 +273,11 @@ func TestZeroizedTableRefuses(t *testing.T) {
 		name string
 		call func() *big.Int
 	}{
-		{"table path", func() *big.Int { return f.Exp(big.NewInt(99)) }},
-		{"zero exponent", func() *big.Int { return f.Exp(nil) }},
-		{"negative fallback", func() *big.Int { return f.Exp(big.NewInt(-1)) }},
-		{"oversized fallback", func() *big.Int { return f.Exp(new(big.Int).Lsh(One, 65)) }},
-		{"MulExp", func() *big.Int { return g.MulExp(f, One, One) }},
+		{"table path", func() *big.Int { return expOf(f, big.NewInt(99)) }},
+		{"zero exponent", func() *big.Int { return expOf(f, nil) }},
+		{"negative fallback", func() *big.Int { return expOf(f, big.NewInt(-1)) }},
+		{"oversized fallback", func() *big.Int { return expOf(f, new(big.Int).Lsh(One, 65)) }},
+		{"MulExp", func() *big.Int { return mulExpOf(g, f, One, One) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -297,7 +311,7 @@ func BenchmarkFixedBaseExp(b *testing.B) {
 		b.Run(fmt.Sprintf("%d/exp", w.mod), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				f.Exp(e)
+				expOf(f, e)
 			}
 		})
 		b.Run(fmt.Sprintf("%d/montmul", w.mod), func(b *testing.B) {

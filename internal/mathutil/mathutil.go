@@ -4,6 +4,16 @@
 //
 // All randomness is drawn from an injected io.Reader so that tests can run
 // deterministically; production callers pass crypto/rand.Reader.
+//
+// The hot kernels — the Montgomery context, the fixed-base tables, CRT
+// recombination and the random draws — allocate nothing per call: each
+// writes into a destination and works in a scratch that the caller owns.
+// The scratch lives for one call: the caller sizes it (one per worker of a
+// ParallelFor, whose fn learns its worker index), may reuse it for the
+// next call of the same operation, and drops it when the operation ends.
+// Nothing in this package keeps a scratch between calls, and there is no
+// shared pool: scratch words hold residues modulo secret factors, which
+// must not outlive the key or the epoch they were computed under.
 package mathutil
 
 import (
@@ -12,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"slices"
 )
 
 // Common small constants, shared to avoid re-allocation. Callers must not
@@ -25,29 +37,64 @@ var (
 // ErrNoInverse is returned when a modular inverse does not exist.
 var ErrNoInverse = errors.New("mathutil: modular inverse does not exist")
 
-// RandInt returns a uniformly random integer in [0, max). max must be > 0.
-func RandInt(rng io.Reader, max *big.Int) (*big.Int, error) {
+// RandInt sets z to a uniformly random integer in [0, max) and returns it;
+// max must be > 0 and z must not alias it. It reads from rng exactly the
+// bytes crypto/rand.Int reads for max — the same ⌈bitlen(max−1)/8⌉-byte
+// draws with the top byte masked, rejected and redrawn until below max — so
+// a seeded stream yields the same values at the same offsets. buf is the
+// caller's byte scratch: with at least that many bytes the draw allocates
+// nothing. A nil rng is crypto/rand.Reader.
+func RandInt(z *big.Int, rng io.Reader, max *big.Int, buf []byte) (*big.Int, error) {
 	if max.Sign() <= 0 {
 		return nil, fmt.Errorf("mathutil: RandInt bound must be positive, got %v", max)
 	}
-	if rng == nil {
-		rng = rand.Reader
+	bitLen := z.Sub(max, One).BitLen()
+	if bitLen == 0 {
+		return z.SetInt64(0), nil // the only value below 1
 	}
-	n, err := rand.Int(rng, max)
-	if err != nil {
-		return nil, fmt.Errorf("mathutil: sample random int: %w", err)
+	for {
+		if err := drawBits(z, rng, bitLen, buf); err != nil {
+			return nil, err
+		}
+		if z.Cmp(max) < 0 {
+			return z, nil
+		}
 	}
-	return n, nil
 }
 
-// RandBits returns a uniformly random integer with at most bits bits,
-// i.e. in [0, 2^bits).
-func RandBits(rng io.Reader, bits int) (*big.Int, error) {
+// RandBits sets z to a uniformly random integer with at most bits bits,
+// i.e. in [0, 2^bits), and returns it: RandInt with max = 2^bits, which
+// never rejects, so it is one read of ⌈bits/8⌉ bytes. buf is as in RandInt.
+func RandBits(z *big.Int, rng io.Reader, bits int, buf []byte) (*big.Int, error) {
 	if bits <= 0 {
 		return nil, fmt.Errorf("mathutil: RandBits needs positive bit count, got %d", bits)
 	}
-	bound := new(big.Int).Lsh(One, uint(bits))
-	return RandInt(rng, bound)
+	if err := drawBits(z, rng, bits, buf); err != nil {
+		return nil, err
+	}
+	return z, nil
+}
+
+// drawBits is one candidate of crypto/rand.Int for a bound whose
+// predecessor has bitLen bits: ⌈bitLen/8⌉ bytes, the bits above bitLen in
+// the first byte cleared.
+func drawBits(z *big.Int, rng io.Reader, bitLen int, buf []byte) error {
+	if rng == nil {
+		rng = rand.Reader
+	}
+	k := (bitLen + 7) / 8
+	if len(buf) < k {
+		buf = make([]byte, k)
+	}
+	buf = buf[:k]
+	if _, err := io.ReadFull(rng, buf); err != nil {
+		return fmt.Errorf("mathutil: sample random int: %w", err)
+	}
+	if b := bitLen % 8; b != 0 {
+		buf[0] &= 1<<b - 1
+	}
+	z.SetBytes(buf)
+	return nil
 }
 
 // RandPrime returns a random prime of exactly bits bits.
@@ -112,33 +159,86 @@ type CRTParams struct {
 	// QInvP = q^{-1} mod p.
 	QInvP *big.Int
 	N     *big.Int // p * q
+	// Combine lifts through the Montgomery domain of the modulus with more
+	// words (p unless q is wider): lift is its context, by the other
+	// modulus's words, inv the other's inverse modulo it, times R.
+	lift  *Mont
+	by    []big.Word
+	inv   []big.Word
+	swap  bool // lift is q's
+	words int  // N's words
 }
 
 // NewCRTParams precomputes CRT recombination constants for coprime p, q.
+// The wider of the two (in words; p on a tie) must be odd and > 2, as a
+// Montgomery modulus.
 func NewCRTParams(p, q *big.Int) (*CRTParams, error) {
 	qInvP, err := ModInverse(q, p)
 	if err != nil {
 		return nil, fmt.Errorf("mathutil: p and q are not coprime: %w", err)
 	}
-	return &CRTParams{
+	c := &CRTParams{
 		P:     new(big.Int).Set(p),
 		Q:     new(big.Int).Set(q),
 		QInvP: qInvP,
 		N:     new(big.Int).Mul(p, q),
-	}, nil
+	}
+	lift, by, inv := p, q, qInvP
+	if len(q.Bits()) > len(p.Bits()) {
+		if inv, err = ModInverse(p, q); err != nil {
+			return nil, fmt.Errorf("mathutil: p and q are not coprime: %w", err)
+		}
+		lift, by, c.swap = q, p, true
+	}
+	if c.lift, err = NewMont(lift); err != nil {
+		return nil, fmt.Errorf("mathutil: CRT modulus: %w", err)
+	}
+	n := c.lift.Words()
+	c.by, c.inv, c.words = slices.Clone(by.Bits()), make([]big.Word, n), len(c.N.Bits())
+	c.lift.Enter(c.inv, inv, make([]big.Word, 3*n))
+	return c, nil
 }
 
-// Combine returns the unique x in [0, p*q) with x = xp mod p and x = xq mod q.
-func (c *CRTParams) Combine(xp, xq *big.Int) *big.Int {
-	// x = xq + q * ((xp - xq) * qInvP mod p)
-	diff := new(big.Int).Sub(xp, xq)
-	diff.Mod(diff, c.P)
-	diff.Mul(diff, c.QInvP)
-	diff.Mod(diff, c.P)
-	diff.Mul(diff, c.Q)
-	diff.Add(diff, xq)
-	return diff.Mod(diff, c.N)
+// Combine sets z to the unique x in [0, p*q) with x = xp mod p and
+// x = xq mod q, for xp < p and xq < q given as little-endian words: a
+// residue of p's or q's width, or a big.Int's Bits(). z has N's words
+// and does not alias the inputs; scratch holds at least four words per
+// word of the wider modulus. It divides nothing:
+//
+//	x = x_b + b·((x_l − x_b)·b⁻¹ mod l)
+//
+// with l the wider modulus and b the other, the product by b⁻¹ a montMul
+// by b⁻¹·R, and x below b·l without a final reduction.
+func (c *CRTParams) Combine(z, xp, xq, scratch []big.Word) {
+	xl, xb := xp, xq
+	if c.swap {
+		xl, xb = xq, xp
+	}
+	n := c.lift.Words()
+	a, b, t := scratch[:n], scratch[n:2*n], scratch[2*n:4*n]
+	clear(a)
+	copy(a, xl)
+	clear(b)
+	copy(b, xb)
+	c.lift.Mul(a, a, c.inv, t) // both products are below l
+	c.lift.Mul(b, b, c.inv, t)
+	if subVV(a, a, b) != 0 {
+		addMulVVW(a, c.lift.m, 1) // a − b + l, the carry out dropped
+	}
+	clear(z)
+	copy(z, xb)
+	for i, h := range a {
+		carry := uint(addMulVVW(z[i:i+len(c.by)], c.by, h))
+		for j := i + len(c.by); carry != 0 && j < len(z); j++ {
+			var zj uint
+			zj, carry = bits.Add(uint(z[j]), carry, 0)
+			z[j] = big.Word(zj)
+		}
+	}
 }
+
+// Words returns N's word count, the length of Combine's destination.
+func (c *CRTParams) Words() int { return c.words }
 
 // Zeroize wipes the secret constants of c (its product N is public), for
 // parameters over secret factors. A nil c is a no-op.
@@ -149,4 +249,7 @@ func (c *CRTParams) Zeroize() {
 	ZeroInt(c.P)
 	ZeroInt(c.Q)
 	ZeroInt(c.QInvP)
+	c.lift.Zeroize()
+	clear(c.by)
+	clear(c.inv)
 }

@@ -8,7 +8,7 @@ import (
 
 func TestParallelForSequentialOrder(t *testing.T) {
 	var order []int
-	if err := ParallelFor(1, 5, func(i int) error {
+	if err := ParallelFor(1, 5, func(_, i int) error {
 		order = append(order, i)
 		return nil
 	}); err != nil {
@@ -27,7 +27,7 @@ func TestParallelForSequentialOrder(t *testing.T) {
 func TestParallelForError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, par := range []int{1, 4} {
-		err := ParallelFor(par, 100, func(i int) error {
+		err := ParallelFor(par, 100, func(_, i int) error {
 			if i == 7 {
 				return boom
 			}
@@ -43,7 +43,7 @@ func TestParallelForConcurrent(t *testing.T) {
 	const n = 1000
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	if err := ParallelFor(8, n, func(i int) error {
+	if err := ParallelFor(8, n, func(_, i int) error {
 		mu.Lock()
 		seen[i]++
 		mu.Unlock()
@@ -63,7 +63,7 @@ func TestParallelForConcurrent(t *testing.T) {
 
 func TestParallelForEmpty(t *testing.T) {
 	called := false
-	if err := ParallelFor(4, 0, func(int) error { called = true; return nil }); err != nil {
+	if err := ParallelFor(4, 0, func(_, _ int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {

@@ -167,7 +167,7 @@ func TestBlindingExponentExtremes(t *testing.T) {
 			rng  constReader
 			want *big.Int
 		}{{0x00, big.NewInt(0)}, {0xff, top}} {
-			if a, err := mathutil.RandBits(tc.rng, blindBits(key.N)); err != nil || a.Cmp(tc.want) != 0 {
+			if a, err := mathutil.RandBits(new(big.Int), tc.rng, blindBits(key.N), nil); err != nil || a.Cmp(tc.want) != 0 {
 				t.Fatalf("%d-bit: reader %#x drew a = %v (%v), want %v", ownKeyBits[i], byte(tc.rng), a, err, tc.want)
 			}
 			m := big.NewInt(1234)

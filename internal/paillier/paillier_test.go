@@ -238,7 +238,7 @@ func TestNegativeArithmetic(t *testing.T) {
 // product rerandomizes only under public keys; the tests hold the own-nonce
 // path to the public one.
 func (sk *PrivateKey) Rerandomize(rng io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	return sk.rerandomize(rng, c, sk.ownNonce)
+	return sk.rerandomize(rng, c, sk.ownNonce, sk.newScratch())
 }
 
 func TestRerandomizePreservesPlaintextChangesCiphertext(t *testing.T) {

@@ -149,9 +149,6 @@ func (t *Teachers) Accuracies(test *ml.Dataset) ([]float64, error) {
 // ok=false means the query is discarded.
 type Labeler interface {
 	Label(rng *rand.Rand, votes []float64) (label int, ok bool)
-	// SpendsRNM reports whether a released label pays the Report Noisy
-	// Maximum privacy cost (used by the accountant).
-	SpendsRNM() bool
 }
 
 // ConsensusLabeler is the paper's mechanism (Alg. 4): an SVT threshold
@@ -172,9 +169,6 @@ func (l ConsensusLabeler) Label(rng *rand.Rand, votes []float64) (int, bool) {
 	return dp.ReportNoisyMax(rng, votes, l.Sigma2), true
 }
 
-// SpendsRNM implements Labeler.
-func (ConsensusLabeler) SpendsRNM() bool { return true }
-
 // BaselineLabeler is the paper's comparison baseline (§VI-C): it always
 // releases the noisy argmax, with no consensus check. It draws only the
 // RNM noise sigma2 (the paper applies "the same differential privacy
@@ -187,9 +181,6 @@ type BaselineLabeler struct {
 func (l BaselineLabeler) Label(rng *rand.Rand, votes []float64) (int, bool) {
 	return dp.ReportNoisyMax(rng, votes, l.Sigma2), true
 }
-
-// SpendsRNM implements Labeler.
-func (BaselineLabeler) SpendsRNM() bool { return true }
 
 // PlainLabeler implements the non-private Alg. 1: exact argmax with an
 // exact threshold check. Used for ablations and debugging.
@@ -205,6 +196,3 @@ func (l PlainLabeler) Label(_ *rand.Rand, votes []float64) (int, bool) {
 	}
 	return i, true
 }
-
-// SpendsRNM implements Labeler.
-func (PlainLabeler) SpendsRNM() bool { return false }

@@ -130,9 +130,6 @@ func TestConsensusLabeler(t *testing.T) {
 	if _, ok := l.Label(rng, []float64{4, 3, 3}); ok {
 		t.Error("expected rejection below threshold")
 	}
-	if !l.SpendsRNM() {
-		t.Error("consensus labeler spends RNM")
-	}
 }
 
 func TestBaselineLabelerAlwaysReleases(t *testing.T) {
@@ -154,9 +151,6 @@ func TestPlainLabeler(t *testing.T) {
 	}
 	if _, ok := l.Label(nil, []float64{1, 4}); ok {
 		t.Error("expected rejection")
-	}
-	if l.SpendsRNM() {
-		t.Error("plain labeler is noise-free")
 	}
 }
 
@@ -365,12 +359,6 @@ func TestVoteTypeString(t *testing.T) {
 	}
 	if VoteType(42).String() == "" {
 		t.Error("unknown vote type should still render")
-	}
-}
-
-func TestBaselineLabelerSpendsRNM(t *testing.T) {
-	if !(BaselineLabeler{}).SpendsRNM() {
-		t.Error("baseline spends RNM on every query")
 	}
 }
 

@@ -4,10 +4,11 @@
 package perm
 
 import (
-	"crypto/rand"
 	"fmt"
 	"io"
 	"math/big"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
 // Permutation represents a permutation of {0, ..., K-1}. p[i] = j means the
@@ -22,20 +23,19 @@ func New(rng io.Reader, k int) (Permutation, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("perm: size must be positive, got %d", k)
 	}
-	if rng == nil {
-		rng = rand.Reader
-	}
 	p := make(Permutation, k)
 	for i := range p {
 		p[i] = i
 	}
+	// Each index is crypto/rand.Int's draw below i+1, in one reused
+	// big.Int and byte buffer.
+	var j, bound big.Int
+	buf := make([]byte, 8)
 	for i := k - 1; i > 0; i-- {
-		jBig, err := rand.Int(rng, big.NewInt(int64(i+1)))
-		if err != nil {
+		if _, err := mathutil.RandInt(&j, rng, bound.SetInt64(int64(i+1)), buf); err != nil {
 			return nil, fmt.Errorf("perm: sample shuffle index: %w", err)
 		}
-		j := int(jBig.Int64())
-		p[i], p[j] = p[j], p[i]
+		p[i], p[j.Int64()] = p[j.Int64()], p[i]
 	}
 	return p, nil
 }

@@ -98,14 +98,12 @@ func blindPermuteS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 
 	// Step 1: add scalar mask r1_s to every class of sequence s and ship
 	// to S2.
-	r1 := make([]*big.Int, nSeq)
+	r1, err := randBits(rng, nSeq, cfg.Kappa)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: sample r1: %w", err)
+	}
 	masks := make([]*big.Int, nSeq*k)
-	for s := range r1 {
-		r, err := mathutil.RandBits(rng, cfg.Kappa)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: sample r1: %w", err)
-		}
-		r1[s] = r
+	for s, r := range r1 {
 		for j := 0; j < k; j++ {
 			masks[s*k+j] = r
 		}
@@ -218,13 +216,9 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	}
 	// The masks draw from rng up front (fixed order), then the Paillier
 	// decryptions — randomness-free — fan out across workers.
-	r2 := make([]*big.Int, nSeq)
-	for s := 0; s < nSeq; s++ {
-		r, err := mathutil.RandBits(rng, cfg.Kappa)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: sample r2: %w", err)
-		}
-		r2[s] = r
+	r2, err := randBits(rng, nSeq, cfg.Kappa)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: sample r2: %w", err)
 	}
 	// decrypted holds the signed a_j + r1, sequence-major.
 	var decrypted []*big.Int
@@ -266,7 +260,10 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	// Step 4: E_pk1[pi2(b + r1) + r2 + r3], folded with r2 + r3 as the
 	// plaintext addend, plus per-class E_pk2[-r3] for S1 to permute.
 	withR1 := make([]*big.Int, nSeq*k)
-	r3 := make([]*big.Int, nSeq*k) // one mask per permuted position
+	r3, err := randBits(rng, nSeq*k, cfg.Kappa) // one mask per permuted position
+	if err != nil {
+		return nil, fmt.Errorf("protocol: sample r3: %w", err)
+	}
 	addends := make([]*big.Int, nSeq*k)
 	for idx := range r3 {
 		s := idx / k
@@ -275,9 +272,6 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 			return nil, fmt.Errorf("protocol: B&P step 4 add r1: %w", err)
 		}
 		withR1[idx] = c.C
-		if r3[idx], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
-			return nil, fmt.Errorf("protocol: sample r3: %w", err)
-		}
 		addends[idx] = new(big.Int).Add(r2[s], r3[idx])
 	}
 	permuted, err := applyPerSeq(pi2.Apply, withR1, k)
@@ -286,7 +280,7 @@ func blindPermuteS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	}
 	// Fresh encryptions of -r3 dominate step 4's CPU cost; fan out.
 	encNegR3 := make([]*big.Int, nSeq*k)
-	if err := mathutil.ParallelFor(Workers(), nSeq*k, func(idx int) error {
+	if err := mathutil.ParallelFor(Workers(), nSeq*k, func(_, idx int) error {
 		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Neg(r3[idx]))
 		if err != nil {
 			return fmt.Errorf("protocol: B&P step 4 encrypt -r3: %w", err)

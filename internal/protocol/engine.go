@@ -480,7 +480,7 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 		bounds = append(bounds, [2]int{lo, min(lo+chunkSize, len(subs))})
 	}
 	partials := make([][]*paillier.Ciphertext, len(bounds))
-	err := mathutil.ParallelFor(par, len(bounds), func(ci int) error {
+	err := mathutil.ParallelFor(par, len(bounds), func(_, ci int) error {
 		acc, err := sumRange(bounds[ci][0], bounds[ci][1])
 		if err != nil {
 			return err

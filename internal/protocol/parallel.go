@@ -20,11 +20,26 @@ import (
 // and the two servers need not agree on it.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
+// randBits draws n values of bits bits each from rng, in order, into one
+// slab and one byte buffer (see mathutil.RandBits).
+func randBits(rng io.Reader, n, bits int) ([]*big.Int, error) {
+	vals, out := make([]big.Int, n), make([]*big.Int, n)
+	buf := make([]byte, (bits+7)/8)
+	for i := range out {
+		r, err := mathutil.RandBits(&vals[i], rng, bits, buf)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
 // decryptSignedAll decrypts every value as a signed residue across the
 // workers (decryption draws no randomness).
 func decryptSignedAll(cfg Config, sk *paillier.PrivateKey, values []*big.Int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(values))
-	err := mathutil.ParallelFor(Workers(), len(values), func(i int) error {
+	err := mathutil.ParallelFor(Workers(), len(values), func(_, i int) error {
 		v, err := sk.DecryptSigned(&paillier.Ciphertext{C: values[i]})
 		if err != nil {
 			return fmt.Errorf("decrypt element %d: %w", i, err)

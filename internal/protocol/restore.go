@@ -42,11 +42,9 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	if err != nil {
 		return -1, err
 	}
-	r1 := make([]*big.Int, k)
-	for i := range r1 {
-		if r1[i], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
-			return -1, fmt.Errorf("protocol: sample restoration r1: %w", err)
-		}
+	r1, err := randBits(rng, k, cfg.Kappa)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: sample restoration r1: %w", err)
 	}
 	masked, err := foldCrossing(rng, cfg, pk2, unpermuted, r1)
 	if err != nil {
@@ -67,7 +65,7 @@ func restoreS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 
 	// Step 4: strip r1 and re-encrypt under pk1.
 	reenc := make([]*big.Int, k)
-	if err := mathutil.ParallelFor(Workers(), k, func(i int) error {
+	if err := mathutil.ParallelFor(Workers(), k, func(_, i int) error {
 		c, err := keys.Own.EncryptSigned(rng, new(big.Int).Sub(msg.Values[i], r1[i]))
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 4 encrypt: %w", err)
@@ -122,7 +120,7 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 		return -1, err
 	}
 	enc := make([]*big.Int, k)
-	if err := mathutil.ParallelFor(Workers(), k, func(i int) error {
+	if err := mathutil.ParallelFor(Workers(), k, func(_, i int) error {
 		c, err := keys.Own.Encrypt(rng, oneHot[i])
 		if err != nil {
 			return fmt.Errorf("protocol: restore step 1 encrypt: %w", err)
@@ -161,11 +159,9 @@ func restoreS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	if err != nil {
 		return -1, err
 	}
-	r2 := make([]*big.Int, k)
-	for i := range r2 {
-		if r2[i], err = mathutil.RandBits(rng, cfg.Kappa); err != nil {
-			return -1, fmt.Errorf("protocol: sample restoration r2: %w", err)
-		}
+	r2, err := randBits(rng, k, cfg.Kappa)
+	if err != nil {
+		return -1, fmt.Errorf("protocol: sample restoration r2: %w", err)
 	}
 	masked, err := foldCrossing(rng, cfg, keys.PeerPub, unpermuted, r2)
 	if err != nil {

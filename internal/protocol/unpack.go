@@ -38,13 +38,9 @@ import (
 // unpackBlinds draws one fresh blind per slot of the group, each uniform in
 // [0, 2^(Width-1)) — kappa bits wider than any slot sum.
 func unpackBlinds(rng io.Reader, layout paillier.Packing) ([]*big.Int, error) {
-	out := make([]*big.Int, layout.Count)
-	for j := range out {
-		r, err := mathutil.RandBits(rng, layout.Width-1)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: sample unpack blind: %w", err)
-		}
-		out[j] = r
+	out, err := randBits(rng, layout.Count, layout.Width-1)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: sample unpack blind: %w", err)
 	}
 	return out, nil
 }
@@ -80,7 +76,7 @@ func addPacked(pk *paillier.PublicKey, layout paillier.Packing,
 func decryptSlots(cfg Config, sk *paillier.PrivateKey, layout paillier.Packing,
 	values []*big.Int) ([]*big.Int, error) {
 	packed := make([]*big.Int, len(values))
-	if err := mathutil.ParallelFor(Workers(), len(values), func(i int) error {
+	if err := mathutil.ParallelFor(Workers(), len(values), func(_, i int) error {
 		m, err := sk.Decrypt(&paillier.Ciphertext{C: values[i]})
 		if err != nil {
 			return fmt.Errorf("protocol: packed decrypt: %w", err)
@@ -107,7 +103,7 @@ func reencryptSlots(rng io.Reader, cfg Config, sk *paillier.PrivateKey,
 		return nil, err
 	}
 	out := make([]*big.Int, len(slots))
-	if err := mathutil.ParallelFor(Workers(), len(slots), func(idx int) error {
+	if err := mathutil.ParallelFor(Workers(), len(slots), func(_, idx int) error {
 		c, err := sk.Encrypt(rng, slots[idx])
 		if err != nil {
 			return fmt.Errorf("protocol: unpack re-encrypt: %w", err)
@@ -162,7 +158,7 @@ func foldCrossing(rng io.Reader, cfg Config, pk *paillier.PublicKey, cts, addend
 		wrapped[i] = &paillier.Ciphertext{C: c}
 	}
 	out := make([]*big.Int, len(cts)/k*p)
-	err := mathutil.ParallelFor(Workers(), len(out), func(idx int) error {
+	err := mathutil.ParallelFor(Workers(), len(out), func(_, idx int) error {
 		s := idx / p
 		c, err := layout.Fold(rng, pk, idx%p, wrapped[s*k:(s+1)*k], addends[s*k:(s+1)*k])
 		if err != nil {
@@ -184,7 +180,7 @@ func openCrossing(cfg Config, sk *paillier.PrivateKey, values []*big.Int, nSeq i
 		return nil, fmt.Errorf("%w: expected %d folded ciphertexts, got %d", ErrPeerMismatch, nSeq*p, len(values))
 	}
 	out := make([]*big.Int, nSeq*k)
-	err := mathutil.ParallelFor(Workers(), len(values), func(idx int) error {
+	err := mathutil.ParallelFor(Workers(), len(values), func(_, idx int) error {
 		vals, err := layout.Unfold(sk, idx%p, &paillier.Ciphertext{C: values[idx]})
 		if errors.Is(err, paillier.ErrSlotRange) {
 			return fmt.Errorf("%w: %v", ErrPeerMismatch, err)

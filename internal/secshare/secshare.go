@@ -30,11 +30,12 @@ func Split(rng io.Reader, values []*big.Int, kappa int) (a, b []*big.Int, err er
 	}
 	a = make([]*big.Int, len(values))
 	b = make([]*big.Int, len(values))
+	shares, buf := make([]big.Int, len(values)), make([]byte, (kappa+7)/8)
 	for i, v := range values {
 		if v == nil {
 			return nil, nil, fmt.Errorf("secshare: nil value at index %d", i)
 		}
-		r, err := mathutil.RandBits(rng, kappa)
+		r, err := mathutil.RandBits(&shares[i], rng, kappa, buf)
 		if err != nil {
 			return nil, nil, fmt.Errorf("secshare: sample share %d: %w", i, err)
 		}

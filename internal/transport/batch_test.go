@@ -72,7 +72,7 @@ func TestBatchRoundTripThroughCodec(t *testing.T) {
 	if err := WriteMessage(&buf, frame); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	decoded, err := ReadMessage(&buf)
+	decoded, _, err := DecodeMessage(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -49,9 +49,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		if buf.Len() != EncodedSize(m) {
 			t.Errorf("EncodedSize = %d, wrote %d bytes", EncodedSize(m), buf.Len())
 		}
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("ReadMessage: %v", err)
+		got, n, err := DecodeMessage(buf.Bytes())
+		if err != nil || n != buf.Len() {
+			t.Fatalf("DecodeMessage: %d of %d bytes, %v", n, buf.Len(), err)
 		}
 		if !sameMessage(m, got) {
 			t.Errorf("round trip mismatch: %+v vs %+v", m, got)
@@ -73,8 +73,8 @@ func TestCodecRoundTripQuick(t *testing.T) {
 		if err := WriteMessage(&buf, m); err != nil {
 			return false
 		}
-		got, err := ReadMessage(&buf)
-		if err != nil {
+		got, n, err := DecodeMessage(buf.Bytes())
+		if err != nil || n != buf.Len() {
 			return false
 		}
 		return sameMessage(m, got)
@@ -101,7 +101,7 @@ func TestCodecRejectsTruncatedFrames(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := ReadMessage(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, err := DecodeMessage(full[:cut]); err == nil {
 			t.Fatalf("expected error reading frame truncated at %d/%d bytes", cut, len(full))
 		}
 	}
@@ -110,7 +110,7 @@ func TestCodecRejectsTruncatedFrames(t *testing.T) {
 func TestCodecRejectsOversizeDeclarations(t *testing.T) {
 	// Hand-craft a header declaring an absurd flag count.
 	frame := []byte{byte(KindShares), 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+	if _, _, err := DecodeMessage(frame); err == nil {
 		t.Fatal("expected error for oversize flag count")
 	}
 }

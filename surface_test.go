@@ -87,6 +87,7 @@ type surfaceScan struct {
 	methods    map[string]map[string]bool // importPath.Type → its method names
 	interfaces [][]string
 	fuzzDirs   map[string][]string // FuzzX → directories declaring it
+	gcTuning   []string            // non-test calls that tune the collector, with their positions
 }
 
 func scanModule(t *testing.T) *surfaceScan {
@@ -145,6 +146,7 @@ func scanModule(t *testing.T) *surfaceScan {
 			}
 			continue
 		}
+		s.collectGCTuning(fset, f)
 		if f.bench {
 			continue
 		}
@@ -219,6 +221,48 @@ func (s *surfaceScan) collectDecls(fset *token.FileSet, f surfaceFile) {
 			}
 		}
 	}
+}
+
+// collectGCTuning records every call in f that tunes the garbage collector:
+// runtime/debug's SetGCPercent and SetMemoryLimit, and setting GOGC or
+// GOMEMLIMIT through os.Setenv.
+func (s *surfaceScan) collectGCTuning(fset *token.FileSet, f surfaceFile) {
+	imports := map[string]string{}
+	for _, im := range f.ast.Imports {
+		p := strings.Trim(im.Path.Value, `"`)
+		name := path.Base(p)
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = p
+	}
+	ast.Inspect(f.ast, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		x, ok := sel.X.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		fn := imports[x.Name] + "." + sel.Sel.Name
+		switch fn {
+		case "runtime/debug.SetGCPercent", "runtime/debug.SetMemoryLimit":
+		case "os.Setenv":
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || (lit.Value != `"GOGC"` && lit.Value != `"GOMEMLIMIT"`) {
+				return true
+			}
+		default:
+			return true
+		}
+		s.gcTuning = append(s.gcTuning, fn+" at "+fset.Position(call.Pos()).String())
+		return true
+	})
 }
 
 // collectInterfaces records the method names of every interface f declares.
@@ -452,5 +496,15 @@ func TestFuzzTargetsMatchMakefile(t *testing.T) {
 	}
 	if len(lines) == 0 {
 		t.Fatal("found no `make fuzz` lines in the Makefile")
+	}
+}
+
+// TestNoGCTuning holds the module to the collector's defaults: no non-test
+// code calls runtime/debug.SetGCPercent or SetMemoryLimit, or sets GOGC or
+// GOMEMLIMIT with os.Setenv. A query that runs faster must do so by
+// allocating less, not by running the collector less often.
+func TestNoGCTuning(t *testing.T) {
+	for _, call := range scanModule(t).gcTuning {
+		t.Errorf("%s tunes the garbage collector: allocate less instead", call)
 	}
 }
