@@ -350,3 +350,26 @@ func TestMintTraceID(t *testing.T) {
 		t.Errorf("TraceIDString(0) = %q, want empty (untraced)", got)
 	}
 }
+
+// TestLookupAllocatesNothing: instrumented code looks its labeled series up
+// on every frame and phase, so finding an existing series — labels given
+// out of order included — allocates nothing, and finds the same series.
+func TestLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := NewRegistry()
+	c := r.Counter("frames_total", "h", Label{"step", "(3) blind"}, Label{"dir", "sent"})
+	h := r.Histogram("phase_seconds", "h", nil, Label{"phase", "compare"})
+	n := testing.AllocsPerRun(100, func() {
+		if r.Counter("frames_total", "h", Label{"dir", "sent"}, Label{"step", "(3) blind"}) != c {
+			t.Fatal("lookup found another series")
+		}
+		if r.Histogram("phase_seconds", "h", nil, Label{"phase", "compare"}) != h {
+			t.Fatal("lookup found another histogram")
+		}
+	})
+	if n != 0 {
+		t.Errorf("looking up two existing series makes %v allocations, want 0", n)
+	}
+}

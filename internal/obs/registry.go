@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,19 +218,37 @@ func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	return string(appendSeriesKey(nil, name, labels))
+}
+
+// appendSeriesKey appends seriesKey(name, labels) to b.
+func appendSeriesKey(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	if len(labels) == 0 {
+		return b
+	}
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
+}
+
+// sortLabels appends labels to dst ordered by key: an insertion sort, as a
+// series has a handful of labels.
+func sortLabels(dst, labels []Label) []Label {
+	dst = append(dst, labels...)
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Key < dst[j-1].Key; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
 // validName reports whether name is a legal Prometheus metric/label name.
@@ -254,7 +273,25 @@ func validName(name string) bool {
 // register returns the series for (name, labels), creating it on first use.
 // Registering an existing name with a different kind panics: that is a
 // programming error, not a runtime condition.
+//
+// Instrumented code looks its labeled series up on every use (a frame's
+// meter, a phase's histogram), so a lookup of an existing series builds its
+// key in stack buffers and allocates nothing.
 func (r *Registry) register(name, help string, kind metricKind, labels []Label) *metric {
+	var labelBuf [4]Label
+	var keyBuf [128]byte
+	sorted := sortLabels(labelBuf[:0], labels)
+	key := appendSeriesKey(keyBuf[:0], name, sorted)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m, ok := r.metrics[string(key)]; ok {
+		if m.kind != kind {
+			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, kind, m.kind))
+		}
+		return m
+	}
+	// A new series: the key spells out the name and label keys, so an
+	// existing one was checked when it was registered.
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -263,25 +300,14 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 			panic(fmt.Sprintf("obs: invalid label key %q on metric %q", l.Key, name))
 		}
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	key := seriesKey(name, sorted)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[key]; ok {
-		if m.kind != kind {
-			panic(fmt.Sprintf("obs: metric %q re-registered as %v (was %v)", name, kind, m.kind))
-		}
-		return m
-	}
-	m := &metric{name: name, help: help, kind: kind, labels: sorted}
+	m := &metric{name: name, help: help, kind: kind, labels: slices.Clone(sorted)}
 	switch kind {
 	case counterKind:
 		m.c = &Counter{on: &r.enabled}
 	case gaugeKind:
 		m.g = &Gauge{on: &r.enabled}
 	}
-	r.metrics[key] = m
+	r.metrics[string(key)] = m
 	return m
 }
 
@@ -367,8 +393,7 @@ func (r *Registry) Snapshot() []Point {
 // CounterValue returns the value of a registered counter series, or 0 if it
 // does not exist. Useful for tests and Engine.Stats.
 func (r *Registry) CounterValue(name string, labels ...Label) int64 {
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	sorted := sortLabels(nil, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.metrics[seriesKey(name, sorted)]

@@ -419,17 +419,20 @@ func (d Dialer) Dial(ctx context.Context, addr string) (Conn, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	seed := d.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng *rand.Rand // the backoff jitter, drawn only once a dial failed
 	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
 		if i > 0 {
+			if rng == nil {
+				seed := d.Seed
+				if seed == 0 {
+					seed = 1
+				}
+				rng = rand.New(rand.NewSource(seed))
+			}
 			dialRetries.Inc()
 			select {
 			case <-time.After(d.backoffAfter(i-1, rng)):
