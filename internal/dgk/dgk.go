@@ -25,7 +25,6 @@ import (
 var (
 	ErrMessageRange  = errors.New("dgk: message outside plaintext space [0, u)")
 	ErrCiphertextNil = errors.New("dgk: nil ciphertext")
-	ErrNotInTable    = errors.New("dgk: plaintext not in decryption table")
 	ErrBadParams     = errors.New("dgk: invalid key parameters")
 	ErrNoPrivateKey  = errors.New("dgk: operation requires the private key")
 )
@@ -139,8 +138,7 @@ func (pk *PublicKey) Precompute() {
 	pk.hTable()
 }
 
-// PrivateKey holds the DGK secret key with its zero-test and decryption
-// tables.
+// PrivateKey holds the DGK secret key with its zero-test context.
 type PrivateKey struct {
 	PublicKey
 	p, vp *big.Int
@@ -149,8 +147,6 @@ type PrivateKey struct {
 	q, vq *big.Int
 	// zt is p's Montgomery context, for IsZero; nil once zeroized.
 	zt *mathutil.Mont
-	// decTable maps (g^{v_p})^m mod p -> m for full decryption.
-	decTable map[string]uint64
 	// own holds the lazily-built CRT encryption tables. They are derived
 	// from the factorization, so they hang off the private key only:
 	// Public() copies share pre but can never reach own. Nil once zeroized.
@@ -200,10 +196,9 @@ func (sk *PrivateKey) Precompute() {
 
 // Zeroize destroys the private half of the key in place: the secret
 // factors and subgroup orders have their limbs overwritten with zeros, as
-// have the owner's encryption tables (residues modulo the secret factors),
-// and the decryption table (whose keys are powers of a secret subgroup
-// element) is dropped. The embedded PublicKey holds no secrets and is
-// left intact. The key is unusable for decryption and owner encryption
+// have the zero test's context and the owner's encryption tables (residues
+// modulo the secret factors). The embedded PublicKey holds no secrets and
+// is left intact. The key is unusable for zero tests and owner encryption
 // afterwards.
 func (sk *PrivateKey) Zeroize() {
 	if sk == nil {
@@ -222,25 +217,11 @@ func (sk *PrivateKey) Zeroize() {
 		own.p, own.q, own.crt = nil, nil, nil
 		sk.own = nil
 	}
-	// Map keys cannot be scrubbed in place; dropping every entry is the
-	// best Go allows, and the table is useless without vp anyway.
-	for k := range sk.decTable {
-		delete(sk.decTable, k)
-	}
-	sk.decTable = nil
 }
 
 // Ciphertext is a DGK ciphertext in Z_n^*.
 type Ciphertext struct {
 	C *big.Int
-}
-
-// Clone returns an independent copy.
-func (c *Ciphertext) Clone() *Ciphertext {
-	if c == nil || c.C == nil {
-		return nil
-	}
-	return &Ciphertext{C: new(big.Int).Set(c.C)}
 }
 
 // GenerateKey creates a DGK key pair. rng defaults to crypto/rand.Reader.
@@ -315,7 +296,7 @@ func GenerateKey(rng io.Reader, params Params) (*PrivateKey, error) {
 		p: p, vp: vp, q: q, vq: vq,
 		own: &ownPrecomp{},
 	}
-	key.buildSecret(params.U)
+	key.zt, _ = mathutil.NewMont(p) // p is an odd prime: it cannot fail
 	return key, nil
 }
 
@@ -382,20 +363,6 @@ func elementOfOrder(rng io.Reader, s, a, b *big.Int) (*big.Int, error) {
 		return new(big.Int).Set(cand), nil
 	}
 	return nil, errors.New("dgk: no element of required order found")
-}
-
-// buildSecret builds the zero test's Montgomery context modulo p and the
-// discrete-log table for full decryption.
-func (k *PrivateKey) buildSecret(u uint64) {
-	k.zt, _ = mathutil.NewMont(k.p)          // p is an odd prime: it cannot fail
-	base := new(big.Int).Exp(k.G, k.vp, k.p) // g^{vp} mod p, order u
-	k.decTable = make(map[string]uint64, u)
-	acc := big.NewInt(1)
-	for m := uint64(0); m < u; m++ {
-		k.decTable[string(acc.Bytes())] = m
-		acc.Mul(acc, base)
-		acc.Mod(acc, k.p)
-	}
 }
 
 // Public returns the public part of the key.
@@ -525,46 +492,6 @@ func (sk *PrivateKey) encryptOwn(z []big.Word, rng io.Reader, own *ownPrecomp, c
 	return nil
 }
 
-// Add returns the ciphertext of m1 + m2 mod u.
-func (pk *PublicKey) Add(c1, c2 *Ciphertext) (*Ciphertext, error) {
-	if err := pk.validateCiphertext(c1); err != nil {
-		return nil, err
-	}
-	if err := pk.validateCiphertext(c2); err != nil {
-		return nil, err
-	}
-	out := new(big.Int).Mul(c1.C, c2.C)
-	out.Mod(out, pk.N)
-	return &Ciphertext{C: out}, nil
-}
-
-// ScalarMul returns the ciphertext of a*m mod u. Negative a is reduced
-// mod u.
-func (pk *PublicKey) ScalarMul(c *Ciphertext, a *big.Int) (*Ciphertext, error) {
-	if err := pk.validateCiphertext(c); err != nil {
-		return nil, err
-	}
-	aMod := new(big.Int).Mod(a, pk.U)
-	out := new(big.Int).Exp(c.C, aMod, pk.N)
-	return &Ciphertext{C: out}, nil
-}
-
-// AddPlain returns the ciphertext of m + k mod u for plaintext k.
-func (pk *PublicKey) AddPlain(c *Ciphertext, k *big.Int) (*Ciphertext, error) {
-	if err := pk.validateCiphertext(c); err != nil {
-		return nil, err
-	}
-	gk := pk.gPow(new(big.Int).Mod(k, pk.U))
-	out := gk.Mul(gk, c.C)
-	out.Mod(out, pk.N)
-	return &Ciphertext{C: out}, nil
-}
-
-// Neg returns the ciphertext of -m mod u.
-func (pk *PublicKey) Neg(c *Ciphertext) (*Ciphertext, error) {
-	return pk.ScalarMul(c, big.NewInt(-1))
-}
-
 // zeroTestWords is the zero test's scratch per word of p: the value, then
 // Mont.Exp's 17 for an exponent wider than 16 bits.
 const zeroTestWords = 18
@@ -590,21 +517,4 @@ func (k *PrivateKey) isZero(zt *mathutil.Mont, c *big.Int, x []big.Word) bool {
 	zt.Exp(x[:n], x[:n], k.vp, x[n:])
 	zeroTests.Inc()
 	return zt.IsOne(x[:n])
-}
-
-// Decrypt fully decrypts c via the discrete-log table.
-func (k *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
-	if k.p == nil {
-		return nil, ErrNoPrivateKey // zeroized
-	}
-	if err := k.validateCiphertext(c); err != nil {
-		return nil, err
-	}
-	t := new(big.Int).Exp(c.C, k.vp, k.p)
-	m, ok := k.decTable[string(t.Bytes())]
-	if !ok {
-		return nil, ErrNotInTable
-	}
-	decOps.Inc()
-	return new(big.Int).SetUint64(m), nil
 }

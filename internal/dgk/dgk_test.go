@@ -14,6 +14,61 @@ import (
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// The package's homomorphic operations and full decryption, as references:
+// the comparison protocol multiplies ciphertext words and zero-tests
+// directly, so the product keeps none of them. The tests hold Encrypt and
+// the key's structure to them.
+
+// refDecrypt recovers m in [0, u) from c by searching (g^v_p)^m = c^v_p
+// mod p.
+func refDecrypt(k *PrivateKey, c *Ciphertext) (*big.Int, error) {
+	if k.p == nil {
+		return nil, ErrNoPrivateKey // zeroized
+	}
+	if err := k.validateCiphertext(c); err != nil {
+		return nil, err
+	}
+	t := new(big.Int).Exp(c.C, k.vp, k.p)
+	base, acc := new(big.Int).Exp(k.G, k.vp, k.p), big.NewInt(1)
+	for m := int64(0); m < k.U.Int64(); m++ {
+		if acc.Cmp(t) == 0 {
+			return big.NewInt(m), nil
+		}
+		acc.Mod(acc.Mul(acc, base), k.p)
+	}
+	return nil, errors.New("dgk: c^v_p is not a power of g^v_p")
+}
+
+// refAdd returns E(m1 + m2 mod u) = c1·c2 mod n.
+func refAdd(pk *PublicKey, c1, c2 *Ciphertext) (*Ciphertext, error) {
+	if err := pk.validateCiphertext(c1); err != nil {
+		return nil, err
+	}
+	if err := pk.validateCiphertext(c2); err != nil {
+		return nil, err
+	}
+	out := new(big.Int).Mul(c1.C, c2.C)
+	return &Ciphertext{C: out.Mod(out, pk.N)}, nil
+}
+
+// refScalarMul returns E(a·m mod u) = c^(a mod u) mod n.
+func refScalarMul(pk *PublicKey, c *Ciphertext, a *big.Int) (*Ciphertext, error) {
+	if err := pk.validateCiphertext(c); err != nil {
+		return nil, err
+	}
+	return &Ciphertext{C: new(big.Int).Exp(c.C, new(big.Int).Mod(a, pk.U), pk.N)}, nil
+}
+
+// refAddPlain returns E(m + k mod u) = c·g^(k mod u) mod n.
+func refAddPlain(pk *PublicKey, c *Ciphertext, k *big.Int) (*Ciphertext, error) {
+	return refAdd(pk, c, &Ciphertext{C: pk.gPow(new(big.Int).Mod(k, pk.U))})
+}
+
+// refNeg returns E(−m mod u).
+func refNeg(pk *PublicKey, c *Ciphertext) (*Ciphertext, error) {
+	return refScalarMul(pk, c, big.NewInt(-1))
+}
+
 // testParams returns small, fast parameters: the paper's 40-bit values
 // under a 192-bit modulus.
 func testParams() Params {
@@ -81,7 +136,7 @@ func TestKeyStructure(t *testing.T) {
 	}
 	// g encrypts 1 with zero randomness.
 	gEnc := &Ciphertext{C: new(big.Int).Set(key.G)}
-	m, err := key.Decrypt(gEnc)
+	m, err := refDecrypt(key, gEnc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +162,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encrypt(%d): %v", m, err)
 		}
-		got, err := key.Decrypt(c)
+		got, err := refDecrypt(key, c)
 		if err != nil {
 			t.Fatalf("Decrypt: %v", err)
 		}
@@ -154,11 +209,11 @@ func TestHomomorphicOps(t *testing.T) {
 
 	ca, _ := key.Encrypt(rng, big.NewInt(700))
 	cb, _ := key.Encrypt(rng, big.NewInt(400))
-	sum, err := key.Add(ca, cb)
+	sum, err := refAdd(key.Public(), ca, cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := key.Decrypt(sum)
+	got, err := refDecrypt(key, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +221,11 @@ func TestHomomorphicOps(t *testing.T) {
 		t.Errorf("Add: %v, want %d", got, (700+400)%u)
 	}
 
-	scaled, err := key.ScalarMul(ca, big.NewInt(5))
+	scaled, err := refScalarMul(key.Public(), ca, big.NewInt(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = key.Decrypt(scaled)
+	got, err = refDecrypt(key, scaled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +233,11 @@ func TestHomomorphicOps(t *testing.T) {
 		t.Errorf("ScalarMul: %v, want %d", got, (700*5)%u)
 	}
 
-	shifted, err := key.AddPlain(ca, big.NewInt(-100))
+	shifted, err := refAddPlain(key.Public(), ca, big.NewInt(-100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = key.Decrypt(shifted)
+	got, err = refDecrypt(key, shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +245,11 @@ func TestHomomorphicOps(t *testing.T) {
 		t.Errorf("AddPlain(-100): %v, want 600", got)
 	}
 
-	neg, err := key.Neg(ca)
+	neg, err := refNeg(key.Public(), ca)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = key.Decrypt(neg)
+	got, err = refDecrypt(key, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +272,11 @@ func TestHomomorphicAddQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sum, err := key.Add(ca, cb)
+		sum, err := refAdd(key.Public(), ca, cb)
 		if err != nil {
 			return false
 		}
-		got, err := key.Decrypt(sum)
+		got, err := refDecrypt(key, sum)
 		if err != nil {
 			return false
 		}
@@ -234,13 +289,13 @@ func TestHomomorphicAddQuick(t *testing.T) {
 
 func TestCiphertextValidation(t *testing.T) {
 	key := sharedTestKey(t)
-	if _, err := key.Decrypt(nil); err == nil {
+	if _, err := refDecrypt(key, nil); err == nil {
 		t.Error("expected error for nil ciphertext")
 	}
 	if _, err := key.IsZero(&Ciphertext{C: big.NewInt(0)}); err == nil {
 		t.Error("expected error for zero ciphertext value")
 	}
-	if _, err := key.Decrypt(&Ciphertext{C: new(big.Int).Set(key.N)}); err == nil {
+	if _, err := refDecrypt(key, &Ciphertext{C: new(big.Int).Set(key.N)}); err == nil {
 		t.Error("expected error for out-of-range ciphertext")
 	}
 }
@@ -432,18 +487,20 @@ func TestZeroizeRetiresKey(t *testing.T) {
 	if key.zt != nil || !zt.IsOne(make([]big.Word, zt.Words())) {
 		t.Error("the zero test's Montgomery context survived Zeroize")
 	}
-	if key.decTable != nil {
-		t.Error("decryption table survived Zeroize")
-	}
 	if _, err := key.IsZero(c); !errors.Is(err, ErrNoPrivateKey) {
 		t.Errorf("IsZero on zeroized key: err = %v, want ErrNoPrivateKey", err)
-	}
-	if _, err := key.Decrypt(c); !errors.Is(err, ErrNoPrivateKey) {
-		t.Errorf("Decrypt on zeroized key: err = %v, want ErrNoPrivateKey", err)
 	}
 	if _, err := key.Public().Encrypt(testRNG(2), big.NewInt(1)); err != nil {
 		t.Errorf("public Encrypt after Zeroize: %v", err)
 	}
 	var nilKey *PrivateKey
 	nilKey.Zeroize() // must not panic
+}
+
+// Clone returns an independent copy; only the tests need one.
+func (c *Ciphertext) Clone() *Ciphertext {
+	if c == nil || c.C == nil {
+		return nil
+	}
+	return &Ciphertext{C: new(big.Int).Set(c.C)}
 }

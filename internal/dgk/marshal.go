@@ -4,17 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
 // JSON serialization of DGK key material (decimal-string big integers).
 // The private key stores the secret prime p and the subgroup orders v_p, v_q
-// alongside the public elements; q = n/p and the tables are rebuilt on load.
+// alongside the public elements; q = n/p and the zero test's context are
+// rebuilt on load.
 
-// maxU bounds the plaintext space a key file may declare. The key owner
-// decrypts through a table of u entries built at load, so a file with a
-// huge u (any u·v_p dividing p−1 passes the subgroup check) would make the
-// loader run out of memory instead of refusing it. Keys are generated with
-// u = 1009.
+// maxU bounds the plaintext space a key file may declare. Keys are
+// generated with u = 1009; the bound dates from when the owner decrypted
+// through a table of u entries built at load, and keeps a loaded file (any
+// u·v_p dividing p−1 passes the subgroup check) near that shape.
 const maxU = 1 << 16
 
 // publicKeyJSON is the wire form of a PublicKey.
@@ -146,7 +148,7 @@ func (k *PrivateKey) UnmarshalJSON(data []byte) error {
 	k.PublicKey = *pub
 	k.p, k.vp, k.q, k.vq = p, vp, q, vq
 	k.own = &ownPrecomp{}
-	k.buildSecret(pub.U.Uint64())
+	k.zt, _ = mathutil.NewMont(p) // p is an odd prime: it cannot fail
 	return nil
 }
 

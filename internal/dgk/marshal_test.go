@@ -31,7 +31,7 @@ func TestPublicKeyJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := key.Decrypt(c)
+	m, err := refDecrypt(key, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestPrivateKeyJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	// The rebuilt decryption table must work.
+	// The reloaded key must decrypt.
 	c, err := key.Encrypt(testRNG(41), big.NewInt(888))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := back.Decrypt(c)
+	m, err := refDecrypt(&back, c)
 	if err != nil {
 		t.Fatalf("decrypt with reloaded key: %v", err)
 	}
@@ -98,8 +98,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 	// u = 2^40 fits this key's subgroups (2^40 divides p−1, g has order
-	// 2^40 mod p), so only the bound on u stops the loader from building a
-	// 2^40-entry decryption table; it is checked before the generators.
+	// 2^40 mod p), so only the bound on u refuses it; it is checked before
+	// the generators.
 	hugeU := `{"public":{"n":"6597089557866299971","g":"64","h":"1","u":1099511627776,"rBits":100,"l":40},"p":"6597069766657","vp":"1"}`
 	if err := json.Unmarshal([]byte(hugeU), new(PrivateKey)); !errors.Is(err, ErrBadParams) || !strings.Contains(err.Error(), "u=1099511627776") {
 		t.Errorf("u = 2^40: load error %v, want ErrBadParams naming u", err)

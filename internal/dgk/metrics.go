@@ -9,8 +9,6 @@ var (
 		"DGK encryptions (bit encryptions included).")
 	zeroTests = obs.Default.Counter("dgk_zerotest_total",
 		"DGK zero tests (the comparison protocol's decryption primitive).")
-	decOps = obs.Default.Counter("dgk_decrypt_total",
-		"Full DGK table decryptions.")
 	comparisons = obs.Default.Counter("dgk_comparisons_total",
 		"Completed interactive DGK comparisons, labelled by party.",
 		obs.L("party", "a"))

@@ -329,14 +329,3 @@ func (l *Ledger) Spends() []TenantSpend {
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
-
-// Tenant returns a copy of one tenant's committed accountant (empty when
-// the tenant never spent): counts, coefficient and ε at any δ.
-func (l *Ledger) Tenant(id int64) Accountant {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if acct := l.tenants[id]; acct != nil {
-		return *acct
-	}
-	return Accountant{}
-}

@@ -37,14 +37,6 @@ type ProtocolBenchConfig struct {
 	PaillierBits int
 }
 
-// ResolvedArgmaxStrategy names the strategy the run actually uses.
-func (c ProtocolBenchConfig) ResolvedArgmaxStrategy() string {
-	if c.ArgmaxStrategy == "" {
-		return protocol.StrategyTournament
-	}
-	return c.ArgmaxStrategy
-}
-
 // DefaultProtocolBenchConfig mirrors the paper's measurement workload shape
 // (10 classes) at a small instance count.
 func DefaultProtocolBenchConfig() ProtocolBenchConfig {

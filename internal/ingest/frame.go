@@ -220,9 +220,6 @@ type Combined struct {
 	Classes int
 }
 
-// Users returns the number of members in the batch.
-func (c Combined) Users() int { return Popcount(c.Bitmap) }
-
 // EncodeCombined packs a relay batch into its wire frame. The frame is
 // distinguished from a per-user submit frame by its flag count (5 vs 3).
 func EncodeCombined(c Combined) (*transport.Message, error) {

@@ -134,3 +134,7 @@ func TestBitmapHelpers(t *testing.T) {
 		}
 	}
 }
+
+// Users serves the tests only: the codec counts a batch's members with
+// Popcount.
+func (c Combined) Users() int { return Popcount(c.Bitmap) }

@@ -80,8 +80,9 @@ func FuzzMontMul(f *testing.F) {
 	f.Add([]byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0xff, 0xff}, []byte{0x03, 0xf0})
 	f.Add([]byte{100}, []byte{1}, []byte{101}, []byte{100}) // Fermat: x^(m−1) = 1
 	// Moduli of 1 to 64 words (a paper-shape DGK p is 96 bits, a deployed
-	// one 512), bases twice as wide, exponents of 16 and 200 bits.
-	for _, nbits := range []int{64, 96, 512, 2560, 4096} {
+	// one 512; 128 to 256 bits are the widest straight-line kernels),
+	// bases twice as wide, exponents of 16 and 200 bits.
+	for _, nbits := range []int{64, 96, 128, 192, 256, 512, 2560, 4096} {
 		m := oddOfBits(nbits)
 		f.Add(append(m[1:], m...), m[1:], m, oddOfBits(200))
 		f.Add(m, m[1:], m, []byte{0xff, 0xff})

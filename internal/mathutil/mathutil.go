@@ -14,6 +14,13 @@
 // Nothing in this package keeps a scratch between calls, and there is no
 // shared pool: scratch words hold residues modulo secret factors, which
 // must not outlive the key or the epoch they were computed under.
+//
+// A Montgomery product runs one of two kernels, chosen by the modulus's
+// width: up to four words a straight-line kernel per width, with no call
+// and no scratch, and above that the CIOS loop on math/big's assembly
+// addMulVVW. At two or three words the loop's two calls per word cost more
+// than the multiplies; from eight words a Go loop is slower than the
+// assembly (BenchmarkMontMul).
 package mathutil
 
 import (

@@ -140,8 +140,35 @@ func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 // x and y are below m, or one of them is 1 (the exit from the domain).
 // x, y and m have n = len(m) words, x and y need only be below R, m must be
 // odd, and k = −m⁻¹ mod 2^W (montK). scratch holds at least 2n words; z
-// may alias x or y. This is the CIOS loop of math/big's nat.montgomery.
+// may alias x or y. Up to montWordsMax words a straight-line kernel runs
+// (montMul1 … montMul4); wider moduli run the CIOS loop on addMulVVW.
 func montMul(z, scratch, x, y, m []big.Word, k big.Word) {
+	if len(m) > montWordsMax {
+		montMulVVW(z, scratch, x, y, m, k)
+		return
+	}
+	switch len(m) {
+	case 1:
+		montMul1(z, x, y, m, uint(k))
+	case 2:
+		montMul2(z, x, y, m, uint(k))
+	case 3:
+		montMul3(z, x, y, m, uint(k))
+	case 4:
+		montMul4(z, x, y, m, uint(k))
+	}
+}
+
+// montWordsMax is the widest modulus, in words, that montMul multiplies in
+// a straight-line kernel. Up to it two calls per word into addMulVVW cost
+// more than the multiplies; from 7 words up a Go loop loses to addMulVVW's
+// assembly (BenchmarkMontMul, results/mont_micro.txt). Widths 5 to 7 run
+// in no key shape the protocol uses on 64-bit words.
+const montWordsMax = 4
+
+// montMulVVW is montMul at any width: the CIOS loop of math/big's
+// nat.montgomery, two addMulVVW calls per word of y.
+func montMulVVW(z, scratch, x, y, m []big.Word, k big.Word) {
 	n := len(m)
 	t := scratch[:2*n]
 	clear(t)
@@ -161,6 +188,173 @@ func montMul(z, scratch, x, y, m []big.Word, k big.Word) {
 		}
 	}
 	reduceOnce(z, t[n:], m, c)
+}
+
+// mac returns a·b + c + d as two words, which it always fits.
+func mac(a, b, c, d uint) (hi, lo uint) {
+	hi, lo = bits.Mul(a, b)
+	lo, c = bits.Add(lo, c, 0)
+	hi += c
+	lo, d = bits.Add(lo, d, 0)
+	return hi + d, lo
+}
+
+// montMul1 … montMul4 are montMul's CIOS loop at one to four words with
+// the words of x, m and the running sum t in locals: per word of y, t
+// += x·y_i, then t = (t + u·m)/2^W with u = t0·k. t stays below R + m, so
+// the word above t's n words is 0 or 1, and one conditional subtraction of
+// m ends the product. x is read before z is written.
+func montMul1(z, x, y, m []big.Word, k uint) {
+	m0 := uint(m[0])
+	c, t0 := mac(uint(x[0]), uint(y[0]), 0, 0)
+	c2, _ := mac(m0, t0*k, t0, 0)
+	t0, t1 := bits.Add(c, c2, 0)
+	if d0, b := bits.Sub(t0, m0, 0); t1 != 0 || b == 0 {
+		t0 = d0
+	}
+	z[0] = big.Word(t0)
+}
+
+func montMul2(z, x, y, m []big.Word, k uint) {
+	x0, x1 := uint(x[0]), uint(x[1])
+	m0, m1 := uint(m[0]), uint(m[1])
+	var t0, t1, t2, t3, c, u, w uint
+	w = uint(y[0])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	t2, t3 = bits.Add(t2, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	t1, c = bits.Add(t2, c, 0)
+	t2 = t3 + c
+	w = uint(y[1])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	t2, t3 = bits.Add(t2, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	t1, c = bits.Add(t2, c, 0)
+	t2 = t3 + c
+	d0, b := bits.Sub(t0, m0, 0)
+	d1, b := bits.Sub(t1, m1, b)
+	if t2 != 0 || b == 0 {
+		t0, t1 = d0, d1
+	}
+	z[0], z[1] = big.Word(t0), big.Word(t1)
+}
+
+func montMul3(z, x, y, m []big.Word, k uint) {
+	x0, x1, x2 := uint(x[0]), uint(x[1]), uint(x[2])
+	m0, m1, m2 := uint(m[0]), uint(m[1]), uint(m[2])
+	var t0, t1, t2, t3, t4, c, u, w uint
+	w = uint(y[0])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	t3, t4 = bits.Add(t3, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	t2, c = bits.Add(t3, c, 0)
+	t3 = t4 + c
+	w = uint(y[1])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	t3, t4 = bits.Add(t3, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	t2, c = bits.Add(t3, c, 0)
+	t3 = t4 + c
+	w = uint(y[2])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	t3, t4 = bits.Add(t3, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	t2, c = bits.Add(t3, c, 0)
+	t3 = t4 + c
+	d0, b := bits.Sub(t0, m0, 0)
+	d1, b := bits.Sub(t1, m1, b)
+	d2, b := bits.Sub(t2, m2, b)
+	if t3 != 0 || b == 0 {
+		t0, t1, t2 = d0, d1, d2
+	}
+	z[0], z[1], z[2] = big.Word(t0), big.Word(t1), big.Word(t2)
+}
+
+func montMul4(z, x, y, m []big.Word, k uint) {
+	x0, x1, x2, x3 := uint(x[0]), uint(x[1]), uint(x[2]), uint(x[3])
+	m0, m1, m2, m3 := uint(m[0]), uint(m[1]), uint(m[2]), uint(m[3])
+	var t0, t1, t2, t3, t4, t5, c, u, w uint
+	w = uint(y[0])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	c, t3 = mac(x3, w, t3, c)
+	t4, t5 = bits.Add(t4, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	c, t2 = mac(m3, u, t3, c)
+	t3, c = bits.Add(t4, c, 0)
+	t4 = t5 + c
+	w = uint(y[1])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	c, t3 = mac(x3, w, t3, c)
+	t4, t5 = bits.Add(t4, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	c, t2 = mac(m3, u, t3, c)
+	t3, c = bits.Add(t4, c, 0)
+	t4 = t5 + c
+	w = uint(y[2])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	c, t3 = mac(x3, w, t3, c)
+	t4, t5 = bits.Add(t4, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	c, t2 = mac(m3, u, t3, c)
+	t3, c = bits.Add(t4, c, 0)
+	t4 = t5 + c
+	w = uint(y[3])
+	c, t0 = mac(x0, w, t0, 0)
+	c, t1 = mac(x1, w, t1, c)
+	c, t2 = mac(x2, w, t2, c)
+	c, t3 = mac(x3, w, t3, c)
+	t4, t5 = bits.Add(t4, c, 0)
+	u = t0 * k
+	c, _ = mac(m0, u, t0, 0)
+	c, t0 = mac(m1, u, t1, c)
+	c, t1 = mac(m2, u, t2, c)
+	c, t2 = mac(m3, u, t3, c)
+	t3, c = bits.Add(t4, c, 0)
+	t4 = t5 + c
+	d0, b := bits.Sub(t0, m0, 0)
+	d1, b := bits.Sub(t1, m1, b)
+	d2, b := bits.Sub(t2, m2, b)
+	d3, b := bits.Sub(t3, m3, b)
+	if t4 != 0 || b == 0 {
+		t0, t1, t2, t3 = d0, d1, d2, d3
+	}
+	z[0], z[1], z[2], z[3] = big.Word(t0), big.Word(t1), big.Word(t2), big.Word(t3)
 }
 
 // reduceOnce sets z = x − m if x, with the carry word c above it, is at

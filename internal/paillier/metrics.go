@@ -13,8 +13,6 @@ var (
 		"Paillier decryptions, CRT and slow path.")
 	addOps = obs.Default.Counter("paillier_add_total",
 		"Homomorphic additions (ciphertext multiplications), including AddPlain.")
-	mulOps = obs.Default.Counter("paillier_scalarmul_total",
-		"Homomorphic scalar multiplications (ciphertext exponentiations).")
 )
 
 // WatchOps registers this package's operation counters on a tracer so each
@@ -23,5 +21,4 @@ func WatchOps(t *obs.Tracer) {
 	t.Watch("paillier_enc", encOps)
 	t.Watch("paillier_dec", decOps)
 	t.Watch("paillier_add", addOps)
-	t.Watch("paillier_scalarmul", mulOps)
 }

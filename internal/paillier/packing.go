@@ -151,11 +151,12 @@ func (p Packing) chunk(i int) (lo, hi int, err error) {
 
 // Fold builds packed ciphertext i of the layout homomorphically from Count
 // per-value ciphertexts under pk, without their key: Horner's rule from the
-// chunk's top slot down, acc ← acc^(2^Width)·c_j mod n², leaves
-// E[Σ_j m_j·2^(Width·j)]. The sender's plaintext addends and the public
-// per-slot offset Bias (which keeps signed values non-negative in their
-// slots) enter as one fresh encryption of Σ_j (addends[j]+Bias)·2^(Width·j),
-// whose blinding factor is the fold's only new randomness and all it needs
+// chunk's top slot down, acc ← acc^(2^Width)·c_j mod n² — Width squarings
+// in n²'s Montgomery domain, left once — leaves E[Σ_j m_j·2^(Width·j)].
+// The sender's plaintext addends and the public per-slot offset Bias (which
+// keeps signed values non-negative in their slots) enter as one fresh
+// encryption of Σ_j (addends[j]+Bias)·2^(Width·j), whose blinding factor
+// is the fold's only new randomness and all it needs
 // (DESIGN.md note 12). The caller's layout guarantees
 // 0 <= m_j + addends[j] + Bias < 2^Width; an addend that alone leaves the
 // slot is refused.
@@ -171,8 +172,15 @@ func (p Packing) Fold(rng io.Reader, pk *PublicKey, i int, cts []*Ciphertext, ad
 	if len(cts) != p.Count || len(addends) != p.Count {
 		return nil, fmt.Errorf("%w: %d ciphertexts and %d addends, layout holds %d", ErrPackingShape, len(cts), len(addends), p.Count)
 	}
-	plain, acc := new(big.Int), new(big.Int)
-	shift := new(big.Int).Lsh(oneInt, uint(p.Width))
+	table := pk.blindTable()
+	if table == nil {
+		return nil, fmt.Errorf("%w: no blinding table", ErrInvalidKeyPair)
+	}
+	// acc and c_j in n²'s Montgomery domain, then the kernels' scratch.
+	ctx := table.Mont()
+	n, plain := ctx.Words(), new(big.Int)
+	w := make([]big.Word, 5*n)
+	acc, cj, kernel := w[:n], w[n:2*n], w[2*n:]
 	for j := hi - 1; j >= lo; j-- {
 		if err := pk.validateCiphertext(cts[j]); err != nil {
 			return nil, fmt.Errorf("paillier: fold slot %d: %w", j, err)
@@ -186,17 +194,21 @@ func (p Packing) Fold(rng io.Reader, pk *PublicKey, i int, cts []*Ciphertext, ad
 		}
 		plain.Add(plain.Lsh(plain, uint(p.Width)), v)
 		if j == hi-1 {
-			acc.Set(cts[j].C)
+			ctx.Enter(acc, cts[j].C, kernel)
 			continue
 		}
-		acc.Exp(acc, shift, pk.N2)
-		acc.Mod(acc.Mul(acc, cts[j].C), pk.N2)
+		for b := 0; b < p.Width; b++ {
+			ctx.Mul(acc, acc, acc, kernel)
+		}
+		ctx.Enter(cj, cts[j].C, kernel)
+		ctx.Mul(acc, acc, cj, kernel)
 	}
+	ctx.Leave(acc, acc, kernel)
 	fresh, err := pk.Encrypt(rng, mathutil.FromSigned(plain, pk.N))
 	if err != nil {
 		return nil, err
 	}
-	return pk.Add(&Ciphertext{C: acc}, fresh)
+	return pk.Add(&Ciphertext{C: new(big.Int).SetBits(acc)}, fresh)
 }
 
 // Unfold is the key owner's read of packed ciphertext i of a Fold: one

@@ -440,3 +440,38 @@ func TestZeroizeRetiresKey(t *testing.T) {
 	var nilKey *PrivateKey
 	nilKey.Zeroize() // must not panic
 }
+
+// The public signed encryption, scalar multiplication (Eq. 2), negation and
+// subtraction serve the tests only: the protocol adds, re-randomizes and
+// folds.
+
+// EncryptSigned encrypts a possibly negative message by reducing it into
+// [0, n); Decrypt-Signed recovers the signed value.
+func (pk *PublicKey) EncryptSigned(rng io.Reader, m *big.Int) (*Ciphertext, error) {
+	return pk.Encrypt(rng, mathutil.FromSigned(m, pk.N))
+}
+
+// ScalarMul returns the ciphertext of a*m (Eq. 2). Negative a is reduced
+// into Z_n, yielding the signed-residue semantics of mathutil.ToSigned.
+func (pk *PublicKey) ScalarMul(c *Ciphertext, a *big.Int) (*Ciphertext, error) {
+	if err := pk.validateCiphertext(c); err != nil {
+		return nil, err
+	}
+	aMod := mathutil.FromSigned(a, pk.N)
+	out := new(big.Int).Exp(c.C, aMod, pk.N2)
+	return &Ciphertext{C: out}, nil
+}
+
+// Neg returns the ciphertext of -m.
+func (pk *PublicKey) Neg(c *Ciphertext) (*Ciphertext, error) {
+	return pk.ScalarMul(c, big.NewInt(-1))
+}
+
+// Sub returns the ciphertext of m1 - m2.
+func (pk *PublicKey) Sub(c1, c2 *Ciphertext) (*Ciphertext, error) {
+	n2, err := pk.Neg(c2)
+	if err != nil {
+		return nil, err
+	}
+	return pk.Add(c1, n2)
+}

@@ -148,6 +148,9 @@ func timeStep(ctx context.Context, meter *transport.Meter, step string, fn func(
 // pk2); nil halves mark dropped users. meter may be nil.
 func RunS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return runSubmissions(ctx, rng, cfg, keys, conn, subs, meter)
 }
 
@@ -155,6 +158,8 @@ func RunS1(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 // each group contributes one summed half covering all its members. The
 // aggregate — and therefore the whole transcript and outcome — is
 // byte-identical to running RunS1 with the same users submitting directly.
+// cfg is not validated here: the caller validates it once per key load, as
+// deploy does, not once per query.
 func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
 	return run(ctx, rng, cfg, keys, raw, groups, meter)
@@ -164,6 +169,9 @@ func RunS1Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS1,
 // (encrypted under pk1); nil halves mark dropped users.
 func RunS2(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return runSubmissions(ctx, rng, cfg, keys, conn, subs, meter)
 }
 
@@ -178,18 +186,16 @@ func RunS2WithPools(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 }
 
 // RunS2Groups is RunS2 over pre-aggregated ingestion groups; see
-// RunS1Groups.
+// RunS1Groups, also for the validation of cfg.
 func RunS2Groups(ctx context.Context, rng io.Reader, cfg Config, keys KeysS2,
 	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
 	return run(ctx, rng, cfg, keys, raw, groups, meter)
 }
 
-// runSubmissions runs one role over a full-length (Users-sized) submission slice.
+// runSubmissions runs one role over a full-length (Users-sized) submission
+// slice under a validated cfg.
 func runSubmissions(ctx context.Context, rng io.Reader, cfg Config, keys role,
 	conn transport.Conn, subs []SubmissionHalf, meter *transport.Meter) (*Outcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(subs) != cfg.Users {
 		return nil, fmt.Errorf("protocol: got %d submissions, want %d", len(subs), cfg.Users)
 	}
@@ -200,11 +206,9 @@ func runSubmissions(ctx context.Context, rng io.Reader, cfg Config, keys role,
 // blinded unpack), Blind-and-Permute, comparison, threshold check, and on a
 // pass the second secure sum, Blind-and-Permute and comparison, and
 // Restoration. Both servers run this one schedule, each over its own party.
+// cfg has passed Config.Validate at the exported entry or at key load.
 func run(ctx context.Context, rng io.Reader, cfg Config, keys role,
 	raw transport.Conn, groups []Group, meter *transport.Meter) (*Outcome, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	keys.Precompute() // warm fixed-base tables before the first phase
 	// math/rand sources are not safe for concurrent draws.
 	rng = &lockedReader{r: rng}
@@ -353,11 +357,15 @@ func run(ctx context.Context, rng io.Reader, cfg Config, keys role,
 // the side that failed first, or one saying they disagree.
 func RunPair(ctx context.Context, cfg Config, keys1 KeysS1, keys2 KeysS2, rng1, rng2 io.Reader,
 	subs []*Submission, meter *transport.Meter) (*Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	c1, c2 := transport.Pair()
 	return runPair(ctx, cfg, keys1, keys2, rng1, rng2, subs, meter, c1, c2)
 }
 
-// runPair is RunPair over the two ends of a caller-built link.
+// runPair is RunPair over the two ends of a caller-built link, under a
+// validated cfg.
 func runPair(ctx context.Context, cfg Config, keys1 KeysS1, keys2 KeysS2, rng1, rng2 io.Reader,
 	subs []*Submission, meter *transport.Meter, c1, c2 transport.Conn) (*Outcome, error) {
 	defer c1.Close()
@@ -379,8 +387,10 @@ func runPair(ctx context.Context, cfg Config, keys1 KeysS1, keys2 KeysS2, rng1, 
 		outs[i] = out
 		errs <- err
 	}
-	go side(0, func() (*Outcome, error) { return RunS1(ctx, rng1, cfg, keys1, c1, h1, meter) })
-	go side(1, func() (*Outcome, error) { return RunS2(obs.WithTracer(ctx, nil), rng2, cfg, keys2, c2, h2, nil) })
+	go side(0, func() (*Outcome, error) { return runSubmissions(ctx, rng1, cfg, keys1, c1, h1, meter) })
+	go side(1, func() (*Outcome, error) {
+		return runSubmissions(obs.WithTracer(ctx, nil), rng2, cfg, keys2, c2, h2, nil)
+	})
 	var first error
 	for range outs {
 		if err := <-errs; err != nil {

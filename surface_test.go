@@ -2,9 +2,13 @@ package privconsensus
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -13,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,16 +31,23 @@ var surfaceAllowlist = map[string]string{
 	"deploy.RunIngest":               "bench/ ingest_tree2048 sink; ROADMAP item 1 (c) moves the workload onto the real pair",
 	"ingest.Uploader":                "bench/ ingest_tree2048 client; ROADMAP item 1 (b) moves serve clients onto deploy's client",
 	"ingest.Uploader.Confirm":        "bench/ ingest_tree2048 client (see ingest.Uploader)",
+	"ingest.Uploader.Send":           "bench/ ingest_tree2048 client (see ingest.Uploader)",
 	"ingest.Run":                     "bench/ ingest_tree2048 starts its relays in-process; no cmd/ binary runs a relay yet",
 	"protocol.RunS2WithPools":        "bench/ replays traced queries by hand; ROADMAP item 1 (a) reads the served spans instead",
 	"paillier.PublicKey.Rerandomize": "bench/ times one rerandomization per op in its kernel layer",
+	"dgk.PrivateKey.IsZero":          "bench/ times one zero test per op in its kernel layer; the comparison rounds call isZero",
+	"dgk.PrivateKey.Encrypt":         "BenchmarkDGKCompare times the owner's bit encryption through it (without it, sk.Encrypt there is the public path); the comparison rounds call encryptOwn",
 	"transport.Meter.Totals":         "bench/ reads replay byte totals (ROADMAP item 1 (a))",
 	"transport.Dial":                 "bench/ and the deploy tests dial a server as a raw client",
 	// References and test hooks that other packages' tests or benchmarks need.
 	"protocol.PlainOutcome":           "plaintext Alg. 1 reference the protocol tests hold the secure runs to",
 	"pate.PlainLabeler":               "non-private Alg. 1 labeler the protocol tests hold packed runs to",
 	"paillier.PrivateKey.DecryptSlow": "non-CRT decryption that BenchmarkPaillierCRT measures the CRT path against",
+	"protocol.RunS1":                  "bench/ replays traced queries by hand (see protocol.RunS2WithPools); RunPair runs both roles itself",
 	"obs.Registry.SetEnabled":         "BenchmarkObsOverhead switches the registry off to measure its cost",
+	"obs.Registry.Enabled":            "BenchmarkObsOverhead restores the registry's state after switching it",
+	"obs.Registry.Snapshot":           "bench/ and the root trace tests read every series through it",
+	"pate.PipelineConfig.Validate":    "the experiments tests check their pipeline configurations through it",
 	"obs.Registry.CounterValue":       "tests in deploy, ingest, obs and transport read counters through it",
 	"obs.QueryTrace.Span":             "the obs and transport tests look up one phase's span",
 	"mathutil.FixedBaseExp.MaxBits":   "paillier and dgk tests check the tables' exponent bound",
@@ -79,22 +91,42 @@ type surfaceDecl struct {
 	pos                         token.Position
 }
 
-// surfaceScan is the parsed module: its exported internal/ declarations, the
-// references product code makes to them and the interfaces it declares.
+// surfaceScan is the parsed and type-checked module: its exported internal/
+// declarations, the references product code makes to them and the
+// interfaces it declares.
 type surfaceScan struct {
+	module     string
 	decls      []surfaceDecl
 	refs       map[string]map[string]bool // target → declarations it is referenced from
 	methods    map[string]map[string]bool // importPath.Type → its method names
 	interfaces [][]string
 	fuzzDirs   map[string][]string // FuzzX → directories declaring it
 	gcTuning   []string            // non-test calls that tune the collector, with their positions
+	bigExp     map[string][]string // declaration → positions of its (*big.Int).Exp calls, in guarded packages
+	info       *types.Info
 }
 
+var (
+	scanOnce sync.Once
+	scanned  *surfaceScan
+	scanErr  error
+)
+
+// scanModule parses and type-checks the module once per test binary; the
+// result is read-only.
 func scanModule(t *testing.T) *surfaceScan {
 	t.Helper()
+	scanOnce.Do(func() { scanned, scanErr = scanModuleOnce() })
+	if scanErr != nil {
+		t.Fatal(scanErr)
+	}
+	return scanned
+}
+
+func scanModuleOnce() (*surfaceScan, error) {
 	mod, err := os.ReadFile("go.mod")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	module := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
 
@@ -132,11 +164,14 @@ func scanModule(t *testing.T) *surfaceScan {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
-	s := &surfaceScan{refs: map[string]map[string]bool{}, methods: map[string]map[string]bool{},
-		interfaces: slices.Clone(stdlibInterfaces), fuzzDirs: map[string][]string{}}
+	s := &surfaceScan{module: module, refs: map[string]map[string]bool{}, methods: map[string]map[string]bool{},
+		interfaces: slices.Clone(stdlibInterfaces), fuzzDirs: map[string][]string{}, bigExp: map[string][]string{}}
+	if s.info, err = typeCheck(fset, files); err != nil {
+		return nil, err
+	}
 	for _, f := range files {
 		if f.test {
 			for _, d := range f.ast.Decls {
@@ -152,9 +187,74 @@ func scanModule(t *testing.T) *surfaceScan {
 		}
 		s.collectDecls(fset, f)
 		s.collectInterfaces(f)
-		s.collectRefs(f, pkgNames)
+		s.collectRefs(fset, f, pkgNames)
 	}
-	return s
+	return s, nil
+}
+
+// typeCheck type-checks the module's non-test packages outside bench/, so
+// that a method reference resolves to its receiver's type. The standard
+// library is checked from source.
+func typeCheck(fset *token.FileSet, files []surfaceFile) (*types.Info, error) {
+	build.Default.CgoEnabled = false // the pure-Go standard library
+	m := &moduleImporter{fset: fset, files: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		info: &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+	for _, f := range files {
+		if !f.test && !f.bench {
+			m.files[f.importPath] = append(m.files[f.importPath], f.ast)
+		}
+	}
+	for ip := range m.files {
+		if _, err := m.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+	return m.info, nil
+}
+
+// moduleImporter type-checks the module's packages on demand into one
+// types.Info and leaves the rest to the standard library's importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	std   types.ImporterFrom
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(ip string) (*types.Package, error) {
+	if p := m.pkgs[ip]; p != nil {
+		return p, nil
+	}
+	files, ok := m.files[ip]
+	if !ok {
+		return m.std.ImportFrom(ip, ".", 0)
+	}
+	p, err := (&types.Config{Importer: m}).Check(ip, m.fset, files, m.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", ip, err)
+	}
+	m.pkgs[ip] = p
+	return p, nil
+}
+
+// methodKey is "importPath.Type.Method" for a selection of a method declared
+// on a named type, and "" for a field or an interface literal's method.
+func methodKey(sel *types.Selection) string {
+	if sel == nil || sel.Kind() == types.FieldVal {
+		return ""
+	}
+	fn := sel.Obj().(*types.Func)
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := types.Unalias(recv).(*types.Named)
+	if !ok || fn.Pkg() == nil {
+		return ""
+	}
+	return fn.Pkg().Path() + "." + named.Origin().Obj().Name() + "." + fn.Name()
 }
 
 // declKey is the allowlist key of a declaration in importPath, or "" outside
@@ -281,10 +381,13 @@ func (s *surfaceScan) collectInterfaces(f surfaceFile) {
 	})
 }
 
-// collectRefs records every package-level name and method name that f's code
-// refers to, keyed "importPath.Name" and ".Method", together with the
-// declaration the reference sits in, so a name's own body does not count.
-func (s *surfaceScan) collectRefs(f surfaceFile, pkgNames map[string]string) {
+// collectRefs records every package-level name and method that f's code
+// refers to, keyed "importPath.Name" and "importPath.Type.Method" (the type
+// the method is declared on), together with the declaration the reference
+// sits in, so a name's own body does not count. In the packages that
+// bigExpGuarded names it also records each (*big.Int).Exp call.
+func (s *surfaceScan) collectRefs(fset *token.FileSet, f surfaceFile, pkgNames map[string]string) {
+	_, guarded := bigExpGuarded[strings.TrimPrefix(f.dir, "internal/")]
 	imports := map[string]string{}
 	for _, im := range f.ast.Imports {
 		p := strings.Trim(im.Path.Value, `"`)
@@ -311,7 +414,13 @@ func (s *surfaceScan) collectRefs(f surfaceFile, pkgNames map[string]string) {
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					ref(imports[x.Name]+"."+n.Sel.Name, from)
 				} else {
-					ref("."+n.Sel.Name, from)
+					key := methodKey(s.info.Selections[n])
+					if key != "" {
+						ref(key, from)
+					}
+					if guarded && key == "math/big.Int.Exp" {
+						s.bigExp[from] = append(s.bigExp[from], fset.Position(n.Pos()).String())
+					}
 					walk(n.X, from)
 				}
 				return false
@@ -369,7 +478,7 @@ func (s *surfaceScan) collectRefs(f surfaceFile, pkgNames map[string]string) {
 func (s *surfaceScan) used(d surfaceDecl) bool {
 	target := d.importPath + "." + d.name
 	if d.recv != "" {
-		target = "." + d.name
+		target = d.importPath + "." + d.recv + "." + d.name
 	}
 	for from := range s.refs[target] {
 		if from != d.key {
@@ -403,8 +512,9 @@ func (s *surfaceScan) implementsInterface(d surfaceDecl) bool {
 // a product caller: a function, method, type, var or const that only tests or
 // bench/ use is either deleted, moved into its package's _test.go, or listed
 // on surfaceAllowlist with the reason it stays. Package-level names resolve
-// by import path; methods match by name, and a method that helps its type
-// implement an interface is exempt.
+// by import path and methods by the type they are declared on, so a method
+// of one type is not kept alive by a call to a same-named method of another;
+// a method that helps its type implement an interface is exempt.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	s := scanModule(t)
 	called := map[string]bool{} // every declaration's key → whether product code uses it
@@ -434,17 +544,11 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 
 // TestOneSpendRecorder holds the module to one place that records an ε
 // spend: dp's (*Ledger).Commit has exactly one non-test caller, deploy S1's
-// resolve. Methods resolve by name, so Commit must also be declared on no
-// other type in the module.
+// resolve.
 func TestOneSpendRecorder(t *testing.T) {
 	s := scanModule(t)
-	for typ, methods := range s.methods {
-		if methods["Commit"] && !strings.HasSuffix(typ, "/internal/dp.Ledger") {
-			t.Errorf("%s declares Commit too: the caller check below cannot tell it from dp's (*Ledger).Commit", typ)
-		}
-	}
 	var callers []string
-	for from := range s.refs[".Commit"] {
+	for from := range s.refs[s.module+"/internal/dp.Ledger.Commit"] {
 		callers = append(callers, from)
 	}
 	sort.Strings(callers)
@@ -506,5 +610,52 @@ func TestFuzzTargetsMatchMakefile(t *testing.T) {
 func TestNoGCTuning(t *testing.T) {
 	for _, call := range scanModule(t).gcTuning {
 		t.Errorf("%s tunes the garbage collector: allocate less instead", call)
+	}
+}
+
+// bigExpGuarded names the packages whose hot products run on
+// mathutil.Mont, each with the declarations that may still call
+// (*big.Int).Exp and the reason each may: key generation, key validation
+// at load, table construction, and named reference or fallback paths.
+var bigExpGuarded = map[string]map[string]string{
+	"paillier": {
+		"paillier.PublicKey.blindTable":   "table construction: the blinding base 2^n mod n², once per key",
+		"paillier.PrivateKey.ownTables":   "table construction: the bases 2^n mod p² and mod q², once per key",
+		"paillier.hConstant":              "key generation and load: the CRT decryption constants h_p, h_q",
+		"paillier.PublicKey.freshNonce":   "fallback for a hand-assembled key with no blinding table; generated and loaded keys have one",
+		"paillier.PrivateKey.DecryptSlow": "named reference: the non-CRT decryption BenchmarkPaillierCRT measures the CRT path against",
+	},
+	"dgk": {
+		"dgk.elementOfOrder":          "key generation: drawing g and h of the required orders",
+		"dgk.PublicKey.checkSubgroup": "key validation at load: the generators' orders modulo each prime factor",
+		"dgk.PublicKey.Encrypt":       "fallback for a hand-assembled key with no tables; generated and loaded keys have them",
+		"dgk.PublicKey.gPow":          "fallback for a hand-assembled key with no g table (see dgk.PublicKey.Encrypt)",
+	},
+	"protocol": {},
+}
+
+// TestNoBigIntExpOnHotPaths fails on a non-test (*big.Int).Exp call in
+// internal/paillier, internal/dgk or internal/protocol outside the
+// declarations bigExpGuarded lists: every product there is a montMul in a
+// mathutil.Mont context, whose contexts are built once per key, while
+// big.Int.Exp rebuilds its Montgomery constants and allocates on every call.
+// A listed declaration that no longer calls it is stale.
+func TestNoBigIntExpOnHotPaths(t *testing.T) {
+	s := scanModule(t)
+	for from, at := range s.bigExp {
+		pkg, _, _ := strings.Cut(from, ".")
+		if _, ok := bigExpGuarded[pkg][from]; !ok {
+			t.Errorf("%s calls (*big.Int).Exp at %v: run the power in a mathutil.Mont context, or list %s in bigExpGuarded with its reason", from, at, from)
+		}
+	}
+	for pkg, allowed := range bigExpGuarded {
+		for from, reason := range allowed {
+			switch {
+			case strings.TrimSpace(reason) == "":
+				t.Errorf("bigExpGuarded[%q] entry %s has no reason", pkg, from)
+			case len(s.bigExp[from]) == 0:
+				t.Errorf("bigExpGuarded[%q] entry %s is stale: it calls no (*big.Int).Exp", pkg, from)
+			}
+		}
 	}
 }
