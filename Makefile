@@ -14,8 +14,8 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # 32-bit words and a second word kernel: the Montgomery tables pull
-# math/big's addMulVVW by linkname, and the transport codec sizes and
-# writes values by BitLen/FillBytes, so run the crypto packages, the
+# math/big's addMulVVW by linkname, and the transport codec sizes values
+# by BitLen and writes them a word at a time, so run the crypto packages, the
 # protocol and the transport with W = 32 (386 runs natively on an amd64
 # host) and vet the whole tree for arm64. The allocation bounds of
 # protocol, transport and dgk (see test) run here at W = 32 as well.
@@ -77,7 +77,8 @@ soak-full:
 # exponentiation kernels (differential against big.Int.Exp), the key owner's
 # CRT Paillier and DGK encryptions (differential against the public paths),
 # the crossing fold (decrypt-and-split equals the inputs at every slot shape
-# and both slot bounds), the four ingest frame decoders (user and combined,
+# and both slot bounds), the ciphertext sum (equal to the Mul+Mod chain at
+# every run length, an out-of-range addend refused), the four ingest frame decoders (user and combined,
 # packed and not: no panic, and whatever decodes re-encodes
 # byte-identically), the one relay/server intake (arbitrary user and combined
 # frame sequences: the covered set is the accepted members, never a user
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime $(FUZZTIME) ./internal/mathutil/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnKeyEncrypt$$' -fuzztime $(FUZZTIME) ./internal/paillier/
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldSlots$$' -fuzztime $(FUZZTIME) ./internal/paillier/
+	$(GO) test -run '^$$' -fuzz '^FuzzSum$$' -fuzztime $(FUZZTIME) ./internal/paillier/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnerBitEncrypt$$' -fuzztime $(FUZZTIME) ./internal/dgk/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHalf$$' -fuzztime $(FUZZTIME) ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCombined$$' -fuzztime $(FUZZTIME) ./internal/ingest/
@@ -117,7 +119,7 @@ cover:
 
 # Short benchmark pass: the Tables I-II benches, the argmax strategy
 # ablation (tournament against the paper's all-pairs reference), the
-# Paillier encryption and fixed-base table micro-benches
+# Paillier encryption, ciphertext sum and fixed-base table micro-benches
 # (results/fixedbase_micro.txt) and the DGK comparison kernels and the
 # crossing fold (results/dgk_micro.txt), one iteration each, so CI catches
 # bench-harness rot without long runs. The measured record of this
@@ -125,6 +127,7 @@ cover:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkArgmaxStrategy|BenchmarkTable1ProtocolSteps|BenchmarkTable2MessageSizes|BenchmarkPaillierEnc|BenchmarkDGKCompare|BenchmarkPaillierFold' -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkFixedBaseExp' -benchtime=1x ./internal/mathutil/
+	$(GO) test -run '^$$' -bench 'BenchmarkPaillierSum' -benchtime=1x ./internal/paillier/
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): the real serve
 # pair and relay tree over loopback at deployable key sizes, through the same

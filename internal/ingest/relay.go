@@ -201,7 +201,7 @@ type sealed struct {
 // in-progress batch.
 type openBatch struct {
 	bm   *big.Int
-	sums [3][]*paillier.Ciphertext // votes, thresh, noisy
+	sums [3][]paillier.Sum // votes, thresh, noisy
 	n    int
 }
 
@@ -224,6 +224,7 @@ type side struct {
 	mu      sync.Mutex
 	insts   []*sideInstance
 	nextSeq int64
+	scratch []big.Word // every open batch's sums fold and seal in it
 
 	out chan *sealed
 }
@@ -237,6 +238,7 @@ func newSide(r *relay, name string, pk *paillier.PublicKey, upstream string) *si
 		r:        r,
 		rules:    r.opts.rules(pk),
 		insts:    make([]*sideInstance, r.opts.Instances),
+		scratch:  pk.SumScratch(),
 		out:      make(chan *sealed, 256),
 	}
 	// A child's (relay, seq) names one batch on the whole side: reusing it
@@ -328,23 +330,13 @@ func (s *side) mergeLocked(inst *sideInstance, f Frame) {
 		inst.open = &openBatch{bm: new(big.Int)}
 	}
 	o := inst.open
-	fields := [3][]*paillier.Ciphertext{f.Half.Votes, f.Half.Thresh, f.Half.Noisy}
-	// One scratch big.Int serves every fold of this frame: the
-	// accumulators are private to the open batch, so in-place AddInto
-	// avoids the two allocations per element that Add would make.
-	scratch := new(big.Int)
-	for fi, vec := range fields {
+	for fi, vec := range [3][]*paillier.Ciphertext{f.Half.Votes, f.Half.Thresh, f.Half.Noisy} {
 		if o.sums[fi] == nil {
-			acc := make([]*paillier.Ciphertext, len(vec))
-			for i, ct := range vec {
-				acc[i] = ct.Clone()
-			}
-			o.sums[fi] = acc
-			continue
+			o.sums[fi] = s.pk.NewSums(len(vec))
 		}
 		for i, ct := range vec {
 			// Cannot fail: the intake checked every ciphertext lies in [0, N²).
-			_ = s.pk.AddInto(o.sums[fi][i], ct, scratch)
+			_ = o.sums[fi][i].Add(ct, s.scratch)
 		}
 	}
 	o.bm.Or(o.bm, f.Members)
@@ -362,12 +354,19 @@ func (s *side) maybeSealLocked(instance int, inst *sideInstance, force bool) *se
 	inst.open = nil
 	seq := s.nextSeq
 	s.nextSeq++
+	var half [3][]*paillier.Ciphertext
+	for fi, sums := range o.sums {
+		half[fi] = make([]*paillier.Ciphertext, len(sums))
+		for i := range sums {
+			half[fi][i] = sums[i].Ciphertext(s.scratch)
+		}
+	}
 	c := Combined{
 		Relay:    s.r.opts.RelayID,
 		Seq:      seq,
 		Instance: instance,
 		Bitmap:   o.bm,
-		Half:     protocol.SubmissionHalf{Votes: o.sums[0], Thresh: o.sums[1], Noisy: o.sums[2]},
+		Half:     protocol.SubmissionHalf{Votes: half[0], Thresh: half[1], Noisy: half[2]},
 	}
 	var msg *transport.Message
 	var err error

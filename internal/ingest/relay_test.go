@@ -145,7 +145,7 @@ func TestRelayBatchSealing(t *testing.T) {
 		t.Errorf("combined frame = relay %d seq %d bitmap %v", c.Relay, c.Seq, c.Bitmap)
 	}
 	// Expected sum of class 0 votes: the ciphertext product mod N².
-	want := halves[0].Votes[0].Clone()
+	want := halves[0].Votes[0]
 	for _, h := range halves[1:] {
 		want, err = pk.Add(want, h.Votes[0])
 		if err != nil {

@@ -73,7 +73,8 @@ func FuzzFixedBaseExp(f *testing.F) {
 // the Montgomery context of the same modulus against big.Int.Exp: entering
 // x (up to twice the modulus's width, as a DGK ciphertext is to p), raising
 // it to e (up to 200 bits: 0, 1, square and multiply up to 16 bits, the
-// window beyond), leaving, and the is-one test inside the domain.
+// window beyond), leaving, the is-one test inside the domain, and paying
+// back k factors R⁻¹ (k below 2^20) from x.
 func FuzzMontMul(f *testing.F) {
 	f.Add([]byte{2}, []byte{10}, []byte{101}, []byte{0})
 	f.Add([]byte{0}, []byte{0}, []byte{1}, []byte{1})
@@ -116,6 +117,13 @@ func FuzzMontMul(f *testing.F) {
 		want := new(big.Int).Exp(base, e, m)
 		if got.Cmp(want) != 0 || isOne != (want.Cmp(One) == 0) {
 			t.Fatalf("Mont(m=%v): %v^%v = %v (is one: %v), want %v", m, base, e, got, isOne, want)
+		}
+
+		k := int(e.Uint64() % (1 << 20))
+		ctx.MulRPow(z, toWords(x, n), k, make([]big.Word, 18*n))
+		want.Exp(new(big.Int).Lsh(One, rBits), big.NewInt(int64(k)), m)
+		if want.Mul(want, x).Mod(want, m); got.SetBits(z).Cmp(want) != 0 {
+			t.Fatalf("Mont(m=%v): %v·R^%d = %v, want %v", m, x, k, got, want)
 		}
 	})
 }

@@ -20,7 +20,8 @@
 // and no scratch, and above that the CIOS loop on math/big's assembly
 // addMulVVW. At two or three words the loop's two calls per word cost more
 // than the multiplies; from eight words a Go loop is slower than the
-// assembly (BenchmarkMontMul).
+// assembly (BenchmarkMontMul). Products of values left outside the domain
+// each owe a factor R⁻¹; MulRPow pays a run's back at once (paillier.Sum).
 package mathutil
 
 import (

@@ -102,6 +102,15 @@ func (c *Mont) Exp(z, x []big.Word, e *big.Int, scratch []big.Word) {
 	}
 }
 
+// MulRPow sets z = x·R^k mod m for k ≥ 0, paying back the factors R⁻¹
+// that k Muls of values outside the domain leave. R^(k+1) is Exp's power k
+// of R, whose domain form is R² mod m; scratch holds n words more than Exp's.
+func (c *Mont) MulRPow(z, x []big.Word, k int, scratch []big.Word) {
+	r, e := scratch[:len(c.m)], [1]big.Word{big.Word(k)}
+	c.Exp(r, c.rr, new(big.Int).SetBits(e[:]), scratch[len(r):])
+	montMul(z, scratch[len(r):], x, r, c.m, c.k)
+}
+
 // Leave sets z = x·R⁻¹ mod m.
 func (c *Mont) Leave(z, x, scratch []big.Word) {
 	one := scratch[2*len(c.m) : 3*len(c.m)]

@@ -172,12 +172,11 @@ func (p Packing) Fold(rng io.Reader, pk *PublicKey, i int, cts []*Ciphertext, ad
 	if len(cts) != p.Count || len(addends) != p.Count {
 		return nil, fmt.Errorf("%w: %d ciphertexts and %d addends, layout holds %d", ErrPackingShape, len(cts), len(addends), p.Count)
 	}
-	table := pk.blindTable()
-	if table == nil {
-		return nil, fmt.Errorf("%w: no blinding table", ErrInvalidKeyPair)
+	ctx := pk.mont()
+	if ctx == nil {
+		return nil, fmt.Errorf("%w: n² is even", ErrInvalidKeyPair)
 	}
 	// acc and c_j in n²'s Montgomery domain, then the kernels' scratch.
-	ctx := table.Mont()
 	n, plain := ctx.Words(), new(big.Int)
 	w := make([]big.Word, 5*n)
 	acc, cj, kernel := w[:n], w[n:2*n], w[2*n:]

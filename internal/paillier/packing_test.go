@@ -147,8 +147,8 @@ func TestPackedHomomorphicAggregation(t *testing.T) {
 	for i := range sums {
 		sums[i] = new(big.Int)
 	}
-	var agg []*Ciphertext
-	scratch := new(big.Int)
+	var agg []Sum
+	scratch := pk.SumScratch()
 	for u := 0; u < users; u++ {
 		values := make([]*big.Int, p.Count)
 		for i := range values {
@@ -164,21 +164,17 @@ func TestPackedHomomorphicAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if agg == nil {
-			agg = make([]*Ciphertext, len(cts))
-			for i, c := range cts {
-				agg[i] = c.Clone()
-			}
-			continue
+			agg = pk.NewSums(len(cts))
 		}
 		for i, c := range cts {
-			if err := pk.AddInto(agg[i], c, scratch); err != nil {
+			if err := agg[i].Add(c, scratch); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	plain := make([]*big.Int, len(agg))
-	for i, c := range agg {
-		m, err := key.Decrypt(c)
+	for i := range agg {
+		m, err := key.Decrypt(agg[i].Ciphertext(scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,96 +189,6 @@ func TestPackedHomomorphicAggregation(t *testing.T) {
 		got := new(big.Int).Sub(s, nBias)
 		if got.Cmp(sums[i]) != 0 {
 			t.Fatalf("aggregated slot %d = %v, want %v", i, got, sums[i])
-		}
-	}
-}
-
-func TestAddIntoMatchesAdd(t *testing.T) {
-	key, err := GenerateKey(rand.Reader, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := key.Public()
-	c1, err := pk.Encrypt(rand.Reader, big.NewInt(1234))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := pk.Encrypt(rand.Reader, big.NewInt(4321))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := pk.Add(c1, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := c1.Clone()
-	if err := pk.AddInto(acc, c2, new(big.Int)); err != nil {
-		t.Fatal(err)
-	}
-	if acc.C.Cmp(want.C) != 0 {
-		t.Fatalf("AddInto = %v, want %v", acc.C, want.C)
-	}
-	m, err := key.Decrypt(acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Int64() != 5555 {
-		t.Fatalf("decrypt = %v, want 5555", m)
-	}
-	if err := pk.AddInto(nil, c2, new(big.Int)); err == nil {
-		t.Fatal("AddInto accepted nil accumulator")
-	}
-}
-
-// BenchmarkAggregateAdd vs BenchmarkAggregateAddInto proves the
-// satellite alloc reduction: AddInto reuses the accumulator's and the
-// scratch's storage instead of allocating a fresh big.Int per fold.
-func benchCiphertexts(b *testing.B) (*PublicKey, []*Ciphertext) {
-	b.Helper()
-	key, err := GenerateKey(rand.Reader, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pk := key.Public()
-	cts := make([]*Ciphertext, 64)
-	for i := range cts {
-		c, err := pk.Encrypt(rand.Reader, big.NewInt(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cts[i] = c
-	}
-	return pk, cts
-}
-
-func BenchmarkAggregateAdd(b *testing.B) {
-	pk, cts := benchCiphertexts(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc := cts[0].Clone()
-		for _, c := range cts[1:] {
-			out, err := pk.Add(acc, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			acc = out
-		}
-	}
-}
-
-func BenchmarkAggregateAddInto(b *testing.B) {
-	pk, cts := benchCiphertexts(b)
-	scratch := new(big.Int)
-	acc := cts[0].Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.C.Set(cts[0].C)
-		for _, c := range cts[1:] {
-			if err := pk.AddInto(acc, c, scratch); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -475,3 +475,11 @@ func (pk *PublicKey) Sub(c1, c2 *Ciphertext) (*Ciphertext, error) {
 	}
 	return pk.Add(c1, n2)
 }
+
+// Clone returns an independent copy; only the tests need one.
+func (c *Ciphertext) Clone() *Ciphertext {
+	if c == nil || c.C == nil {
+		return nil
+	}
+	return &Ciphertext{C: new(big.Int).Set(c.C)}
+}

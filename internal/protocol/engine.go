@@ -462,26 +462,26 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 	if k == 0 {
 		return nil, nil // packed halves carry no separate Thresh vector
 	}
-	// sumRange folds users [lo, hi) into a fresh ciphertext vector,
-	// accumulating in place with one scratch big.Int per chunk so the hot
-	// loop does not allocate a fresh product per addition.
-	sumRange := func(lo, hi int) ([]*paillier.Ciphertext, error) {
-		acc := make([]*paillier.Ciphertext, k)
-		for i, c := range field(subs[lo]) {
-			acc[i] = c.Clone()
-		}
-		scratch := new(big.Int)
-		for u := lo + 1; u < hi; u++ {
-			for i, c := range field(subs[u]) {
-				if err := pk.AddInto(acc[i], c, scratch); err != nil {
-					return nil, fmt.Errorf("protocol: aggregate user %d class %d: %w", u, i, err)
+	// sum folds vectors lo … hi−1 (users, or chunk partials) position by
+	// position, one paillier.Sum per position and one scratch for them all.
+	sum := func(what string, lo, hi int, vec func(int) []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
+		sums, scratch := pk.NewSums(k), pk.SumScratch()
+		for j := lo; j < hi; j++ {
+			for i, c := range vec(j) {
+				if err := sums[i].Add(c, scratch); err != nil {
+					return nil, fmt.Errorf("protocol: aggregate %s %d class %d: %w", what, j, i, err)
 				}
 			}
 		}
-		return acc, nil
+		out := make([]*paillier.Ciphertext, k)
+		for i := range sums {
+			out[i] = sums[i].Ciphertext(scratch)
+		}
+		return out, nil
 	}
+	user := func(u int) []*paillier.Ciphertext { return field(subs[u]) }
 	if par <= 1 || len(subs) < 4 {
-		return sumRange(0, len(subs))
+		return sum("user", 0, len(subs), user)
 	}
 
 	chunkSize := (len(subs) + par - 1) / par
@@ -490,26 +490,14 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 		bounds = append(bounds, [2]int{lo, min(lo+chunkSize, len(subs))})
 	}
 	partials := make([][]*paillier.Ciphertext, len(bounds))
-	err := mathutil.ParallelFor(par, len(bounds), func(_, ci int) error {
-		acc, err := sumRange(bounds[ci][0], bounds[ci][1])
-		if err != nil {
-			return err
-		}
-		partials[ci] = acc
-		return nil
+	err := mathutil.ParallelFor(par, len(bounds), func(_, ci int) (err error) {
+		partials[ci], err = sum("user", bounds[ci][0], bounds[ci][1], user)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	scratch := new(big.Int)
-	for _, part := range partials[1:] {
-		for i := range part {
-			if err := pk.AddInto(partials[0][i], part[i], scratch); err != nil {
-				return nil, fmt.Errorf("protocol: aggregate combine class %d: %w", i, err)
-			}
-		}
-	}
-	return partials[0], nil
+	return sum("partial", 0, len(partials), func(j int) []*paillier.Ciphertext { return partials[j] })
 }
 
 // argmaxPermuted finds the permuted position of the maximum. Both parties

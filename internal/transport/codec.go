@@ -49,7 +49,7 @@ func WriteMessage(w io.Writer, msg *Message) error {
 }
 
 // appendMessage appends msg's codec encoding to buf, growing it once to the
-// encoded size and writing each value once by FillBytes.
+// encoded size and writing each value once by putMagnitude.
 func appendMessage(buf []byte, msg *Message) ([]byte, error) {
 	if msg == nil {
 		return nil, fmt.Errorf("transport: cannot encode nil message")
@@ -73,9 +73,27 @@ func appendMessage(buf []byte, msg *Message) ([]byte, error) {
 		buf = append(buf, sign)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 		buf = buf[:len(buf)+n]
-		v.FillBytes(buf[len(buf)-n:])
+		putMagnitude(buf[len(buf)-n:], v.Bits())
 	}
 	return buf, nil
+}
+
+// putMagnitude writes the words x big-endian into dst, which holds exactly
+// their (BitLen+7)/8 bytes: what FillBytes writes, but a 64-bit word per
+// store (byte by byte only the top word, or every word at W = 32).
+func putMagnitude(dst []byte, x []big.Word) {
+	i := len(dst)
+	for _, w := range x {
+		if bits.UintSize == 64 && i >= 8 {
+			binary.BigEndian.PutUint64(dst[i-8:i], uint64(w))
+			i -= 8
+			continue
+		}
+		for j := 0; j < bits.UintSize/8 && i > 0; j, w = j+1, w>>8 {
+			i--
+			dst[i] = byte(w)
+		}
+	}
 }
 
 // DecodeMessage decodes the message at the head of p and returns it with

@@ -2,16 +2,29 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"testing"
 )
 
 // FuzzReadMessage checks that arbitrary byte streams never panic the codec
-// or produce a message that fails to round-trip, and that EncodedSize
-// predicts the length of every accepted message's encoding.
+// or produce a message that fails to round-trip, that EncodedSize
+// predicts the length of every accepted message's encoding, and that each
+// value is encoded as big.Int.FillBytes writes it.
 func FuzzReadMessage(f *testing.F) {
-	// Seed with valid frames, values at the byte boundaries included.
+	// Seed with valid frames, values at the byte boundaries included, and
+	// one value of every length from 1 to 24 bytes: one to three words, each
+	// top word full or partial, at either word size.
 	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	var widths []*big.Int
+	for n := 1; n <= 24; n++ {
+		b := make([]byte, n) // bytes 1, 2, …, n: any misplaced byte shows
+		for i := range b {
+			b[i] = byte(i + 1)
+		}
+		v := new(big.Int).SetBytes(b)
+		widths = append(widths, v, new(big.Int).Neg(v))
+	}
 	seed := []*Message{
 		{Kind: KindControl},
 		msgOf(KindShares, []int64{1, -2}, 3, -4, 0),
@@ -19,6 +32,7 @@ func FuzzReadMessage(f *testing.F) {
 		msgOf(KindMux, []int64{3, int64(KindResult), 1}), // reserved kind: decodes, every receiver refuses it
 		msgOf(KindShares, nil, 255, 256, -255, -256, 0, -1),
 		{Kind: KindCipherSeq, Values: []*big.Int{two64, new(big.Int).Neg(two64), new(big.Int).Sub(two64, big.NewInt(1))}},
+		{Kind: KindCipherSeq, Values: widths},
 	}
 	for _, m := range seed {
 		var buf bytes.Buffer
@@ -42,6 +56,9 @@ func FuzzReadMessage(f *testing.F) {
 		if n := EncodedSize(msg); n != buf.Len() {
 			t.Fatalf("EncodedSize %d, encoding %d bytes", n, buf.Len())
 		}
+		if want := fillBytesEncoding(msg); !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("encoding %x, FillBytes writes %x", buf.Bytes(), want)
+		}
 		back, n, err := DecodeMessage(buf.Bytes())
 		if err != nil || n != buf.Len() {
 			t.Fatalf("re-decode: %d of %d bytes, %v", n, buf.Len(), err)
@@ -51,6 +68,26 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		checkNoAlias(t, msg)
 	})
+}
+
+// fillBytesEncoding is msg's codec encoding with every value's magnitude
+// written by big.Int.FillBytes: the reference for putMagnitude.
+func fillBytesEncoding(msg *Message) []byte {
+	buf := binary.BigEndian.AppendUint32([]byte{byte(msg.Kind)}, uint32(len(msg.Flags)))
+	for _, f := range msg.Flags {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(f))
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg.Values)))
+	for _, v := range msg.Values {
+		sign := byte(0)
+		if v.Sign() < 0 {
+			sign = 1
+		}
+		b := v.FillBytes(make([]byte, (v.BitLen()+7)/8))
+		buf = binary.BigEndian.AppendUint32(append(buf, sign), uint32(len(b)))
+		buf = append(buf, b...)
+	}
+	return buf
 }
 
 // checkNoAlias grows each value of a decoded message in place — Add, Mul
