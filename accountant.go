@@ -11,7 +11,8 @@ import (
 //
 // Every query pays the Sparse Vector Technique cost (Lemma 1 of the paper:
 // 9α/2σ₁² at order α); queries whose label is actually released
-// additionally pay the Report Noisy Maximum cost (Lemma 2: α/σ₂²).
+// additionally pay the Report Noisy Maximum cost (Lemma 2: α/σ₂²). A σ of
+// 0 draws no noise: that spend is non-private, and ε reads +Inf from then on.
 //
 // It is an in-memory calculator, safe for concurrent use; an Engine's
 // spend is recorded by its S1 ledger (BatchResult.Epsilon).

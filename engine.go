@@ -167,7 +167,8 @@ type BatchResult struct {
 	// Outcomes has one entry per query, in order; a failed one is {false, -1}.
 	Outcomes []Outcome
 	// Epsilon is the (ε, δ=1e-6)-DP spend S1's ledger holds: this batch's, or
-	// all the AccountantPath file recorded. An empty batch reports 0.
+	// all the AccountantPath file recorded. An empty batch reports 0; a
+	// batch at Sigma1 = 0 (or Sigma2 = 0 with a release) is non-private: +Inf.
 	Epsilon float64
 	// Released counts the queries that reached consensus.
 	Released int

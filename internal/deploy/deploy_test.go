@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -415,6 +416,19 @@ func TestServerOptionValidation(t *testing.T) {
 	// protocol never produced; every entry point refuses it.
 	if err1, err2 := serve(ServerOptions{ListenAddr: "127.0.0.1:0", PeerAddr: "127.0.0.1:1", Instances: 1, MaxRetries: -1}); err1 == nil || err2 == nil {
 		t.Errorf("negative retry budget accepted: S1 %v, S2 %v", err1, err2)
+	}
+	// A NaN or infinite budget input compares false with every bound: it
+	// would switch a quota off or admit every query.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, opts := range map[string]ServeOptions{
+			"delta":         {Delta: bad},
+			"default quota": {DefaultQuota: bad},
+			"tenant quota":  {Tenants: map[int64]float64{7: bad}},
+		} {
+			if err := opts.validate(); err == nil {
+				t.Errorf("%s %g accepted", name, bad)
+			}
+		}
 	}
 	if err := SubmitVotes(ctx, pubFile, UserOptions{MaxRetries: -1}, [][]float64{oneHot(cfg.Classes, 0)}); err == nil {
 		t.Error("user client accepted a negative retry budget")

@@ -120,6 +120,10 @@ func admissionState(ctx context.Context, t testing.TB, cfg protocol.Config, opts
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost, err := dp.QuerySpend(cfg.Sigma1, cfg.Sigma2, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { obs.SetReadiness("", true) }) // a refusal may publish budget-exhausted
 	s1End, s2End := transport.Pair()
 	go func() {
@@ -144,7 +148,7 @@ func admissionState(ctx context.Context, t testing.TB, cfg protocol.Config, opts
 		s:          &serverSetup{cfg: cfg, trace: newTraceState()},
 		opts:       opts,
 		ledger:     ledger,
-		cost:       dp.QueryCost(cfg.Sigma1, cfg.Sigma2),
+		cost:       cost,
 		ctl:        &ctlLink{src: src, timeout: time.Minute},
 		rings:      []*big.Int{nil},
 		queries:    map[int]*serveQuery{},
@@ -187,7 +191,10 @@ func FuzzUserFrames(f *testing.F) {
 	}
 	// A quota half-way between the ε of quotaQueries and quotaQueries+1
 	// queries' spend.
-	cost := dp.QueryCost(grid(false).Sigma1, grid(false).Sigma2)
+	cost, err := dp.QuerySpend(grid(false).Sigma1, grid(false).Sigma2, true, true)
+	if err != nil {
+		f.Fatal(err)
+	}
 	opts := ServeOptions{MaxInFlight: known + window} // the table's queries are in flight too
 	// Queries known..fresh-1 resolved in order, granted to pastTenant with
 	// nonce = query ID; the first two have left the replay window again, so
@@ -198,9 +205,7 @@ func FuzzUserFrames(f *testing.F) {
 	pastLabel := func(qid int) int64 { return int64(qid % 4) }
 	epsOf := func(n int) float64 {
 		var a dp.Accountant
-		if err := a.AddLinear(float64(n) * cost); err != nil {
-			f.Fatal(err)
-		}
+		a.Add(dp.Spend{Coefficient: float64(n) * cost.Coefficient})
 		eps, _, err := a.Epsilon(opts.delta())
 		if err != nil {
 			f.Fatal(err)

@@ -69,7 +69,7 @@ type serveState struct {
 	rings []*big.Int        // per-epoch peer-key N², for per-query collectors
 
 	ledger *dp.Ledger
-	cost   float64 // worst-case per-query coefficient
+	cost   dp.Spend // worst-case per-query spend: a released label
 	// commitErr is the first spend the ledger failed to record; the run
 	// returns it when it drains.
 	commitErr error
@@ -191,7 +191,10 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	// Publish the admission state before setupServer opens the admin
 	// endpoint and the listener: a probe that can reach /healthz must never
 	// read the static "ok" of a process that runs no server.
-	cost := dp.QueryCost(files[0].Config.Sigma1, files[0].Config.Sigma2)
+	cost, err := dp.QuerySpend(files[0].Config.Sigma1, files[0].Config.Sigma2, true, true)
+	if err != nil {
+		return nil, err
+	}
 	publishReadiness(false, ledger, cost)
 	defer obs.SetReadiness("", true)
 	s, err := setupServer(ctx, "S1", files[0].Config, opts.ServerOptions)
@@ -222,9 +225,6 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	}
 	st.keys[0] = keys0
 	st.rings[0] = ringOf(keys0.PeerPub)
-	if st.cost == 0 && st.hasFiniteQuota() {
-		return nil, fmt.Errorf("deploy: tenant quotas need positive sigma1/sigma2 (accounting is off at zero noise)")
-	}
 	pre := make([]*serveQuery, opts.Instances)
 	for i := range pre {
 		if err := ledger.Reserve(0, cost); err != nil {
@@ -276,19 +276,6 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 		}
 	}()
 	return st.run(ctx, ps, peer, opts.Instances)
-}
-
-// hasFiniteQuota reports whether any quota actually binds.
-func (st *serveState) hasFiniteQuota() bool {
-	if st.opts.DefaultQuota > 0 {
-		return true
-	}
-	for _, q := range st.opts.Tenants {
-		if q > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // routes serves S1's connections: peer hellos carrying capServeCtl feed the
@@ -484,7 +471,7 @@ func (st *serveState) updateReadiness() {
 }
 
 // publishReadiness maps the admission state onto /healthz.
-func publishReadiness(draining bool, ledger *dp.Ledger, cost float64) {
+func publishReadiness(draining bool, ledger *dp.Ledger, cost dp.Spend) {
 	switch {
 	case draining:
 		obs.SetReadiness("draining", false)
@@ -615,13 +602,14 @@ func (st *serveState) epochKeys(epoch int) protocol.KeysS1 {
 
 // resolve finalizes a query: ledger commit (SVT always — conservative,
 // protocol bytes may have flowed on any attempt — RNM only on a released
-// label), the spend journal records the soak replays, bookkeeping, and
+// label), the spend's journal notes the soak replays, bookkeeping, and
 // the result broadcast to waiting clients. The collector goes with it: only
 // the replay window (and, if pre-registered, the report) keeps the result.
 func (st *serveState) resolve(q *serveQuery) {
 	released := q.res.Err == nil && q.res.Outcome.Consensus
-	cfg := st.s.cfg
-	eps, err := st.ledger.Commit(q.tenant, st.cost, cfg.Sigma1, cfg.Sigma2, released)
+	// st.cost was priced from the same sigmas, so they price without error.
+	spent, _ := dp.QuerySpend(st.s.cfg.Sigma1, st.s.cfg.Sigma2, true, released)
+	eps, err := st.ledger.Commit(q.tenant, st.cost, spent)
 	if err != nil {
 		st.opts.log(levelWarn, "S1 ledger commit for query %d failed: %v", q.qid, err)
 		st.mu.Lock()
@@ -631,13 +619,8 @@ func (st *serveState) resolve(q *serveQuery) {
 		st.mu.Unlock()
 	}
 	obs.TenantEpsilon(strconv.FormatInt(q.tenant, 10)).Set(eps)
-	if cfg.Sigma1 > 0 {
-		st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventSpend, Instance: q.qid,
-			Note: fmt.Sprintf("svt sigma=%g tenant=%d", cfg.Sigma1, q.tenant)})
-	}
-	if released && cfg.Sigma2 > 0 {
-		st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventSpend, Instance: q.qid,
-			Note: fmt.Sprintf("rnm sigma=%g tenant=%d", cfg.Sigma2, q.tenant)})
+	for _, note := range spent.Notes(q.tenant) {
+		st.s.journalEvent(st.opts.ServerOptions, obs.Event{Type: obs.EventSpend, Instance: q.qid, Note: note})
 	}
 	st.mu.Lock()
 	st.rememberLocked(q)

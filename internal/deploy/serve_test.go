@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"math"
 	mrand "math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -27,9 +30,7 @@ import (
 func epsAfter(t *testing.T, cost float64, n int, delta float64) float64 {
 	t.Helper()
 	a := dp.NewAccountant()
-	if err := a.AddLinear(cost * float64(n)); err != nil {
-		t.Fatal(err)
-	}
+	a.Add(dp.Spend{Coefficient: cost * float64(n)})
 	eps, _, err := a.Epsilon(delta)
 	if err != nil {
 		t.Fatal(err)
@@ -408,6 +409,20 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if got := r1.rep.Admissions["draining"]; got < 1 {
 		t.Errorf("draining refusals %d, want >= 1", got)
 	}
+	// The keys draw no noise, so with no quota every query is admitted
+	// and non-private: each tenant's ε is +Inf in the report and on
+	// /metrics.
+	if len(r1.rep.Tenants) != 3 {
+		t.Errorf("tenant spends %+v, want tenants 1, 2 and 3", r1.rep.Tenants)
+	}
+	for _, spend := range r1.rep.Tenants {
+		if !math.IsInf(spend.Epsilon, 1) {
+			t.Errorf("tenant %d spent ε %v at σ = 0, want +Inf", spend.Tenant, spend.Epsilon)
+		}
+		if got := obs.TenantEpsilon(strconv.FormatInt(spend.Tenant, 10)).Value(); !math.IsInf(got, 1) {
+			t.Errorf("tenant %d: privconsensus_tenant_epsilon %v, want +Inf", spend.Tenant, got)
+		}
+	}
 
 	// Both journals must verify end to end — a drain that tears the tail
 	// beyond the one-record crash tolerance is a flush bug.
@@ -459,8 +474,11 @@ func TestServeBudgetRefusal(t *testing.T) {
 		delta  = 1e-6
 	)
 	s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, sigma1, sigma2)
-	cost := dp.QueryCost(sigma1, sigma2)
-	quota := (epsAfter(t, cost, 1, delta) + epsAfter(t, cost, 2, delta)) / 2
+	cost, err := dp.QuerySpend(sigma1, sigma2, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quota := (epsAfter(t, cost.Coefficient, 1, delta) + epsAfter(t, cost.Coefficient, 2, delta)) / 2
 	ledgerPath := filepath.Join(t.TempDir(), "ledger.json")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
@@ -564,6 +582,84 @@ func TestServeBudgetRefusal(t *testing.T) {
 	}
 	if err := b.Reserve(9, cost); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("reloaded ledger still admits tenant 9: %v", err)
+	}
+}
+
+// TestServeRefusesNonPrivateUnderQuota: with σ1 = 0 keys the threshold
+// check draws no noise, so every query is non-private (ε = +Inf). Under a
+// finite default quota S1 reports the budget exhausted from the start,
+// refuses the admission with the typed budget-exhausted status and commits
+// nothing.
+func TestServeRefusesNonPrivateUnderQuota(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serve deployment test is slow in -short mode")
+	}
+	const users = 2
+	s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, 0, 2)
+	ledgerPath := filepath.Join(t.TempDir(), "ledger.json")
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	drainCh := make(chan struct{})
+	s1Ready := make(chan string, 1)
+	metricsReady := make(chan string, 1)
+	s1Done := make(chan s1ServeResult, 1)
+	base := ServerOptions{ListenAddr: "127.0.0.1:0", Seed: 751, MaxRetries: 3, Backoff: 5 * time.Millisecond,
+		AttemptTimeout: 30 * time.Second, Quorum: float64(users), SubmitDeadline: 30 * time.Second}
+	go func() {
+		opts := base
+		opts.Ready = s1Ready
+		opts.MetricsAddr = "127.0.0.1:0"
+		opts.MetricsReady = metricsReady
+		rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: opts, DefaultQuota: 100,
+			LedgerPath: ledgerPath, DrainCh: drainCh, DrainTimeout: time.Minute})
+		s1Done <- s1ServeResult{rep, err}
+	}()
+	s1Addr := <-s1Ready
+	metricsAddr := <-metricsReady
+	s2Ready := make(chan string, 1)
+	s2Done := make(chan s2ServeResult, 1)
+	go func() {
+		opts := base
+		opts.Seed = 752
+		opts.PeerAddr = s1Addr
+		opts.Ready = s2Ready
+		rep, err := ServeS2(ctx, s2Files, ServeOptions{ServerOptions: opts, DrainTimeout: time.Minute})
+		s2Done <- s2ServeResult{rep, err}
+	}()
+	s2Addr := <-s2Ready
+
+	if code, state := healthzState(t, metricsAddr); code != http.StatusServiceUnavailable || state != "budget-exhausted" {
+		t.Errorf("healthz = (%d, %q), want (503, budget-exhausted)", code, state)
+	}
+	client, err := NewServeClient(pubs, ServeClientOptions{
+		Tenant: 9, S1Addr: s1Addr, S2Addr: s2Addr, Seed: 761,
+		MaxRetries: 3, Backoff: 5 * time.Millisecond, AttemptTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	votes := make([][]float64, users)
+	for u := range votes {
+		votes[u] = oneHot(cfg.Classes, 1)
+	}
+	if _, err := client.Do(ctx, votes); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("non-private query under a quota: got %v, want ErrBudgetExhausted", err)
+	}
+
+	close(drainCh)
+	r1 := <-s1Done
+	if r2 := <-s2Done; r1.err != nil || r2.err != nil {
+		t.Fatalf("S1 serve: %v; S2 serve: %v", r1.err, r2.err)
+	}
+	if got := r1.rep.Admissions["budget-exhausted"]; got < 1 {
+		t.Errorf("budget-exhausted refusals %d, want >= 1", got)
+	}
+	if len(r1.rep.Tenants) != 0 {
+		t.Errorf("tenant spends %+v, want none committed", r1.rep.Tenants)
+	}
+	if _, err := os.Stat(ledgerPath); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("ledger file after a refused query: %v, want none written", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/privconsensus/privconsensus/internal/dp"
@@ -198,19 +199,22 @@ func (o ServeOptions) validate() error {
 	if o.RotateAfter < 0 {
 		return fmt.Errorf("deploy: negative rotate-after %d", o.RotateAfter)
 	}
-	if o.Delta < 0 || o.Delta >= 1 {
+	if !(o.Delta >= 0 && o.Delta < 1) {
 		return fmt.Errorf("deploy: quota delta %g outside (0, 1)", o.Delta)
 	}
-	if o.DefaultQuota < 0 {
-		return fmt.Errorf("deploy: negative default quota %g", o.DefaultQuota)
+	if !validQuota(o.DefaultQuota) {
+		return fmt.Errorf("deploy: default quota %g is not finite and non-negative", o.DefaultQuota)
 	}
 	for t, q := range o.Tenants {
-		if q < 0 {
-			return fmt.Errorf("deploy: negative quota %g for tenant %d", q, t)
+		if !validQuota(q) {
+			return fmt.Errorf("deploy: quota %g for tenant %d is not finite and non-negative", q, t)
 		}
 	}
 	return nil
 }
+
+// validQuota reports whether q is a finite ε quota; 0 means unlimited.
+func validQuota(q float64) bool { return q >= 0 && !math.IsInf(q, 1) }
 
 // sendCtl sends a serve-control request and awaits the expected ack code,
 // returning the ack arguments.

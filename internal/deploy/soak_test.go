@@ -259,41 +259,57 @@ func TestSoakServe(t *testing.T) {
 		total, quorumMiss, faulted, faults, retries)
 
 	// Accounting invariant: the ledger's committed state equals a fresh
-	// accountant replayed from the journaled per-query spend events —
-	// exactly, since both apply the same float operations in commit order.
-	replayed := map[int64]*dp.Accountant{}
-	counts := map[int64][2]int{}
+	// accountant replayed from the journaled per-query spend notes, each
+	// query's notes priced again through dp.QuerySpend — exactly, since
+	// both apply the same float operations in commit order.
+	type queryNotes struct {
+		tenant         int64
+		sigma1, sigma2 float64
+		svt, rnm       int
+	}
+	notes := map[int]*queryNotes{}
+	var order []int
 	for _, ev := range evs {
 		if ev.Type != obs.EventSpend {
 			continue
 		}
+		var kind string
 		var sigma float64
 		var tenant int64
-		if n, err := fmt.Sscanf(ev.Note, "svt sigma=%g tenant=%d", &sigma, &tenant); n == 2 && err == nil {
-			if replayed[tenant] == nil {
-				replayed[tenant] = dp.NewAccountant()
-			}
-			if err := replayed[tenant].AddSVT(sigma); err != nil {
-				t.Fatal(err)
-			}
-			c := counts[tenant]
-			c[0]++
-			counts[tenant] = c
-			continue
+		if n, err := fmt.Sscanf(ev.Note, "%s sigma=%g tenant=%d", &kind, &sigma, &tenant); n != 3 || err != nil {
+			t.Fatalf("unparseable spend event %q", ev.Note)
 		}
-		if n, err := fmt.Sscanf(ev.Note, "rnm sigma=%g tenant=%d", &sigma, &tenant); n == 2 && err == nil {
-			if replayed[tenant] == nil {
-				t.Fatalf("journal releases tenant %d before any SVT spend", tenant)
-			}
-			if err := replayed[tenant].AddRNM(sigma); err != nil {
-				t.Fatal(err)
-			}
-			c := counts[tenant]
-			c[1]++
-			counts[tenant] = c
-			continue
+		q := notes[ev.Instance]
+		if q == nil {
+			q = &queryNotes{tenant: tenant}
+			notes[ev.Instance] = q
+			order = append(order, ev.Instance)
 		}
-		t.Fatalf("unparseable spend event %q", ev.Note)
+		switch {
+		case q.tenant != tenant:
+			t.Fatalf("query %d journals spend for tenants %d and %d", ev.Instance, q.tenant, tenant)
+		case kind == "svt":
+			q.sigma1, q.svt = sigma, q.svt+1
+		case kind == "rnm":
+			q.sigma2, q.rnm = sigma, q.rnm+1
+		default:
+			t.Fatalf("unparseable spend event %q", ev.Note)
+		}
+	}
+	replayed := map[int64]*dp.Accountant{}
+	for _, qid := range order {
+		q := notes[qid]
+		if q.svt != 1 || q.rnm > 1 {
+			t.Fatalf("query %d journals %d svt and %d rnm notes, want 1 and at most 1", qid, q.svt, q.rnm)
+		}
+		spend, err := dp.QuerySpend(q.sigma1, q.sigma2, true, q.rnm == 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed[q.tenant] == nil {
+			replayed[q.tenant] = dp.NewAccountant()
+		}
+		replayed[q.tenant].Add(spend)
 	}
 	if len(r1.rep.Tenants) != len(replayed) {
 		t.Fatalf("ledger has %d tenants, journal replay has %d", len(r1.rep.Tenants), len(replayed))
@@ -307,10 +323,12 @@ func TestSoakServe(t *testing.T) {
 		if spend.Coefficient != acc.Coefficient() {
 			t.Errorf("tenant %d: ledger coefficient %v != journal replay %v", spend.Tenant, spend.Coefficient, acc.Coefficient())
 		}
-		c := counts[spend.Tenant]
-		if spend.Queries != c[0] || spend.Releases != c[1] {
+		if q, r := acc.Counts(); spend.Queries != q || spend.Releases != r {
 			t.Errorf("tenant %d: ledger counts (%d, %d) != journaled (%d, %d)",
-				spend.Tenant, spend.Queries, spend.Releases, c[0], c[1])
+				spend.Tenant, spend.Queries, spend.Releases, q, r)
+		}
+		if eps, _, err := acc.Epsilon(delta); err != nil || spend.Epsilon != eps {
+			t.Errorf("tenant %d: ledger ε %v != journal replay %v (%v)", spend.Tenant, spend.Epsilon, eps, err)
 		}
 	}
 

@@ -15,7 +15,7 @@ import (
 
 // Errors returned by the package.
 var (
-	ErrBadSigma = errors.New("dp: sigma must be positive")
+	ErrBadSigma = errors.New("dp: invalid noise deviation sigma")
 	ErrBadDelta = errors.New("dp: delta must be in (0, 1)")
 )
 
@@ -62,16 +62,62 @@ func ReportNoisyMax(rng *rand.Rand, votes []float64, sigma2 float64) int {
 	return bestIdx
 }
 
-// SVTCost returns the RDP cost of one Sparse Vector Technique invocation at
-// order alpha (Lemma 1): 9*alpha / (2*sigma1^2).
-func SVTCost(alpha, sigma1 float64) float64 {
-	return 9 * alpha / (2 * sigma1 * sigma1)
+// Spend is what one query costs: the linear RDP coefficient of its noised
+// terms, the SVT (Lemma 1) and RNM (Lemma 2) invocations it counts at the
+// deviations it ran at, and whether a term the mechanism uses has σ = 0.
+// Such a term draws no noise, so the query is non-private (ε = +Inf)
+// whatever the coefficient says.
+type Spend struct {
+	Sigma1, Sigma2 float64
+	SVT, RNM       int
+	Coefficient    float64
+	NonPrivate     bool
 }
 
-// RNMCost returns the RDP cost of one Report Noisy Maximum invocation at
-// order alpha (Lemma 2): alpha / sigma2^2.
-func RNMCost(alpha, sigma2 float64) float64 {
-	return alpha / (sigma2 * sigma2)
+// QuerySpend is the one statement of what a query costs. The consensus
+// mechanism pays SVT at sigma1 on every query, 9α/(2σ1²), and RNM at
+// sigma2, α/σ2², on a released label. The baseline has no threshold check:
+// it pays RNM on every decision, released or not, and never uses sigma1. A
+// used term at σ = 0 adds no coefficient and makes the spend NonPrivate; a
+// negative or NaN σ of a used term is ErrBadSigma.
+func QuerySpend(sigma1, sigma2 float64, consensus, released bool) (Spend, error) {
+	s := Spend{Sigma1: sigma1, Sigma2: sigma2}
+	if consensus {
+		s.SVT = 1
+	}
+	if released || !consensus {
+		s.RNM = 1
+	}
+	for _, t := range []struct {
+		n             int
+		sigma, weight float64
+	}{{s.SVT, sigma1, 9.0 / 2}, {s.RNM, sigma2, 1}} {
+		switch {
+		case t.n == 0:
+		case !(t.sigma >= 0):
+			return Spend{}, ErrBadSigma
+		case t.sigma == 0:
+			s.NonPrivate = true
+		default:
+			s.Coefficient += t.weight / (t.sigma * t.sigma)
+		}
+	}
+	return s, nil
+}
+
+// Notes returns the spend journal notes of a query of tenant's: one
+// "svt sigma=<σ1> tenant=<id>" per SVT invocation and one
+// "rnm sigma=<σ2> tenant=<id>" per RNM invocation. A note at sigma=0 is a
+// non-private invocation: replayed through QuerySpend it gives ε = +Inf.
+func (s Spend) Notes(tenant int64) []string {
+	var notes []string
+	for range s.SVT {
+		notes = append(notes, fmt.Sprintf("svt sigma=%g tenant=%d", s.Sigma1, tenant))
+	}
+	for range s.RNM {
+		notes = append(notes, fmt.Sprintf("rnm sigma=%g tenant=%d", s.Sigma2, tenant))
+	}
+	return notes
 }
 
 // Accountant composes RDP mechanisms whose cost is linear in the order
@@ -81,42 +127,43 @@ func RNMCost(alpha, sigma2 float64) float64 {
 type Accountant struct {
 	coef float64
 	// counters for reporting
-	svtCount int
-	rnmCount int
+	svtCount   int
+	rnmCount   int
+	nonPrivate int
 }
 
 // NewAccountant returns an empty accountant.
 func NewAccountant() *Accountant { return &Accountant{} }
 
-// AddSVT records one SVT invocation with deviation sigma1 (every query
-// pays this, answered or not).
-func (a *Accountant) AddSVT(sigma1 float64) error {
-	if sigma1 <= 0 {
-		return ErrBadSigma
+// Add records one query's spend.
+func (a *Accountant) Add(s Spend) {
+	a.coef += s.Coefficient
+	a.svtCount += s.SVT
+	a.rnmCount += s.RNM
+	if s.NonPrivate {
+		a.nonPrivate++
 	}
-	a.coef += 9 / (2 * sigma1 * sigma1)
-	a.svtCount++
-	return nil
+}
+
+// AddSVT records one SVT invocation with deviation sigma1 (every query
+// pays this, answered or not), priced by QuerySpend: sigma1 = 0 is a
+// non-private spend.
+func (a *Accountant) AddSVT(sigma1 float64) error {
+	return a.add(QuerySpend(sigma1, 0, true, false))
 }
 
 // AddRNM records one Report Noisy Maximum invocation with deviation sigma2
-// (paid only by queries that pass the threshold check).
+// (paid only by queries that pass the threshold check), priced by
+// QuerySpend: sigma2 = 0 is a non-private spend.
 func (a *Accountant) AddRNM(sigma2 float64) error {
-	if sigma2 <= 0 {
-		return ErrBadSigma
-	}
-	a.coef += 1 / (sigma2 * sigma2)
-	a.rnmCount++
-	return nil
+	return a.add(QuerySpend(0, sigma2, false, true))
 }
 
-// AddLinear records a custom mechanism with RDP eps(alpha) = coef*alpha.
-func (a *Accountant) AddLinear(coef float64) error {
-	if coef < 0 {
-		return fmt.Errorf("dp: RDP coefficient must be non-negative, got %g", coef)
+func (a *Accountant) add(s Spend, err error) error {
+	if err == nil {
+		a.Add(s)
 	}
-	a.coef += coef
-	return nil
+	return err
 }
 
 // Coefficient returns the accumulated linear RDP coefficient c with
@@ -127,18 +174,19 @@ func (a *Accountant) Coefficient() float64 { return a.coef }
 func (a *Accountant) Counts() (svt, rnm int) { return a.svtCount, a.rnmCount }
 
 // accountantState is the serialized shape of an Accountant: the linear RDP
-// coefficient plus the invocation counters, which fully determine the
-// privacy spend.
+// coefficient plus the invocation and non-private counters, which fully
+// determine the privacy spend.
 type accountantState struct {
-	Coefficient float64 `json:"coefficient"`
-	SVTCount    int     `json:"svt_count"`
-	RNMCount    int     `json:"rnm_count"`
+	Coefficient     float64 `json:"coefficient"`
+	SVTCount        int     `json:"svt_count"`
+	RNMCount        int     `json:"rnm_count"`
+	NonPrivateCount int     `json:"non_private_count,omitempty"`
 }
 
 // MarshalJSON serializes the accountant so its spend can be persisted
 // across process restarts.
 func (a *Accountant) MarshalJSON() ([]byte, error) {
-	return json.Marshal(accountantState{Coefficient: a.coef, SVTCount: a.svtCount, RNMCount: a.rnmCount})
+	return json.Marshal(accountantState{a.coef, a.svtCount, a.rnmCount, a.nonPrivate})
 }
 
 // UnmarshalJSON restores an accountant serialized by MarshalJSON,
@@ -149,21 +197,25 @@ func (a *Accountant) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	if s.Coefficient < 0 || math.IsNaN(s.Coefficient) || math.IsInf(s.Coefficient, 0) ||
-		s.SVTCount < 0 || s.RNMCount < 0 {
-		return fmt.Errorf("dp: invalid accountant state (coefficient %g, svt %d, rnm %d)",
-			s.Coefficient, s.SVTCount, s.RNMCount)
+		s.SVTCount < 0 || s.RNMCount < 0 || s.NonPrivateCount < 0 {
+		return fmt.Errorf("dp: invalid accountant state (coefficient %g, svt %d, rnm %d, non-private %d)",
+			s.Coefficient, s.SVTCount, s.RNMCount, s.NonPrivateCount)
 	}
-	a.coef, a.svtCount, a.rnmCount = s.Coefficient, s.SVTCount, s.RNMCount
+	a.coef, a.svtCount, a.rnmCount, a.nonPrivate = s.Coefficient, s.SVTCount, s.RNMCount, s.NonPrivateCount
 	return nil
 }
 
 // Epsilon converts the accumulated RDP guarantee to (ε, δ)-DP using the
 // standard conversion ε = min_α [c·α + log(1/δ)/(α-1)]. For linear RDP the
 // optimum is closed-form: α* = 1 + sqrt(log(1/δ)/c), giving
-// ε = c + 2*sqrt(c*log(1/δ)).
+// ε = c + 2*sqrt(c*log(1/δ)). While a non-private spend is recorded, ε is
+// +Inf (α* → 1 as c → ∞).
 func (a *Accountant) Epsilon(delta float64) (eps, alphaStar float64, err error) {
-	if delta <= 0 || delta >= 1 {
+	if !validDelta(delta) {
 		return 0, 0, ErrBadDelta
+	}
+	if a.nonPrivate > 0 {
+		return math.Inf(1), 1, nil
 	}
 	if a.coef == 0 {
 		return 0, math.Inf(1), nil
@@ -174,19 +226,25 @@ func (a *Accountant) Epsilon(delta float64) (eps, alphaStar float64, err error) 
 	return eps, alphaStar, nil
 }
 
+// validDelta reports whether delta is in (0, 1); NaN is not.
+func validDelta(delta float64) bool { return delta > 0 && delta < 1 }
+
+// validEpsilon reports whether epsilon is a finite positive budget.
+func validEpsilon(epsilon float64) bool { return epsilon > 0 && !math.IsInf(epsilon, 1) }
+
 // TheoremFiveEpsilon returns the per-query (ε, δ) guarantee of Theorem 5
-// for one full Alg. 5 execution (one SVT + one RNM):
+// for one full Alg. 5 execution (one SVT + one RNM, both noised):
 //
 //	ε = sqrt(2*(9/σ1² + 2/σ2²)*log(1/δ)) + (9/(2σ1²) + 1/σ2²)
 func TheoremFiveEpsilon(sigma1, sigma2, delta float64) (float64, error) {
-	if sigma1 <= 0 || sigma2 <= 0 {
+	s, err := QuerySpend(sigma1, sigma2, true, true)
+	if err != nil || s.NonPrivate {
 		return 0, ErrBadSigma
 	}
-	if delta <= 0 || delta >= 1 {
-		return 0, ErrBadDelta
-	}
-	c := 9/(2*sigma1*sigma1) + 1/(sigma2*sigma2)
-	return math.Sqrt(2*(9/(sigma1*sigma1)+2/(sigma2*sigma2))*math.Log(1/delta)) + c, nil
+	var acc Accountant
+	acc.Add(s)
+	eps, _, err := acc.Epsilon(delta)
+	return eps, err
 }
 
 // CoefficientForEpsilon inverts the linear-RDP conversion: it returns the
@@ -195,10 +253,10 @@ func TheoremFiveEpsilon(sigma1, sigma2, delta float64) (float64, error) {
 // with s = sqrt(c), epsilon = s^2 + 2*s*sqrt(log(1/delta)), so
 // s = sqrt(L + epsilon) - sqrt(L) with L = log(1/delta).
 func CoefficientForEpsilon(epsilon, delta float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon must be positive, got %g", epsilon)
+	if !validEpsilon(epsilon) {
+		return 0, fmt.Errorf("dp: epsilon must be finite and positive, got %g", epsilon)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !validDelta(delta) {
 		return 0, ErrBadDelta
 	}
 	l := math.Log(1 / delta)
@@ -211,16 +269,16 @@ func CoefficientForEpsilon(epsilon, delta float64) (float64, error) {
 // meets the (epsilon, delta) target. It returns the smallest such m found
 // by bisection (larger m = more noise = less privacy spend).
 func SigmaForBudget(epsilon, delta float64, queries int, ratio1, ratio2 float64) (float64, error) {
-	if epsilon <= 0 {
-		return 0, fmt.Errorf("dp: epsilon must be positive, got %g", epsilon)
+	if !validEpsilon(epsilon) {
+		return 0, fmt.Errorf("dp: epsilon must be finite and positive, got %g", epsilon)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !validDelta(delta) {
 		return 0, ErrBadDelta
 	}
 	if queries <= 0 {
 		return 0, fmt.Errorf("dp: query count must be positive, got %d", queries)
 	}
-	if ratio1 <= 0 || ratio2 <= 0 {
+	if !(ratio1 > 0 && ratio2 > 0) {
 		return 0, ErrBadSigma
 	}
 	spend := func(m float64) float64 {

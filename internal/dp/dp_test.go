@@ -2,6 +2,7 @@ package dp
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -124,12 +125,33 @@ func TestReportNoisyMax(t *testing.T) {
 	}
 }
 
+// TestCostFormulas holds QuerySpend to Lemmas 1–2 at order 1: SVT costs
+// 9/(2σ1²), RNM 1/σ2². A negative or NaN σ the mechanism uses is refused;
+// one it does not use is ignored.
 func TestCostFormulas(t *testing.T) {
-	if got, want := SVTCost(2, 3), 9.0*2/(2*9); got != want {
-		t.Errorf("SVTCost = %g, want %g", got, want)
+	for _, c := range []struct {
+		consensus, released bool
+		want                Spend
+	}{
+		{true, true, Spend{Sigma1: 3, Sigma2: 2, SVT: 1, RNM: 1, Coefficient: 9.0/(2*9) + 1.0/4}},
+		{true, false, Spend{Sigma1: 3, Sigma2: 2, SVT: 1, Coefficient: 9.0 / (2 * 9)}},
+		{false, true, Spend{Sigma1: 3, Sigma2: 2, RNM: 1, Coefficient: 1.0 / 4}},
+		{false, false, Spend{Sigma1: 3, Sigma2: 2, RNM: 1, Coefficient: 1.0 / 4}},
+	} {
+		if got, err := QuerySpend(3, 2, c.consensus, c.released); err != nil || got != c.want {
+			t.Errorf("QuerySpend(3, 2, %v, %v) = %+v, %v; want %+v", c.consensus, c.released, got, err, c.want)
+		}
 	}
-	if got, want := RNMCost(2, 3), 2.0/9; got != want {
-		t.Errorf("RNMCost = %g, want %g", got, want)
+	for _, bad := range []float64{-1, math.NaN()} {
+		if _, err := QuerySpend(bad, 2, true, false); !errors.Is(err, ErrBadSigma) {
+			t.Errorf("σ1 = %g: got %v, want ErrBadSigma", bad, err)
+		}
+		if _, err := QuerySpend(3, bad, true, true); !errors.Is(err, ErrBadSigma) {
+			t.Errorf("σ2 = %g: got %v, want ErrBadSigma", bad, err)
+		}
+		if _, err := QuerySpend(bad, 2, false, true); err != nil {
+			t.Errorf("baseline refused an unused σ1 = %g: %v", bad, err)
+		}
 	}
 }
 
@@ -149,16 +171,24 @@ func TestAccountantComposition(t *testing.T) {
 	if svt != 1 || rnm != 1 {
 		t.Errorf("counts = %d, %d; want 1, 1", svt, rnm)
 	}
-	if err := acc.AddSVT(0); err == nil {
-		t.Error("expected error for sigma 0")
+	// σ = 0 is a non-private spend, counted and read as ε = +Inf; a
+	// negative σ is refused.
+	if err := acc.AddSVT(0); err != nil {
+		t.Errorf("AddSVT(0): %v", err)
 	}
-	if err := acc.AddLinear(-1); err == nil {
-		t.Error("expected error for negative coefficient")
+	if svt, _ := acc.Counts(); svt != 2 || acc.Coefficient() != wantCoef {
+		t.Errorf("after AddSVT(0): %d SVTs, coefficient %g; want 2, %g", svt, acc.Coefficient(), wantCoef)
+	}
+	if eps, _, err := acc.Epsilon(1e-6); err != nil || !math.IsInf(eps, 1) {
+		t.Errorf("after AddSVT(0): eps=%g err=%v, want +Inf", eps, err)
+	}
+	if err := acc.AddRNM(-1); !errors.Is(err, ErrBadSigma) {
+		t.Errorf("AddRNM(-1) = %v, want ErrBadSigma", err)
 	}
 }
 
-// The accountant's closed-form conversion must match Theorem 5 for a single
-// query (one SVT + one RNM).
+// The accountant's closed-form conversion must match Theorem 5, as the
+// paper writes it, for a single query (one SVT + one RNM).
 func TestEpsilonMatchesTheoremFive(t *testing.T) {
 	sigma1, sigma2, delta := 5.0, 4.0, 1e-6
 	acc := NewAccountant()
@@ -172,9 +202,10 @@ func TestEpsilonMatchesTheoremFive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TheoremFiveEpsilon(sigma1, sigma2, delta)
-	if err != nil {
-		t.Fatal(err)
+	c := 9/(2*sigma1*sigma1) + 1/(sigma2*sigma2)
+	want := math.Sqrt(2*(9/(sigma1*sigma1)+2/(sigma2*sigma2))*math.Log(1/delta)) + c
+	if got, err := TheoremFiveEpsilon(sigma1, sigma2, delta); err != nil || math.Abs(got-want) > 1e-9 {
+		t.Errorf("TheoremFiveEpsilon = %g, %v; the paper's form gives %g", got, err, want)
 	}
 	if math.Abs(eps-want) > 1e-9 {
 		t.Errorf("accountant eps = %g, Theorem 5 = %g", eps, want)
@@ -222,9 +253,24 @@ func TestEpsilonValidation(t *testing.T) {
 	if _, _, err := acc.Epsilon(1); err == nil {
 		t.Error("expected error for delta = 1")
 	}
+	if _, _, err := acc.Epsilon(math.NaN()); err == nil {
+		t.Error("expected error for delta = NaN")
+	}
 	eps, alpha, err := acc.Epsilon(1e-5)
 	if err != nil || eps != 0 || !math.IsInf(alpha, 1) {
 		t.Errorf("empty accountant: eps=%g alpha=%g err=%v", eps, alpha, err)
+	}
+	// A non-private spend reads +Inf whatever else was recorded.
+	if err := acc.AddSVT(4); err != nil {
+		t.Fatal(err)
+	}
+	spend, err := QuerySpend(4, 0, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc.Add(spend)
+	if eps, _, err := acc.Epsilon(1e-5); err != nil || !math.IsInf(eps, 1) {
+		t.Errorf("non-private spend: eps=%g err=%v, want +Inf", eps, err)
 	}
 }
 
@@ -258,6 +304,9 @@ func TestTheoremFiveValidation(t *testing.T) {
 	if _, err := TheoremFiveEpsilon(1, 1, 2); err == nil {
 		t.Error("expected delta error")
 	}
+	if _, err := TheoremFiveEpsilon(1, 1, math.NaN()); err == nil {
+		t.Error("expected NaN delta error")
+	}
 	if _, err := theoremFiveAlpha(1, 0, 1e-6); err == nil {
 		t.Error("expected sigma error")
 	}
@@ -271,9 +320,7 @@ func TestCoefficientForEpsilonInverse(t *testing.T) {
 	delta := 1e-6
 	for _, c := range []float64{0.001, 0.05, 1.3, 10} {
 		acc := NewAccountant()
-		if err := acc.AddLinear(c); err != nil {
-			t.Fatal(err)
-		}
+		acc.Add(Spend{Coefficient: c})
 		eps, _, err := acc.Epsilon(delta)
 		if err != nil {
 			t.Fatal(err)
@@ -350,6 +397,18 @@ func TestSigmaForBudgetValidation(t *testing.T) {
 	if _, err := SigmaForBudget(1, 1e-6, 1, 0, 1); err == nil {
 		t.Error("expected ratio error")
 	}
+	// NaN compares false with every bound, and +Inf is no budget: each
+	// used to plan a multiplier of 1e-6 without an error.
+	for _, c := range []struct{ eps, delta float64 }{
+		{math.NaN(), 1e-6}, {math.Inf(1), 1e-6}, {1, math.NaN()},
+	} {
+		if _, err := SigmaForBudget(c.eps, c.delta, 100, 1, 1); err == nil {
+			t.Errorf("SigmaForBudget(ε=%g, δ=%g) accepted", c.eps, c.delta)
+		}
+		if _, err := CoefficientForEpsilon(c.eps, c.delta); err == nil {
+			t.Errorf("CoefficientForEpsilon(ε=%g, δ=%g) accepted", c.eps, c.delta)
+		}
+	}
 }
 
 func TestAccountantJSONRoundTrip(t *testing.T) {
@@ -396,6 +455,7 @@ func TestAccountantJSONRejectsHostileState(t *testing.T) {
 		"nan-coefficient":      `{"coefficient": "NaN", "svt_count": 1, "rnm_count": 0}`,
 		"negative-svt":         `{"coefficient": 1, "svt_count": -1, "rnm_count": 0}`,
 		"negative-rnm":         `{"coefficient": 1, "svt_count": 0, "rnm_count": -2}`,
+		"negative-non-private": `{"coefficient": 1, "svt_count": 1, "rnm_count": 0, "non_private_count": -1}`,
 		"not-json":             `coefficient=1`,
 	} {
 		a := NewAccountant()

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,12 +25,21 @@ func FuzzLedgerLoad(f *testing.F) {
 	}
 	f.Add([]byte(`{"version": 1, "tenants": {"1": {"coefficient": 1}, "01": {"coefficient": 2}}}`))
 	f.Add([]byte(`{"version": 2, "tenants": {}}`))
+	f.Add([]byte(`{"version": 2, "tenants": {"3": {"coefficient": 0.5, "svt_count": 2, "rnm_count": 1, "non_private_count": 1}}}`))
+	f.Add([]byte(`{"version": 2, "tenants": {"3": {"coefficient": 0.5, "svt_count": 2, "non_private_count": -1}}}`))
+	f.Add([]byte(`{"version": 3, "tenants": {}}`))
 	f.Add([]byte(`{"version": 1, "tenants": {"7": null}}`))
 	f.Fuzz(func(t *testing.T, state []byte) {
 		// The parser is the only code that reads the bytes; what it refuses
 		// needs no file.
-		if _, err := parseLedgerState(state); err != nil {
+		tenants, err := parseLedgerState(state)
+		if err != nil {
 			return
+		}
+		for id, acct := range tenants {
+			if acct.nonPrivate < 0 {
+				t.Fatalf("tenant %d loaded with non-private count %d", id, acct.nonPrivate)
+			}
 		}
 		path := filepath.Join(t.TempDir(), "ledger.json")
 		if err := os.WriteFile(path, state, 0o600); err != nil {
@@ -59,12 +69,17 @@ func FuzzLedgerLoad(f *testing.F) {
 		if len(loaded) == 0 {
 			return
 		}
-		// A zero-noise query costs nothing and rewrites the file; it counts
-		// as one more query of its tenant.
-		if _, err := l.Commit(loaded[0].Tenant, 0, 0, 0, false); err != nil {
+		// A zero-noise query adds no coefficient and rewrites the file; it
+		// counts as one more query of its tenant, whose ε is then +Inf.
+		spend, err := QuerySpend(0, 0, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Commit(loaded[0].Tenant, Spend{}, spend); err != nil {
 			t.Fatal(err)
 		}
 		loaded[0].Queries++
+		loaded[0].Epsilon = math.Inf(1)
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}

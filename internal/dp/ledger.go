@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -19,8 +20,8 @@ import (
 var ErrBudgetExhausted = errors.New("dp: tenant privacy budget exhausted")
 
 // Ledger is the durable per-tenant privacy accountant — the one place ε is
-// stored. Admission reserves the worst-case cost of one query (QueryCost)
-// against the tenant's quota; completion commits the actual spend and
+// stored. Admission reserves the worst-case spend of one query (a released
+// label) against the tenant's quota; completion commits the actual spend and
 // releases the reservation. With a path the committed state is rewritten
 // after every commit (write-temp-fsync-rename-fsync) and the path is held
 // under an exclusive lock file until Close, so two processes cannot
@@ -37,8 +38,9 @@ type Ledger struct {
 	delta        float64
 }
 
-// ledgerVersion is the only state-file version this build reads or writes.
-const ledgerVersion = 1
+// ledgerVersion is the state-file version this build writes; it also reads
+// version 1, whose readers would load a non-private count as private.
+const ledgerVersion = 2
 
 // ledgerState is the persisted JSON shape; encoding/json writes the tenant
 // keys as decimal strings, sorted as strings.
@@ -85,7 +87,7 @@ func OpenLedger(path string, quotas map[int64]float64, defaultQuota, delta float
 // per-tenant one this package writes, and the flat single-accountant one
 // ({"coefficient", "svt_count", "rnm_count"}) the root Accountant used to
 // write, read as tenant 0. Anything that could under-count is refused: a
-// version other than ledgerVersion, and a tenant key that is not the
+// version other than 1 or ledgerVersion, and a tenant key that is not the
 // canonical decimal of its value or appears twice — "1" and "01" would
 // otherwise collapse into one tenant, the later entry replacing the
 // earlier one's spend.
@@ -106,8 +108,8 @@ func parseLedgerState(raw []byte) (map[int64]*Accountant, error) {
 		tenants[0] = acct
 		return tenants, nil
 	}
-	if st.Version != ledgerVersion {
-		return nil, fmt.Errorf("state version %d, this build reads only version %d", st.Version, ledgerVersion)
+	if st.Version != 1 && st.Version != ledgerVersion {
+		return nil, fmt.Errorf("state version %d, this build reads only versions 1 and %d", st.Version, ledgerVersion)
 	}
 	// Walk the tenants object token by token: decoding into a Go map would
 	// let a repeated key overwrite the earlier entry unnoticed.
@@ -151,20 +153,6 @@ func (l *Ledger) Close() error {
 	return lock.Unlock()
 }
 
-// QueryCost returns the worst-case linear-RDP coefficient of one query:
-// the SVT threshold check plus a released label's RNM. Zero sigmas mean
-// accounting is off (infinite per-query ε) and cost nothing.
-func QueryCost(sigma1, sigma2 float64) float64 {
-	cost := 0.0
-	if sigma1 > 0 {
-		cost += SVTCost(1, sigma1)
-	}
-	if sigma2 > 0 {
-		cost += RNMCost(1, sigma2)
-	}
-	return cost
-}
-
 // quota returns tenant's ε quota (0 = unlimited).
 func (l *Ledger) quota(tenant int64) float64 {
 	if q, ok := l.quotas[tenant]; ok {
@@ -174,24 +162,24 @@ func (l *Ledger) quota(tenant int64) float64 {
 }
 
 // projectedLocked returns the ε at δ tenant would have spent if cost were
-// committed on top of its committed and reserved spend. Callers hold mu.
-func (l *Ledger) projectedLocked(tenant int64, cost float64) (float64, error) {
-	committed := 0.0
-	if acct := l.tenants[tenant]; acct != nil {
-		committed = acct.Coefficient()
-	}
+// committed on top of its committed and reserved spend (only a tenant with
+// no quota reserves a non-private spend). Callers hold mu.
+func (l *Ledger) projectedLocked(tenant int64, cost Spend) (float64, error) {
 	var projected Accountant
-	if err := projected.AddLinear(committed + l.reserved[tenant] + cost); err != nil {
-		return 0, err
+	if acct := l.tenants[tenant]; acct != nil {
+		projected = *acct
 	}
+	projected.Add(Spend{Coefficient: l.reserved[tenant]})
+	projected.Add(cost)
 	eps, _, err := projected.Epsilon(l.delta)
 	return eps, err
 }
 
 // Reserve admits cost against tenant's quota: it fails with
 // ErrBudgetExhausted when the committed + already-reserved + new spend
-// would exceed the quota at δ, otherwise it records the reservation.
-func (l *Ledger) Reserve(tenant int64, cost float64) error {
+// would exceed the quota at δ — always, under a finite quota, for a
+// non-private spend — otherwise it records the reservation.
+func (l *Ledger) Reserve(tenant int64, cost Spend) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if quota := l.quota(tenant); quota > 0 {
@@ -199,21 +187,25 @@ func (l *Ledger) Reserve(tenant int64, cost float64) error {
 		if err != nil {
 			return fmt.Errorf("dp: project tenant %d spend: %w", tenant, err)
 		}
+		if math.IsInf(eps, 1) {
+			return fmt.Errorf("%w: tenant %d: non-private spend (a σ the mechanism uses is 0) projects eps +Inf > quota %.4g",
+				ErrBudgetExhausted, tenant, quota)
+		}
 		if eps > quota {
 			return fmt.Errorf("%w: tenant %d projected eps %.4g > quota %.4g (delta %g)",
 				ErrBudgetExhausted, tenant, eps, quota, l.delta)
 		}
 	}
-	l.reserved[tenant] += cost
+	l.reserved[tenant] += cost.Coefficient
 	return nil
 }
 
 // Unreserve releases a reservation without committing spend (the
 // admission was rolled back before the query registered).
-func (l *Ledger) Unreserve(tenant int64, cost float64) {
+func (l *Ledger) Unreserve(tenant int64, cost Spend) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.releaseLocked(tenant, cost)
+	l.releaseLocked(tenant, cost.Coefficient)
 }
 
 func (l *Ledger) releaseLocked(tenant int64, cost float64) {
@@ -224,14 +216,13 @@ func (l *Ledger) releaseLocked(tenant int64, cost float64) {
 	}
 }
 
-// Commit records one finished query and, when released, its label — at the
-// SVT cost when sigma1 > 0 and the RNM cost when sigma2 > 0 — releases
-// the query's reservation of cost, persists the ledger and returns the
-// tenant's committed ε at the ledger's δ. A closed durable ledger refuses
-// the spend (it would race whichever ledger now owns the path); otherwise
-// the spend is recorded in memory even when persistence fails, so the live
-// view only ever over-counts the durable state.
-func (l *Ledger) Commit(tenant int64, cost, sigma1, sigma2 float64, released bool) (float64, error) {
+// Commit records one finished query's spend, releases its reservation of
+// cost, persists the ledger and returns the tenant's committed ε at the
+// ledger's δ. A closed durable ledger refuses the spend (it would race
+// whichever ledger now owns the path); otherwise the spend is recorded in
+// memory even when persistence fails, so the live view only ever
+// over-counts the durable state.
+func (l *Ledger) Commit(tenant int64, cost, spent Spend) (float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	acct := l.tenants[tenant]
@@ -243,19 +234,8 @@ func (l *Ledger) Commit(tenant int64, cost, sigma1, sigma2 float64, released boo
 		err = fmt.Errorf("dp: ledger %s is closed", l.path)
 	} else {
 		l.tenants[tenant] = acct
-		// Every query and release counts; a zero sigma adds no cost.
-		if sigma1 > 0 {
-			_ = acct.AddSVT(sigma1) // fails only on sigma <= 0
-		} else {
-			acct.svtCount++
-		}
-		switch {
-		case released && sigma2 > 0:
-			_ = acct.AddRNM(sigma2)
-		case released:
-			acct.rnmCount++
-		}
-		l.releaseLocked(tenant, cost)
+		acct.Add(spent)
+		l.releaseLocked(tenant, cost.Coefficient)
 		err = l.persistLocked()
 	}
 	eps, _, _ := acct.Epsilon(l.delta)
@@ -282,15 +262,16 @@ func (l *Ledger) persistLocked() error {
 // longer afford one more query of the given cost — the healthz
 // budget-exhausted readiness condition. With no finite quotas it is
 // always false.
-func (l *Ledger) Exhausted(cost float64) bool {
+func (l *Ledger) Exhausted(cost Spend) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.defaultQuota > 0 {
+	finite := l.defaultQuota > 0
+	if finite && !cost.NonPrivate {
 		// Unlisted tenants admit under the default quota, so the service
-		// as a whole is never exhausted for fresh tenants.
+		// as a whole is exhausted for fresh tenants only by a query no
+		// quota affords.
 		return false
 	}
-	finite := false
 	for tenant, quota := range l.quotas {
 		if quota <= 0 {
 			continue

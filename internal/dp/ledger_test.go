@@ -19,9 +19,7 @@ import (
 func epsAfter(t *testing.T, cost float64, n int, delta float64) float64 {
 	t.Helper()
 	a := NewAccountant()
-	if err := a.AddLinear(cost * float64(n)); err != nil {
-		t.Fatal(err)
-	}
+	a.Add(Spend{Coefficient: cost * float64(n)})
 	eps, _, err := a.Epsilon(delta)
 	if err != nil {
 		t.Fatal(err)
@@ -29,17 +27,27 @@ func epsAfter(t *testing.T, cost float64, n int, delta float64) float64 {
 	return eps
 }
 
+// spendOf prices one query through QuerySpend.
+func spendOf(t *testing.T, sigma1, sigma2 float64, consensus, released bool) Spend {
+	t.Helper()
+	s, err := QuerySpend(sigma1, sigma2, consensus, released)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestLedgerQuotaRefusesAtProjection(t *testing.T) {
 	const (
 		sigma1, sigma2 = 4.0, 2.0
 		delta          = 1e-6
 	)
-	cost := QueryCost(sigma1, sigma2)
-	if want := 9/(2*sigma1*sigma1) + 1/(sigma2*sigma2); math.Abs(cost-want) > 1e-15 {
-		t.Fatalf("queryCost = %g, want %g", cost, want)
+	cost := spendOf(t, sigma1, sigma2, true, true)
+	if want := 9/(2*sigma1*sigma1) + 1/(sigma2*sigma2); math.Abs(cost.Coefficient-want) > 1e-15 {
+		t.Fatalf("worst-case coefficient = %g, want %g", cost.Coefficient, want)
 	}
 	// A quota between one and two queries' spend admits exactly one.
-	quota := (epsAfter(t, cost, 1, delta) + epsAfter(t, cost, 2, delta)) / 2
+	quota := (epsAfter(t, cost.Coefficient, 1, delta) + epsAfter(t, cost.Coefficient, 2, delta)) / 2
 	b, err := OpenLedger("", map[int64]float64{9: quota}, 0, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +64,7 @@ func TestLedgerQuotaRefusesAtProjection(t *testing.T) {
 	if err := b.Reserve(9, cost); err != nil {
 		t.Fatalf("reservation after unreserve refused: %v", err)
 	}
-	if _, err := b.Commit(9, cost, sigma1, sigma2, true); err != nil {
+	if _, err := b.Commit(9, cost, cost); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Reserve(9, cost); !errors.Is(err, ErrBudgetExhausted) {
@@ -70,7 +78,7 @@ func TestLedgerQuotaRefusesAtProjection(t *testing.T) {
 
 func TestLedgerCommitMatchesAccountant(t *testing.T) {
 	const sigma1, sigma2, delta = 4.0, 2.0, 1e-6
-	cost := QueryCost(sigma1, sigma2)
+	cost := spendOf(t, sigma1, sigma2, true, true)
 	b, err := OpenLedger("", nil, 0, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +88,7 @@ func TestLedgerCommitMatchesAccountant(t *testing.T) {
 		if err := b.Reserve(7, cost); err != nil {
 			t.Fatalf("reserve %d: %v", i, err)
 		}
-		if _, err := b.Commit(7, cost, sigma1, sigma2, released); err != nil {
+		if _, err := b.Commit(7, cost, spendOf(t, sigma1, sigma2, true, released)); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
@@ -111,13 +119,16 @@ func TestLedgerCommitMatchesAccountant(t *testing.T) {
 	}
 }
 
-// A zero sigma makes a query free, not uncounted: the ledger counts every
-// committed query and release whatever the sigmas, and the counts survive a
-// reload.
+// A zero sigma the mechanism uses makes a query non-private, not free: the
+// ledger counts every committed query and release, keeps the coefficient of
+// the noised terms, reads ε = +Inf from the first non-private spend on, and
+// the state survives a reload. Under a finite quota such a query is refused
+// before it reserves anything. (The root TestEpsilonZeroSigmaRule holds
+// every path that prices a query to the same rule.)
 func TestLedgerCountsZeroNoiseQueries(t *testing.T) {
 	const delta = 1e-6
 	path := filepath.Join(t.TempDir(), "ledger.json")
-	b, err := OpenLedger(path, nil, 0, delta)
+	b, err := OpenLedger(path, map[int64]float64{4: 100}, 0, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,41 +137,43 @@ func TestLedgerCountsZeroNoiseQueries(t *testing.T) {
 		sigma1, sigma2 float64
 		released       bool
 	}{
-		{1, 0, 0, true}, {1, 0, 0, false}, // accounting off
-		{2, 0, 2, true}, {2, 0, 2, false}, // SVT off
-		{3, 4, 0, true}, {3, 4, 0, false}, // RNM off
+		{1, 0, 0, true}, {1, 0, 0, false}, // no noise at all
+		{2, 0, 2, true}, {2, 0, 2, false}, // no SVT noise
+		{3, 4, 0, false}, {3, 4, 0, true}, // no RNM noise: private until a release
 	} {
-		cost := QueryCost(c.sigma1, c.sigma2)
-		if err := b.Reserve(c.tenant, cost); err != nil {
+		spend := spendOf(t, c.sigma1, c.sigma2, true, c.released)
+		if err := b.Reserve(c.tenant, spendOf(t, c.sigma1, c.sigma2, true, true)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Commit(c.tenant, cost, c.sigma1, c.sigma2, c.released); err != nil {
+		if _, err := b.Commit(c.tenant, spendOf(t, c.sigma1, c.sigma2, true, true), spend); err != nil {
 			t.Fatal(err)
+		}
+		if c.tenant == 3 && !c.released {
+			if got := b.Spends()[2].Epsilon; math.IsInf(got, 1) || got <= 0 {
+				t.Errorf("a threshold check at σ1 = 4 with no release spent ε %g, want finite", got)
+			}
 		}
 	}
+	inf := math.Inf(1)
 	want := []TenantSpend{
-		{Tenant: 1, Queries: 2, Releases: 1},
-		{Tenant: 2, Coefficient: RNMCost(1, 2), Queries: 2, Releases: 1},
-		{Tenant: 3, Coefficient: 2 * SVTCost(1, 4), Queries: 2, Releases: 1},
+		{Tenant: 1, Queries: 2, Releases: 1, Epsilon: inf},
+		{Tenant: 2, Coefficient: 1.0 / 4, Queries: 2, Releases: 1, Epsilon: inf},
+		{Tenant: 3, Coefficient: 2 * 9.0 / 32, Queries: 2, Releases: 1, Epsilon: inf},
 	}
 	check := func(l *Ledger, when string) {
 		t.Helper()
-		got := l.Spends()
-		if len(got) != len(want) {
-			t.Fatalf("%s: spends %+v, want %d tenants", when, got, len(want))
-		}
-		for i, w := range want {
-			g := got[i]
-			g.Epsilon = 0
-			if g != w {
-				t.Errorf("%s: tenant %d spend %+v, want %+v", when, w.Tenant, got[i], w)
-			}
-		}
-		if got[0].Epsilon != 0 {
-			t.Errorf("%s: a run with accounting off spent ε %g", when, got[0].Epsilon)
+		if got := l.Spends(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: spends %+v, want %+v", when, got, want)
 		}
 	}
 	check(b, "live")
+	// A finite quota refuses a non-private query outright.
+	if err := b.Reserve(4, spendOf(t, 0, 2, true, true)); !errors.Is(err, ErrBudgetExhausted) || !strings.Contains(err.Error(), "non-private") {
+		t.Errorf("non-private reservation under a quota: got %v, want a non-private ErrBudgetExhausted", err)
+	}
+	if len(b.reserved) != 0 {
+		t.Errorf("reservations left behind: %v", b.reserved)
+	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +187,7 @@ func TestLedgerCountsZeroNoiseQueries(t *testing.T) {
 
 func TestLedgerPersistsAndLocks(t *testing.T) {
 	const sigma1, sigma2, delta = 4.0, 2.0, 1e-6
-	cost := QueryCost(sigma1, sigma2)
+	cost := spendOf(t, sigma1, sigma2, true, true)
 	path := filepath.Join(t.TempDir(), "ledger.json")
 	b, err := OpenLedger(path, nil, 0, delta)
 	if err != nil {
@@ -183,7 +196,7 @@ func TestLedgerPersistsAndLocks(t *testing.T) {
 	if err := b.Reserve(3, cost); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Commit(3, cost, sigma1, sigma2, true); err != nil {
+	if _, err := b.Commit(3, cost, cost); err != nil {
 		t.Fatal(err)
 	}
 	// The state file is exclusively locked while open.
@@ -210,8 +223,8 @@ func TestLedgerPersistsAndLocks(t *testing.T) {
 
 func TestLedgerExhaustion(t *testing.T) {
 	const sigma1, sigma2, delta = 4.0, 2.0, 1e-6
-	cost := QueryCost(sigma1, sigma2)
-	quota := (epsAfter(t, cost, 1, delta) + epsAfter(t, cost, 2, delta)) / 2
+	cost := spendOf(t, sigma1, sigma2, true, true)
+	quota := (epsAfter(t, cost.Coefficient, 1, delta) + epsAfter(t, cost.Coefficient, 2, delta)) / 2
 	b, err := OpenLedger("", map[int64]float64{1: quota, 2: quota}, 0, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -223,17 +236,21 @@ func TestLedgerExhaustion(t *testing.T) {
 		if err := b.Reserve(tenant, cost); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.Commit(tenant, cost, sigma1, sigma2, true); err != nil {
+		if _, err := b.Commit(tenant, cost, cost); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !b.Exhausted(cost) {
 		t.Fatal("ledger with every quota spent does not report exhaustion")
 	}
-	// An open default quota keeps the service admitting fresh tenants.
+	// An open default quota keeps the service admitting fresh tenants...
 	b.defaultQuota = quota
 	if b.Exhausted(cost) {
 		t.Fatal("ledger with an open default quota reports exhaustion")
+	}
+	// ...unless the query is non-private, which no quota affords.
+	if nonPrivate := spendOf(t, 0, sigma2, true, true); !b.Exhausted(nonPrivate) {
+		t.Fatal("a default quota does not report exhaustion for a non-private query")
 	}
 }
 
@@ -290,12 +307,15 @@ func TestLedgerLoadsParentStateFiles(t *testing.T) {
 	if got := b.Spends(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ledger spends %+v, want %+v", got, want)
 	}
-	// A zero-noise query spends nothing and rewrites the file in the same
-	// format: the parent's bytes with tenant 1's query count one higher.
-	if _, err := b.Commit(1, 0, 0, 0, false); err != nil {
+	// A zero-noise query rewrites the file in the same layout at version 2:
+	// the parent's bytes with tenant 1's query count one higher and its
+	// non-private count, which a version-1 reader would not know, set.
+	if _, err := b.Commit(1, Spend{}, spendOf(t, 0, 0, true, false)); err != nil {
 		t.Fatal(err)
 	}
-	raw = bytes.Replace(raw, []byte(`"svt_count": 3`), []byte(`"svt_count": 4`), 1)
+	raw = bytes.Replace(raw, []byte(`"version": 1`), []byte(`"version": 2`), 1)
+	raw = bytes.Replace(raw, []byte("\"svt_count\": 3,\n      \"rnm_count\": 2\n"),
+		[]byte("\"svt_count\": 4,\n      \"rnm_count\": 2,\n      \"non_private_count\": 1\n"), 1)
 	if rewritten, err := os.ReadFile(path); err != nil || !bytes.Equal(rewritten, raw) {
 		t.Fatalf("ledger rewritten as\n%s\nwant\n%s (err %v)", rewritten, raw, err)
 	}
@@ -312,7 +332,7 @@ func TestLedgerLoadsParentStateFiles(t *testing.T) {
 	}
 	// The next spend rewrites it in the versioned shape, which reloads to
 	// the same state plus that spend.
-	if _, err := a.Commit(0, 0, sigma1, sigma2, false); err != nil {
+	if _, err := a.Commit(0, Spend{}, spendOf(t, sigma1, sigma2, true, false)); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
@@ -341,7 +361,8 @@ func TestLedgerLoadRefusals(t *testing.T) {
 		{"good file", `{"version": 1, "tenants": {"1": ` + one + `, "-3": ` + one + `}}`, 2},
 		{"no tenants yet", `{"version": 1, "tenants": {}}`, 0},
 		{"flat accountant", one, 1},
-		{"future version", `{"version": 2, "tenants": {"1": ` + one + `}}`, -1},
+		{"version 2", `{"version": 2, "tenants": {"1": {"coefficient": 1, "svt_count": 1, "rnm_count": 1, "non_private_count": 1}}}`, 1},
+		{"future version", `{"version": 3, "tenants": {"1": ` + one + `}}`, -1},
 		{"missing version", `{"tenants": {"1": ` + one + `}}`, -1},
 		{"non-canonical key", `{"version": 1, "tenants": {"+1": ` + one + `}}`, -1},
 		{"duplicate after normalisation", `{"version": 1, "tenants": {"1": ` + one + `, "01": ` + one + `}}`, -1},
@@ -349,6 +370,7 @@ func TestLedgerLoadRefusals(t *testing.T) {
 		{"non-numeric key", `{"version": 1, "tenants": {"alice": ` + one + `}}`, -1},
 		{"nil tenant entry", `{"version": 1, "tenants": {"1": null}}`, -1},
 		{"negative spend", `{"version": 1, "tenants": {"1": {"coefficient": -1}}}`, -1},
+		{"negative non-private count", `{"version": 2, "tenants": {"1": {"coefficient": 1, "non_private_count": -1}}}`, -1},
 		{"tenants not an object", `{"version": 1, "tenants": [` + one + `]}`, -1},
 		{"truncated", `{"version": 1, "tenants": {"1": `, -1},
 	}

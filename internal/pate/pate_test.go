@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/privconsensus/privconsensus/internal/dataset"
+	"github.com/privconsensus/privconsensus/internal/dp"
 	"github.com/privconsensus/privconsensus/internal/ml"
 )
 
@@ -277,26 +278,6 @@ func TestRunAttrPipelineValidation(t *testing.T) {
 	}
 }
 
-func TestEpsilonSpendAccounting(t *testing.T) {
-	cfg := PipelineConfig{Sigma1: 4, Sigma2: 4, UseConsensus: true}
-	eps1, err := cfg.epsilonSpend(100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps2, err := cfg.epsilonSpend(100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eps2 <= eps1 {
-		t.Errorf("more releases must cost more: %g vs %g", eps1, eps2)
-	}
-	zero := PipelineConfig{Sigma1: 0, Sigma2: 0}
-	eps, err := zero.epsilonSpend(10, 10)
-	if err != nil || eps != 0 {
-		t.Errorf("non-private run should report eps=0, got %g, %v", eps, err)
-	}
-}
-
 func TestRunPipelineAttributes(t *testing.T) {
 	cfg := PipelineConfig{
 		Dataset:       "celeba",
@@ -332,7 +313,15 @@ func TestRunPipelineAttributes(t *testing.T) {
 	if want := int(math.Round(r.Retention * 40 * 40)); r.Retained != want {
 		t.Errorf("retained %d pairs, retention implies %d", r.Retained, want)
 	}
-	want, err := cfg.epsilonSpend(40*40, r.Retained)
+	acc := dp.NewAccountant()
+	for d := range 40 * 40 {
+		spend, err := dp.QuerySpend(cfg.Sigma1, cfg.Sigma2, true, d < r.Retained)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.Add(spend)
+	}
+	want, _, err := acc.Epsilon(1e-6)
 	if err != nil || r.Epsilon <= 0 || r.Epsilon != want {
 		t.Errorf("epsilon %g, want %g over 1600 decisions (%v)", r.Epsilon, want, err)
 	}

@@ -63,11 +63,11 @@ func (c PipelineConfig) task() (task, error) {
 	if c.Queries < 1 {
 		return nil, fmt.Errorf("pate: need at least 1 query, got %d", c.Queries)
 	}
-	if c.ThresholdFrac < 0 || c.ThresholdFrac > 1 {
+	if !(c.ThresholdFrac >= 0 && c.ThresholdFrac <= 1) {
 		return nil, fmt.Errorf("pate: threshold fraction %g outside [0, 1]", c.ThresholdFrac)
 	}
-	if c.Sigma1 < 0 || c.Sigma2 < 0 {
-		return nil, fmt.Errorf("pate: negative sigma")
+	if !(c.Sigma1 >= 0 && c.Sigma2 >= 0) {
+		return nil, fmt.Errorf("pate: sigma must be non-negative")
 	}
 	if err := c.Train.Validate(); err != nil {
 		return nil, err
@@ -193,7 +193,14 @@ func RunPipeline(cfg PipelineConfig) (*Result, error) {
 	if res.StudentAccuracy, err = t.student(rng, pool, labels, cfg.Train, test); err != nil {
 		return nil, err
 	}
-	if res.Epsilon, err = cfg.epsilonSpend(decisions, res.Retained); err != nil {
+	// Every decision ran the mechanism once and res.Retained of them
+	// released a label, summed releases first; task() checked the sigmas.
+	acc := dp.NewAccountant()
+	for d := range decisions {
+		spend, _ := dp.QuerySpend(cfg.Sigma1, cfg.Sigma2, cfg.UseConsensus, d < res.Retained)
+		acc.Add(spend)
+	}
+	if res.Epsilon, _, err = acc.Epsilon(1e-6); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -209,35 +216,6 @@ func (c PipelineConfig) labeler() Labeler {
 		}
 	}
 	return BaselineLabeler{Sigma2: c.Sigma2}
-}
-
-// epsilonSpend computes the (ε, δ=1e-6) privacy cost of a run that made
-// the given number of decisions and released labels for some of them:
-// under consensus every decision pays the SVT budget and every released
-// label RNM; the baseline (no threshold) pays RNM on every decision and
-// never uses sigma1. A zero sigma the mechanism uses marks a non-private
-// ablation run, reported as ε = 0.
-func (c PipelineConfig) epsilonSpend(decisions, released int) (float64, error) {
-	if c.Sigma2 == 0 || (c.UseConsensus && c.Sigma1 == 0) {
-		return 0, nil
-	}
-	acc := dp.NewAccountant()
-	rnm := decisions
-	if c.UseConsensus {
-		for range decisions {
-			if err := acc.AddSVT(c.Sigma1); err != nil {
-				return 0, err
-			}
-		}
-		rnm = released
-	}
-	for range rnm {
-		if err := acc.AddRNM(c.Sigma2); err != nil {
-			return 0, err
-		}
-	}
-	eps, _, err := acc.Epsilon(1e-6)
-	return eps, err
 }
 
 // multiclass is the MNIST/SVHN task: one K-class decision per query.

@@ -151,11 +151,13 @@ func (c Config) Validate() error {
 	if c.Users < 1 {
 		return fmt.Errorf("%w: need at least 1 user, got %d", ErrBadConfig, c.Users)
 	}
-	if c.ThresholdFrac < 0 || c.ThresholdFrac > 1 {
+	if !(c.ThresholdFrac >= 0 && c.ThresholdFrac <= 1) {
 		return fmt.Errorf("%w: threshold fraction %g outside [0, 1]", ErrBadConfig, c.ThresholdFrac)
 	}
-	if c.Sigma1 < 0 || c.Sigma2 < 0 {
-		return fmt.Errorf("%w: negative sigma", ErrBadConfig)
+	for _, sigma := range []float64{c.Sigma1, c.Sigma2} {
+		if !(sigma >= 0) || math.IsInf(sigma, 1) {
+			return fmt.Errorf("%w: sigma %g is not finite and non-negative", ErrBadConfig, sigma)
+		}
 	}
 	if c.Kappa < 8 {
 		return fmt.Errorf("%w: kappa %d too small (min 8)", ErrBadConfig, c.Kappa)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -50,6 +51,11 @@ func TestConfigValidate(t *testing.T) {
 		{"zero users", func(c *Config) { c.Users = 0 }},
 		{"threshold > 1", func(c *Config) { c.ThresholdFrac = 1.5 }},
 		{"negative sigma", func(c *Config) { c.Sigma1 = -1 }},
+		{"NaN sigma1", func(c *Config) { c.Sigma1 = math.NaN() }},
+		{"infinite sigma1", func(c *Config) { c.Sigma1 = math.Inf(1) }},
+		{"NaN sigma2", func(c *Config) { c.Sigma2 = math.NaN() }},
+		{"infinite sigma2", func(c *Config) { c.Sigma2 = math.Inf(1) }},
+		{"NaN threshold", func(c *Config) { c.ThresholdFrac = math.NaN() }},
 		{"tiny kappa", func(c *Config) { c.Kappa = 2 }},
 		{"tiny paillier", func(c *Config) { c.PaillierBits = 8 }},
 		{"bad dgk", func(c *Config) { c.DGK.U = 6 }},

@@ -306,10 +306,20 @@ func TestMeterAccounting(t *testing.T) {
 	ctx := context.Background()
 
 	m := msgOf(KindShares, nil, 100, 200)
-	go ma.Send(ctx, m)
-	if _, err := mb.Recv(ctx); err != nil {
-		t.Fatal(err)
+	// send runs Send beside the Recv that unblocks it and returns once
+	// Send has returned, so the meter holds both sides' records.
+	send := func() {
+		t.Helper()
+		sent := make(chan error, 1)
+		go func() { sent <- ma.Send(ctx, m) }()
+		if _, err := mb.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
 	}
+	send()
 	s, ok := meter.Step("step1")
 	if !ok {
 		t.Fatal("missing step1 stats")
@@ -323,8 +333,7 @@ func TestMeterAccounting(t *testing.T) {
 	}
 
 	ma.SetStep("step2")
-	go ma.Send(ctx, m)
-	mb.Recv(ctx)
+	send()
 	if _, ok := meter.Step("step2"); !ok {
 		t.Error("SetStep did not switch attribution")
 	}

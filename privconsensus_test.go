@@ -2,6 +2,7 @@ package privconsensus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os/exec"
@@ -237,8 +238,21 @@ func TestAccountantFlow(t *testing.T) {
 	if eps <= 0 || alpha <= 1 {
 		t.Errorf("eps=%g alpha=%g", eps, alpha)
 	}
-	if err := acc.RecordQuery(0); err == nil {
-		t.Error("expected error for sigma 0")
+	// A zero sigma draws no noise: the spend is recorded as non-private
+	// and ε reads +Inf. A negative or NaN sigma is still refused.
+	if err := acc.RecordQuery(0); err != nil {
+		t.Fatalf("RecordQuery(0): %v", err)
+	}
+	if eps, _, err := acc.Epsilon(1e-6); err != nil || !math.IsInf(eps, 1) {
+		t.Errorf("after a zero-sigma query: eps=%g err=%v, want +Inf", eps, err)
+	}
+	for _, bad := range []float64{-1, math.NaN()} {
+		if err := acc.RecordQuery(bad); !errors.Is(err, dp.ErrBadSigma) {
+			t.Errorf("RecordQuery(%g) = %v, want ErrBadSigma", bad, err)
+		}
+		if err := acc.RecordRelease(bad); !errors.Is(err, dp.ErrBadSigma) {
+			t.Errorf("RecordRelease(%g) = %v, want ErrBadSigma", bad, err)
+		}
 	}
 }
 
@@ -332,11 +346,157 @@ func TestRunPATECelebA(t *testing.T) {
 	}
 }
 
-// TestPATEEpsilonZeroSigmaRule holds both tasks to one ε rule: consensus
-// pays SVT(σ1) on every decision and RNM(σ2) on every released label, the
-// baseline RNM(σ2) on every decision and nothing for σ1; a zero σ the
-// mechanism uses reports ε = 0.
-func TestPATEEpsilonZeroSigmaRule(t *testing.T) {
+// TestEpsilonZeroSigmaRule holds every path that prices a query to the one
+// rule, dp.QuerySpend: consensus pays SVT(σ1) on every query and RNM(σ2)
+// on every released label, the baseline RNM(σ2) on every decision and
+// nothing for σ1, and ε is +Inf exactly when a term the mechanism uses has
+// σ = 0. The paths are the ledger (Reserve + Commit, read live and after a
+// reload), a replay of S1's spend journal notes (consensus only: serve runs
+// no baseline), the root Accountant and the PATE pipeline, each over
+// consensus and baseline × σ1, σ2 ∈ {0, 4} × released or not.
+func TestEpsilonZeroSigmaRule(t *testing.T) {
+	const delta, perCell = 1e-6, 3
+	grid := []float64{0, 4}
+	// nonPrivate states the rule apart from the function it checks.
+	nonPrivate := func(consensus bool, sigma1, sigma2 float64, releases int) bool {
+		if consensus {
+			return sigma1 == 0 || (releases > 0 && sigma2 == 0)
+		}
+		return sigma2 == 0
+	}
+	epsOf := func(acc *dp.Accountant) float64 {
+		t.Helper()
+		eps, _, err := acc.Epsilon(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eps
+	}
+
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	ledger, err := dp.OpenLedger(path, nil, 0, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quota, err := dp.OpenLedger("", nil, 1e9, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]float64{} // ledger tenant → the function's ε
+	for _, consensus := range []bool{true, false} {
+		for _, sigma1 := range grid {
+			for _, sigma2 := range grid {
+				for _, released := range []bool{true, false} {
+					name := fmt.Sprintf("consensus=%v σ1=%g σ2=%g released=%v", consensus, sigma1, sigma2, released)
+					tenant := int64(len(want))
+					spend, err := dp.QuerySpend(sigma1, sigma2, consensus, released)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fn := dp.NewAccountant()
+					for range perCell {
+						fn.Add(spend)
+					}
+					want[tenant] = epsOf(fn)
+					releases := 0
+					if released || !consensus {
+						releases = 1
+					}
+					if got := math.IsInf(want[tenant], 1); got != nonPrivate(consensus, sigma1, sigma2, releases) {
+						t.Errorf("%s: QuerySpend gives ε %v", name, want[tenant])
+					}
+
+					// The ledger: a finite quota refuses exactly the
+					// non-private spend; without one every spend commits.
+					if err := quota.Reserve(tenant, spend); (err != nil) != spend.NonPrivate ||
+						(err != nil && !errors.Is(err, dp.ErrBudgetExhausted)) {
+						t.Errorf("%s: reservation under a quota: %v", name, err)
+					}
+					for range perCell {
+						if err := ledger.Reserve(tenant, spend); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := ledger.Commit(tenant, spend, spend); err != nil {
+							t.Fatal(err)
+						}
+					}
+
+					// The journal: S1 writes spend.Notes; a replay parses
+					// each query's notes and prices them again.
+					if consensus {
+						replay := dp.NewAccountant()
+						for range perCell {
+							var s1, s2 float64
+							rnm := false
+							for _, note := range spend.Notes(tenant) {
+								var kind string
+								var sigma float64
+								var id int64
+								if n, err := fmt.Sscanf(note, "%s sigma=%g tenant=%d", &kind, &sigma, &id); n != 3 || err != nil || id != tenant {
+									t.Fatalf("%s: unparseable note %q", name, note)
+								}
+								if kind == "rnm" {
+									s2, rnm = sigma, true
+								} else {
+									s1 = sigma
+								}
+							}
+							rebuilt, err := dp.QuerySpend(s1, s2, true, rnm)
+							if err != nil {
+								t.Fatal(err)
+							}
+							replay.Add(rebuilt)
+						}
+						if got := epsOf(replay); got != want[tenant] {
+							t.Errorf("%s: journal replay ε %v, want %v", name, got, want[tenant])
+						}
+					}
+
+					// The root Accountant.
+					root := NewAccountant()
+					for range perCell {
+						if consensus {
+							if err := root.RecordQuery(sigma1); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if releases > 0 {
+							if err := root.RecordRelease(sigma2); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if got, _, err := root.Epsilon(delta); err != nil || got != want[tenant] {
+						t.Errorf("%s: root Accountant ε %v (%v), want %v", name, got, err, want[tenant])
+					}
+				}
+			}
+		}
+	}
+	check := func(l *dp.Ledger, when string) {
+		t.Helper()
+		for _, s := range l.Spends() {
+			if s.Epsilon != want[s.Tenant] {
+				t.Errorf("ledger %s: tenant %d ε %v, want %v", when, s.Tenant, s.Epsilon, want[s.Tenant])
+			}
+		}
+		if got := len(l.Spends()); got != len(want) {
+			t.Errorf("ledger %s: %d tenants, want %d", when, got, len(want))
+		}
+	}
+	check(ledger, "live")
+	if err := ledger.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := dp.OpenLedger(path, nil, 0, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reloaded.Close()
+	check(reloaded, "reloaded")
+
+	// The PATE pipeline decides which labels it releases; its ε must be
+	// the function summed over its decisions, released ones first.
 	const queries = 20
 	for _, task := range []struct {
 		dataset   string
@@ -344,32 +504,27 @@ func TestPATEEpsilonZeroSigmaRule(t *testing.T) {
 	}{{"mnist", 1}, {"celeba", 40}} {
 		for _, consensus := range []bool{true, false} {
 			baseline := map[float64]float64{} // σ2 → the baseline's ε
-			for _, sigma1 := range []float64{0, 4} {
-				for _, sigma2 := range []float64{0, 4} {
+			for _, sigma1 := range grid {
+				for _, sigma2 := range grid {
 					res, err := RunPATE(PATEConfig{Dataset: task.dataset, Scale: 0.004, Users: 6, Queries: queries,
 						UseConsensus: consensus, Sigma1: sigma1, Sigma2: sigma2, Seed: 3, Epochs: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("%s consensus=%v σ1=%g σ2=%g", task.dataset, consensus, sigma1, sigma2)
-					want := 0.0
-					if sigma2 > 0 && (!consensus || sigma1 > 0) {
-						decisions := queries * task.decisions
-						acc := dp.NewAccountant()
-						rnm := decisions
-						if consensus {
-							for range decisions {
-								_ = acc.AddSVT(sigma1)
-							}
-							rnm = res.Retained
+					fn := dp.NewAccountant()
+					for d := range queries * task.decisions {
+						spend, err := dp.QuerySpend(sigma1, sigma2, consensus, d < res.Retained)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for range rnm {
-							_ = acc.AddRNM(sigma2)
-						}
-						want, _, _ = acc.Epsilon(1e-6)
+						fn.Add(spend)
 					}
-					if math.Abs(res.Epsilon-want) > 1e-9*want || (want == 0) != (res.Epsilon == 0) {
+					if want := epsOf(fn); res.Epsilon != want {
 						t.Errorf("%s: ε = %v, want %v", name, res.Epsilon, want)
+					}
+					if got := math.IsInf(res.Epsilon, 1); got != nonPrivate(consensus, sigma1, sigma2, res.Retained) {
+						t.Errorf("%s: ε = %v with %d releases", name, res.Epsilon, res.Retained)
 					}
 					if consensus {
 						continue

@@ -132,6 +132,12 @@ if ! grep -q 'deploy_queries_total{outcome="consensus",role="s1"} 1' <<<"$metric
     echo "FAIL: deploy_queries_total does not record the consensus query"
     fail=1
 fi
+# The keys draw no noise (-sigma1 0 -sigma2 0): the query is non-private,
+# so with no quota it is admitted and the tenant's ε reads +Inf.
+if ! grep -q '^privconsensus_tenant_epsilon{tenant="0"} +Inf$' <<<"$metrics"; then
+    echo "FAIL: privconsensus_tenant_epsilon{tenant=\"0\"} does not read +Inf at zero noise (got: '$(grep privconsensus_tenant_epsilon <<<"$metrics")')"
+    fail=1
+fi
 if [ "$fail" -ne 0 ]; then
     dump_state
     exit 1
@@ -158,6 +164,12 @@ sleep 0.5
 kill "$s1_pid" 2>/dev/null || true
 wait "$s1_pid" 2>/dev/null || true
 s1_pid=""
+
+if ! grep -q 'tenant 0: epsilon +Inf over 1 queries' "$workdir/s1.log"; then
+    echo "FAIL: S1's summary does not report tenant 0's ε as +Inf"
+    dump_state
+    exit 1
+fi
 
 echo "== verifying journal hash chains"
 if ! "$workdir/trace" -verify "$workdir/s1.jsonl" "$workdir/s2.jsonl" \
