@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet fmt-check cross test race chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare experiments obs-smoke ci
+.PHONY: build vet fmt-check cross test race stress chaos chaos-packed soak soak-full fuzz cover bench bench-e2e bench-compare experiments obs-smoke ci
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Close-path stress: the tests where a drain or a resolved query races a
+# reply, many times over. A reply lost to a drain shows as a rare EOF in
+# one run of a few hundred, so the shutdown and drain tests run 1,000 times
+# (~1 min); the forget and chaos tests take 5–7 s a run, so they run twice.
+stress:
+	$(GO) test -count=1000 -run 'TestServeGracefulShutdown$$|TestServeDrainAnswersOpenResultWaits$$' ./internal/deploy/
+	$(GO) test -count=2 -run 'TestServeForgetsResolvedQueries$$|TestChaosResilientDeployment$$' ./internal/deploy/
 
 # Chaos suite: full two-server deployments driven through seeded fault
 # schedules (resets, stalls, partial writes) with a retry budget on the

@@ -93,6 +93,9 @@ type serveState struct {
 
 	runnable   chan *serveQuery
 	rotateKick chan struct{}
+	// replies counts the result waits registered while their query was in
+	// flight and not yet answered: the drain owes each its reply.
+	replies sync.WaitGroup
 }
 
 // grantKey makes admission idempotent: a client that lost the admit reply
@@ -394,6 +397,8 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 		delete(st.queries, q.qid)
 		delete(st.grants, key)
 		st.mu.Unlock()
+		q.res.Err = fmt.Errorf("deploy: S2 did not register query %d: %w", q.qid, err)
+		close(q.done) // a result wait that found the query gets its reply
 		st.ledger.Unreserve(tenant, st.cost)
 		return st.refuse(admitUnavailable, tenant)
 	}
@@ -536,6 +541,7 @@ loop:
 	}
 
 	if runErr == nil {
+		st.awaitReplies()
 		// Tell S2 the stream is over: a drain marker on the ctl link (so it
 		// stops expecting announces) and the end-of-session frame on the
 		// protocol link (so its frame loop exits).
@@ -571,6 +577,22 @@ func (st *serveState) drained() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.draining && len(st.queries) == 0
+}
+
+// awaitReplies waits, up to the drain timeout, until every result wait
+// registered while its query was in flight has its reply sent. The loop
+// exits draining with nothing in flight, so no wait registers after.
+func (st *serveState) awaitReplies() {
+	sent := make(chan struct{})
+	go func() {
+		st.replies.Wait()
+		close(sent)
+	}()
+	select {
+	case <-sent:
+	case <-time.After(st.opts.drainTimeout()):
+		st.opts.log(levelWarn, "S1 drain timeout; result replies still unsent")
+	}
 }
 
 // inflightCount returns the live admission count.
@@ -677,12 +699,17 @@ func (st *serveState) failUnresolved(err error) (missing int) {
 // replyResult answers a result-wait: it blocks until the query resolves
 // (the client sends nothing else on the connection until the reply), then
 // reports the terminal status. A query neither in flight nor in the replay
-// window is resultUnknown.
+// window is resultUnknown. A wait registered while its query is in flight
+// holds the drain until its reply is sent, and the reply to a resolved
+// query is sent even if the drain has since ended ctx.
 func (st *serveState) replyResult(ctx context.Context, conn transport.Conn, qid64 int64) error {
 	qid := int(qid64)
 	st.mu.Lock()
 	q := st.queries[qid]
-	if q == nil {
+	if q != nil {
+		st.replies.Add(1)
+		defer st.replies.Done()
+	} else {
 		q = st.past[qid]
 	}
 	st.mu.Unlock()
@@ -692,8 +719,14 @@ func (st *serveState) replyResult(ctx context.Context, conn transport.Conn, qid6
 	select {
 	case <-q.done:
 	case <-ctx.Done():
-		return ctx.Err()
+		select {
+		case <-q.done:
+		default:
+			return ctx.Err()
+		}
 	}
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), st.opts.attemptTimeout())
+	defer cancel()
 	status := resultFailed
 	label := int64(-1)
 	switch {

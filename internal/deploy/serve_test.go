@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"math"
 	mrand "math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -454,6 +455,134 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if admitted != 3 || refused < 1 || overloaded != 2 || drainMark < 1 {
 		t.Errorf("journal admission trail: admitted=%d draining=%d overloaded=%d drain=%d, want 3/>=1/2/>=1",
 			admitted, refused, overloaded, drainMark)
+	}
+}
+
+// lastByteHeld is a net.Conn whose writes, once armed, keep back their last
+// byte until release is closed: a frame left in transit.
+type lastByteHeld struct {
+	net.Conn
+	armed   bool
+	release chan struct{}
+}
+
+func (c *lastByteHeld) Write(p []byte) (int, error) {
+	if !c.armed || len(p) == 0 {
+		return c.Conn.Write(p)
+	}
+	n, err := c.Conn.Write(p[:len(p)-1])
+	if err != nil {
+		return n, err
+	}
+	<-c.release
+	m, err := c.Conn.Write(p[len(p)-1:])
+	return n + m, err
+}
+
+// parked counts the goroutines blocked in the given state (as a stack dump
+// names it) inside the function named fn.
+func parked(state, fn string) int {
+	buf := make([]byte, 1<<16)
+	for runtime.Stack(buf, true) == len(buf) {
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "["+state) && strings.Contains(g, fn) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServeDrainAnswersOpenResultWaits holds result waits open across the
+// drain of the last in-flight query. Each of many waits registered before
+// the query resolved has its reply sent before S1 returns and ends its
+// connections' context, and a wait whose frame was still in transit when
+// S1 returned is answered from the replay window all the same.
+func TestServeDrainAnswersOpenResultWaits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serve deployment test is slow in -short mode")
+	}
+	const users, waits = 2, 32
+	s1Files, s2Files, pubs, cfg := serveTestSetup(t, users, 1, 0, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	drainCh := make(chan struct{})
+	s1Ready, s2Ready := make(chan string, 1), make(chan string, 1)
+	s1Done, s2Done := make(chan s1ServeResult, 1), make(chan s2ServeResult, 1)
+	base := ServerOptions{ListenAddr: "127.0.0.1:0", Seed: 641, AttemptTimeout: 30 * time.Second}
+	go func() {
+		opts := base
+		opts.Ready = s1Ready
+		rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: opts, DrainCh: drainCh, DrainTimeout: time.Minute})
+		s1Done <- s1ServeResult{rep, err}
+	}()
+	s1Addr := <-s1Ready
+	go func() {
+		opts := base
+		opts.Seed, opts.PeerAddr, opts.Ready = 642, s1Addr, s2Ready
+		rep, err := ServeS2(ctx, s2Files, ServeOptions{ServerOptions: opts, DrainTimeout: time.Minute})
+		s2Done <- s2ServeResult{rep, err}
+	}()
+	s2Addr := <-s2Ready
+
+	conn1 := serveUserConnTo(ctx, t, s1Addr)
+	defer conn1.Close()
+	status, qid, epoch := admitRaw(ctx, t, conn1, 1, 1)
+	if status != admitOK {
+		t.Fatalf("admission status %d", status)
+	}
+	waiters := make([]transport.Conn, waits, waits+1)
+	for i := range waiters {
+		waiters[i] = serveUserConnTo(ctx, t, s1Addr)
+		defer waiters[i].Close()
+		if err := transport.SendControl(ctx, waiters[i], ctrlResultWait, int64(qid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := net.Dial("tcp", s1Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &lastByteHeld{Conn: raw, release: make(chan struct{})}
+	late := transport.NewTCPConn(held)
+	defer late.Close()
+	if err := sendHello(ctx, late, partyUser, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The waits are registered once their handlers park in replyResult, and
+	// S1 reads the late connection once its handler parks reading, beside
+	// conn1's.
+	for parked("select", "(*serveState).replyResult") < waits || parked("IO wait", "(*serverSetup).serveUserConn") < 2 {
+		if ctx.Err() != nil {
+			t.Fatal("S1's handlers never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held.armed = true
+	lateSent := make(chan error, 1)
+	go func() { lateSent <- transport.SendControl(ctx, late, ctrlResultWait, int64(qid)) }()
+
+	close(drainCh)
+	conn2 := serveUserConnTo(ctx, t, s2Addr)
+	defer conn2.Close()
+	uploadQueryRaw(ctx, t, cfg, pubs[epoch], qid, 1, testRNG(643), mrand.New(mrand.NewSource(644)), conn1, conn2)
+	if r := <-s1Done; r.err != nil {
+		t.Fatalf("S1 serve: %v", r.err)
+	}
+	close(held.release)
+	if err := <-lateSent; err != nil {
+		t.Fatal(err)
+	}
+	for i, conn := range append(waiters, late) {
+		reply, err := transport.ExpectControl(ctx, conn, ctrlResultReply)
+		if err != nil || len(reply) < 4 || reply[1] != resultConsensus || reply[2] != 1 {
+			t.Fatalf("wait %d of %d: reply %v, err %v, want consensus on label 1", i, waits+1, reply, err)
+		}
+	}
+	if r := <-s2Done; r.err != nil {
+		t.Fatalf("S2 serve: %v", r.err)
 	}
 }
 

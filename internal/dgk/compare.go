@@ -229,13 +229,13 @@ func (k *PrivateKey) encryptBits(rng io.Reader, vals []*big.Int, par int) ([][]*
 			return nil, fmt.Errorf("dgk: comparison %d: %w", i, err)
 		}
 	}
+	ctx, err := k.mont()
+	if err != nil {
+		return nil, err
+	}
 	own := k.ownTables()
 	if own == nil || own.crt == nil {
 		return nil, ErrNoPrivateKey
-	}
-	ctx := k.nMont()
-	if ctx == nil {
-		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
 	}
 	w := ctx.Words()
 	out, cts := slab(len(vals), k.L)
@@ -245,7 +245,7 @@ func (k *PrivateKey) encryptBits(rng io.Reader, vals []*big.Int, par int) ([][]*
 	kernel := scratch.get(0).w
 	ctx.Enter(g[:w], mathutil.One, kernel)
 	ctx.Enter(g[w:], k.G, kernel)
-	err := mathutil.ParallelFor(par, len(cts), func(wk, idx int) error {
+	err = mathutil.ParallelFor(par, len(cts), func(wk, idx int) error {
 		i, pos := idx/k.L, idx%k.L
 		bit := int(vals[i].Bit(pos))
 		z := arena[idx*w : (idx+1)*w : (idx+1)*w]
@@ -277,9 +277,9 @@ type blindScratch struct {
 // blinding exponentiations are independent per bit. All of it runs in n's
 // Montgomery domain, and each blinded value leaves it once.
 func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int, par int) ([][]*big.Int, error) {
-	ctx := pk.nMont()
-	if ctx == nil {
-		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
+	ctx, err := pk.mont()
+	if err != nil {
+		return nil, err
 	}
 	n, l, w := len(vals), pk.L, ctx.Words()
 	// One arena: every comparison's L terms, then every blinded value, w
@@ -288,7 +288,7 @@ func (pk *PublicKey) blind(rng io.Reader, vals []*big.Int, encBits [][]*big.Int,
 	terms, blinded := arena[:n*l*w], arena[n*l*w:]
 	pis := make([]perm.Permutation, n)
 	chain := newWorkers(par, func() []big.Word { return make([]big.Word, termScratch(l)*w) })
-	err := mathutil.ParallelFor(par, n, func(wk, i int) (err error) {
+	err = mathutil.ParallelFor(par, n, func(wk, i int) (err error) {
 		if err = pk.compareTerms(rng, ctx, vals[i], encBits[i], terms[i*l*w:(i+1)*l*w], chain.get(wk)); err != nil {
 			return fmt.Errorf("dgk: comparison %d: %w", i, err)
 		}

@@ -75,59 +75,45 @@ type PublicKey struct {
 	RBits int
 	// L is the comparison bit length carried for protocol agreement.
 	L int
-	// pre holds the lazily-built fixed-base tables for g and h. The holder
-	// is attached at key construction/load and shared (by pointer) with
-	// every copy of the key, so a table is built once per key and then read
-	// lock-free by all comparison goroutines.
+	// pre holds n's Montgomery context and the fixed-base tables for g and
+	// h. It is attached at key construction/load and shared (by pointer)
+	// with every copy of the key, so each is built once per key and then
+	// read lock-free by all comparison goroutines.
 	pre *precomp
 }
 
-// precomp caches the fixed-base exponentiation tables derived from a key.
-// Both generators are fixed for the key's lifetime: g raises only
+// precomp caches what a key's products need: n's Montgomery context, built
+// with the key, and the fixed-base exponentiation tables, built on first
+// use. Both generators are fixed for the key's lifetime: g raises only
 // plaintexts (< u) and h only RBits-wide blinding exponents, so two small
 // window tables replace every square-and-multiply on the encrypt path.
 type precomp struct {
+	mont         *mathutil.Mont // n's
 	gOnce, hOnce sync.Once
 	g, h         *mathutil.FixedBaseExp
 }
 
-// gTable returns the fixed-base table for g (exponents < u), building it on
-// first use. It is nil for hand-assembled keys without a holder or when the
-// modulus is unusable (e.g. even); callers then fall back to big.Int.Exp.
-func (pk *PublicKey) gTable() *mathutil.FixedBaseExp {
+// mont returns n's Montgomery context from the key's precomp. GenerateKey
+// and UnmarshalJSON attach a precomp to every key they return; a key
+// assembled field by field has none and is refused here.
+func (pk *PublicKey) mont() (*mathutil.Mont, error) {
 	if pk.pre == nil {
-		return nil
+		return nil, fmt.Errorf("%w: key not built by GenerateKey or UnmarshalJSON", ErrBadParams)
 	}
-	pk.pre.gOnce.Do(func() {
-		if t, err := mathutil.NewFixedBaseExp(pk.G, pk.N, pk.U.BitLen()); err == nil {
-			pk.pre.g = t
-		}
-	})
+	return pk.pre.mont, nil
+}
+
+// gTable returns the fixed-base table for g (exponents < u), building it on
+// first use.
+func (pk *PublicKey) gTable() *mathutil.FixedBaseExp {
+	pk.pre.gOnce.Do(func() { pk.pre.g, _ = mathutil.NewFixedBaseExp(pk.G, pk.N, pk.U.BitLen()) })
 	return pk.pre.g
 }
 
 // hTable returns the fixed-base table for h (RBits-wide exponents).
 func (pk *PublicKey) hTable() *mathutil.FixedBaseExp {
-	if pk.pre == nil {
-		return nil
-	}
-	pk.pre.hOnce.Do(func() {
-		if t, err := mathutil.NewFixedBaseExp(pk.H, pk.N, pk.RBits); err == nil {
-			pk.pre.h = t
-		}
-	})
+	pk.pre.hOnce.Do(func() { pk.pre.h, _ = mathutil.NewFixedBaseExp(pk.H, pk.N, pk.RBits) })
 	return pk.pre.h
-}
-
-// nMont returns the modulus's Montgomery context for party A's kernels:
-// the g table's, or one built per call for a key without tables; nil if n
-// is even.
-func (pk *PublicKey) nMont() *mathutil.Mont {
-	if gt := pk.gTable(); gt != nil {
-		return gt.Mont()
-	}
-	ctx, _ := mathutil.NewMont(pk.N)
-	return ctx
 }
 
 // Precompute eagerly builds the fixed-base tables so the first encryption
@@ -286,12 +272,13 @@ func GenerateKey(rng io.Reader, params Params) (*PrivateKey, error) {
 	g := combine(crt, gp, gq)
 	h := combine(crt, hp, hq)
 
+	mont, _ := mathutil.NewMont(n) // n is odd and > 2: it cannot fail
 	key := &PrivateKey{
 		PublicKey: PublicKey{
 			N: n, G: g, H: h, U: u,
 			RBits: params.TBits * 5 / 2,
 			L:     params.L,
-			pre:   &precomp{},
+			pre:   &precomp{mont: mont},
 		},
 		p: p, vp: vp, q: q, vq: vq,
 		own: &ownPrecomp{},
@@ -388,8 +375,12 @@ func (pk *PublicKey) validateCiphertext(c *Ciphertext) error {
 	return nil
 }
 
-// Encrypt encrypts m in [0, u): E(m) = g^m h^r mod n.
+// Encrypt encrypts m in [0, u): E(m) = g^m h^r mod n. Both factors have
+// fixed bases, so the whole product comes from the key's window tables.
 func (pk *PublicKey) Encrypt(rng io.Reader, m *big.Int) (*Ciphertext, error) {
+	if _, err := pk.mont(); err != nil {
+		return nil, err
+	}
 	if err := pk.validateMessage(m); err != nil {
 		return nil, err
 	}
@@ -397,30 +388,16 @@ func (pk *PublicKey) Encrypt(rng io.Reader, m *big.Int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dgk: sample randomness: %w", err)
 	}
-	// Both factors have fixed bases, so a warm key answers the whole
-	// product from its window tables; a key without tables computes the
-	// same value with two big.Int.Exp calls.
-	var c *big.Int
-	if gt, ht := pk.gTable(), pk.hTable(); gt != nil && ht != nil {
-		z := make([]big.Word, gt.Mont().Words())
-		gt.MulExp(ht, z, m, r, make([]big.Word, 3*len(z)))
-		c = new(big.Int).SetBits(z)
-	} else {
-		c = new(big.Int).Exp(pk.G, m, pk.N)
-		c.Mul(c, new(big.Int).Exp(pk.H, r, pk.N))
-		c.Mod(c, pk.N)
-	}
+	gt := pk.gTable()
+	z := make([]big.Word, gt.Mont().Words())
+	gt.MulExp(pk.hTable(), z, m, r, make([]big.Word, 3*len(z)))
 	encOps.Inc()
-	return &Ciphertext{C: c}, nil
+	return &Ciphertext{C: new(big.Int).SetBits(z)}, nil
 }
 
-// gPow returns g^m mod n for m in [0, u): from the g table, or by
-// big.Int.Exp for a key without one.
+// gPow returns g^m mod n for m in [0, u), from the g table.
 func (pk *PublicKey) gPow(m *big.Int) *big.Int {
 	gt := pk.gTable()
-	if gt == nil {
-		return new(big.Int).Exp(pk.G, m, pk.N)
-	}
 	z := make([]big.Word, gt.Mont().Words())
 	gt.Exp(z, m, make([]big.Word, 3*len(z)))
 	return new(big.Int).SetBits(z)
@@ -431,16 +408,16 @@ func (pk *PublicKey) gPow(m *big.Int) *big.Int {
 // through the CRT tables (see ownPrecomp). It returns ErrNoPrivateKey on a
 // zeroized key.
 func (sk *PrivateKey) Encrypt(rng io.Reader, m *big.Int) (*Ciphertext, error) {
+	ctx, err := sk.mont()
+	if err != nil {
+		return nil, err
+	}
 	own := sk.ownTables()
 	if own == nil || own.crt == nil {
 		return nil, ErrNoPrivateKey
 	}
 	if err := sk.validateMessage(m); err != nil {
 		return nil, err
-	}
-	ctx := sk.nMont()
-	if ctx == nil {
-		return nil, fmt.Errorf("%w: the modulus has no Montgomery form", ErrBadParams)
 	}
 	s := sk.newOwnScratch()
 	z, gm := make([]big.Word, ctx.Words()), make([]big.Word, ctx.Words())

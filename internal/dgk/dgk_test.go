@@ -3,12 +3,14 @@ package dgk
 import (
 	"context"
 	"errors"
+	"io"
 	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 	"github.com/privconsensus/privconsensus/internal/transport"
 )
 
@@ -37,6 +39,19 @@ func refDecrypt(k *PrivateKey, c *Ciphertext) (*big.Int, error) {
 		acc.Mod(acc.Mul(acc, base), k.p)
 	}
 	return nil, errors.New("dgk: c^v_p is not a power of g^v_p")
+}
+
+// refEncrypt returns E(m) = g^m·h^r mod n for one RandBits(RBits) draw r
+// from rng, by two big.Int.Exp calls: the value the window tables must
+// produce from the same stream.
+func refEncrypt(pk *PublicKey, rng io.Reader, m *big.Int) (*Ciphertext, error) {
+	r, err := mathutil.RandBits(new(big.Int), rng, pk.RBits, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := new(big.Int).Exp(pk.G, m, pk.N)
+	c.Mul(c, r.Exp(pk.H, r, pk.N))
+	return &Ciphertext{C: c.Mod(c, pk.N)}, nil
 }
 
 // refAdd returns E(m1 + m2 mod u) = c1·c2 mod n.

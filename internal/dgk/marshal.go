@@ -71,10 +71,11 @@ func (raw publicKeyJSON) toPublic() (*PublicKey, error) {
 	if !okG || !okH || g.Cmp(two) < 0 || g.Cmp(n) >= 0 || h.Cmp(two) < 0 || h.Cmp(n) >= 0 {
 		return nil, fmt.Errorf("%w: the generators g and h must lie in [2, n)", ErrBadParams)
 	}
+	mont, _ := mathutil.NewMont(n) // checked odd and >= 3: it cannot fail
 	return &PublicKey{
 		N: n, G: g, H: h,
 		U: new(big.Int).SetUint64(raw.U), RBits: raw.RBits, L: raw.L,
-		pre: &precomp{},
+		pre: &precomp{mont: mont},
 	}, nil
 }
 

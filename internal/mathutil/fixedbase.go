@@ -11,9 +11,9 @@ package mathutil
 // with every factor base^(d · 2^(w·i)) looked up from the table. For a
 // t-bit exponent and window w this costs ~t/w multiplications against the
 // ~1.3t of a generic square-and-multiply. The entries are kept in Montgomery
-// form and multiplied with montMul, so a walk performs no division: one
-// montMul by 1 and one conditional subtraction leave the domain with the
-// same value big.Int.Exp returns.
+// form and multiplied by Montgomery products, so a walk performs no
+// division: one product by 1 and one conditional subtraction leave the
+// domain with the same value big.Int.Exp returns.
 //
 // Tables are immutable after construction and safe for concurrent use
 // without locks; build them once per (base, modulus) at key-load time and
@@ -103,7 +103,7 @@ func NewFixedBaseExp(base, modulus *big.Int, maxBits int) (*FixedBaseExp, error)
 	n := mont.Words()
 	row := (1<<w - 1) * n
 	f.table = make([]big.Word, f.digits*row)
-	// cur = base^(2^(w·i))·R as i advances; every step is a montMul.
+	// cur = base^(2^(w·i))·R as i advances; every step is a Montgomery product.
 	cur, scratch := make([]big.Word, n), make([]big.Word, 3*n)
 	mont.Enter(cur, f.base, scratch)
 	for i := 0; i < f.digits; i++ {

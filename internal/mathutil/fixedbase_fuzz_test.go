@@ -68,7 +68,7 @@ func FuzzFixedBaseExp(f *testing.F) {
 	})
 }
 
-// FuzzMontMul checks montMul against x·y·R⁻¹ mod m computed with big.Int
+// FuzzMontMul checks the kernel NewMont picks against x·y·R⁻¹ mod m computed with big.Int
 // for an odd modulus of up to 65 words and operands anywhere below R, and
 // the Montgomery context of the same modulus against big.Int.Exp: entering
 // x (up to twice the modulus's width, as a DGK ciphertext is to p), raising
@@ -93,7 +93,7 @@ func FuzzMontMul(f *testing.F) {
 		m.SetBit(m, 0, 1)
 		n := len(m.Bits())
 		rBits := uint(bits.UintSize * n)
-		// Operands are reduced mod R, not mod m: montMul must take both.
+		// Operands are reduced mod R, not mod m: the kernel must take both.
 		x := truncBits(new(big.Int).SetBytes(clampBytes(xB)), rBits)
 		y := truncBits(new(big.Int).SetBytes(clampBytes(yB)), rBits)
 		checkMontMul(t, x, y, m)

@@ -215,8 +215,8 @@ func NewCRTParams(p, q *big.Int) (*CRTParams, error) {
 //
 //	x = x_b + b·((x_l − x_b)·b⁻¹ mod l)
 //
-// with l the wider modulus and b the other, the product by b⁻¹ a montMul
-// by b⁻¹·R, and x below b·l without a final reduction.
+// with l the wider modulus and b the other, the product by b⁻¹ a Montgomery
+// product by b⁻¹·R, and x below b·l without a final reduction.
 func (c *CRTParams) Combine(z, xp, xq, scratch []big.Word) {
 	xl, xb := xp, xq
 	if c.swap {

@@ -2,9 +2,9 @@ package mathutil
 
 // Montgomery multiplication on math/big's own word kernel. The fixed-base
 // tables and the DGK comparison kernels keep their values in Montgomery
-// form (x·R mod m, R = 2^(W·n) for an n-word modulus), so a product is a
-// montMul and never divides: it is reduced by adding multiples of m that
-// clear its low words, not by a long division.
+// form (x·R mod m, R = 2^(W·n) for an n-word modulus), so a product never
+// divides: it is reduced by adding multiples of m that clear its low words,
+// not by a long division.
 
 import (
 	"errors"
@@ -22,14 +22,15 @@ var (
 )
 
 // Mont is the Montgomery context of one odd modulus m > 2: m's n words,
-// k = −m⁻¹ mod 2^W, R² mod m and R mod m. It is immutable after NewMont,
-// so workers share it without locks. Values in the domain are n-word
-// slices kept below m. Scratch holds 3n words (17n for Exp with an
-// exponent wider than 16 bits), and outputs may alias inputs.
+// k = −m⁻¹ mod 2^W, R² mod m, R mod m and n words' kernel. It is immutable
+// after NewMont, so workers share it without locks. Values in the domain
+// are n-word slices kept below m. Scratch holds 3n words (17n for Exp with
+// an exponent wider than 16 bits), and outputs may alias inputs.
 type Mont struct {
 	mod        *big.Int
 	m, rr, one []big.Word
 	k          big.Word
+	mul        kernel
 }
 
 // NewMont builds the context of m with one division.
@@ -41,7 +42,7 @@ func NewMont(m *big.Int) (*Mont, error) {
 		return nil, fmt.Errorf("%w, got %v", ErrEvenModulus, m)
 	}
 	n := len(m.Bits())
-	c := &Mont{mod: new(big.Int).Set(m), m: slices.Clone(m.Bits()), k: montK(m.Bits()[0])}
+	c := &Mont{mod: new(big.Int).Set(m), m: slices.Clone(m.Bits()), k: montK(m.Bits()[0]), mul: kernelFor(n)}
 	c.rr, c.one = make([]big.Word, n), make([]big.Word, n)
 	copy(c.rr, new(big.Int).Mod(new(big.Int).Lsh(One, uint(2*bits.UintSize*n)), m).Bits())
 	c.Leave(c.one, c.rr, make([]big.Word, 3*n)) // R²·R⁻¹
@@ -60,17 +61,17 @@ func (c *Mont) Enter(z []big.Word, x *big.Int, scratch []big.Word) {
 	clear(z)
 	for j := (len(xw)+n-1)/n - 1; j >= 0; j-- {
 		if len(xw) > (j+1)*n {
-			montMul(z, t, z, c.rr, c.m, c.k)
+			c.mul(z, t, z, c.rr, c.m, c.k)
 		}
 		clear(chunk)
 		copy(chunk, xw[j*n:min((j+1)*n, len(xw))])
-		montMul(chunk, t, chunk, c.rr, c.m, c.k)
+		c.mul(chunk, t, chunk, c.rr, c.m, c.k)
 		reduceOnce(z, z, c.m, addMulVVW(z, chunk, 1)) // z + x_j·R
 	}
 }
 
 // Mul sets z = x·y.
-func (c *Mont) Mul(z, x, y, scratch []big.Word) { montMul(z, scratch, x, y, c.m, c.k) }
+func (c *Mont) Mul(z, x, y, scratch []big.Word) { c.mul(z, scratch, x, y, c.m, c.k) }
 
 // Exp sets z = x^e for e ≥ 0 from a table of x¹…x^(2^w−1) in scratch:
 // square and multiply (w = 1) for exponents of at most 16 bits, such as
@@ -83,7 +84,7 @@ func (c *Mont) Exp(z, x []big.Word, e *big.Int, scratch []big.Word) {
 	tab := scratch[2*n : (2+1<<w-1)*n] // x^d at [(d−1)·n, d·n)
 	copy(tab, x)
 	for d := n; d < len(tab); d += n {
-		montMul(tab[d:d+n], t, tab[d-n:d], tab[:n], c.m, c.k)
+		c.mul(tab[d:d+n], t, tab[d-n:d], tab[:n], c.m, c.k)
 	}
 	copy(z, c.one)
 	top := (bl+w-1)/w - 1
@@ -94,10 +95,10 @@ func (c *Mont) Exp(z, x []big.Word, e *big.Int, scratch []big.Word) {
 			continue
 		}
 		for j := 0; j < w; j++ {
-			montMul(z, t, z, z, c.m, c.k)
+			c.mul(z, t, z, z, c.m, c.k)
 		}
 		if d != 0 {
-			montMul(z, t, z, tab[(d-1)*n:d*n], c.m, c.k)
+			c.mul(z, t, z, tab[(d-1)*n:d*n], c.m, c.k)
 		}
 	}
 }
@@ -108,7 +109,7 @@ func (c *Mont) Exp(z, x []big.Word, e *big.Int, scratch []big.Word) {
 func (c *Mont) MulRPow(z, x []big.Word, k int, scratch []big.Word) {
 	r, e := scratch[:len(c.m)], [1]big.Word{big.Word(k)}
 	c.Exp(r, c.rr, new(big.Int).SetBits(e[:]), scratch[len(r):])
-	montMul(z, scratch[len(r):], x, r, c.m, c.k)
+	c.mul(z, scratch[len(r):], x, r, c.m, c.k)
 }
 
 // Leave sets z = x·R⁻¹ mod m.
@@ -116,7 +117,7 @@ func (c *Mont) Leave(z, x, scratch []big.Word) {
 	one := scratch[2*len(c.m) : 3*len(c.m)]
 	clear(one)
 	one[0] = 1
-	montMul(z, scratch, x, one, c.m, c.k)
+	c.mul(z, scratch, x, one, c.m, c.k)
 }
 
 // IsOne reports whether x is 1 in the domain (R mod m), without leaving it.
@@ -144,38 +145,31 @@ func (c *Mont) Zeroize() {
 //go:noescape
 func addMulVVW(z, x []big.Word, y big.Word) (c big.Word)
 
-// montMul sets z = x·y·R⁻¹ mod m, up to multiples of m: the result is
+// kernel sets z = x·y·R⁻¹ mod m, up to multiples of m: the result is
 // below R and congruent to x·y·R⁻¹, and below m whenever x·y < m·R — when
 // x and y are below m, or one of them is 1 (the exit from the domain).
 // x, y and m have n = len(m) words, x and y need only be below R, m must be
 // odd, and k = −m⁻¹ mod 2^W (montK). scratch holds at least 2n words; z
-// may alias x or y. Up to montWordsMax words a straight-line kernel runs
-// (montMul1 … montMul4); wider moduli run the CIOS loop on addMulVVW.
-func montMul(z, scratch, x, y, m []big.Word, k big.Word) {
-	if len(m) > montWordsMax {
-		montMulVVW(z, scratch, x, y, m, k)
-		return
+// may alias x or y.
+type kernel func(z, scratch, x, y, m []big.Word, k big.Word)
+
+// kernelFor returns the kernel for an n-word modulus: a straight-line
+// kernel up to montWordsMax words, the CIOS loop on addMulVVW above.
+func kernelFor(n int) kernel {
+	if n > montWordsMax {
+		return montMulVVW
 	}
-	switch len(m) {
-	case 1:
-		montMul1(z, x, y, m, uint(k))
-	case 2:
-		montMul2(z, x, y, m, uint(k))
-	case 3:
-		montMul3(z, x, y, m, uint(k))
-	case 4:
-		montMul4(z, x, y, m, uint(k))
-	}
+	return [...]kernel{1: montMul1, 2: montMul2, 3: montMul3, 4: montMul4}[n]
 }
 
-// montWordsMax is the widest modulus, in words, that montMul multiplies in
-// a straight-line kernel. Up to it two calls per word into addMulVVW cost
+// montWordsMax is the widest modulus, in words, that has a straight-line
+// kernel. Up to it two calls per word into addMulVVW cost
 // more than the multiplies; from 7 words up a Go loop loses to addMulVVW's
 // assembly (BenchmarkMontMul, results/mont_micro.txt). Widths 5 to 7 run
 // in no key shape the protocol uses on 64-bit words.
 const montWordsMax = 4
 
-// montMulVVW is montMul at any width: the CIOS loop of math/big's
+// montMulVVW is the kernel at any width: the CIOS loop of math/big's
 // nat.montgomery, two addMulVVW calls per word of y.
 func montMulVVW(z, scratch, x, y, m []big.Word, k big.Word) {
 	n := len(m)
@@ -208,15 +202,15 @@ func mac(a, b, c, d uint) (hi, lo uint) {
 	return hi + d, lo
 }
 
-// montMul1 … montMul4 are montMul's CIOS loop at one to four words with
+// montMul1 … montMul4 are the CIOS loop at one to four words with
 // the words of x, m and the running sum t in locals: per word of y, t
 // += x·y_i, then t = (t + u·m)/2^W with u = t0·k. t stays below R + m, so
 // the word above t's n words is 0 or 1, and one conditional subtraction of
 // m ends the product. x is read before z is written.
-func montMul1(z, x, y, m []big.Word, k uint) {
+func montMul1(z, _, x, y, m []big.Word, k big.Word) {
 	m0 := uint(m[0])
 	c, t0 := mac(uint(x[0]), uint(y[0]), 0, 0)
-	c2, _ := mac(m0, t0*k, t0, 0)
+	c2, _ := mac(m0, t0*uint(k), t0, 0)
 	t0, t1 := bits.Add(c, c2, 0)
 	if d0, b := bits.Sub(t0, m0, 0); t1 != 0 || b == 0 {
 		t0 = d0
@@ -224,7 +218,7 @@ func montMul1(z, x, y, m []big.Word, k uint) {
 	z[0] = big.Word(t0)
 }
 
-func montMul2(z, x, y, m []big.Word, k uint) {
+func montMul2(z, _, x, y, m []big.Word, k big.Word) {
 	x0, x1 := uint(x[0]), uint(x[1])
 	m0, m1 := uint(m[0]), uint(m[1])
 	var t0, t1, t2, t3, c, u, w uint
@@ -232,7 +226,7 @@ func montMul2(z, x, y, m []big.Word, k uint) {
 	c, t0 = mac(x0, w, t0, 0)
 	c, t1 = mac(x1, w, t1, c)
 	t2, t3 = bits.Add(t2, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	t1, c = bits.Add(t2, c, 0)
@@ -241,7 +235,7 @@ func montMul2(z, x, y, m []big.Word, k uint) {
 	c, t0 = mac(x0, w, t0, 0)
 	c, t1 = mac(x1, w, t1, c)
 	t2, t3 = bits.Add(t2, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	t1, c = bits.Add(t2, c, 0)
@@ -254,7 +248,7 @@ func montMul2(z, x, y, m []big.Word, k uint) {
 	z[0], z[1] = big.Word(t0), big.Word(t1)
 }
 
-func montMul3(z, x, y, m []big.Word, k uint) {
+func montMul3(z, _, x, y, m []big.Word, k big.Word) {
 	x0, x1, x2 := uint(x[0]), uint(x[1]), uint(x[2])
 	m0, m1, m2 := uint(m[0]), uint(m[1]), uint(m[2])
 	var t0, t1, t2, t3, t4, c, u, w uint
@@ -263,7 +257,7 @@ func montMul3(z, x, y, m []big.Word, k uint) {
 	c, t1 = mac(x1, w, t1, c)
 	c, t2 = mac(x2, w, t2, c)
 	t3, t4 = bits.Add(t3, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -274,7 +268,7 @@ func montMul3(z, x, y, m []big.Word, k uint) {
 	c, t1 = mac(x1, w, t1, c)
 	c, t2 = mac(x2, w, t2, c)
 	t3, t4 = bits.Add(t3, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -285,7 +279,7 @@ func montMul3(z, x, y, m []big.Word, k uint) {
 	c, t1 = mac(x1, w, t1, c)
 	c, t2 = mac(x2, w, t2, c)
 	t3, t4 = bits.Add(t3, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -300,7 +294,7 @@ func montMul3(z, x, y, m []big.Word, k uint) {
 	z[0], z[1], z[2] = big.Word(t0), big.Word(t1), big.Word(t2)
 }
 
-func montMul4(z, x, y, m []big.Word, k uint) {
+func montMul4(z, _, x, y, m []big.Word, k big.Word) {
 	x0, x1, x2, x3 := uint(x[0]), uint(x[1]), uint(x[2]), uint(x[3])
 	m0, m1, m2, m3 := uint(m[0]), uint(m[1]), uint(m[2]), uint(m[3])
 	var t0, t1, t2, t3, t4, t5, c, u, w uint
@@ -310,7 +304,7 @@ func montMul4(z, x, y, m []big.Word, k uint) {
 	c, t2 = mac(x2, w, t2, c)
 	c, t3 = mac(x3, w, t3, c)
 	t4, t5 = bits.Add(t4, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -323,7 +317,7 @@ func montMul4(z, x, y, m []big.Word, k uint) {
 	c, t2 = mac(x2, w, t2, c)
 	c, t3 = mac(x3, w, t3, c)
 	t4, t5 = bits.Add(t4, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -336,7 +330,7 @@ func montMul4(z, x, y, m []big.Word, k uint) {
 	c, t2 = mac(x2, w, t2, c)
 	c, t3 = mac(x3, w, t3, c)
 	t4, t5 = bits.Add(t4, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)
@@ -349,7 +343,7 @@ func montMul4(z, x, y, m []big.Word, k uint) {
 	c, t2 = mac(x2, w, t2, c)
 	c, t3 = mac(x3, w, t3, c)
 	t4, t5 = bits.Add(t4, c, 0)
-	u = t0 * k
+	u = t0 * uint(k)
 	c, _ = mac(m0, u, t0, 0)
 	c, t0 = mac(m1, u, t1, c)
 	c, t1 = mac(m2, u, t2, c)

@@ -16,7 +16,7 @@ func toWords(v *big.Int, n int) []big.Word {
 	return w
 }
 
-// checkMontMul runs montMul on x, y < R = 2^(W·n) modulo the odd n-word m
+// checkMontMul runs the kernel NewMont picks for m on x, y < R = 2^(W·n) modulo the odd n-word m
 // and checks the result is congruent to x·y·R⁻¹ mod m, below m when
 // x·y < m·R, and the same when z aliases x and from montMulLoop. Its n words are below R by
 // construction.
@@ -25,6 +25,7 @@ func checkMontMul(t *testing.T, x, y, m *big.Int) {
 	n := len(m.Bits())
 	r := new(big.Int).Lsh(One, uint(bits.UintSize*n))
 	z, xw, mw, k := make([]big.Word, n), toWords(x, n), toWords(m, n), montK(m.Bits()[0])
+	montMul := kernelFor(n)
 	montMul(z, make([]big.Word, 2*n), xw, toWords(y, n), mw, k)
 	got := new(big.Int).SetBits(z)
 	want := new(big.Int).Mul(x, y)
@@ -43,7 +44,7 @@ func checkMontMul(t *testing.T, x, y, m *big.Int) {
 	}
 }
 
-// TestMontMulMatchesBigInt compares montMul with x·y·R⁻¹ mod m at moduli of
+// TestMontMulMatchesBigInt compares the kernels with x·y·R⁻¹ mod m at moduli of
 // 1 to 65 words — every width of a straight-line kernel and the first of
 // the word loop above it — from all-ones (2^(W·n) − 1) down to just above
 // 2^(W·(n−1)), on the operands that stress the carries: 0, 1, m − 1, R − 1
@@ -93,7 +94,7 @@ func TestMontK(t *testing.T) {
 	}
 }
 
-// montMulLoop is montMul as one call-free Go loop at any width: the CIOS
+// montMulLoop is the kernel as one call-free Go loop at any width: the CIOS
 // loop of montMulVVW with its addMulVVW calls written out in bits.Mul and
 // bits.Add. BenchmarkMontMul measures it against both product kernels.
 func montMulLoop(z, scratch, x, y, m []big.Word, k big.Word) {
@@ -121,7 +122,7 @@ func montMulLoop(z, scratch, x, y, m []big.Word, k big.Word) {
 }
 
 // BenchmarkMontMul times one Montgomery product at widths of 1 to 8, 16
-// and 64 words: montMul as the product runs it (kernel: the straight-line
+// and 64 words: the kernel NewMont picks (kernel: the straight-line
 // kernels up to montWordsMax, the word loop above), the addMulVVW loop
 // alone (vvw), and a call-free Go loop (loop), which is what a
 // straight-line kernel would do past the bound, less its unrolling
@@ -130,8 +131,8 @@ func BenchmarkMontMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	kernels := []struct {
 		name string
-		mul  func(z, scratch, x, y, m []big.Word, k big.Word)
-	}{{"kernel", montMul}, {"vvw", montMulVVW}, {"loop", montMulLoop}}
+		mul  kernel
+	}{{"kernel", nil}, {"vvw", montMulVVW}, {"loop", montMulLoop}}
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 64} {
 		r := new(big.Int).Lsh(One, uint(bits.UintSize*n))
 		m := new(big.Int).Rand(rng, r)
@@ -140,13 +141,17 @@ func BenchmarkMontMul(b *testing.B) {
 		x, y := toWords(new(big.Int).Rand(rng, m), n), toWords(new(big.Int).Rand(rng, m), n)
 		mw, k := toWords(m, n), montK(m.Bits()[0])
 		for _, kn := range kernels {
-			if kn.name == "kernel" && n > montWordsMax {
-				continue // montMul is montMulVVW there
+			mul := kn.mul
+			if mul == nil {
+				if n > montWordsMax {
+					continue // the kernel is montMulVVW there
+				}
+				mul = kernelFor(n)
 			}
 			b.Run(fmt.Sprintf("words=%d/%s", n, kn.name), func(b *testing.B) {
 				z, scratch := slices.Clone(x), make([]big.Word, 2*n+2)
 				for i := 0; i < b.N; i++ {
-					kn.mul(z, scratch, z, y, mw, k)
+					mul(z, scratch, z, y, mw, k)
 				}
 			})
 		}

@@ -41,25 +41,44 @@ func TestTableBlindingRoundTrip(t *testing.T) {
 	}
 }
 
+// refNonce is the blinding factor computed without tables, by big.Int.Exp:
+// (2^n)^a = 2^(n·a) mod n² for one RandBits(blindBits(n)) draw a from rng.
+func refNonce(t testing.TB, pk *PublicKey, rng io.Reader) *big.Int {
+	t.Helper()
+	a, err := mathutil.RandBits(new(big.Int), rng, blindBits(pk.N), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Exp(mathutil.Two, a.Mul(a, pk.N), pk.N2)
+}
+
 // TestBlindingFallbackWithoutTables pins that there is one blinding
-// distribution computed three ways: a key without precomp state (a zero-value
-// PublicKey populated field by field, big.Int.Exp), a Public() copy (the
-// fixed-base table) and the key owner (the CRT tables) produce byte-equal
-// ciphertexts from identically seeded streams and leave the streams at the
-// same position.
+// distribution computed three ways: the reference without tables (refNonce,
+// big.Int.Exp), a Public() copy (the fixed-base table) and the key owner
+// (the CRT tables) produce byte-equal ciphertexts from identically seeded
+// streams and leave the streams at the same position.
 func TestBlindingFallbackWithoutTables(t *testing.T) {
 	for i, key := range ownKeys() {
 		if testing.Short() && ownKeyBits[i] > 512 {
 			continue
 		}
-		bare := &PublicKey{N: key.N, N2: key.N2, G: key.G} // no pre holder
+		pk := &key.PublicKey
+		refEnc := func(rng io.Reader, m *big.Int) (*Ciphertext, error) {
+			c := new(big.Int).Mul(m, pk.N)
+			c.Mul(c.Add(c, mathutil.One), refNonce(t, pk, rng))
+			return &Ciphertext{C: c.Mod(c, pk.N2)}, nil
+		}
+		refRerandomize := func(rng io.Reader, c *Ciphertext) (*Ciphertext, error) {
+			r := refNonce(t, pk, rng)
+			return &Ciphertext{C: r.Mod(r.Mul(r, c.C), pk.N2)}, nil
+		}
 		encrypters := []struct {
 			name string
 			enc  func(io.Reader, *big.Int) (*Ciphertext, error)
 			rr   func(io.Reader, *Ciphertext) (*Ciphertext, error)
 			rng  *rand.Rand
 		}{
-			{"bare", bare.Encrypt, bare.Rerandomize, testRNG(32)},
+			{"reference", refEnc, refRerandomize, testRNG(32)},
 			{"public", key.Public().Encrypt, key.Public().Rerandomize, testRNG(32)},
 			{"own", key.Encrypt, key.Rerandomize, testRNG(32)},
 		}
@@ -98,7 +117,11 @@ func TestBlindingFallbackWithoutTables(t *testing.T) {
 func TestBlindWidthRule(t *testing.T) {
 	for i, key := range ownKeys() {
 		bits := ownKeyBits[i]
-		if got, want := key.blindTable().MaxBits(), (bits+1)/2; got != want {
+		table, err := key.blindTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := table.MaxBits(), (bits+1)/2; got != want {
 			t.Fatalf("%d-bit: public table covers %d bits, want %d", bits, got, want)
 		}
 		own := key.ownTables()

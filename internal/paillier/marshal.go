@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/big"
+
+	"github.com/privconsensus/privconsensus/internal/mathutil"
 )
 
 // JSON serialization of key material, used by the keystore to persist keys
@@ -43,7 +45,8 @@ func (pk *PublicKey) UnmarshalJSON(data []byte) error {
 	pk.N = n
 	pk.N2 = new(big.Int).Mul(n, n)
 	pk.G = new(big.Int).Add(n, big.NewInt(1))
-	pk.pre = &precomp{}
+	mont, _ := mathutil.NewMont(pk.N2) // n² is odd and > 2: it cannot fail
+	pk.pre = &precomp{mont: mont}
 	return nil
 }
 

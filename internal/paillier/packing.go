@@ -172,9 +172,9 @@ func (p Packing) Fold(rng io.Reader, pk *PublicKey, i int, cts []*Ciphertext, ad
 	if len(cts) != p.Count || len(addends) != p.Count {
 		return nil, fmt.Errorf("%w: %d ciphertexts and %d addends, layout holds %d", ErrPackingShape, len(cts), len(addends), p.Count)
 	}
-	ctx := pk.mont()
-	if ctx == nil {
-		return nil, fmt.Errorf("%w: n² is even", ErrInvalidKeyPair)
+	ctx, err := pk.mont()
+	if err != nil {
+		return nil, err
 	}
 	// acc and c_j in n²'s Montgomery domain, then the kernels' scratch.
 	n, plain := ctx.Words(), new(big.Int)

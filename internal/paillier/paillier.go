@@ -66,48 +66,42 @@ func blindBits(n *big.Int) int { return (n.BitLen() + 1) / 2 }
 // construction's heuristic at either width. The best generic attack on a
 // costs 2^(|n|/4): 2^512 at 2048 bits; with the paper's 64-bit keys a has 32
 // bits, as toy as the modulus. DESIGN.md note 11 has the full argument.
-// precomp also holds n²'s Montgomery context, for sums and folds: one
-// division to build, so a relay, which never encrypts, builds no table.
+// precomp also holds n²'s Montgomery context, for sums and folds, built
+// with the key at one division; the table waits for the first encryption,
+// so a relay, which never encrypts, builds none.
 type precomp struct {
+	mont  *mathutil.Mont // n²'s
 	once  sync.Once
 	blind *mathutil.FixedBaseExp // base 2^n mod n^2
+}
 
-	montOnce sync.Once
-	mont     *mathutil.Mont // n²'s
+// mont returns n²'s Montgomery context from the key's precomp. GenerateKey
+// and UnmarshalJSON attach a precomp to every key they return; a key
+// assembled field by field has none and is refused here.
+func (pk *PublicKey) mont() (*mathutil.Mont, error) {
+	if pk.pre == nil {
+		return nil, fmt.Errorf("%w: key not built by GenerateKey or UnmarshalJSON", ErrInvalidKeyPair)
+	}
+	return pk.pre.mont, nil
 }
 
 // blindTable returns the fixed-base table for blinding factors, building it
-// on first use. It is nil for hand-assembled keys without a holder or when
-// the modulus is unusable (e.g. even); freshNonce then computes the same
-// power with big.Int.Exp.
-func (pk *PublicKey) blindTable() *mathutil.FixedBaseExp {
-	if pk.pre == nil {
-		return nil
+// on first use.
+func (pk *PublicKey) blindTable() (*mathutil.FixedBaseExp, error) {
+	if _, err := pk.mont(); err != nil {
+		return nil, err
 	}
 	pk.pre.once.Do(func() {
 		base := new(big.Int).Exp(mathutil.Two, pk.N, pk.N2)
-		if t, err := mathutil.NewFixedBaseExp(base, pk.N2, blindBits(pk.N)); err == nil {
-			pk.pre.blind = t
-		}
+		pk.pre.blind, _ = mathutil.NewFixedBaseExp(base, pk.N2, blindBits(pk.N)) // n² is odd: it cannot fail
 	})
-	return pk.pre.blind
-}
-
-// mont returns n²'s Montgomery context, built on first use (per call for a
-// key assembled by hand without a holder); nil only if n² is even.
-func (pk *PublicKey) mont() *mathutil.Mont {
-	if pk.pre == nil {
-		ctx, _ := mathutil.NewMont(pk.N2)
-		return ctx
-	}
-	pk.pre.montOnce.Do(func() { pk.pre.mont, _ = mathutil.NewMont(pk.N2) })
-	return pk.pre.mont
+	return pk.pre.blind, nil
 }
 
 // Precompute eagerly builds the blinding table so the first encryption
 // after key load does not pay the table-construction cost. Safe to call
 // concurrently and more than once.
-func (pk *PublicKey) Precompute() { pk.blindTable() }
+func (pk *PublicKey) Precompute() { _, _ = pk.blindTable() }
 
 // scratch is the working memory of one encryption, or of a run of them
 // on one goroutine: the blinding exponent's draw and its byte buffer, the
@@ -135,20 +129,19 @@ func (s *scratch) words(n int) (rn, xp, xq, kernel []big.Word) {
 }
 
 // freshNonce returns the blinding factor (2^n)^a mod n^2 for one
-// RandBits(blindBits(n)) draw a from rng: from the fixed-base table when
-// there is one, in s, otherwise the same value by big.Int.Exp.
+// RandBits(blindBits(n)) draw a from rng, from the fixed-base table, in s.
 func (pk *PublicKey) freshNonce(rng io.Reader, s *scratch) (*big.Int, error) {
+	t, err := pk.blindTable()
+	if err != nil {
+		return nil, err
+	}
 	a, err := mathutil.RandBits(&s.a, rng, blindBits(pk.N), s.buf)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: sample blinding exponent: %w", err)
 	}
-	if t := pk.blindTable(); t != nil {
-		rn, _, _, kernel := s.words(len(pk.N2.Bits()))
-		t.Exp(rn, a, kernel)
-		return s.rn.SetBits(rn), nil
-	}
-	// (2^n)^a = 2^(n·a): one exponentiation, no intermediate base.
-	return new(big.Int).Exp(mathutil.Two, a.Mul(a, pk.N), pk.N2), nil
+	rn, _, _, kernel := s.words(len(pk.N2.Bits()))
+	t.Exp(rn, a, kernel)
+	return s.rn.SetBits(rn), nil
 }
 
 // PrivateKey holds the factorization-based secret key with CRT constants.
@@ -225,7 +218,7 @@ func (sk *PrivateKey) Precompute() {
 		defer wg.Done()
 		sk.ownTables()
 	}()
-	sk.blindTable()
+	sk.PublicKey.Precompute()
 	wg.Wait()
 }
 
@@ -357,8 +350,9 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidKeyPair, err)
 	}
+	mont, _ := mathutil.NewMont(n2) // n² is odd and > 2: it cannot fail
 	return &PrivateKey{
-		PublicKey: PublicKey{N: n, N2: n2, G: g, pre: &precomp{}},
+		PublicKey: PublicKey{N: n, N2: n2, G: g, pre: &precomp{mont: mont}},
 		p:         p, q: q,
 		pSquared: pSq, qSquared: qSq,
 		pMinus1: pm1, qMinus1: qm1,
@@ -527,11 +521,12 @@ func (pk *PublicKey) SumScratch() []big.Word { return make([]big.Word, 18*len(pk
 // Add folds c into the sum, working in scratch. A ciphertext outside
 // [0, n²) is refused and leaves the sum as it was.
 func (s *Sum) Add(c *Ciphertext, scratch []big.Word) error {
-	ctx := s.pk.mont()
+	ctx, err := s.pk.mont()
+	if err != nil {
+		return err
+	}
 	if err := s.pk.validateCiphertext(c); err != nil {
 		return err
-	} else if ctx == nil {
-		return fmt.Errorf("%w: n² is even", ErrInvalidKeyPair)
 	}
 	x := scratch[:len(s.acc)]
 	clear(x[copy(x, c.C.Bits()):])
@@ -541,14 +536,29 @@ func (s *Sum) Add(c *Ciphertext, scratch []big.Word) error {
 	return nil
 }
 
+// Merge folds o, a sum under the same modulus, into s with one Montgomery
+// product of the two accumulators, working in scratch; o is left as it
+// was. The product owes one more R than its factors did, so s now owes
+// k₁ + k₂ + 1.
+func (s *Sum) Merge(o *Sum, scratch []big.Word) error {
+	ctx, err := s.pk.mont()
+	if err != nil {
+		return err
+	}
+	if s.pk.N2.Cmp(o.pk.N2) != 0 {
+		return ErrWrongKey
+	}
+	ctx.Mul(s.acc, s.acc, o.acc, scratch)
+	s.k += o.k + 1
+	addOps.Inc()
+	return nil
+}
+
 // Ciphertext returns the sum, the Mul+Mod chain's product mod n² (1 when
 // empty), working in scratch; the sum stays open to further Adds.
 func (s *Sum) Ciphertext(scratch []big.Word) *Ciphertext {
-	if s.k == 0 { // no Add succeeded: there may be no context
-		return &Ciphertext{C: big.NewInt(1)}
-	}
 	z := make([]big.Word, len(s.acc))
-	s.pk.mont().MulRPow(z, s.acc, s.k, scratch)
+	s.pk.pre.mont.MulRPow(z, s.acc, s.k, scratch)
 	return &Ciphertext{C: new(big.Int).SetBits(z)}
 }
 

@@ -106,9 +106,10 @@ func TestSumMatchesMulModChain(t *testing.T) {
 	}
 }
 
-// TestSumRefusals checks that a ciphertext outside [0, n²) is refused and
-// leaves the sum as it was, that an empty sum reads as 1 (E[0] with unit
-// randomness), and that a sum stays open after a read-out.
+// TestSumRefusals checks that a ciphertext outside [0, n²), or a sum under
+// another modulus, is refused and leaves the sum as it was, that an empty
+// sum reads as 1 (E[0] with unit randomness), and that a sum stays open
+// after a read-out.
 func TestSumRefusals(t *testing.T) {
 	key := testKey(t, 64)
 	pk := key.Public()
@@ -137,6 +138,9 @@ func TestSumRefusals(t *testing.T) {
 			t.Errorf("%s: Add error %v, want %v", name, err, tc.want)
 		}
 	}
+	if err := s.Merge(&foldKey().NewSums(1)[0], scratch); !errors.Is(err, ErrWrongKey) {
+		t.Errorf("Merge of a sum under another modulus: %v, want ErrWrongKey", err)
+	}
 	if got, want := s.Ciphertext(scratch), mulModChain(pk, cts[:2]); got.C.Cmp(want) != 0 {
 		t.Fatalf("after refusals the sum reads %v, want %v", got.C, want)
 	}
@@ -149,8 +153,8 @@ func TestSumRefusals(t *testing.T) {
 		t.Fatalf("a sum read out and folded on reads %v, want %v", got.C, want)
 	}
 	// A relay's key, loaded from its file, sums without building the
-	// blinding table; a key assembled by hand without a holder sums alike,
-	// and one whose modulus is even has no context and refuses.
+	// blinding table; a key assembled by hand, without the holder the
+	// constructors attach, is refused.
 	var loaded PublicKey
 	if b, err := pk.MarshalJSON(); err != nil || loaded.UnmarshalJSON(b) != nil {
 		t.Fatalf("JSON round trip: %v", err)
@@ -159,33 +163,31 @@ func TestSumRefusals(t *testing.T) {
 		t.Fatalf("loaded key sums to %v (blinding table built: %v)", got.C, loaded.pre.blind != nil)
 	}
 	bare := &PublicKey{N: pk.N, N2: pk.N2, G: pk.G}
-	if got := sumOf(t, bare, cts); got.C.Cmp(mulModChain(pk, cts)) != 0 {
-		t.Fatalf("hand-assembled key sums to %v", got.C)
-	}
-	even := &PublicKey{N: big.NewInt(1 << 20), N2: big.NewInt(1 << 40)}
-	es, escratch := &even.NewSums(1)[0], even.SumScratch()
-	if err := es.Add(&Ciphertext{C: big.NewInt(3)}, escratch); !errors.Is(err, ErrInvalidKeyPair) {
-		t.Fatalf("even modulus: Add error %v, want ErrInvalidKeyPair", err)
-	}
-	if got := es.Ciphertext(escratch); got.C.Cmp(big.NewInt(1)) != 0 {
-		t.Fatalf("even modulus: the refused sum reads %v, want 1", got.C)
+	if err := bare.NewSums(1)[0].Add(cts[0], scratch); !errors.Is(err, ErrInvalidKeyPair) {
+		t.Fatalf("key without a holder: Add error %v, want ErrInvalidKeyPair", err)
 	}
 }
 
-// FuzzSum folds a run of residues under a 256-bit key and checks the read-
-// out against the Mul+Mod chain, with an out-of-range value refused in the
-// middle of the run.
+// FuzzSum folds a run of residues under a 256-bit key into two sums split
+// at a fuzzed point, with an out-of-range value refused in the middle of
+// the run, merges the second into the first and checks the read-out
+// against the Mul+Mod chain and the run folded into one sum.
 func FuzzSum(f *testing.F) {
-	f.Add(int64(1), uint16(1), uint16(0))
-	f.Add(int64(2), uint16(64), uint16(3))
-	f.Add(int64(3), uint16(65), uint16(64))
-	f.Add(int64(4), uint16(300), uint16(299))
-	f.Fuzz(func(t *testing.T, seed int64, k, bad uint16) {
+	f.Add(int64(1), uint16(1), uint16(0), uint16(0))
+	f.Add(int64(2), uint16(64), uint16(3), uint16(64))
+	f.Add(int64(3), uint16(65), uint16(64), uint16(1))
+	f.Add(int64(4), uint16(300), uint16(299), uint16(150))
+	f.Fuzz(func(t *testing.T, seed int64, k, bad, split uint16) {
 		pk := &foldKey().PublicKey
 		n := 1 + int(k)%512
 		cts := residues(testRNG(seed), pk, n)
-		s, scratch := &pk.NewSums(1)[0], pk.SumScratch()
+		sums, scratch := pk.NewSums(2), pk.SumScratch()
+		at := int(split) % (n + 1)
 		for i, c := range cts {
+			s := &sums[0]
+			if i >= at {
+				s = &sums[1]
+			}
 			if i == int(bad)%n {
 				out := &Ciphertext{C: new(big.Int).Add(pk.N2, c.C)}
 				if err := s.Add(out, scratch); !errors.Is(err, ErrWrongKey) {
@@ -196,8 +198,12 @@ func FuzzSum(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		if got, want := s.Ciphertext(scratch), mulModChain(pk, cts); got.C.Cmp(want) != 0 {
-			t.Fatalf("%d residues: Sum %v, chain %v", n, got.C, want)
+		if err := sums[0].Merge(&sums[1], scratch); err != nil {
+			t.Fatal(err)
+		}
+		got, want := sums[0].Ciphertext(scratch), mulModChain(pk, cts)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || !bytes.Equal(got.Bytes(), sumOf(t, pk, cts).Bytes()) {
+			t.Fatalf("%d residues split at %d: merged Sum %v, chain %v", n, at, got.C, want)
 		}
 	})
 }

@@ -448,8 +448,9 @@ func groupInputs(cfg Config, groups []Group) ([]SubmissionHalf, []int, *big.Int,
 }
 
 // aggregate homomorphically sums one field of every user's submission
-// half. With par > 1 the users are split into chunks summed concurrently
-// and the chunk partials folded in order; Paillier addition is ciphertext
+// half, one paillier.Sum per position. With par > 1 the users are split
+// into chunks summed concurrently, and the later chunks' sums merge into
+// the first chunk's in order; Paillier addition is ciphertext
 // multiplication mod N^2 — associative and commutative — so every grouping
 // yields the identical ciphertext vector.
 func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field func(SubmissionHalf) []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
@@ -462,42 +463,39 @@ func aggregate(pk *paillier.PublicKey, subs []SubmissionHalf, par int, field fun
 	if k == 0 {
 		return nil, nil // packed halves carry no separate Thresh vector
 	}
-	// sum folds vectors lo … hi−1 (users, or chunk partials) position by
-	// position, one paillier.Sum per position and one scratch for them all.
-	sum := func(what string, lo, hi int, vec func(int) []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-		sums, scratch := pk.NewSums(k), pk.SumScratch()
-		for j := lo; j < hi; j++ {
-			for i, c := range vec(j) {
-				if err := sums[i].Add(c, scratch); err != nil {
-					return nil, fmt.Errorf("protocol: aggregate %s %d class %d: %w", what, j, i, err)
-				}
-			}
-		}
-		out := make([]*paillier.Ciphertext, k)
-		for i := range sums {
-			out[i] = sums[i].Ciphertext(scratch)
-		}
-		return out, nil
-	}
-	user := func(u int) []*paillier.Ciphertext { return field(subs[u]) }
 	if par <= 1 || len(subs) < 4 {
-		return sum("user", 0, len(subs), user)
+		par = 1
 	}
-
 	chunkSize := (len(subs) + par - 1) / par
-	bounds := make([][2]int, 0, par)
+	var bounds [][2]int
 	for lo := 0; lo < len(subs); lo += chunkSize {
 		bounds = append(bounds, [2]int{lo, min(lo+chunkSize, len(subs))})
 	}
-	partials := make([][]*paillier.Ciphertext, len(bounds))
-	err := mathutil.ParallelFor(par, len(bounds), func(_, ci int) (err error) {
-		partials[ci], err = sum("user", bounds[ci][0], bounds[ci][1], user)
-		return err
+	sums, scratch := make([][]paillier.Sum, len(bounds)), make([][]big.Word, len(bounds))
+	err := mathutil.ParallelFor(par, len(bounds), func(_, ci int) error {
+		sums[ci], scratch[ci] = pk.NewSums(k), pk.SumScratch()
+		for u := bounds[ci][0]; u < bounds[ci][1]; u++ {
+			for i, c := range field(subs[u]) {
+				if err := sums[ci][i].Add(c, scratch[ci]); err != nil {
+					return fmt.Errorf("protocol: aggregate user %d class %d: %w", u, i, err)
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sum("partial", 0, len(partials), func(j int) []*paillier.Ciphertext { return partials[j] })
+	out := make([]*paillier.Ciphertext, k)
+	for i := range out {
+		for ci := 1; ci < len(sums); ci++ {
+			if err := sums[0][i].Merge(&sums[ci][i], scratch[0]); err != nil {
+				return nil, fmt.Errorf("protocol: aggregate chunk %d class %d: %w", ci, i, err)
+			}
+		}
+		out[i] = sums[0][i].Ciphertext(scratch[0])
+	}
+	return out, nil
 }
 
 // argmaxPermuted finds the permuted position of the maximum. Both parties

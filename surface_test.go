@@ -616,28 +616,26 @@ func TestNoGCTuning(t *testing.T) {
 // bigExpGuarded names the packages whose hot products run on
 // mathutil.Mont, each with the declarations that may still call
 // (*big.Int).Exp and the reason each may: key generation, key validation
-// at load, table construction, and named reference or fallback paths.
+// at load, table construction, and named reference paths. There are no
+// fallbacks: every key carries its tables from its constructor.
 var bigExpGuarded = map[string]map[string]string{
 	"paillier": {
 		"paillier.PublicKey.blindTable":   "table construction: the blinding base 2^n mod n², once per key",
 		"paillier.PrivateKey.ownTables":   "table construction: the bases 2^n mod p² and mod q², once per key",
 		"paillier.hConstant":              "key generation and load: the CRT decryption constants h_p, h_q",
-		"paillier.PublicKey.freshNonce":   "fallback for a hand-assembled key with no blinding table; generated and loaded keys have one",
 		"paillier.PrivateKey.DecryptSlow": "named reference: the non-CRT decryption BenchmarkPaillierCRT measures the CRT path against",
 	},
 	"dgk": {
 		"dgk.elementOfOrder":          "key generation: drawing g and h of the required orders",
 		"dgk.PublicKey.checkSubgroup": "key validation at load: the generators' orders modulo each prime factor",
-		"dgk.PublicKey.Encrypt":       "fallback for a hand-assembled key with no tables; generated and loaded keys have them",
-		"dgk.PublicKey.gPow":          "fallback for a hand-assembled key with no g table (see dgk.PublicKey.Encrypt)",
 	},
 	"protocol": {},
 }
 
 // TestNoBigIntExpOnHotPaths fails on a non-test (*big.Int).Exp call in
 // internal/paillier, internal/dgk or internal/protocol outside the
-// declarations bigExpGuarded lists: every product there is a montMul in a
-// mathutil.Mont context, whose contexts are built once per key, while
+// declarations bigExpGuarded lists: every product there is a Montgomery
+// product in a mathutil.Mont context, whose contexts are built once per key, while
 // big.Int.Exp rebuilds its Montgomery constants and allocates on every call.
 // A listed declaration that no longer calls it is stale.
 func TestNoBigIntExpOnHotPaths(t *testing.T) {
