@@ -3,6 +3,8 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"sync"
+	"time"
 
 	"github.com/privconsensus/privconsensus/internal/ingest"
 	"github.com/privconsensus/privconsensus/internal/transport"
@@ -21,11 +23,72 @@ type routes struct {
 	user func(ctx context.Context, conn transport.Conn) error
 }
 
+// handlers is the lifetime of an accept loop's connection handlers: the
+// connections they hold, so that a server on its way out can close them,
+// and their count, so that it can wait for them to return.
+type handlers struct {
+	mu      sync.Mutex
+	conns   map[transport.Conn]bool
+	stopped bool
+	wg      sync.WaitGroup
+}
+
+// start registers a handler for conn. Once endHandlers has begun it refuses.
+func (h *handlers) start(conn transport.Conn) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.stopped {
+		return false
+	}
+	if h.conns == nil {
+		h.conns = make(map[transport.Conn]bool)
+	}
+	h.conns[conn] = true
+	h.wg.Add(1)
+	return true
+}
+
+// done unregisters conn's handler, which has closed conn or handed it on.
+func (h *handlers) done(conn transport.Conn) {
+	h.mu.Lock()
+	delete(h.conns, conn)
+	h.mu.Unlock()
+	h.wg.Done()
+}
+
+// endHandlers stops the accept loop's connection handlers on a server's way
+// out: cancel ends their context, closing every connection they still hold
+// ends a handler blocked reading it, and the server waits, up to one
+// attempt timeout, until they have returned. No handler outlives the run
+// that accepted its connection.
+func (s *serverSetup) endHandlers(cancel context.CancelFunc, opts ServerOptions) {
+	cancel()
+	h := &s.handlers
+	h.mu.Lock()
+	h.stopped = true
+	for conn := range h.conns {
+		conn.Close()
+	}
+	h.mu.Unlock()
+	returned := make(chan struct{})
+	go func() {
+		h.wg.Wait()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(opts.attemptTimeout()):
+		opts.log(levelWarn, "connection handlers still running %v after their connections closed", opts.attemptTimeout())
+	}
+}
+
 // acceptLoop classifies inbound connections by their hello frame and hands
 // each to its route: it owns hello decoding, the relay capability checks and
 // the trace-context reply a tracing user asked for. Errors on individual
 // connections are logged and the connection dropped; a failing listener
-// aborts via errCh unless ctx has ended.
+// aborts via errCh unless ctx has ended. Each handler is registered in
+// s.handlers until it returns; a connection accepted once they are stopping
+// is closed at once.
 func (s *serverSetup) acceptLoop(ctx context.Context, opts ServerOptions, r routes, errCh chan<- error) {
 	for {
 		conn, err := s.l.Accept()
@@ -40,7 +103,12 @@ func (s *serverSetup) acceptLoop(ctx context.Context, opts ServerOptions, r rout
 			}
 			return
 		}
+		if !s.handlers.start(conn) {
+			conn.Close()
+			continue
+		}
 		go func(conn transport.Conn) {
+			defer s.handlers.done(conn)
 			h, err := recvHello(ctx, conn)
 			if err != nil {
 				opts.log(levelWarn, "dropping connection with bad hello: %v", err)

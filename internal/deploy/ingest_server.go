@@ -121,7 +121,7 @@ func RunIngest(ctx context.Context, role string, cfg protocol.Config, ring *big.
 	lookup := byIndex(cols)
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
-	defer stopAccept()
+	defer s.endHandlers(stopAccept, opts)
 	s.trace.put(0) // an S2 sink has no peer to learn a trace ID from; tracing users get 0
 	go s.acceptLoop(acceptCtx, opts, routes{
 		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, s, opts, lookup) },

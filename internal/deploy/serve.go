@@ -93,9 +93,10 @@ type serveState struct {
 
 	runnable   chan *serveQuery
 	rotateKick chan struct{}
-	// replies counts the result waits registered while their query was in
-	// flight and not yet answered: the drain owes each its reply.
-	replies sync.WaitGroup
+	// owed counts the result replies the drain waits for (owe); settled is
+	// closed when it falls to zero while the drain waits.
+	owed    int
+	settled chan struct{}
 }
 
 // grantKey makes admission idempotent: a client that lost the admit reply
@@ -252,7 +253,7 @@ func ServeS1(ctx context.Context, files []*keystore.S1File, opts ServeOptions) (
 	defer ps.close()
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
-	defer stopAccept()
+	defer s.endHandlers(stopAccept, opts.ServerOptions)
 	go s.acceptLoop(acceptCtx, opts.ServerOptions, st.routes(ps), acceptErr)
 
 	obs.ServeEpoch("s1").Set(0)
@@ -299,7 +300,9 @@ func (st *serveState) routes(ps *peerSource) routes {
 		},
 		relay: func(ctx context.Context, conn transport.Conn) { serveRelayConn(ctx, conn, st.s, opts, st.collector) },
 		user: func(ctx context.Context, conn transport.Conn) error {
-			return st.s.serveUserConn(ctx, conn, st.collector, st.userControl)
+			c := &clientConn{st: st, unasked: make(map[int]bool)}
+			defer c.close()
+			return st.s.serveUserConn(ctx, conn, c.collector, c.control)
 		},
 	}
 }
@@ -313,6 +316,61 @@ func (st *serveState) collector(qid int) *collector {
 		return q.col
 	}
 	return nil
+}
+
+// clientConn is S1's view of one client connection: the queries it
+// delivered submissions to and has not yet asked the result of on it. A
+// client may ask on the connection it uploaded on once the query has
+// resolved, so the drain owes each of these queries a reply until it is
+// asked for or the connection closes.
+type clientConn struct {
+	st      *serveState
+	unasked map[int]bool
+}
+
+// collector is the connection's query lookup: st.collector, noting the
+// query as owed.
+func (c *clientConn) collector(qid int) *collector {
+	st := c.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	q := st.queries[qid]
+	if q == nil {
+		return nil
+	}
+	if !c.unasked[qid] {
+		c.unasked[qid] = true
+		st.oweLocked(1)
+	}
+	return q.col
+}
+
+// control is st.userControl; an answered result wait settles its query.
+func (c *clientConn) control(ctx context.Context, conn transport.Conn, flags []int64) error {
+	err := c.st.userControl(ctx, conn, flags)
+	if len(flags) >= 2 && flags[0] == ctrlResultWait && c.unasked[int(flags[1])] {
+		delete(c.unasked, int(flags[1]))
+		c.st.owe(-1)
+	}
+	return err
+}
+
+// close settles every query the connection still owed: it asks no more.
+func (c *clientConn) close() { c.st.owe(-len(c.unasked)) }
+
+// owe adds n to the result replies the drain waits for.
+func (st *serveState) owe(n int) {
+	st.mu.Lock()
+	st.oweLocked(n)
+	st.mu.Unlock()
+}
+
+func (st *serveState) oweLocked(n int) {
+	st.owed += n
+	if st.owed == 0 && st.settled != nil {
+		close(st.settled)
+		st.settled = nil
+	}
 }
 
 // userControl answers the control frames only S1's clients send: admission
@@ -393,13 +451,20 @@ func (st *serveState) admit(ctx context.Context, tenant, nonce int64) (status in
 	}
 	if err != nil {
 		st.opts.log(levelWarn, "S1 could not announce query %d to S2: %v", q.qid, err)
+		// A drain timeout or cancellation may have taken the query while the
+		// announce waited (failUnresolved): its resolution is then theirs.
 		st.mu.Lock()
-		delete(st.queries, q.qid)
-		delete(st.grants, key)
+		owned := st.queries[q.qid] == q
+		if owned {
+			delete(st.queries, q.qid)
+			delete(st.grants, key)
+		}
 		st.mu.Unlock()
-		q.res.Err = fmt.Errorf("deploy: S2 did not register query %d: %w", q.qid, err)
-		close(q.done) // a result wait that found the query gets its reply
-		st.ledger.Unreserve(tenant, st.cost)
+		if owned {
+			q.res.Err = fmt.Errorf("deploy: S2 did not register query %d: %w", q.qid, err)
+			close(q.done) // a result wait that found the query gets its reply
+			st.ledger.Unreserve(tenant, st.cost)
+		}
 		return st.refuse(admitUnavailable, tenant)
 	}
 
@@ -497,11 +562,15 @@ func publishReadiness(draining bool, ledger *dp.Ledger, cost dp.Spend) {
 func (st *serveState) run(ctx context.Context, ps *peerSource, peer transport.Conn, pre int) (*ServeReport, error) {
 	sess := newS1Session(st.s, st.opts.ServerOptions, ps, peer)
 	drainC := st.opts.DrainCh
+	// The drain has one deadline, fixed when it begins: the loop and the
+	// result replies after it share it.
 	var drainTimer <-chan time.Time
+	var drainDeadline time.Time
 	drain := func() {
 		drainC = nil
 		st.beginDrain()
-		drainTimer = time.After(st.opts.drainTimeout())
+		drainDeadline = time.Now().Add(st.opts.drainTimeout())
+		drainTimer = time.After(time.Until(drainDeadline))
 	}
 	pending := pre
 	var runErr error
@@ -541,7 +610,7 @@ loop:
 	}
 
 	if runErr == nil {
-		st.awaitReplies()
+		st.awaitReplies(drainDeadline)
 		// Tell S2 the stream is over: a drain marker on the ctl link (so it
 		// stops expecting announces) and the end-of-session frame on the
 		// protocol link (so its frame loop exits).
@@ -579,19 +648,24 @@ func (st *serveState) drained() bool {
 	return st.draining && len(st.queries) == 0
 }
 
-// awaitReplies waits, up to the drain timeout, until every result wait
-// registered while its query was in flight has its reply sent. The loop
-// exits draining with nothing in flight, so no wait registers after.
-func (st *serveState) awaitReplies() {
-	sent := make(chan struct{})
-	go func() {
-		st.replies.Wait()
-		close(sent)
-	}()
+// awaitReplies waits, until the drain's deadline, for every result reply
+// the drain owes: to the waits registered while their query was in flight,
+// and to the open connections that uploaded to a query and have not asked
+// for its result. The loop exits draining with nothing in flight, so no
+// debt is added after.
+func (st *serveState) awaitReplies(deadline time.Time) {
+	st.mu.Lock()
+	if st.owed == 0 {
+		st.mu.Unlock()
+		return
+	}
+	settled := make(chan struct{})
+	st.settled = settled
+	st.mu.Unlock()
 	select {
-	case <-sent:
-	case <-time.After(st.opts.drainTimeout()):
-		st.opts.log(levelWarn, "S1 drain timeout; result replies still unsent")
+	case <-settled:
+	case <-time.After(time.Until(deadline)):
+		st.opts.log(levelWarn, "S1 drain timeout; result replies still owed")
 	}
 }
 
@@ -678,12 +752,15 @@ func (st *serveState) rememberLocked(q *serveQuery) {
 // failUnresolved resolves every still-open query with err (drain timeout
 // or cancellation) and returns how many submissions their collectors still
 // lacked. The queries never ran, but their registration reserved spend, so
-// they still commit conservatively.
+// they still commit conservatively. It takes them out of queries under the
+// lock it finds them by, so an admission whose announce fails meanwhile
+// leaves each to this resolution.
 func (st *serveState) failUnresolved(err error) (missing int) {
 	st.mu.Lock()
 	open := make([]*serveQuery, 0, len(st.queries))
-	for _, q := range st.queries {
+	for qid, q := range st.queries {
 		open = append(open, q)
+		delete(st.queries, qid)
 	}
 	st.mu.Unlock()
 	for _, q := range open {
@@ -700,15 +777,14 @@ func (st *serveState) failUnresolved(err error) (missing int) {
 // (the client sends nothing else on the connection until the reply), then
 // reports the terminal status. A query neither in flight nor in the replay
 // window is resultUnknown. A wait registered while its query is in flight
-// holds the drain until its reply is sent, and the reply to a resolved
-// query is sent even if the drain has since ended ctx.
+// holds the drain until its reply is sent (owe).
 func (st *serveState) replyResult(ctx context.Context, conn transport.Conn, qid64 int64) error {
 	qid := int(qid64)
 	st.mu.Lock()
 	q := st.queries[qid]
 	if q != nil {
-		st.replies.Add(1)
-		defer st.replies.Done()
+		st.oweLocked(1)
+		defer st.owe(-1)
 	} else {
 		q = st.past[qid]
 	}
@@ -719,14 +795,8 @@ func (st *serveState) replyResult(ctx context.Context, conn transport.Conn, qid6
 	select {
 	case <-q.done:
 	case <-ctx.Done():
-		select {
-		case <-q.done:
-		default:
-			return ctx.Err()
-		}
+		return ctx.Err()
 	}
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), st.opts.attemptTimeout())
-	defer cancel()
 	status := resultFailed
 	label := int64(-1)
 	switch {

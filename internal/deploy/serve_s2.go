@@ -123,7 +123,7 @@ func ServeS2(ctx context.Context, files []*keystore.S2File, opts ServeOptions) (
 
 	acceptErr := make(chan error, 1)
 	acceptCtx, stopAccept := context.WithCancel(ctx)
-	defer stopAccept()
+	defer s.endHandlers(stopAccept, opts.ServerOptions)
 	go s.acceptLoop(acceptCtx, opts.ServerOptions, st.routes(), acceptErr)
 
 	ctlCtx, stopCtl := context.WithCancel(ctx)

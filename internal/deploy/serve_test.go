@@ -497,9 +497,11 @@ func parked(state, fn string) int {
 
 // TestServeDrainAnswersOpenResultWaits holds result waits open across the
 // drain of the last in-flight query. Each of many waits registered before
-// the query resolved has its reply sent before S1 returns and ends its
-// connections' context, and a wait whose frame was still in transit when
-// S1 returned is answered from the replay window all the same.
+// the query resolved has its reply sent before S1 returns and closes its
+// connections, and so has the uploader's, which asks on its own connection
+// only once its upload is acked, perhaps after the query resolved. No
+// connection handler outlives ServeS1: a connection with no upload whose
+// result wait was still in transit when S1 returned is closed, unanswered.
 func TestServeDrainAnswersOpenResultWaits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve deployment test is slow in -short mode")
@@ -568,21 +570,82 @@ func TestServeDrainAnswersOpenResultWaits(t *testing.T) {
 	conn2 := serveUserConnTo(ctx, t, s2Addr)
 	defer conn2.Close()
 	uploadQueryRaw(ctx, t, cfg, pubs[epoch], qid, 1, testRNG(643), mrand.New(mrand.NewSource(644)), conn1, conn2)
+	if err := transport.SendControl(ctx, conn1, ctrlResultWait, int64(qid)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := transport.ExpectControl(ctx, conn1, ctrlResultReply); err != nil ||
+		len(reply) < 4 || reply[1] != resultConsensus || reply[2] != 1 {
+		t.Fatalf("uploader's wait: reply %v, err %v, want consensus on label 1", reply, err)
+	}
 	if r := <-s1Done; r.err != nil {
 		t.Fatalf("S1 serve: %v", r.err)
 	}
-	close(held.release)
-	if err := <-lateSent; err != nil {
-		t.Fatal(err)
+	if n := parked("", "(*serveState).routes"); n != 0 {
+		t.Fatalf("%d of S1's connection handlers outlived ServeS1", n)
 	}
-	for i, conn := range append(waiters, late) {
+	close(held.release)
+	<-lateSent // the frame's last byte meets a closed connection, or is lost
+	for i, conn := range waiters {
 		reply, err := transport.ExpectControl(ctx, conn, ctrlResultReply)
 		if err != nil || len(reply) < 4 || reply[1] != resultConsensus || reply[2] != 1 {
-			t.Fatalf("wait %d of %d: reply %v, err %v, want consensus on label 1", i, waits+1, reply, err)
+			t.Fatalf("wait %d of %d: reply %v, err %v, want consensus on label 1", i, waits, reply, err)
 		}
+	}
+	lateCtx, lateCancel := context.WithTimeout(ctx, 10*time.Second)
+	defer lateCancel()
+	if reply, err := transport.ExpectControl(lateCtx, late, ctrlResultReply); err == nil || lateCtx.Err() != nil {
+		t.Fatalf("late wait: reply %v, err %v, want its connection closed by S1", reply, err)
 	}
 	if r := <-s2Done; r.err != nil {
 		t.Fatalf("S2 serve: %v", r.err)
+	}
+}
+
+// TestServeDrainTimeoutDuringStalledAnnounce lets the drain time out while
+// an admission's announce waits on an S2 that opened the protocol link but
+// never the ctl link. The drain timeout resolves the query as failed; the
+// admission, whose announce then fails, leaves the query to that
+// resolution (closing its done channel a second time would panic) and
+// refuses the client as unavailable.
+func TestServeDrainTimeoutDuringStalledAnnounce(t *testing.T) {
+	s1Files, _, _, _ := serveTestSetup(t, 2, 1, 0, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	drainCh := make(chan struct{})
+	ready := make(chan string, 1)
+	done := make(chan s1ServeResult, 1)
+	go func() {
+		opts := ServerOptions{ListenAddr: "127.0.0.1:0", Seed: 651, Ready: ready, AttemptTimeout: time.Second}
+		rep, err := ServeS1(ctx, s1Files, ServeOptions{ServerOptions: opts, DrainCh: drainCh, DrainTimeout: 50 * time.Millisecond})
+		done <- s1ServeResult{rep, err}
+	}()
+	addr := <-ready
+	peer, err := transport.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	if err := sendHello(ctx, peer, partyPeer, peerCaps(s1Files[0].Config)); err != nil {
+		t.Fatal(err)
+	}
+	user := serveUserConnTo(ctx, t, addr)
+	defer user.Close()
+	if err := transport.SendControl(ctx, user, ctrlAdmitRequest, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for parked("select", "(*ctlLink).roundTrip") < 1 {
+		if ctx.Err() != nil {
+			t.Fatal("the announce never waited for the ctl link")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(drainCh)
+	reply, err := transport.ExpectControl(ctx, user, ctrlAdmitReply)
+	if err != nil || len(reply) < 1 || reply[0] != admitUnavailable {
+		t.Fatalf("admit reply %v, err %v, want unavailable", reply, err)
+	}
+	if r := <-done; r.err != nil {
+		t.Fatalf("S1 serve: %v", r.err)
 	}
 }
 

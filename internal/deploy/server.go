@@ -315,6 +315,8 @@ type serverSetup struct {
 	faults  *transport.FaultInjector
 	journal *obs.Journal
 	trace   *traceState
+	// handlers tracks the accept loop's connection handlers (endHandlers).
+	handlers handlers
 	// rejected journals one submission rejection (nil without a journal).
 	rejected func(reason string)
 }

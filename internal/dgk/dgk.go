@@ -118,8 +118,12 @@ func (pk *PublicKey) hTable() *mathutil.FixedBaseExp {
 
 // Precompute eagerly builds the fixed-base tables so the first encryption
 // after key load does not pay the table-construction cost. Safe to call
-// concurrently and more than once.
+// concurrently and more than once. A key without its holder builds
+// nothing: its first use is refused.
 func (pk *PublicKey) Precompute() {
+	if _, err := pk.mont(); err != nil {
+		return
+	}
 	pk.gTable()
 	pk.hTable()
 }

@@ -10,7 +10,8 @@ import (
 // nothing on the wire: the same key and the same seeded rng produce
 // byte-for-byte identical ciphertexts with tables warmed and by the
 // big.Int.Exp reference (refEncrypt). A key assembled by hand, without the
-// holder GenerateKey and UnmarshalJSON attach, is refused.
+// holder GenerateKey and UnmarshalJSON attach, precomputes nothing and is
+// refused.
 func TestEncryptTablePathByteIdentical(t *testing.T) {
 	key, err := GenerateKey(testRNG(11), testParams())
 	if err != nil {
@@ -35,6 +36,7 @@ func TestEncryptTablePathByteIdentical(t *testing.T) {
 		N: withTables.N, G: withTables.G, H: withTables.H,
 		U: withTables.U, RBits: withTables.RBits, L: withTables.L,
 	}
+	bare.Precompute() // builds nothing, and does not panic
 	if _, err := bare.Encrypt(testRNG(0), big.NewInt(1)); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("key without a holder: Encrypt error %v, want ErrBadParams", err)
 	}

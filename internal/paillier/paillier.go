@@ -557,8 +557,12 @@ func (s *Sum) Merge(o *Sum, scratch []big.Word) error {
 // Ciphertext returns the sum, the Mul+Mod chain's product mod n² (1 when
 // empty), working in scratch; the sum stays open to further Adds.
 func (s *Sum) Ciphertext(scratch []big.Word) *Ciphertext {
+	ctx, err := s.pk.mont()
+	if err != nil {
+		return &Ciphertext{C: big.NewInt(1)} // an empty sum: every Add and Merge needs the context
+	}
 	z := make([]big.Word, len(s.acc))
-	s.pk.pre.mont.MulRPow(z, s.acc, s.k, scratch)
+	ctx.MulRPow(z, s.acc, s.k, scratch)
 	return &Ciphertext{C: new(big.Int).SetBits(z)}
 }
 

@@ -154,7 +154,7 @@ func TestSumRefusals(t *testing.T) {
 	}
 	// A relay's key, loaded from its file, sums without building the
 	// blinding table; a key assembled by hand, without the holder the
-	// constructors attach, is refused.
+	// constructors attach, is refused, and its empty sum reads 1.
 	var loaded PublicKey
 	if b, err := pk.MarshalJSON(); err != nil || loaded.UnmarshalJSON(b) != nil {
 		t.Fatalf("JSON round trip: %v", err)
@@ -163,8 +163,12 @@ func TestSumRefusals(t *testing.T) {
 		t.Fatalf("loaded key sums to %v (blinding table built: %v)", got.C, loaded.pre.blind != nil)
 	}
 	bare := &PublicKey{N: pk.N, N2: pk.N2, G: pk.G}
-	if err := bare.NewSums(1)[0].Add(cts[0], scratch); !errors.Is(err, ErrInvalidKeyPair) {
+	empty := bare.NewSums(1)
+	if err := empty[0].Add(cts[0], scratch); !errors.Is(err, ErrInvalidKeyPair) {
 		t.Fatalf("key without a holder: Add error %v, want ErrInvalidKeyPair", err)
+	}
+	if got := empty[0].Ciphertext(scratch); got.C.Cmp(big.NewInt(1)) != 0 {
+		t.Fatalf("key without a holder: empty sum reads %v, want 1", got.C)
 	}
 }
 

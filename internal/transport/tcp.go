@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -22,6 +23,7 @@ import (
 // payload that runs past its message is refused at that frame.
 type tcpConn struct {
 	nc net.Conn
+	br *bufio.Reader
 	// sent is Send's frame buffer, guarded by sendMu; head and payload are
 	// Recv's, guarded by recvMu. Each grows to the largest frame up to
 	// maxKeptPayload; a larger frame gets a buffer of its own, which goes
@@ -39,7 +41,7 @@ type tcpConn struct {
 
 // NewTCPConn wraps an established net.Conn in the message framing protocol.
 func NewTCPConn(nc net.Conn) Conn {
-	return &tcpConn{nc: nc}
+	return &tcpConn{nc: nc, br: bufio.NewReader(nc)}
 }
 
 // Dial connects to a listening peer at addr.
@@ -125,7 +127,7 @@ func (c *tcpConn) Recv(ctx context.Context) (*Message, error) {
 	if err := c.applyDeadline(ctx, c.nc.SetReadDeadline); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(c.nc, c.head[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.head[:]); err != nil {
 		return nil, fmt.Errorf("transport: read frame length: %w", err)
 	}
 	payloadLen := int(binary.BigEndian.Uint32(c.head[:]))
@@ -142,7 +144,7 @@ func (c *tcpConn) Recv(ctx context.Context) (*Message, error) {
 	default:
 		payload = c.payload[:payloadLen]
 	}
-	if _, err := io.ReadFull(c.nc, payload); err != nil {
+	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, fmt.Errorf("transport: read frame payload: %w", err)
 	}
 	msg, n, err := DecodeMessage(payload)
